@@ -18,6 +18,8 @@ from .field_core import Bubble, ScalarField, _out, _prep
 from .potential import sphere_rule
 
 OUTER_RADIUS = 5.0 / 8.0
+_CHUNK = 1 << 17  # coarse grid points evaluated at a time
+_KEEP = 1 << 14  # leading coarse entries kept for the candidate search
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,10 @@ class BlowupInput:
             raise ValueError("need 0 < epsilon < 5/8")
         if self.R <= 0 or self.delta_target <= 0:
             raise ValueError("R and delta_target must be positive")
+        if self.coarse < 2:
+            raise ValueError("coarse needs at least 2 nodes per axis")
+        if self.refine_passes < 0:
+            raise ValueError("refine_passes must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -108,33 +114,101 @@ def _refine_about(inp: BlowupInput, start_x: np.ndarray, start_v: float,
     return best_x, float(best)
 
 
+def _coarse_chunks(axis: np.ndarray, n: int):
+    """Yield (first flat index, points) over the grid axis^n in C order.
+
+    The last t < n axes, with N^t <= _CHUNK, form a fixed tail block; each
+    chunk holds whole tail blocks and writes their leading coordinates into
+    one reused buffer, so the points yielded are overwritten by the next
+    chunk.
+    """
+    N = axis.size
+    t = 1
+    while t + 1 < n and N ** (t + 1) <= _CHUNK:
+        t += 1
+    block = N**t
+    rows = max(1, _CHUNK // block)
+    tail = np.meshgrid(*[axis] * t, indexing="ij")
+    buf = np.empty((rows * block, n))
+    buf[:, n - t:] = np.tile(np.stack([m.ravel() for m in tail], axis=-1), (rows, 1))
+    n_lead = N ** (n - t)
+    for start in range(0, n_lead, rows):
+        stop = min(start + rows, n_lead)
+        m = (stop - start) * block
+        for j, i in enumerate(np.unravel_index(np.arange(start, stop), (N,) * (n - t))):
+            buf[:m, j] = np.repeat(axis[i], block)
+        yield start * block, buf[:m]
+
+
+def _coarse_top(inp: BlowupInput, axis: np.ndarray, keep: int):
+    """The first `keep` finite coarse values in the order (-value, flat index).
+
+    Returns those values and their flat grid indices, in that order; fewer
+    than `keep` means every finite value is there.  Kept entries stay in
+    flat-index order until the final sort, so the ties at the cut keep their
+    smallest indices.
+    """
+    vals, idx = np.empty(0), np.empty(0, dtype=np.intp)
+    for first, pts in _coarse_chunks(axis, inp.field.n):
+        v = _masked_weighted(inp, pts)
+        if np.any(v == np.inf):
+            raise OutOfDomain("weighted field is infinite at a coarse node")
+        new = np.isfinite(v)
+        if vals.size == keep:
+            # a later index ties below every kept entry of equal value
+            new &= v > vals.min()
+        new = np.flatnonzero(new)
+        vals = np.concatenate([vals, v[new]])
+        idx = np.concatenate([idx, first + new])
+        if vals.size > keep:
+            kth = np.partition(vals, vals.size - keep)[vals.size - keep]
+            sel = vals > kth
+            sel[np.flatnonzero(vals == kth)[: keep - np.count_nonzero(sel)]] = True
+            vals, idx = vals[sel], idx[sel]
+    order = np.lexsort((idx, -vals))
+    return vals[order], idx[order]
+
+
 def weighted_max(inp: BlowupInput, n_candidates: int = 8):
     """Maximize the weighted field over the annulus by grid plus refinement.
 
-    Narrow peaks can fall between coarse nodes, so the top few
-    well-separated coarse candidates are each refined locally and the best
-    refined value wins.  Ties break toward the lexicographically smallest
-    grid index; the whole search is deterministic.
+    The coarse grid (inp.coarse nodes per axis over the cube [-5/8, 5/8]^n)
+    is evaluated in chunks of about _CHUNK points, keeping only the _KEEP
+    largest finite values with their flat grid indices, so memory does not
+    grow with coarse^n.  Those are ordered by decreasing value, ties toward
+    the smallest flat index, which is a prefix of the order of the whole
+    grid.  Narrow peaks can fall between coarse nodes, so the first
+    n_candidates nodes along that order that lie at least two cell
+    diagonals from every earlier candidate are each refined locally, and
+    the best refined value wins.  If the kept prefix runs out before
+    n_candidates are found while finite values remain outside it, the grid
+    is rescanned keeping eight times as many, so the result is exact in
+    every case.  The whole search is deterministic.
+
+    Raises OutOfDomain when no coarse node is admissible (every node lies
+    off the annulus or inside an excluded ball) or when the weighted field
+    is infinite at a node.
     """
     n = inp.field.n
-    lo = np.full(n, -OUTER_RADIUS)
-    hi = np.full(n, OUTER_RADIUS)
-    axes = [np.linspace(a, b, inp.coarse) for a, b in zip(lo, hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = _masked_weighted(inp, pts)
-    cell = (hi - lo) / (inp.coarse - 1)
-    order = np.argsort(-vals, kind="stable")
+    axis = np.linspace(-OUTER_RADIUS, OUTER_RADIUS, inp.coarse)
+    cell = np.full(n, 2 * OUTER_RADIUS / (inp.coarse - 1))
     min_sep = 2.0 * float(np.linalg.norm(cell))
-    candidates = []
-    for idx in order:
-        if not np.isfinite(vals[idx]):
+    keep = _KEEP
+    while True:
+        vals, idx = _coarse_top(inp, axis, keep)
+        pts = axis[np.stack(np.unravel_index(idx, (inp.coarse,) * n), axis=-1)]
+        candidates = []
+        for x, v in zip(pts, vals):
+            if all(np.linalg.norm(x - c) >= min_sep for c, _ in candidates):
+                candidates.append((x, float(v)))
+            if len(candidates) >= n_candidates:
+                break
+        if len(candidates) >= n_candidates or vals.size < keep:
             break
-        x = pts[idx]
-        if all(np.linalg.norm(x - c) >= min_sep for c, _ in candidates):
-            candidates.append((x, float(vals[idx])))
-        if len(candidates) >= n_candidates:
-            break
+        keep *= 8
+    if not candidates:
+        raise OutOfDomain("no admissible coarse node: every node lies off "
+                          "the annulus or inside an excluded ball")
     best_x, best = candidates[0]
     for cx, cv in candidates:
         rx, rv = _refine_about(inp, cx, cv, cell)

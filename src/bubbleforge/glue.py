@@ -50,7 +50,8 @@ class Cutoff:
     def phi(self, r):
         t = self._t(r)
         s = t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-        return 1.0 - s
+        # s >= 0 exactly, but rounds to 1 + ulp just below t = 1
+        return np.maximum(1.0 - s, 0.0)
 
     def dphi(self, r):
         t = self._t(r)

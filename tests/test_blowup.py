@@ -1,13 +1,21 @@
 """Weighted maxima, rescaling and bubble fitting."""
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bubbleforge
 from bubbleforge import (
     BaseField,
     BlowupInput,
     Bubble,
     CallableRadialField,
+    blowup,
     detect,
     excise,
     fit_bubble,
@@ -16,7 +24,7 @@ from bubbleforge import (
     sum_field,
     weighted_max,
 )
-from bubbleforge.blowup import OUTER_RADIUS, d_eps
+from bubbleforge.blowup import OUTER_RADIUS, _masked_weighted, _refine_about, d_eps
 from bubbleforge.errors import FitDiverged, OutOfDomain
 
 
@@ -31,9 +39,131 @@ def _slow_decay_field(n=3):
     )
 
 
-def test_weighted_max_constant_field():
-    const = CallableRadialField(3, lambda r: np.full_like(r, 2.0),
+def _constant_field(n=3):
+    return CallableRadialField(n, lambda r: np.full_like(r, 2.0),
+                               lambda r: 0 * r, lambda r: 0 * r)
+
+
+def _dense_weighted_max(inp, n_candidates=8):
+    """Reference: the whole coarse grid at once, ordered by a stable argsort."""
+    n = inp.field.n
+    axes = [np.linspace(-OUTER_RADIUS, OUTER_RADIUS, inp.coarse)] * n
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    vals = _masked_weighted(inp, pts)
+    cell = np.full(n, 2 * OUTER_RADIUS / (inp.coarse - 1))
+    candidates = []
+    for idx in np.argsort(-vals, kind="stable"):
+        if not np.isfinite(vals[idx]):
+            break
+        if all(np.linalg.norm(pts[idx] - c) >= 2 * np.linalg.norm(cell)
+               for c, _ in candidates):
+            candidates.append((pts[idx], float(vals[idx])))
+        if len(candidates) >= n_candidates:
+            break
+    best_x, best = candidates[0]
+    for cx, cv in candidates:
+        rx, rv = _refine_about(inp, cx, cv, cell)
+        if rv > best:
+            best_x, best = rx, rv
+    return best_x, float(best)
+
+
+def _two_bubble_input():
+    b1 = Bubble(1e-3, [0.3, 0.0, 0.0], 3)
+    b2 = Bubble(2e-3, [0.0, 0.45, 0.0], 3)
+    return BlowupInput(field=sum_field(b1, b2), epsilon=0.1, R=5.0,
+                       delta_target=0.2)
+
+
+def _narrow_bubble_input():
+    return BlowupInput(field=Bubble(1e-3, [0.3, 0, 0], 3), epsilon=0.1, R=5.0,
+                       delta_target=0.01)
+
+
+def _constant_input():
+    return BlowupInput(field=_constant_field(), epsilon=0.1, R=2.0,
+                       delta_target=0.01)
+
+
+def _excised_input():
+    two = _two_bubble_input()
+    return excise(two, detect(two))
+
+
+@pytest.mark.parametrize("make_input, chunk", [
+    (_narrow_bubble_input, blowup._CHUNK),
+    (_two_bubble_input, blowup._CHUNK),
+    (_two_bubble_input, 500),  # uneven chunks, the last one partial
+    (_excised_input, blowup._CHUNK),
+    (_constant_input, blowup._CHUNK),
+])
+def test_weighted_max_matches_dense_search(make_input, chunk, monkeypatch):
+    monkeypatch.setattr(blowup, "_CHUNK", chunk)
+    inp = make_input()
+    x_o, M = weighted_max(inp)
+    ref_x, ref_M = _dense_weighted_max(inp)
+    assert np.array_equal(x_o, ref_x)
+    assert M == ref_M
+
+
+def test_weighted_max_rescans_when_kept_entries_run_out(monkeypatch):
+    # the constant field's top values tie in symmetric groups; four kept
+    # entries cannot yield eight separated candidates, so the grid is rescanned
+    inp = _constant_input()
+    scans = []
+    top = blowup._coarse_top
+
+    def counted_top(inp, axis, keep):
+        scans.append(keep)
+        return top(inp, axis, keep)
+
+    monkeypatch.setattr(blowup, "_KEEP", 4)
+    monkeypatch.setattr(blowup, "_coarse_top", counted_top)
+    x_o, M = weighted_max(inp)
+    assert scans[0] == 4 and len(scans) > 1
+    ref_x, ref_M = _dense_weighted_max(inp)
+    assert np.array_equal(x_o, ref_x)
+    assert M == ref_M
+
+
+def test_weighted_max_raises_when_no_node_is_admissible():
+    inp = replace(_narrow_bubble_input(), excluded=((np.zeros(3), 1.0),))
+    with pytest.raises(OutOfDomain, match="admissible"):
+        weighted_max(inp)
+
+
+def test_weighted_max_raises_on_infinite_value():
+    shell = CallableRadialField(3, lambda r: np.where((0.2 < r) & (r < 0.3), np.inf, 1.0),
                                 lambda r: 0 * r, lambda r: 0 * r)
+    inp = BlowupInput(field=shell, epsilon=0.1, R=5.0, delta_target=0.01)
+    with pytest.raises(OutOfDomain, match="infinite"):
+        weighted_max(inp)
+
+
+def test_detect_after_excising_the_whole_annulus_raises():
+    # lam * R = 1e-3 * 1e4 covers the annulus from any centre inside it
+    inp = replace(_narrow_bubble_input(), R=1e4)
+    with pytest.raises(OutOfDomain):
+        detect(excise(inp, detect(inp)))
+
+
+def test_blowup_cli_memory_does_not_grow_with_grid(tmp_path):
+    # a 48^4 grid held at once needs about 1 GB
+    src = str(Path(bubbleforge.__file__).resolve().parents[1])
+    code = ("import resource\n"
+            "from bubbleforge.cli import main\n"
+            f"rc = main(['blowup', '--n', '4', '--out', {str(tmp_path / 'r.csv')!r}])\n"
+            "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.split()
+    rc, rss_kb = int(out[-2]), int(out[-1])
+    assert rc == 0
+    assert rss_kb / 1024 < 300
+
+
+def test_weighted_max_constant_field():
+    const = _constant_field()
     eps = 0.1
     inp = BlowupInput(field=const, epsilon=eps, R=2.0, delta_target=0.01)
     x_o, M = weighted_max(inp)
@@ -176,10 +306,8 @@ def test_detect_rejects_slow_decay_profile():
 
 
 def test_detect_two_bubbles_by_excision():
-    b1 = Bubble(1e-3, [0.3, 0.0, 0.0], 3)
-    b2 = Bubble(2e-3, [0.0, 0.45, 0.0], 3)
-    inp = BlowupInput(field=sum_field(b1, b2), epsilon=0.1, R=5.0,
-                      delta_target=0.2)
+    inp = _two_bubble_input()
+    b1, b2 = inp.field.f, inp.field.g
     first = detect(inp)
     assert first is not None
     assert np.linalg.norm(first.center_original - b1.center) <= 1e-4
@@ -195,3 +323,10 @@ def test_blowup_input_validation():
         BlowupInput(field=b, epsilon=0.7, R=5.0, delta_target=0.01)
     with pytest.raises(ValueError):
         BlowupInput(field=b, epsilon=0.1, R=-1.0, delta_target=0.01)
+    for coarse in (1, 0):
+        with pytest.raises(ValueError, match="coarse"):
+            BlowupInput(field=b, epsilon=0.1, R=5.0, delta_target=0.01,
+                        coarse=coarse)
+    with pytest.raises(ValueError, match="refine_passes"):
+        BlowupInput(field=b, epsilon=0.1, R=5.0, delta_target=0.01,
+                    refine_passes=-1)

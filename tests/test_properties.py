@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bubbleforge import (
@@ -60,6 +60,7 @@ def test_bubble_image_parameters_involute(lam, center, a):
 
 @given(st.floats(min_value=1e-2, max_value=10),
        st.floats(min_value=1e-2, max_value=10))
+@example(0.056351471860733, 0.1375616041446333)  # phi rounded to -2.2e-16
 def test_cutoff_stays_within_bounds(r_in, width):
     c = make_cutoff(r_in, r_in + width)
     rs = np.linspace(0, r_in + 2 * width, 801)

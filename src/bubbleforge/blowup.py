@@ -82,18 +82,14 @@ def d_eps(x, epsilon: float):
 
 
 def weighted_u(inp: BlowupInput, x):
-    d = np.clip(np.asarray(d_eps(x, inp.epsilon)), 0.0, None)
+    """d_eps^((n-2)/2) u on the annulus; -inf off it and inside excluded balls."""
+    x = np.asarray(x, float)
+    d = d_eps(x, inp.epsilon)
     n = inp.field.n
     u = np.asarray(inp.field.value(x))
-    return d ** ((n - 2) / 2) * u
-
-
-def _masked_weighted(inp: BlowupInput, pts: np.ndarray) -> np.ndarray:
-    vals = weighted_u(inp, pts)
-    d = d_eps(pts, inp.epsilon)
-    vals = np.where(d > 0.0, vals, -np.inf)
+    vals = np.where(d > 0.0, np.clip(d, 0.0, None) ** ((n - 2) / 2) * u, -np.inf)
     for c, rad in inp.excluded:
-        inside = np.linalg.norm(pts - np.asarray(c, float), axis=-1) < rad
+        inside = np.linalg.norm(x - np.asarray(c, float), axis=-1) < rad
         vals = np.where(inside, -np.inf, vals)
     return vals
 
@@ -106,7 +102,7 @@ def _refine_about(inp: BlowupInput, start_x: np.ndarray, start_v: float,
         sub_axes = [np.linspace(c - s, c + s, 17) for c, s in zip(best_x, step)]
         sub_mesh = np.meshgrid(*sub_axes, indexing="ij")
         sub = np.stack([m.ravel() for m in sub_mesh], axis=-1)
-        sv = _masked_weighted(inp, sub)
+        sv = weighted_u(inp, sub)
         j = int(np.argmax(sv))
         if sv[j] > best:
             best_x, best = sub[j], sv[j]
@@ -150,7 +146,7 @@ def _coarse_top(inp: BlowupInput, axis: np.ndarray, keep: int):
     """
     vals, idx = np.empty(0), np.empty(0, dtype=np.intp)
     for first, pts in _coarse_chunks(axis, inp.field.n):
-        v = _masked_weighted(inp, pts)
+        v = weighted_u(inp, pts)
         if np.any(v == np.inf):
             raise OutOfDomain("weighted field is infinite at a coarse node")
         new = np.isfinite(v)

@@ -118,11 +118,13 @@ class RadialField(ScalarField):
         raise NotImplementedError
 
     def _radii(self, x):
+        # callers that need only r slice d off, so it is freed before the profile runs
         arr, single = _prep(x, self.n)
-        return arr - self.center, np.linalg.norm(arr - self.center, axis=-1), single
+        d = arr - self.center
+        return d, np.linalg.norm(d, axis=-1), single
 
     def value(self, x):
-        _, r, single = self._radii(x)
+        r, single = self._radii(x)[1:]
         return _out(self.value_r(r), single)
 
     def gradient(self, x):
@@ -133,7 +135,7 @@ class RadialField(ScalarField):
         return g if not single else g.reshape(self.n)
 
     def laplacian(self, x):
-        _, r, single = self._radii(x)
+        r, single = self._radii(x)[1:]
         rs = np.where(r == 0.0, 1.0, r)
         lap = self.d2value_r(r) + (self.n - 1) * self.dvalue_r(r) / rs
         lap = np.where(r == 0.0, self.n * self.d2value_r(r), lap)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AtCenter
+from .errors import AtCenter, BubbleforgeError
 from .field_core import Bubble, ScalarField, _out, _prep
 
 
@@ -70,7 +70,7 @@ class KelvinField(ScalarField):
         try:
             u_c = float(src.value(inv.center))
             self.inv_decay_coeff = inv.radius ** (self.n - 2) * u_c
-        except Exception:
+        except BubbleforgeError:
             self.inv_decay_coeff = None
 
     def __repr__(self):

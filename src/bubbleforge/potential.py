@@ -78,21 +78,9 @@ class SingularProfile:
 _GL16 = leggauss(16)
 
 
-def _panel_nodes(a, b, k: int):
-    """Composite 16-point Gauss-Legendre nodes/weights on [a, b], k panels."""
+def _gl_panels(edges: np.ndarray):
+    """Composite 16-point Gauss-Legendre nodes/weights on the panels between edges."""
     x0, w0 = _GL16
-    edges = np.linspace(a, b, k + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return (mid[:, None] + half[:, None] * x0[None, :]).ravel(), (
-        half[:, None] * w0[None, :]
-    ).ravel()
-
-
-def _geom_panel_nodes(a, b, k: int):
-    """Composite GL nodes on geometrically graded panels (a > 0)."""
-    x0, w0 = _GL16
-    edges = np.geomspace(a, b, k + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     return (mid[:, None] + half[:, None] * x0[None, :]).ravel(), (
@@ -112,15 +100,15 @@ def adaptive_radial(fvec, a: float, b: float, rel_tol: float = 1e-10,
         return 0.0, 0.0, 0
     cuts = sorted({float(a), float(b), *[float(s) for s in splits if a < s < b]})
     total, err, evals = 0.0, 0.0, 0
-    nodes_of = _geom_panel_nodes if geometric else _panel_nodes
+    spacing = np.geomspace if geometric else np.linspace
     for u, v in zip(cuts[:-1], cuts[1:]):
         k = 4
-        nodes, wts = nodes_of(u, v, k)
+        nodes, wts = _gl_panels(spacing(u, v, k + 1))
         prev = float(wts @ np.asarray(fvec(nodes)))
         evals += nodes.size
         while True:
             k *= 2
-            nodes, wts = nodes_of(u, v, k)
+            nodes, wts = _gl_panels(spacing(u, v, k + 1))
             cur = float(wts @ np.asarray(fvec(nodes)))
             evals += nodes.size
             delta = abs(cur - prev)
@@ -235,14 +223,9 @@ def _polar_ball_integral(k: Kernel, g, ball: Ball, xi: np.ndarray,
     """sum_dirs w int_0^exit r g(xi + r theta) dr / ((n-2) omega_n), doubled."""
     dirs, w = sphere_rule(k.n, m_sphere)
     rexit = _ray_exit(ball, xi, dirs)
-    x0, w0 = _GL16
 
     def radial(krad: int) -> float:
-        edges = np.linspace(0.0, 1.0, krad + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        u = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-        wu = (half[:, None] * w0[None, :]).ravel()
+        u, wu = _gl_panels(np.linspace(0.0, 1.0, krad + 1))
         rr = rexit[:, None] * u[None, :]
         pts = xi[None, None, :] + rr[..., None] * dirs[:, None, :]
         vals = np.asarray(g(pts.reshape(-1, k.n))).reshape(rr.shape)
@@ -405,18 +388,12 @@ def _aligned_sphere_rule(n: int, m: int, axis: np.ndarray, t_breaks):
     integrand may be merely piecewise smooth across the break cosines without
     degrading convergence.
     """
-    x0, w0 = _GL16
     frame = _complement_frame(axis)
     sub_pts, sub_w = sphere_rule(n - 1, m)
     cuts = sorted({-1.0, 1.0, *[float(t) for t in t_breaks if -1.0 < t < 1.0]})
     dirs_blocks, w_blocks = [], []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        kpan = max(2, m // 8)
-        edges = np.linspace(lo, hi, kpan + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        ts = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-        wts = (half[:, None] * w0[None, :]).ravel()
+        ts, wts = _gl_panels(np.linspace(lo, hi, max(2, m // 8) + 1))
         wts = wts * (1.0 - ts * ts) ** ((n - 3) / 2.0)
         s = np.sqrt(np.clip(1.0 - ts * ts, 0.0, None))
         block = ts[:, None, None] * axis[None, None, :] + (
@@ -427,35 +404,33 @@ def _aligned_sphere_rule(n: int, m: int, axis: np.ndarray, t_breaks):
     return np.concatenate(dirs_blocks), np.concatenate(w_blocks)
 
 
-def _volume_h_lap(k: Kernel, u: ScalarField, omega: Ball, xi: np.ndarray,
-                  excluded: tuple | None, m_sphere: int, m_rad: int) -> float:
-    """Integral of H(x, xi) lap(u)(x) over omega minus an excluded ball at p."""
+def _inner_h_lap(k: Kernel, u: ScalarField, xi: np.ndarray, p: np.ndarray,
+                 eps: float, D: float, dirs_p: np.ndarray, w_p: np.ndarray) -> float:
+    """Integral of H(x, xi) lap(u)(x) over eps < |x - p| < D, polar about p.
 
-    def g(pts):
-        return np.asarray(u.laplacian(pts))
+    The kernel is smooth there because D = |xi - p|/2.
+    """
 
-    if excluded is None:
-        vneg, _, _ = _polar_ball_integral(k, g, omega, xi, m_sphere, m_rad)
-        return -vneg  # _polar integrates against |H|; H = -|H|
-
-    p, eps = excluded
-    p = np.asarray(p, float)
-    dist = float(np.linalg.norm(xi - p))
-    D = 0.5 * dist
-    dirs_p, w_p = sphere_rule(k.n, m_sphere)
-
-    # inner annulus eps < |x - p| < D, polar about p (kernel smooth there)
     def inner_int(r):
         pts = (p[None, None, :] + r[:, None, None] * dirs_p[None, :, :]).reshape(-1, k.n)
         hv = np.asarray(h_eval(k, pts, xi)).reshape(r.size, -1)
-        lap = g(pts).reshape(r.size, -1)
+        lap = np.asarray(u.laplacian(pts)).reshape(r.size, -1)
         return (hv * lap) @ w_p * r ** (k.n - 1)
 
-    inner, _, _ = adaptive_radial(inner_int, eps, D, rel_tol=1e-9, geometric=True)
+    return adaptive_radial(inner_int, eps, D, rel_tol=1e-9, geometric=True)[0]
 
-    # outer region: polar about xi, removing the ray segment inside B(p, D).
-    # The angular rule is aligned with the xi -> p axis and split at the
-    # shadow-boundary cosine, where the segment endpoints lose smoothness.
+
+def _outer_h_lap(k: Kernel, u: ScalarField, omega: Ball, xi: np.ndarray,
+                 p: np.ndarray, D: float, m_sphere: int, m_rad: int) -> float:
+    """Integral of H(x, xi) lap(u)(x) over omega minus B(p, D), D = |xi - p|/2.
+
+    Polar about xi, removing the ray segment inside B(p, D).  The angular
+    rule is aligned with the xi -> p axis and split at the shadow-boundary
+    cosine, where the segment endpoints lose smoothness.  The segments
+    before and after the ball are integrated one after the other, so only
+    one segment's points are held at a time.
+    """
+    dist = float(np.linalg.norm(xi - p))
     axis = (p - xi) / dist
     t_star = math.sqrt(max(0.0, 1.0 - (D / dist) ** 2))
     dirs, w = _aligned_sphere_rule(k.n, m_sphere, axis, (t_star,))
@@ -470,25 +445,31 @@ def _volume_h_lap(k: Kernel, u: ScalarField, omega: Ball, xi: np.ndarray,
     hit &= (t2 > 0.0) & (t1 < rexit)
     b1 = np.clip(np.where(hit, t1, rexit), 0.0, rexit)
     a2 = np.clip(np.where(hit, t2, rexit), 0.0, rexit)
+    uu, wu = _gl_panels(np.linspace(0.0, 1.0, m_rad + 1))
 
-    x0, w0 = _GL16
-
-    def seg_integral(lo, hi, krad: int) -> float:
+    def seg_integral(lo, hi) -> float:
         lens = np.clip(hi - lo, 0.0, None)
-        edges = np.linspace(0.0, 1.0, krad + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        uu = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-        wu = (half[:, None] * w0[None, :]).ravel()
         rr = lo[:, None] + lens[:, None] * uu[None, :]
         pts = xi[None, None, :] + rr[..., None] * dirs[:, None, :]
-        lap = g(pts.reshape(-1, k.n)).reshape(rr.shape)
+        lap = np.asarray(u.laplacian(pts.reshape(-1, k.n))).reshape(rr.shape)
         per_dir = lens * ((rr * lap) @ wu)
         return float(w @ per_dir) / ((2.0 - k.n) * k.omega_n)
 
-    zero = np.zeros_like(rexit)
-    outer = seg_integral(zero, b1, m_rad) + seg_integral(a2, rexit, m_rad)
-    return inner + outer
+    return seg_integral(np.zeros_like(rexit), b1) + seg_integral(a2, rexit)
+
+
+def _check_eps_seq(eps_seq, D: float) -> None:
+    """Raise unless eps_seq suits the excluded-ball formula at radius D = |xi - p|/2."""
+    if D == 0.0:
+        raise Coincident("xi coincides with the singular point")
+    eps = [float(e) for e in eps_seq]
+    if not eps or not all(0.0 < e < D for e in eps):
+        raise BadRadii(f"need 0 < eps < |xi - p|/2 = {D!r} for every eps")
+    if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
+        raise BadRadii("eps_seq must be strictly decreasing")
+    ratios = [e1 / e2 for e1, e2 in zip(eps, eps[1:])]
+    if any(abs(q - ratios[0]) > 1e-9 * ratios[0] for q in ratios):
+        raise BadRadii("eps_seq must be geometric")
 
 
 def rep_formula_singular(u: ScalarField, prof: SingularProfile | None,
@@ -510,23 +491,38 @@ def rep_formula_report(u: ScalarField, prof: SingularProfile | None,
                        omega: Ball, xi, eps_seq=(1e-2, 1e-3, 1e-4),
                        m_sphere: int = 24, m_boundary: int = 48,
                        m_rad: int = 24) -> dict:
-    """Per-radius residuals, excluded-sphere boundary terms and extrapolation."""
+    """Per-radius residuals, excluded-sphere boundary terms and extrapolation.
+
+    With a singular profile at p, the volume integral over omega minus
+    B(p, eps) is split at D = |xi - p|/2.  The outer region, omega minus
+    B(p, D), depends only on D, so it is integrated once per report; only
+    the annulus eps < |x - p| < D is integrated for each eps.  The eps
+    radii must be positive, strictly decreasing, below D and, from three
+    of them on, geometric, since the extrapolation assumes a constant
+    ratio; otherwise BadRadii is raised before any quadrature.  xi = p
+    raises Coincident.
+    """
     d = as_dim(u.n)
     k = Kernel(d.n)
     xi = np.asarray(xi, dtype=float)
+    if prof is not None:
+        D = 0.5 * float(np.linalg.norm(xi - prof.p))
+        _check_eps_seq(eps_seq, D)
     target = float(u.value(xi))
     bnd = _boundary_integral(k, u, omega.center, omega.radius, xi, m_boundary)
 
     if prof is None:
-        vol = _volume_h_lap(k, u, omega, xi, None, m_sphere, m_rad)
-        res = vol + bnd - target
+        vneg, _, _ = _polar_ball_integral(k, u.laplacian, omega, xi, m_sphere, m_rad)
+        res = -vneg + bnd - target  # _polar integrates against |H|; H = -|H|
         return {"residuals": [res], "eps": [], "p_boundary_terms": [],
                 "order": None, "extrapolated": res}
 
     verify_profile(u, prof)
+    outer = _outer_h_lap(k, u, omega, xi, prof.p, D, m_sphere, m_rad)
+    dirs_p, w_p = sphere_rule(k.n, m_sphere)
     residuals, pterms = [], []
     for eps in eps_seq:
-        vol = _volume_h_lap(k, u, omega, xi, (prof.p, eps), m_sphere, m_rad)
+        vol = _inner_h_lap(k, u, xi, prof.p, eps, D, dirs_p, w_p) + outer
         residuals.append(vol + bnd - target)
         pterms.append(_boundary_integral(k, u, prof.p, eps, xi, m_boundary,
                                          outward=False))
@@ -537,7 +533,7 @@ def rep_formula_report(u: ScalarField, prof: SingularProfile | None,
 
 
 def _power_law_limit(eps, res):
-    """Limit of res(eps) = L + A eps^q from the last three samples."""
+    """Limit of res(eps) = L + A eps^q from the last three samples of a geometric eps."""
     if len(res) < 3:
         return res[-1], None
     r1, r2, r3 = res[-3], res[-2], res[-1]

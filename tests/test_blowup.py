@@ -24,7 +24,7 @@ from bubbleforge import (
     sum_field,
     weighted_max,
 )
-from bubbleforge.blowup import OUTER_RADIUS, _masked_weighted, _refine_about, d_eps
+from bubbleforge.blowup import OUTER_RADIUS, _refine_about, d_eps, weighted_u
 from bubbleforge.errors import FitDiverged, OutOfDomain
 
 
@@ -49,7 +49,7 @@ def _dense_weighted_max(inp, n_candidates=8):
     n = inp.field.n
     axes = [np.linspace(-OUTER_RADIUS, OUTER_RADIUS, inp.coarse)] * n
     pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    vals = _masked_weighted(inp, pts)
+    vals = weighted_u(inp, pts)
     cell = np.full(n, 2 * OUTER_RADIUS / (inp.coarse - 1))
     candidates = []
     for idx in np.argsort(-vals, kind="stable"):

@@ -12,9 +12,10 @@ from bubbleforge import (
     kelvin_bubble,
     kelvin_field,
     lemma_5_4_compose,
+    ScalarField,
     sum_field,
 )
-from bubbleforge.errors import AtCenter
+from bubbleforge.errors import AtCenter, OutOfDomain
 
 
 def _random_points(rng, n, m, spread=1.5, avoid=None, min_dist=0.3):
@@ -138,6 +139,27 @@ def test_kelvin_center_without_decay_flag_raises():
         v.value([0, 0, 0])
     with pytest.raises(AtCenter):
         v.gradient([0, 0, 0])
+
+
+class _RaisingField(ScalarField):
+    """Source whose value raises the given exception everywhere."""
+
+    def __init__(self, exc):
+        self.n = 3
+        self.exc = exc
+
+    def value(self, x):
+        raise self.exc("no value here")
+
+
+def test_kelvin_center_source_error_leaves_no_extension():
+    v = kelvin_field(_RaisingField(OutOfDomain), Inversion([0, 0, 0], 1.0))
+    assert v.inv_decay_coeff is None
+
+
+def test_kelvin_center_source_bug_propagates():
+    with pytest.raises(TypeError):
+        kelvin_field(_RaisingField(TypeError), Inversion([0, 0, 0], 1.0))
 
 
 def test_lemma_5_4_matches_direct_transform(rng):

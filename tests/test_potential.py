@@ -26,7 +26,15 @@ from bubbleforge import (
     weighted_grad_integral,
 )
 from bubbleforge.errors import BadRadii, Coincident, ProfileViolated
-from bubbleforge.potential import sphere_rule
+from bubbleforge.potential import (
+    _aligned_sphere_rule,
+    _boundary_integral,
+    _gl_panels,
+    _power_law_limit,
+    _ray_exit,
+    adaptive_radial,
+    sphere_rule,
+)
 
 
 def _ball_mass_closed_form(R, s, n):
@@ -287,3 +295,117 @@ def test_rep_formula_rejects_violated_profile():
                           c1=abs(beta * 0.5) * 1e-3, c2=abs(beta), delta=0.3)
     with pytest.raises(ProfileViolated):
         rep_formula_singular(u, bad, Ball(np.zeros(3), 1.5), [0.5, 0, 0])
+
+
+def _singular_profile(beta, nut=0.5):
+    return SingularProfile(p=np.zeros(3), mu=1 - nut, nu=nut,
+                           c1=abs(beta * nut) * 1.01, c2=abs(beta) * 1.01,
+                           delta=0.3)
+
+
+def _per_eps_volume(k, u, omega, xi, p, eps, m_sphere, m_rad):
+    """Reference: the whole excluded-ball volume integral redone for one eps."""
+    dist = float(np.linalg.norm(xi - p))
+    D = 0.5 * dist
+    dirs_p, w_p = sphere_rule(k.n, m_sphere)
+
+    def inner_int(r):
+        pts = (p[None, None, :] + r[:, None, None] * dirs_p[None, :, :]).reshape(-1, k.n)
+        hv = np.asarray(h_eval(k, pts, xi)).reshape(r.size, -1)
+        return (hv * u.laplacian(pts).reshape(r.size, -1)) @ w_p * r ** (k.n - 1)
+
+    inner, _, _ = adaptive_radial(inner_int, eps, D, rel_tol=1e-9, geometric=True)
+    t_star = math.sqrt(max(0.0, 1.0 - (D / dist) ** 2))
+    dirs, w = _aligned_sphere_rule(k.n, m_sphere, (p - xi) / dist, (t_star,))
+    rexit = _ray_exit(omega, xi, dirs)
+    b = dirs @ (xi - p)
+    disc = b * b - (float((xi - p) @ (xi - p)) - D * D)
+    hit = disc > 0.0
+    sq = np.sqrt(np.clip(disc, 0.0, None))
+    t1, t2 = np.where(hit, -b - sq, rexit), np.where(hit, -b + sq, rexit)
+    hit &= (t2 > 0.0) & (t1 < rexit)
+    b1 = np.clip(np.where(hit, t1, rexit), 0.0, rexit)
+    a2 = np.clip(np.where(hit, t2, rexit), 0.0, rexit)
+    uu, wu = _gl_panels(np.linspace(0.0, 1.0, m_rad + 1))
+
+    def seg(lo, hi):
+        lens = np.clip(hi - lo, 0.0, None)
+        rr = lo[:, None] + lens[:, None] * uu[None, :]
+        pts = xi[None, None, :] + rr[..., None] * dirs[:, None, :]
+        lap = u.laplacian(pts.reshape(-1, k.n)).reshape(rr.shape)
+        return float(w @ (lens * ((rr * lap) @ wu))) / ((2.0 - k.n) * k.omega_n)
+
+    return inner + (seg(np.zeros_like(rexit), b1) + seg(a2, rexit))
+
+
+@pytest.mark.parametrize("xi, eps_seq, quad", [
+    ([0.5, 0, 0], (1e-2, 1e-3, 1e-4), {}),
+    ([0.3, 0.25, -0.2], (4e-2, 2e-2, 1e-2, 5e-3),
+     {"m_sphere": 12, "m_boundary": 16, "m_rad": 12}),
+], ids=["cli-rep-singular", "off-axis-four-eps"])
+def test_rep_formula_shared_outer_matches_per_eps_reference(xi, eps_seq, quad):
+    u, beta = _singular_power_field()
+    prof = _singular_profile(beta)
+    omega = Ball(np.zeros(3), 1.5)
+    rep = rep_formula_report(u, prof, omega, xi, eps_seq, **quad)
+    m = {"m_sphere": 24, "m_boundary": 48, "m_rad": 24, **quad}
+    k, xi = Kernel(3), np.asarray(xi, float)
+    target = float(u.value(xi))
+    bnd = _boundary_integral(k, u, omega.center, omega.radius, xi, m["m_boundary"])
+    residuals = [_per_eps_volume(k, u, omega, xi, prof.p, eps, m["m_sphere"], m["m_rad"])
+                 + bnd - target for eps in eps_seq]
+    pterms = [_boundary_integral(k, u, prof.p, eps, xi, m["m_boundary"], outward=False)
+              for eps in eps_seq]
+    assert rep["residuals"] == residuals
+    assert rep["p_boundary_terms"] == pterms
+    assert rep["extrapolated"] == _power_law_limit(list(eps_seq), residuals)[0]
+
+
+def test_rep_formula_outer_segments_evaluated_once_per_report():
+    u, beta = _singular_power_field()
+    prof = _singular_profile(beta)
+    xi = np.array([0.5, 0.0, 0.0])
+    D = 0.25
+    m_sphere, m_rad = 12, 12
+    outside = []  # sizes of laplacian calls with every point outside B(p, D)
+    lap = u.laplacian
+
+    def counted(pts):
+        if np.min(np.linalg.norm(pts - prof.p, axis=-1)) >= D:
+            outside.append(len(pts))
+        return lap(pts)
+
+    u.laplacian = counted
+    rep_formula_report(u, prof, Ball(np.zeros(3), 1.5), xi, (1e-2, 1e-3, 1e-4),
+                       m_sphere=m_sphere, m_boundary=16, m_rad=m_rad)
+    dirs, _ = _aligned_sphere_rule(3, m_sphere, -xi / 0.5, (math.sqrt(0.75),))
+    # one call per segment, before and after the ball, for all three eps
+    assert outside == [dirs.shape[0] * 16 * m_rad] * 2
+
+
+@pytest.mark.parametrize("eps_seq", [
+    (1e-2, 1e-3, 0.0),
+    (1e-4, 1e-3, 1e-2),
+    (0.25, 0.025),  # D = |xi - p|/2 = 0.25
+    (1.0, 0.1, 0.01),
+    (1e-2, 1e-3, 2e-4),
+    (),
+], ids=["not-positive", "increasing", "eps-equals-D", "eps-above-D",
+        "not-geometric", "empty"])
+def test_rep_formula_rejects_bad_eps_before_quadrature(eps_seq):
+    u, beta = _singular_power_field()
+
+    def untouched(pts):
+        raise AssertionError("field evaluated before the radii were checked")
+
+    u.value = u.gradient = u.laplacian = untouched
+    with pytest.raises(BadRadii):
+        rep_formula_report(u, _singular_profile(beta), Ball(np.zeros(3), 1.5),
+                           [0.5, 0, 0], eps_seq)
+
+
+def test_rep_formula_rejects_xi_at_singular_point():
+    u, beta = _singular_power_field()
+    with pytest.raises(Coincident):
+        rep_formula_report(u, _singular_profile(beta), Ball(np.zeros(3), 1.5),
+                           np.zeros(3))

@@ -25,8 +25,6 @@ from .field_core import (
     ScalarField,
     SumField,
     base_k,
-    bubble_derivatives,
-    bubble_value,
     combined_k_bounds,
     grad_inv_power,
     identity_3_4_residual,
@@ -43,8 +41,6 @@ from .glue import (
     glue_concentric,
     glue_disjoint,
     insert_annulus,
-    kg_deviation,
-    make_cutoff,
     solve_rho_M,
 )
 from .kelvin import Inversion, invert_point, kelvin_bubble, kelvin_field, lemma_5_4_compose
@@ -72,14 +68,14 @@ __all__ = [
     "BubbleReport", "CallableRadialField", "Cutoff", "DepthFactors", "Dim",
     "GlueConfig", "GridSpec", "Inversion", "KReport", "Kernel", "QuadResult",
     "RhoMSolution", "ScalarField", "SingularProfile", "SumField", "ThmBParams",
-    "base_k", "bubble_derivatives", "bubble_value", "combined_k_bounds",
+    "base_k", "combined_k_bounds",
     "deep_bubble_bound", "deep_bubble_constant", "depth_factors", "detect",
     "excise", "fit_bubble", "glue_bubble_into", "glue_concentric",
     "glue_disjoint", "grad_inv_power", "h_eval", "identity_3_4_residual",
     "insert_annulus", "int_absH_annulus", "int_absH_ball", "inv_root_grad_sq",
     "invert_point", "k_function", "k_sum_limit", "kelvin_bubble",
-    "kelvin_field", "kg_deviation", "lemma_5_4_compose", "lower_bound_3_9",
-    "lower_bound_4_4", "make_cutoff", "rep_formula_report",
+    "kelvin_field", "lemma_5_4_compose", "lower_bound_3_9",
+    "lower_bound_4_4", "rep_formula_report",
     "rep_formula_singular", "rep_identity_report", "rep_identity_residual",
     "rescale", "solve_rho_M",
     "sum_field", "sup_scan", "thmA_conditions", "thmA_dual_conditions",

@@ -14,8 +14,9 @@ import numpy as np
 
 from .errors import FitDiverged, OutOfDomain
 from .fd import fd_gradient, fd_laplacian
-from .field_core import Bubble, ScalarField, _out, _prep
+from .field_core import Bubble, ScalarField
 from .potential import sphere_rule
+from .regions import grid_points
 
 OUTER_RADIUS = 5.0 / 8.0
 _CHUNK = 1 << 17  # coarse grid points evaluated at a time
@@ -99,9 +100,7 @@ def _refine_about(inp: BlowupInput, start_x: np.ndarray, start_v: float,
     best_x, best = start_x, start_v
     step = cell.copy()
     for _ in range(inp.refine_passes):
-        sub_axes = [np.linspace(c - s, c + s, 17) for c, s in zip(best_x, step)]
-        sub_mesh = np.meshgrid(*sub_axes, indexing="ij")
-        sub = np.stack([m.ravel() for m in sub_mesh], axis=-1)
+        sub = grid_points(best_x - step, best_x + step, 17)
         sv = weighted_u(inp, sub)
         j = int(np.argmax(sv))
         if sv[j] > best:
@@ -229,26 +228,19 @@ class RescaledField(ScalarField):
         self.radial = False
         self.fd_scale = 1.0
 
-    def _map(self, y):
-        arr, single = _prep(y, self.n)
-        if np.any(np.linalg.norm(arr, axis=-1) > self.window_radius):
+    def _to_source(self, y):
+        if np.any(np.linalg.norm(y, axis=-1) > self.window_radius):
             raise OutOfDomain("rescaled evaluation outside the safe window")
-        return self.x_center + self.lam * arr, single
+        return self.x_center + self.lam * y
 
-    def value(self, y):
-        pts, single = self._map(y)
-        q = (self.n - 2) / 2
-        return _out(self.lam**q * np.asarray(self.src.value(pts)), single)
+    def _value(self, y):
+        return self.lam ** ((self.n - 2) / 2) * self.src.value(self._to_source(y))
 
-    def gradient(self, y):
-        pts, single = self._map(y)
-        g = self.lam ** (self.n / 2) * np.asarray(self.src.gradient(pts))
-        return g.reshape(self.n) if single else g
+    def _gradient(self, y):
+        return self.lam ** (self.n / 2) * self.src.gradient(self._to_source(y))
 
-    def laplacian(self, y):
-        pts, single = self._map(y)
-        q = (self.n + 2) / 2
-        return _out(self.lam**q * np.asarray(self.src.laplacian(pts)), single)
+    def _laplacian(self, y):
+        return self.lam ** ((self.n + 2) / 2) * self.src.laplacian(self._to_source(y))
 
 
 def rescale(inp: BlowupInput, x_center) -> RescaledField:

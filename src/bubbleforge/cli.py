@@ -27,7 +27,7 @@ from .blowup import BlowupInput, detect
 from .bounds import ThmBParams, lower_bound_4_4, sup_scan, thmA_conditions, thmB_chain_bound, thmB_condition
 from .errors import BubbleforgeError
 from .field_core import Bubble, CallableRadialField, k_function, k_sum_limit, sum_field
-from .glue import GlueConfig, glue_bubble_into, glue_concentric, glue_disjoint, insert_annulus, kg_deviation, solve_rho_M
+from .glue import GlueConfig, glue_bubble_into, glue_concentric, glue_disjoint, insert_annulus, solve_rho_M
 from .potential import Kernel, SingularProfile, int_absH_ball, rep_formula_report, rep_identity_report
 from .regions import Ball, Box, GridSpec
 
@@ -244,7 +244,7 @@ def measure_insert_quality(n: int, delta: float, alpha: float, lam: float = 1.0,
     cfg = GlueConfig.bubble_insert(host, bubble, np.zeros(n), rho_M=sol.rho_m_big)
     w = glue_bubble_into(cfg)
     gs = grid_spec or GridSpec()
-    sup_dev = kg_deviation(w, insert_annulus(w), gs).sup_abs_dev
+    sup_dev = sup_scan(w, insert_annulus(w), gs).sup_abs_dev
     host_eps = sup_scan(host, Ball(np.zeros(n), lam * sol.rho_m_big), gs).sup_abs_dev
     scale = max(host_eps, sol.delta_bar**alpha)
     return sup_dev / scale, sup_dev, host_eps, scale
@@ -318,7 +318,6 @@ def _run_rep_singular(cfg: ExperimentConfig) -> list[ReportRow]:
         lambda r: r**beta,
         lambda r: beta * r ** (beta - 1),
         lambda r: beta * (beta - 1) * r ** (beta - 2),
-        punctured=(tuple(np.zeros(n)),),
     )
     prof = SingularProfile(p=np.zeros(n), mu=1.0 - nut, nu=nut,
                            c1=abs(beta * nut) * 1.01, c2=abs(beta) * 1.01, delta=0.3)

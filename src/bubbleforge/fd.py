@@ -32,15 +32,3 @@ def fd_laplacian(value, x, h: float = 1e-4) -> float:
         e[i] = h
         acc += float(value(x + e)) - 2.0 * c + float(value(x - e))
     return acc / (h * h)
-
-
-def fd_hessian_diag(value, x, h: float = 1e-4) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    c = float(value(x))
-    out = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        out[i] = (float(value(x + e)) - 2.0 * c + float(value(x - e))) / (h * h)
-    return out

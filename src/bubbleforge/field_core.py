@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import NonpositiveValue, KappaTooLarge
 from .fd import fd_laplacian
-from .regions import Region
 
 
 @dataclass(frozen=True)
@@ -46,19 +45,28 @@ def as_dim(n) -> Dim:
     return n if isinstance(n, Dim) else Dim(int(n))
 
 
-def _prep(x, n: int):
+def _pointwise(fn, x, n: int):
+    """Apply a batch function to point(s) x in R^n, keeping x's leading shape.
+
+    x of shape (..., n) is flattened to an (m, n) view, fn maps that batch
+    to (m,) or (m, k) results, and they are reshaped to (...,) or (..., k).
+    A single point (n,) thus gives a float, or a (k,) array.
+    """
     arr = np.asarray(x, dtype=float)
     if arr.shape[-1:] != (n,):
         raise ValueError(f"expected point(s) in R^{n}, got shape {arr.shape}")
-    return arr, arr.ndim == 1
-
-
-def _out(arr, single: bool):
-    return float(arr) if single else arr
+    out = np.asarray(fn(arr.reshape(-1, n)))
+    out = out.reshape(arr.shape[:-1] + out.shape[1:])
+    return float(out) if out.ndim == 0 else out
 
 
 class ScalarField:
     """Positive field with analytic value, gradient and Laplacian.
+
+    A field implements _value, _gradient and _laplacian on (m, n) float
+    batches, returning (m,), (m, n) and (m,) arrays; the public methods
+    accept a point (n,) or any batch (..., n) and return a float, an (n,)
+    gradient or arrays of the batch's leading shape.
 
     Attributes
     ----------
@@ -69,34 +77,34 @@ class ScalarField:
         marks the field's sphere-inversion image as continuously extendable
         at the inversion center.
     fd_scale : local length scale used to pick finite-difference steps
-    domain : declared regular region (None means all of R^n); points from
-        ``punctured`` are additionally excluded
     """
 
     n: int
     radial: bool = False
     inv_decay_coeff: float | None = None
     fd_scale: float = 1.0
-    domain: Region | None = None
-    punctured: tuple = ()
 
-    def value(self, x):  # pragma: no cover - interface
+    def value(self, x):
+        return _pointwise(self._value, x, self.n)
+
+    def gradient(self, x):
+        return _pointwise(self._gradient, x, self.n)
+
+    def laplacian(self, x):
+        return _pointwise(self._laplacian, x, self.n)
+
+    def _value(self, pts):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def gradient(self, x):  # pragma: no cover - interface
+    def _gradient(self, pts):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def laplacian(self, x):  # pragma: no cover - interface
+    def _laplacian(self, pts):  # pragma: no cover - interface
         raise NotImplementedError
 
     @property
     def dim(self) -> Dim:
         return Dim(self.n)
-
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            return SumField(self, other)
-        return NotImplemented
 
 
 class RadialField(ScalarField):
@@ -117,29 +125,22 @@ class RadialField(ScalarField):
     def d2value_r(self, r):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def _radii(self, x):
-        # callers that need only r slice d off, so it is freed before the profile runs
-        arr, single = _prep(x, self.n)
-        d = arr - self.center
-        return d, np.linalg.norm(d, axis=-1), single
+    # value and laplacian need only r, so the offsets are freed before the profile runs
+    def _value(self, pts):
+        return self.value_r(np.linalg.norm(pts - self.center, axis=-1))
 
-    def value(self, x):
-        r, single = self._radii(x)[1:]
-        return _out(self.value_r(r), single)
-
-    def gradient(self, x):
-        d, r, single = self._radii(x)
+    def _gradient(self, pts):
+        d = pts - self.center
+        r = np.linalg.norm(d, axis=-1)
         rs = np.where(r == 0.0, 1.0, r)
-        g = (self.dvalue_r(r) / rs)[..., None] * d
-        g = np.where(r[..., None] == 0.0, 0.0, g)
-        return g if not single else g.reshape(self.n)
+        g = (self.dvalue_r(r) / rs)[:, None] * d
+        return np.where(r[:, None] == 0.0, 0.0, g)
 
-    def laplacian(self, x):
-        r, single = self._radii(x)[1:]
+    def _laplacian(self, pts):
+        r = np.linalg.norm(pts - self.center, axis=-1)
         rs = np.where(r == 0.0, 1.0, r)
         lap = self.d2value_r(r) + (self.n - 1) * self.dvalue_r(r) / rs
-        lap = np.where(r == 0.0, self.n * self.d2value_r(r), lap)
-        return _out(lap, single)
+        return np.where(r == 0.0, self.n * self.d2value_r(r), lap)
 
 
 class Bubble(RadialField):
@@ -175,12 +176,10 @@ class Bubble(RadialField):
             self.lam**2 + (1 - self.n) * r * r
         )
 
-    def laplacian(self, x):
+    def _laplacian(self, pts):
         # exact: lap(u) = -n(n-2) u^((n+2)/(n-2))
-        arr, single = _prep(x, self.n)
-        s2 = self.lam**2 + np.sum((arr - self.center) ** 2, axis=-1)
-        lap = -self.n * (self.n - 2) * (self.lam / s2) ** ((self.n + 2) / 2)
-        return _out(lap, single)
+        s2 = self.lam**2 + np.sum((pts - self.center) ** 2, axis=-1)
+        return -self.n * (self.n - 2) * (self.lam / s2) ** ((self.n + 2) / 2)
 
 
 class BaseField(RadialField):
@@ -208,28 +207,23 @@ class BaseField(RadialField):
         w = 1.0 + r * r
         return 2 * m * w ** (m - 2) * (w + 2 * (m - 1) * r * r)
 
-    def laplacian(self, x):
-        arr, single = _prep(x, self.n)
-        r2 = np.sum(arr * arr, axis=-1)
+    def _laplacian(self, pts):
+        r2 = np.sum(pts * pts, axis=-1)
         m = (2 - self.n) / 4
-        lap = ((2 - self.n) / 2) * (1.0 + r2) ** (m - 2) * (
+        return ((2 - self.n) / 2) * (1.0 + r2) ** (m - 2) * (
             self.n + ((self.n - 2) / 2) * r2
         )
-        return _out(lap, single)
 
 
 class CallableRadialField(RadialField):
     """Radial field built from profile callables (f, f', f'')."""
 
     def __init__(self, n: int, f, df, d2f, center=None, fd_scale: float = 1.0,
-                 inv_decay_coeff: float | None = None, domain: Region | None = None,
-                 punctured: tuple = ()):
+                 inv_decay_coeff: float | None = None):
         super().__init__(n, center)
         self._f, self._df, self._d2f = f, df, d2f
         self.fd_scale = fd_scale
         self.inv_decay_coeff = inv_decay_coeff
-        self.domain = domain
-        self.punctured = punctured
 
     def value_r(self, r):
         return self._f(np.asarray(r, float))
@@ -253,19 +247,18 @@ class SumField(ScalarField):
         if f.inv_decay_coeff is not None and g.inv_decay_coeff is not None:
             self.inv_decay_coeff = f.inv_decay_coeff + g.inv_decay_coeff
         self.fd_scale = min(f.fd_scale, g.fd_scale)
-        self.punctured = tuple(f.punctured) + tuple(g.punctured)
 
     def __repr__(self):
         return f"SumField({self.f!r}, {self.g!r})"
 
-    def value(self, x):
-        return self.f.value(x) + self.g.value(x)
+    def _value(self, pts):
+        return self.f.value(pts) + self.g.value(pts)
 
-    def gradient(self, x):
-        return self.f.gradient(x) + self.g.gradient(x)
+    def _gradient(self, pts):
+        return self.f.gradient(pts) + self.g.gradient(pts)
 
-    def laplacian(self, x):
-        return self.f.laplacian(x) + self.g.laplacian(x)
+    def _laplacian(self, pts):
+        return self.f.laplacian(pts) + self.g.laplacian(pts)
 
 
 @dataclass(frozen=True)
@@ -282,16 +275,6 @@ class KReport:
 
 
 # --- operations -----------------------------------------------------------
-
-
-def bubble_value(b: Bubble, x) -> float:
-    """Value of a spherical solution at x."""
-    return b.value(x)
-
-
-def bubble_derivatives(b: Bubble, x):
-    """(gradient, laplacian) of a spherical solution at x."""
-    return b.gradient(x), b.laplacian(x)
 
 
 def k_function(f: ScalarField, x, backend: str = "analytic", h: float | None = None):
@@ -361,18 +344,19 @@ def identity_3_4_residual(f: ScalarField, x, h: float | None = None) -> float:
 
 def grad_inv_power(b: Bubble, x):
     """Closed form |grad(u^(-2/(n-2)))|^2 = 4 |x - center|^2 / lam^2 for a bubble."""
-    arr, single = _prep(x, b.n)
-    s2 = np.sum((arr - b.center) ** 2, axis=-1)
-    return _out(4.0 * s2 / b.lam**2, single)
+    return _pointwise(lambda pts: 4.0 * np.sum((pts - b.center) ** 2, axis=-1) / b.lam**2,
+                      x, b.n)
 
 
 def base_k(x, n) -> float:
     """Curvature function of the base field at x."""
     d = as_dim(n)
-    arr, single = _prep(x, d.n)
-    r2 = np.sum(arr * arr, axis=-1)
-    out = 0.5 * (1.0 - ((d.n + 2) / (2.0 * d.n)) * r2 / (r2 + 1.0))
-    return _out(out, single)
+
+    def k(pts):
+        r2 = np.sum(pts * pts, axis=-1)
+        return 0.5 * (1.0 - ((d.n + 2) / (2.0 * d.n)) * r2 / (r2 + 1.0))
+
+    return _pointwise(k, x, d.n)
 
 
 def combined_k_bounds(kappa: float, n) -> tuple[float, float]:

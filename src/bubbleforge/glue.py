@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .bounds import sup_scan
 from .errors import BadConfig, BadRadii, NoSolution, OverlapError
-from .field_core import Bubble, KReport, RadialField, ScalarField, as_dim, _out, _prep
-from .regions import Annulus, GridSpec, Region
+from .field_core import Bubble, RadialField, ScalarField, as_dim
+from .regions import Annulus
 
 # sharp quintic-smoothstep derivative constants on [0, 1]
 SMOOTHSTEP_D1_MAX = 15.0 / 8.0
@@ -32,9 +32,10 @@ class Cutoff:
     c_phi bounds both |phi'| * (r_out - r_in) and |phi''| * (r_out - r_in)^2.
     """
 
+    c_phi: ClassVar[float] = SMOOTHSTEP_D2_MAX
+
     r_in: float
     r_out: float
-    c_phi: float = SMOOTHSTEP_D2_MAX
 
     def __post_init__(self):
         if not 0 < self.r_in < self.r_out:
@@ -60,11 +61,6 @@ class Cutoff:
     def d2phi(self, r):
         t = self._t(r)
         return -60.0 * t * (2.0 * t - 1.0) * (t - 1.0) / self.width**2
-
-
-def make_cutoff(r_in: float, r_out: float) -> Cutoff:
-    """Quintic-smoothstep cutoff with exact derivative bounds."""
-    return Cutoff(r_in, r_out)
 
 
 @dataclass(frozen=True)
@@ -187,7 +183,7 @@ class ConcentricGlueField(RadialField):
     def __init__(self, b1: Bubble, b2: Bubble, rho: float, R: float):
         super().__init__(b1.n, None)
         self.b1, self.b2 = b1, b2
-        self.cut = make_cutoff(rho, R)
+        self.cut = Cutoff(rho, R)
         self.fd_scale = min(b1.lam, b2.lam, R - rho)
         self.inv_decay_coeff = b2.inv_decay_coeff
 
@@ -232,11 +228,11 @@ class DisjointGlueField(ScalarField):
         self.n = self.b1.n
         r1, a, w1, w2, inward = p["r1"], p["a"], p["width1"], p["width2"], p["inward"]
         if inward:
-            self.cut1 = make_cutoff(r1 * (1.0 - w1), r1)
-            self.cut2 = make_cutoff(a * (1.0 - w2), a)
+            self.cut1 = Cutoff(r1 * (1.0 - w1), r1)
+            self.cut2 = Cutoff(a * (1.0 - w2), a)
         else:
-            self.cut1 = make_cutoff(r1, r1 * (1.0 + w1))
-            self.cut2 = make_cutoff(a, a * (1.0 + w2))
+            self.cut1 = Cutoff(r1, r1 * (1.0 + w1))
+            self.cut2 = Cutoff(a, a * (1.0 + w2))
         self.r1, self.a = r1, a
         self.inward = inward
         self.radial = False
@@ -246,47 +242,35 @@ class DisjointGlueField(ScalarField):
     def __repr__(self):
         return f"DisjointGlueField(b1={self.b1!r}, b2={self.b2!r}, inward={self.inward})"
 
-    def exact_radius(self, which: int) -> float:
-        """Radius of the ball on which the field equals bubble `which` exactly."""
-        return (self.cut1 if which == 1 else self.cut2).r_in
+    def _value(self, pts):
+        s1 = np.linalg.norm(pts - self.b1.center, axis=-1)
+        s2 = np.linalg.norm(pts - self.b2.center, axis=-1)
+        return ((1.0 - self.cut2.phi(s2)) * self.b1.value(pts)
+                + (1.0 - self.cut1.phi(s1)) * self.b2.value(pts))
 
-    def _dists(self, x):
-        arr, single = _prep(x, self.n)
-        d1 = arr - self.b1.center
-        d2 = arr - self.b2.center
-        s1 = np.linalg.norm(d1, axis=-1)
-        s2 = np.linalg.norm(d2, axis=-1)
-        return arr, d1, d2, s1, s2, single
-
-    def value(self, x):
-        arr, _, _, s1, s2, single = self._dists(x)
-        out = ((1.0 - self.cut2.phi(s2)) * self.b1.value(arr)
-               + (1.0 - self.cut1.phi(s1)) * self.b2.value(arr))
-        return _out(out, single)
-
-    def gradient(self, x):
-        arr, d1, d2, s1, s2, single = self._dists(x)
+    def _gradient(self, pts):
+        d1, d2 = pts - self.b1.center, pts - self.b2.center
+        s1, s2 = np.linalg.norm(d1, axis=-1), np.linalg.norm(d2, axis=-1)
         s1s = np.where(s1 == 0.0, 1.0, s1)
         s2s = np.where(s2 == 0.0, 1.0, s2)
-        g = ((1.0 - self.cut2.phi(s2))[..., None] * np.asarray(self.b1.gradient(arr))
-             - (self.cut2.dphi(s2) / s2s * self.b1.value(arr))[..., None] * d2
-             + (1.0 - self.cut1.phi(s1))[..., None] * np.asarray(self.b2.gradient(arr))
-             - (self.cut1.dphi(s1) / s1s * self.b2.value(arr))[..., None] * d1)
-        return g.reshape(self.n) if single else g
+        return ((1.0 - self.cut2.phi(s2))[:, None] * self.b1.gradient(pts)
+                - (self.cut2.dphi(s2) / s2s * self.b1.value(pts))[:, None] * d2
+                + (1.0 - self.cut1.phi(s1))[:, None] * self.b2.gradient(pts)
+                - (self.cut1.dphi(s1) / s1s * self.b2.value(pts))[:, None] * d1)
 
-    def laplacian(self, x):
-        arr, d1, d2, s1, s2, single = self._dists(x)
+    def _laplacian(self, pts):
+        d1, d2 = pts - self.b1.center, pts - self.b2.center
+        s1, s2 = np.linalg.norm(d1, axis=-1), np.linalg.norm(d2, axis=-1)
         s1s = np.where(s1 == 0.0, 1.0, s1)
         s2s = np.where(s2 == 0.0, 1.0, s2)
-        g1 = np.asarray(self.b1.gradient(arr))
-        g2 = np.asarray(self.b2.gradient(arr))
-        lap = ((1.0 - self.cut2.phi(s2)) * self.b1.laplacian(arr)
-               - 2.0 * self.cut2.dphi(s2) * np.sum(d2 * g1, axis=-1) / s2s
-               - _radial_lap_weight(self.cut2, s2, self.n) * self.b1.value(arr)
-               + (1.0 - self.cut1.phi(s1)) * self.b2.laplacian(arr)
-               - 2.0 * self.cut1.dphi(s1) * np.sum(d1 * g2, axis=-1) / s1s
-               - _radial_lap_weight(self.cut1, s1, self.n) * self.b2.value(arr))
-        return _out(lap, single)
+        g1 = self.b1.gradient(pts)
+        g2 = self.b2.gradient(pts)
+        return ((1.0 - self.cut2.phi(s2)) * self.b1.laplacian(pts)
+                - 2.0 * self.cut2.dphi(s2) * np.sum(d2 * g1, axis=-1) / s2s
+                - _radial_lap_weight(self.cut2, s2, self.n) * self.b1.value(pts)
+                + (1.0 - self.cut1.phi(s1)) * self.b2.laplacian(pts)
+                - 2.0 * self.cut1.dphi(s1) * np.sum(d1 * g2, axis=-1) / s1s
+                - _radial_lap_weight(self.cut1, s1, self.n) * self.b2.value(pts))
 
 
 class InsertGlueField(ScalarField):
@@ -299,7 +283,7 @@ class InsertGlueField(ScalarField):
         self.x1 = p["x1"]
         self.n = self.bubble.n
         lam = self.bubble.lam
-        self.cut = make_cutoff(lam * p["rho_m"], lam * p["rho_M"])
+        self.cut = Cutoff(lam * p["rho_m"], lam * p["rho_M"])
         self.rho_m, self.rho_M = p["rho_m"], p["rho_M"]
         self.radial = self.host.radial and bool(np.all(self.x1 == 0.0))
         self.fd_scale = min(self.bubble.fd_scale, self.host.fd_scale, self.cut.width)
@@ -309,40 +293,29 @@ class InsertGlueField(ScalarField):
         return (f"InsertGlueField(lam={self.bubble.lam!r}, rho_m={self.rho_m!r}, "
                 f"rho_M={self.rho_M!r})")
 
-    def _parts(self, x):
-        arr, single = _prep(x, self.n)
-        s = np.linalg.norm(arr, axis=-1)
-        return arr, s, single
+    def _value(self, pts):
+        p = self.cut.phi(np.linalg.norm(pts, axis=-1))
+        return p * self.bubble.value(pts) + (1.0 - p) * self.host.value(self.x1 + pts)
 
-    def value(self, x):
-        arr, s, single = self._parts(x)
-        p = self.cut.phi(s)
-        out = p * self.bubble.value(arr) + (1.0 - p) * self.host.value(self.x1 + arr)
-        return _out(out, single)
-
-    def gradient(self, x):
-        arr, s, single = self._parts(x)
+    def _gradient(self, pts):
+        s = np.linalg.norm(pts, axis=-1)
         p = self.cut.phi(s)
         ss = np.where(s == 0.0, 1.0, s)
-        diff = self.bubble.value(arr) - self.host.value(self.x1 + arr)
-        g = (p[..., None] * np.asarray(self.bubble.gradient(arr))
-             + (1.0 - p)[..., None] * np.asarray(self.host.gradient(self.x1 + arr))
-             + (self.cut.dphi(s) * diff / ss)[..., None] * arr)
-        return g.reshape(self.n) if single else g
+        diff = self.bubble.value(pts) - self.host.value(self.x1 + pts)
+        return (p[:, None] * self.bubble.gradient(pts)
+                + (1.0 - p)[:, None] * self.host.gradient(self.x1 + pts)
+                + (self.cut.dphi(s) * diff / ss)[:, None] * pts)
 
-    def laplacian(self, x):
-        arr, s, single = self._parts(x)
+    def _laplacian(self, pts):
+        s = np.linalg.norm(pts, axis=-1)
         p = self.cut.phi(s)
         ss = np.where(s == 0.0, 1.0, s)
-        diff = self.bubble.value(arr) - self.host.value(self.x1 + arr)
-        gdiff = np.asarray(self.bubble.gradient(arr)) - np.asarray(
-            self.host.gradient(self.x1 + arr)
-        )
-        lap = (p * self.bubble.laplacian(arr)
-               + (1.0 - p) * self.host.laplacian(self.x1 + arr)
-               + 2.0 * self.cut.dphi(s) * np.sum(arr * gdiff, axis=-1) / ss
-               + _radial_lap_weight(self.cut, s, self.n) * diff)
-        return _out(lap, single)
+        diff = self.bubble.value(pts) - self.host.value(self.x1 + pts)
+        gdiff = self.bubble.gradient(pts) - self.host.gradient(self.x1 + pts)
+        return (p * self.bubble.laplacian(pts)
+                + (1.0 - p) * self.host.laplacian(self.x1 + pts)
+                + 2.0 * self.cut.dphi(s) * np.sum(pts * gdiff, axis=-1) / ss
+                + _radial_lap_weight(self.cut, s, self.n) * diff)
 
 
 def glue_concentric(cfg: GlueConfig) -> ConcentricGlueField:
@@ -365,11 +338,6 @@ def glue_bubble_into(cfg: GlueConfig) -> InsertGlueField:
     if cfg.variant != "bubble-insert":
         raise BadConfig(f"expected a bubble-insert config, got {cfg.variant!r}")
     return InsertGlueField(cfg)
-
-
-def kg_deviation(f: ScalarField, region: Region, grid_spec: GridSpec | None = None) -> KReport:
-    """Grid scan of |K - 1| over a transition region, with refinement."""
-    return sup_scan(f, region, grid_spec)
 
 
 def insert_annulus(w: InsertGlueField) -> Annulus:

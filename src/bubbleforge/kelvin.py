@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtCenter, BubbleforgeError
-from .field_core import Bubble, ScalarField, _out, _prep
+from .field_core import Bubble, ScalarField, _pointwise
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,22 @@ class Inversion:
         return self.center.shape[0]
 
 
+def _image(inv: Inversion, d, rho2):
+    """Inversion image of the (m, n) points at offsets d from the center, rho2 = |d|^2."""
+    return inv.center + inv.radius**2 * d / rho2[:, None]
+
+
 def invert_point(inv: Inversion, x):
     """Image of x under the sphere inversion, c + a^2 (x-c)/|x-c|^2."""
-    arr, single = _prep(x, inv.n)
-    d = arr - inv.center
-    r2 = np.sum(d * d, axis=-1, keepdims=True)
-    if np.any(r2 == 0.0):
-        raise AtCenter("cannot invert the center point")
-    out = inv.center + inv.radius**2 * d / r2
-    return out.reshape(inv.n) if single else out
+
+    def image(pts):
+        d = pts - inv.center
+        rho2 = np.sum(d * d, axis=-1)
+        if np.any(rho2 == 0.0):
+            raise AtCenter("cannot invert the center point")
+        return _image(inv, d, rho2)
+
+    return _pointwise(image, x, inv.n)
 
 
 class KelvinField(ScalarField):
@@ -76,61 +83,44 @@ class KelvinField(ScalarField):
     def __repr__(self):
         return f"KelvinField({self.src!r}, center={self.inv.center.tolist()!r}, a={self.inv.radius!r})"
 
-    def _geom(self, x):
-        arr, single = _prep(x, self.n)
-        d = arr - self.inv.center
+    def _value(self, pts):
+        d = pts - self.inv.center
         rho2 = np.sum(d * d, axis=-1)
-        return arr, d, rho2, single
-
-    def value(self, x):
-        arr, d, rho2, single = self._geom(x)
         a = self.inv.radius
         at_center = rho2 == 0.0
-        if np.any(at_center):
+        hit = bool(np.any(at_center))
+        if hit:
             if self.src.inv_decay_coeff is None:
                 raise AtCenter("source field declares no |y|^(2-n) decay")
-            ext = self.src.inv_decay_coeff * a ** (2 - self.n)
             rho2 = np.where(at_center, 1.0, rho2)
-            img = self.inv.center + a**2 * d / rho2[..., None]
-            out = (a**2 / rho2) ** ((self.n - 2) / 2) * self.src.value(img)
-            out = np.where(at_center, ext, out)
-            return _out(out, single)
-        img = self.inv.center + a**2 * d / rho2[..., None]
-        out = (a**2 / rho2) ** ((self.n - 2) / 2) * self.src.value(img)
-        return _out(out, single)
+        out = (a**2 / rho2) ** ((self.n - 2) / 2) * self.src.value(_image(self.inv, d, rho2))
+        if hit:
+            out = np.where(at_center, self.src.inv_decay_coeff * a ** (2 - self.n), out)
+        return out
 
-    def gradient(self, x):
-        arr, d, rho2, single = self._geom(x)
+    def _gradient(self, pts):
+        d = pts - self.inv.center
+        rho2 = np.sum(d * d, axis=-1)
         if np.any(rho2 == 0.0):
             raise AtCenter("gradient undefined at the inversion center")
         a = self.inv.radius
-        img = self.inv.center + a**2 * d / rho2[..., None]
-        u = np.asarray(self.src.value(img))
-        gu = np.asarray(self.src.gradient(img))
-        if gu.ndim == 1:
-            gu = gu[None, :]
-            u = np.atleast_1d(u)
-            d2 = d[None, :] if d.ndim == 1 else d
-            rho2v = np.atleast_1d(rho2)
-        else:
-            d2, rho2v = d, rho2
-        pref = (a**2 / rho2v) ** ((self.n - 2) / 2)
+        img = _image(self.inv, d, rho2)
+        u = self.src.value(img)
+        gu = self.src.gradient(img)
+        pref = (a**2 / rho2) ** ((self.n - 2) / 2)
         # reflection part of the inversion Jacobian: (a^2/rho^2)(I - 2 e e^T)
-        dot = np.sum(d2 * gu, axis=-1, keepdims=True)
-        jac_g = (a**2 / rho2v)[..., None] * (gu - 2.0 * d2 * dot / rho2v[..., None])
-        grad = (
-            (2 - self.n) * a ** (self.n - 2) * rho2v ** (-self.n / 2.0)
-        )[..., None] * d2 * u[..., None] + pref[..., None] * jac_g
-        return grad.reshape(self.n) if single else grad.reshape(arr.shape)
+        dot = np.sum(d * gu, axis=-1, keepdims=True)
+        jac_g = (a**2 / rho2)[:, None] * (gu - 2.0 * d * dot / rho2[:, None])
+        return ((2 - self.n) * a ** (self.n - 2) * rho2 ** (-self.n / 2.0)
+                )[:, None] * d * u[:, None] + pref[:, None] * jac_g
 
-    def laplacian(self, x):
-        arr, d, rho2, single = self._geom(x)
+    def _laplacian(self, pts):
+        d = pts - self.inv.center
+        rho2 = np.sum(d * d, axis=-1)
         if np.any(rho2 == 0.0):
             raise AtCenter("Laplacian undefined at the inversion center")
         a = self.inv.radius
-        img = self.inv.center + a**2 * d / rho2[..., None]
-        lap = (a**2 / rho2) ** ((self.n + 2) / 2) * self.src.laplacian(img)
-        return _out(lap, single)
+        return (a**2 / rho2) ** ((self.n + 2) / 2) * self.src.laplacian(_image(self.inv, d, rho2))
 
 
 def kelvin_field(f: ScalarField, inv: Inversion) -> KelvinField:
@@ -174,30 +164,28 @@ class _ComposedUnitField(ScalarField):
         self._nested = KelvinField(KelvinField(f, self.unit), inv2)
         self.fd_scale = f.fd_scale
 
-    def value(self, x):
-        arr, single = _prep(x, self.n)
+    def _value(self, pts):
         a = self.inv2.radius
-        d = arr - self.inv2.center
+        d = pts - self.inv2.center
         rho2 = np.sum(d * d, axis=-1)
         if np.any(rho2 == 0.0):
             raise AtCenter("composition undefined at the outer inversion center")
-        z = self.inv2.center + a**2 * d / rho2[..., None]
+        z = self.inv2.center + a**2 * d / rho2[:, None]
         z2 = np.sum(z * z, axis=-1)
         if np.any(z2 == 0.0):
             raise AtCenter("inner transform hit the origin")
-        w = z / z2[..., None]
-        out = (
+        w = z / z2[:, None]
+        return (
             (a**2 / rho2) ** ((self.n - 2) / 2)
             * z2 ** (-(self.n - 2) / 2)
             * self.f.value(w)
         )
-        return _out(out, single)
 
-    def gradient(self, x):
-        return self._nested.gradient(x)
+    def _gradient(self, pts):
+        return self._nested.gradient(pts)
 
-    def laplacian(self, x):
-        return self._nested.laplacian(x)
+    def _laplacian(self, pts):
+        return self._nested.laplacian(pts)
 
 
 def lemma_5_4_compose(f: ScalarField, inv2: Inversion) -> ScalarField:
@@ -205,7 +193,7 @@ def lemma_5_4_compose(f: ScalarField, inv2: Inversion) -> ScalarField:
 
     f is taken to be the unit transform of an underlying field; the returned
     field is the (inv2.center, inv2.radius) transform of that same field,
-    computed through f by a single composed formula.  It agrees pointwise
+    computed through f by one composed formula.  It agrees pointwise
     with applying kelvin_field to the reconstructed underlying field.
     """
     return _ComposedUnitField(f, inv2)

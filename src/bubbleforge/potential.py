@@ -76,6 +76,7 @@ class SingularProfile:
 # --- quadrature primitives ---------------------------------------------------
 
 _GL16 = leggauss(16)
+_SEG_BLOCK = 1 << 16  # outer-segment points evaluated at a time
 
 
 def _gl_panels(edges: np.ndarray):
@@ -427,8 +428,9 @@ def _outer_h_lap(k: Kernel, u: ScalarField, omega: Ball, xi: np.ndarray,
     Polar about xi, removing the ray segment inside B(p, D).  The angular
     rule is aligned with the xi -> p axis and split at the shadow-boundary
     cosine, where the segment endpoints lose smoothness.  The segments
-    before and after the ball are integrated one after the other, so only
-    one segment's points are held at a time.
+    before and after the ball are integrated one after the other, each in
+    blocks of directions of about _SEG_BLOCK points, so memory stays
+    bounded whatever the rule size.
     """
     dist = float(np.linalg.norm(xi - p))
     axis = (p - xi) / dist
@@ -447,12 +449,17 @@ def _outer_h_lap(k: Kernel, u: ScalarField, omega: Ball, xi: np.ndarray,
     a2 = np.clip(np.where(hit, t2, rexit), 0.0, rexit)
     uu, wu = _gl_panels(np.linspace(0.0, 1.0, m_rad + 1))
 
+    rows = max(1, _SEG_BLOCK // uu.size)
+
     def seg_integral(lo, hi) -> float:
         lens = np.clip(hi - lo, 0.0, None)
-        rr = lo[:, None] + lens[:, None] * uu[None, :]
-        pts = xi[None, None, :] + rr[..., None] * dirs[:, None, :]
-        lap = np.asarray(u.laplacian(pts.reshape(-1, k.n))).reshape(rr.shape)
-        per_dir = lens * ((rr * lap) @ wu)
+        per_dir = np.empty_like(lens)
+        for i in range(0, lens.size, rows):
+            blk = slice(i, i + rows)
+            rr = lo[blk, None] + lens[blk, None] * uu[None, :]
+            pts = xi[None, None, :] + rr[..., None] * dirs[blk, None, :]
+            lap = np.asarray(u.laplacian(pts.reshape(-1, k.n))).reshape(rr.shape)
+            per_dir[blk] = lens[blk] * ((rr * lap) @ wu)
         return float(w @ per_dir) / ((2.0 - k.n) * k.omega_n)
 
     return seg_integral(np.zeros_like(rexit), b1) + seg_integral(a2, rexit)

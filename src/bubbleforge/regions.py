@@ -2,16 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-
-def as_point(x, n: int) -> np.ndarray:
-    pt = np.zeros(n) + np.asarray(x, dtype=float)
-    if pt.shape != (n,):
-        raise ValueError(f"expected a point in R^{n}, got shape {np.shape(x)}")
-    return pt
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,6 @@ class GridSpec:
     radial_points: int = 1024
     chunk: int = 65536
     threads: int = 1
-    meta: dict = field(default_factory=dict)
 
     def coarse_count(self, n: int) -> int:
         if self.points_per_axis is not None:

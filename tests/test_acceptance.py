@@ -318,7 +318,6 @@ def test_criterion_12_singular_representation():
         lambda r: r**beta,
         lambda r: beta * r ** (beta - 1),
         lambda r: beta * (beta - 1) * r ** (beta - 2),
-        punctured=(tuple(np.zeros(n)),),
     )
     prof = SingularProfile(p=np.zeros(n), mu=1 - nut, nu=nut,
                            c1=abs(beta * nut) * 1.01, c2=abs(beta) * 1.01,

@@ -35,7 +35,6 @@ def _slow_decay_field(n=3):
         lambda r: r**-q,
         lambda r: -q * r ** (-q - 1),
         lambda r: q * (q + 1) * r ** (-q - 2),
-        punctured=(tuple(np.zeros(n)),),
     )
 
 

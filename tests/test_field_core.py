@@ -10,8 +10,6 @@ from bubbleforge import (
     GlueConfig,
     ScalarField,
     base_k,
-    bubble_derivatives,
-    bubble_value,
     combined_k_bounds,
     glue_concentric,
     grad_inv_power,
@@ -29,28 +27,28 @@ from conftest import random_rotation
 
 def test_bubble_value_at_center_is_inverse_scale_power():
     b = Bubble(1.0, [0, 0, 0], 3)
-    assert bubble_value(b, [0, 0, 0]) == 1.0
+    assert b.value([0, 0, 0]) == 1.0
 
 
 def test_bubble_value_unit_distance():
     b = Bubble(1.0, [0, 0, 0], 3)
-    assert bubble_value(b, [1, 0, 0]) == pytest.approx(0.5**0.5, abs=1e-15)
+    assert b.value([1, 0, 0]) == pytest.approx(0.5**0.5, abs=1e-15)
 
 
 def test_bubble_value_n4():
     b = Bubble(2.0, [0, 0, 0, 0], 4)
-    assert bubble_value(b, [2, 0, 0, 0]) == pytest.approx(0.25, abs=1e-15)
+    assert b.value([2, 0, 0, 0]) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_bubble_gradient_vanishes_at_center(rng):
     for n in (3, 4, 5):
         center = rng.normal(size=n)
-        grad, _ = bubble_derivatives(Bubble(0.7, center, n), center)
+        grad = Bubble(0.7, center, n).gradient(center)
         assert np.allclose(grad, 0.0)
 
 
 def test_bubble_laplacian_at_center_n3():
-    _, lap = bubble_derivatives(Bubble(1.0, [0, 0, 0], 3), [0, 0, 0])
+    lap = Bubble(1.0, [0, 0, 0], 3).laplacian([0, 0, 0])
     assert lap == pytest.approx(-3.0, abs=1e-14)
 
 
@@ -61,7 +59,7 @@ def test_bubble_laplacian_against_fd_oracle():
     x = np.array([1.0, 0.0, 0.0])
     frozen = -3.0 * 0.5**2.5
     assert frozen == pytest.approx(-0.5303300858899106, abs=1e-15)
-    _, lap = bubble_derivatives(b, x)
+    lap = b.laplacian(x)
     assert lap == pytest.approx(frozen, abs=1e-13)
     h = 1e-4
     assert fd_laplacian(b.value, x, h) == pytest.approx(frozen, abs=50 * h * h)

@@ -1,0 +1,84 @@
+"""The shared point-or-batch contract of every field class."""
+
+import numpy as np
+import pytest
+
+from bubbleforge import (
+    BaseField,
+    Bubble,
+    CallableRadialField,
+    GlueConfig,
+    Inversion,
+    SumField,
+    glue_bubble_into,
+    glue_concentric,
+    glue_disjoint,
+    kelvin_bubble,
+    lemma_5_4_compose,
+)
+from bubbleforge.blowup import RescaledField
+from bubbleforge.kelvin import KelvinField
+
+
+def _callable_radial():
+    return CallableRadialField(
+        3,
+        lambda r: 1.0 / (1.0 + r * r),
+        lambda r: -2.0 * r / (1.0 + r * r) ** 2,
+        lambda r: (6.0 * r * r - 2.0) / (1.0 + r * r) ** 3,
+        center=[0.2, 0, 0],
+    )
+
+
+def _insert():
+    host = SumField(Bubble(1.0, np.zeros(3), 3), BaseField(3))
+    return glue_bubble_into(GlueConfig.bubble_insert(host, Bubble(0.5, np.zeros(3), 3),
+                                                     [0.1, 0, 0], rho_M=2.0))
+
+
+def _composed():
+    f = kelvin_bubble(Bubble(0.8, [1.0, 0.5, 0], 3), Inversion([0, 0, 0], 1.0))
+    return lemma_5_4_compose(f, Inversion([0.3, -0.2, 0.1], 1.7))
+
+
+# each factory returns a field and the half-width of a cube of admissible points
+FIELDS = {
+    "bubble": lambda: (Bubble(0.7, [0.1, -0.2, 0.3], 3), 2.0),
+    "bubble-n4": lambda: (Bubble(1.3, [0.5, 0, 0, -0.5], 4), 2.0),
+    "base": lambda: (BaseField(3), 2.0),
+    "callable-radial": lambda: (_callable_radial(), 2.0),
+    "sum": lambda: (SumField(Bubble(1.0, [1, 0, 0], 3), Bubble(0.5, [-1, 0.5, 0], 3)), 2.0),
+    "concentric": lambda: (glue_concentric(GlueConfig.concentric(
+        Bubble(0.2, np.zeros(3), 3), Bubble(1.0, np.zeros(3), 3), 0.5, 1.5)), 2.0),
+    "disjoint": lambda: (glue_disjoint(GlueConfig.disjoint(
+        Bubble(0.1, [2.5, 0, 0], 3), 0.5, Bubble(1.0, np.zeros(3), 3), 0.5)), 3.0),
+    "insert": lambda: (_insert(), 2.0),
+    "kelvin": lambda: (KelvinField(
+        SumField(Bubble(1.0, [0.5, 0, 0], 3), Bubble(0.7, [-0.5, 0.2, 0], 3)),
+        Inversion([0.05, 0.1, -0.1], 1.2)), 2.0),
+    "lemma-5-4": lambda: (_composed(), 2.0),
+    "rescaled": lambda: (RescaledField(Bubble(0.1, [0.3, 0, 0], 3), [0.3, 0, 0], 0.1, 2.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("make", FIELDS.values(), ids=FIELDS.keys())
+def test_point_and_batch_shapes(make, rng):
+    f, half = make()
+    n = f.n
+    pts = rng.uniform(-half, half, size=(6, n))
+    val, grad, lap = f.value(pts), f.gradient(pts), f.laplacian(pts)
+    assert val.shape == (6,) and grad.shape == (6, n) and lap.shape == (6,)
+    for i, x in enumerate(pts):
+        v, g, lp = f.value(x), f.gradient(x), f.laplacian(x)
+        assert type(v) is float and type(lp) is float
+        assert isinstance(g, np.ndarray) and g.shape == (n,)
+        # one point is evaluated as a batch of one, bit for bit like its row
+        assert v == val[i] and lp == lap[i] and np.array_equal(g, grad[i])
+    cube = pts.reshape(2, 3, n)
+    assert np.array_equal(f.value(cube), val.reshape(2, 3))
+    assert np.array_equal(f.gradient(cube), grad.reshape(2, 3, n))
+    assert np.array_equal(f.laplacian(cube), lap.reshape(2, 3))
+    for bad in (np.zeros(n + 1), np.zeros((4, n - 1))):
+        for method in (f.value, f.gradient, f.laplacian):
+            with pytest.raises(ValueError):
+                method(bad)

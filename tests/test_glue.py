@@ -7,17 +7,17 @@ from bubbleforge import (
     Annulus,
     Ball,
     Bubble,
+    Cutoff,
     GlueConfig,
     glue_bubble_into,
     glue_concentric,
     glue_disjoint,
     insert_annulus,
     kelvin_field,
-    kg_deviation,
     k_function,
-    make_cutoff,
     solve_rho_M,
     sum_field,
+    sup_scan,
 )
 from bubbleforge.errors import BadConfig, BadRadii, NoSolution, OverlapError
 from bubbleforge.fd import fd_laplacian
@@ -28,7 +28,7 @@ from bubbleforge.kelvin import Inversion
 
 
 def test_cutoff_endpoint_values_and_derivatives():
-    c = make_cutoff(1.0, 2.0)
+    c = Cutoff(1.0, 2.0)
     assert c.phi(1.0) == 1.0
     assert c.phi(2.0) == 0.0
     for r in (1.0, 2.0):
@@ -38,20 +38,20 @@ def test_cutoff_endpoint_values_and_derivatives():
 
 
 def test_cutoff_midpoint_is_half():
-    c = make_cutoff(0.5, 2.5)
+    c = Cutoff(0.5, 2.5)
     assert c.phi(1.5) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_cutoff_first_derivative_max_oracle():
     # 1D grid maximization of |phi'|; the sharp constant is (15/8)/width
-    c = make_cutoff(1.0, 3.5)
+    c = Cutoff(1.0, 3.5)
     rs = np.linspace(1.0, 3.5, 200001)
     grid_max = np.max(np.abs(c.dphi(rs)))
     assert grid_max == pytest.approx((15 / 8) / c.width, rel=1e-8)
 
 
 def test_cutoff_second_derivative_bound():
-    c = make_cutoff(0.3, 0.8)
+    c = Cutoff(0.3, 0.8)
     rs = np.linspace(0.3, 0.8, 200001)
     assert np.max(np.abs(c.d2phi(rs))) <= c.c_phi / c.width**2 * (1 + 1e-12)
     assert np.max(np.abs(c.dphi(rs))) <= c.c_phi / c.width
@@ -59,9 +59,9 @@ def test_cutoff_second_derivative_bound():
 
 def test_cutoff_rejects_bad_radii():
     with pytest.raises(BadRadii):
-        make_cutoff(2.0, 1.0)
+        Cutoff(2.0, 1.0)
     with pytest.raises(BadRadii):
-        make_cutoff(0.0, 1.0)
+        Cutoff(0.0, 1.0)
 
 
 # --- cut radius from the admissible band ---------------------------------------
@@ -315,18 +315,18 @@ def test_insert_profile_floor_on_annulus(rng):
 
 def test_kg_deviation_pure_bubble():
     b = Bubble(1.0, np.zeros(3), 3)
-    rep = kg_deviation(b, Annulus(np.zeros(3), 0.5, 2.0))
+    rep = sup_scan(b, Annulus(np.zeros(3), 0.5, 2.0))
     assert rep.sup_abs_dev <= 1e-8
 
 
 def test_kg_deviation_equal_scale_concentric_glue():
     u = _concentric(l1=1.0, l2=1.0, rho=1.0, R=2.0)
-    rep = kg_deviation(u, Annulus(np.zeros(3), 0.5, 3.0))
+    rep = sup_scan(u, Annulus(np.zeros(3), 0.5, 3.0))
     assert rep.sup_abs_dev <= 1e-8
 
 
 def test_kg_deviation_deep_concentric_glue():
-    rep = kg_deviation(_concentric(), Annulus(np.zeros(3), 1.0, 10.0))
+    rep = sup_scan(_concentric(), Annulus(np.zeros(3), 1.0, 10.0))
     assert rep.sup_abs_dev >= 5 / 3
 
 

@@ -27,6 +27,7 @@ from bubbleforge import (
 )
 from bubbleforge.errors import BadRadii, Coincident, ProfileViolated
 from bubbleforge.potential import (
+    _SEG_BLOCK,
     _aligned_sphere_rule,
     _boundary_integral,
     _gl_panels,
@@ -251,7 +252,6 @@ def _singular_power_field(n=3, nut=0.5):
         lambda r: r**beta,
         lambda r: beta * r ** (beta - 1),
         lambda r: beta * (beta - 1) * r ** (beta - 2),
-        punctured=(tuple(np.zeros(n)),),
     ), beta
 
 
@@ -379,8 +379,12 @@ def test_rep_formula_outer_segments_evaluated_once_per_report():
     rep_formula_report(u, prof, Ball(np.zeros(3), 1.5), xi, (1e-2, 1e-3, 1e-4),
                        m_sphere=m_sphere, m_boundary=16, m_rad=m_rad)
     dirs, _ = _aligned_sphere_rule(3, m_sphere, -xi / 0.5, (math.sqrt(0.75),))
-    # one call per segment, before and after the ball, for all three eps
-    assert outside == [dirs.shape[0] * 16 * m_rad] * 2
+    # each segment, before and after the ball, once for all three eps, in
+    # blocks of whole directions of at most _SEG_BLOCK points
+    seg, per_dir = dirs.shape[0] * 16 * m_rad, 16 * m_rad
+    block = (_SEG_BLOCK // per_dir) * per_dir
+    assert 1 < seg // block
+    assert outside == [min(block, seg - i) for i in range(0, seg, block)] * 2
 
 
 @pytest.mark.parametrize("eps_seq", [

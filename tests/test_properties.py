@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from bubbleforge import (
     Bubble,
+    Cutoff,
     Inversion,
     invert_point,
     k_sum_limit,
     kelvin_bubble,
-    make_cutoff,
     thmA_conditions,
 )
 from bubbleforge.bounds import depth_factors
@@ -62,7 +62,7 @@ def test_bubble_image_parameters_involute(lam, center, a):
        st.floats(min_value=1e-2, max_value=10))
 @example(0.056351471860733, 0.1375616041446333)  # phi rounded to -2.2e-16
 def test_cutoff_stays_within_bounds(r_in, width):
-    c = make_cutoff(r_in, r_in + width)
+    c = Cutoff(r_in, r_in + width)
     rs = np.linspace(0, r_in + 2 * width, 801)
     vals = c.phi(rs)
     assert np.all((0.0 <= vals) & (vals <= 1.0))

@@ -8,18 +8,18 @@ origin, and least-squares fitting a bubble to the rescaled profile.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import FitDiverged, OutOfDomain
 from .fd import fd_gradient, fd_laplacian
-from .field_core import Bubble, ScalarField
+from .field_core import Bubble, ScalarField, _sq_dist
 from .potential import sphere_rule
-from .regions import grid_points
 
 OUTER_RADIUS = 5.0 / 8.0
-_CHUNK = 1 << 17  # coarse grid points evaluated at a time
+_CHUNK = 1 << 17  # coarse or refine grid points evaluated at a time
 _KEEP = 1 << 14  # leading coarse entries kept for the candidate search
 
 
@@ -78,7 +78,7 @@ class BubbleReport:
 
 def d_eps(x, epsilon: float):
     """Distance weight min(|x| - eps, 5/8 - |x|) on the probe annulus."""
-    r = np.linalg.norm(np.asarray(x, float), axis=-1)
+    r = np.sqrt(_sq_dist(np.asarray(x, float)))
     return np.minimum(r - epsilon, OUTER_RADIUS - r)
 
 
@@ -90,7 +90,7 @@ def weighted_u(inp: BlowupInput, x):
     u = np.asarray(inp.field.value(x))
     vals = np.where(d > 0.0, np.clip(d, 0.0, None) ** ((n - 2) / 2) * u, -np.inf)
     for c, rad in inp.excluded:
-        inside = np.linalg.norm(x - np.asarray(c, float), axis=-1) < rad
+        inside = np.sqrt(_sq_dist(x, np.asarray(c, float))) < rad
         vals = np.where(inside, -np.inf, vals)
     return vals
 
@@ -100,38 +100,55 @@ def _refine_about(inp: BlowupInput, start_x: np.ndarray, start_v: float,
     best_x, best = start_x, start_v
     step = cell.copy()
     for _ in range(inp.refine_passes):
-        sub = grid_points(best_x - step, best_x + step, 17)
-        sv = weighted_u(inp, sub)
-        j = int(np.argmax(sv))
-        if sv[j] > best:
-            best_x, best = sub[j], sv[j]
+        axes = [np.linspace(a, b, 17) for a, b in zip(best_x - step, best_x + step)]
+        sub_x, sub_v = _grid_argmax(inp, axes)
+        if sub_v > best:
+            best_x, best = sub_x, sub_v
         step = step / 8.0
     return best_x, float(best)
 
 
-def _coarse_chunks(axis: np.ndarray, n: int):
-    """Yield (first flat index, points) over the grid axis^n in C order.
+def _grid_argmax(inp: BlowupInput, axes):
+    """The node and value np.argmax picks from weighted_u over the grid of axes.
 
-    The last t < n axes, with N^t <= _CHUNK, form a fixed tail block; each
-    chunk holds whole tail blocks and writes their leading coordinates into
-    one reused buffer, so the points yielded are overwritten by the next
-    chunk.
+    The grid is streamed through _grid_chunks; as np.argmax over the whole
+    grid would, the first maximum in C order wins, and the first NaN if
+    there is one.
     """
-    N = axis.size
+    best_x = best = None
+    for _, pts in _grid_chunks(axes):
+        v = weighted_u(inp, pts)
+        j = int(np.argmax(v))
+        if best_x is None or v[j] > best or (np.isnan(v[j]) and not np.isnan(best)):
+            best_x, best = pts[j].copy(), v[j]
+    return best_x, best
+
+
+def _grid_chunks(axes):
+    """Yield (first flat index, points) over the grid of the 1D axes in C order.
+
+    The last t < n axes, with at most _CHUNK nodes together, form a fixed
+    tail block; each chunk holds whole tail blocks and writes their leading
+    coordinates into one reused buffer, so the points yielded are
+    overwritten by the next chunk.
+    """
+    n = len(axes)
+    sizes = [a.size for a in axes]
     t = 1
-    while t + 1 < n and N ** (t + 1) <= _CHUNK:
+    while t + 1 < n and math.prod(sizes[n - t - 1:]) <= _CHUNK:
         t += 1
-    block = N**t
-    rows = max(1, _CHUNK // block)
-    tail = np.meshgrid(*[axis] * t, indexing="ij")
+    block = math.prod(sizes[n - t:])
+    lead = tuple(sizes[:n - t])
+    n_lead = math.prod(lead)
+    rows = max(1, min(_CHUNK // block, n_lead))
+    tail = np.meshgrid(*axes[n - t:], indexing="ij")
     buf = np.empty((rows * block, n))
     buf[:, n - t:] = np.tile(np.stack([m.ravel() for m in tail], axis=-1), (rows, 1))
-    n_lead = N ** (n - t)
     for start in range(0, n_lead, rows):
         stop = min(start + rows, n_lead)
         m = (stop - start) * block
-        for j, i in enumerate(np.unravel_index(np.arange(start, stop), (N,) * (n - t))):
-            buf[:m, j] = np.repeat(axis[i], block)
+        for j, i in enumerate(np.unravel_index(np.arange(start, stop), lead)):
+            buf[:m, j] = np.repeat(axes[j][i], block)
         yield start * block, buf[:m]
 
 
@@ -144,7 +161,7 @@ def _coarse_top(inp: BlowupInput, axis: np.ndarray, keep: int):
     smallest indices.
     """
     vals, idx = np.empty(0), np.empty(0, dtype=np.intp)
-    for first, pts in _coarse_chunks(axis, inp.field.n):
+    for first, pts in _grid_chunks([axis] * inp.field.n):
         v = weighted_u(inp, pts)
         if np.any(v == np.inf):
             raise OutOfDomain("weighted field is infinite at a coarse node")
@@ -229,7 +246,7 @@ class RescaledField(ScalarField):
         self.fd_scale = 1.0
 
     def _to_source(self, y):
-        if np.any(np.linalg.norm(y, axis=-1) > self.window_radius):
+        if np.any(np.sqrt(_sq_dist(y)) > self.window_radius):
             raise OutOfDomain("rescaled evaluation outside the safe window")
         return self.x_center + self.lam * y
 
@@ -266,7 +283,7 @@ def _fit_samples(n: int, R: float) -> np.ndarray:
 
 def _model(pts: np.ndarray, mu: float, y: np.ndarray, n: int):
     d = pts - y
-    s2 = np.sum(d * d, axis=-1)
+    s2 = _sq_dist(d)
     q = (n - 2) / 2
     base = mu / (mu * mu + s2)
     u = base**q
@@ -316,7 +333,7 @@ def _c2_deviation(w: ScalarField, model: ScalarField, pts: np.ndarray) -> float:
         gv = np.stack([fd_gradient(w.value, p) for p in pts])
         lv = np.array([fd_laplacian(w.value, p) for p in pts])
     dval = np.abs(np.asarray(w.value(pts)) - np.asarray(model.value(pts)))
-    dgrad = np.linalg.norm(gv - np.asarray(model.gradient(pts)), axis=-1)
+    dgrad = np.sqrt(_sq_dist(gv, np.asarray(model.gradient(pts))))
     dlap = np.abs(lv - np.asarray(model.laplacian(pts)))
     return float(np.max(dval + dgrad + dlap))
 

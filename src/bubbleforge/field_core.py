@@ -60,6 +60,38 @@ def _pointwise(fn, x, n: int):
     return float(out) if out.ndim == 0 else out
 
 
+def _sq_dist(pts, c=None):
+    """Squared distance |pts - c|^2 over the last axis; c = None is the origin.
+
+    The n squared coordinate differences are added column by column, in
+    order, so the (..., n) difference array is never built.  numpy sums a
+    row of fewer than 8 entries in this same order, so for n <= 7 the result
+    is bit for bit np.sum((pts - c)**2, axis=-1), and its square root is
+    np.linalg.norm(pts - c, axis=-1); from n = 8 on numpy sums pairwise and
+    the two may differ by rounding.  c may be any array broadcasting
+    against pts, such as a point (n,) or a batch of the same shape.
+    """
+    d = pts[..., 0] if c is None else pts[..., 0] - c[..., 0]
+    s = d * d
+    for i in range(1, pts.shape[-1]):
+        d = pts[..., i] if c is None else pts[..., i] - c[..., i]
+        s += d * d
+    return s
+
+
+def _row_dot(a, b):
+    """Dot product of a and b over the last axis, in the order of _sq_dist.
+
+    The sum starts from +0.0, as numpy's does, so a row of signed zeros
+    gives +0.0: for n <= 7 this is bit for bit np.sum(a * b, axis=-1).
+    """
+    s = a[..., 0] * b[..., 0]
+    s += 0.0
+    for i in range(1, a.shape[-1]):
+        s += a[..., i] * b[..., i]
+    return s
+
+
 class ScalarField:
     """Positive field with analytic value, gradient and Laplacian.
 
@@ -125,19 +157,19 @@ class RadialField(ScalarField):
     def d2value_r(self, r):  # pragma: no cover - interface
         raise NotImplementedError
 
-    # value and laplacian need only r, so the offsets are freed before the profile runs
+    # value and laplacian need only r, which _sq_dist forms without the (m, n) offsets
     def _value(self, pts):
-        return self.value_r(np.linalg.norm(pts - self.center, axis=-1))
+        return self.value_r(np.sqrt(_sq_dist(pts, self.center)))
 
     def _gradient(self, pts):
         d = pts - self.center
-        r = np.linalg.norm(d, axis=-1)
+        r = np.sqrt(_sq_dist(d))
         rs = np.where(r == 0.0, 1.0, r)
         g = (self.dvalue_r(r) / rs)[:, None] * d
         return np.where(r[:, None] == 0.0, 0.0, g)
 
     def _laplacian(self, pts):
-        r = np.linalg.norm(pts - self.center, axis=-1)
+        r = np.sqrt(_sq_dist(pts, self.center))
         rs = np.where(r == 0.0, 1.0, r)
         lap = self.d2value_r(r) + (self.n - 1) * self.dvalue_r(r) / rs
         return np.where(r == 0.0, self.n * self.d2value_r(r), lap)
@@ -178,7 +210,7 @@ class Bubble(RadialField):
 
     def _laplacian(self, pts):
         # exact: lap(u) = -n(n-2) u^((n+2)/(n-2))
-        s2 = self.lam**2 + np.sum((pts - self.center) ** 2, axis=-1)
+        s2 = self.lam**2 + _sq_dist(pts, self.center)
         return -self.n * (self.n - 2) * (self.lam / s2) ** ((self.n + 2) / 2)
 
 
@@ -208,7 +240,7 @@ class BaseField(RadialField):
         return 2 * m * w ** (m - 2) * (w + 2 * (m - 1) * r * r)
 
     def _laplacian(self, pts):
-        r2 = np.sum(pts * pts, axis=-1)
+        r2 = _sq_dist(pts)
         m = (2 - self.n) / 4
         return ((2 - self.n) / 2) * (1.0 + r2) ** (m - 2) * (
             self.n + ((self.n - 2) / 2) * r2
@@ -319,7 +351,7 @@ def inv_root_grad_sq(f: ScalarField, x):
     if np.any(np.asarray(v) <= 0.0):
         raise NonpositiveValue("field must be positive")
     g = f.gradient(x)
-    g2 = np.sum(np.asarray(g) ** 2, axis=-1)
+    g2 = _sq_dist(np.asarray(g))
     return (4.0 / (d.n - 2) ** 2) * v ** (-2.0 * d.n / (d.n - 2)) * g2
 
 
@@ -344,8 +376,7 @@ def identity_3_4_residual(f: ScalarField, x, h: float | None = None) -> float:
 
 def grad_inv_power(b: Bubble, x):
     """Closed form |grad(u^(-2/(n-2)))|^2 = 4 |x - center|^2 / lam^2 for a bubble."""
-    return _pointwise(lambda pts: 4.0 * np.sum((pts - b.center) ** 2, axis=-1) / b.lam**2,
-                      x, b.n)
+    return _pointwise(lambda pts: 4.0 * _sq_dist(pts, b.center) / b.lam**2, x, b.n)
 
 
 def base_k(x, n) -> float:
@@ -353,7 +384,7 @@ def base_k(x, n) -> float:
     d = as_dim(n)
 
     def k(pts):
-        r2 = np.sum(pts * pts, axis=-1)
+        r2 = _sq_dist(pts)
         return 0.5 * (1.0 - ((d.n + 2) / (2.0 * d.n)) * r2 / (r2 + 1.0))
 
     return _pointwise(k, x, d.n)

@@ -15,7 +15,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import BadConfig, BadRadii, NoSolution, OverlapError
-from .field_core import Bubble, RadialField, ScalarField, as_dim
+from .field_core import Bubble, RadialField, ScalarField, _row_dot, _sq_dist, as_dim
 from .regions import Annulus
 
 # sharp quintic-smoothstep derivative constants on [0, 1]
@@ -243,14 +243,14 @@ class DisjointGlueField(ScalarField):
         return f"DisjointGlueField(b1={self.b1!r}, b2={self.b2!r}, inward={self.inward})"
 
     def _value(self, pts):
-        s1 = np.linalg.norm(pts - self.b1.center, axis=-1)
-        s2 = np.linalg.norm(pts - self.b2.center, axis=-1)
+        s1 = np.sqrt(_sq_dist(pts, self.b1.center))
+        s2 = np.sqrt(_sq_dist(pts, self.b2.center))
         return ((1.0 - self.cut2.phi(s2)) * self.b1.value(pts)
                 + (1.0 - self.cut1.phi(s1)) * self.b2.value(pts))
 
     def _gradient(self, pts):
         d1, d2 = pts - self.b1.center, pts - self.b2.center
-        s1, s2 = np.linalg.norm(d1, axis=-1), np.linalg.norm(d2, axis=-1)
+        s1, s2 = np.sqrt(_sq_dist(d1)), np.sqrt(_sq_dist(d2))
         s1s = np.where(s1 == 0.0, 1.0, s1)
         s2s = np.where(s2 == 0.0, 1.0, s2)
         return ((1.0 - self.cut2.phi(s2))[:, None] * self.b1.gradient(pts)
@@ -260,16 +260,16 @@ class DisjointGlueField(ScalarField):
 
     def _laplacian(self, pts):
         d1, d2 = pts - self.b1.center, pts - self.b2.center
-        s1, s2 = np.linalg.norm(d1, axis=-1), np.linalg.norm(d2, axis=-1)
+        s1, s2 = np.sqrt(_sq_dist(d1)), np.sqrt(_sq_dist(d2))
         s1s = np.where(s1 == 0.0, 1.0, s1)
         s2s = np.where(s2 == 0.0, 1.0, s2)
         g1 = self.b1.gradient(pts)
         g2 = self.b2.gradient(pts)
         return ((1.0 - self.cut2.phi(s2)) * self.b1.laplacian(pts)
-                - 2.0 * self.cut2.dphi(s2) * np.sum(d2 * g1, axis=-1) / s2s
+                - 2.0 * self.cut2.dphi(s2) * _row_dot(d2, g1) / s2s
                 - _radial_lap_weight(self.cut2, s2, self.n) * self.b1.value(pts)
                 + (1.0 - self.cut1.phi(s1)) * self.b2.laplacian(pts)
-                - 2.0 * self.cut1.dphi(s1) * np.sum(d1 * g2, axis=-1) / s1s
+                - 2.0 * self.cut1.dphi(s1) * _row_dot(d1, g2) / s1s
                 - _radial_lap_weight(self.cut1, s1, self.n) * self.b2.value(pts))
 
 
@@ -294,11 +294,11 @@ class InsertGlueField(ScalarField):
                 f"rho_M={self.rho_M!r})")
 
     def _value(self, pts):
-        p = self.cut.phi(np.linalg.norm(pts, axis=-1))
+        p = self.cut.phi(np.sqrt(_sq_dist(pts)))
         return p * self.bubble.value(pts) + (1.0 - p) * self.host.value(self.x1 + pts)
 
     def _gradient(self, pts):
-        s = np.linalg.norm(pts, axis=-1)
+        s = np.sqrt(_sq_dist(pts))
         p = self.cut.phi(s)
         ss = np.where(s == 0.0, 1.0, s)
         diff = self.bubble.value(pts) - self.host.value(self.x1 + pts)
@@ -307,14 +307,14 @@ class InsertGlueField(ScalarField):
                 + (self.cut.dphi(s) * diff / ss)[:, None] * pts)
 
     def _laplacian(self, pts):
-        s = np.linalg.norm(pts, axis=-1)
+        s = np.sqrt(_sq_dist(pts))
         p = self.cut.phi(s)
         ss = np.where(s == 0.0, 1.0, s)
         diff = self.bubble.value(pts) - self.host.value(self.x1 + pts)
         gdiff = self.bubble.gradient(pts) - self.host.gradient(self.x1 + pts)
         return (p * self.bubble.laplacian(pts)
                 + (1.0 - p) * self.host.laplacian(self.x1 + pts)
-                + 2.0 * self.cut.dphi(s) * np.sum(pts * gdiff, axis=-1) / ss
+                + 2.0 * self.cut.dphi(s) * _row_dot(pts, gdiff) / ss
                 + _radial_lap_weight(self.cut, s, self.n) * diff)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtCenter, BubbleforgeError
-from .field_core import Bubble, ScalarField, _pointwise
+from .field_core import Bubble, ScalarField, _pointwise, _row_dot, _sq_dist
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def invert_point(inv: Inversion, x):
 
     def image(pts):
         d = pts - inv.center
-        rho2 = np.sum(d * d, axis=-1)
+        rho2 = _sq_dist(d)
         if np.any(rho2 == 0.0):
             raise AtCenter("cannot invert the center point")
         return _image(inv, d, rho2)
@@ -85,7 +85,7 @@ class KelvinField(ScalarField):
 
     def _value(self, pts):
         d = pts - self.inv.center
-        rho2 = np.sum(d * d, axis=-1)
+        rho2 = _sq_dist(d)
         a = self.inv.radius
         at_center = rho2 == 0.0
         hit = bool(np.any(at_center))
@@ -100,7 +100,7 @@ class KelvinField(ScalarField):
 
     def _gradient(self, pts):
         d = pts - self.inv.center
-        rho2 = np.sum(d * d, axis=-1)
+        rho2 = _sq_dist(d)
         if np.any(rho2 == 0.0):
             raise AtCenter("gradient undefined at the inversion center")
         a = self.inv.radius
@@ -109,14 +109,14 @@ class KelvinField(ScalarField):
         gu = self.src.gradient(img)
         pref = (a**2 / rho2) ** ((self.n - 2) / 2)
         # reflection part of the inversion Jacobian: (a^2/rho^2)(I - 2 e e^T)
-        dot = np.sum(d * gu, axis=-1, keepdims=True)
+        dot = _row_dot(d, gu)[:, None]
         jac_g = (a**2 / rho2)[:, None] * (gu - 2.0 * d * dot / rho2[:, None])
         return ((2 - self.n) * a ** (self.n - 2) * rho2 ** (-self.n / 2.0)
                 )[:, None] * d * u[:, None] + pref[:, None] * jac_g
 
     def _laplacian(self, pts):
         d = pts - self.inv.center
-        rho2 = np.sum(d * d, axis=-1)
+        rho2 = _sq_dist(d)
         if np.any(rho2 == 0.0):
             raise AtCenter("Laplacian undefined at the inversion center")
         a = self.inv.radius
@@ -167,11 +167,11 @@ class _ComposedUnitField(ScalarField):
     def _value(self, pts):
         a = self.inv2.radius
         d = pts - self.inv2.center
-        rho2 = np.sum(d * d, axis=-1)
+        rho2 = _sq_dist(d)
         if np.any(rho2 == 0.0):
             raise AtCenter("composition undefined at the outer inversion center")
         z = self.inv2.center + a**2 * d / rho2[:, None]
-        z2 = np.sum(z * z, axis=-1)
+        z2 = _sq_dist(z)
         if np.any(z2 == 0.0):
             raise AtCenter("inner transform hit the origin")
         w = z / z2[:, None]

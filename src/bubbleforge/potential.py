@@ -17,7 +17,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gamma, roots_jacobi
 
 from .errors import BadRadii, Coincident, ProfileViolated
-from .field_core import ScalarField, as_dim, inv_root_grad_sq, k_function
+from .field_core import ScalarField, _row_dot, _sq_dist, as_dim, inv_root_grad_sq, k_function
 from .regions import Ball
 
 
@@ -154,7 +154,7 @@ def h_eval(k: Kernel, x, xi):
     """H(x, xi); negative for all x != xi."""
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    s = np.linalg.norm(x - xi, axis=-1)
+    s = np.sqrt(_sq_dist(x, xi))
     if np.any(s == 0.0):
         raise Coincident("kernel is singular at x = xi")
     out = s ** (2.0 - k.n) / ((2.0 - k.n) * k.omega_n)
@@ -166,7 +166,7 @@ def grad_h(k: Kernel, x, xi):
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
     d = x - xi
-    s = np.linalg.norm(d, axis=-1, keepdims=True)
+    s = np.sqrt(_sq_dist(d))[..., None]
     if np.any(s == 0.0):
         raise Coincident("kernel is singular at x = xi")
     return d / (k.omega_n * s**k.n)
@@ -347,11 +347,11 @@ def verify_profile(u: ScalarField, prof: SingularProfile, n_radii: int = 24,
     dirs, _ = sphere_rule(n, m_sphere)
     radii = np.geomspace(prof.delta * 1e-3, prof.delta * 0.999, n_radii)
     pts = (prof.p[None, None, :] + radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    s = np.linalg.norm(pts - prof.p, axis=-1)
+    s = np.sqrt(_sq_dist(pts, prof.p))
     lap = np.abs(np.asarray(u.laplacian(pts)))
     if np.any(lap > prof.c1 / s ** (n - 1 + prof.mu)):
         raise ProfileViolated("sampled |lap u| exceeds the declared bound")
-    gr = np.linalg.norm(np.asarray(u.gradient(pts)), axis=-1)
+    gr = np.sqrt(_sq_dist(np.asarray(u.gradient(pts))))
     if np.any(gr > prof.c2 / s ** (n - 1 - prof.nu)):
         raise ProfileViolated("sampled |grad u| exceeds the declared bound")
 
@@ -362,8 +362,8 @@ def _boundary_integral(k: Kernel, u: ScalarField, center, radius: float,
     dirs, w = sphere_rule(k.n, m)
     pts = np.asarray(center, float)[None, :] + radius * dirs
     sgn = 1.0 if outward else -1.0
-    dh = np.sum(np.asarray(grad_h(k, pts, xi)) * dirs, axis=-1)
-    du = np.sum(np.asarray(u.gradient(pts)) * dirs, axis=-1)
+    dh = _row_dot(np.asarray(grad_h(k, pts, xi)), dirs)
+    du = _row_dot(np.asarray(u.gradient(pts)), dirs)
     h = np.asarray(h_eval(k, pts, xi))
     vals = np.asarray(u.value(pts)) * dh - h * du
     return sgn * radius ** (k.n - 1) * float(w @ vals)

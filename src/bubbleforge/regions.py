@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .field_core import _sq_dist
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -22,7 +24,7 @@ class Ball:
         return self.center.shape[0]
 
     def contains(self, x: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(np.asarray(x, float) - self.center, axis=-1)
+        d = np.sqrt(_sq_dist(np.asarray(x, float), self.center))
         return d < self.radius
 
     def bounding_box(self):
@@ -48,7 +50,7 @@ class Annulus:
         return self.center.shape[0]
 
     def contains(self, x: np.ndarray) -> np.ndarray:
-        d = np.linalg.norm(np.asarray(x, float) - self.center, axis=-1)
+        d = np.sqrt(_sq_dist(np.asarray(x, float), self.center))
         return (d > self.r_in) & (d < self.r_out)
 
     def bounding_box(self):
@@ -75,7 +77,10 @@ class Box:
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, float)
-        return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
+        inside = (x[..., 0] >= self.lo[0]) & (x[..., 0] <= self.hi[0])
+        for i in range(1, self.n):
+            inside &= (x[..., i] >= self.lo[i]) & (x[..., i] <= self.hi[i])
+        return inside
 
     def bounding_box(self):
         return self.lo, self.hi

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from bubbleforge import (
 )
 from bubbleforge.blowup import OUTER_RADIUS, _refine_about, d_eps, weighted_u
 from bubbleforge.errors import FitDiverged, OutOfDomain
+from bubbleforge.regions import grid_points
 
 
 def _slow_decay_field(n=3):
@@ -137,6 +139,60 @@ def test_weighted_max_raises_on_infinite_value():
     inp = BlowupInput(field=shell, epsilon=0.1, R=5.0, delta_target=0.01)
     with pytest.raises(OutOfDomain, match="infinite"):
         weighted_max(inp)
+
+
+def _dense_refine_about(inp, start_x, start_v, cell):
+    """Reference: each local 17^n grid built whole and maximized by np.argmax."""
+    best_x, best = start_x, start_v
+    step = cell.copy()
+    for _ in range(inp.refine_passes):
+        sub = grid_points(best_x - step, best_x + step, 17)
+        sv = weighted_u(inp, sub)
+        j = int(np.argmax(sv))
+        if sv[j] > best:
+            best_x, best = sub[j], sv[j]
+        step = step / 8.0
+    return best_x, float(best)
+
+
+def _nan_shell_input():
+    shell = CallableRadialField(3, lambda r: np.where(np.abs(r - 0.31) < 0.004, np.nan, 1.0),
+                                lambda r: 0 * r, lambda r: 0 * r)
+    return BlowupInput(field=shell, epsilon=0.1, R=5.0, delta_target=0.01)
+
+
+@pytest.mark.parametrize("make_input", [
+    _narrow_bubble_input, _two_bubble_input, _excised_input,
+    _constant_input,  # ties: the first maximum in C order wins
+    _nan_shell_input,  # the first NaN wins, and then nothing is taken
+])
+def test_refine_about_matches_dense_refine(make_input, monkeypatch):
+    # 100-point chunks hold five 17-node rows each, so the last of the
+    # chunks over the 289 rows of a 17^3 grid is partial
+    monkeypatch.setattr(blowup, "_CHUNK", 100)
+    inp = make_input()
+    cell = np.full(3, 2 * OUTER_RADIUS / (inp.coarse - 1))
+    for x in ([0.3, 0.0, 0.0], [0.0, 0.45, 0.0], [0.2, -0.2, 0.1], [-0.3, 0.05, 0.0]):
+        x = np.asarray(x)
+        for v in (float(weighted_u(inp, x)), -np.inf):
+            got_x, got_v = _refine_about(inp, x, v, cell)
+            ref_x, ref_v = _dense_refine_about(inp, x, v, cell)
+            assert np.array_equal(got_x, ref_x)
+            assert got_v == ref_v or (np.isnan(got_v) and np.isnan(ref_v))
+
+
+def test_refine_about_memory_is_bounded_at_n5():
+    # the dense 17^5 grid of one pass took ~370 MB
+    x = np.array([0.3, 0.0, 0.0, 0.0, 0.0])
+    inp = BlowupInput(field=Bubble(1e-3, x, 5), epsilon=0.1, R=5.0, delta_target=0.01)
+    cell = np.full(5, 2 * OUTER_RADIUS / (inp.coarse - 1))
+    tracemalloc.start()
+    try:
+        _refine_about(inp, x + cell / 3, float(weighted_u(inp, x + cell / 3)), cell)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_detect_after_excising_the_whole_annulus_raises():

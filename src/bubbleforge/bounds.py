@@ -5,6 +5,15 @@ field gluing two centered bubbles must have sup |K - 1| >= (n+2)/n, the
 two-ball checkers the analogous distant-bubble condition, and sup_scan
 measures the deviation of a constructed field on a grid (a certified
 under-estimate of the true sup).
+
+For a sum of two bubbles the upper bound needs no scan.  Each bubble
+solves -lap u_i = n(n-2) u_i^p with p = (n+2)/(n-2), so
+K = (u1^p + u2^p) / (u1 + u2)^p, and the power-mean inequality
+2^(1-p) (u1 + u2)^p <= u1^p + u2^p <= (u1 + u2)^p gives
+2^(-4/(n-2)) <= K <= 1 everywhere.  Hence sup |K - 1| <= 1 - 2^(-4/(n-2)),
+the cap of the example-525 check, holds exactly, with equality on the
+midplane of two equal scales; the grid sup of that check only confirms
+the evaluation.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma, roots_jacobi
 
 from .errors import BadRadii, Coincident, ProfileViolated
 from .field_core import ScalarField, _row_dot, _sq_dist, as_dim, inv_root_grad_sq, k_function
@@ -23,7 +22,7 @@ from .regions import Ball
 
 def unit_sphere_area(n: int) -> float:
     """Surface area of the unit sphere S^(n-1) in R^n."""
-    return 2.0 * math.pi ** (n / 2.0) / gamma(n / 2.0)
+    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 @dataclass(frozen=True)
@@ -121,10 +120,40 @@ def adaptive_radial(fvec, a: float, b: float, rel_tol: float = 1e-10,
     return total, err, evals
 
 
+def _gauss_gegenbauer(m: int, a: float):
+    """m-point Gauss rule for the weight (1 - t^2)^a on [-1, 1], a > -1/2.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix, whose off-diagonal sb holds the square roots of the
+    recurrence coefficients.  One pass of the three-term recurrence of the
+    orthonormal polynomials q_k, scaled to q_0 = 1, evaluates q_m, q_(m-1)
+    and their derivatives at the eigenvalues.  One Newton step on q_m
+    polishes each node, and the Christoffel-Darboux form of the Christoffel
+    function, sum_{k<m} q_k^2 = sb_m (q_m' q_(m-1) - q_(m-1)' q_m), gives the
+    weights up to a constant.  Nodes and weights are symmetrised, and the
+    weights scaled to the weight's mass sqrt(pi) Gamma(a + 1) / Gamma(a + 3/2).
+    """
+    k = np.arange(1.0, m + 1.0)
+    sb = np.sqrt(k * (k + 2.0 * a) / (4.0 * (k + a) ** 2 - 1.0))
+    t = np.linalg.eigvalsh(np.diag(sb[:-1], 1) + np.diag(sb[:-1], -1))
+    q_prev, q = np.zeros_like(t), np.ones_like(t)
+    dq_prev, dq = np.zeros_like(t), np.zeros_like(t)
+    for j in range(m):
+        b_prev = sb[j - 1] if j else 0.0
+        q_prev, q = q, (t * q - b_prev * q_prev) / sb[j]
+        dq_prev, dq = dq, (q_prev + t * dq - b_prev * dq_prev) / sb[j]
+    w = 1.0 / (dq * q_prev - dq_prev * q)
+    t = t - q / dq
+    t = 0.5 * (t - t[::-1])
+    w = w + w[::-1]
+    mu0 = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
+    return t, w * (mu0 / w.sum())
+
+
 def sphere_rule(n: int, m: int):
     """Product quadrature rule on S^(n-1): points (M, n), weights summing to omega_n.
 
-    Polar cosines use Gauss-Jacobi nodes for the (1-t^2)^((n-3)/2) weight;
+    Polar cosines use Gauss nodes for the (1-t^2)^((n-3)/2) weight;
     the base circle uses 2m equispaced points.
     """
     if n < 2:
@@ -133,7 +162,7 @@ def sphere_rule(n: int, m: int):
         ang = (np.arange(2 * m) + 0.5) * (math.pi / m)
         pts = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
         return pts, np.full(2 * m, math.pi / m)
-    t, wt = roots_jacobi(m, (n - 3) / 2.0, (n - 3) / 2.0)
+    t, wt = _gauss_gegenbauer(m, (n - 3) / 2.0)
     sub_pts, sub_w = sphere_rule(n - 1, m)
     s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
     pts = np.concatenate(
@@ -185,7 +214,7 @@ def int_absH_ball(k: Kernel, R: float, xi, m: int = 64) -> QuadResult:
         raise ValueError("xi must lie inside the ball")
 
     def angular(mm: int) -> float:
-        t, wt = roots_jacobi(mm, (k.n - 3) / 2.0, (k.n - 3) / 2.0)
+        t, wt = _gauss_gegenbauer(mm, (k.n - 3) / 2.0)
         rmax = -s * t + np.sqrt(s * s * t * t + R * R - s * s)
         pref = unit_sphere_area(k.n - 1) / (2.0 * (k.n - 2) * k.omega_n)
         return pref * float(wt @ (rmax * rmax))

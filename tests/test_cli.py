@@ -2,9 +2,11 @@
 
 import csv
 import json
+import time
 
 import pytest
 
+from bubbleforge import cli
 from bubbleforge.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -42,6 +44,26 @@ def test_verify_lemma_37(tmp_path):
                       "--R", "1", "--xi", "0,0,0")
     assert code == EXIT_OK
     assert float(rows[0]["measured"]) == pytest.approx(0.5, abs=1e-6)
+
+
+def test_lemma_37_rows_time_their_own_work(tmp_path, monkeypatch):
+    # a fake clock that only the integral advances: the bound row times the
+    # integral, the equality row only its own comparison
+    clock = [0.0]
+    integral = cli.int_absH_ball
+
+    def slow_integral(*args, **kwargs):
+        clock[0] += 5.0
+        return integral(*args, **kwargs)
+
+    monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
+    monkeypatch.setattr(cli, "int_absH_ball", slow_integral)
+    code, rows = _run(tmp_path, "verify", "lemma-37", "--n", "3",
+                      "--R", "1", "--xi", "0,0,0")
+    assert code == EXIT_OK
+    seconds = {r["experiment"]: float(r["seconds"]) for r in rows}
+    assert seconds["lemma-37/bound"] == pytest.approx(5.0, abs=1e-3)
+    assert seconds["lemma-37/equality"] < 1.0
 
 
 def test_verify_example_525(tmp_path):

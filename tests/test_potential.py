@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,6 +31,7 @@ from bubbleforge.potential import (
     _SEG_BLOCK,
     _aligned_sphere_rule,
     _boundary_integral,
+    _gauss_gegenbauer,
     _gl_panels,
     _power_law_limit,
     _ray_exit,
@@ -46,6 +48,69 @@ def _ball_mass_closed_form(R, s, n):
 def test_unit_sphere_areas():
     assert unit_sphere_area(3) == pytest.approx(4 * math.pi, rel=1e-14)
     assert unit_sphere_area(4) == pytest.approx(2 * math.pi**2, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_unit_sphere_area_matches_mpmath(n):
+    exact = 2 * mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2)
+    assert unit_sphere_area(n) == pytest.approx(float(exact), rel=1e-15)
+
+
+# --- Gauss rule for the polar weight (1 - t^2)^a, a = (n-3)/2 -----------------
+
+RULE_DIMS = range(3, 9)
+RULE_SIZES = (1, 2, 4, 16, 64, 128)
+
+
+@pytest.mark.parametrize("m", RULE_SIZES)
+@pytest.mark.parametrize("n", RULE_DIMS)
+def test_gauss_gegenbauer_integrates_moments_below_2m(n, m):
+    a = (n - 3) / 2.0
+    t, w = _gauss_gegenbauer(m, a)
+    k = np.arange(2 * m)
+    moments = w @ t[:, None] ** k[None, :]
+    # int_{-1}^{1} (1 - t^2)^a t^k dt is B(a + 1, (k + 1)/2) for even k, 0 for odd
+    exact = np.array([float(mpmath.beta(a + 1, (kk + 1) / 2.0)) for kk in k[::2]])
+    assert np.all(np.abs(moments[::2] / exact - 1.0) <= 1e-10)
+    assert np.all(np.abs(moments[1::2]) <= 1e-14)
+
+
+@pytest.mark.parametrize("m", RULE_SIZES)
+@pytest.mark.parametrize("n", RULE_DIMS)
+def test_gauss_gegenbauer_nodes_sorted_symmetric_interior(n, m):
+    t, w = _gauss_gegenbauer(m, (n - 3) / 2.0)
+    assert t.shape == w.shape == (m,)
+    assert np.all(np.diff(t) > 0)
+    assert np.array_equal(t, -t[::-1])
+    assert np.all(np.abs(t) < 1.0)
+    assert np.all(w > 0)
+    assert np.array_equal(w, w[::-1])
+
+
+@pytest.mark.parametrize("n, m", [(n, 16) for n in RULE_DIMS] + [(3, 64), (8, 64)])
+def test_gauss_gegenbauer_matches_mpmath_rule(n, m):
+    # the Newton step brings every node within eps = 2.2e-16 of the true
+    # node; the eigenvalues alone are off by up to 4.4e-16 at these sizes
+    a = (n - 3) / 2.0
+    t, w = _gauss_gegenbauer(m, a)
+    with mpmath.workdps(30):
+        xs, ws = mpmath.gauss_quadrature(m, "jacobi", a, a)
+        ref = sorted(zip(xs, ws))
+    t_ref = np.array([float(x) for x, _ in ref])
+    w_ref = np.array([float(v) for _, v in ref])
+    assert np.max(np.abs(t - t_ref)) <= np.finfo(float).eps
+    assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-12
+
+
+def test_gauss_gegenbauer_agrees_with_scipy():
+    special = pytest.importorskip("scipy.special")
+    for n in RULE_DIMS:
+        a = (n - 3) / 2.0
+        for m in RULE_SIZES:
+            t, w = _gauss_gegenbauer(m, a)
+            t_ref, w_ref = special.roots_jacobi(m, a, a)
+            assert np.max(np.abs(t - t_ref)) <= 1e-15, (n, m)
+            assert np.max(np.abs(w / w_ref - 1.0)) <= 1e-10, (n, m)
 
 
 def test_sphere_rule_weights_sum_to_area():

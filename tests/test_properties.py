@@ -10,8 +10,10 @@ from bubbleforge import (
     Cutoff,
     Inversion,
     invert_point,
+    k_function,
     k_sum_limit,
     kelvin_bubble,
+    sum_field,
     thmA_conditions,
 )
 from bubbleforge.bounds import depth_factors
@@ -30,6 +32,19 @@ def test_power_sum_sandwich(s, t, n):
     mid = (s + t) ** p
     assert lhs <= mid * (1 + 1e-12)
     assert mid <= 2 ** (4 / (n - 2)) * lhs * (1 + 1e-12) + 1e-300
+
+
+@given(dims, st.data())
+def test_two_bubble_sum_curvature_in_power_mean_band(n, data):
+    # K = (u1^p + u2^p)/(u1 + u2)^p lies in [2^(-4/(n-2)), 1] (bounds.py), so
+    # the example-525 cap on sup |K - 1| holds without a scan
+    vec = st.lists(st.floats(min_value=-3, max_value=3), min_size=n, max_size=n)
+    b1 = Bubble(data.draw(small_pos), data.draw(vec), n)
+    b2 = Bubble(data.draw(small_pos), data.draw(vec), n)
+    x = np.asarray(data.draw(st.lists(vec, min_size=1, max_size=8)))
+    k = np.asarray(k_function(sum_field(b1, b2), x))
+    assert np.all(k >= 2.0 ** (-4.0 / (n - 2)) - 1e-12)
+    assert np.all(k <= 1.0 + 1e-12)
 
 
 @given(small_pos, small_pos)

@@ -1,12 +1,18 @@
-"""No reduction over a short last axis in the package source.
+"""Guards on the package source.
 
-A numpy sum, norm, all or any over the last axis of an (m, n) batch with
-n = 3..6 runs several times slower than adding the n columns, which
-field_core._sq_dist and _row_dot do (and Box.contains with `&`).  This
-test keeps such reductions from coming back.
+No reduction over a short last axis: a numpy sum, norm, all or any over
+the last axis of an (m, n) batch with n = 3..6 runs several times slower
+than adding the n columns, which field_core._sq_dist and _row_dot do (and
+Box.contains with `&`).
+
+numpy as the only runtime dependency: no module of the package imports
+scipy, and importing the command line loads none of it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,3 +78,46 @@ def test_no_short_axis_reductions(path):
            for i in short_axis_reductions(path.read_text())
            if (path.name, lines[i - 1].strip()) not in ALLOWED]
     assert not bad, "use field_core._sq_dist / _row_dot instead:\n" + "\n".join(bad)
+
+
+def scipy_imports(source: str):
+    """Line numbers of `import scipy...` and `from scipy... import ...`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_guard_finds_scipy_imports():
+    src = "\n".join([
+        "import scipy",
+        "from scipy.special import gamma",
+        "import numpy as np, scipy.linalg as sl",
+        "from scipy import special",
+        "import scipyish",
+        "from .scipy import x",
+        "from numpy import linalg",
+    ])
+    assert scipy_imports(src) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_scipy_import(path):
+    bad = scipy_imports(path.read_text())
+    assert not bad, f"{path.name} imports scipy on lines {bad}; numpy is the only dependency"
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, bubbleforge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

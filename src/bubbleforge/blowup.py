@@ -253,11 +253,11 @@ class RescaledField(ScalarField):
     def _value(self, y):
         return self.lam ** ((self.n - 2) / 2) * self.src.value(self._to_source(y))
 
-    def _gradient(self, y):
-        return self.lam ** (self.n / 2) * self.src.gradient(self._to_source(y))
-
-    def _laplacian(self, y):
-        return self.lam ** ((self.n + 2) / 2) * self.src.laplacian(self._to_source(y))
+    def _jet(self, y, grad):
+        u, g, lap = self.src._jet(self._to_source(y), grad)
+        return (self.lam ** ((self.n - 2) / 2) * u,
+                self.lam ** (self.n / 2) * g if grad else None,
+                self.lam ** ((self.n + 2) / 2) * lap)
 
 
 def rescale(inp: BlowupInput, x_center) -> RescaledField:

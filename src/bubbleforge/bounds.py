@@ -226,7 +226,8 @@ def _grid_scan(f, region, gs: GridSpec):
     m = gs.coarse_count(n)
     pts = grid_points(lo, hi, m)
     inside = np.asarray(region.contains(pts))
-    pts = pts[inside]
+    if not inside.all():  # a Box holds every node: keep the grid, not a copy
+        pts = pts[inside]
     dev = _eval_dev_chunks(f, pts, gs.chunk, gs.threads)
     i = int(np.argmax(dev))
     best_x, best = pts[i], dev[i]

@@ -616,6 +616,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
     if cfg.n < 3:
         raise ConfigError("dimension must be >= 3")
+    if cfg.grid is not None and cfg.grid < 2:
+        raise ConfigError("grid must be >= 2 points per axis")
+    if cfg.threads < 1:
+        raise ConfigError("threads must be >= 1")
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {cfg.fmt!r}")
     return cfg

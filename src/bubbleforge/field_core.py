@@ -50,14 +50,20 @@ def _pointwise(fn, x, n: int):
 
     x of shape (..., n) is flattened to an (m, n) view, fn maps that batch
     to (m,) or (m, k) results, and they are reshaped to (...,) or (..., k).
-    A single point (n,) thus gives a float, or a (k,) array.
+    A single point (n,) thus gives a float, or a (k,) array.  A tuple of
+    results is reshaped entry by entry.
     """
     arr = np.asarray(x, dtype=float)
     if arr.shape[-1:] != (n,):
         raise ValueError(f"expected point(s) in R^{n}, got shape {arr.shape}")
-    out = np.asarray(fn(arr.reshape(-1, n)))
-    out = out.reshape(arr.shape[:-1] + out.shape[1:])
-    return float(out) if out.ndim == 0 else out
+    out = fn(arr.reshape(-1, n))
+
+    def shaped(o):
+        o = np.asarray(o)
+        o = o.reshape(arr.shape[:-1] + o.shape[1:])
+        return float(o) if o.ndim == 0 else o
+
+    return tuple(map(shaped, out)) if isinstance(out, tuple) else shaped(out)
 
 
 def _sq_dist(pts, c=None):
@@ -95,10 +101,15 @@ def _row_dot(a, b):
 class ScalarField:
     """Positive field with analytic value, gradient and Laplacian.
 
-    A field implements _value, _gradient and _laplacian on (m, n) float
-    batches, returning (m,), (m, n) and (m,) arrays; the public methods
-    accept a point (n,) or any batch (..., n) and return a float, an (n,)
-    gradient or arrays of the batch's leading shape.
+    A field implements _value and _jet on (m, n) float batches.  _value
+    returns the (m,) values.  _jet(pts, grad) returns (u, g, lap): values,
+    (m, n) gradients and (m,) Laplacians from one pass over the field, g
+    being None, and no (m, n) array built for it, unless grad.  The public
+    methods accept a point (n,) or any batch (..., n) and return a float,
+    an (n,) gradient or arrays of the batch's leading shape; gradient and
+    laplacian read the jet.  The default _jet composes the public methods,
+    so a field may override those instead.  A jet keeps no state between
+    calls: scans evaluate chunks of one field on several threads.
 
     Attributes
     ----------
@@ -128,11 +139,14 @@ class ScalarField:
     def _value(self, pts):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def _gradient(self, pts):  # pragma: no cover - interface
-        raise NotImplementedError
+    def _gradient(self, pts):
+        return self._jet(pts, True)[1]
 
-    def _laplacian(self, pts):  # pragma: no cover - interface
-        raise NotImplementedError
+    def _laplacian(self, pts):
+        return self._jet(pts, False)[2]
+
+    def _jet(self, pts, grad):
+        return self.value(pts), self.gradient(pts) if grad else None, self.laplacian(pts)
 
     @property
     def dim(self) -> Dim:
@@ -140,39 +154,48 @@ class ScalarField:
 
 
 class RadialField(ScalarField):
-    """Field whose value is a smooth profile of r = |x - center|."""
+    """Field whose value is a smooth profile of r = |x - center|.
+
+    A subclass supplies the profile value_r and _profile(r), which returns
+    the profile and its first two radial derivatives (f, f', f'') sharing
+    their intermediates; a closed-form Laplacian overrides _radial_jet.
+    """
 
     def __init__(self, n: int, center=None):
         self.n = int(as_dim(n).n)
         self.center = np.zeros(self.n) if center is None else np.asarray(center, float)
         self.radial = bool(np.all(self.center == 0.0))
 
-    # profile and its first two radial derivatives, vectorized over r >= 0
     def value_r(self, r):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def dvalue_r(self, r):  # pragma: no cover - interface
+    def _profile(self, r):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def d2value_r(self, r):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    # value and laplacian need only r, which _sq_dist forms without the (m, n) offsets
+    # r comes from _sq_dist, which forms it without the (m, n) offsets
     def _value(self, pts):
         return self.value_r(np.sqrt(_sq_dist(pts, self.center)))
 
-    def _gradient(self, pts):
-        d = pts - self.center
-        r = np.sqrt(_sq_dist(d))
-        rs = np.where(r == 0.0, 1.0, r)
-        g = (self.dvalue_r(r) / rs)[:, None] * d
-        return np.where(r[:, None] == 0.0, 0.0, g)
+    def _radial_jet(self, sq, slope):
+        """(r, f, f'/r, lap) from squared radii sq, which become r in place.
 
-    def _laplacian(self, pts):
-        r = np.sqrt(_sq_dist(pts, self.center))
-        rs = np.where(r == 0.0, 1.0, r)
-        lap = self.d2value_r(r) + (self.n - 1) * self.dvalue_r(r) / rs
-        return np.where(r == 0.0, self.n * self.d2value_r(r), lap)
+        f'/r is None unless slope; at r = 0 it is f'(0), and lap the limit
+        n f''(0).
+        """
+        r = np.sqrt(sq, out=sq)
+        f, df, d2f = self._profile(r)
+        at0 = r == 0.0
+        rs = np.where(at0, 1.0, r)
+        lap = d2f + (self.n - 1) * df / rs
+        lap[at0] = self.n * d2f[at0]
+        return r, f, df / rs if slope else None, lap
+
+    def _jet(self, pts, grad):
+        r, u, slope, lap = self._radial_jet(_sq_dist(pts, self.center), grad)
+        if not grad:
+            return u, None, lap
+        g = slope[:, None] * (pts - self.center)
+        return u, np.where(r[:, None] == 0.0, 0.0, g), lap
 
 
 class Bubble(RadialField):
@@ -193,25 +216,32 @@ class Bubble(RadialField):
 
     def value_r(self, r):
         r = np.asarray(r, float)
-        return (self.lam / (self.lam**2 + r * r)) ** ((self.n - 2) / 2)
+        # (lam / (lam^2 + r^2))^((n-2)/2) in one buffer (0-d for a scalar r)
+        s2 = np.asarray(self.lam**2 + r * r)
+        np.divide(self.lam, s2, out=s2)
+        s2 **= (self.n - 2) / 2
+        return s2
 
-    def dvalue_r(self, r):
-        r = np.asarray(r, float)
-        q = (self.n - 2) / 2
-        return -(self.n - 2) * r * self.lam**q * (self.lam**2 + r * r) ** (-self.n / 2)
-
-    def d2value_r(self, r):
-        r = np.asarray(r, float)
+    def _profile(self, r, d2=True):
+        """(f, f', f'') sharing lam^2 + r^2; f'' is None unless d2."""
         q = (self.n - 2) / 2
         s2 = self.lam**2 + r * r
-        return -(self.n - 2) * self.lam**q * s2 ** (-(self.n + 2) / 2) * (
+        f = (self.lam / s2) ** q
+        df = -(self.n - 2) * r * self.lam**q * s2 ** (-self.n / 2)
+        if not d2:
+            return f, df, None
+        return f, df, -(self.n - 2) * self.lam**q * s2 ** (-(self.n + 2) / 2) * (
             self.lam**2 + (1 - self.n) * r * r
         )
 
-    def _laplacian(self, pts):
-        # exact: lap(u) = -n(n-2) u^((n+2)/(n-2))
-        s2 = self.lam**2 + _sq_dist(pts, self.center)
-        return -self.n * (self.n - 2) * (self.lam / s2) ** ((self.n + 2) / 2)
+    def _radial_jet(self, sq, slope):
+        # exact: lap(u) = -n(n-2) u^((n+2)/(n-2)), from the summed square
+        lap = -self.n * (self.n - 2) * (self.lam / (self.lam**2 + sq)) ** ((self.n + 2) / 2)
+        r = np.sqrt(sq, out=sq)
+        if not slope:
+            return r, self.value_r(r), None, lap
+        f, df, _ = self._profile(r, d2=False)
+        return r, f, df / np.where(r == 0.0, 1.0, r), lap
 
 
 class BaseField(RadialField):
@@ -228,23 +258,16 @@ class BaseField(RadialField):
         r = np.asarray(r, float)
         return (1.0 + r * r) ** ((2 - self.n) / 4)
 
-    def dvalue_r(self, r):
-        r = np.asarray(r, float)
+    def _radial_jet(self, sq, slope):
         m = (2 - self.n) / 4
-        return 2 * m * r * (1.0 + r * r) ** (m - 1)
-
-    def d2value_r(self, r):
-        r = np.asarray(r, float)
-        m = (2 - self.n) / 4
-        w = 1.0 + r * r
-        return 2 * m * w ** (m - 2) * (w + 2 * (m - 1) * r * r)
-
-    def _laplacian(self, pts):
-        r2 = _sq_dist(pts)
-        m = (2 - self.n) / 4
-        return ((2 - self.n) / 2) * (1.0 + r2) ** (m - 2) * (
-            self.n + ((self.n - 2) / 2) * r2
+        lap = ((2 - self.n) / 2) * (1.0 + sq) ** (m - 2) * (
+            self.n + ((self.n - 2) / 2) * sq
         )
+        r = np.sqrt(sq, out=sq)
+        w = 1.0 + r * r
+        k = 2 * m * r * w ** (m - 1) / np.where(r == 0.0, 1.0, r) if slope else None
+        w **= m
+        return r, w, k, lap
 
 
 class CallableRadialField(RadialField):
@@ -260,11 +283,8 @@ class CallableRadialField(RadialField):
     def value_r(self, r):
         return self._f(np.asarray(r, float))
 
-    def dvalue_r(self, r):
-        return self._df(np.asarray(r, float))
-
-    def d2value_r(self, r):
-        return self._d2f(np.asarray(r, float))
+    def _profile(self, r):
+        return self._f(r), self._df(r), self._d2f(r)
 
 
 class SumField(ScalarField):
@@ -286,11 +306,13 @@ class SumField(ScalarField):
     def _value(self, pts):
         return self.f.value(pts) + self.g.value(pts)
 
-    def _gradient(self, pts):
-        return self.f.gradient(pts) + self.g.gradient(pts)
-
-    def _laplacian(self, pts):
-        return self.f.laplacian(pts) + self.g.laplacian(pts)
+    def _jet(self, pts, grad):
+        u, g, lap = self.f._jet(pts, grad)
+        u2, g2, lap2 = self.g._jet(pts, grad)
+        # one sum at a time: each rebinding frees a summand first
+        u = u + u2
+        lap = lap + lap2
+        return u, g + g2 if grad else None, lap
 
 
 @dataclass(frozen=True)
@@ -316,16 +338,16 @@ def k_function(f: ScalarField, x, backend: str = "analytic", h: float | None = N
     finite-difference stencil (cross-check oracle; single points only).
     """
     d = f.dim
-    v = f.value(x)
-    if np.any(np.asarray(v) <= 0.0):
-        raise NonpositiveValue("field must be strictly positive where K is evaluated")
     if backend == "analytic":
-        lap = f.laplacian(x)
+        v, lap = _pointwise(lambda pts: f._jet(pts, False)[::2], x, d.n)
     elif backend == "fd":
+        v = f.value(x)
         step = h if h is not None else 1e-4 * f.fd_scale
         lap = fd_laplacian(f.value, x, step)
     else:
         raise ValueError(f"unknown backend {backend!r}")
+    if np.any(np.asarray(v) <= 0.0):
+        raise NonpositiveValue("field must be strictly positive where K is evaluated")
     return -lap / (d.n * (d.n - 2) * v**d.p_crit)
 
 
@@ -347,11 +369,10 @@ def k_sum_limit(lam1: float, lam2: float, n) -> float:
 def inv_root_grad_sq(f: ScalarField, x):
     """|grad(f^(-2/(n-2)))|^2 computed from analytic value and gradient."""
     d = f.dim
-    v = f.value(x)
+    v, g = _pointwise(lambda pts: f._jet(pts, True)[:2], x, d.n)
     if np.any(np.asarray(v) <= 0.0):
         raise NonpositiveValue("field must be positive")
-    g = f.gradient(x)
-    g2 = _sq_dist(np.asarray(g))
+    g2 = _sq_dist(g)
     return (4.0 / (d.n - 2) ** 2) * v ** (-2.0 * d.n / (d.n - 2)) * g2
 
 

@@ -48,19 +48,26 @@ class Cutoff:
     def _t(self, r):
         return np.clip((np.asarray(r, float) - self.r_in) / self.width, 0.0, 1.0)
 
-    def phi(self, r):
-        t = self._t(r)
+    @staticmethod
+    def _phi_t(t):
         s = t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
         # s >= 0 exactly, but rounds to 1 + ulp just below t = 1
         return np.maximum(1.0 - s, 0.0)
 
+    def phi(self, r):
+        return self._phi_t(self._t(r))
+
     def dphi(self, r):
-        t = self._t(r)
-        return -30.0 * t * t * (1.0 - t) ** 2 / self.width
+        return self._jet(r)[1]
 
     def d2phi(self, r):
+        return self._jet(r)[2]
+
+    def _jet(self, r):
+        """(phi, phi', phi'') at r, from one clipped t."""
         t = self._t(r)
-        return -60.0 * t * (2.0 * t - 1.0) * (t - 1.0) / self.width**2
+        return (self._phi_t(t), -30.0 * t * t * (1.0 - t) ** 2 / self.width,
+                -60.0 * t * (2.0 * t - 1.0) * (t - 1.0) / self.width**2)
 
 
 @dataclass(frozen=True)
@@ -195,22 +202,42 @@ class ConcentricGlueField(RadialField):
         p = self.cut.phi(r)
         return p * self.b1.value_r(r) + (1.0 - p) * self.b2.value_r(r)
 
-    def dvalue_r(self, r):
-        p, dp = self.cut.phi(r), self.cut.dphi(r)
-        return (dp * (self.b1.value_r(r) - self.b2.value_r(r))
-                + p * self.b1.dvalue_r(r) + (1.0 - p) * self.b2.dvalue_r(r))
+    def _profile(self, r):
+        # f = p f1 + q f2, f' = p' d + p f1' + q f2' and
+        # f'' = p'' d + 2 p' (f1' - f2') + p f1'' + q f2'', with q = 1 - p and
+        # d = f1 - f2, summed term by term in place to keep fewer arrays alive
+        p, dp, d2p = self.cut._jet(r)
+        f1, df1, d2f1 = self.b1._profile(r)
+        f2, df2, d2f2 = self.b2._profile(r)
+        d, dd = f1 - f2, df1 - df2
+        for a in (f1, df1, d2f1):
+            a *= p
+        q = np.subtract(1.0, p, out=p)
+        for a in (f2, df2, d2f2):
+            a *= q
+        f1 += f2
+        d2p *= d
+        d *= dp
+        d += df1
+        d += df2
+        dp *= 2.0
+        dd *= dp
+        d2p += dd
+        d2p += d2f1
+        d2p += d2f2
+        return f1, d, d2p
 
-    def d2value_r(self, r):
-        p, dp, d2p = self.cut.phi(r), self.cut.dphi(r), self.cut.d2phi(r)
-        return (d2p * (self.b1.value_r(r) - self.b2.value_r(r))
-                + 2.0 * dp * (self.b1.dvalue_r(r) - self.b2.dvalue_r(r))
-                + p * self.b1.d2value_r(r) + (1.0 - p) * self.b2.d2value_r(r))
 
-
-def _radial_lap_weight(cut: Cutoff, s, n: int):
-    """lap of the radial function phi(|x - c|): phi'' + (n-1) phi'/s."""
-    safe = np.where(s == 0.0, 1.0, s)
-    return cut.d2phi(s) + (n - 1) * cut.dphi(s) / safe
+def _dot_with_slope(pts, c, k, ck):
+    """Row dot of the offsets pts - c with the gradient k (pts - ck) of a
+    radial field about ck, added column by column in _row_dot's order, so
+    neither (m, n) array is built.
+    """
+    s = (pts[:, 0] - c[0]) * (k * (pts[:, 0] - ck[0]))
+    s += 0.0
+    for i in range(1, pts.shape[1]):
+        s += (pts[:, i] - c[i]) * (k * (pts[:, i] - ck[i]))
+    return s
 
 
 class DisjointGlueField(ScalarField):
@@ -248,29 +275,30 @@ class DisjointGlueField(ScalarField):
         return ((1.0 - self.cut2.phi(s2)) * self.b1.value(pts)
                 + (1.0 - self.cut1.phi(s1)) * self.b2.value(pts))
 
-    def _gradient(self, pts):
-        d1, d2 = pts - self.b1.center, pts - self.b2.center
-        s1, s2 = np.sqrt(_sq_dist(d1)), np.sqrt(_sq_dist(d2))
+    def _jet(self, pts, grad):
+        c1, c2 = self.b1.center, self.b2.center
+        s1, u1, k1, lap1 = self.b1._radial_jet(_sq_dist(pts, c1), True)
+        s2, u2, k2, lap2 = self.b2._radial_jet(_sq_dist(pts, c2), True)
+        p1, dp1, d2p1 = self.cut1._jet(s1)
+        p2, dp2, d2p2 = self.cut2._jet(s2)
         s1s = np.where(s1 == 0.0, 1.0, s1)
         s2s = np.where(s2 == 0.0, 1.0, s2)
-        return ((1.0 - self.cut2.phi(s2))[:, None] * self.b1.gradient(pts)
-                - (self.cut2.dphi(s2) / s2s * self.b1.value(pts))[:, None] * d2
-                + (1.0 - self.cut1.phi(s1))[:, None] * self.b2.gradient(pts)
-                - (self.cut1.dphi(s1) / s1s * self.b2.value(pts))[:, None] * d1)
-
-    def _laplacian(self, pts):
-        d1, d2 = pts - self.b1.center, pts - self.b2.center
-        s1, s2 = np.sqrt(_sq_dist(d1)), np.sqrt(_sq_dist(d2))
-        s1s = np.where(s1 == 0.0, 1.0, s1)
-        s2s = np.where(s2 == 0.0, 1.0, s2)
-        g1 = self.b1.gradient(pts)
-        g2 = self.b2.gradient(pts)
-        return ((1.0 - self.cut2.phi(s2)) * self.b1.laplacian(pts)
-                - 2.0 * self.cut2.dphi(s2) * _row_dot(d2, g1) / s2s
-                - _radial_lap_weight(self.cut2, s2, self.n) * self.b1.value(pts)
-                + (1.0 - self.cut1.phi(s1)) * self.b2.laplacian(pts)
-                - 2.0 * self.cut1.dphi(s1) * _row_dot(d1, g2) / s1s
-                - _radial_lap_weight(self.cut1, s1, self.n) * self.b2.value(pts))
+        # the cutoff about each centre weights the other centre's bubble
+        u = (1.0 - p2) * u1 + (1.0 - p1) * u2
+        lap = ((1.0 - p2) * lap1
+               - 2.0 * dp2 * _dot_with_slope(pts, c2, k1, c1) / s2s
+               - (d2p2 + (self.n - 1) * dp2 / s2s) * u1
+               + (1.0 - p1) * lap2
+               - 2.0 * dp1 * _dot_with_slope(pts, c1, k2, c2) / s1s
+               - (d2p1 + (self.n - 1) * dp1 / s1s) * u2)
+        if not grad:
+            return u, None, lap
+        d1, d2 = pts - c1, pts - c2
+        g1 = np.where(s1[:, None] == 0.0, 0.0, k1[:, None] * d1)
+        g2 = np.where(s2[:, None] == 0.0, 0.0, k2[:, None] * d2)
+        g = ((1.0 - p2)[:, None] * g1 - (dp2 / s2s * u1)[:, None] * d2
+             + (1.0 - p1)[:, None] * g2 - (dp1 / s1s * u2)[:, None] * d1)
+        return u, g, lap
 
 
 class InsertGlueField(ScalarField):
@@ -297,25 +325,22 @@ class InsertGlueField(ScalarField):
         p = self.cut.phi(np.sqrt(_sq_dist(pts)))
         return p * self.bubble.value(pts) + (1.0 - p) * self.host.value(self.x1 + pts)
 
-    def _gradient(self, pts):
+    def _jet(self, pts, grad):
+        uh, gh, laph = self.host._jet(self.x1 + pts, True)
+        ub, gb, lapb = self.bubble._jet(pts, True)
         s = np.sqrt(_sq_dist(pts))
-        p = self.cut.phi(s)
+        p, dp, d2p = self.cut._jet(s)
         ss = np.where(s == 0.0, 1.0, s)
-        diff = self.bubble.value(pts) - self.host.value(self.x1 + pts)
-        return (p[:, None] * self.bubble.gradient(pts)
-                + (1.0 - p)[:, None] * self.host.gradient(self.x1 + pts)
-                + (self.cut.dphi(s) * diff / ss)[:, None] * pts)
-
-    def _laplacian(self, pts):
-        s = np.sqrt(_sq_dist(pts))
-        p = self.cut.phi(s)
-        ss = np.where(s == 0.0, 1.0, s)
-        diff = self.bubble.value(pts) - self.host.value(self.x1 + pts)
-        gdiff = self.bubble.gradient(pts) - self.host.gradient(self.x1 + pts)
-        return (p * self.bubble.laplacian(pts)
-                + (1.0 - p) * self.host.laplacian(self.x1 + pts)
-                + 2.0 * self.cut.dphi(s) * _row_dot(pts, gdiff) / ss
-                + _radial_lap_weight(self.cut, s, self.n) * diff)
+        diff = ub - uh
+        u = p * ub + (1.0 - p) * uh
+        lap = (p * lapb + (1.0 - p) * laph
+               + 2.0 * dp * _row_dot(pts, gb - gh) / ss
+               + (d2p + (self.n - 1) * dp / ss) * diff)
+        if not grad:
+            return u, None, lap
+        g = (p[:, None] * gb + (1.0 - p)[:, None] * gh
+             + (dp * diff / ss)[:, None] * pts)
+        return u, g, lap
 
 
 def glue_concentric(cfg: GlueConfig) -> ConcentricGlueField:

@@ -62,7 +62,8 @@ class KelvinField(ScalarField):
     Value at the inversion center is the continuous extension A * a^(2-n)
     when the source declares the decay coefficient A = lim |y|^(n-2) u(y);
     otherwise evaluation there raises AtCenter.  Gradient and Laplacian are
-    exact chain-rule images and are only defined away from the center.
+    exact chain-rule images of the source's jet at the inversion image, and
+    are only defined away from the center.
     """
 
     def __init__(self, src: ScalarField, inv: Inversion):
@@ -98,29 +99,23 @@ class KelvinField(ScalarField):
             out = np.where(at_center, self.src.inv_decay_coeff * a ** (2 - self.n), out)
         return out
 
-    def _gradient(self, pts):
+    def _jet(self, pts, grad):
         d = pts - self.inv.center
         rho2 = _sq_dist(d)
         if np.any(rho2 == 0.0):
-            raise AtCenter("gradient undefined at the inversion center")
+            raise AtCenter("gradient and Laplacian undefined at the inversion center")
         a = self.inv.radius
-        img = _image(self.inv, d, rho2)
-        u = self.src.value(img)
-        gu = self.src.gradient(img)
+        u, gu, lap = self.src._jet(_image(self.inv, d, rho2), grad)
         pref = (a**2 / rho2) ** ((self.n - 2) / 2)
+        lap = (a**2 / rho2) ** ((self.n + 2) / 2) * lap
+        if not grad:
+            return pref * u, None, lap
         # reflection part of the inversion Jacobian: (a^2/rho^2)(I - 2 e e^T)
         dot = _row_dot(d, gu)[:, None]
         jac_g = (a**2 / rho2)[:, None] * (gu - 2.0 * d * dot / rho2[:, None])
-        return ((2 - self.n) * a ** (self.n - 2) * rho2 ** (-self.n / 2.0)
-                )[:, None] * d * u[:, None] + pref[:, None] * jac_g
-
-    def _laplacian(self, pts):
-        d = pts - self.inv.center
-        rho2 = _sq_dist(d)
-        if np.any(rho2 == 0.0):
-            raise AtCenter("Laplacian undefined at the inversion center")
-        a = self.inv.radius
-        return (a**2 / rho2) ** ((self.n + 2) / 2) * self.src.laplacian(_image(self.inv, d, rho2))
+        g = ((2 - self.n) * a ** (self.n - 2) * rho2 ** (-self.n / 2.0)
+             )[:, None] * d * u[:, None] + pref[:, None] * jac_g
+        return pref * u, g, lap
 
 
 def kelvin_field(f: ScalarField, inv: Inversion) -> KelvinField:

@@ -75,7 +75,7 @@ class SingularProfile:
 # --- quadrature primitives ---------------------------------------------------
 
 _GL16 = leggauss(16)
-_SEG_BLOCK = 1 << 16  # outer-segment points evaluated at a time
+_SEG_BLOCK = 1 << 16  # ray-segment points evaluated at a time
 
 
 def _gl_panels(edges: np.ndarray):
@@ -248,6 +248,24 @@ def _shell_kernel_factor(r, s0: float, n: int):
     return np.maximum(r, s0) ** (2.0 - n)
 
 
+def _ray_sums(g, xi: np.ndarray, dirs: np.ndarray, lo: np.ndarray, lens: np.ndarray,
+              uu: np.ndarray, wu: np.ndarray) -> np.ndarray:
+    """Per direction, lens * sum_j wu_j r_j g(xi + r_j theta), r = lo + lens uu.
+
+    g is evaluated in blocks of whole directions of about _SEG_BLOCK points,
+    so memory stays bounded whatever the rule size.
+    """
+    rows = max(1, _SEG_BLOCK // uu.size)
+    per_dir = np.empty_like(lens)
+    for i in range(0, lens.size, rows):
+        blk = slice(i, i + rows)
+        rr = lo[blk, None] + lens[blk, None] * uu[None, :]
+        pts = xi[None, None, :] + rr[..., None] * dirs[blk, None, :]
+        vals = np.asarray(g(pts.reshape(-1, dirs.shape[1]))).reshape(rr.shape)
+        per_dir[blk] = lens[blk] * ((rr * vals) @ wu)
+    return per_dir
+
+
 def _polar_ball_integral(k: Kernel, g, ball: Ball, xi: np.ndarray,
                          m_sphere: int, m_rad: int):
     """sum_dirs w int_0^exit r g(xi + r theta) dr / ((n-2) omega_n), doubled."""
@@ -255,11 +273,8 @@ def _polar_ball_integral(k: Kernel, g, ball: Ball, xi: np.ndarray,
     rexit = _ray_exit(ball, xi, dirs)
 
     def radial(krad: int) -> float:
-        u, wu = _gl_panels(np.linspace(0.0, 1.0, krad + 1))
-        rr = rexit[:, None] * u[None, :]
-        pts = xi[None, None, :] + rr[..., None] * dirs[:, None, :]
-        vals = np.asarray(g(pts.reshape(-1, k.n))).reshape(rr.shape)
-        per_dir = rexit * ((rr * vals) @ wu)
+        per_dir = _ray_sums(g, xi, dirs, np.zeros_like(rexit), rexit,
+                            *_gl_panels(np.linspace(0.0, 1.0, krad + 1)))
         return float(w @ per_dir) / ((k.n - 2.0) * k.omega_n)
 
     v1 = radial(m_rad)
@@ -457,9 +472,7 @@ def _outer_h_lap(k: Kernel, u: ScalarField, omega: Ball, xi: np.ndarray,
     Polar about xi, removing the ray segment inside B(p, D).  The angular
     rule is aligned with the xi -> p axis and split at the shadow-boundary
     cosine, where the segment endpoints lose smoothness.  The segments
-    before and after the ball are integrated one after the other, each in
-    blocks of directions of about _SEG_BLOCK points, so memory stays
-    bounded whatever the rule size.
+    before and after the ball are integrated one after the other.
     """
     dist = float(np.linalg.norm(xi - p))
     axis = (p - xi) / dist
@@ -478,17 +491,8 @@ def _outer_h_lap(k: Kernel, u: ScalarField, omega: Ball, xi: np.ndarray,
     a2 = np.clip(np.where(hit, t2, rexit), 0.0, rexit)
     uu, wu = _gl_panels(np.linspace(0.0, 1.0, m_rad + 1))
 
-    rows = max(1, _SEG_BLOCK // uu.size)
-
     def seg_integral(lo, hi) -> float:
-        lens = np.clip(hi - lo, 0.0, None)
-        per_dir = np.empty_like(lens)
-        for i in range(0, lens.size, rows):
-            blk = slice(i, i + rows)
-            rr = lo[blk, None] + lens[blk, None] * uu[None, :]
-            pts = xi[None, None, :] + rr[..., None] * dirs[blk, None, :]
-            lap = np.asarray(u.laplacian(pts.reshape(-1, k.n))).reshape(rr.shape)
-            per_dir[blk] = lens[blk] * ((rr * lap) @ wu)
+        per_dir = _ray_sums(u.laplacian, xi, dirs, lo, np.clip(hi - lo, 0.0, None), uu, wu)
         return float(w @ per_dir) / ((2.0 - k.n) * k.omega_n)
 
     return seg_integral(np.zeros_like(rexit), b1) + seg_integral(a2, rexit)

@@ -177,6 +177,26 @@ def test_overlapping_balls_exit_numeric(tmp_path):
     assert code == EXIT_NUMERIC
 
 
+@pytest.mark.parametrize("flag, value", [("--grid", "0"), ("--grid", "1"),
+                                         ("--grid", "-4"), ("--threads", "0")])
+def test_scan_sizes_below_minimum_exit_config(tmp_path, capsys, monkeypatch, flag, value):
+    # --grid 0 used to exit 3 on an empty argmax, --grid 1 to divide by zero
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan started before the config was checked")
+
+    monkeypatch.setattr(cli, "sup_scan", no_scan)
+    code, rows = _run(tmp_path, "verify", "thm-a", "--n", "3", "--lambda1", "0.0099",
+                      "--lambda2", "1", "--rho", "1", "--R", "10", flag, value)
+    assert code == EXIT_CONFIG and rows == []
+    assert "config error" in capsys.readouterr().err
+
+
+def test_bad_thread_count_from_environment_exits_config(tmp_path, monkeypatch):
+    monkeypatch.setenv("BUBBLEFORGE_THREADS", "0")
+    code, _ = _run(tmp_path, "verify", "lemma-37", "--R", "1")
+    assert code == EXIT_CONFIG
+
+
 def test_threads_default_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("BUBBLEFORGE_THREADS", "3")
     from bubbleforge.cli import _config_from_args, build_parser

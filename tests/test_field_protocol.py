@@ -1,5 +1,8 @@
 """The shared point-or-batch contract of every field class."""
 
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,10 +16,12 @@ from bubbleforge import (
     glue_bubble_into,
     glue_concentric,
     glue_disjoint,
+    k_function,
     kelvin_bubble,
     lemma_5_4_compose,
 )
 from bubbleforge.blowup import RescaledField
+from bubbleforge.field_core import _sq_dist
 from bubbleforge.kelvin import KelvinField
 
 
@@ -82,3 +87,70 @@ def test_point_and_batch_shapes(make, rng):
         for method in (f.value, f.gradient, f.laplacian):
             with pytest.raises(ValueError):
                 method(bad)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("make", FIELDS.values(), ids=FIELDS.keys())
+def test_jet_is_value_gradient_laplacian(make, rng):
+    f, half = make()
+    pts = rng.uniform(-half, half, size=(64, f.n))
+    u, g, lap = f._jet(pts, True)
+    assert _same_bits(u, f.value(pts))
+    assert _same_bits(g, f.gradient(pts))
+    assert _same_bits(lap, f.laplacian(pts))
+    u2, g2, lap2 = f._jet(pts, False)
+    assert g2 is None and _same_bits(u2, u) and _same_bits(lap2, lap)
+
+
+@pytest.mark.parametrize("name, calls", [("disjoint", 2), ("concentric", 1),
+                                         ("sum", 2), ("kelvin", 3)])
+def test_k_batch_distance_kernel_calls(name, calls, rng, monkeypatch):
+    # one call per centre: each composite field shares its radii with its sources
+    f, half = FIELDS[name]()
+    pts = rng.uniform(-half, half, size=(32, f.n))
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(1)
+        return _sq_dist(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("bubbleforge") and hasattr(mod, "_sq_dist"):
+            monkeypatch.setattr(mod, "_sq_dist", counted)
+    k_function(f, pts)
+    assert len(seen) == calls
+
+
+# tracemalloc peak of one k_function call on 65,536 points, in KiB rounded up,
+# when K was evaluated by separate value and Laplacian passes
+_K_PEAK_KIB = {
+    "bubble": 2050,
+    "bubble-n4": 2050,
+    "base": 2051,
+    "callable-radial": 3650,
+    "sum": 2562,
+    "concentric": 6723,
+    "disjoint": 12876,
+    "insert": 12877,
+    "kelvin": 6658,
+    "lemma-5-4": 10307,
+    "rescaled": 3650,
+}
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_k_function_peak_memory(name, rng):
+    f, half = FIELDS[name]()
+    pts = rng.uniform(-half, half, size=(65536, f.n))
+    k_function(f, pts[:8])
+    tracemalloc.start()
+    try:
+        k_function(f, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _K_PEAK_KIB[name] * 1024

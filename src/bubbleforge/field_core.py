@@ -98,18 +98,33 @@ def _row_dot(a, b):
     return s
 
 
+def _offsets(pts, c):
+    """The offsets pts - c of an (m, n) batch from a point c, as an (n, m) array.
+
+    Each row is one coordinate's column of differences, written in place, so
+    no (m, n) temporary is built and no operation runs along the short axis.
+    """
+    d = np.empty(pts.shape[::-1])
+    for i in range(pts.shape[1]):
+        np.subtract(pts[:, i], c[i], out=d[i])
+    return d
+
+
 class ScalarField:
     """Positive field with analytic value, gradient and Laplacian.
 
     A field implements _value and _jet on (m, n) float batches.  _value
     returns the (m,) values.  _jet(pts, grad) returns (u, g, lap): values,
-    (m, n) gradients and (m,) Laplacians from one pass over the field, g
-    being None, and no (m, n) array built for it, unless grad.  The public
-    methods accept a point (n,) or any batch (..., n) and return a float,
-    an (n,) gradient or arrays of the batch's leading shape; gradient and
-    laplacian read the jet.  The default _jet composes the public methods,
-    so a field may override those instead.  A jet keeps no state between
-    calls: scans evaluate chunks of one field on several threads.
+    gradients and (m,) Laplacians from one pass over the field.  g is laid
+    out by columns, shape (n, m), so that g[i] is the contiguous i-th partial
+    derivative and per-point factors scale it along the long axis; it is
+    None, and no gradient array is built, unless grad.  The public methods
+    accept a point (n,) or any batch (..., n) and return a float, an (n,)
+    gradient or arrays of the batch's leading shape, the gradient's last
+    axis holding the n partials as before; gradient and laplacian read the
+    jet.  The default _jet composes the public methods, so a field may
+    override those instead.  A jet keeps no state between calls: scans
+    evaluate chunks of one field on several threads.
 
     Attributes
     ----------
@@ -140,13 +155,13 @@ class ScalarField:
         raise NotImplementedError
 
     def _gradient(self, pts):
-        return self._jet(pts, True)[1]
+        return np.ascontiguousarray(self._jet(pts, True)[1].T)
 
     def _laplacian(self, pts):
         return self._jet(pts, False)[2]
 
     def _jet(self, pts, grad):
-        return self.value(pts), self.gradient(pts) if grad else None, self.laplacian(pts)
+        return self.value(pts), self.gradient(pts).T if grad else None, self.laplacian(pts)
 
     @property
     def dim(self) -> Dim:
@@ -194,8 +209,10 @@ class RadialField(ScalarField):
         r, u, slope, lap = self._radial_jet(_sq_dist(pts, self.center), grad)
         if not grad:
             return u, None, lap
-        g = slope[:, None] * (pts - self.center)
-        return u, np.where(r[:, None] == 0.0, 0.0, g), lap
+        g = _offsets(pts, self.center)
+        g *= slope
+        g[:, r == 0.0] = 0.0
+        return u, g, lap
 
 
 class Bubble(RadialField):
@@ -369,10 +386,14 @@ def k_sum_limit(lam1: float, lam2: float, n) -> float:
 def inv_root_grad_sq(f: ScalarField, x):
     """|grad(f^(-2/(n-2)))|^2 computed from analytic value and gradient."""
     d = f.dim
-    v, g = _pointwise(lambda pts: f._jet(pts, True)[:2], x, d.n)
+
+    def batch(pts):
+        u, g, _ = f._jet(pts, True)
+        return u, _sq_dist(g.T)
+
+    v, g2 = _pointwise(batch, x, d.n)
     if np.any(np.asarray(v) <= 0.0):
         raise NonpositiveValue("field must be positive")
-    g2 = _sq_dist(g)
     return (4.0 / (d.n - 2) ** 2) * v ** (-2.0 * d.n / (d.n - 2)) * g2
 
 

@@ -15,7 +15,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import BadConfig, BadRadii, NoSolution, OverlapError
-from .field_core import Bubble, RadialField, ScalarField, _row_dot, _sq_dist, as_dim
+from .field_core import Bubble, RadialField, ScalarField, _offsets, _row_dot, _sq_dist, as_dim
 from .regions import Annulus
 
 # sharp quintic-smoothstep derivative constants on [0, 1]
@@ -293,11 +293,18 @@ class DisjointGlueField(ScalarField):
                - (d2p1 + (self.n - 1) * dp1 / s1s) * u2)
         if not grad:
             return u, None, lap
-        d1, d2 = pts - c1, pts - c2
-        g1 = np.where(s1[:, None] == 0.0, 0.0, k1[:, None] * d1)
-        g2 = np.where(s2[:, None] == 0.0, 0.0, k2[:, None] * d2)
-        g = ((1.0 - p2)[:, None] * g1 - (dp2 / s2s * u1)[:, None] * d2
-             + (1.0 - p1)[:, None] * g2 - (dp1 / s1s * u2)[:, None] * d1)
+        # (1 - p2) g1 - (p2'/s2) u1 d2 + (1 - p1) g2 - (p1'/s1) u2 d1, by rows
+        d1, d2 = _offsets(pts, c1), _offsets(pts, c2)
+        g, g2 = k1 * d1, k2 * d2
+        g[:, s1 == 0.0] = 0.0
+        g2[:, s2 == 0.0] = 0.0
+        g *= 1.0 - p2
+        d2 *= dp2 / s2s * u1
+        g -= d2
+        g2 *= 1.0 - p1
+        g += g2
+        d1 *= dp1 / s1s * u2
+        g -= d1
         return u, g, lap
 
 
@@ -334,13 +341,15 @@ class InsertGlueField(ScalarField):
         diff = ub - uh
         u = p * ub + (1.0 - p) * uh
         lap = (p * lapb + (1.0 - p) * laph
-               + 2.0 * dp * _row_dot(pts, gb - gh) / ss
+               + 2.0 * dp * _row_dot(pts, (gb - gh).T) / ss
                + (d2p + (self.n - 1) * dp / ss) * diff)
         if not grad:
             return u, None, lap
-        g = (p[:, None] * gb + (1.0 - p)[:, None] * gh
-             + (dp * diff / ss)[:, None] * pts)
-        return u, g, lap
+        gb *= p
+        gh *= 1.0 - p
+        gb += gh
+        gb += dp * diff / ss * pts.T
+        return u, gb, lap
 
 
 def glue_concentric(cfg: GlueConfig) -> ConcentricGlueField:

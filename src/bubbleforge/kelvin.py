@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtCenter, BubbleforgeError
-from .field_core import Bubble, ScalarField, _pointwise, _row_dot, _sq_dist
+from .field_core import Bubble, ScalarField, _offsets, _pointwise, _row_dot, _sq_dist
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,26 @@ class Inversion:
 
 
 def _image(inv: Inversion, d, rho2):
-    """Inversion image of the (m, n) points at offsets d from the center, rho2 = |d|^2."""
-    return inv.center + inv.radius**2 * d / rho2[:, None]
+    """Inversion image c + a^2 d / rho2 of the points at offsets d from the center.
+
+    d is the (n, m) array of _offsets and rho2 = |d|^2 per point; the (m, n)
+    image is written one column at a time.
+    """
+    out = np.empty(d.shape[::-1])
+    for i in range(d.shape[0]):
+        col = out[:, i]
+        np.multiply(inv.radius**2, d[i], out=col)
+        col /= rho2
+        col += inv.center[i]
+    return out
 
 
 def invert_point(inv: Inversion, x):
     """Image of x under the sphere inversion, c + a^2 (x-c)/|x-c|^2."""
 
     def image(pts):
-        d = pts - inv.center
-        rho2 = _sq_dist(d)
+        d = _offsets(pts, inv.center)
+        rho2 = _sq_dist(d.T)
         if np.any(rho2 == 0.0):
             raise AtCenter("cannot invert the center point")
         return _image(inv, d, rho2)
@@ -85,8 +95,8 @@ class KelvinField(ScalarField):
         return f"KelvinField({self.src!r}, center={self.inv.center.tolist()!r}, a={self.inv.radius!r})"
 
     def _value(self, pts):
-        d = pts - self.inv.center
-        rho2 = _sq_dist(d)
+        d = _offsets(pts, self.inv.center)
+        rho2 = _sq_dist(d.T)
         a = self.inv.radius
         at_center = rho2 == 0.0
         hit = bool(np.any(at_center))
@@ -100,8 +110,8 @@ class KelvinField(ScalarField):
         return out
 
     def _jet(self, pts, grad):
-        d = pts - self.inv.center
-        rho2 = _sq_dist(d)
+        d = _offsets(pts, self.inv.center)
+        rho2 = _sq_dist(d.T)
         if np.any(rho2 == 0.0):
             raise AtCenter("gradient and Laplacian undefined at the inversion center")
         a = self.inv.radius
@@ -111,10 +121,9 @@ class KelvinField(ScalarField):
         if not grad:
             return pref * u, None, lap
         # reflection part of the inversion Jacobian: (a^2/rho^2)(I - 2 e e^T)
-        dot = _row_dot(d, gu)[:, None]
-        jac_g = (a**2 / rho2)[:, None] * (gu - 2.0 * d * dot / rho2[:, None])
-        g = ((2 - self.n) * a ** (self.n - 2) * rho2 ** (-self.n / 2.0)
-             )[:, None] * d * u[:, None] + pref[:, None] * jac_g
+        dot = _row_dot(d.T, gu.T)
+        jac_g = (a**2 / rho2) * (gu - 2.0 * d * dot / rho2)
+        g = (2 - self.n) * a ** (self.n - 2) * rho2 ** (-self.n / 2.0) * d * u + pref * jac_g
         return pref * u, g, lap
 
 
@@ -161,11 +170,11 @@ class _ComposedUnitField(ScalarField):
 
     def _value(self, pts):
         a = self.inv2.radius
-        d = pts - self.inv2.center
-        rho2 = _sq_dist(d)
+        d = _offsets(pts, self.inv2.center)
+        rho2 = _sq_dist(d.T)
         if np.any(rho2 == 0.0):
             raise AtCenter("composition undefined at the outer inversion center")
-        z = self.inv2.center + a**2 * d / rho2[:, None]
+        z = _image(self.inv2, d, rho2)
         z2 = _sq_dist(z)
         if np.any(z2 == 0.0):
             raise AtCenter("inner transform hit the origin")

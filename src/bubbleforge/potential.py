@@ -248,6 +248,22 @@ def _shell_kernel_factor(r, s0: float, n: int):
     return np.maximum(r, s0) ** (2.0 - n)
 
 
+def _ray_points(x0: np.ndarray, r, dirs: np.ndarray) -> np.ndarray:
+    """Points x0 + r theta as an (m, n) batch, written one column at a time.
+
+    The unit directions dirs (..., n) have a leading shape that broadcasts
+    against the radii r's; each coordinate column is one multiply and one
+    add along the long axis.
+    """
+    n = dirs.shape[-1]
+    out = np.empty(np.broadcast_shapes(np.shape(r), dirs.shape[:-1]) + (n,))
+    for i in range(n):
+        col = out[..., i]
+        np.multiply(r, dirs[..., i], out=col)
+        col += x0[i]
+    return out.reshape(-1, n)
+
+
 def _ray_sums(g, xi: np.ndarray, dirs: np.ndarray, lo: np.ndarray, lens: np.ndarray,
               uu: np.ndarray, wu: np.ndarray) -> np.ndarray:
     """Per direction, lens * sum_j wu_j r_j g(xi + r_j theta), r = lo + lens uu.
@@ -260,8 +276,7 @@ def _ray_sums(g, xi: np.ndarray, dirs: np.ndarray, lo: np.ndarray, lens: np.ndar
     for i in range(0, lens.size, rows):
         blk = slice(i, i + rows)
         rr = lo[blk, None] + lens[blk, None] * uu[None, :]
-        pts = xi[None, None, :] + rr[..., None] * dirs[blk, None, :]
-        vals = np.asarray(g(pts.reshape(-1, dirs.shape[1]))).reshape(rr.shape)
+        vals = np.asarray(g(_ray_points(xi, rr, dirs[blk, None, :]))).reshape(rr.shape)
         per_dir[blk] = lens[blk] * ((rr * vals) @ wu)
     return per_dir
 
@@ -390,12 +405,12 @@ def verify_profile(u: ScalarField, prof: SingularProfile, n_radii: int = 24,
     n = u.n
     dirs, _ = sphere_rule(n, m_sphere)
     radii = np.geomspace(prof.delta * 1e-3, prof.delta * 0.999, n_radii)
-    pts = (prof.p[None, None, :] + radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
+    pts = _ray_points(prof.p, radii[:, None], dirs)
     s = np.sqrt(_sq_dist(pts, prof.p))
-    lap = np.abs(np.asarray(u.laplacian(pts)))
-    if np.any(lap > prof.c1 / s ** (n - 1 + prof.mu)):
+    _, g, lap = u._jet(pts, True)
+    if np.any(np.abs(lap) > prof.c1 / s ** (n - 1 + prof.mu)):
         raise ProfileViolated("sampled |lap u| exceeds the declared bound")
-    gr = np.sqrt(_sq_dist(np.asarray(u.gradient(pts))))
+    gr = np.sqrt(_sq_dist(g.T))
     if np.any(gr > prof.c2 / s ** (n - 1 - prof.nu)):
         raise ProfileViolated("sampled |grad u| exceeds the declared bound")
 
@@ -404,12 +419,13 @@ def _boundary_integral(k: Kernel, u: ScalarField, center, radius: float,
                        xi: np.ndarray, m: int, outward: bool = True) -> float:
     """Integral of u dH/dn - H du/dn over a sphere, normal radial (+/-)."""
     dirs, w = sphere_rule(k.n, m)
-    pts = np.asarray(center, float)[None, :] + radius * dirs
+    pts = _ray_points(np.asarray(center, float), radius, dirs)
     sgn = 1.0 if outward else -1.0
     dh = _row_dot(np.asarray(grad_h(k, pts, xi)), dirs)
-    du = _row_dot(np.asarray(u.gradient(pts)), dirs)
+    uv, g, _ = u._jet(pts, True)
+    du = _row_dot(g.T, dirs)
     h = np.asarray(h_eval(k, pts, xi))
-    vals = np.asarray(u.value(pts)) * dh - h * du
+    vals = uv * dh - h * du
     return sgn * radius ** (k.n - 1) * float(w @ vals)
 
 
@@ -457,7 +473,7 @@ def _inner_h_lap(k: Kernel, u: ScalarField, xi: np.ndarray, p: np.ndarray,
     """
 
     def inner_int(r):
-        pts = (p[None, None, :] + r[:, None, None] * dirs_p[None, :, :]).reshape(-1, k.n)
+        pts = _ray_points(p, r[:, None], dirs_p)
         hv = np.asarray(h_eval(k, pts, xi)).reshape(r.size, -1)
         lap = np.asarray(u.laplacian(pts)).reshape(r.size, -1)
         return (hv * lap) @ w_p * r ** (k.n - 1)

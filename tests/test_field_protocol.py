@@ -100,7 +100,9 @@ def test_jet_is_value_gradient_laplacian(make, rng):
     pts = rng.uniform(-half, half, size=(64, f.n))
     u, g, lap = f._jet(pts, True)
     assert _same_bits(u, f.value(pts))
-    assert _same_bits(g, f.gradient(pts))
+    # the jet's gradient is laid out by columns, (n, m)
+    assert g.shape == (f.n, 64)
+    assert _same_bits(np.ascontiguousarray(g.T), f.gradient(pts))
     assert _same_bits(lap, f.laplacian(pts))
     u2, g2, lap2 = f._jet(pts, False)
     assert g2 is None and _same_bits(u2, u) and _same_bits(lap2, lap)

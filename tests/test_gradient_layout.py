@@ -1,0 +1,127 @@
+"""The column-major gradient jet against the row-major broadcast formulas.
+
+A field's _jet gives its gradient as an (n, m) array built one column at a
+time.  The reference formulas below build the (m, n) gradient with [:, None]
+broadcasts, as the fields did before; the public gradient, inv_root_grad_sq
+and the ray points of the quadratures must equal them bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from bubbleforge import Inversion, SumField, inv_root_grad_sq
+from bubbleforge.blowup import RescaledField
+from bubbleforge.field_core import RadialField, _row_dot, _sq_dist
+from bubbleforge.glue import DisjointGlueField, InsertGlueField
+from bubbleforge.kelvin import KelvinField, _ComposedUnitField, invert_point
+from bubbleforge.potential import _ray_points
+from test_field_protocol import FIELDS
+
+
+def _image_ref(inv, d, rho2):
+    return inv.center + inv.radius**2 * d / rho2[:, None]
+
+
+def gradient_ref(f, pts):
+    """(m, n) gradient of f by the row-major broadcast formulas."""
+    if isinstance(f, RadialField):
+        r, _, slope, _ = f._radial_jet(_sq_dist(pts, f.center), True)
+        g = slope[:, None] * (pts - f.center)
+        return np.where(r[:, None] == 0.0, 0.0, g)
+    if isinstance(f, SumField):
+        return gradient_ref(f.f, pts) + gradient_ref(f.g, pts)
+    if isinstance(f, DisjointGlueField):
+        c1, c2 = f.b1.center, f.b2.center
+        s1, u1, k1, _ = f.b1._radial_jet(_sq_dist(pts, c1), True)
+        s2, u2, k2, _ = f.b2._radial_jet(_sq_dist(pts, c2), True)
+        p1, dp1, _ = f.cut1._jet(s1)
+        p2, dp2, _ = f.cut2._jet(s2)
+        s1s = np.where(s1 == 0.0, 1.0, s1)
+        s2s = np.where(s2 == 0.0, 1.0, s2)
+        d1, d2 = pts - c1, pts - c2
+        g1 = np.where(s1[:, None] == 0.0, 0.0, k1[:, None] * d1)
+        g2 = np.where(s2[:, None] == 0.0, 0.0, k2[:, None] * d2)
+        return ((1.0 - p2)[:, None] * g1 - (dp2 / s2s * u1)[:, None] * d2
+                + (1.0 - p1)[:, None] * g2 - (dp1 / s1s * u2)[:, None] * d1)
+    if isinstance(f, InsertGlueField):
+        uh, gh = f.host.value(f.x1 + pts), gradient_ref(f.host, f.x1 + pts)
+        ub, gb = f.bubble.value(pts), gradient_ref(f.bubble, pts)
+        s = np.sqrt(_sq_dist(pts))
+        p, dp, _ = f.cut._jet(s)
+        ss = np.where(s == 0.0, 1.0, s)
+        return (p[:, None] * gb + (1.0 - p)[:, None] * gh
+                + (dp * (ub - uh) / ss)[:, None] * pts)
+    if isinstance(f, KelvinField):
+        n, a = f.n, f.inv.radius
+        d = pts - f.inv.center
+        rho2 = _sq_dist(d)
+        y = _image_ref(f.inv, d, rho2)
+        u, gu = f.src.value(y), gradient_ref(f.src, y)
+        pref = (a**2 / rho2) ** ((n - 2) / 2)
+        dot = _row_dot(d, gu)[:, None]
+        jac_g = (a**2 / rho2)[:, None] * (gu - 2.0 * d * dot / rho2[:, None])
+        return ((2 - n) * a ** (n - 2) * rho2 ** (-n / 2.0)
+                )[:, None] * d * u[:, None] + pref[:, None] * jac_g
+    if isinstance(f, _ComposedUnitField):
+        return gradient_ref(f._nested, pts)
+    if isinstance(f, RescaledField):
+        return f.lam ** (f.n / 2) * gradient_ref(f.src, f.x_center + f.lam * pts)
+    raise TypeError(f"no reference gradient for {type(f).__name__}")
+
+
+def inv_root_grad_sq_ref(f, pts):
+    n = f.n
+    return (4.0 / (n - 2) ** 2) * f.value(pts) ** (-2.0 * n / (n - 2)) * _sq_dist(
+        gradient_ref(f, pts))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _points(f, half, rng):
+    """Random points, points within underflow of the origin and the centres."""
+    pts = [rng.uniform(-half, half, size=(500, f.n)),
+           1e-170 * rng.standard_normal((4, f.n))]
+    for src in (f, getattr(f, "b1", None), getattr(f, "b2", None), getattr(f, "bubble", None)):
+        if isinstance(src, RadialField):
+            pts.append(src.center[None, :])
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("make", FIELDS.values(), ids=FIELDS.keys())
+def test_gradient_matches_broadcast_formulas(make, rng):
+    f, half = make()
+    pts = _points(f, half, rng)
+    ref = gradient_ref(f, pts)
+    g = f.gradient(pts)
+    assert g.shape == (pts.shape[0], f.n) and g.flags.c_contiguous
+    assert _same_bits(g, ref)
+    assert _same_bits(f.gradient(pts[7]), ref[7])
+    assert _same_bits(inv_root_grad_sq(f, pts), inv_root_grad_sq_ref(f, pts))
+    assert inv_root_grad_sq(f, pts[7]) == inv_root_grad_sq_ref(f, pts[7:8])[0]
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_ray_points_match_broadcast_formulas(n, rng):
+    x0 = rng.normal(size=n)
+    dirs = rng.normal(size=(7, n))
+    rr = rng.uniform(0.0, 2.0, size=(7, 5))
+    # per-direction radii, as the polar ball blocks
+    assert _same_bits(_ray_points(x0, rr, dirs[:, None, :]),
+                      (x0[None, None, :] + rr[..., None] * dirs[:, None, :]).reshape(-1, n))
+    # every radius along every direction, as the profile and annulus samples
+    r = rng.uniform(0.0, 2.0, size=9)
+    assert _same_bits(_ray_points(x0, r[:, None], dirs),
+                      (x0[None, None, :] + r[:, None, None] * dirs[None, :, :]).reshape(-1, n))
+    # one radius, as the boundary spheres
+    assert _same_bits(_ray_points(x0, 0.7, dirs), (x0[None, :] + 0.7 * dirs))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_inversion_image_matches_broadcast_formula(n, rng):
+    inv = Inversion(rng.normal(size=n), 1.3)
+    pts = rng.normal(size=(40, n))
+    d = pts - inv.center
+    assert _same_bits(invert_point(inv, pts), _image_ref(inv, d, _sq_dist(d)))

@@ -5,6 +5,13 @@ the last axis of an (m, n) batch with n = 3..6 runs several times slower
 than adding the n columns, which field_core._sq_dist and _row_dot do (and
 Box.contains with `&`).
 
+No short-axis broadcast in a jet: a [:, None] or [..., None] subscript
+in a field's _jet, or in the quadratures' ray-point helper, broadcasts a
+per-point factor against the n coordinates of an (m, n) batch, an inner
+loop of n = 3..6.  The jets keep their gradients as (n, m) columns, which
+per-point factors scale along the long axis, and the ray points are
+written one column at a time.
+
 numpy as the only runtime dependency: no module of the package imports
 scipy, and importing the command line loads none of it.
 """
@@ -78,6 +85,71 @@ def test_no_short_axis_reductions(path):
            for i in short_axis_reductions(path.read_text())
            if (path.name, lines[i - 1].strip()) not in ALLOWED]
     assert not bad, "use field_core._sq_dist / _row_dot instead:\n" + "\n".join(bad)
+
+
+# Functions that must build their arrays without short-axis broadcasts,
+# as {file name: function names}; every name must occur in its file.
+NO_BROADCAST = {
+    "field_core.py": {"_jet"},
+    "glue.py": {"_jet"},
+    "kelvin.py": {"_jet"},
+    "potential.py": {"_ray_points"},
+}
+
+
+def _is_new_axis(node) -> bool:
+    """None or np.newaxis."""
+    if isinstance(node, ast.Constant):
+        return node.value is None
+    return isinstance(node, ast.Attribute) and node.attr == "newaxis"
+
+
+def short_axis_broadcasts(source: str, names):
+    """(function, line) of subscripts adding an axis after the first, such as
+    [:, None] or [..., None], inside the functions or methods called names."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in names):
+            continue
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)
+                    and any(map(_is_new_axis, node.slice.elts[1:]))):
+                found.append((fn.name, node.lineno))
+    return sorted(found)
+
+
+def test_guard_finds_broadcasts_and_spares_columns():
+    src = "\n".join([
+        "class F:",
+        "    def _jet(self, pts, grad):",
+        "        g = k[:, None] * d",
+        "        h = u[..., None] * d",
+        "        e = dirs[blk, None, :]",
+        "        q = k[:, np.newaxis]",
+        "        g[:, r == 0.0] = 0.0",
+        "        w = x[None, :] * y[:, 0]",
+        "        return g * k",
+        "    def _value(self, pts):",
+        "        return k[:, None] * d",
+        "def _ray_points(x0, r, dirs):",
+        "    return x0[None, :] + r[..., None]",
+    ])
+    assert short_axis_broadcasts(src, {"_jet"}) == [("_jet", i) for i in (3, 4, 5, 6)]
+    assert short_axis_broadcasts(src, {"_ray_points"}) == [("_ray_points", 13)]
+
+
+@pytest.mark.parametrize("name", sorted(NO_BROADCAST))
+def test_no_short_axis_broadcast_in_jets(name):
+    path = SRC / name
+    source = path.read_text()
+    tree = ast.parse(source)
+    defined = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    assert NO_BROADCAST[name] <= defined, f"{name} no longer defines {NO_BROADCAST[name] - defined}"
+    lines = source.splitlines()
+    bad = [f"{name}:{i}: {fn}: {lines[i - 1].strip()}"
+           for fn, i in short_axis_broadcasts(source, NO_BROADCAST[name])
+           if (name, lines[i - 1].strip()) not in ALLOWED]
+    assert not bad, "build the (n, m) gradient by columns instead:\n" + "\n".join(bad)
 
 
 def scipy_imports(source: str):

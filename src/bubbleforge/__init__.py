@@ -7,7 +7,6 @@ from .bounds import (
     DepthFactors,
     ThmBParams,
     deep_bubble_bound,
-    deep_bubble_constant,
     depth_factors,
     lower_bound_4_4,
     sup_scan,
@@ -53,9 +52,7 @@ from .potential import (
     int_absH_ball,
     lower_bound_3_9,
     rep_formula_report,
-    rep_formula_singular,
     rep_identity_report,
-    rep_identity_residual,
     unit_sphere_area,
     weighted_grad_integral,
 )
@@ -69,14 +66,13 @@ __all__ = [
     "GlueConfig", "GridSpec", "Inversion", "KReport", "Kernel", "QuadResult",
     "RhoMSolution", "ScalarField", "SingularProfile", "SumField", "ThmBParams",
     "base_k", "combined_k_bounds",
-    "deep_bubble_bound", "deep_bubble_constant", "depth_factors", "detect",
+    "deep_bubble_bound", "depth_factors", "detect",
     "excise", "fit_bubble", "glue_bubble_into", "glue_concentric",
     "glue_disjoint", "grad_inv_power", "h_eval", "identity_3_4_residual",
     "insert_annulus", "int_absH_annulus", "int_absH_ball", "inv_root_grad_sq",
     "invert_point", "k_function", "k_sum_limit", "kelvin_bubble",
     "kelvin_field", "lemma_5_4_compose", "lower_bound_3_9",
-    "lower_bound_4_4", "rep_formula_report",
-    "rep_formula_singular", "rep_identity_report", "rep_identity_residual",
+    "lower_bound_4_4", "rep_formula_report", "rep_identity_report",
     "rescale", "solve_rho_M",
     "sum_field", "sup_scan", "thmA_conditions", "thmA_dual_conditions",
     "thmB_chain_bound", "thmB_condition", "unit_sphere_area",

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import FitDiverged, OutOfDomain
-from .fd import fd_gradient, fd_laplacian
 from .field_core import Bubble, ScalarField, _sq_dist
 from .potential import sphere_rule
 
@@ -251,7 +250,7 @@ class RescaledField(ScalarField):
         return self.x_center + self.lam * y
 
     def _value(self, y):
-        return self.lam ** ((self.n - 2) / 2) * self.src.value(self._to_source(y))
+        return self.lam ** ((self.n - 2) / 2) * self.src._value(self._to_source(y))
 
     def _jet(self, y, grad):
         u, g, lap = self.src._jet(self._to_source(y), grad)
@@ -326,15 +325,11 @@ def fit_bubble(w: ScalarField, R: float, max_iter: int = 100):
 
 
 def _c2_deviation(w: ScalarField, model: ScalarField, pts: np.ndarray) -> float:
-    try:
-        gv = np.asarray(w.gradient(pts))
-        lv = np.asarray(w.laplacian(pts))
-    except NotImplementedError:
-        gv = np.stack([fd_gradient(w.value, p) for p in pts])
-        lv = np.array([fd_laplacian(w.value, p) for p in pts])
-    dval = np.abs(np.asarray(w.value(pts)) - np.asarray(model.value(pts)))
-    dgrad = np.sqrt(_sq_dist(gv, np.asarray(model.gradient(pts))))
-    dlap = np.abs(lv - np.asarray(model.laplacian(pts)))
+    uw, gw, lw = w._jet(pts, True)
+    um, gm, lm = model._jet(pts, True)
+    dval = np.abs(uw - um)
+    dgrad = np.sqrt(_sq_dist(gw.T, gm.T))
+    dlap = np.abs(lw - lm)
     return float(np.max(dval + dgrad + dlap))
 
 

@@ -166,11 +166,6 @@ def deep_bubble_bound(kappa: float, dist: float, r1: float, n=3) -> float:
     return 8.0**d.n * d.n * (dist**4 / r1**4) * (sigma2 + 6.0)
 
 
-def deep_bubble_constant(kappa: float, n=3) -> float:
-    """The constant C(n, kappa) in r1^4/lambda1^2 <= C / lambda2^2 (dist = 1)."""
-    return deep_bubble_bound(kappa, 1.0, 1.0, n)
-
-
 # --- deviation scans ---------------------------------------------------------
 
 

@@ -94,10 +94,10 @@ def _getf(cfg: ExperimentConfig, key: str, default=None) -> float:
     return float(default)
 
 
-def _get_vec(cfg: ExperimentConfig, key: str, default=0.0) -> np.ndarray:
+def _get_vec(cfg: ExperimentConfig, key: str) -> np.ndarray:
     raw = cfg.params.get(key)
     if raw is None:
-        return np.full(cfg.n, float(default)) * 0.0
+        return np.zeros(cfg.n)
     if isinstance(raw, str):
         vals = [float(t) for t in raw.split(",") if t != ""]
     else:

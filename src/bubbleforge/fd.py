@@ -9,18 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def fd_gradient(value, x, h: float = 1e-5) -> np.ndarray:
-    """Second-order central gradient of a scalar function at a single point."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        out[i] = (float(value(x + e)) - float(value(x - e))) / (2.0 * h)
-    return out
-
-
 def fd_laplacian(value, x, h: float = 1e-4) -> float:
     """Second-order central Laplacian (2n+1 point stencil) at a single point."""
     x = np.asarray(x, dtype=float)

@@ -122,9 +122,10 @@ class ScalarField:
     accept a point (n,) or any batch (..., n) and return a float, an (n,)
     gradient or arrays of the batch's leading shape, the gradient's last
     axis holding the n partials as before; gradient and laplacian read the
-    jet.  The default _jet composes the public methods, so a field may
-    override those instead.  A jet keeps no state between calls: scans
-    evaluate chunks of one field on several threads.
+    jet, and a field without one raises NotImplementedError there.  A
+    composite field calls its sources' _value and _jet.  A jet keeps no
+    state between calls: scans evaluate chunks of one field on several
+    threads.
 
     Attributes
     ----------
@@ -146,22 +147,16 @@ class ScalarField:
         return _pointwise(self._value, x, self.n)
 
     def gradient(self, x):
-        return _pointwise(self._gradient, x, self.n)
+        return _pointwise(lambda pts: np.ascontiguousarray(self._jet(pts, True)[1].T), x, self.n)
 
     def laplacian(self, x):
-        return _pointwise(self._laplacian, x, self.n)
+        return _pointwise(lambda pts: self._jet(pts, False)[2], x, self.n)
 
-    def _value(self, pts):  # pragma: no cover - interface
+    def _value(self, pts):
         raise NotImplementedError
 
-    def _gradient(self, pts):
-        return np.ascontiguousarray(self._jet(pts, True)[1].T)
-
-    def _laplacian(self, pts):
-        return self._jet(pts, False)[2]
-
     def _jet(self, pts, grad):
-        return self.value(pts), self.gradient(pts).T if grad else None, self.laplacian(pts)
+        raise NotImplementedError
 
     @property
     def dim(self) -> Dim:
@@ -321,7 +316,7 @@ class SumField(ScalarField):
         return f"SumField({self.f!r}, {self.g!r})"
 
     def _value(self, pts):
-        return self.f.value(pts) + self.g.value(pts)
+        return self.f._value(pts) + self.g._value(pts)
 
     def _jet(self, pts, grad):
         u, g, lap = self.f._jet(pts, grad)

@@ -57,12 +57,6 @@ class Cutoff:
     def phi(self, r):
         return self._phi_t(self._t(r))
 
-    def dphi(self, r):
-        return self._jet(r)[1]
-
-    def d2phi(self, r):
-        return self._jet(r)[2]
-
     def _jet(self, r):
         """(phi, phi', phi'') at r, from one clipped t."""
         t = self._t(r)
@@ -272,8 +266,8 @@ class DisjointGlueField(ScalarField):
     def _value(self, pts):
         s1 = np.sqrt(_sq_dist(pts, self.b1.center))
         s2 = np.sqrt(_sq_dist(pts, self.b2.center))
-        return ((1.0 - self.cut2.phi(s2)) * self.b1.value(pts)
-                + (1.0 - self.cut1.phi(s1)) * self.b2.value(pts))
+        return ((1.0 - self.cut2.phi(s2)) * self.b1._value(pts)
+                + (1.0 - self.cut1.phi(s1)) * self.b2._value(pts))
 
     def _jet(self, pts, grad):
         c1, c2 = self.b1.center, self.b2.center
@@ -330,7 +324,7 @@ class InsertGlueField(ScalarField):
 
     def _value(self, pts):
         p = self.cut.phi(np.sqrt(_sq_dist(pts)))
-        return p * self.bubble.value(pts) + (1.0 - p) * self.host.value(self.x1 + pts)
+        return p * self.bubble._value(pts) + (1.0 - p) * self.host._value(self.x1 + pts)
 
     def _jet(self, pts, grad):
         uh, gh, laph = self.host._jet(self.x1 + pts, True)

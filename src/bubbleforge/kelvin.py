@@ -104,7 +104,7 @@ class KelvinField(ScalarField):
             if self.src.inv_decay_coeff is None:
                 raise AtCenter("source field declares no |y|^(2-n) decay")
             rho2 = np.where(at_center, 1.0, rho2)
-        out = (a**2 / rho2) ** ((self.n - 2) / 2) * self.src.value(_image(self.inv, d, rho2))
+        out = (a**2 / rho2) ** ((self.n - 2) / 2) * self.src._value(_image(self.inv, d, rho2))
         if hit:
             out = np.where(at_center, self.src.inv_decay_coeff * a ** (2 - self.n), out)
         return out
@@ -156,8 +156,8 @@ class _ComposedUnitField(ScalarField):
         (a/|x - xi2|)^(n-2) * |z|^(2-n) * f(z / |z|^2),
         z = xi2 + a^2 (x - xi2)/|x - xi2|^2,
 
-    directly from f.  Derivatives delegate to the equivalent pair of nested
-    transforms.
+    directly from f.  The jet's gradient and Laplacian are those of the
+    equivalent pair of nested transforms; its values are the composed ones.
     """
 
     def __init__(self, f: ScalarField, inv2: Inversion):
@@ -182,14 +182,13 @@ class _ComposedUnitField(ScalarField):
         return (
             (a**2 / rho2) ** ((self.n - 2) / 2)
             * z2 ** (-(self.n - 2) / 2)
-            * self.f.value(w)
+            * self.f._value(w)
         )
 
-    def _gradient(self, pts):
-        return self._nested.gradient(pts)
-
-    def _laplacian(self, pts):
-        return self._nested.laplacian(pts)
+    def _jet(self, pts, grad):
+        u = self._value(pts)
+        _, g, lap = self._nested._jet(pts, grad)
+        return u, g, lap
 
 
 def lemma_5_4_compose(f: ScalarField, inv2: Inversion) -> ScalarField:

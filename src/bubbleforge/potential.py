@@ -242,12 +242,6 @@ def _ray_exit(ball: Ball, xi: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return -b + np.sqrt(np.clip(disc, 0.0, None))
 
 
-def _shell_kernel_factor(r, s0: float, n: int):
-    """Spherical mean of |x - xi|^(2-n) over the sphere |x| = r, |xi| = s0."""
-    r = np.asarray(r, float)
-    return np.maximum(r, s0) ** (2.0 - n)
-
-
 def _ray_points(x0: np.ndarray, r, dirs: np.ndarray) -> np.ndarray:
     """Points x0 + r theta as an (m, n) batch, written one column at a time.
 
@@ -298,6 +292,27 @@ def _polar_ball_integral(k: Kernel, g, ball: Ball, xi: np.ndarray,
     return v2, abs(v2 - v1), n_evals
 
 
+def _abs_h_ball(k: Kernel, g, ball: Ball, xi: np.ndarray, radial: bool, splits,
+                m_sphere: int, m_rad: int):
+    """Integral of |H(x, xi)| g(x) over a ball, as (value, err, n_evals).
+
+    A radial g over an origin-centered ball reduces to a 1D integral, split
+    at |xi| and at splits, through the spherical mean max(r, |xi|)^(2-n) of
+    |x - xi|^(2-n) over |x| = r; otherwise the polar rule about xi is used.
+    """
+    if not radial:
+        return _polar_ball_integral(k, g, ball, xi, m_sphere, m_rad)
+    s0 = float(np.linalg.norm(xi))
+    e1 = np.zeros(k.n)
+    e1[0] = 1.0
+
+    def integrand(r):
+        mean = np.maximum(r, s0) ** (2.0 - k.n)
+        return g(r[:, None] * e1) * r ** (k.n - 1) * mean / (k.n - 2.0)
+
+    return adaptive_radial(integrand, 0.0, ball.radius, splits=(s0, *splits))
+
+
 def weighted_grad_integral(k: Kernel, f: ScalarField, region: Ball, xi,
                            m_sphere: int = 16, m_rad: int = 16) -> QuadResult:
     """Integral of |H(x, xi)| |grad(f^(-2/(n-2)))(x)|^2 over a ball.
@@ -307,19 +322,9 @@ def weighted_grad_integral(k: Kernel, f: ScalarField, region: Ball, xi,
     product rule about xi is used.
     """
     xi = np.asarray(xi, dtype=float)
-    g = lambda pts: inv_root_grad_sq(f, pts)
-    if f.radial and bool(np.all(region.center == 0.0)):
-        s0 = float(np.linalg.norm(xi))
-        e1 = np.zeros(k.n)
-        e1[0] = 1.0
-
-        def integrand(r):
-            pts = r[:, None] * e1
-            return g(pts) * r ** (k.n - 1) * _shell_kernel_factor(r, s0, k.n) / (k.n - 2.0)
-
-        val, err, ev = adaptive_radial(integrand, 0.0, region.radius, splits=(s0,))
-        return QuadResult(value=val, err_est=err, n_evals=ev)
-    val, err, ev = _polar_ball_integral(k, g, region, xi, m_sphere, m_rad)
+    radial = f.radial and bool(np.all(region.center == 0.0))
+    val, err, ev = _abs_h_ball(k, lambda pts: inv_root_grad_sq(f, pts), region, xi,
+                               radial, (), m_sphere, m_rad)
     return QuadResult(value=val, err_est=err, n_evals=ev)
 
 
@@ -349,40 +354,15 @@ def rep_identity_report(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi,
     def gdiff(pts):
         return inv_root_grad_sq(u_c, pts) - inv_root_grad_sq(u2, pts)
 
-    radial_ok = u_c.radial and u2.radial and bool(np.all(omega2.center == 0.0))
-    if radial_ok:
-        s0 = float(np.linalg.norm(xi))
-        e1 = np.zeros(d.n)
-        e1[0] = 1.0
-        splits = [s0] + _radial_field_splits(u_c)
-
-        def q1_int(r):
-            pts = r[:, None] * e1
-            return (kdev(pts) * r ** (d.n - 1)
-                    * _shell_kernel_factor(r, s0, d.n) / (2.0 - d.n))
-
-        def q2_int(r):
-            pts = r[:, None] * e1
-            return (gdiff(pts) * r ** (d.n - 1)
-                    * _shell_kernel_factor(r, s0, d.n) / (d.n - 2.0))
-
-        q1, _, _ = adaptive_radial(q1_int, 0.0, omega2.radius, splits=splits)
-        q2, _, _ = adaptive_radial(q2_int, 0.0, omega2.radius, splits=splits)
-    else:
-        neg, _, _ = _polar_ball_integral(k, kdev, omega2, xi, m_sphere, m_rad)
-        q1 = -neg  # H = -|H|
-        q2, _, _ = _polar_ball_integral(k, gdiff, omega2, xi, m_sphere, m_rad)
+    radial = u_c.radial and u2.radial and bool(np.all(omega2.center == 0.0))
+    splits = _radial_field_splits(u_c)
+    q1 = -_abs_h_ball(k, kdev, omega2, xi, radial, splits, m_sphere, m_rad)[0]  # H = -|H|
+    q2 = _abs_h_ball(k, gdiff, omega2, xi, radial, splits, m_sphere, m_rad)[0]
 
     lhs = 4.0 * d.n * q1
     rhs = (float(u_c.value(xi)) ** (-p4) - float(u2.value(xi)) ** (-p4)
            + (d.n + 2) * q2)
     return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs}
-
-
-def rep_identity_residual(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi,
-                          m_sphere: int = 16, m_rad: int = 32) -> float:
-    """Difference of the two sides of the representation identity."""
-    return rep_identity_report(u_c, u2, omega2, xi, m_sphere, m_rad)["residual"]
 
 
 def lower_bound_3_9(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi) -> float:
@@ -528,29 +508,17 @@ def _check_eps_seq(eps_seq, D: float) -> None:
         raise BadRadii("eps_seq must be geometric")
 
 
-def rep_formula_singular(u: ScalarField, prof: SingularProfile | None,
-                         omega: Ball, xi, eps_seq=(1e-2, 1e-3, 1e-4),
-                         m_sphere: int = 24, m_boundary: int = 48,
-                         m_rad: int = 24) -> float:
-    """Residual of the Green representation of u(xi) on a ball.
-
-    With no profile the classical formula is evaluated directly and its
-    residual returned.  With a singular profile at p, the volume integral
-    excludes B(p, eps) for each radius in eps_seq and the residual sequence
-    is extrapolated to eps -> 0 assuming a power-law decay.
-    """
-    rep = rep_formula_report(u, prof, omega, xi, eps_seq, m_sphere, m_boundary, m_rad)
-    return rep["extrapolated"]
-
-
 def rep_formula_report(u: ScalarField, prof: SingularProfile | None,
                        omega: Ball, xi, eps_seq=(1e-2, 1e-3, 1e-4),
                        m_sphere: int = 24, m_boundary: int = 48,
                        m_rad: int = 24) -> dict:
     """Per-radius residuals, excluded-sphere boundary terms and extrapolation.
 
-    With a singular profile at p, the volume integral over omega minus
-    B(p, eps) is split at D = |xi - p|/2.  The outer region, omega minus
+    The residual is that of the Green representation of u(xi) on omega.
+    With no profile the classical formula is evaluated directly, and its
+    residual is also the extrapolation.  With a singular profile at p, the
+    volume integral over omega minus B(p, eps) is split at
+    D = |xi - p|/2.  The outer region, omega minus
     B(p, D), depends only on D, so it is integrated once per report; only
     the annulus eps < |x - p| < D is integrated for each eps.  The eps
     radii must be positive, strictly decreasing, below D and, from three

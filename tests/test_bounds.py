@@ -12,7 +12,6 @@ from bubbleforge import (
     GridSpec,
     ThmBParams,
     deep_bubble_bound,
-    deep_bubble_constant,
     depth_factors,
     glue_concentric,
     glue_disjoint,
@@ -256,7 +255,7 @@ def test_deep_bubble_bound_composition_n3():
     # 8^3 * 3 * (6/5 + 6) = 1536 * 7.2
     got = deep_bubble_bound(0.0, 0.5, 1.0, 3)
     assert got == pytest.approx(512 * 3 * (0.5**4) * 7.2, rel=1e-12)
-    assert deep_bubble_constant(0.0, 3) == pytest.approx(1536 * 7.2, rel=1e-12)
+    assert deep_bubble_bound(0.0, 1.0, 1.0, 3) == pytest.approx(1536 * 7.2, rel=1e-12)
 
 
 def test_deep_bubble_bound_validation():

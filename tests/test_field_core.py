@@ -122,14 +122,12 @@ def test_k_function_base_field_center():
 class _NegativeField(ScalarField):
     n = 3
 
-    def value(self, x):
-        return -1.0
+    def _value(self, pts):
+        return np.full(len(pts), -1.0)
 
-    def gradient(self, x):
-        return np.zeros(3)
-
-    def laplacian(self, x):
-        return 0.0
+    def _jet(self, pts, grad):
+        m = len(pts)
+        return self._value(pts), np.zeros((3, m)) if grad else None, np.zeros(m)
 
 
 def test_k_function_rejects_nonpositive_values():

@@ -8,19 +8,24 @@ import pytest
 
 from bubbleforge import (
     BaseField,
+    BlowupInput,
     Bubble,
     CallableRadialField,
     GlueConfig,
     Inversion,
+    ScalarField,
     SumField,
+    fit_bubble,
     glue_bubble_into,
     glue_concentric,
     glue_disjoint,
+    inv_root_grad_sq,
     k_function,
     kelvin_bubble,
     lemma_5_4_compose,
+    rescale,
 )
-from bubbleforge.blowup import RescaledField
+from bubbleforge.blowup import RescaledField, _c2_deviation, _fit_samples
 from bubbleforge.field_core import _sq_dist
 from bubbleforge.kelvin import KelvinField
 
@@ -106,6 +111,53 @@ def test_jet_is_value_gradient_laplacian(make, rng):
     assert _same_bits(lap, f.laplacian(pts))
     u2, g2, lap2 = f._jet(pts, False)
     assert g2 is None and _same_bits(u2, u) and _same_bits(lap2, lap)
+
+
+class _ValueOnly(ScalarField):
+    """A field with values and no jet."""
+
+    n = 3
+
+    def _value(self, pts):
+        return np.ones(len(pts))
+
+
+@pytest.mark.parametrize("derivative", [
+    lambda f, x: f.gradient(x), lambda f, x: f.laplacian(x), k_function, inv_root_grad_sq,
+], ids=["gradient", "laplacian", "k_function", "inv_root_grad_sq"])
+def test_field_without_jet_has_no_derivatives(derivative):
+    f = _ValueOnly()
+    x = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, -1.0]])
+    assert np.array_equal(f.value(x), [1.0, 1.0])
+    with pytest.raises(NotImplementedError):
+        derivative(f, x)
+
+
+def _c2_three_passes(w, model, pts):
+    """The fit deviation from separate value, gradient and Laplacian passes."""
+    dval = np.abs(np.asarray(w.value(pts)) - np.asarray(model.value(pts)))
+    dgrad = np.sqrt(_sq_dist(np.asarray(w.gradient(pts)), np.asarray(model.gradient(pts))))
+    dlap = np.abs(np.asarray(w.laplacian(pts)) - np.asarray(model.laplacian(pts)))
+    return float(np.max(dval + dgrad + dlap))
+
+
+def test_c2_deviation_of_a_fit_is_the_three_pass_deviation():
+    f = SumField(Bubble(0.05, [0.3, 0, 0], 3), BaseField(3))
+    w = rescale(BlowupInput(field=f, epsilon=0.1, R=2.0, delta_target=0.01), [0.29, 0.01, 0])
+    r_fit = min(2.0, 0.97 * w.window_radius)
+    mu, y_o, delta = fit_bubble(w, r_fit)
+    model, pts = Bubble(mu, y_o, 3), _fit_samples(3, r_fit)
+    ref = _c2_three_passes(w, model, pts)
+    assert delta.hex() == ref.hex()
+    assert _c2_deviation(w, model, pts).hex() == ref.hex()
+
+
+@pytest.mark.parametrize("name", ["disjoint", "lemma-5-4"])
+def test_c2_deviation_is_the_three_pass_deviation(name, rng):
+    f, half = FIELDS[name]()
+    pts = rng.uniform(-half, half, size=(64, f.n))
+    model = Bubble(0.9, [0.2, 0.1, 0], 3)
+    assert _c2_deviation(f, model, pts).hex() == _c2_three_passes(f, model, pts).hex()
 
 
 @pytest.mark.parametrize("name, calls", [("disjoint", 2), ("concentric", 1),

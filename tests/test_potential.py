@@ -19,9 +19,7 @@ from bubbleforge import (
     int_absH_ball,
     lower_bound_3_9,
     rep_formula_report,
-    rep_formula_singular,
     rep_identity_report,
-    rep_identity_residual,
     sup_scan,
     unit_sphere_area,
     weighted_grad_integral,
@@ -281,7 +279,7 @@ def test_rep_identity_identical_scales_different_radii():
     b = Bubble(1.0, np.zeros(3), 3)
     u = glue_concentric(GlueConfig.concentric(Bubble(1.0, np.zeros(3), 3), b,
                                               0.5, 2.0))
-    res = rep_identity_residual(u, b, Ball(np.zeros(3), 3.0), np.zeros(3))
+    res = rep_identity_report(u, b, Ball(np.zeros(3), 3.0), np.zeros(3))["residual"]
     assert abs(res) < 1e-6
 
 
@@ -322,7 +320,7 @@ def _singular_power_field(n=3, nut=0.5):
 
 def test_rep_formula_classical_bubble():
     b = Bubble(1.0, [0.1, 0, 0], 3)
-    res = rep_formula_singular(b, None, Ball(np.zeros(3), 1.5), [0.4, 0.2, 0])
+    res = rep_formula_report(b, None, Ball(np.zeros(3), 1.5), [0.4, 0.2, 0])["extrapolated"]
     assert abs(res) <= 1e-6
 
 
@@ -359,7 +357,7 @@ def test_rep_formula_rejects_violated_profile():
     bad = SingularProfile(p=np.zeros(3), mu=0.5, nu=0.5,
                           c1=abs(beta * 0.5) * 1e-3, c2=abs(beta), delta=0.3)
     with pytest.raises(ProfileViolated):
-        rep_formula_singular(u, bad, Ball(np.zeros(3), 1.5), [0.5, 0, 0])
+        rep_formula_report(u, bad, Ball(np.zeros(3), 1.5), [0.5, 0, 0])
 
 
 def _singular_profile(beta, nut=0.5):

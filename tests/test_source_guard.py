@@ -12,6 +12,11 @@ loop of n = 3..6.  The jets keep their gradients as (n, m) columns, which
 per-point factors scale along the long axis, and the ray points are
 written one column at a time.
 
+One derivative path: a field's derivatives come from its _jet alone, so
+no _gradient or _laplacian hook is defined, and a _value or _jet calls
+its sources' _value and _jet, never the public value, gradient or
+laplacian.
+
 numpy as the only runtime dependency: no module of the package imports
 scipy, and importing the command line loads none of it.
 """
@@ -150,6 +155,55 @@ def test_no_short_axis_broadcast_in_jets(name):
            for fn, i in short_axis_broadcasts(source, NO_BROADCAST[name])
            if (name, lines[i - 1].strip()) not in ALLOWED]
     assert not bad, "build the (n, m) gradient by columns instead:\n" + "\n".join(bad)
+
+
+ADAPTERS = {"_gradient", "_laplacian"}
+HOOKS = {"_value", "_jet"}
+PUBLIC = {"value", "gradient", "laplacian"}
+
+
+def second_derivative_paths(source: str):
+    """(function, line) of _gradient/_laplacian definitions and of calls to a
+    public value, gradient or laplacian inside a _value or _jet."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if fn.name in ADAPTERS:
+            found.append((fn.name, fn.lineno))
+        elif fn.name in HOOKS:
+            found += [(fn.name, node.lineno) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in PUBLIC]
+    return sorted(found)
+
+
+def test_guard_finds_second_paths_and_spares_hooks():
+    src = "\n".join([
+        "class F:",
+        "    def _gradient(self, pts):",
+        "        return self._nested.gradient(pts)",
+        "    def _laplacian(self, pts):",
+        "        return self._jet(pts, False)[2]",
+        "    def _value(self, pts):",
+        "        return self.f.value(pts) + self.g._value(pts) + self.value_r(pts)",
+        "    def _jet(self, pts, grad):",
+        "        u, g, lap = self.src._jet(pts, grad)",
+        "        return u, g, lap + self.src.laplacian(pts)",
+        "    def value(self, x):",
+        "        return self.src.value(x)",
+    ])
+    assert second_derivative_paths(src) == [("_gradient", 2), ("_jet", 10),
+                                            ("_laplacian", 4), ("_value", 7)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_derivative_path(path):
+    lines = path.read_text().splitlines()
+    bad = [f"{path.name}:{i}: {fn}: {lines[i - 1].strip()}"
+           for fn, i in second_derivative_paths(path.read_text())
+           if (path.name, lines[i - 1].strip()) not in ALLOWED]
+    assert not bad, "derive from _jet and call the sources' _value/_jet:\n" + "\n".join(bad)
 
 
 def scipy_imports(source: str):

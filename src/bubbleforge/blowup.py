@@ -18,8 +18,14 @@ from .field_core import Bubble, ScalarField, _sq_dist
 from .potential import sphere_rule
 
 OUTER_RADIUS = 5.0 / 8.0
-_CHUNK = 1 << 17  # coarse or refine grid points evaluated at a time
+_CHUNK = 1 << 17  # coarse grid points scanned at a time
+# refine grid points evaluated at a time: with a whole 17^4 grid in one
+# chunk, its temporaries came near glibc's dynamic trim threshold, and in
+# some heap states their memory was returned and faulted in again on every
+# grid (about 30k extra page faults per `blowup --n 4`)
+_REFINE_CHUNK = 1 << 14
 _KEEP = 1 << 14  # leading coarse entries kept for the candidate search
+_SHELL_SLACK = 1e-12  # relative widening of the coarse annulus mask
 
 
 @dataclass(frozen=True)
@@ -82,15 +88,26 @@ def d_eps(x, epsilon: float):
 
 
 def weighted_u(inp: BlowupInput, x):
-    """d_eps^((n-2)/2) u on the annulus; -inf off it and inside excluded balls."""
+    """d_eps^((n-2)/2) u on the annulus; -inf off it and inside excluded balls.
+
+    The field is evaluated only at the admissible points, those with
+    d_eps > 0 outside every excluded ball.
+    """
     x = np.asarray(x, float)
     d = d_eps(x, inp.epsilon)
-    n = inp.field.n
-    u = np.asarray(inp.field.value(x))
-    vals = np.where(d > 0.0, np.clip(d, 0.0, None) ** ((n - 2) / 2) * u, -np.inf)
+    ok = d > 0.0
     for c, rad in inp.excluded:
-        inside = np.sqrt(_sq_dist(x, np.asarray(c, float))) < rad
-        vals = np.where(inside, -np.inf, vals)
+        ok &= np.sqrt(_sq_dist(x, np.asarray(c, float))) >= rad
+    q = (inp.field.n - 2) / 2
+    if ok.all():
+        # in place: every chunk-sized temporary is heap churn that the
+        # allocator may return to the system and fault in again
+        d **= q
+        d *= inp.field.value(x)
+        return d
+    vals = np.full(d.shape, -np.inf)
+    if ok.any():
+        vals[ok] = d[ok] ** q * inp.field.value(x[ok])
     return vals
 
 
@@ -115,7 +132,7 @@ def _grid_argmax(inp: BlowupInput, axes):
     there is one.
     """
     best_x = best = None
-    for _, pts in _grid_chunks(axes):
+    for _, _, pts in _grid_chunks(axes, _REFINE_CHUNK):
         v = weighted_u(inp, pts)
         j = int(np.argmax(v))
         if best_x is None or v[j] > best or (np.isnan(v[j]) and not np.isnan(best)):
@@ -123,44 +140,79 @@ def _grid_argmax(inp: BlowupInput, axes):
     return best_x, best
 
 
-def _grid_chunks(axes):
-    """Yield (first flat index, points) over the grid of the 1D axes in C order.
+def _grid_chunks(axes, limit, shell=None):
+    """Yield (first flat index, sel, points) over the grid of the 1D axes in C order.
 
-    The last t < n axes, with at most _CHUNK nodes together, form a fixed
-    tail block; each chunk holds whole tail blocks and writes their leading
-    coordinates into one reused buffer, so the points yielded are
-    overwritten by the next chunk.
+    The last t < n axes, with at most `limit` nodes together, form a fixed
+    tail block, and each chunk holds as many whole tail blocks as fit in
+    `limit` nodes, at least one.  The points are a view of one reused
+    buffer, so they are overwritten by the next chunk.  Without a shell,
+    sel is None and the points are the whole chunk.  With shell = (lo, hi),
+    the points are only the chunk's nodes whose squared radius lies
+    strictly between lo and hi, written coordinate by coordinate (the view
+    is a transpose), and sel holds their increasing offsets from the first
+    flat index; chunks without such nodes are skipped.  That radius is
+    summed separably, the tail block's part once plus each row's leading
+    part, so it may differ by rounding from the radius of the points
+    themselves.
     """
     n = len(axes)
     sizes = [a.size for a in axes]
     t = 1
-    while t + 1 < n and math.prod(sizes[n - t - 1:]) <= _CHUNK:
+    while t + 1 < n and math.prod(sizes[n - t - 1:]) <= limit:
         t += 1
     block = math.prod(sizes[n - t:])
     lead = tuple(sizes[:n - t])
     n_lead = math.prod(lead)
-    rows = max(1, min(_CHUNK // block, n_lead))
-    tail = np.meshgrid(*axes[n - t:], indexing="ij")
-    buf = np.empty((rows * block, n))
-    buf[:, n - t:] = np.tile(np.stack([m.ravel() for m in tail], axis=-1), (rows, 1))
+    rows = max(1, min(limit // block, n_lead))
+    tail = np.stack([m.ravel() for m in np.meshgrid(*axes[n - t:], indexing="ij")])
+    if shell is None:
+        buf = np.empty((rows * block, n))
+        buf[:, n - t:] = np.tile(tail, rows).T
+    else:
+        tail_r2 = _sq_dist(tail.T)
+        tail = np.tile(tail, rows)
+        buf = np.empty((n, rows * block))
     for start in range(0, n_lead, rows):
         stop = min(start + rows, n_lead)
         m = (stop - start) * block
-        for j, i in enumerate(np.unravel_index(np.arange(start, stop), lead)):
-            buf[:m, j] = np.repeat(axes[j][i], block)
-        yield start * block, buf[:m]
+        lead_x = [axes[j][i] for j, i in
+                  enumerate(np.unravel_index(np.arange(start, stop), lead))]
+        if shell is None:
+            for j, x in enumerate(lead_x):
+                buf[:m, j] = np.repeat(x, block)
+            yield start * block, None, buf[:m]
+            continue
+        r2 = np.add.outer(_sq_dist(np.stack(lead_x, axis=-1)), tail_r2)
+        inside = (r2 > shell[0]) & (r2 < shell[1])
+        counts = np.count_nonzero(inside, axis=1)
+        if counts.any():
+            inside = inside.ravel()
+            pts = buf[:, :int(counts.sum())]
+            for j, x in enumerate(lead_x):
+                pts[j] = np.repeat(x, counts)
+            for j, col in enumerate(tail, n - t):
+                pts[j] = col[:m][inside]
+            yield start * block, np.flatnonzero(inside), pts.T
 
 
 def _coarse_top(inp: BlowupInput, axis: np.ndarray, keep: int):
     """The first `keep` finite coarse values in the order (-value, flat index).
 
     Returns those values and their flat grid indices, in that order; fewer
-    than `keep` means every finite value is there.  Kept entries stay in
-    flat-index order until the final sort, so the ties at the cut keep their
-    smallest indices.
+    than `keep` means every finite value is there.  Only the nodes of a
+    shell slightly wider than the annulus eps < |x| < 5/8 are handed to
+    weighted_u, which rejects the others in the shell exactly, so the nodes
+    off the annulus, finite nowhere, are never evaluated.  Kept entries
+    stay in flat-index order until the final sort, so the ties at the cut
+    keep their smallest indices.
     """
+    # a relative slack far above the rounding of the separable radii keeps
+    # every admissible node inside the shell
+    shell = (inp.epsilon**2 * (1.0 - _SHELL_SLACK),
+             OUTER_RADIUS**2 * (1.0 + _SHELL_SLACK))
     vals, idx = np.empty(0), np.empty(0, dtype=np.intp)
-    for first, pts in _grid_chunks([axis] * inp.field.n):
+    for first, sel, pts in _grid_chunks([axis] * inp.field.n, _CHUNK, shell):
         v = weighted_u(inp, pts)
         if np.any(v == np.inf):
             raise OutOfDomain("weighted field is infinite at a coarse node")
@@ -170,12 +222,12 @@ def _coarse_top(inp: BlowupInput, axis: np.ndarray, keep: int):
             new &= v > vals.min()
         new = np.flatnonzero(new)
         vals = np.concatenate([vals, v[new]])
-        idx = np.concatenate([idx, first + new])
+        idx = np.concatenate([idx, first + sel[new]])
         if vals.size > keep:
             kth = np.partition(vals, vals.size - keep)[vals.size - keep]
-            sel = vals > kth
-            sel[np.flatnonzero(vals == kth)[: keep - np.count_nonzero(sel)]] = True
-            vals, idx = vals[sel], idx[sel]
+            top = vals > kth
+            top[np.flatnonzero(vals == kth)[: keep - np.count_nonzero(top)]] = True
+            vals, idx = vals[top], idx[top]
     order = np.lexsort((idx, -vals))
     return vals[order], idx[order]
 
@@ -184,11 +236,14 @@ def weighted_max(inp: BlowupInput, n_candidates: int = 8):
     """Maximize the weighted field over the annulus by grid plus refinement.
 
     The coarse grid (inp.coarse nodes per axis over the cube [-5/8, 5/8]^n)
-    is evaluated in chunks of about _CHUNK points, keeping only the _KEEP
-    largest finite values with their flat grid indices, so memory does not
-    grow with coarse^n.  Those are ordered by decreasing value, ties toward
-    the smallest flat index, which is a prefix of the order of the whole
-    grid.  Narrow peaks can fall between coarse nodes, so the first
+    is scanned in chunks of about _CHUNK points, each masked by radius
+    before the field is touched, so the field is evaluated only at the
+    admissible nodes, which lie on the annulus: its time grows with their
+    number, a shrinking share of coarse^n as n grows.  Only the _KEEP
+    largest finite values are kept with their flat grid indices, so memory
+    does not grow with coarse^n.  Those are ordered by decreasing value,
+    ties toward the smallest flat index, which is a prefix of the order of
+    the whole grid.  Narrow peaks can fall between coarse nodes, so the first
     n_candidates nodes along that order that lie at least two cell
     diagonals from every earlier candidate are each refined locally, and
     the best refined value wins.  If the kept prefix runs out before

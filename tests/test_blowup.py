@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,7 +28,11 @@ from bubbleforge import (
 )
 from bubbleforge.blowup import OUTER_RADIUS, _refine_about, d_eps, weighted_u
 from bubbleforge.errors import FitDiverged, OutOfDomain
+from bubbleforge.field_core import _sq_dist
 from bubbleforge.regions import grid_points
+
+# the search must never evaluate a field where it is singular or undefined
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _slow_decay_field(n=3):
@@ -45,11 +50,24 @@ def _constant_field(n=3):
                                lambda r: 0 * r, lambda r: 0 * r)
 
 
+def _dense_grid(inp):
+    """The whole coarse grid, in C order."""
+    axes = [np.linspace(-OUTER_RADIUS, OUTER_RADIUS, inp.coarse)] * inp.field.n
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def _admissible(inp, pts):
+    """d_eps > 0 and outside every excluded ball, tested point by point."""
+    ok = d_eps(pts, inp.epsilon) > 0
+    for c, rad in inp.excluded:
+        ok &= np.linalg.norm(pts - c, axis=-1) >= rad
+    return ok
+
+
 def _dense_weighted_max(inp, n_candidates=8):
     """Reference: the whole coarse grid at once, ordered by a stable argsort."""
     n = inp.field.n
-    axes = [np.linspace(-OUTER_RADIUS, OUTER_RADIUS, inp.coarse)] * n
-    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    pts = _dense_grid(inp)
     vals = weighted_u(inp, pts)
     cell = np.full(n, 2 * OUTER_RADIUS / (inp.coarse - 1))
     candidates = []
@@ -91,12 +109,37 @@ def _excised_input():
     return excise(two, detect(two))
 
 
+def _odd_grid_input():
+    # 49 nodes per axis put nodes at the origin and at radius exactly 5/8
+    return replace(_two_bubble_input(), coarse=49)
+
+
+def _n4_input():
+    return BlowupInput(field=Bubble(2e-3, [0.2, -0.1, 0.15, 0.05], 4), epsilon=0.1,
+                       R=5.0, delta_target=0.01, coarse=16)
+
+
+def _node_radius_input():
+    # epsilon is exactly the radius of node (21, 23, 23), which is then off the
+    # annulus; the radius of its permutation (23, 23, 21) rounds just above
+    # epsilon, while its squared radius summed as 23^2 + (23^2 + 21^2) does
+    # not exceed epsilon^2, so only the shell's slack keeps that node
+    axis = np.linspace(-OUTER_RADIUS, OUTER_RADIUS, 48)
+    eps = float(np.sqrt(_sq_dist(axis[[21, 23, 23]])))
+    return replace(_two_bubble_input(), epsilon=eps)
+
+
 @pytest.mark.parametrize("make_input, chunk", [
     (_narrow_bubble_input, blowup._CHUNK),
     (_two_bubble_input, blowup._CHUNK),
     (_two_bubble_input, 500),  # uneven chunks, the last one partial
     (_excised_input, blowup._CHUNK),
+    (_excised_input, 500),
     (_constant_input, blowup._CHUNK),
+    (_odd_grid_input, blowup._CHUNK),
+    (_n4_input, blowup._CHUNK),
+    (_n4_input, 500),  # two leading axes per chunk
+    (_node_radius_input, blowup._CHUNK),
 ])
 def test_weighted_max_matches_dense_search(make_input, chunk, monkeypatch):
     monkeypatch.setattr(blowup, "_CHUNK", chunk)
@@ -105,6 +148,57 @@ def test_weighted_max_matches_dense_search(make_input, chunk, monkeypatch):
     ref_x, ref_M = _dense_weighted_max(inp)
     assert np.array_equal(x_o, ref_x)
     assert M == ref_M
+
+
+@pytest.mark.parametrize("make_input", [
+    _two_bubble_input, _excised_input, _odd_grid_input, _n4_input, _node_radius_input,
+])
+def test_coarse_pass_evaluates_only_admissible_nodes(make_input, monkeypatch):
+    inp = make_input()
+    grid = _dense_grid(inp)
+    d = d_eps(grid, inp.epsilon)
+    on_annulus = np.count_nonzero(d > 0)
+    on_boundary = np.count_nonzero(np.abs(d) <= 1e-12)
+    admissible = np.count_nonzero(_admissible(inp, grid))
+    field_points, searched_points = [], []
+    value = inp.field._value
+    monkeypatch.setattr(inp.field, "_value",
+                        lambda pts: field_points.append(len(pts)) or value(pts))
+    monkeypatch.setattr(blowup, "weighted_u",
+                        lambda inp, x: searched_points.append(len(x)) or weighted_u(inp, x))
+    blowup._coarse_top(inp, np.linspace(-OUTER_RADIUS, OUTER_RADIUS, inp.coarse),
+                       blowup._KEEP)
+    assert sum(field_points) == admissible
+    # beyond the annulus the shell admits only nodes on its boundary spheres
+    assert on_annulus <= sum(searched_points) <= on_annulus + on_boundary
+
+
+def test_weighted_max_never_evaluates_the_singularity(monkeypatch):
+    # 1/r is infinite at the origin, a node of the 49-node grid
+    inv_r = CallableRadialField(3, lambda r: 1 / r, lambda r: -1 / r**2,
+                                lambda r: 2 / r**3)
+    inp = BlowupInput(field=inv_r, epsilon=0.1, R=5.0, delta_target=0.01, coarse=49)
+    radii = []
+    value = inv_r._value
+    monkeypatch.setattr(inv_r, "_value",
+                        lambda pts: radii.append(np.sqrt(_sq_dist(pts))) or value(pts))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x_o, M = weighted_max(inp)
+    assert np.concatenate(radii).min() > inp.epsilon
+    ref_x, ref_M = _dense_weighted_max(inp)
+    assert np.array_equal(x_o, ref_x)
+    assert M == ref_M
+
+
+def test_weighted_u_rejects_every_inadmissible_point():
+    inp = _excised_input()
+    pts = _dense_grid(replace(inp, coarse=24))
+    ok = _admissible(inp, pts)
+    vals = weighted_u(inp, pts)
+    assert np.all(np.isfinite(vals[ok]))
+    assert np.all(vals[~ok] == -np.inf)
+    assert float(weighted_u(inp, np.zeros(3))) == -np.inf
 
 
 def test_weighted_max_rescans_when_kept_entries_run_out(monkeypatch):
@@ -169,7 +263,7 @@ def _nan_shell_input():
 def test_refine_about_matches_dense_refine(make_input, monkeypatch):
     # 100-point chunks hold five 17-node rows each, so the last of the
     # chunks over the 289 rows of a 17^3 grid is partial
-    monkeypatch.setattr(blowup, "_CHUNK", 100)
+    monkeypatch.setattr(blowup, "_REFINE_CHUNK", 100)
     inp = make_input()
     cell = np.full(3, 2 * OUTER_RADIUS / (inp.coarse - 1))
     for x in ([0.3, 0.0, 0.0], [0.0, 0.45, 0.0], [0.2, -0.2, 0.1], [-0.3, 0.05, 0.0]):

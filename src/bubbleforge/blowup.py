@@ -8,7 +8,6 @@ origin, and least-squares fitting a bubble to the rescaled profile.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,6 +15,7 @@ import numpy as np
 from .errors import FitDiverged, OutOfDomain
 from .field_core import Bubble, ScalarField, _sq_dist
 from .potential import sphere_rule
+from .regions import _grid_chunks, _region_chunks, _stream_argmax
 
 OUTER_RADIUS = 5.0 / 8.0
 _CHUNK = 1 << 17  # coarse grid points scanned at a time
@@ -25,7 +25,6 @@ _CHUNK = 1 << 17  # coarse grid points scanned at a time
 # grid (about 30k extra page faults per `blowup --n 4`)
 _REFINE_CHUNK = 1 << 14
 _KEEP = 1 << 14  # leading coarse entries kept for the candidate search
-_SHELL_SLACK = 1e-12  # relative widening of the coarse annulus mask
 
 
 @dataclass(frozen=True)
@@ -113,87 +112,17 @@ def weighted_u(inp: BlowupInput, x):
 
 def _refine_about(inp: BlowupInput, start_x: np.ndarray, start_v: float,
                   cell: np.ndarray):
+    """Refine passes of 17^n nodes about the best node so far, each 8x finer."""
     best_x, best = start_x, start_v
     step = cell.copy()
     for _ in range(inp.refine_passes):
         axes = [np.linspace(a, b, 17) for a, b in zip(best_x - step, best_x + step)]
-        sub_x, sub_v = _grid_argmax(inp, axes)
+        sub_v, sub_x, _ = _stream_argmax(lambda pts: weighted_u(inp, pts),
+                                         _region_chunks(None, axes, _REFINE_CHUNK))
         if sub_v > best:
             best_x, best = sub_x, sub_v
         step = step / 8.0
     return best_x, float(best)
-
-
-def _grid_argmax(inp: BlowupInput, axes):
-    """The node and value np.argmax picks from weighted_u over the grid of axes.
-
-    The grid is streamed through _grid_chunks; as np.argmax over the whole
-    grid would, the first maximum in C order wins, and the first NaN if
-    there is one.
-    """
-    best_x = best = None
-    for _, _, pts in _grid_chunks(axes, _REFINE_CHUNK):
-        v = weighted_u(inp, pts)
-        j = int(np.argmax(v))
-        if best_x is None or v[j] > best or (np.isnan(v[j]) and not np.isnan(best)):
-            best_x, best = pts[j].copy(), v[j]
-    return best_x, best
-
-
-def _grid_chunks(axes, limit, shell=None):
-    """Yield (first flat index, sel, points) over the grid of the 1D axes in C order.
-
-    The last t < n axes, with at most `limit` nodes together, form a fixed
-    tail block, and each chunk holds as many whole tail blocks as fit in
-    `limit` nodes, at least one.  The points are a view of one reused
-    buffer, so they are overwritten by the next chunk.  Without a shell,
-    sel is None and the points are the whole chunk.  With shell = (lo, hi),
-    the points are only the chunk's nodes whose squared radius lies
-    strictly between lo and hi, written coordinate by coordinate (the view
-    is a transpose), and sel holds their increasing offsets from the first
-    flat index; chunks without such nodes are skipped.  That radius is
-    summed separably, the tail block's part once plus each row's leading
-    part, so it may differ by rounding from the radius of the points
-    themselves.
-    """
-    n = len(axes)
-    sizes = [a.size for a in axes]
-    t = 1
-    while t + 1 < n and math.prod(sizes[n - t - 1:]) <= limit:
-        t += 1
-    block = math.prod(sizes[n - t:])
-    lead = tuple(sizes[:n - t])
-    n_lead = math.prod(lead)
-    rows = max(1, min(limit // block, n_lead))
-    tail = np.stack([m.ravel() for m in np.meshgrid(*axes[n - t:], indexing="ij")])
-    if shell is None:
-        buf = np.empty((rows * block, n))
-        buf[:, n - t:] = np.tile(tail, rows).T
-    else:
-        tail_r2 = _sq_dist(tail.T)
-        tail = np.tile(tail, rows)
-        buf = np.empty((n, rows * block))
-    for start in range(0, n_lead, rows):
-        stop = min(start + rows, n_lead)
-        m = (stop - start) * block
-        lead_x = [axes[j][i] for j, i in
-                  enumerate(np.unravel_index(np.arange(start, stop), lead))]
-        if shell is None:
-            for j, x in enumerate(lead_x):
-                buf[:m, j] = np.repeat(x, block)
-            yield start * block, None, buf[:m]
-            continue
-        r2 = np.add.outer(_sq_dist(np.stack(lead_x, axis=-1)), tail_r2)
-        inside = (r2 > shell[0]) & (r2 < shell[1])
-        counts = np.count_nonzero(inside, axis=1)
-        if counts.any():
-            inside = inside.ravel()
-            pts = buf[:, :int(counts.sum())]
-            for j, x in enumerate(lead_x):
-                pts[j] = np.repeat(x, counts)
-            for j, col in enumerate(tail, n - t):
-                pts[j] = col[:m][inside]
-            yield start * block, np.flatnonzero(inside), pts.T
 
 
 def _coarse_top(inp: BlowupInput, axis: np.ndarray, keep: int):
@@ -207,10 +136,7 @@ def _coarse_top(inp: BlowupInput, axis: np.ndarray, keep: int):
     stay in flat-index order until the final sort, so the ties at the cut
     keep their smallest indices.
     """
-    # a relative slack far above the rounding of the separable radii keeps
-    # every admissible node inside the shell
-    shell = (inp.epsilon**2 * (1.0 - _SHELL_SLACK),
-             OUTER_RADIUS**2 * (1.0 + _SHELL_SLACK))
+    shell = (np.zeros(inp.field.n), inp.epsilon, OUTER_RADIUS)
     vals, idx = np.empty(0), np.empty(0, dtype=np.intp)
     for first, sel, pts in _grid_chunks([axis] * inp.field.n, _CHUNK, shell):
         v = weighted_u(inp, pts)

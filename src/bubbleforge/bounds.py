@@ -18,14 +18,13 @@ the evaluation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGeometry, KappaTooLarge
+from .errors import InvalidGeometry, KappaTooLarge, OutOfDomain
 from .field_core import KReport, ScalarField, as_dim, combined_k_bounds, k_function
-from .regions import Box, GridSpec, Region, centered_at_origin, grid_points
+from .regions import Box, GridSpec, Region, _region_chunks, _stream_argmax
 
 
 @dataclass(frozen=True)
@@ -169,91 +168,45 @@ def deep_bubble_bound(kappa: float, dist: float, r1: float, n=3) -> float:
 # --- deviation scans ---------------------------------------------------------
 
 
-def _eval_dev_chunks(f: ScalarField, pts: np.ndarray, chunk: int, threads: int) -> np.ndarray:
-    """|K - 1| on pts, evaluated in fixed-order chunks (optionally threaded)."""
-    if pts.shape[0] == 0:
-        return np.empty(0)
-    blocks = [pts[i : i + chunk] for i in range(0, pts.shape[0], chunk)]
-
-    def one(block):
-        return np.abs(np.asarray(k_function(f, block)) - 1.0)
-
-    if threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(one, blocks))
-    else:
-        parts = [one(b) for b in blocks]
-    return np.concatenate(parts)
-
-
-def _radial_scan(f, region, gs: GridSpec):
-    r_lo, r_hi = region.radial_range()
-    m = gs.radial_points
-    if r_lo == 0.0:
-        rs = np.linspace(r_lo, r_hi, m + 1)[1:]
-    else:
-        rs = np.linspace(r_lo, r_hi, m)
-    e1 = np.zeros(f.n)
-    e1[0] = 1.0
-    dev = _eval_dev_chunks(f, rs[:, None] * e1, gs.chunk, gs.threads)
-    i = int(np.argmax(dev))
-    best_r, best = rs[i], dev[i]
-    step = rs[1] - rs[0]
-    lo = max(rs[0], best_r - step)
-    hi = min(r_hi, best_r + step)
-    rs2 = np.linspace(lo, hi, 2 * gs.refine_factor + 1)
-    dev2 = _eval_dev_chunks(f, rs2[:, None] * e1, gs.chunk, gs.threads)
-    j = int(np.argmax(dev2))
-    if dev2[j] > best:
-        best_r, best = rs2[j], dev2[j]
-    return KReport(
-        sup_abs_dev=float(best),
-        argmax=best_r * e1,
-        grid={"kind": "radial", "r_lo": float(rs[0]), "r_hi": float(r_hi),
-              "coarse": int(m), "refine_factor": int(gs.refine_factor)},
-        n_samples=int(rs.size + rs2.size),
-    )
-
-
-def _grid_scan(f, region, gs: GridSpec):
-    lo, hi = region.bounding_box()
-    n = f.n
-    m = gs.coarse_count(n)
-    pts = grid_points(lo, hi, m)
-    inside = np.asarray(region.contains(pts))
-    if not inside.all():  # a Box holds every node: keep the grid, not a copy
-        pts = pts[inside]
-    dev = _eval_dev_chunks(f, pts, gs.chunk, gs.threads)
-    i = int(np.argmax(dev))
-    best_x, best = pts[i], dev[i]
-    cell = (np.asarray(hi) - np.asarray(lo)) / (m - 1)
-    sub_lo = np.maximum(lo, best_x - cell)
-    sub_hi = np.minimum(hi, best_x + cell)
-    sub = grid_points(sub_lo, sub_hi, 2 * gs.refine_factor + 1)
-    sub = sub[np.asarray(region.contains(sub))]
-    n_samples = int(pts.shape[0] + sub.shape[0])
-    if sub.shape[0]:
-        dev2 = _eval_dev_chunks(f, sub, gs.chunk, gs.threads)
-        j = int(np.argmax(dev2))
-        if dev2[j] > best:
-            best_x, best = sub[j], dev2[j]
-    return KReport(
-        sup_abs_dev=float(best),
-        argmax=best_x,
-        grid={"kind": "grid", "points_per_axis": int(m),
-              "refine_factor": int(gs.refine_factor)},
-        n_samples=n_samples,
-    )
-
-
 def sup_scan(f: ScalarField, region: Region, grid_spec: GridSpec | None = None) -> KReport:
     """Grid maximum of |K - 1| over a region with one local refinement pass.
 
     Radially symmetric fields scanned over origin-centered balls or annuli
-    reduce to a 1D radial scan.  Argmax ties break toward the
-    lexicographically smallest grid index.
+    reduce to a 1D radial scan.  Grids stream in chunks of grid_spec.chunk
+    nodes, grid_spec.threads at a time, and argmax ties break toward the
+    lexicographically smallest grid index.  Raises OutOfDomain when no grid
+    node lies in the region.
     """
     gs = grid_spec or GridSpec()
-    if f.radial and not isinstance(region, Box) and centered_at_origin(region):
-        return _radial_scan(f, region, gs)
-    return _grid_scan(f, region, gs)
+    n = f.n
+    refine = 2 * gs.refine_factor + 1
+    if f.radial and not isinstance(region, Box) and not region.center.any():
+        r_lo, r_hi = region.radial_range()
+        m = gs.radial_points
+        rs = np.linspace(r_lo, r_hi, m + 1)[1:] if r_lo == 0.0 else np.linspace(r_lo, r_hi, m)
+        # the ray along e1, as a grid whose other axes hold the single node 0
+        e1 = np.eye(n)[0]
+        axes, counts = [rs] + [np.zeros(1)] * (n - 1), [refine] + [1] * (n - 1)
+        lo, hi, cell, region = rs[0] * e1, r_hi * e1, (rs[1] - rs[0]) * e1, None
+        grid = {"kind": "radial", "r_lo": float(rs[0]), "r_hi": float(r_hi), "coarse": int(m)}
+    else:
+        lo, hi = region.bounding_box()
+        m = gs.coarse_count(n)
+        axes, counts = [np.linspace(a, b, m) for a, b in zip(lo, hi)], [refine] * n
+        cell = (np.asarray(hi) - np.asarray(lo)) / (m - 1)
+        grid = {"kind": "grid", "points_per_axis": int(m)}
+    grid["refine_factor"] = int(gs.refine_factor)
+
+    def scan(axes):
+        return _stream_argmax(lambda pts: np.abs(k_function(f, pts) - 1.0),
+                              _region_chunks(region, axes, gs.chunk), gs.threads)
+
+    best, best_x, n_samples = scan(axes)
+    if best_x is None:
+        raise OutOfDomain("no grid node lies in the scan region")
+    sub, sub_x, sub_samples = scan([np.linspace(a, b, c) for a, b, c in zip(
+        np.maximum(lo, best_x - cell), np.minimum(hi, best_x + cell), counts)])
+    if sub_x is not None and sub > best:
+        best, best_x = sub, sub_x
+    return KReport(sup_abs_dev=float(best), argmax=best_x, grid=grid,
+                   n_samples=n_samples + sub_samples)

@@ -1,16 +1,32 @@
-"""Scan regions: balls, annuli and boxes with deterministic grid sampling."""
+"""Scan regions: balls, annuli and boxes, and the streamed grid engine."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .field_core import _sq_dist
 
+_SHELL_SLACK = 1e-12  # relative widening of a squared-radius shell mask
+
+
+class _Round:
+    """A Ball or Annulus: the points x with |x - center| in radial_range()."""
+
+    @property
+    def n(self) -> int:
+        return self.center.shape[0]
+
+    def bounding_box(self):
+        r = self.radial_range()[1]
+        return self.center - r, self.center + r
+
 
 @dataclass(frozen=True)
-class Ball:
+class Ball(_Round):
     center: np.ndarray
     radius: float
 
@@ -19,23 +35,16 @@ class Ball:
             raise ValueError("ball radius must be positive")
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
-    @property
-    def n(self) -> int:
-        return self.center.shape[0]
-
     def contains(self, x: np.ndarray) -> np.ndarray:
         d = np.sqrt(_sq_dist(np.asarray(x, float), self.center))
         return d < self.radius
-
-    def bounding_box(self):
-        return self.center - self.radius, self.center + self.radius
 
     def radial_range(self):
         return 0.0, self.radius
 
 
 @dataclass(frozen=True)
-class Annulus:
+class Annulus(_Round):
     center: np.ndarray
     r_in: float
     r_out: float
@@ -45,16 +54,9 @@ class Annulus:
             raise ValueError("annulus needs 0 <= r_in < r_out")
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
 
-    @property
-    def n(self) -> int:
-        return self.center.shape[0]
-
     def contains(self, x: np.ndarray) -> np.ndarray:
         d = np.sqrt(_sq_dist(np.asarray(x, float), self.center))
         return (d > self.r_in) & (d < self.r_out)
-
-    def bounding_box(self):
-        return self.center - self.r_out, self.center + self.r_out
 
     def radial_range(self):
         return self.r_in, self.r_out
@@ -89,17 +91,12 @@ class Box:
 Region = Ball | Annulus | Box
 
 
-def centered_at_origin(region: Region, tol: float = 0.0) -> bool:
-    if isinstance(region, Box):
-        return False
-    return bool(np.all(np.abs(region.center) <= tol))
-
-
 def grid_points(lo: np.ndarray, hi: np.ndarray, counts) -> np.ndarray:
     """Cartesian grid over [lo, hi], C-order flattened to (m, n).
 
     C-order flattening makes np.argmax tie-break toward the lexicographically
-    smallest grid index.
+    smallest grid index.  Scans stream their grids through _grid_chunks; this
+    is the dense reference of the tests, and bench/layertrace.py marks it.
     """
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
@@ -123,3 +120,126 @@ class GridSpec:
         if self.points_per_axis is not None:
             return self.points_per_axis
         return {3: 64, 4: 24}.get(n, 12)
+
+
+def _grid_chunks(axes, limit, shell=None):
+    """Yield (first flat index, sel, points) over the grid of the 1D axes in C order.
+
+    The last t < n axes, with at most `limit` nodes together, form a fixed
+    tail block, and each chunk holds as many whole tail blocks as fit in
+    `limit` nodes, at least one.  The points are a view of one reused
+    buffer, overwritten by the next chunk.  Without a shell, sel is None
+    and the points are the whole chunk.  With shell = (center, r_lo, r_hi),
+    the points (a transposed view) are the chunk's nodes with
+    r_lo < |x - center| < r_hi and a few just outside, and sel holds their
+    increasing offsets from the first flat index; chunks without such
+    nodes are skipped.  The squared distance is summed separably, the tail
+    block's part once plus each row's leading part, against squared radii
+    widened by _SHELL_SLACK, far above that sum's rounding.  A row's lines
+    along the last axis whose range of distances misses the shell are
+    skipped whole; float addition is monotone, so none of them holds a
+    node of the shell.
+    """
+    n = len(axes)
+    sizes = [a.size for a in axes]
+    t = 1
+    while t + 1 < n and math.prod(sizes[n - t - 1:]) <= limit:
+        t += 1
+    block = math.prod(sizes[n - t:])
+    lead = tuple(sizes[:n - t])
+    n_lead = math.prod(lead)
+    rows = max(1, min(limit // block, n_lead))
+    tail = np.stack([m.ravel() for m in np.meshgrid(*axes[n - t:], indexing="ij")])
+    if shell is None:
+        buf = np.empty((rows * block, n))
+        buf[:, n - t:] = np.tile(tail, rows).T
+    else:
+        center, r_lo, r_hi = shell
+        lo = r_lo**2 * (1.0 - _SHELL_SLACK) if r_lo > 0 else -np.inf  # keeps the centre
+        hi = r_hi**2 * (1.0 + _SHELL_SLACK)
+        # one row of squared distances per line of the last axis
+        tail_r2 = _sq_dist(tail.T, center[n - t:]).reshape(-1, sizes[-1])
+        n_lines, width = tail_r2.shape
+        line_min, line_max = tail_r2.min(axis=1), tail_r2.max(axis=1)
+        heads = tail[:-1, ::width]  # the other tail coordinates of each line
+        last = np.tile(axes[-1], rows * n_lines)
+        buf = np.empty((n, rows * block))
+    for start in range(0, n_lead, rows):
+        stop = min(start + rows, n_lead)
+        m = (stop - start) * block
+        lead_x = [axes[j][i] for j, i in
+                  enumerate(np.unravel_index(np.arange(start, stop), lead))]
+        if shell is None:
+            for j, x in enumerate(lead_x):
+                buf[:m, j] = np.repeat(x, block)
+            yield start * block, None, buf[:m]
+            continue
+        lead_r2 = _sq_dist(np.stack(lead_x, axis=-1), center[:n - t])
+        live = np.flatnonzero((np.add.outer(lead_r2, line_min) < hi)
+                              & (np.add.outer(lead_r2, line_max) > lo))
+        row, k = np.divmod(live, n_lines)
+        r2 = tail_r2[k]
+        r2 += lead_r2[row][:, None]
+        inside = (r2 > lo) & (r2 < hi)
+        counts = np.count_nonzero(inside, axis=1)
+        if counts.any():
+            pts = buf[:, :int(counts.sum())]
+            for j, x in enumerate(lead_x):
+                pts[j] = np.repeat(x[row], counts)
+            for j, x in enumerate(heads, n - t):
+                pts[j] = np.repeat(x[k], counts)
+            inside = inside.ravel()
+            pts[-1] = last[:inside.size][inside]
+            # live line i starts (live[i] - i) lines after its place in r2
+            sel = np.flatnonzero(inside) + np.repeat((live - np.arange(live.size)) * width, counts)
+            yield start * block, sel, pts.T
+
+
+def _region_chunks(region, axes, limit):
+    """The grid nodes of axes in region (None: all), as C-order chunks of <= limit nodes.
+
+    A Box holds every node of linspace axes between its ends, so it is not
+    tested.  A Ball or Annulus masks each chunk by the _grid_chunks shell
+    about its centre, and region.contains decides on the nodes left.  A
+    chunk of the whole grid is a view of a reused buffer.
+    """
+    if region is None or isinstance(region, Box):
+        yield from (pts for _, _, pts in _grid_chunks(axes, limit))
+        return
+    for _, _, pts in _grid_chunks(axes, limit, (region.center, *region.radial_range())):
+        pts = pts[region.contains(pts)]
+        if pts.shape[0]:
+            yield pts
+
+
+def _stream_argmax(fn, chunks, threads=1):
+    """(value, point, count) of the first maximum of fn over the points of chunks.
+
+    fn maps an (m, n) chunk to (m,) values; value and point are None when
+    there are no points.  As np.argmax over all values at once would, the
+    first maximum wins, and the first NaN if there is one.  With
+    threads > 1, copies of the chunks are evaluated on that many threads
+    and folded in order, so the result does not depend on threads.
+    """
+    def one(pts):
+        v = fn(pts)
+        j = int(np.argmax(v))
+        return v[j], pts[j].copy(), pts.shape[0]
+
+    def threaded():
+        from concurrent.futures import ThreadPoolExecutor  # only threaded scans load it
+
+        it = iter(chunks)
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            # `threads` chunks at a time (ex.map alone would draw them all at
+            # once), each copied before the next overwrites a reused buffer
+            while batch := [pts.copy() for pts in islice(it, threads)]:
+                yield from ex.map(one, batch)
+
+    best = best_x = None
+    count = 0
+    for v, x, m in map(one, chunks) if threads == 1 else threaded():
+        count += m
+        if best_x is None or v > best or (np.isnan(v) and not np.isnan(best)):
+            best, best_x = v, x
+    return best, best_x, count

@@ -247,3 +247,13 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_thread_pool():
+    # only a threaded scan (--threads > 1) needs concurrent.futures
+    code = ("import sys, bubbleforge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

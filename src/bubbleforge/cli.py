@@ -4,7 +4,8 @@ Each experiment runs a construction from this package, measures the
 relevant quantity (a deviation sup, a quadrature value, a residual) and
 compares it against the theoretical bound.  Machine reports are CSV with
 the fixed header ``experiment,params,measured,bound,pass,seconds`` (or the
-JSON equivalent); floats carry 12 significant digits.
+JSON equivalent); floats carry 12 significant digits.  ``EXPERIMENTS``
+declares each experiment once; kinds, flags and parameter checks come from it.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -19,6 +21,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +38,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-KINDS = ("thm-a", "thm-b", "example-525", "glue-insert", "lemma-37",
-         "rep-identity", "rep-singular", "blowup")
 
 
 class ConfigError(Exception):
@@ -78,35 +78,20 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _params_str(d: dict) -> str:
+def _params_str(p: dict, *hidden: str) -> str:
+    """'k=v;...' in key order, without the hidden keys; a vector reads 'x:y:z'."""
     def one(v):
-        if isinstance(v, (int, float)):
-            return _fmt(v)
-        return str(v).replace(",", ":")  # keep the CSV free of embedded commas
-    return ";".join(f"{k}={one(v)}" for k, v in sorted(d.items()))
+        if isinstance(v, np.ndarray):
+            return ":".join(_fmt(x) for x in v)  # keep the CSV free of embedded commas
+        return _fmt(v)
+    return ";".join(f"{k}={one(v)}" for k, v in sorted(p.items()) if k not in hidden)
 
 
-def _getf(cfg: ExperimentConfig, key: str, default=None) -> float:
-    if key in cfg.params:
-        return float(cfg.params[key])
-    if default is None:
-        raise ConfigError(f"{cfg.kind}: missing required parameter {key!r}")
-    return float(default)
-
-
-def _get_vec(cfg: ExperimentConfig, key: str) -> np.ndarray:
-    raw = cfg.params.get(key)
-    if raw is None:
-        return np.zeros(cfg.n)
-    if isinstance(raw, str):
-        vals = [float(t) for t in raw.split(",") if t != ""]
-    else:
-        vals = [float(raw)]
-    if len(vals) == 1:
-        vals = vals + [0.0] * (cfg.n - 1)
-    if len(vals) != cfg.n:
-        raise ConfigError(f"{key} must have {cfg.n} components")
-    return np.asarray(vals)
+def _axis_point(n: int, s: float) -> np.ndarray:
+    """The point s * e1 of R^n."""
+    x = np.zeros(n)
+    x[0] = s
+    return x
 
 
 class _Timer:
@@ -120,28 +105,42 @@ class _Timer:
 
 
 # --- experiments -------------------------------------------------------------
+# A runner takes the config and the parsed parameters p (n plus every
+# parameter its table entry declares) and returns its report rows.
 
 
-def _run_thm_a(cfg: ExperimentConfig) -> list[ReportRow]:
-    n = cfg.n
-    l1, l2 = _getf(cfg, "lambda1"), _getf(cfg, "lambda2")
-    rho, R = _getf(cfg, "rho"), _getf(cfg, "R")
-    pstr = _params_str({"n": n, "lambda1": l1, "lambda2": l2, "rho": rho, "R": R})
-    target = (n + 2) / n
-    rows = []
+def _thm_a_checks(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+    """Theorem A's sufficient conditions and the lower bound (4.4)."""
+    n, l1, l2, rho, R = p["n"], p["lambda1"], p["lambda2"], p["rho"], p["R"]
+    pstr = _params_str(p)
     with _Timer() as t:
         c1, c2 = thmA_conditions(l1, l2, rho, R, n)
-    rows.append(ReportRow("thm-a/conditions", pstr, float(c1 or c2), 1.0, bool(c1 or c2), t.seconds))
+    cond = ReportRow("thm-a/conditions", pstr, float(c1 or c2), 1.0, bool(c1 or c2), t.seconds)
     with _Timer() as t:
         lb = lower_bound_4_4(l1, l2, rho, R, n)
-    rows.append(ReportRow("thm-a/bound", pstr, lb, target, lb >= target - cfg.tol, t.seconds))
+    target = (n + 2) / n
+    return [cond, ReportRow("thm-a/bound", pstr, lb, target, lb >= target - cfg.tol, t.seconds)]
+
+
+def _run_thm_a(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+    rows = _thm_a_checks(cfg, p)
+    n, target = p["n"], (p["n"] + 2) / p["n"]
     with _Timer() as t:
-        u = glue_concentric(GlueConfig.concentric(Bubble(l1, np.zeros(n), n),
-                                                  Bubble(l2, np.zeros(n), n), rho, R))
-        rep = sup_scan(u, Ball(np.zeros(n), R), cfg.grid_spec())
-    rows.append(ReportRow("thm-a/scan", pstr, rep.sup_abs_dev, target,
+        u = glue_concentric(GlueConfig.concentric(Bubble(p["lambda1"], np.zeros(n), n),
+                                                  Bubble(p["lambda2"], np.zeros(n), n),
+                                                  p["rho"], p["R"]))
+        rep = sup_scan(u, Ball(np.zeros(n), p["R"]), cfg.grid_spec())
+    rows.append(ReportRow("thm-a/scan", _params_str(p), rep.sup_abs_dev, target,
                           rep.sup_abs_dev >= target - cfg.tol, t.seconds))
     return rows
+
+
+def _sweep_thm_a(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+    """The bound row as an implication: it must clear (n+2)/n whenever a
+    sufficient condition holds; otherwise the row is vacuous."""
+    cond, bound = _thm_a_checks(cfg, p)
+    return [dataclasses.replace(bound, passed=not cond.passed or bound.passed,
+                                seconds=cond.seconds + bound.seconds)]
 
 
 def _disjoint_config(b1: Bubble, r1: float, b2: Bubble, a: float) -> GlueConfig:
@@ -152,16 +151,10 @@ def _disjoint_config(b1: Bubble, r1: float, b2: Bubble, a: float) -> GlueConfig:
     return GlueConfig.disjoint(b1, r1, b2, a, width1=0.2, width2=0.2, inward=True)
 
 
-def _run_thm_b(cfg: ExperimentConfig) -> list[ReportRow]:
-    n = cfg.n
-    l1, l2 = _getf(cfg, "lambda1"), _getf(cfg, "lambda2")
-    r1, a = _getf(cfg, "r1"), _getf(cfg, "a")
-    sep = _getf(cfg, "sep")
-    sigma = _getf(cfg, "sigma", 1.0)
-    pstr = _params_str({"n": n, "lambda1": l1, "lambda2": l2, "r1": r1, "a": a,
-                        "sep": sep, "sigma": sigma})
-    xi1 = np.zeros(n)
-    xi1[0] = sep
+def _run_thm_b(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+    n, l1, l2, r1, a, sigma = p["n"], p["lambda1"], p["lambda2"], p["r1"], p["a"], p["sigma"]
+    pstr = _params_str(p)
+    xi1 = _axis_point(n, p["sep"])
     params = ThmBParams(l1, l2, r1, a, xi1, np.zeros(n), sigma)
     target = (n + 2) / (2.0 * n) * sigma**2
     rows = []
@@ -184,22 +177,27 @@ def _run_thm_b(cfg: ExperimentConfig) -> list[ReportRow]:
     return rows
 
 
-def _run_example_525(cfg: ExperimentConfig) -> list[ReportRow]:
-    n = cfg.n
-    lam = cfg.params.get("lambda")
-    l1 = _getf(cfg, "lambda1", lam if lam is not None else 1.0)
-    l2 = _getf(cfg, "lambda2", lam if lam is not None else 1.0)
-    sep = _getf(cfg, "sep")
-    pstr = _params_str({"n": n, "lambda1": l1, "lambda2": l2, "sep": sep})
-    xi1 = np.zeros(n)
-    xi1[0] = sep
+def _example_525_far(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+    """K far from both bubbles against its limit; the row a sweep keeps."""
+    n, l1, l2 = p["n"], p["lambda1"], p["lambda2"]
+    u = sum_field(Bubble(l1, _axis_point(n, p["sep"]), n), Bubble(l2, np.zeros(n), n))
+    with _Timer() as t:
+        kfar = float(k_function(u, _axis_point(n, 1e6 * max(l1, l2))))
+        limit = k_sum_limit(l1, l2, n)
+    return [ReportRow("example-525/far-limit", _params_str(p, "lambda"), kfar, limit,
+                      abs(kfar - limit) <= max(cfg.tol, 1e-4), t.seconds)]
+
+
+def _run_example_525(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+    n, l1, l2 = p["n"], p["lambda1"], p["lambda2"]
+    pstr = _params_str(p, "lambda")
+    xi1 = _axis_point(n, p["sep"])
     u = sum_field(Bubble(l1, xi1, n), Bubble(l2, np.zeros(n), n))
     rows = []
     equal_mass = 2.0 ** (4.0 / (2.0 - n))
     if l1 == l2:
-        mid = xi1 / 2.0
         with _Timer() as t:
-            kmid = float(k_function(u, mid))
+            kmid = float(k_function(u, xi1 / 2.0))
         rows.append(ReportRow("example-525/midplane", pstr, kmid, equal_mass,
                               abs(kmid - equal_mass) <= max(cfg.tol, 1e-6), t.seconds))
     cap = 1.0 - equal_mass
@@ -210,14 +208,7 @@ def _run_example_525(cfg: ExperimentConfig) -> list[ReportRow]:
         rep = sup_scan(u, Box(lo, hi), cfg.grid_spec())
     rows.append(ReportRow("example-525/sup", pstr, rep.sup_abs_dev, cap,
                           rep.sup_abs_dev <= cap + max(cfg.tol, 1e-6), t.seconds))
-    with _Timer() as t:
-        far = np.zeros(n)
-        far[0] = 1e6 * max(l1, l2)
-        kfar = float(k_function(u, far))
-        limit = k_sum_limit(l1, l2, n)
-    rows.append(ReportRow("example-525/far-limit", pstr, kfar, limit,
-                          abs(kfar - limit) <= max(cfg.tol, 1e-4), t.seconds))
-    return rows
+    return rows + _example_525_far(cfg, p)
 
 
 def _cos_perturbation(n: int, lam: float, delta: float) -> CallableRadialField:
@@ -250,40 +241,30 @@ def measure_insert_quality(n: int, delta: float, alpha: float, lam: float = 1.0,
     return sup_dev / scale, sup_dev, host_eps, scale
 
 
-def _run_glue_insert(cfg: ExperimentConfig) -> list[ReportRow]:
-    n = cfg.n
-    delta = _getf(cfg, "delta", 1e-3)
-    alpha = _getf(cfg, "alpha", (n - 4) / 4.0)
-    lam = _getf(cfg, "lambda", 1.0)
+def _run_glue_insert(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+    n, delta, alpha, lam = p["n"], p["delta"], p["alpha"], p["lambda"]
     if alpha <= 0 or 2 * (1 + alpha) >= n:
         raise ConfigError("glue-insert needs alpha in (0, (n-2)/2); with the "
                           "default alpha=(n-4)/4 that means n >= 5")
-    pstr = _params_str({"n": n, "delta": delta, "alpha": alpha, "lambda": lam})
     gs = cfg.grid_spec()
-    rows = []
     with _Timer() as t:
         c_hi, *_ = measure_insert_quality(n, delta, alpha, lam, gs)
     with _Timer() as t2:
         c_lo, *_ = measure_insert_quality(n, delta / 10.0, alpha, lam, gs)
-    rows.append(ReportRow("glue-insert/C", pstr, c_hi, 2.0 * c_lo,
-                          c_hi <= 2.0 * c_lo + cfg.tol, t.seconds))
-    pstr2 = _params_str({"n": n, "delta": delta / 10.0, "alpha": alpha, "lambda": lam})
-    rows.append(ReportRow("glue-insert/C", pstr2, c_lo, 2.0 * c_hi,
-                          c_lo <= 2.0 * c_hi + cfg.tol, t2.seconds))
-    return rows
+    return [ReportRow("glue-insert/C", _params_str(p), c_hi, 2.0 * c_lo,
+                      c_hi <= 2.0 * c_lo + cfg.tol, t.seconds),
+            ReportRow("glue-insert/C", _params_str({**p, "delta": delta / 10.0}), c_lo,
+                      2.0 * c_hi, c_lo <= 2.0 * c_hi + cfg.tol, t2.seconds)]
 
 
-def _run_lemma_37(cfg: ExperimentConfig) -> list[ReportRow]:
-    n = cfg.n
-    R = _getf(cfg, "R")
-    xi = _get_vec(cfg, "xi")
-    pstr = _params_str({"n": n, "R": R, "xi": ",".join(_fmt(v) for v in xi)})
+def _run_lemma_37(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+    n, R, xi = p["n"], p["R"], p["xi"]
+    pstr = _params_str(p)
     bound = R**2 / (2.0 * (n - 2))
-    rows = []
     with _Timer() as t:
         q = int_absH_ball(Kernel(n), R, xi)
-    rows.append(ReportRow("lemma-37/bound", pstr, q.value, bound,
-                          q.value <= bound + q.err_est + cfg.tol, t.seconds))
+    rows = [ReportRow("lemma-37/bound", pstr, q.value, bound,
+                      q.value <= bound + q.err_est + cfg.tol, t.seconds)]
     if float(np.linalg.norm(xi)) == 0.0:
         with _Timer() as t:
             ok = abs(q.value - bound) <= max(cfg.tol, 1e-6)
@@ -291,26 +272,21 @@ def _run_lemma_37(cfg: ExperimentConfig) -> list[ReportRow]:
     return rows
 
 
-def _run_rep_identity(cfg: ExperimentConfig) -> list[ReportRow]:
-    n = cfg.n
-    l1, l2 = _getf(cfg, "lambda1"), _getf(cfg, "lambda2")
-    rho, R = _getf(cfg, "rho"), _getf(cfg, "R")
-    xi = _get_vec(cfg, "xi")
-    pstr = _params_str({"n": n, "lambda1": l1, "lambda2": l2, "rho": rho, "R": R})
-    u2 = Bubble(l2, np.zeros(n), n)
-    u_c = glue_concentric(GlueConfig.concentric(Bubble(l1, np.zeros(n), n), u2, rho, R))
+def _run_rep_identity(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+    n = p["n"]
+    u2 = Bubble(p["lambda2"], np.zeros(n), n)
+    u_c = glue_concentric(GlueConfig.concentric(Bubble(p["lambda1"], np.zeros(n), n), u2,
+                                                p["rho"], p["R"]))
     with _Timer() as t:
-        rep = rep_identity_report(u_c, u2, Ball(np.zeros(n), R), xi)
-    scale = max(abs(rep["lhs"]), abs(rep["rhs"]))
-    bound = 1e-3 * scale
-    return [ReportRow("rep-identity/residual", pstr, abs(rep["residual"]), bound,
-                      abs(rep["residual"]) <= bound, t.seconds)]
+        rep = rep_identity_report(u_c, u2, Ball(np.zeros(n), p["R"]), p["xi"])
+    residual = abs(rep["residual"])
+    bound = 1e-3 * max(abs(rep["lhs"]), abs(rep["rhs"]))
+    return [ReportRow("rep-identity/residual", _params_str(p, "xi"), residual, bound,
+                      residual <= bound, t.seconds)]
 
 
-def _run_rep_singular(cfg: ExperimentConfig) -> list[ReportRow]:
-    n = cfg.n
-    nut = _getf(cfg, "nu", 0.5)
-    R = _getf(cfg, "R", 1.5)
+def _run_rep_singular(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+    n, nut, R = p["n"], p["nu"], p["R"]
     if not 0 < nut < 1:
         raise ConfigError("rep-singular needs nu in (0, 1)")
     beta = 2.0 - n + nut
@@ -322,11 +298,9 @@ def _run_rep_singular(cfg: ExperimentConfig) -> list[ReportRow]:
     )
     prof = SingularProfile(p=np.zeros(n), mu=1.0 - nut, nu=nut,
                            c1=abs(beta * nut) * 1.01, c2=abs(beta) * 1.01, delta=0.3)
-    xi = np.zeros(n)
-    xi[0] = R / 3.0
-    pstr = _params_str({"n": n, "nu": nut, "R": R})
+    pstr = _params_str(p)
     with _Timer() as t:
-        rep = rep_formula_report(u, prof, Ball(np.zeros(n), R), xi)
+        rep = rep_formula_report(u, prof, Ball(np.zeros(n), R), _axis_point(n, R / 3.0))
     rows = [ReportRow("rep-singular/extrapolated", pstr, abs(rep["extrapolated"]),
                       max(cfg.tol, 1e-4),
                       abs(rep["extrapolated"]) <= max(cfg.tol, 1e-4), t.seconds)]
@@ -348,53 +322,114 @@ def _run_rep_singular(cfg: ExperimentConfig) -> list[ReportRow]:
     return rows
 
 
-def _run_blowup(cfg: ExperimentConfig) -> list[ReportRow]:
-    n = cfg.n
-    mu = _getf(cfg, "mu", 1e-3)
-    cr = _getf(cfg, "center-radius", 0.3)
-    eps = _getf(cfg, "epsilon", 0.1)
-    R = _getf(cfg, "R", 5.0)
-    target = _getf(cfg, "delta-target", 0.01)
-    pstr = _params_str({"n": n, "mu": mu, "center-radius": cr, "epsilon": eps,
-                        "R": R, "delta-target": target, "seed": cfg.seed})
-    rng = np.random.default_rng(cfg.seed)
-    direction = rng.normal(size=n)
-    direction /= np.linalg.norm(direction)
-    center = cr * direction
-    planted = Bubble(mu, center, n)
+def _run_blowup(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+    n, mu, target = p["n"], p["mu"], p["delta-target"]
+    pstr = _params_str({**p, "seed": cfg.seed})
+    direction = np.random.default_rng(cfg.seed).normal(size=n)
+    planted = Bubble(mu, p["center-radius"] * (direction / np.linalg.norm(direction)), n)
     with _Timer() as t:
-        report = detect(BlowupInput(field=planted, epsilon=eps, R=R,
+        report = detect(BlowupInput(field=planted, epsilon=p["epsilon"], R=p["R"],
                                     delta_target=target))
     if report is None:
         return [ReportRow("blowup/detected", pstr, 0.0, 1.0, False, t.seconds)]
     rel = abs(report.scale_original - mu) / mu
-    rows = [ReportRow("blowup/detected", pstr, 1.0, 1.0, True, t.seconds),
+    return [ReportRow("blowup/detected", pstr, 1.0, 1.0, True, t.seconds),
             ReportRow("blowup/mu-rel-err", pstr, rel, 1e-6, rel <= 1e-6, 0.0),
             ReportRow("blowup/delta", pstr, report.delta_measured, target,
                       report.delta_measured < target, 0.0)]
-    return rows
 
 
-_RUNNERS = {
-    "thm-a": _run_thm_a,
-    "thm-b": _run_thm_b,
-    "example-525": _run_example_525,
-    "glue-insert": _run_glue_insert,
-    "lemma-37": _run_lemma_37,
-    "rep-identity": _run_rep_identity,
-    "rep-singular": _run_rep_singular,
-    "blowup": _run_blowup,
+# --- the experiment table --------------------------------------------------------
+
+REQUIRED = object()  # default of a parameter that must be given
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its parameters, its runner and the rows a sweep keeps.
+
+    params maps each parameter to its default: a value, REQUIRED, or a
+    function of the parameters declared before it (and n).  A sweep keeps
+    every row of run(cfg, p) for each parameter tuple unless sweep is given.
+    """
+
+    params: dict
+    run: Callable[[ExperimentConfig, dict], list[ReportRow]]
+    sweep: Callable[[ExperimentConfig, dict], list[ReportRow]] | None = None
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "thm-a": Experiment({"lambda1": REQUIRED, "lambda2": REQUIRED, "rho": REQUIRED,
+                         "R": REQUIRED}, _run_thm_a, _sweep_thm_a),
+    "thm-b": Experiment({"lambda1": REQUIRED, "lambda2": REQUIRED, "r1": REQUIRED,
+                         "a": REQUIRED, "sep": REQUIRED, "sigma": 1.0}, _run_thm_b),
+    "example-525": Experiment({"lambda": 1.0, "lambda1": lambda p: p["lambda"],
+                               "lambda2": lambda p: p["lambda"], "sep": REQUIRED},
+                              _run_example_525, _example_525_far),
+    "glue-insert": Experiment({"delta": 1e-3, "alpha": lambda p: (p["n"] - 4) / 4.0,
+                               "lambda": 1.0}, _run_glue_insert),
+    "lemma-37": Experiment({"R": REQUIRED, "xi": lambda p: np.zeros(p["n"])}, _run_lemma_37,
+                           lambda cfg, p: _run_lemma_37(cfg, p)[-1:]),
+    "rep-identity": Experiment({"lambda1": REQUIRED, "lambda2": REQUIRED, "rho": REQUIRED,
+                                "R": REQUIRED, "xi": lambda p: np.zeros(p["n"])}, _run_rep_identity),
+    "rep-singular": Experiment({"nu": 0.5, "R": 1.5}, _run_rep_singular),
+    "blowup": Experiment({"mu": 1e-3, "center-radius": 0.3, "epsilon": 0.1, "R": 5.0,
+                          "delta-target": 0.01}, _run_blowup),
 }
+
+_VECTOR_PARAMS = {"xi"}
+
+
+def _experiment(cfg: ExperimentConfig, *also: str) -> Experiment:
+    """The table entry of cfg.kind; rejects parameters it does not declare."""
+    spec = EXPERIMENTS.get(cfg.kind)
+    if spec is None:
+        raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+    unknown = sorted(set(cfg.params) - set(spec.params) - set(also))
+    if unknown:
+        raise ConfigError(f"{cfg.kind} has no parameter {', '.join(map(repr, unknown))}; "
+                          f"it takes {', '.join(spec.params)}")
+    return spec
+
+
+def _vector(key: str, raw, n: int) -> np.ndarray:
+    """'x,y,z' or one number x (read as x * e1) as a vector of R^n."""
+    vals = [float(t) for t in raw.split(",") if t != ""] if isinstance(raw, str) else [float(raw)]
+    if len(vals) == 1:
+        vals = vals + [0.0] * (n - 1)
+    if len(vals) != n:
+        raise ConfigError(f"{key} must have {n} components")
+    return np.asarray(vals)
+
+
+def _params(cfg: ExperimentConfig, spec: Experiment) -> dict:
+    """n plus every parameter spec declares, parsed from cfg or defaulted."""
+    p = {"n": cfg.n}
+    for key, default in spec.params.items():
+        if key not in cfg.params:
+            if default is REQUIRED:
+                raise ConfigError(f"{cfg.kind}: missing required parameter {key!r}")
+            p[key] = default(p) if callable(default) else default
+            continue
+        raw = cfg.params[key]
+        try:
+            p[key] = _vector(key, raw, cfg.n) if key in _VECTOR_PARAMS else float(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.kind}: bad value {raw!r} for {key!r}") from exc
+    return p
+
+
+def _exit_code(rows: list[ReportRow]) -> int:
+    if any(not math.isfinite(r.measured) for r in rows):
+        return EXIT_NUMERIC
+    return EXIT_OK if all(r.passed for r in rows) else EXIT_FAIL
 
 
 def run(cfg: ExperimentConfig) -> tuple[int, list[ReportRow]]:
     """Execute one experiment; returns (exit_code, rows)."""
-    if cfg.kind not in _RUNNERS:
-        raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
-    rows = _RUNNERS[cfg.kind](cfg)
-    if any(not math.isfinite(r.measured) for r in rows):
-        return EXIT_NUMERIC, rows
-    return (EXIT_OK if all(r.passed for r in rows) else EXIT_FAIL), rows
+    spec = _experiment(cfg)
+    rows = spec.run(cfg, _params(cfg, spec))
+    return _exit_code(rows), rows
 
 
 # --- sweeps -------------------------------------------------------------------
@@ -414,68 +449,28 @@ def parse_range(raw: str) -> list[float]:
     return [float(t) for t in raw.split(",") if t != ""]
 
 
-def _headline(cfg: ExperimentConfig) -> list[ReportRow]:
-    """One row per parameter tuple for a sweep."""
-    if cfg.kind == "thm-a":
-        n = cfg.n
-        l1, l2 = _getf(cfg, "lambda1"), _getf(cfg, "lambda2")
-        rho, R = _getf(cfg, "rho"), _getf(cfg, "R")
-        pstr = _params_str({"n": n, "lambda1": l1, "lambda2": l2, "rho": rho, "R": R})
-        with _Timer() as t:
-            c1, c2 = thmA_conditions(l1, l2, rho, R, n)
-            lb = lower_bound_4_4(l1, l2, rho, R, n)
-        target = (n + 2) / n
-        # implication check: the bound must clear the target when a
-        # sufficient condition holds; otherwise the row is vacuous
-        passed = (not (c1 or c2)) or lb >= target - cfg.tol
-        return [ReportRow("thm-a/bound", pstr, lb, target, passed, t.seconds)]
-    if cfg.kind == "lemma-37":
-        rows = _run_lemma_37(cfg)
-        return [rows[-1]]
-    if cfg.kind == "example-525":
-        return _run_example_525(cfg)[-1:]
-    return _RUNNERS[cfg.kind](cfg)
-
-
-_VECTOR_PARAMS = {"xi"}
-
-
 def sweep(cfg: ExperimentConfig) -> tuple[int, list[ReportRow]]:
-    """Cartesian sweep over any range-valued parameters, deterministic order."""
-    if cfg.kind not in _RUNNERS:
-        raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
-    ranged: dict[str, list[float]] = {}
-    scalars: dict[str, object] = {}
+    """Cartesian sweep over any range-valued parameters, deterministic order.
+
+    n varies slowest, then the other parameters in sorted key order."""
+    spec = _experiment(cfg, "n")
+    keep = spec.sweep or spec.run
+    axes: dict[str, list] = {"n": [cfg.n]}
     for key in sorted(cfg.params):
         raw = cfg.params[key]
-        if key in _VECTOR_PARAMS:
-            scalars[key] = raw
+        if key in _VECTOR_PARAMS or not isinstance(raw, str):
+            axes[key] = [raw]
             continue
-        vals = parse_range(raw) if isinstance(raw, str) else [float(raw)]
-        if len(vals) == 0:
-            return EXIT_OK, []
-        if len(vals) == 1:
-            scalars[key] = vals[0]
-        else:
-            ranged[key] = vals
-    ns = [int(v) for v in ranged.pop("n")] if "n" in ranged else \
-        [int(scalars.pop("n", cfg.n))]
-    keys = list(ranged)
-    combos = list(itertools.product(*[ranged[k] for k in keys])) if keys else [()]
+        try:
+            axes[key] = parse_range(raw)
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.kind}: bad range {raw!r} for {key!r}") from exc
     rows: list[ReportRow] = []
-    for nval in ns:
-        for combo in combos:
-            params = dict(scalars)
-            params.update(dict(zip(keys, combo)))
-            sub = ExperimentConfig(kind=cfg.kind, n=nval, params=params,
-                                   tol=cfg.tol, grid=cfg.grid, threads=cfg.threads,
-                                   seed=cfg.seed)
-            rows.extend(_headline(sub))
-    if not rows:
-        return EXIT_OK, rows
-    if any(not math.isfinite(r.measured) for r in rows):
-        return EXIT_NUMERIC, rows
-    return (EXIT_OK if all(r.passed for r in rows) else EXIT_FAIL), rows
+    for combo in itertools.product(*axes.values()):
+        params = dict(zip(axes, combo))
+        sub = dataclasses.replace(cfg, n=int(params.pop("n")), params=params)
+        rows.extend(keep(sub, _params(sub, spec)))
+    return _exit_code(rows), rows
 
 
 # --- report emission ----------------------------------------------------------
@@ -518,15 +513,6 @@ def print_summary(rows: list[ReportRow], stream=None) -> None:
 
 # --- argument handling ---------------------------------------------------------
 
-_PARAM_FLAGS = [
-    ("--lambda1", "lambda1"), ("--lambda2", "lambda2"), ("--rho", "rho"),
-    ("--R", "R"), ("--r1", "r1"), ("--a", "a"), ("--sep", "sep"),
-    ("--sigma", "sigma"), ("--lambda", "lambda"), ("--delta", "delta"),
-    ("--alpha", "alpha"), ("--mu", "mu"), ("--xi", "xi"),
-    ("--center-radius", "center-radius"), ("--epsilon", "epsilon"),
-    ("--delta-target", "delta-target"), ("--nu", "nu"),
-]
-
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI config file ([experiment] and [params] sections)")
@@ -539,9 +525,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--threads", type=int,
                      help="scan threads (default $BUBBLEFORGE_THREADS or 1)")
     sub.add_argument("--seed", type=int, help="seed for randomized placements")
-    for flag, dest in _PARAM_FLAGS:
-        sub.add_argument(flag, dest=f"param_{dest.replace('-', '_')}",
-                         metavar="V", help=argparse.SUPPRESS)
+    # one hidden flag per parameter that any experiment declares
+    for name in dict.fromkeys(k for spec in EXPERIMENTS.values() for k in spec.params):
+        sub.add_argument(f"--{name}", dest=f"param_{name}", metavar="V",
+                         help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -550,33 +537,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify curvature-deviation bounds and identities for "
                     "glued spherical solutions.")
     subs = parser.add_subparsers(dest="command", required=True)
-    v = subs.add_parser("verify", help="run one verification experiment")
-    v.add_argument("kind", choices=KINDS)
-    _add_common(v)
-    s = subs.add_parser("sweep", help="Cartesian parameter sweep")
-    s.add_argument("kind", choices=KINDS)
-    _add_common(s)
-    b = subs.add_parser("blowup", help="shorthand for 'verify blowup'")
-    _add_common(b)
+    for command, text in (("verify", "run one verification experiment"),
+                          ("sweep", "Cartesian parameter sweep")):
+        sub = subs.add_parser(command, help=text)
+        sub.add_argument("kind", choices=list(EXPERIMENTS))
+        _add_common(sub)
+    _add_common(subs.add_parser("blowup", help="shorthand for 'verify blowup'"))
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    kind = getattr(args, "kind", "blowup")
-    file_exp: dict = {}
-    file_params: dict = {}
-    if args.config:
-        ini = configparser.ConfigParser()
-        ini.optionxform = str  # keep parameter case (R vs r)
-        read = ini.read(args.config)
-        if not read:
-            raise ConfigError(f"cannot read config file {args.config!r}")
-        if ini.has_section("experiment"):
-            file_exp = dict(ini["experiment"])
-        if ini.has_section("params"):
-            file_params = dict(ini["params"])
-    kind = file_exp.get("kind", kind)
-    if kind not in KINDS:
+    ini = configparser.ConfigParser()
+    ini.optionxform = str  # keep parameter case (R vs r)
+    if args.config and not ini.read(args.config):
+        raise ConfigError(f"cannot read config file {args.config!r}")
+    file_exp = dict(ini["experiment"]) if ini.has_section("experiment") else {}
+    kind = file_exp.get("kind", getattr(args, "kind", "blowup"))
+    if kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
 
     def pick(flag, cast, default):
@@ -587,19 +564,19 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             return cast(file_exp[flag])
         return default
 
-    params = dict(file_params)
-    for _, dest in _PARAM_FLAGS:
-        val = getattr(args, f"param_{dest.replace('-', '_')}", None)
-        if val is not None:
-            params[dest] = val
-    env_threads = os.environ.get("BUBBLEFORGE_THREADS")
-    threads_default = int(env_threads) if env_threads else 1
+    params = dict(ini["params"]) if ini.has_section("params") else {}
+    params.update({dest[len("param_"):]: val for dest, val in vars(args).items()
+                   if dest.startswith("param_") and val is not None})
     try:
+        env_threads = os.environ.get("BUBBLEFORGE_THREADS")
+        threads_default = int(env_threads) if env_threads else 1
         raw_n = str(pick("n", str, "3"))
         n_vals = parse_range(raw_n)
         if not n_vals or any(int(v) != v for v in n_vals):
             raise ConfigError(f"dimension must be integral, got {raw_n!r}")
         if len(n_vals) > 1:
+            if args.command != "sweep":
+                raise ConfigError(f"n={raw_n}: a range of dimensions needs 'sweep'")
             params["n"] = raw_n
         cfg = ExperimentConfig(
             kind=kind,
@@ -614,7 +591,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.n < 3:
+    if min(n_vals) < 3:
         raise ConfigError("dimension must be >= 3")
     if cfg.grid is not None and cfg.grid < 2:
         raise ConfigError("grid must be >= 2 points per axis")
@@ -626,18 +603,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if args.command == "sweep":
-            code, rows = sweep(cfg)
-        else:
-            code, rows = run(cfg)
+        code, rows = (sweep if args.command == "sweep" else run)(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

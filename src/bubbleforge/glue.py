@@ -18,8 +18,7 @@ from .errors import BadConfig, BadRadii, NoSolution, OverlapError
 from .field_core import Bubble, RadialField, ScalarField, _offsets, _row_dot, _sq_dist, as_dim
 from .regions import Annulus
 
-# sharp quintic-smoothstep derivative constants on [0, 1]
-SMOOTHSTEP_D1_MAX = 15.0 / 8.0
+# sharp bound of the quintic smoothstep's second derivative on [0, 1]
 SMOOTHSTEP_D2_MAX = 10.0 / math.sqrt(3.0)
 
 

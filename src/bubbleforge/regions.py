@@ -116,6 +116,14 @@ class GridSpec:
     chunk: int = 65536
     threads: int = 1
 
+    def __post_init__(self):
+        if self.points_per_axis is not None and self.points_per_axis < 2:
+            raise ValueError(f"points_per_axis must be >= 2, got {self.points_per_axis}")
+        if self.radial_points < 2:
+            raise ValueError(f"radial_points must be >= 2, got {self.radial_points}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+
     def coarse_count(self, n: int) -> int:
         if self.points_per_axis is not None:
             return self.points_per_axis

@@ -2,7 +2,9 @@
 
 import csv
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -197,6 +199,12 @@ def test_bad_thread_count_from_environment_exits_config(tmp_path, monkeypatch):
     assert code == EXIT_CONFIG
 
 
+def test_non_integer_thread_count_from_environment_exits_config(tmp_path, monkeypatch):
+    monkeypatch.setenv("BUBBLEFORGE_THREADS", "two")
+    code, _ = _run(tmp_path, "verify", "lemma-37", "--R", "1")
+    assert code == EXIT_CONFIG
+
+
 def test_threads_default_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("BUBBLEFORGE_THREADS", "3")
     from bubbleforge.cli import _config_from_args, build_parser
@@ -214,3 +222,194 @@ def test_parse_range_forms():
     got = parse_range("log:0.01:1:3")
     assert got == pytest.approx([0.01, 0.1, 1.0])
     assert parse_range("") == []
+
+
+# --- the experiment table ----------------------------------------------------------
+
+_THM_A = ["--n", "3", "--lambda1", "0.0099", "--lambda2", "1", "--rho", "1", "--R", "10"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "thm-a", *_THM_A, "--sep", "3"], "'sep'"),  # undeclared
+    (["sweep", "thm-a", *_THM_A, "--xi", "0"], "'xi'"),
+    (["verify", "lemma-37", "--n", "3,4", "--R", "1"], "n=3,4"),  # a range outside sweep
+    (["verify", "lemma-37", "--R", "one"], "'R'"),  # not a number
+    (["sweep", "lemma-37", "--R", "lin:1:2"], "'R'"),
+    (["sweep", "lemma-37", "--n", "4,2", "--R", "1"], ">= 3"),
+])
+def test_bad_parameters_exit_config(tmp_path, capsys, argv, name):
+    code, rows = _run(tmp_path, *argv)
+    assert code == EXIT_CONFIG and rows == []
+    assert name in capsys.readouterr().err
+
+
+def test_undeclared_config_file_parameter_exits_config(tmp_path, capsys):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nkind = lemma-37\n\n[params]\nR = 1\nsep = 3\n")
+    code, rows = _run(tmp_path, "verify", "lemma-37", "--config", str(ini))
+    assert code == EXIT_CONFIG and rows == []
+    assert "'sep'" in capsys.readouterr().err
+
+
+def test_every_declared_parameter_has_a_flag():
+    args = cli.build_parser().parse_args(["verify", "blowup"])
+    flags = {k[len("param_"):] for k in vars(args) if k.startswith("param_")}
+    assert flags == {k for spec in cli.EXPERIMENTS.values() for k in spec.params}
+    assert len(flags) == 17
+
+
+def test_defaults_may_depend_on_earlier_parameters():
+    p = cli._params(cli.ExperimentConfig("example-525", 3, {"lambda": "2", "lambda2": "3",
+                                                            "sep": "4"}),
+                    cli.EXPERIMENTS["example-525"])
+    assert (p["lambda1"], p["lambda2"]) == (2.0, 3.0)
+    p = cli._params(cli.ExperimentConfig("glue-insert", 6), cli.EXPERIMENTS["glue-insert"])
+    assert p["alpha"] == 0.5
+
+
+# columns 1-4 of the report of each command under "Command line" in README.md;
+# every row passes, and measured and bound are compared to 1e-9 relative
+README_ROWS = {
+    "verify thm-a --n 3 --lambda1 0.0099 --lambda2 1 --rho 1 --R 10": [
+        ("thm-a/conditions", "R=10;lambda1=0.0099;lambda2=1;n=3;rho=1", 1, 1),
+        ("thm-a/bound", "R=10;lambda1=0.0099;lambda2=1;n=3;rho=1", 1.70741183226, 1.66666666667),
+        ("thm-a/scan", "R=10;lambda1=0.0099;lambda2=1;n=3;rho=1", 22886.2772433, 1.66666666667),
+    ],
+    "verify lemma-37 --n 3 --R 1 --xi 0,0,0": [
+        ("lemma-37/bound", "R=1;n=3;xi=0:0:0", 0.5, 0.5),
+        ("lemma-37/equality", "R=1;n=3;xi=0:0:0", 0.5, 0.5),
+    ],
+    "verify example-525 --n 3 --lambda 1 --sep 4": [
+        ("example-525/midplane", "lambda1=1;lambda2=1;n=3;sep=4", 0.0625, 0.0625),
+        ("example-525/sup", "lambda1=1;lambda2=1;n=3;sep=4", 0.9375, 0.9375),
+        ("example-525/far-limit", "lambda1=1;lambda2=1;n=3;sep=4", 0.0625000000025, 0.0625),
+    ],
+    "verify thm-b --n 3 --lambda1 0.00238 --lambda2 1 --r1 1 --a 1 --sep 2": [
+        ("thm-b/condition", "a=1;lambda1=0.00238;lambda2=1;n=3;r1=1;sep=2;sigma=1", 1, 1),
+        ("thm-b/chain",
+         "a=1;lambda1=0.00238;lambda2=1;n=3;r1=1;sep=2;sigma=1",
+         3.65290006705, 0.833333333333),
+        ("thm-b/scan",
+         "a=1;lambda1=0.00238;lambda2=1;n=3;r1=1;sep=2;sigma=1",
+         21157587.4601, 0.833333333333),
+    ],
+    "verify glue-insert --n 5 --delta 1e-3": [
+        ("glue-insert/C", "alpha=0.25;delta=0.001;lambda=1;n=5", 0.215916095737, 0.627909542674),
+        ("glue-insert/C", "alpha=0.25;delta=0.0001;lambda=1;n=5", 0.313954771337, 0.431832191475),
+    ],
+    "verify rep-identity --n 3 --lambda1 0.0099 --lambda2 1 --rho 1 --R 10": [
+        ("rep-identity/residual",
+         "R=10;lambda1=0.0099;lambda2=1;n=3;rho=1",
+         1.16415321827e-10, 1030.41638722),
+    ],
+    "verify rep-singular --n 3 --nu 0.5": [
+        ("rep-singular/extrapolated", "R=1.5;n=3;nu=0.5", 4.93563672285e-07, 0.0001),
+        ("rep-singular/decreasing", "R=1.5;n=3;nu=0.5", 1, 1),
+        ("rep-singular/boundary-scaling", "R=1.5;n=3;nu=0.5", 1, 2),
+    ],
+    "blowup --n 3 --mu 1e-3": [
+        ("blowup/detected",
+         "R=5;center-radius=0.3;delta-target=0.01;epsilon=0.1;mu=0.001;n=3;seed=0",
+         1, 1),
+        ("blowup/mu-rel-err",
+         "R=5;center-radius=0.3;delta-target=0.01;epsilon=0.1;mu=0.001;n=3;seed=0",
+         8.67361737988e-16, 1e-06),
+        ("blowup/delta",
+         "R=5;center-radius=0.3;delta-target=0.01;epsilon=0.1;mu=0.001;n=3;seed=0",
+         3.35483314904e-14, 0.01),
+    ],
+    "sweep lemma-37 --n 3,4,5,6 --R 1 --xi 0": [
+        ("lemma-37/equality", "R=1;n=3;xi=0:0:0", 0.5, 0.5),
+        ("lemma-37/equality", "R=1;n=4;xi=0:0:0:0", 0.25, 0.25),
+        ("lemma-37/equality", "R=1;n=5;xi=0:0:0:0:0", 0.166666666667, 0.166666666667),
+        ("lemma-37/equality", "R=1;n=6;xi=0:0:0:0:0:0", 0.125, 0.125),
+    ],
+    "sweep thm-a --n 3 --lambda1 log:1e-5:1e-3:5 --lambda2 1 --rho 1 --R 10": [
+        ("thm-a/bound", "R=10;lambda1=1e-05;lambda2=1;n=3;rho=1", 84174999.9983, 1.66666666667),
+        ("thm-a/bound",
+         "R=10;lambda1=3.16227766017e-05;lambda2=1;n=3;rho=1",
+         8417424.24074, 1.66666666667),
+        ("thm-a/bound", "R=10;lambda1=0.0001;lambda2=1;n=3;rho=1", 841666.664983, 1.66666666667),
+        ("thm-a/bound",
+         "R=10;lambda1=0.000316227766017;lambda2=1;n=3;rho=1",
+         84090.9074074, 1.66666666667),
+        ("thm-a/bound", "R=10;lambda1=0.001;lambda2=1;n=3;rho=1", 8333.33164983, 1.66666666667),
+    ],
+}
+
+# the rows of "sweep example-525 --n 3,4 --lambda 1,2 --sep 4", likewise
+EXAMPLE_525_SWEEP = [
+    ("example-525/far-limit", "lambda1=1;lambda2=1;n=3;sep=4", 0.0625000000025, 0.0625),
+    ("example-525/far-limit", "lambda1=2;lambda2=2;n=3;sep=4", 0.0625000000006, 0.0625),
+    ("example-525/far-limit", "lambda1=1;lambda2=1;n=4;sep=4", 0.250000000012, 0.25),
+    ("example-525/far-limit", "lambda1=2;lambda2=2;n=4;sep=4", 0.250000000003, 0.25),
+]
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split(maxsplit=1)[1] for line in block.splitlines()
+            if line.startswith("bubbleforge ")]
+
+
+def _assert_rows(rows, expected):
+    assert len(rows) == len(expected)
+    for row, (name, params, measured, bound) in zip(rows, expected):
+        assert (row["experiment"], row["params"], row["pass"]) == (name, params, "true")
+        assert float(row["measured"]) == pytest.approx(measured, rel=1e-9)
+        assert float(row["bound"]) == pytest.approx(bound, rel=1e-9)
+
+
+def test_readme_lists_the_recorded_commands():
+    assert _readme_commands() == list(README_ROWS)
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_command_reports(tmp_path, command):
+    code, rows = _run(tmp_path, *command.split())
+    assert code == EXIT_OK
+    _assert_rows(rows, README_ROWS[command])
+
+
+def test_sweeps_run_no_scan_they_drop(tmp_path, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a sweep ran a scan whose row it drops")
+
+    monkeypatch.setattr(cli, "sup_scan", no_scan)
+    code, rows = _run(tmp_path, *"sweep example-525 --n 3,4 --lambda 1,2 --sep 4".split())
+    assert code == EXIT_OK
+    _assert_rows(rows, EXAMPLE_525_SWEEP)
+    command = "sweep thm-a --n 3 --lambda1 log:1e-5:1e-3:5 --lambda2 1 --rho 1 --R 10"
+    code, rows = _run(tmp_path, *command.split())
+    assert code == EXIT_OK
+    _assert_rows(rows, README_ROWS[command])
+
+
+def test_thm_a_sweep_row_is_an_implication(tmp_path):
+    # at lambda1 = 1 no sufficient condition holds: the bound misses (n+2)/n,
+    # which fails verify but leaves the sweep row vacuously true
+    code, rows = _run(tmp_path, *"sweep thm-a --n 3 --lambda1 0.001,1 --lambda2 1 --rho 1 "
+                                 "--R 10".split())
+    assert code == EXIT_OK
+    _assert_rows(rows, [
+        ("thm-a/bound", "R=10;lambda1=0.001;lambda2=1;n=3;rho=1", 8333.33164983, 5 / 3),
+        ("thm-a/bound", "R=10;lambda1=1;lambda2=1;n=3;rho=1", -84.1666666667, 5 / 3),
+    ])
+
+
+def test_readme_parameter_table_matches_the_experiment_table():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {}
+    for line in text.splitlines():
+        m = re.match(r"\| `([\w-]+)` \| (`.*?) \|", line)
+        if m:
+            documented[m[1]] = re.findall(r"`([\w-]+)` = ([^,]+)", m[2])
+    assert list(documented) == list(cli.EXPERIMENTS)
+    for kind, spec in cli.EXPERIMENTS.items():
+        assert [name for name, _ in documented[kind]] == list(spec.params)
+        for name, value in documented[kind]:
+            default = spec.params[name]
+            assert (value == "required") == (default is cli.REQUIRED), (kind, name)
+            if isinstance(default, float):
+                assert float(value) == default, (kind, name)

@@ -224,3 +224,21 @@ def test_threads_keep_at_most_their_number_of_chunks_in_flight():
     best, best_x, count = _stream_argmax(fn, chunks(), 3)
     assert (best, best_x.tolist(), count) == (6.0, [6.0], 40)
     assert drawn == [0, 3]
+
+
+@pytest.mark.parametrize("kw", [{"points_per_axis": 1}, {"points_per_axis": 0},
+                                {"radial_points": 1}, {"threads": 0}])
+def test_grid_spec_rejects_sizes_below_minimum(kw):
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        GridSpec(**kw)
+
+
+def test_scans_below_two_points_are_rejected_before_they_start():
+    # a one-point box grid would divide by zero in its refinement cell, and
+    # a one-point radial scan raise a bare IndexError at rs[1] - rs[0]
+    f = sum_field(Bubble(1.0, np.zeros(3), 3), Bubble(0.5, np.array([1.0, 0.0, 0.0]), 3))
+    with pytest.raises(ValueError, match="points_per_axis"):
+        sup_scan(f, Box(-np.ones(3), np.ones(3)), GridSpec(points_per_axis=1))
+    with pytest.raises(ValueError, match="radial_points"):
+        sup_scan(Bubble(1.0, np.zeros(3), 3), Ball(np.zeros(3), 1.0), GridSpec(radial_points=1))
+    assert sup_scan(f, Box(-np.ones(3), np.ones(3)), GridSpec(points_per_axis=2)).n_samples > 0

@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +71,7 @@ class ReportRow:
     measured: float
     bound: float
     passed: bool
-    seconds: float
+    seconds: float = math.nan  # stamped by _timed
 
 
 def _fmt(x: float) -> str:
@@ -94,53 +94,39 @@ def _axis_point(n: int, s: float) -> np.ndarray:
     return x
 
 
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds = time.perf_counter() - self.t0
-        return False
-
-
 # --- experiments -------------------------------------------------------------
 # A runner takes the config and the parsed parameters p (n plus every
-# parameter its table entry declares) and returns its report rows.
+# parameter its table entry declares) and yields its report rows; _timed
+# stamps each row with the time spent producing it.
 
 
-def _thm_a_checks(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+def _thm_a_checks(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     """Theorem A's sufficient conditions and the lower bound (4.4)."""
     n, l1, l2, rho, R = p["n"], p["lambda1"], p["lambda2"], p["rho"], p["R"]
     pstr = _params_str(p)
-    with _Timer() as t:
-        c1, c2 = thmA_conditions(l1, l2, rho, R, n)
-    cond = ReportRow("thm-a/conditions", pstr, float(c1 or c2), 1.0, bool(c1 or c2), t.seconds)
-    with _Timer() as t:
-        lb = lower_bound_4_4(l1, l2, rho, R, n)
+    c1, c2 = thmA_conditions(l1, l2, rho, R, n)
+    yield ReportRow("thm-a/conditions", pstr, float(c1 or c2), 1.0, bool(c1 or c2))
+    lb = lower_bound_4_4(l1, l2, rho, R, n)
     target = (n + 2) / n
-    return [cond, ReportRow("thm-a/bound", pstr, lb, target, lb >= target - cfg.tol, t.seconds)]
+    yield ReportRow("thm-a/bound", pstr, lb, target, lb >= target - cfg.tol)
 
 
-def _run_thm_a(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
-    rows = _thm_a_checks(cfg, p)
+def _run_thm_a(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
+    yield from _thm_a_checks(cfg, p)
     n, target = p["n"], (p["n"] + 2) / p["n"]
-    with _Timer() as t:
-        u = glue_concentric(GlueConfig.concentric(Bubble(p["lambda1"], np.zeros(n), n),
-                                                  Bubble(p["lambda2"], np.zeros(n), n),
-                                                  p["rho"], p["R"]))
-        rep = sup_scan(u, Ball(np.zeros(n), p["R"]), cfg.grid_spec())
-    rows.append(ReportRow("thm-a/scan", _params_str(p), rep.sup_abs_dev, target,
-                          rep.sup_abs_dev >= target - cfg.tol, t.seconds))
-    return rows
+    u = glue_concentric(GlueConfig.concentric(Bubble(p["lambda1"], np.zeros(n), n),
+                                              Bubble(p["lambda2"], np.zeros(n), n),
+                                              p["rho"], p["R"]))
+    rep = sup_scan(u, Ball(np.zeros(n), p["R"]), cfg.grid_spec())
+    yield ReportRow("thm-a/scan", _params_str(p), rep.sup_abs_dev, target,
+                    rep.sup_abs_dev >= target - cfg.tol)
 
 
 def _sweep_thm_a(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
     """The bound row as an implication: it must clear (n+2)/n whenever a
     sufficient condition holds; otherwise the row is vacuous."""
     cond, bound = _thm_a_checks(cfg, p)
-    return [dataclasses.replace(bound, passed=not cond.passed or bound.passed,
-                                seconds=cond.seconds + bound.seconds)]
+    return [dataclasses.replace(bound, passed=not cond.passed or bound.passed)]
 
 
 def _disjoint_config(b1: Bubble, r1: float, b2: Bubble, a: float) -> GlueConfig:
@@ -151,64 +137,53 @@ def _disjoint_config(b1: Bubble, r1: float, b2: Bubble, a: float) -> GlueConfig:
     return GlueConfig.disjoint(b1, r1, b2, a, width1=0.2, width2=0.2, inward=True)
 
 
-def _run_thm_b(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+def _run_thm_b(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     n, l1, l2, r1, a, sigma = p["n"], p["lambda1"], p["lambda2"], p["r1"], p["a"], p["sigma"]
     pstr = _params_str(p)
     xi1 = _axis_point(n, p["sep"])
     params = ThmBParams(l1, l2, r1, a, xi1, np.zeros(n), sigma)
     target = (n + 2) / (2.0 * n) * sigma**2
-    rows = []
-    with _Timer() as t:
-        ok = thmB_condition(params, n)
-    rows.append(ReportRow("thm-b/condition", pstr, float(ok), 1.0, bool(ok), t.seconds))
-    with _Timer() as t:
-        chain = thmB_chain_bound(params, n)
-    rows.append(ReportRow("thm-b/chain", pstr, chain, target,
-                          chain >= target - cfg.tol, t.seconds))
-    with _Timer() as t:
-        u = glue_disjoint(_disjoint_config(Bubble(l1, xi1, n), r1,
-                                           Bubble(l2, np.zeros(n), n), a))
-        pad = 0.6 * max(r1, a)
-        lo = np.minimum(xi1 - r1, -a) - pad
-        hi = np.maximum(xi1 + r1, np.full(n, a)) + pad
-        rep = sup_scan(u, Box(lo, hi), cfg.grid_spec())
-    rows.append(ReportRow("thm-b/scan", pstr, rep.sup_abs_dev, target,
-                          rep.sup_abs_dev >= target - cfg.tol, t.seconds))
-    return rows
+    ok = thmB_condition(params, n)
+    yield ReportRow("thm-b/condition", pstr, float(ok), 1.0, bool(ok))
+    chain = thmB_chain_bound(params, n)
+    yield ReportRow("thm-b/chain", pstr, chain, target, chain >= target - cfg.tol)
+    u = glue_disjoint(_disjoint_config(Bubble(l1, xi1, n), r1, Bubble(l2, np.zeros(n), n), a))
+    pad = 0.6 * max(r1, a)
+    lo = np.minimum(xi1 - r1, -a) - pad
+    hi = np.maximum(xi1 + r1, np.full(n, a)) + pad
+    rep = sup_scan(u, Box(lo, hi), cfg.grid_spec())
+    yield ReportRow("thm-b/scan", pstr, rep.sup_abs_dev, target,
+                    rep.sup_abs_dev >= target - cfg.tol)
 
 
-def _example_525_far(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+def _example_525_far(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     """K far from both bubbles against its limit; the row a sweep keeps."""
     n, l1, l2 = p["n"], p["lambda1"], p["lambda2"]
     u = sum_field(Bubble(l1, _axis_point(n, p["sep"]), n), Bubble(l2, np.zeros(n), n))
-    with _Timer() as t:
-        kfar = float(k_function(u, _axis_point(n, 1e6 * max(l1, l2))))
-        limit = k_sum_limit(l1, l2, n)
-    return [ReportRow("example-525/far-limit", _params_str(p, "lambda"), kfar, limit,
-                      abs(kfar - limit) <= max(cfg.tol, 1e-4), t.seconds)]
+    kfar = float(k_function(u, _axis_point(n, 1e6 * max(l1, l2))))
+    limit = k_sum_limit(l1, l2, n)
+    yield ReportRow("example-525/far-limit", _params_str(p, "lambda"), kfar, limit,
+                    abs(kfar - limit) <= max(cfg.tol, 1e-4))
 
 
-def _run_example_525(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+def _run_example_525(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     n, l1, l2 = p["n"], p["lambda1"], p["lambda2"]
     pstr = _params_str(p, "lambda")
     xi1 = _axis_point(n, p["sep"])
     u = sum_field(Bubble(l1, xi1, n), Bubble(l2, np.zeros(n), n))
-    rows = []
     equal_mass = 2.0 ** (4.0 / (2.0 - n))
     if l1 == l2:
-        with _Timer() as t:
-            kmid = float(k_function(u, xi1 / 2.0))
-        rows.append(ReportRow("example-525/midplane", pstr, kmid, equal_mass,
-                              abs(kmid - equal_mass) <= max(cfg.tol, 1e-6), t.seconds))
+        kmid = float(k_function(u, xi1 / 2.0))
+        yield ReportRow("example-525/midplane", pstr, kmid, equal_mass,
+                        abs(kmid - equal_mass) <= max(cfg.tol, 1e-6))
     cap = 1.0 - equal_mass
-    with _Timer() as t:
-        pad = 2.0 * max(l1, l2)
-        lo = np.minimum(np.zeros(n), xi1) - pad
-        hi = np.maximum(np.zeros(n), xi1) + pad
-        rep = sup_scan(u, Box(lo, hi), cfg.grid_spec())
-    rows.append(ReportRow("example-525/sup", pstr, rep.sup_abs_dev, cap,
-                          rep.sup_abs_dev <= cap + max(cfg.tol, 1e-6), t.seconds))
-    return rows + _example_525_far(cfg, p)
+    pad = 2.0 * max(l1, l2)
+    lo = np.minimum(np.zeros(n), xi1) - pad
+    hi = np.maximum(np.zeros(n), xi1) + pad
+    rep = sup_scan(u, Box(lo, hi), cfg.grid_spec())
+    yield ReportRow("example-525/sup", pstr, rep.sup_abs_dev, cap,
+                    rep.sup_abs_dev <= cap + max(cfg.tol, 1e-6))
+    yield from _example_525_far(cfg, p)
 
 
 def _cos_perturbation(n: int, lam: float, delta: float) -> CallableRadialField:
@@ -241,51 +216,45 @@ def measure_insert_quality(n: int, delta: float, alpha: float, lam: float = 1.0,
     return sup_dev / scale, sup_dev, host_eps, scale
 
 
-def _run_glue_insert(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+def _run_glue_insert(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     n, delta, alpha, lam = p["n"], p["delta"], p["alpha"], p["lambda"]
     if alpha <= 0 or 2 * (1 + alpha) >= n:
         raise ConfigError("glue-insert needs alpha in (0, (n-2)/2); with the "
                           "default alpha=(n-4)/4 that means n >= 5")
     gs = cfg.grid_spec()
-    with _Timer() as t:
-        c_hi, *_ = measure_insert_quality(n, delta, alpha, lam, gs)
-    with _Timer() as t2:
-        c_lo, *_ = measure_insert_quality(n, delta / 10.0, alpha, lam, gs)
-    return [ReportRow("glue-insert/C", _params_str(p), c_hi, 2.0 * c_lo,
-                      c_hi <= 2.0 * c_lo + cfg.tol, t.seconds),
-            ReportRow("glue-insert/C", _params_str({**p, "delta": delta / 10.0}), c_lo,
-                      2.0 * c_hi, c_lo <= 2.0 * c_hi + cfg.tol, t2.seconds)]
+    c_hi, *_ = measure_insert_quality(n, delta, alpha, lam, gs)
+    c_lo, *_ = measure_insert_quality(n, delta / 10.0, alpha, lam, gs)
+    yield ReportRow("glue-insert/C", _params_str(p), c_hi, 2.0 * c_lo,
+                    c_hi <= 2.0 * c_lo + cfg.tol)
+    yield ReportRow("glue-insert/C", _params_str({**p, "delta": delta / 10.0}), c_lo,
+                    2.0 * c_hi, c_lo <= 2.0 * c_hi + cfg.tol)
 
 
-def _run_lemma_37(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+def _run_lemma_37(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     n, R, xi = p["n"], p["R"], p["xi"]
     pstr = _params_str(p)
     bound = R**2 / (2.0 * (n - 2))
-    with _Timer() as t:
-        q = int_absH_ball(Kernel(n), R, xi)
-    rows = [ReportRow("lemma-37/bound", pstr, q.value, bound,
-                      q.value <= bound + q.err_est + cfg.tol, t.seconds)]
+    q = int_absH_ball(Kernel(n), R, xi)
+    yield ReportRow("lemma-37/bound", pstr, q.value, bound,
+                    q.value <= bound + q.err_est + cfg.tol)
     if float(np.linalg.norm(xi)) == 0.0:
-        with _Timer() as t:
-            ok = abs(q.value - bound) <= max(cfg.tol, 1e-6)
-        rows.append(ReportRow("lemma-37/equality", pstr, q.value, bound, ok, t.seconds))
-    return rows
+        yield ReportRow("lemma-37/equality", pstr, q.value, bound,
+                        abs(q.value - bound) <= max(cfg.tol, 1e-6))
 
 
-def _run_rep_identity(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+def _run_rep_identity(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     n = p["n"]
     u2 = Bubble(p["lambda2"], np.zeros(n), n)
     u_c = glue_concentric(GlueConfig.concentric(Bubble(p["lambda1"], np.zeros(n), n), u2,
                                                 p["rho"], p["R"]))
-    with _Timer() as t:
-        rep = rep_identity_report(u_c, u2, Ball(np.zeros(n), p["R"]), p["xi"])
+    rep = rep_identity_report(u_c, u2, Ball(np.zeros(n), p["R"]), p["xi"])
     residual = abs(rep["residual"])
     bound = 1e-3 * max(abs(rep["lhs"]), abs(rep["rhs"]))
-    return [ReportRow("rep-identity/residual", _params_str(p, "xi"), residual, bound,
-                      residual <= bound, t.seconds)]
+    yield ReportRow("rep-identity/residual", _params_str(p, "xi"), residual, bound,
+                    residual <= bound)
 
 
-def _run_rep_singular(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+def _run_rep_singular(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     n, nut, R = p["n"], p["nu"], p["R"]
     if not 0 < nut < 1:
         raise ConfigError("rep-singular needs nu in (0, 1)")
@@ -299,15 +268,13 @@ def _run_rep_singular(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
     prof = SingularProfile(p=np.zeros(n), mu=1.0 - nut, nu=nut,
                            c1=abs(beta * nut) * 1.01, c2=abs(beta) * 1.01, delta=0.3)
     pstr = _params_str(p)
-    with _Timer() as t:
-        rep = rep_formula_report(u, prof, Ball(np.zeros(n), R), _axis_point(n, R / 3.0))
-    rows = [ReportRow("rep-singular/extrapolated", pstr, abs(rep["extrapolated"]),
-                      max(cfg.tol, 1e-4),
-                      abs(rep["extrapolated"]) <= max(cfg.tol, 1e-4), t.seconds)]
+    rep = rep_formula_report(u, prof, Ball(np.zeros(n), R), _axis_point(n, R / 3.0))
+    tol = max(cfg.tol, 1e-4)
+    yield ReportRow("rep-singular/extrapolated", pstr, abs(rep["extrapolated"]), tol,
+                    abs(rep["extrapolated"]) <= tol)
     res = [abs(r) for r in rep["residuals"]]
     decreasing = all(b < a for a, b in zip(res[:-1], res[1:]))
-    rows.append(ReportRow("rep-singular/decreasing", pstr, float(decreasing), 1.0,
-                          decreasing, 0.0))
+    yield ReportRow("rep-singular/decreasing", pstr, float(decreasing), 1.0, decreasing)
     terms = [abs(v) for v in rep["p_boundary_terms"]]
     eps = rep["eps"]
     ok = True
@@ -317,26 +284,24 @@ def _run_rep_singular(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
         ratio = terms[i] / terms[i + 1]
         worst = max(worst, ratio / expected, expected / ratio)
         ok &= 0.5 * expected <= ratio <= 2.0 * expected
-    rows.append(ReportRow("rep-singular/boundary-scaling", pstr, worst, 2.0,
-                          bool(ok), 0.0))
-    return rows
+    yield ReportRow("rep-singular/boundary-scaling", pstr, worst, 2.0, bool(ok))
 
 
-def _run_blowup(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+def _run_blowup(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     n, mu, target = p["n"], p["mu"], p["delta-target"]
     pstr = _params_str({**p, "seed": cfg.seed})
     direction = np.random.default_rng(cfg.seed).normal(size=n)
     planted = Bubble(mu, p["center-radius"] * (direction / np.linalg.norm(direction)), n)
-    with _Timer() as t:
-        report = detect(BlowupInput(field=planted, epsilon=p["epsilon"], R=p["R"],
-                                    delta_target=target))
+    report = detect(BlowupInput(field=planted, epsilon=p["epsilon"], R=p["R"],
+                                delta_target=target))
+    yield ReportRow("blowup/detected", pstr, float(report is not None), 1.0,
+                    report is not None)
     if report is None:
-        return [ReportRow("blowup/detected", pstr, 0.0, 1.0, False, t.seconds)]
+        return
     rel = abs(report.scale_original - mu) / mu
-    return [ReportRow("blowup/detected", pstr, 1.0, 1.0, True, t.seconds),
-            ReportRow("blowup/mu-rel-err", pstr, rel, 1e-6, rel <= 1e-6, 0.0),
-            ReportRow("blowup/delta", pstr, report.delta_measured, target,
-                      report.delta_measured < target, 0.0)]
+    yield ReportRow("blowup/mu-rel-err", pstr, rel, 1e-6, rel <= 1e-6)
+    yield ReportRow("blowup/delta", pstr, report.delta_measured, target,
+                    report.delta_measured < target)
 
 
 # --- the experiment table --------------------------------------------------------
@@ -354,8 +319,8 @@ class Experiment:
     """
 
     params: dict
-    run: Callable[[ExperimentConfig, dict], list[ReportRow]]
-    sweep: Callable[[ExperimentConfig, dict], list[ReportRow]] | None = None
+    run: Callable[[ExperimentConfig, dict], Iterable[ReportRow]]
+    sweep: Callable[[ExperimentConfig, dict], Iterable[ReportRow]] | None = None
 
 
 EXPERIMENTS: dict[str, Experiment] = {
@@ -369,7 +334,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     "glue-insert": Experiment({"delta": 1e-3, "alpha": lambda p: (p["n"] - 4) / 4.0,
                                "lambda": 1.0}, _run_glue_insert),
     "lemma-37": Experiment({"R": REQUIRED, "xi": lambda p: np.zeros(p["n"])}, _run_lemma_37,
-                           lambda cfg, p: _run_lemma_37(cfg, p)[-1:]),
+                           lambda cfg, p: list(_run_lemma_37(cfg, p))[-1:]),
     "rep-identity": Experiment({"lambda1": REQUIRED, "lambda2": REQUIRED, "rho": REQUIRED,
                                 "R": REQUIRED, "xi": lambda p: np.zeros(p["n"])}, _run_rep_identity),
     "rep-singular": Experiment({"nu": 0.5, "R": 1.5}, _run_rep_singular),
@@ -425,10 +390,24 @@ def _exit_code(rows: list[ReportRow]) -> int:
     return EXIT_OK if all(r.passed for r in rows) else EXIT_FAIL
 
 
+def _timed(runner: Callable[[ExperimentConfig, dict], Iterable[ReportRow]],
+           cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
+    """The rows of runner(cfg, p), each stamped with the wall time since the
+    previous row was handed over: work a later row reuses counts on the
+    earlier row, and work behind rows the runner drops on the row it keeps."""
+    rows = []
+    t0 = time.perf_counter()
+    for row in runner(cfg, p):
+        t1 = time.perf_counter()
+        rows.append(dataclasses.replace(row, seconds=t1 - t0))
+        t0 = t1
+    return rows
+
+
 def run(cfg: ExperimentConfig) -> tuple[int, list[ReportRow]]:
     """Execute one experiment; returns (exit_code, rows)."""
     spec = _experiment(cfg)
-    rows = spec.run(cfg, _params(cfg, spec))
+    rows = _timed(spec.run, cfg, _params(cfg, spec))
     return _exit_code(rows), rows
 
 
@@ -469,7 +448,7 @@ def sweep(cfg: ExperimentConfig) -> tuple[int, list[ReportRow]]:
     for combo in itertools.product(*axes.values()):
         params = dict(zip(axes, combo))
         sub = dataclasses.replace(cfg, n=int(params.pop("n")), params=params)
-        rows.extend(keep(sub, _params(sub, spec)))
+        rows.extend(_timed(keep, sub, _params(sub, spec)))
     return _exit_code(rows), rows
 
 
@@ -520,7 +499,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol", type=float, help="pass tolerance (default 1e-6)")
     sub.add_argument("--grid", type=int, help="scan points per axis")
     sub.add_argument("--out", help="machine report path")
-    sub.add_argument("--format", choices=("csv", "json"), dest="fmt",
+    sub.add_argument("--format", choices=("csv", "json"),
                      help="machine report format (default csv)")
     sub.add_argument("--threads", type=int,
                      help="scan threads (default $BUBBLEFORGE_THREADS or 1)")
@@ -546,12 +525,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# keys of a config file's [experiment] section: the kind and the global flags
+_FILE_KEYS = ("kind", "n", "tol", "grid", "out", "format", "threads", "seed")
+
+
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     ini = configparser.ConfigParser()
     ini.optionxform = str  # keep parameter case (R vs r)
-    if args.config and not ini.read(args.config):
-        raise ConfigError(f"cannot read config file {args.config!r}")
+    try:
+        if args.config and not ini.read(args.config):
+            raise ConfigError(f"cannot read config file {args.config!r}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {args.config!r}: {exc}") from exc
     file_exp = dict(ini["experiment"]) if ini.has_section("experiment") else {}
+    unknown = sorted(set(file_exp) - set(_FILE_KEYS))
+    if unknown:
+        raise ConfigError(f"[experiment] has no key {', '.join(map(repr, unknown))}; "
+                          f"it takes {', '.join(_FILE_KEYS)}")
     kind = file_exp.get("kind", getattr(args, "kind", "blowup"))
     if kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
@@ -565,6 +555,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         return default
 
     params = dict(ini["params"]) if ini.has_section("params") else {}
+    if "n" in params:
+        raise ConfigError("[params] has no key 'n'; give n in [experiment] or as --n")
     params.update({dest[len("param_"):]: val for dest, val in vars(args).items()
                    if dest.startswith("param_") and val is not None})
     try:
@@ -585,7 +577,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             tol=pick("tol", float, 1e-6),
             grid=pick("grid", int, None),
             out=pick("out", str, None),
-            fmt=pick("fmt", str, "csv"),
+            fmt=pick("format", str, "csv"),
             threads=pick("threads", int, threads_default),
             seed=pick("seed", int, 0),
         )

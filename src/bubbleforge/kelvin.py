@@ -147,56 +147,11 @@ def kelvin_bubble(b: Bubble, inv: Inversion) -> Bubble:
     return Bubble(a**2 * b.lam / den, inv.center + a**2 * xi / den, b.n)
 
 
-class _ComposedUnitField(ScalarField):
-    """(xi2, a) Kelvin transform expressed through a unit-origin transform.
-
-    The source f is interpreted as the unit-radius, origin-centered Kelvin
-    transform of some underlying field; the composed field evaluates
-
-        (a/|x - xi2|)^(n-2) * |z|^(2-n) * f(z / |z|^2),
-        z = xi2 + a^2 (x - xi2)/|x - xi2|^2,
-
-    directly from f.  The jet's gradient and Laplacian are those of the
-    equivalent pair of nested transforms; its values are the composed ones.
-    """
-
-    def __init__(self, f: ScalarField, inv2: Inversion):
-        self.n = f.n
-        self.f = f
-        self.inv2 = inv2
-        self.unit = Inversion(np.zeros(self.n), 1.0)
-        self._nested = KelvinField(KelvinField(f, self.unit), inv2)
-        self.fd_scale = f.fd_scale
-
-    def _value(self, pts):
-        a = self.inv2.radius
-        d = _offsets(pts, self.inv2.center)
-        rho2 = _sq_dist(d.T)
-        if np.any(rho2 == 0.0):
-            raise AtCenter("composition undefined at the outer inversion center")
-        z = _image(self.inv2, d, rho2)
-        z2 = _sq_dist(z)
-        if np.any(z2 == 0.0):
-            raise AtCenter("inner transform hit the origin")
-        w = z / z2[:, None]
-        return (
-            (a**2 / rho2) ** ((self.n - 2) / 2)
-            * z2 ** (-(self.n - 2) / 2)
-            * self.f._value(w)
-        )
-
-    def _jet(self, pts, grad):
-        u = self._value(pts)
-        _, g, lap = self._nested._jet(pts, grad)
-        return u, g, lap
-
-
-def lemma_5_4_compose(f: ScalarField, inv2: Inversion) -> ScalarField:
+def lemma_5_4_compose(f: ScalarField, inv2: Inversion) -> KelvinField:
     """Re-express a unit-origin Kelvin transform as a (center, radius) one.
 
-    f is taken to be the unit transform of an underlying field; the returned
-    field is the (inv2.center, inv2.radius) transform of that same field,
-    computed through f by one composed formula.  It agrees pointwise
-    with applying kelvin_field to the reconstructed underlying field.
+    f is taken to be the unit transform of an underlying field; the unit
+    transform is an involution, so applying it again recovers that field,
+    and the returned field is its (inv2.center, inv2.radius) transform.
     """
-    return _ComposedUnitField(f, inv2)
+    return KelvinField(KelvinField(f, Inversion(np.zeros(f.n), 1.0)), inv2)

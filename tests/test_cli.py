@@ -48,24 +48,44 @@ def test_verify_lemma_37(tmp_path):
     assert float(rows[0]["measured"]) == pytest.approx(0.5, abs=1e-6)
 
 
-def test_lemma_37_rows_time_their_own_work(tmp_path, monkeypatch):
-    # a fake clock that only the integral advances: the bound row times the
-    # integral, the equality row only its own comparison
+def _fake_clock(monkeypatch, name, cost):
+    """A clock that only the cli global name advances, by cost per call."""
     clock = [0.0]
-    integral = cli.int_absH_ball
+    real = getattr(cli, name)
 
-    def slow_integral(*args, **kwargs):
-        clock[0] += 5.0
-        return integral(*args, **kwargs)
+    def slow(*args, **kwargs):
+        clock[0] += cost
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(time, "perf_counter", lambda: clock[0])
-    monkeypatch.setattr(cli, "int_absH_ball", slow_integral)
+    monkeypatch.setattr(cli, name, slow)
+
+
+def test_lemma_37_rows_time_their_own_work(tmp_path, monkeypatch):
+    # the bound row times the integral, the equality row only its own comparison
+    _fake_clock(monkeypatch, "int_absH_ball", 5.0)
     code, rows = _run(tmp_path, "verify", "lemma-37", "--n", "3",
                       "--R", "1", "--xi", "0,0,0")
     assert code == EXIT_OK
     seconds = {r["experiment"]: float(r["seconds"]) for r in rows}
     assert seconds["lemma-37/bound"] == pytest.approx(5.0, abs=1e-3)
     assert seconds["lemma-37/equality"] < 1.0
+
+
+@pytest.mark.parametrize("command, name, seconds", [
+    # a sweep row carries the work behind the rows it drops
+    ("sweep lemma-37 --n 3,4 --R 1 --xi 0", "int_absH_ball", [5.0, 5.0]),
+    # sub-rows read off the report of the lead row
+    ("verify rep-singular --n 3 --nu 0.5", "rep_formula_report", [5.0, 0.0, 0.0]),
+    ("blowup --n 3 --mu 1e-3", "detect", [5.0, 0.0, 0.0]),
+    # the first C row needs both measurements for its bound
+    ("verify glue-insert --n 5 --delta 1e-3", "measure_insert_quality", [10.0, 0.0]),
+])
+def test_rows_carry_the_work_they_need(tmp_path, monkeypatch, command, name, seconds):
+    _fake_clock(monkeypatch, name, 5.0)
+    code, rows = _run(tmp_path, *command.split())
+    assert code == EXIT_OK
+    assert [float(r["seconds"]) for r in rows] == pytest.approx(seconds, abs=1e-3)
 
 
 def test_verify_example_525(tmp_path):
@@ -163,6 +183,44 @@ def test_config_file_with_flag_override(tmp_path):
     code, rows = _run(tmp_path, "verify", "lemma-37", "--config", str(ini),
                       "--R", "1")
     assert float(rows[0]["measured"]) == pytest.approx(0.5, abs=1e-6)
+
+
+@pytest.mark.parametrize("text", [b"kind = lemma-37\n",  # no section header
+                                  b"[experiment]\nkind = lemma-37\n[params]\nR = \xff\n"],
+                         ids=["no-section-header", "not-utf-8"])
+def test_config_file_syntax_error_exits_config(tmp_path, capsys, text):
+    ini = tmp_path / "exp.ini"
+    ini.write_bytes(text)
+    code, rows = _run(tmp_path, "verify", "lemma-37", "--config", str(ini))
+    assert code == EXIT_CONFIG and rows == []
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_file_experiment_keys_are_the_flag_names(tmp_path):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nkind = lemma-37\ntol = 5\nformat = json\n\n[params]\nR = 1\n")
+    cfg = cli._config_from_args(cli.build_parser().parse_args(["verify", "lemma-37",
+                                                               "--config", str(ini)]))
+    assert (cfg.tol, cfg.fmt) == (5.0, "json")
+
+
+@pytest.mark.parametrize("key", ["tolerance", "fmt"])
+def test_unknown_experiment_key_exits_config(tmp_path, capsys, key):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[experiment]\nkind = lemma-37\n{key} = 5\n\n[params]\nR = 1\n")
+    code, rows = _run(tmp_path, "verify", "lemma-37", "--config", str(ini))
+    assert code == EXIT_CONFIG and rows == []
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_n_in_params_section_exits_config(tmp_path, capsys, command):
+    # n is checked for integrality only in [experiment] or as --n
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nkind = lemma-37\n\n[params]\nR = 1\nn = 3.5\n")
+    code, rows = _run(tmp_path, command, "lemma-37", "--config", str(ini))
+    assert code == EXIT_CONFIG and rows == []
+    assert "'n'" in capsys.readouterr().err
 
 
 def test_blowup_subcommand(tmp_path):

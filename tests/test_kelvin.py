@@ -163,14 +163,17 @@ def test_kelvin_center_source_bug_propagates():
 
 
 def test_lemma_5_4_matches_direct_transform(rng):
-    # f plays the unit-origin transform of an underlying field
-    f = kelvin_bubble(Bubble(0.8, [1.0, 0.5, 0], 3), Inversion([0, 0, 0], 1.0))
+    # f is the unit-origin transform of a bubble, so the composed field is
+    # the inv2 transform of that bubble, which kelvin_bubble gives in closed form
+    b = Bubble(0.8, [1.0, 0.5, 0], 3)
     inv2 = Inversion([0.3, -0.2, 0.1], 1.7)
-    composed = lemma_5_4_compose(f, inv2)
-    underlying = kelvin_field(f, Inversion([0, 0, 0], 1.0))
-    direct = kelvin_field(underlying, inv2)
+    composed = lemma_5_4_compose(kelvin_bubble(b, Inversion([0, 0, 0], 1.0)), inv2)
+    exact = kelvin_bubble(b, inv2)
     pts = _random_points(rng, 3, 20, avoid=inv2.center)
-    assert np.max(np.abs(composed.value(pts) - direct.value(pts))) < 1e-10
+    np.testing.assert_allclose(composed.value(pts), exact.value(pts), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(composed.laplacian(pts), exact.laplacian(pts), rtol=1e-12, atol=0)
+    g, g_exact = composed.gradient(pts), exact.gradient(pts)
+    assert np.all(np.linalg.norm(g - g_exact, axis=-1) <= 1e-12 * np.linalg.norm(g_exact, axis=-1))
 
 
 def test_lemma_5_4_continuity_at_outer_center(rng):

@@ -19,6 +19,9 @@ laplacian.
 
 numpy as the only runtime dependency: no module of the package imports
 scipy, and importing the command line loads none of it.
+
+One clock in the command line: only cli._timed reads time.perf_counter,
+so every report row is timed the same way and no runner times itself.
 """
 
 import ast
@@ -257,3 +260,42 @@ def test_cli_import_loads_no_thread_pool():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def clock_reads(source: str):
+    """Line numbers of perf_counter references outside a function named _timed."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_timed"
+              for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree) if id(node) not in inside and (
+        isinstance(node, ast.Attribute) and node.attr == "perf_counter"
+        or isinstance(node, ast.Name) and node.id == "perf_counter"
+        or isinstance(node, ast.alias) and node.name == "perf_counter"))
+
+
+def test_guard_finds_clock_reads_outside_timed():
+    src = "\n".join([
+        "import time",
+        "from time import perf_counter",
+        "def _timed(runner, cfg, p):",
+        "    t0 = time.perf_counter()",
+        "    return runner(cfg, p), time.perf_counter() - t0",
+        "class _Timer:",
+        "    def __enter__(self):",
+        "        self.t0 = time.perf_counter()",
+        "clock = time.perf_counter",
+        "def run(cfg):",
+        "    return perf_counter() - _timed(None, cfg, {})[1]",
+    ])
+    assert clock_reads(src) == [2, 8, 9, 11]
+
+
+def test_only_timed_reads_the_clock_in_cli():
+    source = (SRC / "cli.py").read_text()
+    timed = [fn for fn in ast.walk(ast.parse(source))
+             if isinstance(fn, ast.FunctionDef) and fn.name == "_timed"]
+    assert len(timed) == 1 and "time.perf_counter()" in ast.unparse(timed[0])
+    lines = source.splitlines()
+    bad = [f"cli.py:{i}: {lines[i - 1].strip()}" for i in clock_reads(source)]
+    assert not bad, "let cli._timed time the rows:\n" + "\n".join(bad)

@@ -233,11 +233,11 @@ class RescaledField(ScalarField):
     def _value(self, y):
         return self.lam ** ((self.n - 2) / 2) * self.src._value(self._to_source(y))
 
-    def _jet(self, y, grad):
-        u, g, lap = self.src._jet(self._to_source(y), grad)
+    def _jet(self, y, grad, d2):
+        u, g, lap = self.src._jet(self._to_source(y), grad, d2)
         return (self.lam ** ((self.n - 2) / 2) * u,
                 self.lam ** (self.n / 2) * g if grad else None,
-                self.lam ** ((self.n + 2) / 2) * lap)
+                self.lam ** ((self.n + 2) / 2) * lap if d2 else None)
 
 
 def rescale(inp: BlowupInput, x_center) -> RescaledField:
@@ -306,8 +306,8 @@ def fit_bubble(w: ScalarField, R: float, max_iter: int = 100):
 
 
 def _c2_deviation(w: ScalarField, model: ScalarField, pts: np.ndarray) -> float:
-    uw, gw, lw = w._jet(pts, True)
-    um, gm, lm = model._jet(pts, True)
+    uw, gw, lw = w._jet(pts, True, True)
+    um, gm, lm = model._jet(pts, True, True)
     dval = np.abs(uw - um)
     dgrad = np.sqrt(_sq_dist(gw.T, gm.T))
     dlap = np.abs(lw - lm)

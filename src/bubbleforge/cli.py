@@ -542,9 +542,11 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"[experiment] has no key {', '.join(map(repr, unknown))}; "
                           f"it takes {', '.join(_FILE_KEYS)}")
-    kind = file_exp.get("kind", getattr(args, "kind", "blowup"))
-    if kind not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
+    # the command names the kind ('blowup' its own), and overrides the file's
+    kind = getattr(args, "kind", "blowup")
+    for name in (kind, file_exp.get("kind", kind)):
+        if name not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment kind {name!r}")
 
     def pick(flag, cast, default):
         cli_val = getattr(args, flag, None)

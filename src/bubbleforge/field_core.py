@@ -114,18 +114,20 @@ class ScalarField:
     """Positive field with analytic value, gradient and Laplacian.
 
     A field implements _value and _jet on (m, n) float batches.  _value
-    returns the (m,) values.  _jet(pts, grad) returns (u, g, lap): values,
-    gradients and (m,) Laplacians from one pass over the field.  g is laid
-    out by columns, shape (n, m), so that g[i] is the contiguous i-th partial
-    derivative and per-point factors scale it along the long axis; it is
-    None, and no gradient array is built, unless grad.  The public methods
-    accept a point (n,) or any batch (..., n) and return a float, an (n,)
-    gradient or arrays of the batch's leading shape, the gradient's last
-    axis holding the n partials as before; gradient and laplacian read the
-    jet, and a field without one raises NotImplementedError there.  A
-    composite field calls its sources' _value and _jet.  A jet keeps no
-    state between calls: scans evaluate chunks of one field on several
-    threads.
+    returns the (m,) values.  _jet(pts, grad, d2) returns (u, g, lap):
+    values, gradients and (m,) Laplacians from one pass over the field.  g
+    is laid out by columns, shape (n, m), so that g[i] is the contiguous
+    i-th partial derivative and per-point factors scale it along the long
+    axis; it is None, and no gradient array is built, unless grad.  lap is
+    None, and no Laplacian term is formed, unless d2; u and g do not depend
+    on d2, bit for bit.  The public methods accept a point (n,) or any batch
+    (..., n) and return a float, an (n,) gradient or arrays of the batch's
+    leading shape, the gradient's last axis holding the n partials as
+    before; gradient and laplacian read the jet, each asking only for what
+    it returns, and a field without one raises NotImplementedError there.
+    A composite field calls its sources' _value and _jet, passing on its
+    own d2.  A jet keeps no state between calls: scans evaluate chunks of
+    one field on several threads.
 
     Attributes
     ----------
@@ -147,15 +149,16 @@ class ScalarField:
         return _pointwise(self._value, x, self.n)
 
     def gradient(self, x):
-        return _pointwise(lambda pts: np.ascontiguousarray(self._jet(pts, True)[1].T), x, self.n)
+        return _pointwise(lambda pts: np.ascontiguousarray(self._jet(pts, True, False)[1].T),
+                          x, self.n)
 
     def laplacian(self, x):
-        return _pointwise(lambda pts: self._jet(pts, False)[2], x, self.n)
+        return _pointwise(lambda pts: self._jet(pts, False, True)[2], x, self.n)
 
     def _value(self, pts):
         raise NotImplementedError
 
-    def _jet(self, pts, grad):
+    def _jet(self, pts, grad, d2):
         raise NotImplementedError
 
     @property
@@ -186,22 +189,24 @@ class RadialField(ScalarField):
     def _value(self, pts):
         return self.value_r(np.sqrt(_sq_dist(pts, self.center)))
 
-    def _radial_jet(self, sq, slope):
+    def _radial_jet(self, sq, slope, d2):
         """(r, f, f'/r, lap) from squared radii sq, which become r in place.
 
-        f'/r is None unless slope; at r = 0 it is f'(0), and lap the limit
-        n f''(0).
+        f'/r is None unless slope, and lap None unless d2; at r = 0, f'/r is
+        f'(0), and lap the limit n f''(0).
         """
         r = np.sqrt(sq, out=sq)
         f, df, d2f = self._profile(r)
         at0 = r == 0.0
         rs = np.where(at0, 1.0, r)
-        lap = d2f + (self.n - 1) * df / rs
-        lap[at0] = self.n * d2f[at0]
+        lap = None
+        if d2:
+            lap = d2f + (self.n - 1) * df / rs
+            lap[at0] = self.n * d2f[at0]
         return r, f, df / rs if slope else None, lap
 
-    def _jet(self, pts, grad):
-        r, u, slope, lap = self._radial_jet(_sq_dist(pts, self.center), grad)
+    def _jet(self, pts, grad, d2):
+        r, u, slope, lap = self._radial_jet(_sq_dist(pts, self.center), grad, d2)
         if not grad:
             return u, None, lap
         g = _offsets(pts, self.center)
@@ -246,9 +251,11 @@ class Bubble(RadialField):
             self.lam**2 + (1 - self.n) * r * r
         )
 
-    def _radial_jet(self, sq, slope):
+    def _radial_jet(self, sq, slope, d2):
         # exact: lap(u) = -n(n-2) u^((n+2)/(n-2)), from the summed square
-        lap = -self.n * (self.n - 2) * (self.lam / (self.lam**2 + sq)) ** ((self.n + 2) / 2)
+        lap = None
+        if d2:
+            lap = -self.n * (self.n - 2) * (self.lam / (self.lam**2 + sq)) ** ((self.n + 2) / 2)
         r = np.sqrt(sq, out=sq)
         if not slope:
             return r, self.value_r(r), None, lap
@@ -270,11 +277,13 @@ class BaseField(RadialField):
         r = np.asarray(r, float)
         return (1.0 + r * r) ** ((2 - self.n) / 4)
 
-    def _radial_jet(self, sq, slope):
+    def _radial_jet(self, sq, slope, d2):
         m = (2 - self.n) / 4
-        lap = ((2 - self.n) / 2) * (1.0 + sq) ** (m - 2) * (
-            self.n + ((self.n - 2) / 2) * sq
-        )
+        lap = None
+        if d2:
+            lap = ((2 - self.n) / 2) * (1.0 + sq) ** (m - 2) * (
+                self.n + ((self.n - 2) / 2) * sq
+            )
         r = np.sqrt(sq, out=sq)
         w = 1.0 + r * r
         k = 2 * m * r * w ** (m - 1) / np.where(r == 0.0, 1.0, r) if slope else None
@@ -318,12 +327,12 @@ class SumField(ScalarField):
     def _value(self, pts):
         return self.f._value(pts) + self.g._value(pts)
 
-    def _jet(self, pts, grad):
-        u, g, lap = self.f._jet(pts, grad)
-        u2, g2, lap2 = self.g._jet(pts, grad)
+    def _jet(self, pts, grad, d2):
+        u, g, lap = self.f._jet(pts, grad, d2)
+        u2, g2, lap2 = self.g._jet(pts, grad, d2)
         # one sum at a time: each rebinding frees a summand first
         u = u + u2
-        lap = lap + lap2
+        lap = lap + lap2 if d2 else None
         return u, g + g2 if grad else None, lap
 
 
@@ -351,16 +360,33 @@ def k_function(f: ScalarField, x, backend: str = "analytic", h: float | None = N
     """
     d = f.dim
     if backend == "analytic":
-        v, lap = _pointwise(lambda pts: f._jet(pts, False)[::2], x, d.n)
+        v, lap = _pointwise(lambda pts: f._jet(pts, False, True)[::2], x, d.n)
     elif backend == "fd":
         v = f.value(x)
         step = h if h is not None else 1e-4 * f.fd_scale
         lap = fd_laplacian(f.value, x, step)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    if np.any(np.asarray(v) <= 0.0):
+    return _k_of(d, v, lap)
+
+
+def _k_of(d: Dim, u, lap):
+    """K from values u and Laplacians lap, raising NonpositiveValue unless u > 0.
+
+    One place for the formula: k_function and the fused quadrature
+    integrands of the representation identity both call it.
+    """
+    if np.any(np.asarray(u) <= 0.0):
         raise NonpositiveValue("field must be strictly positive where K is evaluated")
-    return -lap / (d.n * (d.n - 2) * v**d.p_crit)
+    return -lap / (d.n * (d.n - 2) * u**d.p_crit)
+
+
+def _grad_term_of(d: Dim, u, g2):
+    """|grad(u^(-2/(n-2)))|^2 from values u and squared gradient norms g2,
+    raising NonpositiveValue unless u > 0; shared as _k_of is."""
+    if np.any(np.asarray(u) <= 0.0):
+        raise NonpositiveValue("field must be positive")
+    return (4.0 / (d.n - 2) ** 2) * u ** (-2.0 * d.n / (d.n - 2)) * g2
 
 
 def sum_field(f: ScalarField, g: ScalarField) -> SumField:
@@ -383,13 +409,10 @@ def inv_root_grad_sq(f: ScalarField, x):
     d = f.dim
 
     def batch(pts):
-        u, g, _ = f._jet(pts, True)
+        u, g, _ = f._jet(pts, True, False)
         return u, _sq_dist(g.T)
 
-    v, g2 = _pointwise(batch, x, d.n)
-    if np.any(np.asarray(v) <= 0.0):
-        raise NonpositiveValue("field must be positive")
-    return (4.0 / (d.n - 2) ** 2) * v ** (-2.0 * d.n / (d.n - 2)) * g2
+    return _grad_term_of(d, *_pointwise(batch, x, d.n))
 
 
 def identity_3_4_residual(f: ScalarField, x, h: float | None = None) -> float:

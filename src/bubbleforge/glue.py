@@ -56,11 +56,11 @@ class Cutoff:
     def phi(self, r):
         return self._phi_t(self._t(r))
 
-    def _jet(self, r):
-        """(phi, phi', phi'') at r, from one clipped t."""
+    def _jet(self, r, d2):
+        """(phi, phi', phi'') at r, from one clipped t; phi'' is None unless d2."""
         t = self._t(r)
         return (self._phi_t(t), -30.0 * t * t * (1.0 - t) ** 2 / self.width,
-                -60.0 * t * (2.0 * t - 1.0) * (t - 1.0) / self.width**2)
+                -60.0 * t * (2.0 * t - 1.0) * (t - 1.0) / self.width**2 if d2 else None)
 
 
 @dataclass(frozen=True)
@@ -199,7 +199,7 @@ class ConcentricGlueField(RadialField):
         # f = p f1 + q f2, f' = p' d + p f1' + q f2' and
         # f'' = p'' d + 2 p' (f1' - f2') + p f1'' + q f2'', with q = 1 - p and
         # d = f1 - f2, summed term by term in place to keep fewer arrays alive
-        p, dp, d2p = self.cut._jet(r)
+        p, dp, d2p = self.cut._jet(r, True)
         f1, df1, d2f1 = self.b1._profile(r)
         f2, df2, d2f2 = self.b2._profile(r)
         d, dd = f1 - f2, df1 - df2
@@ -268,36 +268,39 @@ class DisjointGlueField(ScalarField):
         return ((1.0 - self.cut2.phi(s2)) * self.b1._value(pts)
                 + (1.0 - self.cut1.phi(s1)) * self.b2._value(pts))
 
-    def _jet(self, pts, grad):
+    def _jet(self, pts, grad, d2):
         c1, c2 = self.b1.center, self.b2.center
-        s1, u1, k1, lap1 = self.b1._radial_jet(_sq_dist(pts, c1), True)
-        s2, u2, k2, lap2 = self.b2._radial_jet(_sq_dist(pts, c2), True)
-        p1, dp1, d2p1 = self.cut1._jet(s1)
-        p2, dp2, d2p2 = self.cut2._jet(s2)
+        s1, u1, k1, lap1 = self.b1._radial_jet(_sq_dist(pts, c1), True, d2)
+        s2, u2, k2, lap2 = self.b2._radial_jet(_sq_dist(pts, c2), True, d2)
+        p1, dp1, d2p1 = self.cut1._jet(s1, d2)
+        p2, dp2, d2p2 = self.cut2._jet(s2, d2)
         s1s = np.where(s1 == 0.0, 1.0, s1)
         s2s = np.where(s2 == 0.0, 1.0, s2)
         # the cutoff about each centre weights the other centre's bubble
         u = (1.0 - p2) * u1 + (1.0 - p1) * u2
-        lap = ((1.0 - p2) * lap1
-               - 2.0 * dp2 * _dot_with_slope(pts, c2, k1, c1) / s2s
-               - (d2p2 + (self.n - 1) * dp2 / s2s) * u1
-               + (1.0 - p1) * lap2
-               - 2.0 * dp1 * _dot_with_slope(pts, c1, k2, c2) / s1s
-               - (d2p1 + (self.n - 1) * dp1 / s1s) * u2)
+        lap = None
+        if d2:
+            lap = ((1.0 - p2) * lap1
+                   - 2.0 * dp2 * _dot_with_slope(pts, c2, k1, c1) / s2s
+                   - (d2p2 + (self.n - 1) * dp2 / s2s) * u1
+                   + (1.0 - p1) * lap2
+                   - 2.0 * dp1 * _dot_with_slope(pts, c1, k2, c2) / s1s
+                   - (d2p1 + (self.n - 1) * dp1 / s1s) * u2)
         if not grad:
             return u, None, lap
-        # (1 - p2) g1 - (p2'/s2) u1 d2 + (1 - p1) g2 - (p1'/s1) u2 d1, by rows
-        d1, d2 = _offsets(pts, c1), _offsets(pts, c2)
-        g, g2 = k1 * d1, k2 * d2
+        # (1 - p2) g1 - (p2'/s2) u1 o2 + (1 - p1) g2 - (p1'/s1) u2 o1, by rows,
+        # with o1, o2 the offsets from the two centres
+        o1, o2 = _offsets(pts, c1), _offsets(pts, c2)
+        g, g2 = k1 * o1, k2 * o2
         g[:, s1 == 0.0] = 0.0
         g2[:, s2 == 0.0] = 0.0
         g *= 1.0 - p2
-        d2 *= dp2 / s2s * u1
-        g -= d2
+        o2 *= dp2 / s2s * u1
+        g -= o2
         g2 *= 1.0 - p1
         g += g2
-        d1 *= dp1 / s1s * u2
-        g -= d1
+        o1 *= dp1 / s1s * u2
+        g -= o1
         return u, g, lap
 
 
@@ -325,17 +328,19 @@ class InsertGlueField(ScalarField):
         p = self.cut.phi(np.sqrt(_sq_dist(pts)))
         return p * self.bubble._value(pts) + (1.0 - p) * self.host._value(self.x1 + pts)
 
-    def _jet(self, pts, grad):
-        uh, gh, laph = self.host._jet(self.x1 + pts, True)
-        ub, gb, lapb = self.bubble._jet(pts, True)
+    def _jet(self, pts, grad, d2):
+        uh, gh, laph = self.host._jet(self.x1 + pts, True, d2)
+        ub, gb, lapb = self.bubble._jet(pts, True, d2)
         s = np.sqrt(_sq_dist(pts))
-        p, dp, d2p = self.cut._jet(s)
+        p, dp, d2p = self.cut._jet(s, d2)
         ss = np.where(s == 0.0, 1.0, s)
         diff = ub - uh
         u = p * ub + (1.0 - p) * uh
-        lap = (p * lapb + (1.0 - p) * laph
-               + 2.0 * dp * _row_dot(pts, (gb - gh).T) / ss
-               + (d2p + (self.n - 1) * dp / ss) * diff)
+        lap = None
+        if d2:
+            lap = (p * lapb + (1.0 - p) * laph
+                   + 2.0 * dp * _row_dot(pts, (gb - gh).T) / ss
+                   + (d2p + (self.n - 1) * dp / ss) * diff)
         if not grad:
             return u, None, lap
         gb *= p

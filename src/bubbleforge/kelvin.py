@@ -109,15 +109,16 @@ class KelvinField(ScalarField):
             out = np.where(at_center, self.src.inv_decay_coeff * a ** (2 - self.n), out)
         return out
 
-    def _jet(self, pts, grad):
+    def _jet(self, pts, grad, d2):
         d = _offsets(pts, self.inv.center)
         rho2 = _sq_dist(d.T)
         if np.any(rho2 == 0.0):
             raise AtCenter("gradient and Laplacian undefined at the inversion center")
         a = self.inv.radius
-        u, gu, lap = self.src._jet(_image(self.inv, d, rho2), grad)
+        u, gu, lap = self.src._jet(_image(self.inv, d, rho2), grad, d2)
         pref = (a**2 / rho2) ** ((self.n - 2) / 2)
-        lap = (a**2 / rho2) ** ((self.n + 2) / 2) * lap
+        if d2:
+            lap = (a**2 / rho2) ** ((self.n + 2) / 2) * lap
         if not grad:
             return pref * u, None, lap
         # reflection part of the inversion Jacobian: (a^2/rho^2)(I - 2 e e^T)

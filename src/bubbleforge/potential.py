@@ -16,7 +16,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BadRadii, Coincident, ProfileViolated
-from .field_core import ScalarField, _row_dot, _sq_dist, as_dim, inv_root_grad_sq, k_function
+from .field_core import (ScalarField, _grad_term_of, _k_of, _row_dot, _sq_dist, as_dim,
+                         inv_root_grad_sq, k_function)
 from .regions import Ball
 
 
@@ -259,37 +260,45 @@ def _ray_points(x0: np.ndarray, r, dirs: np.ndarray) -> np.ndarray:
 
 
 def _ray_sums(g, xi: np.ndarray, dirs: np.ndarray, lo: np.ndarray, lens: np.ndarray,
-              uu: np.ndarray, wu: np.ndarray) -> np.ndarray:
-    """Per direction, lens * sum_j wu_j r_j g(xi + r_j theta), r = lo + lens uu.
+              uu: np.ndarray, wu: np.ndarray) -> list[np.ndarray]:
+    """Per integrand and direction, lens * sum_j wu_j r_j g_i(xi + r_j theta),
+    r = lo + lens uu.
 
-    g is evaluated in blocks of whole directions of about _SEG_BLOCK points,
-    so memory stays bounded whatever the rule size.
+    g maps an (m, n) batch to a tuple of integrands (g_1, ...), so integrands
+    that share a field evaluation take it from one pass.  g is evaluated in
+    blocks of whole directions of about _SEG_BLOCK points, so memory stays
+    bounded whatever the rule size.
     """
     rows = max(1, _SEG_BLOCK // uu.size)
-    per_dir = np.empty_like(lens)
+    blocks = []
     for i in range(0, lens.size, rows):
         blk = slice(i, i + rows)
         rr = lo[blk, None] + lens[blk, None] * uu[None, :]
-        vals = np.asarray(g(_ray_points(xi, rr, dirs[blk, None, :]))).reshape(rr.shape)
-        per_dir[blk] = lens[blk] * ((rr * vals) @ wu)
-    return per_dir
+        vals = g(_ray_points(xi, rr, dirs[blk, None, :]))
+        blocks.append([lens[blk] * ((rr * np.asarray(v).reshape(rr.shape)) @ wu)
+                       for v in vals])
+    return [np.concatenate(sums) for sums in zip(*blocks)]
 
 
 def _polar_ball_integral(k: Kernel, g, ball: Ball, xi: np.ndarray,
                          m_sphere: int, m_rad: int):
-    """sum_dirs w int_0^exit r g(xi + r theta) dr / ((n-2) omega_n), doubled."""
+    """sum_dirs w int_0^exit r g_i(xi + r theta) dr / ((n-2) omega_n), doubled.
+
+    g maps a batch to a tuple of integrands, as for _ray_sums; returns
+    ([(value, err), ...] per integrand, n_evals), err the doubling delta.
+    """
     dirs, w = sphere_rule(k.n, m_sphere)
     rexit = _ray_exit(ball, xi, dirs)
 
-    def radial(krad: int) -> float:
+    def radial(krad: int) -> list[float]:
         per_dir = _ray_sums(g, xi, dirs, np.zeros_like(rexit), rexit,
                             *_gl_panels(np.linspace(0.0, 1.0, krad + 1)))
-        return float(w @ per_dir) / ((k.n - 2.0) * k.omega_n)
+        return [float(w @ p) / ((k.n - 2.0) * k.omega_n) for p in per_dir]
 
     v1 = radial(m_rad)
     v2 = radial(2 * m_rad)
     n_evals = dirs.shape[0] * 16 * 3 * m_rad
-    return v2, abs(v2 - v1), n_evals
+    return [(b, abs(b - a)) for a, b in zip(v1, v2)], n_evals
 
 
 def _abs_h_ball(k: Kernel, g, ball: Ball, xi: np.ndarray, radial: bool, splits,
@@ -301,7 +310,9 @@ def _abs_h_ball(k: Kernel, g, ball: Ball, xi: np.ndarray, radial: bool, splits,
     |x - xi|^(2-n) over |x| = r; otherwise the polar rule about xi is used.
     """
     if not radial:
-        return _polar_ball_integral(k, g, ball, xi, m_sphere, m_rad)
+        [(val, err)], n_evals = _polar_ball_integral(k, lambda pts: (g(pts),), ball, xi,
+                                                     m_sphere, m_rad)
+        return val, err, n_evals
     s0 = float(np.linalg.norm(xi))
     e1 = np.zeros(k.n)
     e1[0] = 1.0
@@ -341,28 +352,44 @@ def rep_identity_report(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi,
     u_c(xi)^(-4/(n-2)) - u2(xi)^(-4/(n-2)) plus (n+2) times the integral of
     |H| (|grad u_c^(-2/(n-2))|^2 - |grad u2^(-2/(n-2))|^2).  Both sides are
     quadratures; for a valid configuration the difference is quadrature
-    error only.
+    error only.  lhs_err and rhs_err are the error estimates of the two
+    integrals, scaled as lhs and rhs are.
+
+    The polar rule integrates both integrands in one pass, from one jet of
+    u_c (values, gradients, Laplacians) and one gradient jet of u2 per
+    point.  The radial path keeps one adaptive integral per integrand, as
+    each stops doubling its panels on its own.
     """
     d = as_dim(u_c.n)
     k = Kernel(d.n)
     xi = np.asarray(xi, dtype=float)
     p4 = 4.0 / (d.n - 2)
 
-    def kdev(pts):
-        return np.asarray(k_function(u_c, pts)) - 1.0
-
-    def gdiff(pts):
-        return inv_root_grad_sq(u_c, pts) - inv_root_grad_sq(u2, pts)
-
     radial = u_c.radial and u2.radial and bool(np.all(omega2.center == 0.0))
-    splits = _radial_field_splits(u_c)
-    q1 = -_abs_h_ball(k, kdev, omega2, xi, radial, splits, m_sphere, m_rad)[0]  # H = -|H|
-    q2 = _abs_h_ball(k, gdiff, omega2, xi, radial, splits, m_sphere, m_rad)[0]
+    if radial:
+        def kdev(pts):
+            return np.asarray(k_function(u_c, pts)) - 1.0
 
-    lhs = 4.0 * d.n * q1
+        def gdiff(pts):
+            return inv_root_grad_sq(u_c, pts) - inv_root_grad_sq(u2, pts)
+
+        splits = _radial_field_splits(u_c)
+        q1, e1, _ = _abs_h_ball(k, kdev, omega2, xi, True, splits, m_sphere, m_rad)
+        q2, e2, _ = _abs_h_ball(k, gdiff, omega2, xi, True, splits, m_sphere, m_rad)
+    else:
+        def both(pts):
+            u, g, lap = u_c._jet(pts, True, True)
+            v, g2, _ = u2._jet(pts, True, False)
+            return (_k_of(d, u, lap) - 1.0,
+                    _grad_term_of(d, u, _sq_dist(g.T)) - _grad_term_of(d, v, _sq_dist(g2.T)))
+
+        [(q1, e1), (q2, e2)], _ = _polar_ball_integral(k, both, omega2, xi, m_sphere, m_rad)
+
+    lhs = 4.0 * d.n * -q1  # H = -|H|
     rhs = (float(u_c.value(xi)) ** (-p4) - float(u2.value(xi)) ** (-p4)
            + (d.n + 2) * q2)
-    return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs}
+    return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs,
+            "lhs_err": 4.0 * d.n * e1, "rhs_err": (d.n + 2) * e2}
 
 
 def lower_bound_3_9(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi) -> float:
@@ -387,7 +414,7 @@ def verify_profile(u: ScalarField, prof: SingularProfile, n_radii: int = 24,
     radii = np.geomspace(prof.delta * 1e-3, prof.delta * 0.999, n_radii)
     pts = _ray_points(prof.p, radii[:, None], dirs)
     s = np.sqrt(_sq_dist(pts, prof.p))
-    _, g, lap = u._jet(pts, True)
+    _, g, lap = u._jet(pts, True, True)
     if np.any(np.abs(lap) > prof.c1 / s ** (n - 1 + prof.mu)):
         raise ProfileViolated("sampled |lap u| exceeds the declared bound")
     gr = np.sqrt(_sq_dist(g.T))
@@ -402,7 +429,7 @@ def _boundary_integral(k: Kernel, u: ScalarField, center, radius: float,
     pts = _ray_points(np.asarray(center, float), radius, dirs)
     sgn = 1.0 if outward else -1.0
     dh = _row_dot(np.asarray(grad_h(k, pts, xi)), dirs)
-    uv, g, _ = u._jet(pts, True)
+    uv, g, _ = u._jet(pts, True, False)
     du = _row_dot(g.T, dirs)
     h = np.asarray(h_eval(k, pts, xi))
     vals = uv * dh - h * du
@@ -488,7 +515,8 @@ def _outer_h_lap(k: Kernel, u: ScalarField, omega: Ball, xi: np.ndarray,
     uu, wu = _gl_panels(np.linspace(0.0, 1.0, m_rad + 1))
 
     def seg_integral(lo, hi) -> float:
-        per_dir = _ray_sums(u.laplacian, xi, dirs, lo, np.clip(hi - lo, 0.0, None), uu, wu)
+        [per_dir] = _ray_sums(lambda pts: (u.laplacian(pts),), xi, dirs, lo,
+                              np.clip(hi - lo, 0.0, None), uu, wu)
         return float(w @ per_dir) / ((2.0 - k.n) * k.omega_n)
 
     return seg_integral(np.zeros_like(rexit), b1) + seg_integral(a2, rexit)
@@ -536,8 +564,8 @@ def rep_formula_report(u: ScalarField, prof: SingularProfile | None,
     bnd = _boundary_integral(k, u, omega.center, omega.radius, xi, m_boundary)
 
     if prof is None:
-        vneg, _, _ = _polar_ball_integral(k, u.laplacian, omega, xi, m_sphere, m_rad)
-        res = -vneg + bnd - target  # _polar integrates against |H|; H = -|H|
+        vneg = _abs_h_ball(k, u.laplacian, omega, xi, False, (), m_sphere, m_rad)[0]
+        res = -vneg + bnd - target  # _abs_h_ball integrates against |H|; H = -|H|
         return {"residuals": [res], "eps": [], "p_boundary_terms": [],
                 "order": None, "extrapolated": res}
 

@@ -185,6 +185,34 @@ def test_config_file_with_flag_override(tmp_path):
     assert float(rows[0]["measured"]) == pytest.approx(0.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("argv, kind", [(["verify", "thm-a"], "thm-a"),
+                                        (["sweep", "example-525"], "example-525"),
+                                        (["blowup"], "blowup")],
+                         ids=["verify", "sweep", "blowup"])
+def test_command_line_kind_overrides_config_file_kind(tmp_path, argv, kind):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nkind = lemma-37\n")
+    cfg = cli._config_from_args(cli.build_parser().parse_args([*argv, "--config", str(ini)]))
+    assert cfg.kind == kind
+
+
+def test_config_file_kind_does_not_run_in_place_of_the_command(tmp_path, capsys):
+    # thm-a without its required parameters, not the file's complete lemma-37
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nkind = lemma-37\n\n[params]\nR = 1\n")
+    code, rows = _run(tmp_path, "verify", "thm-a", "--config", str(ini))
+    assert code == EXIT_CONFIG and rows == []
+    assert "thm-a" in capsys.readouterr().err
+
+
+def test_unknown_config_file_kind_exits_config(tmp_path, capsys):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nkind = lemma-38\n\n[params]\nR = 1\n")
+    code, rows = _run(tmp_path, "verify", "lemma-37", "--config", str(ini))
+    assert code == EXIT_CONFIG and rows == []
+    assert "'lemma-38'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", [b"kind = lemma-37\n",  # no section header
                                   b"[experiment]\nkind = lemma-37\n[params]\nR = \xff\n"],
                          ids=["no-section-header", "not-utf-8"])

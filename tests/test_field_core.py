@@ -125,9 +125,9 @@ class _NegativeField(ScalarField):
     def _value(self, pts):
         return np.full(len(pts), -1.0)
 
-    def _jet(self, pts, grad):
+    def _jet(self, pts, grad, d2):
         m = len(pts)
-        return self._value(pts), np.zeros((3, m)) if grad else None, np.zeros(m)
+        return self._value(pts), np.zeros((3, m)) if grad else None, np.zeros(m) if d2 else None
 
 
 def test_k_function_rejects_nonpositive_values():

@@ -103,14 +103,17 @@ def _same_bits(a, b):
 def test_jet_is_value_gradient_laplacian(make, rng):
     f, half = make()
     pts = rng.uniform(-half, half, size=(64, f.n))
-    u, g, lap = f._jet(pts, True)
+    u, g, lap = f._jet(pts, True, True)
     assert _same_bits(u, f.value(pts))
     # the jet's gradient is laid out by columns, (n, m)
     assert g.shape == (f.n, 64)
     assert _same_bits(np.ascontiguousarray(g.T), f.gradient(pts))
     assert _same_bits(lap, f.laplacian(pts))
-    u2, g2, lap2 = f._jet(pts, False)
+    u2, g2, lap2 = f._jet(pts, False, True)
     assert g2 is None and _same_bits(u2, u) and _same_bits(lap2, lap)
+    # a gradient-only jet forms no Laplacian and moves no bit of u or g
+    u3, g3, lap3 = f._jet(pts, True, False)
+    assert lap3 is None and _same_bits(u3, u) and _same_bits(g3, g)
 
 
 class _ValueOnly(ScalarField):

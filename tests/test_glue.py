@@ -32,8 +32,8 @@ def test_cutoff_endpoint_values_and_derivatives():
     assert c.phi(1.0) == 1.0
     assert c.phi(2.0) == 0.0
     for r in (1.0, 2.0):
-        assert c._jet(r)[1] == 0.0
-        assert c._jet(r)[2] == 0.0
+        assert c._jet(r, True)[1] == 0.0
+        assert c._jet(r, True)[2] == 0.0
     assert c.phi(0.2) == 1.0 and c.phi(5.0) == 0.0
 
 
@@ -46,15 +46,15 @@ def test_cutoff_first_derivative_max_oracle():
     # 1D grid maximization of |phi'|; the sharp constant is (15/8)/width
     c = Cutoff(1.0, 3.5)
     rs = np.linspace(1.0, 3.5, 200001)
-    grid_max = np.max(np.abs(c._jet(rs)[1]))
+    grid_max = np.max(np.abs(c._jet(rs, True)[1]))
     assert grid_max == pytest.approx((15 / 8) / c.width, rel=1e-8)
 
 
 def test_cutoff_second_derivative_bound():
     c = Cutoff(0.3, 0.8)
     rs = np.linspace(0.3, 0.8, 200001)
-    assert np.max(np.abs(c._jet(rs)[2])) <= c.c_phi / c.width**2 * (1 + 1e-12)
-    assert np.max(np.abs(c._jet(rs)[1])) <= c.c_phi / c.width
+    assert np.max(np.abs(c._jet(rs, True)[2])) <= c.c_phi / c.width**2 * (1 + 1e-12)
+    assert np.max(np.abs(c._jet(rs, True)[1])) <= c.c_phi / c.width
 
 
 def test_cutoff_rejects_bad_radii():

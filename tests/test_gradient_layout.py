@@ -25,17 +25,17 @@ def _image_ref(inv, d, rho2):
 def gradient_ref(f, pts):
     """(m, n) gradient of f by the row-major broadcast formulas."""
     if isinstance(f, RadialField):
-        r, _, slope, _ = f._radial_jet(_sq_dist(pts, f.center), True)
+        r, _, slope, _ = f._radial_jet(_sq_dist(pts, f.center), True, False)
         g = slope[:, None] * (pts - f.center)
         return np.where(r[:, None] == 0.0, 0.0, g)
     if isinstance(f, SumField):
         return gradient_ref(f.f, pts) + gradient_ref(f.g, pts)
     if isinstance(f, DisjointGlueField):
         c1, c2 = f.b1.center, f.b2.center
-        s1, u1, k1, _ = f.b1._radial_jet(_sq_dist(pts, c1), True)
-        s2, u2, k2, _ = f.b2._radial_jet(_sq_dist(pts, c2), True)
-        p1, dp1, _ = f.cut1._jet(s1)
-        p2, dp2, _ = f.cut2._jet(s2)
+        s1, u1, k1, _ = f.b1._radial_jet(_sq_dist(pts, c1), True, False)
+        s2, u2, k2, _ = f.b2._radial_jet(_sq_dist(pts, c2), True, False)
+        p1, dp1, _ = f.cut1._jet(s1, False)
+        p2, dp2, _ = f.cut2._jet(s2, False)
         s1s = np.where(s1 == 0.0, 1.0, s1)
         s2s = np.where(s2 == 0.0, 1.0, s2)
         d1, d2 = pts - c1, pts - c2
@@ -47,7 +47,7 @@ def gradient_ref(f, pts):
         uh, gh = f.host.value(f.x1 + pts), gradient_ref(f.host, f.x1 + pts)
         ub, gb = f.bubble.value(pts), gradient_ref(f.bubble, pts)
         s = np.sqrt(_sq_dist(pts))
-        p, dp, _ = f.cut._jet(s)
+        p, dp, _ = f.cut._jet(s, False)
         ss = np.where(s == 0.0, 1.0, s)
         return (p[:, None] * gb + (1.0 - p)[:, None] * gh
                 + (dp * (ub - uh) / ss)[:, None] * pts)

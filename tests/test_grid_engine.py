@@ -86,8 +86,8 @@ class _Planted(ScalarField):
     def _value(self, pts):
         return self.src._value(pts)
 
-    def _jet(self, pts, grad):
-        u, g, lap = self.src._jet(pts, grad)
+    def _jet(self, pts, grad, d2):
+        u, g, lap = self.src._jet(pts, grad, d2)
         for nodes, lap_value in ((self.tie_nodes, -1e6), (self.nan_nodes, np.nan)):
             for node in nodes:
                 hit = np.all(pts == node, axis=1)

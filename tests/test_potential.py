@@ -17,6 +17,8 @@ from bubbleforge import (
     h_eval,
     int_absH_annulus,
     int_absH_ball,
+    inv_root_grad_sq,
+    k_function,
     lower_bound_3_9,
     rep_formula_report,
     rep_identity_report,
@@ -27,6 +29,7 @@ from bubbleforge import (
 from bubbleforge.errors import BadRadii, Coincident, ProfileViolated
 from bubbleforge.potential import (
     _SEG_BLOCK,
+    _abs_h_ball,
     _aligned_sphere_rule,
     _boundary_integral,
     _gauss_gegenbauer,
@@ -296,6 +299,69 @@ def test_rep_identity_off_center_source_point():
     rep = rep_identity_report(u_c, u2, Ball(np.zeros(3), 10.0), [0.4, 0, 0])
     scale = max(abs(rep["lhs"]), abs(rep["rhs"]))
     assert abs(rep["residual"]) <= 1e-3 * scale
+
+
+def _rep_identity_glue(n):
+    u2 = Bubble(1.0, np.zeros(n), n)
+    return glue_concentric(GlueConfig.concentric(Bubble(0.5, np.zeros(n), n), u2, 1.0, 2.0)), u2
+
+
+def _rep_identity_two_passes(u_c, u2, ball, xi, m_sphere, m_rad):
+    """Reference: one _abs_h_ball integral per integrand, K and the gradient
+    term each from its own public evaluation of u_c."""
+    n = u_c.n
+    k = Kernel(n)
+    radial = u_c.radial and u2.radial and bool(np.all(ball.center == 0.0))
+    splits = (u_c.cut.r_in, u_c.cut.r_out)
+
+    def kdev(pts):
+        return np.asarray(k_function(u_c, pts)) - 1.0
+
+    def gdiff(pts):
+        return inv_root_grad_sq(u_c, pts) - inv_root_grad_sq(u2, pts)
+
+    q1, e1, _ = _abs_h_ball(k, kdev, ball, xi, radial, splits, m_sphere, m_rad)
+    q2, e2, _ = _abs_h_ball(k, gdiff, ball, xi, radial, splits, m_sphere, m_rad)
+    lhs = 4.0 * n * -q1
+    rhs = (float(u_c.value(xi)) ** (-4.0 / (n - 2)) - float(u2.value(xi)) ** (-4.0 / (n - 2))
+           + (n + 2) * q2)
+    return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs,
+            "lhs_err": 4.0 * n * e1, "rhs_err": (n + 2) * e2}
+
+
+@pytest.mark.parametrize("n, center, xi, m_sphere, m_rad", [
+    (3, [0.2, -0.1, 0.05], [0.1, 0.3, 0.0], 16, 32),  # several ray blocks per pass
+    (4, [0.2, 0.0, 0.1, 0.0], [0.1, 0.3, 0.0, -0.2], 8, 8),
+    (3, [0.0, 0.0, 0.0], [0.4, 0.0, 0.0], 16, 32),  # radial path
+], ids=["polar-n3", "polar-n4", "radial-n3"])
+def test_rep_identity_matches_one_integral_per_integrand(n, center, xi, m_sphere, m_rad):
+    u_c, u2 = _rep_identity_glue(n)
+    ball, xi = Ball(np.array(center, float), 3.0), np.array(xi)
+    rep = rep_identity_report(u_c, u2, ball, xi, m_sphere, m_rad)
+    ref = _rep_identity_two_passes(u_c, u2, ball, xi, m_sphere, m_rad)
+    assert {key: v.hex() for key, v in rep.items()} == {key: v.hex() for key, v in ref.items()}
+    assert rep["lhs_err"] > 0.0 and rep["rhs_err"] > 0.0
+
+
+def test_rep_identity_polar_pass_evaluates_each_point_once(monkeypatch):
+    n, m_sphere, m_rad = 3, 8, 8
+    u_c, u2 = _rep_identity_glue(n)
+    calls = {"u_c": [], "u2": []}
+    for name, f in (("u_c", u_c), ("u2", u2)):
+        def counted(pts, grad, d2, jet=f._jet, seen=calls[name]):
+            seen.append((len(pts), grad, d2))
+            return jet(pts, grad, d2)
+
+        monkeypatch.setattr(f, "_jet", counted)
+    rep_identity_report(u_c, u2, Ball(np.array([0.2, 0.0, 0.0]), 3.0), np.array([0.1, 0.3, 0.0]),
+                        m_sphere, m_rad)
+    dirs = sphere_rule(n, m_sphere)[0].shape[0]
+    # rules of m_rad and 2 m_rad panels of 16 nodes, one jet of u_c per node
+    assert sum(m for m, _, _ in calls["u_c"]) == dirs * 16 * 3 * m_rad
+    assert {flags[1:] for flags in calls["u_c"]} == {(True, True)}
+    # u2 contributes only its gradient term: no Laplacian is formed
+    assert sum(m for m, _, _ in calls["u2"]) == dirs * 16 * 3 * m_rad
+    assert {flags[1:] for flags in calls["u2"]} == {(True, False)}
 
 
 def test_rep_bound_is_cleared_by_scan():

@@ -81,8 +81,8 @@ def test_cutoff_stays_within_bounds(r_in, width):
     rs = np.linspace(0, r_in + 2 * width, 801)
     vals = c.phi(rs)
     assert np.all((0.0 <= vals) & (vals <= 1.0))
-    assert np.all(np.abs(c._jet(rs)[1]) <= c.c_phi / c.width * (1 + 1e-12))
-    assert np.all(np.abs(c._jet(rs)[2]) <= c.c_phi / c.width**2 * (1 + 1e-12))
+    assert np.all(np.abs(c._jet(rs, True)[1]) <= c.c_phi / c.width * (1 + 1e-12))
+    assert np.all(np.abs(c._jet(rs, True)[2]) <= c.c_phi / c.width**2 * (1 + 1e-12))
 
 
 @given(scales, scales, dims)

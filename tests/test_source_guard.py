@@ -17,6 +17,12 @@ no _gradient or _laplacian hook is defined, and a _value or _jet calls
 its sources' _value and _jet, never the public value, gradient or
 laplacian.
 
+One Laplacian flag: every field jet, _jet(pts, grad, d2), and every
+radial or cutoff jet takes the flag d2 that says whether the Laplacian
+(or phi'') is wanted, and a jet that calls its sources' _jet or
+_radial_jet passes its own d2 on, so a composite neither forms a
+Laplacian its caller drops nor drops one its caller needs.
+
 numpy as the only runtime dependency: no module of the package imports
 scipy, and importing the command line loads none of it.
 
@@ -207,6 +213,73 @@ def test_one_derivative_path(path):
            for fn, i in second_derivative_paths(path.read_text())
            if (path.name, lines[i - 1].strip()) not in ALLOWED]
     assert not bad, "derive from _jet and call the sources' _value/_jet:\n" + "\n".join(bad)
+
+
+JETS = {"_jet", "_radial_jet"}
+FLAG = "d2"
+
+
+def _flag_argument(call):
+    """The argument a jet call passes as its flag: keyword d2, else the last."""
+    for kw in call.keywords:
+        if kw.arg == FLAG:
+            return kw.value
+    return call.args[-1] if call.args else None
+
+
+def jet_flag_breaks(source: str):
+    """(function, line) of jets without a d2 parameter, and of calls from a jet
+    to a _jet or _radial_jet that do not pass the caller's own d2 as the flag."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in JETS):
+            continue
+        if FLAG not in [a.arg for a in fn.args.args]:
+            found.append((fn.name, fn.lineno))
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in JETS):
+                flag = _flag_argument(node)
+                if not (isinstance(flag, ast.Name) and flag.id == FLAG):
+                    found.append((fn.name, node.lineno))
+    return sorted(found)
+
+
+def test_guard_finds_jets_that_drop_the_flag():
+    src = "\n".join([
+        "class F:",
+        "    def _jet(self, pts, grad):",
+        "        return self.src._jet(pts, grad)",
+        "class G:",
+        "    def _jet(self, pts, grad, d2):",
+        "        u, g, lap = self.f._jet(pts, grad, True)",
+        "        s, u1, k1, lap1 = self.b._radial_jet(sq, True, d2)",
+        "        p, dp, d2p = self.cut._jet(s, d2)",
+        "        v = self.g._jet(pts, grad, d2=d2)",
+        "        w = self.h._jet(pts, d2, grad)",
+        "        return self.k._jet(pts)",
+        "    def _radial_jet(self, sq, slope):",
+        "        return self._profile(sq, d2=False)",
+        "def k_function(f, x):",
+        "    return f._jet(x, False, True)",
+    ])
+    assert jet_flag_breaks(src) == [("_jet", 2), ("_jet", 3), ("_jet", 6), ("_jet", 10),
+                                    ("_jet", 11), ("_radial_jet", 12)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_jets_take_and_pass_on_the_laplacian_flag(path):
+    lines = path.read_text().splitlines()
+    bad = [f"{path.name}:{i}: {fn}: {lines[i - 1].strip()}"
+           for fn, i in jet_flag_breaks(path.read_text())]
+    assert not bad, f"take {FLAG} and pass it on to the sources' jets:\n" + "\n".join(bad)
+
+
+def test_laplacian_flag_guard_sees_every_field_module():
+    jets = {path.name for path in SRC.glob("*.py")
+            for fn in ast.walk(ast.parse(path.read_text()))
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_jet"}
+    assert {"field_core.py", "glue.py", "kelvin.py", "blowup.py"} <= jets
 
 
 def scipy_imports(source: str):

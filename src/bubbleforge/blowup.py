@@ -230,9 +230,6 @@ class RescaledField(ScalarField):
             raise OutOfDomain("rescaled evaluation outside the safe window")
         return self.x_center + self.lam * y
 
-    def _value(self, y):
-        return self.lam ** ((self.n - 2) / 2) * self.src._value(self._to_source(y))
-
     def _jet(self, y, grad, d2):
         u, g, lap = self.src._jet(self._to_source(y), grad, d2)
         return (self.lam ** ((self.n - 2) / 2) * u,

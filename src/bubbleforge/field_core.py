@@ -113,21 +113,22 @@ def _offsets(pts, c):
 class ScalarField:
     """Positive field with analytic value, gradient and Laplacian.
 
-    A field implements _value and _jet on (m, n) float batches.  _value
-    returns the (m,) values.  _jet(pts, grad, d2) returns (u, g, lap):
-    values, gradients and (m,) Laplacians from one pass over the field.  g
-    is laid out by columns, shape (n, m), so that g[i] is the contiguous
-    i-th partial derivative and per-point factors scale it along the long
-    axis; it is None, and no gradient array is built, unless grad.  lap is
-    None, and no Laplacian term is formed, unless d2; u and g do not depend
-    on d2, bit for bit.  The public methods accept a point (n,) or any batch
+    A field implements one batch method, _jet(pts, grad, d2), on (m, n)
+    float batches.  It returns (u, g, lap): the (m,) values, gradients and
+    (m,) Laplacians from one pass over the field.  g is laid out by
+    columns, shape (n, m), so that g[i] is the contiguous i-th partial
+    derivative and per-point factors scale it along the long axis; it is
+    None, and no gradient array is built, unless grad.  lap is None, and no
+    Laplacian term is formed, unless d2; u and g do not depend on d2, bit
+    for bit.  A value-only jet, _jet(pts, False, False), asks its sources
+    for values alone.  The public methods accept a point (n,) or any batch
     (..., n) and return a float, an (n,) gradient or arrays of the batch's
     leading shape, the gradient's last axis holding the n partials as
-    before; gradient and laplacian read the jet, each asking only for what
-    it returns, and a field without one raises NotImplementedError there.
-    A composite field calls its sources' _value and _jet, passing on its
-    own d2.  A jet keeps no state between calls: scans evaluate chunks of
-    one field on several threads.
+    before; value, gradient and laplacian read the jet, each asking only
+    for what it returns, and a field without one raises NotImplementedError
+    there.  A composite field calls its sources' _jet, passing on its own
+    d2.  A jet keeps no state between calls: scans evaluate chunks of one
+    field on several threads.
 
     Attributes
     ----------
@@ -146,7 +147,7 @@ class ScalarField:
     fd_scale: float = 1.0
 
     def value(self, x):
-        return _pointwise(self._value, x, self.n)
+        return _pointwise(lambda pts: self._jet(pts, False, False)[0], x, self.n)
 
     def gradient(self, x):
         return _pointwise(lambda pts: np.ascontiguousarray(self._jet(pts, True, False)[1].T),
@@ -154,9 +155,6 @@ class ScalarField:
 
     def laplacian(self, x):
         return _pointwise(lambda pts: self._jet(pts, False, True)[2], x, self.n)
-
-    def _value(self, pts):
-        raise NotImplementedError
 
     def _jet(self, pts, grad, d2):
         raise NotImplementedError
@@ -169,9 +167,10 @@ class ScalarField:
 class RadialField(ScalarField):
     """Field whose value is a smooth profile of r = |x - center|.
 
-    A subclass supplies the profile value_r and _profile(r), which returns
-    the profile and its first two radial derivatives (f, f', f'') sharing
-    their intermediates; a closed-form Laplacian overrides _radial_jet.
+    A subclass supplies the profile value_r and _profile(r, d2), which
+    returns the profile and its first two radial derivatives (f, f', f'')
+    sharing their intermediates, f'' None unless d2; a value-only jet reads
+    value_r alone, and a closed-form Laplacian overrides _radial_jet.
     """
 
     def __init__(self, n: int, center=None):
@@ -182,12 +181,8 @@ class RadialField(ScalarField):
     def value_r(self, r):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def _profile(self, r):  # pragma: no cover - interface
+    def _profile(self, r, d2):  # pragma: no cover - interface
         raise NotImplementedError
-
-    # r comes from _sq_dist, which forms it without the (m, n) offsets
-    def _value(self, pts):
-        return self.value_r(np.sqrt(_sq_dist(pts, self.center)))
 
     def _radial_jet(self, sq, slope, d2):
         """(r, f, f'/r, lap) from squared radii sq, which become r in place.
@@ -196,7 +191,9 @@ class RadialField(ScalarField):
         f'(0), and lap the limit n f''(0).
         """
         r = np.sqrt(sq, out=sq)
-        f, df, d2f = self._profile(r)
+        if not (slope or d2):
+            return r, self.value_r(r), None, None
+        f, df, d2f = self._profile(r, d2)
         at0 = r == 0.0
         rs = np.where(at0, 1.0, r)
         lap = None
@@ -239,7 +236,7 @@ class Bubble(RadialField):
         s2 **= (self.n - 2) / 2
         return s2
 
-    def _profile(self, r, d2=True):
+    def _profile(self, r, d2):
         """(f, f', f'') sharing lam^2 + r^2; f'' is None unless d2."""
         q = (self.n - 2) / 2
         s2 = self.lam**2 + r * r
@@ -259,7 +256,7 @@ class Bubble(RadialField):
         r = np.sqrt(sq, out=sq)
         if not slope:
             return r, self.value_r(r), None, lap
-        f, df, _ = self._profile(r, d2=False)
+        f, df, _ = self._profile(r, False)
         return r, f, df / np.where(r == 0.0, 1.0, r), lap
 
 
@@ -304,8 +301,8 @@ class CallableRadialField(RadialField):
     def value_r(self, r):
         return self._f(np.asarray(r, float))
 
-    def _profile(self, r):
-        return self._f(r), self._df(r), self._d2f(r)
+    def _profile(self, r, d2):
+        return self._f(r), self._df(r), self._d2f(r) if d2 else None
 
 
 class SumField(ScalarField):
@@ -323,9 +320,6 @@ class SumField(ScalarField):
 
     def __repr__(self):
         return f"SumField({self.f!r}, {self.g!r})"
-
-    def _value(self, pts):
-        return self.f._value(pts) + self.g._value(pts)
 
     def _jet(self, pts, grad, d2):
         u, g, lap = self.f._jet(pts, grad, d2)

@@ -195,24 +195,31 @@ class ConcentricGlueField(RadialField):
         p = self.cut.phi(r)
         return p * self.b1.value_r(r) + (1.0 - p) * self.b2.value_r(r)
 
-    def _profile(self, r):
+    def _profile(self, r, d2):
         # f = p f1 + q f2, f' = p' d + p f1' + q f2' and
         # f'' = p'' d + 2 p' (f1' - f2') + p f1'' + q f2'', with q = 1 - p and
         # d = f1 - f2, summed term by term in place to keep fewer arrays alive
-        p, dp, d2p = self.cut._jet(r, True)
-        f1, df1, d2f1 = self.b1._profile(r)
-        f2, df2, d2f2 = self.b2._profile(r)
-        d, dd = f1 - f2, df1 - df2
-        for a in (f1, df1, d2f1):
-            a *= p
+        p, dp, d2p = self.cut._jet(r, d2)
+        f1, df1, d2f1 = self.b1._profile(r, d2)
+        f2, df2, d2f2 = self.b2._profile(r, d2)
+        d = f1 - f2
+        if d2:
+            dd = df1 - df2
+            d2f1 *= p
+        f1 *= p
+        df1 *= p
         q = np.subtract(1.0, p, out=p)
-        for a in (f2, df2, d2f2):
-            a *= q
+        f2 *= q
+        df2 *= q
         f1 += f2
-        d2p *= d
+        if d2:
+            d2f2 *= q
+            d2p *= d
         d *= dp
         d += df1
         d += df2
+        if not d2:
+            return f1, d, None
         dp *= 2.0
         dd *= dp
         d2p += dd
@@ -262,16 +269,10 @@ class DisjointGlueField(ScalarField):
     def __repr__(self):
         return f"DisjointGlueField(b1={self.b1!r}, b2={self.b2!r}, inward={self.inward})"
 
-    def _value(self, pts):
-        s1 = np.sqrt(_sq_dist(pts, self.b1.center))
-        s2 = np.sqrt(_sq_dist(pts, self.b2.center))
-        return ((1.0 - self.cut2.phi(s2)) * self.b1._value(pts)
-                + (1.0 - self.cut1.phi(s1)) * self.b2._value(pts))
-
     def _jet(self, pts, grad, d2):
         c1, c2 = self.b1.center, self.b2.center
-        s1, u1, k1, lap1 = self.b1._radial_jet(_sq_dist(pts, c1), True, d2)
-        s2, u2, k2, lap2 = self.b2._radial_jet(_sq_dist(pts, c2), True, d2)
+        s1, u1, k1, lap1 = self.b1._radial_jet(_sq_dist(pts, c1), grad or d2, d2)
+        s2, u2, k2, lap2 = self.b2._radial_jet(_sq_dist(pts, c2), grad or d2, d2)
         p1, dp1, d2p1 = self.cut1._jet(s1, d2)
         p2, dp2, d2p2 = self.cut2._jet(s2, d2)
         s1s = np.where(s1 == 0.0, 1.0, s1)
@@ -324,13 +325,9 @@ class InsertGlueField(ScalarField):
         return (f"InsertGlueField(lam={self.bubble.lam!r}, rho_m={self.rho_m!r}, "
                 f"rho_M={self.rho_M!r})")
 
-    def _value(self, pts):
-        p = self.cut.phi(np.sqrt(_sq_dist(pts)))
-        return p * self.bubble._value(pts) + (1.0 - p) * self.host._value(self.x1 + pts)
-
     def _jet(self, pts, grad, d2):
-        uh, gh, laph = self.host._jet(self.x1 + pts, True, d2)
-        ub, gb, lapb = self.bubble._jet(pts, True, d2)
+        uh, gh, laph = self.host._jet(self.x1 + pts, grad or d2, d2)
+        ub, gb, lapb = self.bubble._jet(pts, grad or d2, d2)
         s = np.sqrt(_sq_dist(pts))
         p, dp, d2p = self.cut._jet(s, d2)
         ss = np.where(s == 0.0, 1.0, s)

@@ -94,33 +94,28 @@ class KelvinField(ScalarField):
     def __repr__(self):
         return f"KelvinField({self.src!r}, center={self.inv.center.tolist()!r}, a={self.inv.radius!r})"
 
-    def _value(self, pts):
-        d = _offsets(pts, self.inv.center)
-        rho2 = _sq_dist(d.T)
-        a = self.inv.radius
-        at_center = rho2 == 0.0
-        hit = bool(np.any(at_center))
-        if hit:
-            if self.src.inv_decay_coeff is None:
-                raise AtCenter("source field declares no |y|^(2-n) decay")
-            rho2 = np.where(at_center, 1.0, rho2)
-        out = (a**2 / rho2) ** ((self.n - 2) / 2) * self.src._value(_image(self.inv, d, rho2))
-        if hit:
-            out = np.where(at_center, self.src.inv_decay_coeff * a ** (2 - self.n), out)
-        return out
-
     def _jet(self, pts, grad, d2):
         d = _offsets(pts, self.inv.center)
         rho2 = _sq_dist(d.T)
-        if np.any(rho2 == 0.0):
-            raise AtCenter("gradient and Laplacian undefined at the inversion center")
+        hit = bool(np.any(rho2 == 0.0))
+        if hit:
+            if grad or d2:
+                raise AtCenter("gradient and Laplacian undefined at the inversion center")
+            if self.src.inv_decay_coeff is None:
+                raise AtCenter("source field declares no |y|^(2-n) decay")
+            at_center = rho2 == 0.0
+            rho2 = np.where(at_center, 1.0, rho2)
         a = self.inv.radius
         u, gu, lap = self.src._jet(_image(self.inv, d, rho2), grad, d2)
         pref = (a**2 / rho2) ** ((self.n - 2) / 2)
         if d2:
             lap = (a**2 / rho2) ** ((self.n + 2) / 2) * lap
         if not grad:
-            return pref * u, None, lap
+            u = pref * u
+            # a batch holding the centre is value-only: it takes the extension
+            if hit:
+                u = np.where(at_center, self.src.inv_decay_coeff * a ** (2 - self.n), u)
+            return u, None, lap
         # reflection part of the inversion Jacobian: (a^2/rho^2)(I - 2 e e^T)
         dot = _row_dot(d.T, gu.T)
         jac_g = (a**2 / rho2) * (gu - 2.0 * d * dot / rho2)

@@ -161,9 +161,9 @@ def test_coarse_pass_evaluates_only_admissible_nodes(make_input, monkeypatch):
     on_boundary = np.count_nonzero(np.abs(d) <= 1e-12)
     admissible = np.count_nonzero(_admissible(inp, grid))
     field_points, searched_points = [], []
-    value = inp.field._value
-    monkeypatch.setattr(inp.field, "_value",
-                        lambda pts: field_points.append(len(pts)) or value(pts))
+    jet = inp.field._jet
+    monkeypatch.setattr(inp.field, "_jet",
+                        lambda pts, grad, d2: field_points.append(len(pts)) or jet(pts, grad, d2))
     monkeypatch.setattr(blowup, "weighted_u",
                         lambda inp, x: searched_points.append(len(x)) or weighted_u(inp, x))
     blowup._coarse_top(inp, np.linspace(-OUTER_RADIUS, OUTER_RADIUS, inp.coarse),
@@ -179,9 +179,13 @@ def test_weighted_max_never_evaluates_the_singularity(monkeypatch):
                                 lambda r: 2 / r**3)
     inp = BlowupInput(field=inv_r, epsilon=0.1, R=5.0, delta_target=0.01, coarse=49)
     radii = []
-    value = inv_r._value
-    monkeypatch.setattr(inv_r, "_value",
-                        lambda pts: radii.append(np.sqrt(_sq_dist(pts))) or value(pts))
+    jet = inv_r._jet
+
+    def recorded(pts, grad, d2):
+        radii.append(np.sqrt(_sq_dist(pts)))
+        return jet(pts, grad, d2)
+
+    monkeypatch.setattr(inv_r, "_jet", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         x_o, M = weighted_max(inp)

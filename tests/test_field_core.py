@@ -122,12 +122,9 @@ def test_k_function_base_field_center():
 class _NegativeField(ScalarField):
     n = 3
 
-    def _value(self, pts):
-        return np.full(len(pts), -1.0)
-
     def _jet(self, pts, grad, d2):
         m = len(pts)
-        return self._value(pts), np.zeros((3, m)) if grad else None, np.zeros(m) if d2 else None
+        return np.full(m, -1.0), np.zeros((3, m)) if grad else None, np.zeros(m) if d2 else None
 
 
 def test_k_function_rejects_nonpositive_values():

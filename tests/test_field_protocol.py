@@ -114,26 +114,49 @@ def test_jet_is_value_gradient_laplacian(make, rng):
     # a gradient-only jet forms no Laplacian and moves no bit of u or g
     u3, g3, lap3 = f._jet(pts, True, False)
     assert lap3 is None and _same_bits(u3, u) and _same_bits(g3, g)
+    # a value-only jet forms neither derivative and moves no bit of u
+    u4, g4, lap4 = f._jet(pts, False, False)
+    assert g4 is None and lap4 is None and _same_bits(u4, u)
 
 
-class _ValueOnly(ScalarField):
-    """A field with values and no jet."""
+class _NoJet(ScalarField):
+    """A field that implements no batch method."""
 
     n = 3
 
-    def _value(self, pts):
-        return np.ones(len(pts))
-
 
 @pytest.mark.parametrize("derivative", [
-    lambda f, x: f.gradient(x), lambda f, x: f.laplacian(x), k_function, inv_root_grad_sq,
-], ids=["gradient", "laplacian", "k_function", "inv_root_grad_sq"])
+    lambda f, x: f.value(x), lambda f, x: f.gradient(x), lambda f, x: f.laplacian(x),
+    k_function, inv_root_grad_sq,
+], ids=["value", "gradient", "laplacian", "k_function", "inv_root_grad_sq"])
 def test_field_without_jet_has_no_derivatives(derivative):
-    f = _ValueOnly()
+    # _jet is the one batch hook: without it a field has no value either
+    f = _NoJet()
     x = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, -1.0]])
-    assert np.array_equal(f.value(x), [1.0, 1.0])
     with pytest.raises(NotImplementedError):
         derivative(f, x)
+
+
+class _SecondDerivativeFormed(Exception):
+    pass
+
+
+def test_callable_radial_value_and_gradient_never_call_d2f():
+    def d2f(r):
+        raise _SecondDerivativeFormed
+
+    def field(second):
+        return CallableRadialField(3, lambda r: 1.0 / (1.0 + r * r),
+                                   lambda r: -2.0 * r / (1.0 + r * r) ** 2, second,
+                                   center=[0.2, 0, 0])
+
+    f, ref = field(d2f), _callable_radial()
+    pts = np.random.default_rng(3).uniform(-2.0, 2.0, size=(64, 3))
+    assert _same_bits(f.value(pts), ref.value(pts))
+    assert _same_bits(f.gradient(pts), ref.gradient(pts))
+    assert _same_bits(inv_root_grad_sq(f, pts), inv_root_grad_sq(ref, pts))
+    with pytest.raises(_SecondDerivativeFormed):
+        f.laplacian(pts)
 
 
 def _c2_three_passes(w, model, pts):

@@ -83,9 +83,6 @@ class _Planted(ScalarField):
         self.tie_nodes = tie_nodes
         self.nan_nodes = nan_nodes
 
-    def _value(self, pts):
-        return self.src._value(pts)
-
     def _jet(self, pts, grad, d2):
         u, g, lap = self.src._jet(pts, grad, d2)
         for nodes, lap_value in ((self.tie_nodes, -1e6), (self.nan_nodes, np.nan)):

@@ -141,6 +141,22 @@ def test_kelvin_center_without_decay_flag_raises():
         v.gradient([0, 0, 0])
 
 
+def test_kelvin_batch_holding_the_center_extends_only_there():
+    inv = Inversion([0.1, -0.2, 0.3], 1.3)
+    v = kelvin_field(sum_field(Bubble(0.7, [2.0, 0, 0], 3), Bubble(0.4, [-1.0, 1.0, 0], 3)), inv)
+    others = np.random.default_rng(4).uniform(-2.0, 2.0, size=(7, 3))
+    batch = np.insert(others, 3, inv.center, axis=0)
+    vals = v.value(batch)
+    assert vals[3] == v.src.inv_decay_coeff * inv.radius ** (2 - v.n)
+    assert vals[3] == v.value(inv.center)
+    rest = np.delete(vals, 3)
+    assert rest.tobytes() == v.value(others).tobytes()
+    assert rest.tobytes() == v._jet(others, True, True)[0].tobytes()
+    for grad, d2 in ((True, False), (False, True), (True, True)):
+        with pytest.raises(AtCenter):
+            v._jet(batch, grad, d2)
+
+
 class _RaisingField(ScalarField):
     """Source whose value raises the given exception everywhere."""
 

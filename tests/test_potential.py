@@ -355,6 +355,10 @@ def test_rep_identity_polar_pass_evaluates_each_point_once(monkeypatch):
         monkeypatch.setattr(f, "_jet", counted)
     rep_identity_report(u_c, u2, Ball(np.array([0.2, 0.0, 0.0]), 3.0), np.array([0.1, 0.3, 0.0]),
                         m_sphere, m_rad)
+    # u_c(xi) and u2(xi) are one value-only jet each
+    for name in calls:
+        assert [c for c in calls[name] if c[1:] == (False, False)] == [(1, False, False)]
+        calls[name] = [c for c in calls[name] if c[1:] != (False, False)]
     dirs = sphere_rule(n, m_sphere)[0].shape[0]
     # rules of m_rad and 2 m_rad panels of 16 nodes, one jet of u_c per node
     assert sum(m for m, _, _ in calls["u_c"]) == dirs * 16 * 3 * m_rad

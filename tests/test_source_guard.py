@@ -12,16 +12,16 @@ loop of n = 3..6.  The jets keep their gradients as (n, m) columns, which
 per-point factors scale along the long axis, and the ray points are
 written one column at a time.
 
-One derivative path: a field's derivatives come from its _jet alone, so
-no _gradient or _laplacian hook is defined, and a _value or _jet calls
-its sources' _value and _jet, never the public value, gradient or
-laplacian.
+One batch hook: a field's values and derivatives come from its _jet
+alone, so no _value, _gradient or _laplacian hook is defined, and a _jet
+calls its sources' _jet, never the public value, gradient or laplacian.
 
-One Laplacian flag: every field jet, _jet(pts, grad, d2), and every
-radial or cutoff jet takes the flag d2 that says whether the Laplacian
-(or phi'') is wanted, and a jet that calls its sources' _jet or
-_radial_jet passes its own d2 on, so a composite neither forms a
-Laplacian its caller drops nor drops one its caller needs.
+One Laplacian flag: every field jet, _jet(pts, grad, d2), every radial
+or cutoff jet and every radial profile, _profile(r, d2), takes the flag
+d2 that says whether the Laplacian (or f'', phi'') is wanted, and a jet
+or profile that calls its sources' _jet or _radial_jet passes its own d2
+on, so a composite neither forms a Laplacian its caller drops nor drops
+one its caller needs.
 
 numpy as the only runtime dependency: no module of the package imports
 scipy, and importing the command line loads none of it.
@@ -166,14 +166,14 @@ def test_no_short_axis_broadcast_in_jets(name):
     assert not bad, "build the (n, m) gradient by columns instead:\n" + "\n".join(bad)
 
 
-ADAPTERS = {"_gradient", "_laplacian"}
-HOOKS = {"_value", "_jet"}
+ADAPTERS = {"_value", "_gradient", "_laplacian"}
+HOOKS = {"_jet"}
 PUBLIC = {"value", "gradient", "laplacian"}
 
 
 def second_derivative_paths(source: str):
-    """(function, line) of _gradient/_laplacian definitions and of calls to a
-    public value, gradient or laplacian inside a _value or _jet."""
+    """(function, line) of _value/_gradient/_laplacian definitions and of
+    calls to a public value, gradient or laplacian inside a _jet."""
     found = []
     for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, ast.FunctionDef):
@@ -203,7 +203,7 @@ def test_guard_finds_second_paths_and_spares_hooks():
         "        return self.src.value(x)",
     ])
     assert second_derivative_paths(src) == [("_gradient", 2), ("_jet", 10),
-                                            ("_laplacian", 4), ("_value", 7)]
+                                            ("_laplacian", 4), ("_value", 6)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -212,10 +212,11 @@ def test_one_derivative_path(path):
     bad = [f"{path.name}:{i}: {fn}: {lines[i - 1].strip()}"
            for fn, i in second_derivative_paths(path.read_text())
            if (path.name, lines[i - 1].strip()) not in ALLOWED]
-    assert not bad, "derive from _jet and call the sources' _value/_jet:\n" + "\n".join(bad)
+    assert not bad, "derive from _jet and call the sources' _jet:\n" + "\n".join(bad)
 
 
 JETS = {"_jet", "_radial_jet"}
+FLAGGED = JETS | {"_profile"}  # the functions that take and pass on d2
 FLAG = "d2"
 
 
@@ -228,11 +229,12 @@ def _flag_argument(call):
 
 
 def jet_flag_breaks(source: str):
-    """(function, line) of jets without a d2 parameter, and of calls from a jet
-    to a _jet or _radial_jet that do not pass the caller's own d2 as the flag."""
+    """(function, line) of jets and profiles without a d2 parameter, and of
+    calls from one to a _jet or _radial_jet that do not pass the caller's
+    own d2 as the flag."""
     found = []
     for fn in ast.walk(ast.parse(source)):
-        if not (isinstance(fn, ast.FunctionDef) and fn.name in JETS):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in FLAGGED):
             continue
         if FLAG not in [a.arg for a in fn.args.args]:
             found.append((fn.name, fn.lineno))
@@ -260,11 +262,16 @@ def test_guard_finds_jets_that_drop_the_flag():
         "        return self.k._jet(pts)",
         "    def _radial_jet(self, sq, slope):",
         "        return self._profile(sq, d2=False)",
+        "    def _profile(self, r):",
+        "        return self.b._profile(r, True)",
+        "    def _profile(self, r, d2):",
+        "        return self.cut._jet(r, True)",
         "def k_function(f, x):",
         "    return f._jet(x, False, True)",
     ])
     assert jet_flag_breaks(src) == [("_jet", 2), ("_jet", 3), ("_jet", 6), ("_jet", 10),
-                                    ("_jet", 11), ("_radial_jet", 12)]
+                                    ("_jet", 11), ("_profile", 14), ("_profile", 17),
+                                    ("_radial_jet", 12)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

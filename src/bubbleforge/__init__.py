@@ -19,14 +19,12 @@ from .field_core import (
     BaseField,
     Bubble,
     CallableRadialField,
-    Dim,
     KReport,
     ScalarField,
     SumField,
     base_k,
     combined_k_bounds,
     grad_inv_power,
-    identity_3_4_residual,
     inv_root_grad_sq,
     k_function,
     k_sum_limit,
@@ -62,13 +60,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Annulus", "Ball", "BaseField", "BlowupInput", "Box", "Bubble",
-    "BubbleReport", "CallableRadialField", "Cutoff", "DepthFactors", "Dim",
+    "BubbleReport", "CallableRadialField", "Cutoff", "DepthFactors",
     "GlueConfig", "GridSpec", "Inversion", "KReport", "Kernel", "QuadResult",
     "RhoMSolution", "ScalarField", "SingularProfile", "SumField", "ThmBParams",
     "base_k", "combined_k_bounds",
     "deep_bubble_bound", "depth_factors", "detect",
     "excise", "fit_bubble", "glue_bubble_into", "glue_concentric",
-    "glue_disjoint", "grad_inv_power", "h_eval", "identity_3_4_residual",
+    "glue_disjoint", "grad_inv_power", "h_eval",
     "insert_annulus", "int_absH_annulus", "int_absH_ball", "inv_root_grad_sq",
     "invert_point", "k_function", "k_sum_limit", "kelvin_bubble",
     "kelvin_field", "lemma_5_4_compose", "lower_bound_3_9",

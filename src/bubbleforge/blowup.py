@@ -223,7 +223,6 @@ class RescaledField(ScalarField):
         self.lam = float(lam)
         self.window_radius = float(window_radius)
         self.radial = False
-        self.fd_scale = 1.0
 
     def _to_source(self, y):
         if np.any(np.sqrt(_sq_dist(y)) > self.window_radius):

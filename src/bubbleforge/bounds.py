@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGeometry, KappaTooLarge, OutOfDomain
-from .field_core import KReport, ScalarField, as_dim, combined_k_bounds, k_function
+from .field_core import KReport, ScalarField, _dim, combined_k_bounds, k_function
 from .regions import Box, GridSpec, Region, _region_chunks, _stream_argmax
 
 
@@ -78,38 +78,38 @@ class ThmBParams:
 def thmA_conditions(l1: float, l2: float, rho: float, R: float, n=3) -> tuple[bool, bool]:
     """The two alternative scale conditions for the concentric construction."""
     _check_concentric_params(l1, l2, rho, R)
-    d = as_dim(n)
+    n = _dim(n)
     cond1 = l1 / l2 <= (rho**2 / R**2) / (1.0 + l2**2 / R**2)
-    cond2 = l1**2 / l2**2 >= (3.0 * (d.n + 2) / (2.0 * (d.n - 2))) * (1.0 + R**4 / l2**4)
+    cond2 = l1**2 / l2**2 >= (3.0 * (n + 2) / (2.0 * (n - 2))) * (1.0 + R**4 / l2**4)
     return cond1, cond2
 
 
 def thmA_dual_conditions(l1: float, l2: float, rho: float, R: float, n=3) -> tuple[bool, bool]:
     """Inversion-dual form of the concentric conditions (scales mapped by rho^2/lam)."""
     _check_concentric_params(l1, l2, rho, R)
-    d = as_dim(n)
+    n = _dim(n)
     cond1 = l1 / l2 <= (rho**2 / R**2) / (1.0 + rho**2 / l1**2)
-    cond2 = l1**2 / l2**2 >= (3.0 * (d.n + 2) / (2.0 * (d.n - 2))) * (1.0 + l1**4 / rho**4)
+    cond2 = l1**2 / l2**2 >= (3.0 * (n + 2) / (2.0 * (n - 2))) * (1.0 + l1**4 / rho**4)
     return cond1, cond2
 
 
 def lower_bound_4_4(l1: float, l2: float, rho: float, R: float, n=3) -> float:
     """Representation-formula lower bound on sup |K - 1| over the glue annulus."""
     _check_concentric_params(l1, l2, rho, R)
-    d = as_dim(n)
-    p = (d.n + 2) / (d.n - 2)
+    n = _dim(n)
+    p = (n + 2) / (n - 2)
     num = l1**2 - l2**2 + p * (rho**4 / l1**2 - R**4 / l2**2)
-    return ((d.n - 2) / (2.0 * d.n)) * num / (R**2 - rho**2)
+    return ((n - 2) / (2.0 * n)) * num / (R**2 - rho**2)
 
 
 def depth_factors(l1: float, l2: float, rho: float, R: float, n=3) -> DepthFactors:
     """Depth factors k1 = rho/lam1, k2 = R/lam2 and nu = ((k1^2+1)/k1^2)^((n-2)/2)."""
     _check_concentric_params(l1, l2, rho, R)
-    d = as_dim(n)
+    n = _dim(n)
     k1 = rho / l1
     k2 = R / l2
-    nu = ((k1**2 + 1.0) / k1**2) ** ((d.n - 2) / 2)
-    return DepthFactors(k1=k1, k2=k2, nu=nu, n=d.n)
+    nu = ((k1**2 + 1.0) / k1**2) ** ((n - 2) / 2)
+    return DepthFactors(k1=k1, k2=k2, nu=nu, n=n)
 
 
 def _check_concentric_params(l1, l2, rho, R):
@@ -122,8 +122,8 @@ def _check_concentric_params(l1, l2, rho, R):
 
 def thmB_condition(p: ThmBParams, n=3) -> bool:
     """Scale-separation hypothesis for the two-ball lower bound."""
-    d = as_dim(n)
-    rhs = 8.0**d.n * d.n * (p.separation**4 / p.r1**4) * (p.sigma**2 + 6.0)
+    n = _dim(n)
+    rhs = 8.0**n * n * (p.separation**4 / p.r1**4) * (p.sigma**2 + 6.0)
     return p.lambda2**2 / p.lambda1**2 >= rhs
 
 
@@ -133,16 +133,16 @@ def thmB_chain_bound(p: ThmBParams, n=3) -> float:
     Evaluated with the second center translated to the origin; uses the
     ratios c = r1/lam1, k = a/lam2, C = |xi1 - xi2|/lam2.
     """
-    d = as_dim(n)
+    n = _dim(n)
     c = p.r1 / p.lambda1
     k = p.a / p.lambda2
     C = p.separation / p.lambda2
     t = p.lambda1**2 / p.lambda2**2
     term1 = k**2 * t / (t + C**2) ** 2
-    term2 = ((d.n + 2) / (d.n * (d.n - 2))) * 8.0 ** (-d.n) * k**2 * t * (c**4 / C**4)
+    term2 = ((n + 2) / (n * (n - 2))) * 8.0 ** (-n) * k**2 * t * (c**4 / C**4)
     term3 = -4.0 * k**2
-    term4 = -2.0 * ((d.n + 2) / (d.n - 2)) / k**2
-    return ((d.n - 2) / (2.0 * d.n)) * (term1 + term2 + term3 + term4)
+    term4 = -2.0 * ((n + 2) / (n - 2)) / k**2
+    return ((n - 2) / (2.0 * n)) * (term1 + term2 + term3 + term4)
 
 
 def deep_bubble_bound(kappa: float, dist: float, r1: float, n=3) -> float:
@@ -153,16 +153,16 @@ def deep_bubble_bound(kappa: float, dist: float, r1: float, n=3) -> float:
     for any sigma^2 above (2n/(n+2)) * cap, so the scale ratio is bounded by
     8^n n (dist^4/r1^4) (sigma^2 + 6) at that sigma.
     """
-    d = as_dim(n)
+    n = _dim(n)
     if kappa * kappa >= 1.0:
         raise KappaTooLarge("need kappa^2 < 1")
     if not 0 < dist <= 1:
         raise ValueError("need 0 < dist <= 1")
     if r1 <= 0:
         raise ValueError("need r1 > 0")
-    _, hi = combined_k_bounds(kappa, d)
-    sigma2 = (2.0 * d.n / (d.n + 2)) * hi
-    return 8.0**d.n * d.n * (dist**4 / r1**4) * (sigma2 + 6.0)
+    _, hi = combined_k_bounds(kappa, n)
+    sigma2 = (2.0 * n / (n + 2)) * hi
+    return 8.0**n * n * (dist**4 / r1**4) * (sigma2 + 6.0)
 
 
 # --- deviation scans ---------------------------------------------------------

@@ -16,33 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveValue, KappaTooLarge
-from .fd import fd_laplacian
 
 
-@dataclass(frozen=True)
-class Dim:
-    """Ambient dimension n >= 3 and the exponents derived from it."""
-
-    n: int
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 3:
-            raise ValueError("dimension must be an integer >= 3")
-        object.__setattr__(self, "n", int(self.n))
-
-    @property
-    def p_crit(self) -> float:
-        """Critical exponent (n+2)/(n-2)."""
-        return (self.n + 2) / (self.n - 2)
-
-    @property
-    def half(self) -> float:
-        """Decay exponent (n-2)/2."""
-        return (self.n - 2) / 2
-
-
-def as_dim(n) -> Dim:
-    return n if isinstance(n, Dim) else Dim(int(n))
+def _dim(n) -> int:
+    """The ambient dimension n as an int, raising ValueError unless n is an integer >= 3."""
+    if int(n) != n or n < 3:
+        raise ValueError("dimension must be an integer >= 3")
+    return int(n)
 
 
 def _pointwise(fn, x, n: int):
@@ -138,13 +118,11 @@ class ScalarField:
         when the field does not decay at that rate.  A finite coefficient
         marks the field's sphere-inversion image as continuously extendable
         at the inversion center.
-    fd_scale : local length scale used to pick finite-difference steps
     """
 
     n: int
     radial: bool = False
     inv_decay_coeff: float | None = None
-    fd_scale: float = 1.0
 
     def value(self, x):
         return _pointwise(lambda pts: self._jet(pts, False, False)[0], x, self.n)
@@ -159,10 +137,6 @@ class ScalarField:
     def _jet(self, pts, grad, d2):
         raise NotImplementedError
 
-    @property
-    def dim(self) -> Dim:
-        return Dim(self.n)
-
 
 class RadialField(ScalarField):
     """Field whose value is a smooth profile of r = |x - center|.
@@ -174,7 +148,7 @@ class RadialField(ScalarField):
     """
 
     def __init__(self, n: int, center=None):
-        self.n = int(as_dim(n).n)
+        self.n = _dim(n)
         self.center = np.zeros(self.n) if center is None else np.asarray(center, float)
         self.radial = bool(np.all(self.center == 0.0))
 
@@ -222,7 +196,6 @@ class Bubble(RadialField):
         if not np.all(np.isfinite(self.center)):
             raise ValueError("bubble center must be finite")
         self.lam = float(lam)
-        self.fd_scale = self.lam
         self.inv_decay_coeff = self.lam ** ((self.n - 2) / 2)
 
     def __repr__(self):
@@ -263,10 +236,6 @@ class Bubble(RadialField):
 class BaseField(RadialField):
     """The slow-decay floor field (|x|^2 + 1)^((2-n)/4), centered at origin."""
 
-    def __init__(self, n: int):
-        super().__init__(n, None)
-        self.fd_scale = 1.0
-
     def __repr__(self):
         return f"BaseField(n={self.n})"
 
@@ -291,11 +260,10 @@ class BaseField(RadialField):
 class CallableRadialField(RadialField):
     """Radial field built from profile callables (f, f', f'')."""
 
-    def __init__(self, n: int, f, df, d2f, center=None, fd_scale: float = 1.0,
+    def __init__(self, n: int, f, df, d2f, center=None,
                  inv_decay_coeff: float | None = None):
         super().__init__(n, center)
         self._f, self._df, self._d2f = f, df, d2f
-        self.fd_scale = fd_scale
         self.inv_decay_coeff = inv_decay_coeff
 
     def value_r(self, r):
@@ -316,7 +284,6 @@ class SumField(ScalarField):
         self.radial = f.radial and g.radial
         if f.inv_decay_coeff is not None and g.inv_decay_coeff is not None:
             self.inv_decay_coeff = f.inv_decay_coeff + g.inv_decay_coeff
-        self.fd_scale = min(f.fd_scale, g.fd_scale)
 
     def __repr__(self):
         return f"SumField({self.f!r}, {self.g!r})"
@@ -346,25 +313,12 @@ class KReport:
 # --- operations -----------------------------------------------------------
 
 
-def k_function(f: ScalarField, x, backend: str = "analytic", h: float | None = None):
-    """Curvature function K = -lap(f) / (n(n-2) f^((n+2)/(n-2))) at x.
-
-    backend="fd" replaces the analytic Laplacian by the central
-    finite-difference stencil (cross-check oracle; single points only).
-    """
-    d = f.dim
-    if backend == "analytic":
-        v, lap = _pointwise(lambda pts: f._jet(pts, False, True)[::2], x, d.n)
-    elif backend == "fd":
-        v = f.value(x)
-        step = h if h is not None else 1e-4 * f.fd_scale
-        lap = fd_laplacian(f.value, x, step)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return _k_of(d, v, lap)
+def k_function(f: ScalarField, x):
+    """Curvature function K = -lap(f) / (n(n-2) f^((n+2)/(n-2))) at x."""
+    return _k_of(f.n, *_pointwise(lambda pts: f._jet(pts, False, True)[::2], x, f.n))
 
 
-def _k_of(d: Dim, u, lap):
+def _k_of(n: int, u, lap):
     """K from values u and Laplacians lap, raising NonpositiveValue unless u > 0.
 
     One place for the formula: k_function and the fused quadrature
@@ -372,15 +326,15 @@ def _k_of(d: Dim, u, lap):
     """
     if np.any(np.asarray(u) <= 0.0):
         raise NonpositiveValue("field must be strictly positive where K is evaluated")
-    return -lap / (d.n * (d.n - 2) * u**d.p_crit)
+    return -lap / (n * (n - 2) * u ** ((n + 2) / (n - 2)))
 
 
-def _grad_term_of(d: Dim, u, g2):
+def _grad_term_of(n: int, u, g2):
     """|grad(u^(-2/(n-2)))|^2 from values u and squared gradient norms g2,
     raising NonpositiveValue unless u > 0; shared as _k_of is."""
     if np.any(np.asarray(u) <= 0.0):
         raise NonpositiveValue("field must be positive")
-    return (4.0 / (d.n - 2) ** 2) * u ** (-2.0 * d.n / (d.n - 2)) * g2
+    return (4.0 / (n - 2) ** 2) * u ** (-2.0 * n / (n - 2)) * g2
 
 
 def sum_field(f: ScalarField, g: ScalarField) -> SumField:
@@ -390,42 +344,22 @@ def sum_field(f: ScalarField, g: ScalarField) -> SumField:
 
 def k_sum_limit(lam1: float, lam2: float, n) -> float:
     """Far-field limit of K for a sum of two bubbles with scales lam1, lam2."""
-    d = as_dim(n)
+    n = _dim(n)
     if lam1 <= 0 or lam2 <= 0:
         raise ValueError("scales must be positive")
-    num = lam1 ** ((d.n + 2) / 2) + lam2 ** ((d.n + 2) / 2)
-    den = (lam1 ** ((d.n - 2) / 2) + lam2 ** ((d.n - 2) / 2)) ** d.p_crit
+    num = lam1 ** ((n + 2) / 2) + lam2 ** ((n + 2) / 2)
+    den = (lam1 ** ((n - 2) / 2) + lam2 ** ((n - 2) / 2)) ** ((n + 2) / (n - 2))
     return num / den
 
 
 def inv_root_grad_sq(f: ScalarField, x):
     """|grad(f^(-2/(n-2)))|^2 computed from analytic value and gradient."""
-    d = f.dim
 
     def batch(pts):
         u, g, _ = f._jet(pts, True, False)
         return u, _sq_dist(g.T)
 
-    return _grad_term_of(d, *_pointwise(batch, x, d.n))
-
-
-def identity_3_4_residual(f: ScalarField, x, h: float | None = None) -> float:
-    """Residual of the transformed-Laplacian identity at a single point.
-
-    Computes lap(f^(-4/(n-2)))(x) by finite differences and subtracts the
-    analytic right side 4n K(x) + (n+2) |grad(f^(-2/(n-2)))(x)|^2.  The two
-    agree up to the stencil error for any positive C^2 field.
-    """
-    d = f.dim
-    v = f.value(x)
-    if float(v) <= 0.0:
-        raise NonpositiveValue("field must be positive")
-    # the transformed field grows like |x|^4, so the stencil error is
-    # roundoff-dominated for very small steps; 1e-3 * scale balances both
-    step = h if h is not None else 1e-3 * f.fd_scale
-    lhs = fd_laplacian(lambda y: f.value(y) ** (-4.0 / (d.n - 2)), x, step)
-    rhs = 4.0 * d.n * k_function(f, x) + (d.n + 2) * inv_root_grad_sq(f, x)
-    return lhs - rhs
+    return _grad_term_of(f.n, *_pointwise(batch, x, f.n))
 
 
 def grad_inv_power(b: Bubble, x):
@@ -435,22 +369,22 @@ def grad_inv_power(b: Bubble, x):
 
 def base_k(x, n) -> float:
     """Curvature function of the base field at x."""
-    d = as_dim(n)
+    n = _dim(n)
 
     def k(pts):
         r2 = _sq_dist(pts)
-        return 0.5 * (1.0 - ((d.n + 2) / (2.0 * d.n)) * r2 / (r2 + 1.0))
+        return 0.5 * (1.0 - ((n + 2) / (2.0 * n)) * r2 / (r2 + 1.0))
 
-    return _pointwise(k, x, d.n)
+    return _pointwise(k, x, n)
 
 
 def combined_k_bounds(kappa: float, n) -> tuple[float, float]:
     """Two-sided bounds on K of (field within kappa^2 of one) + base field."""
-    d = as_dim(n)
+    n = _dim(n)
     if kappa * kappa >= 1.0:
         raise KappaTooLarge("need kappa^2 < 1")
     k2 = kappa * kappa
-    floor = min((d.n - 2) / (4.0 * d.n), 1.0 - k2)
-    lo = min(1.0 - k2, floor / 2.0 ** (4.0 / (d.n - 2)))
+    floor = min((n - 2) / (4.0 * n), 1.0 - k2)
+    lo = min(1.0 - k2, floor / 2.0 ** (4.0 / (n - 2)))
     hi = max(1.0 + k2, 0.5)
     return lo, hi

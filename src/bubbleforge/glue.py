@@ -15,7 +15,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import BadConfig, BadRadii, NoSolution, OverlapError
-from .field_core import Bubble, RadialField, ScalarField, _offsets, _row_dot, _sq_dist, as_dim
+from .field_core import Bubble, RadialField, ScalarField, _offsets, _row_dot, _sq_dist, _dim
 from .regions import Annulus
 
 # sharp bound of the quintic smoothstep's second derivative on [0, 1]
@@ -88,24 +88,24 @@ def solve_rho_M(delta: float, alpha: float, n) -> RhoMSolution:
     E = (n-2)(n-2-2 alpha)/(2(n+2)); the geometric midpoint maximizes margin.
     Raises NoSolution when no positive radius fits (delta too large).
     """
-    d = as_dim(n)
+    n = _dim(n)
     if not 0 < delta < 1:
         raise ValueError("need delta in (0, 1)")
-    if alpha <= 0 or 2.0 * (1.0 + alpha) >= d.n:
+    if alpha <= 0 or 2.0 * (1.0 + alpha) >= n:
         raise ValueError("need alpha > 0 with 2(1 + alpha) < n")
-    dbar = delta ** (2.0 / (d.n - 2))
-    expo = (d.n - 2) * (d.n - 2 - 2.0 * alpha) / (2.0 * (d.n + 2))
-    lo = dbar**expo + dbar ** ((d.n - 2) / 2)
+    dbar = delta ** (2.0 / (n - 2))
+    expo = (n - 2) * (n - 2 - 2.0 * alpha) / (2.0 * (n + 2))
+    lo = dbar**expo + dbar ** ((n - 2) / 2)
     hi = 2.0 * dbar**expo
     if not lo < hi:
         raise NoSolution("admissible band is empty")
     mid = math.sqrt(lo * hi)
-    base = mid ** (2.0 / (d.n - 2))  # 1/(1 + rho_M^2)
+    base = mid ** (2.0 / (n - 2))  # 1/(1 + rho_M^2)
     if base >= 1.0:
         raise NoSolution("delta too large: no positive cut radius fits the band")
     rho_m_big = math.sqrt(1.0 / base - 1.0)
     return RhoMSolution(rho_m_big=rho_m_big, delta_bar=dbar, alpha=alpha,
-                        n=d.n, band_lo=lo, band_hi=hi)
+                        n=n, band_lo=lo, band_hi=hi)
 
 
 class GlueConfig:
@@ -184,7 +184,6 @@ class ConcentricGlueField(RadialField):
         super().__init__(b1.n, None)
         self.b1, self.b2 = b1, b2
         self.cut = Cutoff(rho, R)
-        self.fd_scale = min(b1.lam, b2.lam, R - rho)
         self.inv_decay_coeff = b2.inv_decay_coeff
 
     def __repr__(self):
@@ -264,7 +263,6 @@ class DisjointGlueField(ScalarField):
         self.inward = inward
         self.radial = False
         self.inv_decay_coeff = self.b1.inv_decay_coeff + self.b2.inv_decay_coeff
-        self.fd_scale = min(self.b1.lam, self.b2.lam, self.cut1.width, self.cut2.width)
 
     def __repr__(self):
         return f"DisjointGlueField(b1={self.b1!r}, b2={self.b2!r}, inward={self.inward})"
@@ -318,7 +316,6 @@ class InsertGlueField(ScalarField):
         self.cut = Cutoff(lam * p["rho_m"], lam * p["rho_M"])
         self.rho_m, self.rho_M = p["rho_m"], p["rho_M"]
         self.radial = self.host.radial and bool(np.all(self.x1 == 0.0))
-        self.fd_scale = min(self.bubble.fd_scale, self.host.fd_scale, self.cut.width)
         self.inv_decay_coeff = self.host.inv_decay_coeff
 
     def __repr__(self):

@@ -83,7 +83,6 @@ class KelvinField(ScalarField):
         self.src = src
         self.inv = inv
         self.radial = src.radial and bool(np.all(inv.center == 0.0))
-        self.fd_scale = min(1.0, inv.radius)
         # image of a field regular at the center decays like |x|^(2-n)
         try:
             u_c = float(src.value(inv.center))

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BadRadii, Coincident, ProfileViolated
-from .field_core import (ScalarField, _grad_term_of, _k_of, _row_dot, _sq_dist, as_dim,
+from .field_core import (ScalarField, _dim, _grad_term_of, _k_of, _row_dot, _sq_dist,
                          inv_root_grad_sq, k_function)
 from .regions import Ball
 
@@ -33,8 +33,7 @@ class Kernel:
     n: int
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("kernel requires n >= 3")
+        object.__setattr__(self, "n", _dim(self.n))
 
     @property
     def omega_n(self) -> float:
@@ -360,10 +359,10 @@ def rep_identity_report(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi,
     point.  The radial path keeps one adaptive integral per integrand, as
     each stops doubling its panels on its own.
     """
-    d = as_dim(u_c.n)
-    k = Kernel(d.n)
+    n = u_c.n
+    k = Kernel(n)
     xi = np.asarray(xi, dtype=float)
-    p4 = 4.0 / (d.n - 2)
+    p4 = 4.0 / (n - 2)
 
     radial = u_c.radial and u2.radial and bool(np.all(omega2.center == 0.0))
     if radial:
@@ -380,27 +379,27 @@ def rep_identity_report(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi,
         def both(pts):
             u, g, lap = u_c._jet(pts, True, True)
             v, g2, _ = u2._jet(pts, True, False)
-            return (_k_of(d, u, lap) - 1.0,
-                    _grad_term_of(d, u, _sq_dist(g.T)) - _grad_term_of(d, v, _sq_dist(g2.T)))
+            return (_k_of(n, u, lap) - 1.0,
+                    _grad_term_of(n, u, _sq_dist(g.T)) - _grad_term_of(n, v, _sq_dist(g2.T)))
 
         [(q1, e1), (q2, e2)], _ = _polar_ball_integral(k, both, omega2, xi, m_sphere, m_rad)
 
-    lhs = 4.0 * d.n * -q1  # H = -|H|
+    lhs = 4.0 * n * -q1  # H = -|H|
     rhs = (float(u_c.value(xi)) ** (-p4) - float(u2.value(xi)) ** (-p4)
-           + (d.n + 2) * q2)
+           + (n + 2) * q2)
     return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs,
-            "lhs_err": 4.0 * d.n * e1, "rhs_err": (d.n + 2) * e2}
+            "lhs_err": 4.0 * n * e1, "rhs_err": (n + 2) * e2}
 
 
 def lower_bound_3_9(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi) -> float:
     """Representation lower bound on sup |K - 1| over a ball of radius R."""
-    d = as_dim(u_c.n)
-    p4 = 4.0 / (d.n - 2)
-    q2 = weighted_grad_integral(Kernel(d.n), u_c, omega2, xi).value - \
-        weighted_grad_integral(Kernel(d.n), u2, omega2, xi).value
+    n = u_c.n
+    p4 = 4.0 / (n - 2)
+    q2 = weighted_grad_integral(Kernel(n), u_c, omega2, xi).value - \
+        weighted_grad_integral(Kernel(n), u2, omega2, xi).value
     bracket = (float(u_c.value(xi)) ** (-p4) - float(u2.value(xi)) ** (-p4)
-               + (d.n + 2) * q2)
-    return ((d.n - 2) / (2.0 * d.n)) * bracket / omega2.radius**2
+               + (n + 2) * q2)
+    return ((n - 2) / (2.0 * n)) * bracket / omega2.radius**2
 
 
 # --- representation formula with a point singularity --------------------------
@@ -554,8 +553,7 @@ def rep_formula_report(u: ScalarField, prof: SingularProfile | None,
     ratio; otherwise BadRadii is raised before any quadrature.  xi = p
     raises Coincident.
     """
-    d = as_dim(u.n)
-    k = Kernel(d.n)
+    k = Kernel(u.n)
     xi = np.asarray(xi, dtype=float)
     if prof is not None:
         D = 0.5 * float(np.linalg.norm(xi - prof.p))

@@ -20,6 +20,12 @@ class _Round:
     def n(self) -> int:
         return self.center.shape[0]
 
+    def _set_center(self):
+        center = np.asarray(self.center, dtype=float)
+        if not np.all(np.isfinite(center)):
+            raise ValueError("region center must be finite")
+        object.__setattr__(self, "center", center)
+
     def bounding_box(self):
         r = self.radial_range()[1]
         return self.center - r, self.center + r
@@ -31,9 +37,9 @@ class Ball(_Round):
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if not 0 < self.radius < math.inf:
+            raise ValueError("ball radius must be positive and finite")
+        self._set_center()
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         d = np.sqrt(_sq_dist(np.asarray(x, float), self.center))
@@ -50,9 +56,9 @@ class Annulus(_Round):
     r_out: float
 
     def __post_init__(self):
-        if not 0 <= self.r_in < self.r_out:
-            raise ValueError("annulus needs 0 <= r_in < r_out")
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        if not 0 <= self.r_in < self.r_out < math.inf:
+            raise ValueError("annulus needs 0 <= r_in < r_out < inf")
+        self._set_center()
 
     def contains(self, x: np.ndarray) -> np.ndarray:
         d = np.sqrt(_sq_dist(np.asarray(x, float), self.center))
@@ -70,6 +76,8 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
         object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+            raise ValueError("box corners must be finite")
         if self.lo.shape != self.hi.shape or np.any(self.lo >= self.hi):
             raise ValueError("box needs lo < hi componentwise")
 
@@ -119,6 +127,8 @@ class GridSpec:
     def __post_init__(self):
         if self.points_per_axis is not None and self.points_per_axis < 2:
             raise ValueError(f"points_per_axis must be >= 2, got {self.points_per_axis}")
+        if self.refine_factor < 0:
+            raise ValueError(f"refine_factor must be >= 0, got {self.refine_factor}")
         if self.radial_points < 2:
             raise ValueError(f"radial_points must be >= 2, got {self.radial_points}")
         if self.threads < 1:

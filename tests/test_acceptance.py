@@ -26,7 +26,6 @@ from bubbleforge import (
     glue_concentric,
     glue_disjoint,
     grad_inv_power,
-    identity_3_4_residual,
     invert_point,
     k_function,
     k_sum_limit,
@@ -43,6 +42,8 @@ from bubbleforge import (
 from bubbleforge.cli import measure_insert_quality
 from bubbleforge.potential import Kernel, SingularProfile, int_absH_ball
 from bubbleforge.field_core import CallableRadialField
+
+from conftest import fd_k, identity_3_4_residual
 
 SEED = 1187
 
@@ -70,7 +71,7 @@ def test_criterion_01_bubble_curvature():
         worst_analytic = max(worst_analytic, abs(ka - 1.0))
         # step proportional to the local profile scale sqrt(lam^2 + s^2)
         scale = float(np.hypot(lam, np.linalg.norm(x - xi)))
-        kf = float(k_function(b, x, backend="fd", h=1e-4 * scale))
+        kf = float(fd_k(b, x, 1e-4 * scale))
         worst_fd = max(worst_fd, abs(kf - ka))
     elapsed = time.perf_counter() - t0
     ok = worst_analytic <= 1e-8 and worst_fd <= 1e-4 and elapsed < 1.0
@@ -126,18 +127,20 @@ def test_criterion_03_transformed_laplacian_identity():
             if min(abs(s1 - 1), abs(s1 - 2), abs(s2 - 1), abs(s2 - 2)) > 0.05:
                 return x
 
+    # FD steps 1e-3 times each field's smallest length (1 for the base field):
+    # its bubble scales and, for a glue, its cutoff widths (R - rho = 2, widths 1)
     worst = 0.0
     cases = [
-        (Bubble(1.1, [0.3, 0, 0], n), lambda: rng.normal(size=n)),
+        (Bubble(1.1, [0.3, 0, 0], n), lambda: rng.normal(size=n), 1e-3 * 1.1),
         (sum_field(Bubble(1.0, [1, 0, 0], n), Bubble(0.7, [-1, 0, 0], n)),
-         lambda: rng.normal(size=n)),
-        (BaseField(n), lambda: rng.normal(size=n)),
-        (concentric, concentric_pt),
-        (disjoint, disjoint_pt),
+         lambda: rng.normal(size=n), 1e-3 * 0.7),
+        (BaseField(n), lambda: rng.normal(size=n), 1e-3 * 1.0),
+        (concentric, concentric_pt, 1e-3 * 0.5),
+        (disjoint, disjoint_pt, 1e-3 * 0.5),
     ]
-    for f, draw in cases:
+    for f, draw, h in cases:
         for _ in range(100):
-            worst = max(worst, abs(identity_3_4_residual(f, draw())))
+            worst = max(worst, abs(identity_3_4_residual(f, draw(), h)))
     # bubble closed form: lap(u^(-4/(n-2))) = 4n + 4(n+2) r^2/lam^2
     b = Bubble(1.0, np.zeros(n), n)
     x = np.array([1.0, 0, 0])

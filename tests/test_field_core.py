@@ -6,23 +6,23 @@ import pytest
 from bubbleforge import (
     BaseField,
     Bubble,
-    Dim,
     GlueConfig,
     ScalarField,
     base_k,
     combined_k_bounds,
     glue_concentric,
     grad_inv_power,
-    identity_3_4_residual,
     inv_root_grad_sq,
     k_function,
     k_sum_limit,
+    lower_bound_4_4,
+    solve_rho_M,
     sum_field,
 )
 from bubbleforge.errors import KappaTooLarge, NonpositiveValue
-from bubbleforge.fd import fd_laplacian
+from bubbleforge.potential import Kernel
 
-from conftest import random_rotation
+from conftest import fd_k, fd_laplacian, identity_3_4_residual, random_rotation
 
 
 def test_bubble_value_at_center_is_inverse_scale_power():
@@ -102,7 +102,7 @@ def test_k_function_fd_backend_close_to_analytic(rng):
     for _ in range(5):
         x = b.center + rng.normal(size=3)
         ka = k_function(b, x)
-        kf = k_function(b, x, backend="fd")
+        kf = fd_k(b, x, 1e-4 * 1.3)
         assert abs(ka - kf) < 1e-4
 
 
@@ -188,35 +188,37 @@ def test_identity_3_4_bubble_closed_form():
     assert lhs_closed == 32.0
     rhs = 4 * n * k_function(b, x) + (n + 2) * grad_inv_power(b, x)
     assert rhs == pytest.approx(lhs_closed, abs=1e-8)
-    assert abs(identity_3_4_residual(b, x)) < 1e-5
+    assert abs(identity_3_4_residual(b, x, 1e-3 * 1.0)) < 1e-5
 
 
 def test_identity_3_4_residual_random_fields(rng):
+    # steps 1e-3 times the smallest bubble scale, or 1e-3 for the base field
     fields = [
-        Bubble(1.1, [0.3, 0, 0], 3),
-        sum_field(Bubble(1.0, [1, 0, 0], 3), Bubble(0.7, [-1, 0, 0], 3)),
-        BaseField(3),
+        (Bubble(1.1, [0.3, 0, 0], 3), 1e-3 * 1.1),
+        (sum_field(Bubble(1.0, [1, 0, 0], 3), Bubble(0.7, [-1, 0, 0], 3)), 1e-3 * 0.7),
+        (BaseField(3), 1e-3 * 1.0),
     ]
-    for f in fields:
+    for f, h in fields:
         for _ in range(10):
             x = rng.normal(size=3)
-            assert abs(identity_3_4_residual(f, x)) < 1e-4
+            assert abs(identity_3_4_residual(f, x, h)) < 1e-4
 
 
 def test_identity_3_4_residual_base_field_origin():
-    assert abs(identity_3_4_residual(BaseField(3), [0.0, 0.0, 0.0])) < 1e-4
+    assert abs(identity_3_4_residual(BaseField(3), [0.0, 0.0, 0.0], 1e-3 * 1.0)) < 1e-4
 
 
 def test_identity_3_4_residual_glued_field(rng):
     u = glue_concentric(GlueConfig.concentric(
         Bubble(0.5, np.zeros(3), 3), Bubble(1.0, np.zeros(3), 3), 1.0, 3.0))
     # sample inside the transition annulus, away from the seams so the FD
-    # stencil never straddles a point where the third derivative jumps
+    # stencil never straddles a point where the third derivative jumps; the
+    # step is 1e-3 min(lam1, lam2, R - rho)
     for _ in range(10):
         r = rng.uniform(1.05, 2.95)
         d = rng.normal(size=3)
         x = r * d / np.linalg.norm(d)
-        assert abs(identity_3_4_residual(u, x)) < 1e-4
+        assert abs(identity_3_4_residual(u, x, 1e-3 * 0.5)) < 1e-4
 
 
 def test_grad_inv_power_examples():
@@ -273,12 +275,12 @@ def test_combined_field_respects_bounds(rng):
 
 
 def test_fd_laplacian_consistency(rng):
-    fields = [Bubble(1.0, [0.2, -0.1, 0.3], 3), BaseField(3),
-              sum_field(Bubble(0.8, [1, 0, 0], 3), BaseField(3))]
-    for f in fields:
+    # steps 1e-4 times the smallest bubble scale, or 1e-4 for the base field
+    fields = [(Bubble(1.0, [0.2, -0.1, 0.3], 3), 1e-4 * 1.0), (BaseField(3), 1e-4 * 1.0),
+              (sum_field(Bubble(0.8, [1, 0, 0], 3), BaseField(3)), 1e-4 * 0.8)]
+    for f, h in fields:
         for _ in range(8):
             x = rng.normal(size=3)
-            h = 1e-4 * f.fd_scale
             err = abs(f.laplacian(x) - fd_laplacian(f.value, x, h))
             assert err <= 100 * h * h + 1e-9
 
@@ -292,13 +294,29 @@ def test_radial_symmetry_under_rotations(rng):
 
 
 def test_dim_and_bubble_validation():
-    with pytest.raises(ValueError):
-        Dim(2)
+    with pytest.raises(ValueError, match="dimension must be an integer >= 3"):
+        Bubble(1.0, [0, 0], 2)
     with pytest.raises(ValueError):
         Bubble(0.0, [0, 0, 0], 3)
     with pytest.raises(ValueError):
         Bubble(-1.0, [0, 0, 0], 3)
     with pytest.raises(ValueError):
         Bubble(1.0, [np.inf, 0, 0], 3)
-    assert Dim(3).p_crit == 5.0
-    assert Dim(6).half == 2.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: k_sum_limit(1.0, 2.0, n),
+    lambda n: lower_bound_4_4(0.01, 1.0, 0.5, 2.0, n=n),
+    lambda n: combined_k_bounds(0.5, n),
+    lambda n: base_k(np.zeros(3), n),
+    lambda n: solve_rho_M(1e-3, 0.25, n),
+    lambda n: Bubble(1.0, np.zeros(3), n),
+    lambda n: BaseField(n),
+    lambda n: Kernel(n),
+], ids=["k_sum_limit", "lower_bound_4_4", "combined_k_bounds", "base_k", "solve_rho_M",
+        "Bubble", "BaseField", "Kernel"])
+def test_non_integral_dimension_is_rejected(call):
+    # 3.5 was once truncated to 3 by every entry point but the dimension check's own
+    with pytest.raises(ValueError, match="dimension must be an integer >= 3"):
+        call(3.5)
+    call(3)

@@ -20,9 +20,10 @@ from bubbleforge import (
     sup_scan,
 )
 from bubbleforge.errors import BadConfig, BadRadii, NoSolution, OverlapError
-from bubbleforge.fd import fd_laplacian
 from bubbleforge.field_core import CallableRadialField
 from bubbleforge.kelvin import Inversion
+
+from conftest import fd_laplacian
 
 # --- cutoff -------------------------------------------------------------------
 

@@ -224,10 +224,37 @@ def test_threads_keep_at_most_their_number_of_chunks_in_flight():
 
 
 @pytest.mark.parametrize("kw", [{"points_per_axis": 1}, {"points_per_axis": 0},
-                                {"radial_points": 1}, {"threads": 0}])
+                                {"radial_points": 1}, {"threads": 0},
+                                {"refine_factor": -1}])
 def test_grid_spec_rejects_sizes_below_minimum(kw):
     with pytest.raises(ValueError, match=next(iter(kw))):
         GridSpec(**kw)
+
+
+def test_grid_spec_accepts_no_refinement():
+    f = Bubble(1.0, np.zeros(3), 3)
+    rep = sup_scan(f, Box(-np.ones(3), np.ones(3)), GridSpec(points_per_axis=4, refine_factor=0))
+    assert rep.grid["refine_factor"] == 0
+
+
+_NAN3 = [np.nan, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Ball(np.zeros(3), np.nan),
+    lambda: Ball(np.zeros(3), np.inf),
+    lambda: Ball(_NAN3, 1.0),
+    lambda: Annulus(np.zeros(3), 1.0, np.inf),
+    lambda: Annulus(_NAN3, 0.5, 1.0),
+    lambda: Box(_NAN3, np.ones(3)),
+    lambda: Box(-np.ones(3), [1.0, np.inf, 1.0]),
+], ids=["ball-nan-radius", "ball-inf-radius", "ball-nan-center", "annulus-inf-r_out",
+        "annulus-nan-center", "box-nan-lo", "box-inf-hi"])
+def test_non_finite_region_geometry_is_rejected(make):
+    # accepted once, a NaN ball then failed its scan with OutOfDomain and an
+    # infinite box with a RuntimeWarning and NonpositiveValue
+    with pytest.raises(ValueError, match="finite|inf"):
+        make()
 
 
 def test_scans_below_two_points_are_rejected_before_they_start():

@@ -28,6 +28,12 @@ scipy, and importing the command line loads none of it.
 
 One clock in the command line: only cli._timed reads time.perf_counter,
 so every report row is timed the same way and no runner times itself.
+
+No test oracle in the package: the analytic jet is its only derivative
+path, and the finite-difference stencil lives in tests/conftest.py.  No
+module names fd_scale, imports a module fd or defines Dim, and every
+module but the package's __init__ and its command-line entry point is
+imported by another package module.
 """
 
 import ast
@@ -379,3 +385,90 @@ def test_only_timed_reads_the_clock_in_cli():
     lines = source.splitlines()
     bad = [f"cli.py:{i}: {lines[i - 1].strip()}" for i in clock_reads(source)]
     assert not bad, "let cli._timed time the rows:\n" + "\n".join(bad)
+
+
+
+def _imported_modules(node):
+    """Dotted names of the modules an import statement may load."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        return [base] * bool(base) + [f"{base}.{alias.name}".lstrip(".") for alias in node.names]
+    return []
+
+
+def oracle_traces(source: str):
+    """Line numbers that name fd_scale, import a module fd or define Dim."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Name) and node.id == "fd_scale"
+                or isinstance(node, ast.Attribute) and node.attr == "fd_scale"
+                or isinstance(node, (ast.arg, ast.keyword)) and node.arg == "fd_scale"
+                or isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == "Dim"
+                or isinstance(node, ast.Name) and node.id == "Dim"
+                and isinstance(node.ctx, ast.Store)
+                or any(m.rsplit(".", 1)[-1] == "fd" for m in _imported_modules(node))):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_guard_finds_oracle_traces():
+    src = "\n".join([
+        "from .fd import fd_laplacian",
+        "from . import fd",
+        "import bubbleforge.fd as fd",
+        "class Dim:",
+        "    n: int",
+        "def f(x, fd_scale=1.0):",
+        "    return g(x, fd_scale=x.fd_scale)",
+        "Dim = int",
+        "from .field_core import _dim, Bubble",
+        "import numpy.fft",
+        "scale = 1e-3 * bubble.lam",
+        "n = Dim(3).n",
+    ])
+    assert oracle_traces(src) == [1, 2, 3, 4, 6, 7, 8]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_test_oracle_in_package(path):
+    bad = oracle_traces(path.read_text())
+    assert not bad, f"{path.name} lines {bad}: the FD oracle and its steps live in tests/conftest.py"
+
+
+def unimported_modules(sources: dict[str, str], package: str, entry: set[str]):
+    """Modules of sources ({module name: source}) that no other one imports,
+    leaving out __init__ and the entry-point modules."""
+    imported = set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            for m in _imported_modules(node):
+                parts = m.split(".")
+                if getattr(node, "level", 0) == 0:  # absolute: bubbleforge.<module>
+                    parts = parts[1:] if parts[0] == package else []
+                if parts and parts[0] != name:
+                    imported.add(parts[0])
+    return sorted(set(sources) - imported - entry - {"__init__"})
+
+
+def test_guard_finds_unimported_modules():
+    sources = {
+        "__init__": "from .core import k\nfrom . import glue",
+        "core": "from .oracle import lap\nimport numpy",
+        "glue": "from bubbleforge.core import k\nimport bubbleforge",
+        "regions": "from .regions import _helper",
+        "oracle": "import numpy as np",
+        "stray": "from .core import k",
+        "cli": "from .core import k",
+    }
+    assert unimported_modules(sources, "bubbleforge", {"cli"}) == ["regions", "stray"]
+
+
+def test_every_module_is_imported_by_the_package():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    scripts = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())["project"]["scripts"]
+    entry = {target.split(":")[0].rsplit(".", 1)[-1] for target in scripts.values()}
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert entry <= set(sources)
+    assert unimported_modules(sources, SRC.name, entry) == [], "a module no package module imports"

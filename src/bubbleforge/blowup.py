@@ -15,16 +15,12 @@ import numpy as np
 from .errors import FitDiverged, OutOfDomain
 from .field_core import Bubble, ScalarField, _sq_dist
 from .potential import sphere_rule
-from .regions import _grid_chunks, _region_chunks, _stream_argmax
+from .regions import _grid_chunks
 
 OUTER_RADIUS = 5.0 / 8.0
 _CHUNK = 1 << 17  # coarse grid points scanned at a time
-# refine grid points evaluated at a time: with a whole 17^4 grid in one
-# chunk, its temporaries came near glibc's dynamic trim threshold, and in
-# some heap states their memory was returned and faulted in again on every
-# grid (about 30k extra page faults per `blowup --n 4`)
-_REFINE_CHUNK = 1 << 14
 _KEEP = 1 << 14  # leading coarse entries kept for the candidate search
+_MIN_STEP = 1.0 / 2048  # the compass search stops below this share of a cell
 
 
 @dataclass(frozen=True)
@@ -34,7 +30,8 @@ class BlowupInput:
     epsilon is the inner exclusion radius, R the zoom window for the fit,
     delta_target the acceptance threshold on the measured C^2 deviation.
     excluded lists (center, radius) balls masked out of the maximization,
-    which lets callers excise an already-detected bubble and rerun.
+    which lets callers excise an already-detected bubble and rerun.  coarse
+    is the nodes per axis of the grid that weighted_max's compass search refines.
     """
 
     field: ScalarField
@@ -43,7 +40,6 @@ class BlowupInput:
     delta_target: float
     excluded: tuple = ()
     coarse: int = 48
-    refine_passes: int = 3
     shift_cap: float = 5.0
 
     def __post_init__(self):
@@ -53,8 +49,6 @@ class BlowupInput:
             raise ValueError("R and delta_target must be positive")
         if self.coarse < 2:
             raise ValueError("coarse needs at least 2 nodes per axis")
-        if self.refine_passes < 0:
-            raise ValueError("refine_passes must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -110,19 +104,40 @@ def weighted_u(inp: BlowupInput, x):
     return vals
 
 
-def _refine_about(inp: BlowupInput, start_x: np.ndarray, start_v: float,
-                  cell: np.ndarray):
-    """Refine passes of 17^n nodes about the best node so far, each 8x finer."""
-    best_x, best = start_x, start_v
-    step = cell.copy()
-    for _ in range(inp.refine_passes):
-        axes = [np.linspace(a, b, 17) for a, b in zip(best_x - step, best_x + step)]
-        sub_v, sub_x, _ = _stream_argmax(lambda pts: weighted_u(inp, pts),
-                                         _region_chunks(None, axes, _REFINE_CHUNK))
-        if sub_v > best:
-            best_x, best = sub_x, sub_v
-        step = step / 8.0
-    return best_x, float(best)
+def _compass_search(inp: BlowupInput, xs: np.ndarray, vs: np.ndarray,
+                    cell: np.ndarray):
+    """Compass search on weighted_u from every row of xs; (points, values).
+
+    Each start polls x +- h cell_i e_i, i = 1..n, from h = 1, and last its
+    radial projection onto the sphere |x| = (eps + 5/8) / 2, where d_eps has
+    its kink: axis steps stall short of that ridge, on which the maximum of
+    a field that peaks nowhere inside the annulus lies.  A start moves to
+    its best poll point only if that is strictly higher (ties to the first,
+    a NaN never), and else halves h, down to h < _MIN_STEP.  Every live
+    start's polls go to one weighted_u call per iteration; each path is the
+    one that start takes alone.  (Hooke & Jeeves, J. ACM 8, 1961; Kolda,
+    Lewis & Torczon, SIAM Review 45, 2003.)  Raises OutOfDomain on an
+    infinite poll value.
+    """
+    x, v, h = xs.astype(float), vs.astype(float), np.ones(len(xs))
+    moves = np.vstack([np.diag(cell), -np.diag(cell)])  # +e_1, .., +e_n, -e_1, ..
+    ridge = (inp.epsilon + OUTER_RADIUS) / 2
+    live = np.arange(len(x))
+    while live.size:
+        xl = x[live, None, :]
+        polls = np.concatenate([xl + h[live, None, None] * moves,
+                                xl * (ridge / np.sqrt(_sq_dist(xl)))[..., None]], axis=1)
+        pv = weighted_u(inp, polls.reshape(-1, x.shape[1])).reshape(polls.shape[:2])
+        if np.any(pv == np.inf):
+            raise OutOfDomain("weighted field is infinite at a poll point")
+        pv[np.isnan(pv)] = -np.inf
+        j, best = pv.argmax(axis=1), pv.max(axis=1)
+        up = best > v[live]
+        x[live[up]] = polls[up, j[up]]
+        v[live[up]] = best[up]
+        h[live[~up]] /= 2.0
+        live = live[h[live] >= _MIN_STEP]
+    return x, v
 
 
 def _coarse_top(inp: BlowupInput, axis: np.ndarray, keep: int):
@@ -171,15 +186,16 @@ def weighted_max(inp: BlowupInput, n_candidates: int = 8):
     ties toward the smallest flat index, which is a prefix of the order of
     the whole grid.  Narrow peaks can fall between coarse nodes, so the first
     n_candidates nodes along that order that lie at least two cell
-    diagonals from every earlier candidate are each refined locally, and
-    the best refined value wins.  If the kept prefix runs out before
-    n_candidates are found while finite values remain outside it, the grid
-    is rescanned keeping eight times as many, so the result is exact in
-    every case.  The whole search is deterministic.
+    diagonals from every earlier candidate are refined at once by one
+    compass search, from a step of one cell down to 1/2048 of it, and the
+    first with the highest refined value wins.  If the kept prefix runs out
+    before n_candidates are found while finite values remain outside it,
+    the grid is rescanned keeping eight times as many, so the candidates
+    are exact in every case.  The whole search is deterministic.
 
     Raises OutOfDomain when no coarse node is admissible (every node lies
     off the annulus or inside an excluded ball) or when the weighted field
-    is infinite at a node.
+    is infinite at a coarse node or a poll point.
     """
     n = inp.field.n
     axis = np.linspace(-OUTER_RADIUS, OUTER_RADIUS, inp.coarse)
@@ -201,12 +217,10 @@ def weighted_max(inp: BlowupInput, n_candidates: int = 8):
     if not candidates:
         raise OutOfDomain("no admissible coarse node: every node lies off "
                           "the annulus or inside an excluded ball")
-    best_x, best = candidates[0]
-    for cx, cv in candidates:
-        rx, rv = _refine_about(inp, cx, cv, cell)
-        if rv > best:
-            best_x, best = rx, rv
-    return best_x, float(best)
+    xs, vs = _compass_search(inp, np.array([x for x, _ in candidates]),
+                             np.array([v for _, v in candidates]), cell)
+    k = int(np.argmax(vs))
+    return xs[k], float(vs[k])
 
 
 class RescaledField(ScalarField):

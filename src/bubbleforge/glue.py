@@ -271,12 +271,15 @@ class DisjointGlueField(ScalarField):
         c1, c2 = self.b1.center, self.b2.center
         s1, u1, k1, lap1 = self.b1._radial_jet(_sq_dist(pts, c1), grad or d2, d2)
         s2, u2, k2, lap2 = self.b2._radial_jet(_sq_dist(pts, c2), grad or d2, d2)
-        p1, dp1, d2p1 = self.cut1._jet(s1, d2)
-        p2, dp2, d2p2 = self.cut2._jet(s2, d2)
-        s1s = np.where(s1 == 0.0, 1.0, s1)
-        s2s = np.where(s2 == 0.0, 1.0, s2)
+        # a value needs no cutoff slope
+        p1, dp1, d2p1 = self.cut1._jet(s1, d2) if grad or d2 else (self.cut1.phi(s1), None, None)
+        p2, dp2, d2p2 = self.cut2._jet(s2, d2) if grad or d2 else (self.cut2.phi(s2), None, None)
         # the cutoff about each centre weights the other centre's bubble
         u = (1.0 - p2) * u1 + (1.0 - p1) * u2
+        if not (grad or d2):
+            return u, None, None
+        s1s = np.where(s1 == 0.0, 1.0, s1)
+        s2s = np.where(s2 == 0.0, 1.0, s2)
         lap = None
         if d2:
             lap = ((1.0 - p2) * lap1
@@ -326,10 +329,13 @@ class InsertGlueField(ScalarField):
         uh, gh, laph = self.host._jet(self.x1 + pts, grad or d2, d2)
         ub, gb, lapb = self.bubble._jet(pts, grad or d2, d2)
         s = np.sqrt(_sq_dist(pts))
-        p, dp, d2p = self.cut._jet(s, d2)
+        # a value needs no cutoff slope
+        p, dp, d2p = self.cut._jet(s, d2) if grad or d2 else (self.cut.phi(s), None, None)
+        u = p * ub + (1.0 - p) * uh
+        if not (grad or d2):
+            return u, None, None
         ss = np.where(s == 0.0, 1.0, s)
         diff = ub - uh
-        u = p * ub + (1.0 - p) * uh
         lap = None
         if d2:
             lap = (p * lapb + (1.0 - p) * laph

@@ -26,7 +26,7 @@ from bubbleforge import (
     sum_field,
     weighted_max,
 )
-from bubbleforge.blowup import OUTER_RADIUS, _refine_about, d_eps, weighted_u
+from bubbleforge.blowup import OUTER_RADIUS, _compass_search, d_eps, weighted_u
 from bubbleforge.errors import FitDiverged, OutOfDomain
 from bubbleforge.field_core import _sq_dist
 from bubbleforge.regions import grid_points
@@ -64,12 +64,15 @@ def _admissible(inp, pts):
     return ok
 
 
-def _dense_weighted_max(inp, n_candidates=8):
+def _cell(inp):
+    return np.full(inp.field.n, 2 * OUTER_RADIUS / (inp.coarse - 1))
+
+
+def _dense_candidates(inp, n_candidates=8):
     """Reference: the whole coarse grid at once, ordered by a stable argsort."""
-    n = inp.field.n
     pts = _dense_grid(inp)
     vals = weighted_u(inp, pts)
-    cell = np.full(n, 2 * OUTER_RADIUS / (inp.coarse - 1))
+    cell = _cell(inp)
     candidates = []
     for idx in np.argsort(-vals, kind="stable"):
         if not np.isfinite(vals[idx]):
@@ -79,12 +82,13 @@ def _dense_weighted_max(inp, n_candidates=8):
             candidates.append((pts[idx], float(vals[idx])))
         if len(candidates) >= n_candidates:
             break
-    best_x, best = candidates[0]
-    for cx, cv in candidates:
-        rx, rv = _refine_about(inp, cx, cv, cell)
-        if rv > best:
-            best_x, best = rx, rv
-    return best_x, float(best)
+    return np.array([x for x, _ in candidates]), np.array([v for _, v in candidates])
+
+
+def _dense_weighted_max(inp):
+    xs, vs = _compass_search(inp, *_dense_candidates(inp), _cell(inp))
+    k = int(np.argmax(vs))
+    return xs[k], float(vs[k])
 
 
 def _two_bubble_input():
@@ -240,10 +244,11 @@ def test_weighted_max_raises_on_infinite_value():
 
 
 def _dense_refine_about(inp, start_x, start_v, cell):
-    """Reference: each local 17^n grid built whole and maximized by np.argmax."""
+    """The former refinement: three passes of 17^n nodes about the best node
+    so far, each 8x finer, every grid built whole and maximized by np.argmax."""
     best_x, best = start_x, start_v
     step = cell.copy()
-    for _ in range(inp.refine_passes):
+    for _ in range(3):
         sub = grid_points(best_x - step, best_x + step, 17)
         sv = weighted_u(inp, sub)
         j = int(np.argmax(sv))
@@ -259,38 +264,120 @@ def _nan_shell_input():
     return BlowupInput(field=shell, epsilon=0.1, R=5.0, delta_target=0.01)
 
 
+def _inf_shell_input():
+    shell = CallableRadialField(3, lambda r: np.where(np.abs(r - 0.31) < 0.004, np.inf, 1.0),
+                                lambda r: 0 * r, lambda r: 0 * r)
+    return BlowupInput(field=shell, epsilon=0.1, R=5.0, delta_target=0.01)
+
+
+_STARTS = np.array([[0.3, 0.0, 0.0], [0.0, 0.45, 0.0], [0.2, -0.2, 0.1], [-0.3, 0.05, 0.0]])
+
+
 @pytest.mark.parametrize("make_input", [
     _narrow_bubble_input, _two_bubble_input, _excised_input,
-    _constant_input,  # ties: the first maximum in C order wins
-    _nan_shell_input,  # the first NaN wins, and then nothing is taken
+    _constant_input, _nan_shell_input,
 ])
-def test_refine_about_matches_dense_refine(make_input, monkeypatch):
-    # 100-point chunks hold five 17-node rows each, so the last of the
-    # chunks over the 289 rows of a 17^3 grid is partial
-    monkeypatch.setattr(blowup, "_REFINE_CHUNK", 100)
+def test_compass_search_beats_the_dense_refine(make_input):
     inp = make_input()
-    cell = np.full(3, 2 * OUTER_RADIUS / (inp.coarse - 1))
-    for x in ([0.3, 0.0, 0.0], [0.0, 0.45, 0.0], [0.2, -0.2, 0.1], [-0.3, 0.05, 0.0]):
-        x = np.asarray(x)
-        for v in (float(weighted_u(inp, x)), -np.inf):
-            got_x, got_v = _refine_about(inp, x, v, cell)
-            ref_x, ref_v = _dense_refine_about(inp, x, v, cell)
-            assert np.array_equal(got_x, ref_x)
-            assert got_v == ref_v or (np.isnan(got_v) and np.isnan(ref_v))
+    cell = _cell(inp)
+    # a start inside an excluded ball, of value -inf, is no candidate: from
+    # there both searches end on the ball's boundary, equal up to rounding
+    starts = _STARTS[np.isfinite(weighted_u(inp, _STARTS))]
+    # the maxima of the constant and NaN-shell fields lie on the kink
+    # |x| = (eps + 5/8) / 2 of d_eps, which axis steps alone reach only to
+    # about 4e-7 relative below the dense refine
+    starts = np.vstack([_dense_candidates(inp)[0], starts])
+    vs = weighted_u(inp, starts)
+    xs, got = _compass_search(inp, starts, vs, cell)
+    assert not np.isnan(got).any() and not np.isnan(xs).any()
+    assert np.all(got >= vs)
+    for x, v, g in zip(starts, vs, got):
+        assert g >= _dense_refine_about(inp, x, float(v), cell)[1]
 
 
-def test_refine_about_memory_is_bounded_at_n5():
-    # the dense 17^5 grid of one pass took ~370 MB
+@pytest.mark.parametrize("make_input", [
+    _narrow_bubble_input, _two_bubble_input, _excised_input, _n4_input,
+])
+def test_weighted_max_is_a_local_maximum_at_the_final_step(make_input):
+    # no node of a 9^n grid of spacing cell/2048 about x_o is higher
+    inp = make_input()
+    x_o, M = weighted_max(inp)
+    h = _cell(inp) / 2048
+    grid = grid_points(x_o - 4 * h, x_o + 4 * h, 9)
+    assert np.max(weighted_u(inp, grid)) <= M
+
+
+@pytest.mark.parametrize("make_input", [_two_bubble_input, _excised_input, _n4_input,
+                                        _constant_input])
+def test_compass_search_of_all_starts_is_each_alone(make_input):
+    inp = make_input()
+    n = inp.field.n
+    starts = np.random.default_rng(3).uniform(-0.5, 0.5, size=(8, n))
+    starts = starts[d_eps(starts, inp.epsilon) > 0]
+    vs = weighted_u(inp, starts)
+    xs, got = _compass_search(inp, starts, vs, _cell(inp))
+    for i in range(len(starts)):
+        x1, v1 = _compass_search(inp, starts[i:i + 1], vs[i:i + 1], _cell(inp))
+        assert x1[0].tobytes() == xs[i].tobytes()
+        assert v1[0].hex() == got[i].hex()
+
+
+def test_compass_search_never_takes_a_nan():
+    inp = _nan_shell_input()
+    cell = _cell(inp)
+    # the first poll point +cell e_1 lies on the NaN shell
+    start = np.array([[0.31 - cell[0], 0.0, 0.0]])
+    assert np.isnan(weighted_u(inp, start + cell * [1, 0, 0]))[0]
+    xs, vs = _compass_search(inp, start, weighted_u(inp, start), cell)
+    assert np.isfinite(vs).all() and np.isfinite(xs).all()
+    x_o, M = weighted_max(inp)
+    assert np.isfinite(M) and np.isfinite(x_o).all()
+
+
+def test_compass_search_raises_on_infinite_poll_value():
+    inp = _inf_shell_input()
+    cell = _cell(inp)
+    start = np.array([[0.31 - cell[0], 0.0, 0.0]])
+    assert np.isfinite(weighted_u(inp, start)).all()
+    with pytest.raises(OutOfDomain, match="infinite"):
+        _compass_search(inp, start, weighted_u(inp, start), cell)
+
+
+def test_compass_search_memory_is_bounded_at_n5():
+    # one pass of the former 17^5 refine grids, built whole, took ~370 MB
     x = np.array([0.3, 0.0, 0.0, 0.0, 0.0])
     inp = BlowupInput(field=Bubble(1e-3, x, 5), epsilon=0.1, R=5.0, delta_target=0.01)
-    cell = np.full(5, 2 * OUTER_RADIUS / (inp.coarse - 1))
+    cell = _cell(inp)
+    starts = x + cell * np.arange(1, 9)[:, None] / 3
     tracemalloc.start()
     try:
-        _refine_about(inp, x + cell / 3, float(weighted_u(inp, x + cell / 3)), cell)
+        _compass_search(inp, starts, weighted_u(inp, starts), cell)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100e6
+    assert peak < 1e6
+
+
+def test_refinement_evaluates_few_points(tmp_path, monkeypatch):
+    # the three 17^4 refine grids of each of 8 candidates took 2,004,504 points
+    # for `blowup --n 4 --seed 0`
+    from bubbleforge import cli
+
+    counts, coarse_end = [], []
+    top = blowup._coarse_top
+
+    def marked_top(*args):
+        result = top(*args)
+        coarse_end.append(len(counts))
+        return result
+
+    monkeypatch.setattr(blowup, "weighted_u",
+                        lambda inp, x: counts.append(len(x)) or weighted_u(inp, x))
+    monkeypatch.setattr(blowup, "_coarse_top", marked_top)
+    assert cli.main(["blowup", "--n", "4", "--seed", "0",
+                     "--out", str(tmp_path / "r.csv")]) == 0
+    assert len(coarse_end) == 1
+    assert 0 < sum(counts[coarse_end[0]:]) < 20_000
 
 
 def test_detect_after_excising_the_whole_annulus_raises():
@@ -480,6 +567,3 @@ def test_blowup_input_validation():
         with pytest.raises(ValueError, match="coarse"):
             BlowupInput(field=b, epsilon=0.1, R=5.0, delta_target=0.01,
                         coarse=coarse)
-    with pytest.raises(ValueError, match="refine_passes"):
-        BlowupInput(field=b, epsilon=0.1, R=5.0, delta_target=0.01,
-                    refine_passes=-1)

@@ -27,6 +27,7 @@ from bubbleforge import (
 )
 from bubbleforge.blowup import RescaledField, _c2_deviation, _fit_samples
 from bubbleforge.field_core import _sq_dist
+from bubbleforge.glue import Cutoff
 from bubbleforge.kelvin import KelvinField
 
 
@@ -117,6 +118,21 @@ def test_jet_is_value_gradient_laplacian(make, rng):
     # a value-only jet forms neither derivative and moves no bit of u
     u4, g4, lap4 = f._jet(pts, False, False)
     assert g4 is None and lap4 is None and _same_bits(u4, u)
+
+
+@pytest.mark.parametrize("name", ["disjoint", "insert"])
+def test_glue_value_jet_forms_no_cutoff_slope(name, rng, monkeypatch):
+    f, half = FIELDS[name]()
+    pts = rng.uniform(-half, half, size=(512, f.n))
+    full = f._jet(pts, True, True)[0]
+
+    def slope(*args):
+        raise AssertionError("a value-only jet formed a cutoff derivative")
+
+    monkeypatch.setattr(Cutoff, "_jet", slope)
+    u, g, lap = f._jet(pts, False, False)
+    assert g is None and lap is None
+    assert [v.hex() for v in u.tolist()] == [v.hex() for v in full.tolist()]
 
 
 class _NoJet(ScalarField):

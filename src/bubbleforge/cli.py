@@ -29,7 +29,7 @@ import numpy as np
 from .blowup import BlowupInput, detect
 from .bounds import ThmBParams, lower_bound_4_4, sup_scan, thmA_conditions, thmB_chain_bound, thmB_condition
 from .errors import BubbleforgeError
-from .field_core import Bubble, CallableRadialField, k_function, k_sum_limit, sum_field
+from .field_core import Bubble, CallableRadialField, RadialField, k_function, k_sum_limit, sum_field
 from .glue import GlueConfig, glue_bubble_into, glue_concentric, glue_disjoint, insert_annulus, solve_rho_M
 from .potential import Kernel, SingularProfile, int_absH_ball, rep_formula_report, rep_identity_report
 from .regions import Ball, Box, GridSpec
@@ -254,17 +254,32 @@ def _run_rep_identity(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
                     residual <= bound)
 
 
+class _RadialPower(RadialField):
+    """The field |x|^beta; its jet takes one non-integer power per point.
+
+    f = r^beta is value_r bit for bit, f' = beta f / r and
+    f'' = (beta - 1) f' / r.
+    """
+
+    def __init__(self, n: int, beta: float):
+        super().__init__(n)
+        self.beta = beta
+
+    def value_r(self, r):
+        return np.asarray(r, float) ** self.beta
+
+    def _profile(self, r, d2):
+        f = r**self.beta
+        df = self.beta * f / r
+        return f, df, (self.beta - 1.0) * df / r if d2 else None
+
+
 def _run_rep_singular(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     n, nut, R = p["n"], p["nu"], p["R"]
     if not 0 < nut < 1:
         raise ConfigError("rep-singular needs nu in (0, 1)")
     beta = 2.0 - n + nut
-    u = CallableRadialField(
-        n,
-        lambda r: r**beta,
-        lambda r: beta * r ** (beta - 1),
-        lambda r: beta * (beta - 1) * r ** (beta - 2),
-    )
+    u = _RadialPower(n, beta)
     prof = SingularProfile(p=np.zeros(n), mu=1.0 - nut, nu=nut,
                            c1=abs(beta * nut) * 1.01, c2=abs(beta) * 1.01, delta=0.3)
     pstr = _params_str(p)

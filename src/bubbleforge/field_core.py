@@ -144,7 +144,10 @@ class RadialField(ScalarField):
     A subclass supplies the profile value_r and _profile(r, d2), which
     returns the profile and its first two radial derivatives (f, f', f'')
     sharing their intermediates, f'' None unless d2; a value-only jet reads
-    value_r alone, and a closed-form Laplacian overrides _radial_jet.
+    value_r alone, and a closed-form Laplacian overrides _radial_jet.  A
+    profile that is a power of a rational function of r (Bubble, BaseField)
+    takes that one non-integer power per point, the one value_r takes, and
+    forms its derivatives as products and quotients of it.
     """
 
     def __init__(self, n: int, center=None):
@@ -187,7 +190,14 @@ class RadialField(ScalarField):
 
 
 class Bubble(RadialField):
-    """Spherical solution (lam / (lam^2 + |x - center|^2))^((n-2)/2)."""
+    """Spherical solution (lam / (lam^2 + |x - center|^2))^((n-2)/2).
+
+    With t = lam / (lam^2 + r^2) the bubble is u = t^((n-2)/2), and every
+    derivative is u times a rational function of t: f'/r = -(n-2) u t / lam
+    and lap(u) = -n(n-2) u^((n+2)/(n-2)) = -n(n-2) u t^2.  So a jet takes one
+    non-integer power per point, the one value_r takes, and its u is value_r
+    bit for bit.
+    """
 
     def __init__(self, lam: float, center, n: int):
         super().__init__(n, center)
@@ -209,32 +219,54 @@ class Bubble(RadialField):
         s2 **= (self.n - 2) / 2
         return s2
 
+    def _t_and_value(self, r):
+        """(t, u) with t = lam / (lam^2 + r^2), formed as value_r forms it, and u = t^q."""
+        t = r * r
+        t += self.lam**2
+        np.divide(self.lam, t, out=t)
+        return t, t ** ((self.n - 2) / 2)
+
     def _profile(self, r, d2):
-        """(f, f', f'') sharing lam^2 + r^2; f'' is None unless d2."""
-        q = (self.n - 2) / 2
-        s2 = self.lam**2 + r * r
-        f = (self.lam / s2) ** q
-        df = -(self.n - 2) * r * self.lam**q * s2 ** (-self.n / 2)
-        if not d2:
-            return f, df, None
-        return f, df, -(self.n - 2) * self.lam**q * s2 ** (-(self.n + 2) / 2) * (
-            self.lam**2 + (1 - self.n) * r * r
-        )
+        """(f, f', f'') from one power; f'' = (f'/r)(lam^2 + (1-n) r^2) t / lam."""
+        t, f = self._t_and_value(r)
+        k = f * t
+        k *= -(self.n - 2) / self.lam
+        d2f = None
+        if d2:
+            d2f = r * r
+            d2f *= 1 - self.n
+            d2f += self.lam**2
+            d2f *= k
+            d2f *= t
+            d2f /= self.lam
+        k *= r
+        return f, k, d2f
 
     def _radial_jet(self, sq, slope, d2):
-        # exact: lap(u) = -n(n-2) u^((n+2)/(n-2)), from the summed square
+        r = np.sqrt(sq, out=sq)
+        if not (slope or d2):
+            return r, self.value_r(r), None, None
+        t, u = self._t_and_value(r)
+        k = None
+        if slope:
+            k = u * t
+            k *= -(self.n - 2) / self.lam
         lap = None
         if d2:
-            lap = -self.n * (self.n - 2) * (self.lam / (self.lam**2 + sq)) ** ((self.n + 2) / 2)
-        r = np.sqrt(sq, out=sq)
-        if not slope:
-            return r, self.value_r(r), None, lap
-        f, df, _ = self._profile(r, False)
-        return r, f, df / np.where(r == 0.0, 1.0, r), lap
+            # lap(u) = -n(n-2) u t^2, written into t's buffer
+            lap = np.multiply(t, t, out=t)
+            lap *= u
+            lap *= -self.n * (self.n - 2)
+        return r, u, k, lap
 
 
 class BaseField(RadialField):
-    """The slow-decay floor field (|x|^2 + 1)^((2-n)/4), centered at origin."""
+    """The slow-decay floor field (|x|^2 + 1)^((2-n)/4), centered at origin.
+
+    With w = 1 + r^2 and m = (2-n)/4 the field is u = w^m, f'/r = 2m u / w
+    and lap(u) = ((2-n)/2) (u / w^2) (n + ((n-2)/2) r^2): one non-integer
+    power per point, the one value_r takes.
+    """
 
     def __repr__(self):
         return f"BaseField(n={self.n})"
@@ -245,16 +277,26 @@ class BaseField(RadialField):
 
     def _radial_jet(self, sq, slope, d2):
         m = (2 - self.n) / 4
+        r = np.sqrt(sq, out=sq)
+        if not (slope or d2):
+            return r, self.value_r(r), None, None
+        w = r * r
+        w += 1.0
+        u = w ** m
+        k = None
+        if slope:
+            k = u / w
+            k *= 2 * m
         lap = None
         if d2:
-            lap = ((2 - self.n) / 2) * (1.0 + sq) ** (m - 2) * (
-                self.n + ((self.n - 2) / 2) * sq
-            )
-        r = np.sqrt(sq, out=sq)
-        w = 1.0 + r * r
-        k = 2 * m * r * w ** (m - 1) / np.where(r == 0.0, 1.0, r) if slope else None
-        w **= m
-        return r, w, k, lap
+            lap = r * r
+            lap *= (self.n - 2) / 2
+            lap += self.n
+            lap *= u
+            lap /= w
+            lap /= w
+            lap *= (2 - self.n) / 2
+        return r, u, k, lap
 
 
 class CallableRadialField(RadialField):

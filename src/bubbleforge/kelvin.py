@@ -73,7 +73,10 @@ class KelvinField(ScalarField):
     when the source declares the decay coefficient A = lim |y|^(n-2) u(y);
     otherwise evaluation there raises AtCenter.  Gradient and Laplacian are
     exact chain-rule images of the source's jet at the inversion image, and
-    are only defined away from the center.
+    are only defined away from the center.  The jet takes one non-integer
+    power per point, pref = c^((n-2)/2) with c = a^2 / |x - center|^2; the
+    Laplacian factor pref c^2 and the gradient factor pref / |x - center|^2
+    are products of it.
     """
 
     def __init__(self, src: ScalarField, inv: Inversion):
@@ -106,9 +109,13 @@ class KelvinField(ScalarField):
             rho2 = np.where(at_center, 1.0, rho2)
         a = self.inv.radius
         u, gu, lap = self.src._jet(_image(self.inv, d, rho2), grad, d2)
-        pref = (a**2 / rho2) ** ((self.n - 2) / 2)
+        # (a/rho)^(n+2) = pref c^2 and a^(n-2)/rho^n = pref / rho^2
+        c = a**2 / rho2
+        pref = c ** ((self.n - 2) / 2)
         if d2:
-            lap = (a**2 / rho2) ** ((self.n + 2) / 2) * lap
+            lap *= pref
+            lap *= c
+            lap *= c
         if not grad:
             u = pref * u
             # a batch holding the centre is value-only: it takes the extension
@@ -117,8 +124,8 @@ class KelvinField(ScalarField):
             return u, None, lap
         # reflection part of the inversion Jacobian: (a^2/rho^2)(I - 2 e e^T)
         dot = _row_dot(d.T, gu.T)
-        jac_g = (a**2 / rho2) * (gu - 2.0 * d * dot / rho2)
-        g = (2 - self.n) * a ** (self.n - 2) * rho2 ** (-self.n / 2.0) * d * u + pref * jac_g
+        jac_g = c * (gu - 2.0 * d * dot / rho2)
+        g = (2 - self.n) * (pref / rho2) * d * u + pref * jac_g
         return pref * u, g, lap
 
 

@@ -331,11 +331,36 @@ def weighted_grad_integral(k: Kernel, f: ScalarField, region: Ball, xi,
     integral through the spherical mean of the kernel; otherwise a polar
     product rule about xi is used.
     """
+    [q] = _weighted_grad_integrals(k, (f,), region, xi, m_sphere, m_rad)
+    return q
+
+
+def _weighted_grad_integrals(k: Kernel, fields, region: Ball, xi,
+                             m_sphere: int = 16, m_rad: int = 16) -> list[QuadResult]:
+    """weighted_grad_integral of each of several fields over one ball.
+
+    Each radial field keeps its own adaptive integral.  The fields that take
+    the polar path share one pass: every ray point is built once, and each
+    field's integral is bit for bit the one a call of its own gives.
+    """
     xi = np.asarray(xi, dtype=float)
-    radial = f.radial and bool(np.all(region.center == 0.0))
-    val, err, ev = _abs_h_ball(k, lambda pts: inv_root_grad_sq(f, pts), region, xi,
-                               radial, (), m_sphere, m_rad)
-    return QuadResult(value=val, err_est=err, n_evals=ev)
+    at_origin = bool(np.all(region.center == 0.0))
+    out: list = [None] * len(fields)
+    polar = []
+    for i, f in enumerate(fields):
+        if not (f.radial and at_origin):
+            polar.append(i)
+            continue
+        val, err, ev = _abs_h_ball(k, lambda pts, f=f: inv_root_grad_sq(f, pts), region, xi,
+                                   True, (), m_sphere, m_rad)
+        out[i] = QuadResult(value=val, err_est=err, n_evals=ev)
+    if polar:
+        res, ev = _polar_ball_integral(
+            k, lambda pts: tuple(inv_root_grad_sq(fields[i], pts) for i in polar),
+            region, xi, m_sphere, m_rad)
+        for i, (val, err) in zip(polar, res):
+            out[i] = QuadResult(value=val, err_est=err, n_evals=ev)
+    return out
 
 
 def _radial_field_splits(field) -> list[float]:
@@ -395,8 +420,8 @@ def lower_bound_3_9(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi) -> floa
     """Representation lower bound on sup |K - 1| over a ball of radius R."""
     n = u_c.n
     p4 = 4.0 / (n - 2)
-    q2 = weighted_grad_integral(Kernel(n), u_c, omega2, xi).value - \
-        weighted_grad_integral(Kernel(n), u2, omega2, xi).value
+    q_c, q_2 = _weighted_grad_integrals(Kernel(n), (u_c, u2), omega2, xi)
+    q2 = q_c.value - q_2.value
     bracket = (float(u_c.value(xi)) ** (-p4) - float(u2.value(xi)) ** (-p4)
                + (n + 2) * q2)
     return ((n - 2) / (2.0 * n)) * bracket / omega2.radius**2

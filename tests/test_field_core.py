@@ -1,12 +1,15 @@
 """Bubbles, field algebra and the curvature-function evaluator."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from bubbleforge import (
     BaseField,
     Bubble,
+    CallableRadialField,
     GlueConfig,
+    Inversion,
     ScalarField,
     base_k,
     combined_k_bounds,
@@ -15,12 +18,18 @@ from bubbleforge import (
     inv_root_grad_sq,
     k_function,
     k_sum_limit,
+    kelvin_bubble,
     lower_bound_4_4,
     solve_rho_M,
     sum_field,
+    sup_scan,
 )
+from bubbleforge.cli import _RadialPower
 from bubbleforge.errors import KappaTooLarge, NonpositiveValue
+from bubbleforge.field_core import _offsets, _row_dot, _sq_dist
+from bubbleforge.kelvin import KelvinField, _image
 from bubbleforge.potential import Kernel
+from bubbleforge.regions import Box
 
 from conftest import fd_k, fd_laplacian, identity_3_4_residual, random_rotation
 
@@ -320,3 +329,287 @@ def test_non_integral_dimension_is_rejected(call):
     with pytest.raises(ValueError, match="dimension must be an integer >= 3"):
         call(3.5)
     call(3)
+
+
+# --- closed-form jets against a 30-digit oracle ------------------------------------
+# Every jet entry is within JET_REL_TOL of mpmath at 30 digits: u relative to
+# |u|, each partial relative to |grad u| and the Laplacian relative to |lap u|.
+# The concentric glue forms its Laplacian as f'' + (n-1) f'/r from terms up
+# to ~100 times larger than their sum, so its Laplacian is measured relative
+# to |f''| + (n-1) |f'/r|.  Over each field's configurations, the worst error
+# of each entry is also at most twice that of the formulas that took two to
+# four non-integer powers per point, kept below as the reference.
+
+JET_REL_TOL = 1e-14
+
+
+def _mp_radial_jet(x, center, f, df, d2f):
+    """(u, grad u, lap u, lap scale) at x of the radial field f(|x - center|), in mpmath.
+
+    f, df and d2f give the profile and its first two derivatives at an mpf
+    radius; the offsets are the exact differences of the float inputs.  The
+    scale is |f''| + (n-1) |f'/r|, or |lap u| at r = 0.
+    """
+    d = [mpmath.mpf(float(a)) - mpmath.mpf(c) for a, c in zip(x, center)]
+    r = mpmath.sqrt(mpmath.fsum(di * di for di in d))
+    n = len(d)
+    if r == 0:
+        lap = n * d2f(r)
+        return f(r), [mpmath.mpf(0)] * n, lap, abs(lap)
+    slope = df(r) / r
+    return (f(r), [slope * di for di in d], d2f(r) + (n - 1) * slope,
+            abs(d2f(r)) + (n - 1) * abs(slope))
+
+
+def _mp_bubble(lam, center):
+    """Profile oracle of a bubble; lam and the centre may be floats or mpf."""
+    lam = mpmath.mpf(lam)
+    center = [mpmath.mpf(c) for c in center]
+    n = len(center)
+    q = mpmath.mpf(n - 2) / 2
+
+    def f(r):
+        return (lam / (lam**2 + r * r)) ** q
+
+    def df(r):
+        return -(n - 2) * r * lam**q * (lam**2 + r * r) ** (-q - 1)
+
+    def d2f(r):
+        return -(n - 2) * lam**q * (lam**2 + r * r) ** (-q - 2) * (lam**2 + (1 - n) * r * r)
+
+    return center, f, df, d2f
+
+
+def _mp_base(n):
+    m = mpmath.mpf(2 - n) / 4
+
+    def f(r):
+        return (1 + r * r) ** m
+
+    def df(r):
+        return 2 * m * r * (1 + r * r) ** (m - 1)
+
+    def d2f(r):
+        return 2 * m * (1 + r * r) ** (m - 1) + 4 * m * (m - 1) * r * r * (1 + r * r) ** (m - 2)
+
+    return [0.0] * n, f, df, d2f
+
+
+def _mp_power(n, beta):
+    beta = mpmath.mpf(beta)
+    return ([0.0] * n, lambda r: r**beta, lambda r: beta * r ** (beta - 1),
+            lambda r: beta * (beta - 1) * r ** (beta - 2))
+
+
+def _mp_concentric(w):
+    """The concentric glue phi u1 + (1 - phi) u2 with its quintic smoothstep."""
+    c, f1, df1, d2f1 = _mp_bubble(w.b1.lam, w.b1.center)
+    _, f2, df2, d2f2 = _mp_bubble(w.b2.lam, w.b2.center)
+    r_in, width = mpmath.mpf(w.cut.r_in), mpmath.mpf(w.cut.r_out) - mpmath.mpf(w.cut.r_in)
+
+    def cut(r):
+        t = min(max((r - r_in) / width, 0), 1)
+        return (1 - t**3 * (10 - 15 * t + 6 * t * t), -30 * t * t * (1 - t) ** 2 / width,
+                -60 * t * (2 * t - 1) * (t - 1) / width**2)
+
+    def f(r):
+        p = cut(r)[0]
+        return p * f1(r) + (1 - p) * f2(r)
+
+    def df(r):
+        p, dp, _ = cut(r)
+        return dp * (f1(r) - f2(r)) + p * df1(r) + (1 - p) * df2(r)
+
+    def d2f(r):
+        p, dp, d2p = cut(r)
+        return (d2p * (f1(r) - f2(r)) + 2 * dp * (df1(r) - df2(r))
+                + p * d2f1(r) + (1 - p) * d2f2(r))
+
+    return c, f, df, d2f
+
+
+def _jet_errors(cases, lap_terms=False):
+    """Worst relative errors of the jets' (u, partials, lap) over (field, pts, oracle) cases."""
+    worst = [0.0, 0.0, 0.0]
+    with mpmath.workdps(30):
+        for field, pts, oracle in cases:
+            u, g, lap = field._jet(pts, True, True)
+            for j, x in enumerate(pts):
+                uu, gg, ll, terms = _mp_radial_jet(x, *oracle)
+                gnorm = mpmath.sqrt(mpmath.fsum(gi * gi for gi in gg))
+                eg = max(abs(mpmath.mpf(float(g[i, j])) - gg[i]) for i in range(len(gg)))
+                errs = (abs(mpmath.mpf(float(u[j])) - uu) / abs(uu),
+                        eg / gnorm if gnorm else (0.0 if eg == 0 else mpmath.inf),
+                        abs(mpmath.mpf(float(lap[j])) - ll) / (terms if lap_terms else abs(ll)))
+                worst = [max(w, float(e)) for w, e in zip(worst, errs)]
+    return worst
+
+
+# the formulas of Bubble, BaseField and KelvinField._jet that took two to four
+# non-integer powers per point, kept as the accuracy reference
+
+
+def _powers_bubble_profile(self, r, d2):
+    q = (self.n - 2) / 2
+    s2 = self.lam**2 + r * r
+    f = (self.lam / s2) ** q
+    df = -(self.n - 2) * r * self.lam**q * s2 ** (-self.n / 2)
+    if not d2:
+        return f, df, None
+    return f, df, -(self.n - 2) * self.lam**q * s2 ** (-(self.n + 2) / 2) * (
+        self.lam**2 + (1 - self.n) * r * r
+    )
+
+
+def _powers_bubble_radial_jet(self, sq, slope, d2):
+    lap = None
+    if d2:
+        lap = -self.n * (self.n - 2) * (self.lam / (self.lam**2 + sq)) ** ((self.n + 2) / 2)
+    r = np.sqrt(sq, out=sq)
+    if not slope:
+        return r, self.value_r(r), None, lap
+    f, df, _ = self._profile(r, False)
+    return r, f, df / np.where(r == 0.0, 1.0, r), lap
+
+
+def _powers_base_radial_jet(self, sq, slope, d2):
+    m = (2 - self.n) / 4
+    lap = None
+    if d2:
+        lap = ((2 - self.n) / 2) * (1.0 + sq) ** (m - 2) * (self.n + ((self.n - 2) / 2) * sq)
+    r = np.sqrt(sq, out=sq)
+    w = 1.0 + r * r
+    k = 2 * m * r * w ** (m - 1) / np.where(r == 0.0, 1.0, r) if slope else None
+    w **= m
+    return r, w, k, lap
+
+
+def _powers_kelvin_jet(self, pts, grad, d2):
+    # the non-centre branch of KelvinField._jet
+    d = _offsets(pts, self.inv.center)
+    rho2 = _sq_dist(d.T)
+    a = self.inv.radius
+    u, gu, lap = self.src._jet(_image(self.inv, d, rho2), grad, d2)
+    pref = (a**2 / rho2) ** ((self.n - 2) / 2)
+    if d2:
+        lap = (a**2 / rho2) ** ((self.n + 2) / 2) * lap
+    dot = _row_dot(d.T, gu.T)
+    jac_g = (a**2 / rho2) * (gu - 2.0 * d * dot / rho2)
+    g = (2 - self.n) * a ** (self.n - 2) * rho2 ** (-self.n / 2.0) * d * u + pref * jac_g
+    return pref * u, g, lap
+
+
+def _assert_accurate(cases, monkeypatch, patches, lap_terms=False):
+    """The jets meet JET_REL_TOL, and each entry's worst error is at most twice
+    that of the power-per-factor formulas that patches put back."""
+    new = _jet_errors(cases, lap_terms)
+    with monkeypatch.context() as m:
+        for cls, name, fn in patches:
+            m.setattr(cls, name, fn)
+        old = _jet_errors(cases, lap_terms)
+    for entry, e_new, e_old in zip(("u", "grad", "lap"), new, old):
+        assert e_new <= JET_REL_TOL, (entry, e_new)
+        assert e_new <= 2.0 * max(e_old, np.finfo(float).eps), (entry, e_new, e_old)
+
+
+_BUBBLE_POWERS = [(Bubble, "_profile", _powers_bubble_profile),
+                  (Bubble, "_radial_jet", _powers_bubble_radial_jet)]
+
+
+def _unit_dirs(rng, k, n):
+    dirs = rng.normal(size=(k, n))
+    return dirs / np.linalg.norm(dirs, axis=1)[:, None]
+
+
+def test_bubble_jet_against_mpmath(monkeypatch):
+    # n = 3..6 and lam = 1e-3, 1, 7, at lam * rho from the centre for rho
+    # from 0 (the centre itself) to 1e3
+    rng = np.random.default_rng(1800)
+    rho = np.array([0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3] * 3)
+    cases = []
+    for n in (3, 4, 5, 6):
+        for lam in (1e-3, 1.0, 7.0):
+            center = 0.5 * rng.normal(size=n)
+            pts = center + lam * rho[:, None] * _unit_dirs(rng, rho.size, n)
+            cases.append((Bubble(lam, center, n), pts, _mp_bubble(lam, center)))
+    _assert_accurate(cases, monkeypatch, _BUBBLE_POWERS)
+
+
+def test_base_field_jet_against_mpmath(monkeypatch):
+    rng = np.random.default_rng(1810)
+    cases = []
+    for n in (3, 4, 5, 6):
+        pts = rng.uniform(-3.0, 3.0, size=(24, n))
+        pts[0] = 0.0
+        cases.append((BaseField(n), pts, _mp_base(n)))
+    _assert_accurate(cases, monkeypatch, [(BaseField, "_radial_jet", _powers_base_radial_jet)])
+
+
+def test_kelvin_bubble_jet_against_mpmath(monkeypatch):
+    # the Kelvin image of a bubble is the bubble of kelvin_bubble's law,
+    # its parameters formed here in mpmath
+    rng = np.random.default_rng(1820)
+    cases = []
+    for n in (3, 4, 5, 6):
+        b = Bubble(0.8, 0.6 * rng.normal(size=n), n)
+        inv = Inversion(0.3 * rng.normal(size=n), 1.7)
+        with mpmath.workdps(30):
+            xi = [mpmath.mpf(c) - mpmath.mpf(e) for c, e in zip(b.center, inv.center)]
+            a2 = mpmath.mpf(inv.radius) ** 2
+            den = mpmath.mpf(b.lam) ** 2 + mpmath.fsum(x * x for x in xi)
+            oracle = _mp_bubble(a2 * b.lam / den,
+                                [mpmath.mpf(e) + a2 * x / den for e, x in zip(inv.center, xi)])
+        cases.append((KelvinField(b, inv), rng.uniform(-2.0, 2.0, size=(32, n)), oracle))
+    _assert_accurate(cases, monkeypatch, [(KelvinField, "_jet", _powers_kelvin_jet)])
+
+
+def test_concentric_glue_jet_against_mpmath(monkeypatch):
+    rng = np.random.default_rng(1830)
+    cases = []
+    for n in (3, 4, 5):
+        w = glue_concentric(GlueConfig.concentric(Bubble(0.2, np.zeros(n), n),
+                                                  Bubble(1.0, np.zeros(n), n), 0.5, 1.5))
+        # radii from the centre across the cutoff to beyond it
+        pts = np.linspace(0.0, 2.0, 40)[:, None] * _unit_dirs(rng, 40, n)
+        cases.append((w, pts, _mp_concentric(w)))
+    _assert_accurate(cases, monkeypatch, _BUBBLE_POWERS, lap_terms=True)
+
+
+def test_rep_singular_jet_against_mpmath(monkeypatch):
+    rng = np.random.default_rng(1840)
+    new, old = [], []
+    for n, nu in ((3, 0.5), (4, 0.3), (5, 0.7)):
+        beta = 2.0 - n + nu
+        pts = np.geomspace(1e-4, 1.5, 24)[:, None] * _unit_dirs(rng, 24, n)
+        three_powers = CallableRadialField(
+            n, lambda r, b=beta: r**b, lambda r, b=beta: b * r ** (b - 1),
+            lambda r, b=beta: b * (b - 1) * r ** (b - 2))
+        new.append((_RadialPower(n, beta), pts, _mp_power(n, beta)))
+        old.append((three_powers, pts, _mp_power(n, beta)))
+    for entry, e_new, e_old in zip(("u", "grad", "lap"), _jet_errors(new), _jet_errors(old)):
+        assert e_new <= JET_REL_TOL, (entry, e_new)
+        assert e_new <= 2.0 * max(e_old, np.finfo(float).eps), (entry, e_new, e_old)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 7.0])
+def test_bubble_jet_at_its_centre(n, lam):
+    # the slope -(n-2) u t / lam is finite at r = 0, and no guard is needed
+    center = np.linspace(-0.5, 0.5, n)
+    u, g, lap = Bubble(lam, center, n)._jet(center[None, :], True, True)
+    assert np.all(g == 0.0)
+    exact = -n * (n - 2) * lam ** (-(n + 2) / 2)
+    assert abs(lap[0] - exact) <= 1e-15 * abs(exact)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sup_scan_of_an_exact_bubble_is_roundoff(seed):
+    # the bubble the benchmark's "api sup_scan bubble" scans: a Kelvin image
+    # of Bubble(1, [-1, 0.5, 0]) about a seeded sphere, on the box [-3, 3]^3
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    inv = Inversion(float(rng.uniform(3.5, 4.5)) * direction, float(rng.uniform(2.0, 3.0)))
+    image = kelvin_bubble(Bubble(1.0, [-1.0, 0.5, 0.0], 3), inv)
+    rep = sup_scan(image, Box(np.full(3, -3.0), np.full(3, 3.0)))
+    assert rep.sup_abs_dev <= 1e-12

@@ -25,8 +25,10 @@ from bubbleforge import (
     lemma_5_4_compose,
     rescale,
 )
+from bubbleforge import kelvin
 from bubbleforge.blowup import RescaledField, _c2_deviation, _fit_samples
-from bubbleforge.field_core import _sq_dist
+from bubbleforge.cli import _RadialPower
+from bubbleforge.field_core import _offsets, _sq_dist
 from bubbleforge.glue import Cutoff
 from bubbleforge.kelvin import KelvinField
 
@@ -100,7 +102,11 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("make", FIELDS.values(), ids=FIELDS.keys())
+# FIELDS and the singular field |x|^beta of the rep-singular experiment
+JET_FIELDS = {**FIELDS, "rep-singular": lambda: (_RadialPower(3, -0.5), 2.0)}
+
+
+@pytest.mark.parametrize("make", JET_FIELDS.values(), ids=JET_FIELDS.keys())
 def test_jet_is_value_gradient_laplacian(make, rng):
     f, half = make()
     pts = rng.uniform(-half, half, size=(64, f.n))
@@ -219,6 +225,57 @@ def test_k_batch_distance_kernel_calls(name, calls, rng, monkeypatch):
             monkeypatch.setattr(mod, "_sq_dist", counted)
     k_function(f, pts)
     assert len(seen) == calls
+
+
+class _PowerCount(np.ndarray):
+    """An array that counts the np.power calls made on it and on what ufuncs derive from it."""
+
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        if ufunc is np.power:
+            _PowerCount.calls += 1
+
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, _PowerCount) else a
+
+        if out is not None:
+            kwargs["out"] = tuple(map(plain, out))
+        res = getattr(ufunc, method)(*map(plain, inputs), **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return res.view(_PowerCount) if isinstance(res, np.ndarray) else res
+
+
+def _powers(fn, *args):
+    """np.power calls fn makes on the counted arrays among args."""
+    _PowerCount.calls = 0
+    fn(*args)
+    return _PowerCount.calls
+
+
+def _counted(a):
+    # a copy, since the jets write into their squared radii
+    return np.array(a).view(_PowerCount)
+
+
+# numpy turns ``x ** 0.5`` into a square root, so n = 3 would hide the
+# bubble's one power; from n = 4 on every exponent reaches np.power
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_closed_form_jets_take_one_power_per_point(n, monkeypatch):
+    rng = np.random.default_rng(18 + n)
+    sq = rng.uniform(0.0, 4.0, size=64)
+    sq[0] = 0.0
+    b = Bubble(0.7, rng.normal(size=n), n)
+    assert _powers(b._radial_jet, _counted(sq), True, True) == 1
+    assert _powers(b._profile, _counted(np.sqrt(sq)), True) == 1
+    assert _powers(BaseField(n)._radial_jet, _counted(sq), True, True) == 1
+    assert _powers(_RadialPower(n, 2.5 - n)._profile, _counted(np.sqrt(sq[1:])), True) == 1
+    # the Kelvin transform's own powers: its offsets are counted, while its
+    # source's jet sees the plain image points
+    monkeypatch.setattr(kelvin, "_offsets", lambda pts, c: _counted(_offsets(pts, c)))
+    f = KelvinField(b, Inversion(np.full(n, 3.0), 1.5))
+    assert _powers(f._jet, rng.uniform(-1.0, 1.0, size=(64, n)), True, True) == 1
 
 
 # tracemalloc peak of one k_function call on 65,536 points, in KiB rounded up,

@@ -57,11 +57,11 @@ def gradient_ref(f, pts):
         rho2 = _sq_dist(d)
         y = _image_ref(f.inv, d, rho2)
         u, gu = f.src.value(y), gradient_ref(f.src, y)
-        pref = (a**2 / rho2) ** ((n - 2) / 2)
+        c = a**2 / rho2
+        pref = c ** ((n - 2) / 2)
         dot = _row_dot(d, gu)[:, None]
-        jac_g = (a**2 / rho2)[:, None] * (gu - 2.0 * d * dot / rho2[:, None])
-        return ((2 - n) * a ** (n - 2) * rho2 ** (-n / 2.0)
-                )[:, None] * d * u[:, None] + pref[:, None] * jac_g
+        jac_g = c[:, None] * (gu - 2.0 * d * dot / rho2[:, None])
+        return ((2 - n) * (pref / rho2))[:, None] * d * u[:, None] + pref[:, None] * jac_g
     if isinstance(f, RescaledField):
         return f.lam ** (f.n / 2) * gradient_ref(f.src, f.x_center + f.lam * pts)
     raise TypeError(f"no reference gradient for {type(f).__name__}")

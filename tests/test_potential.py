@@ -26,6 +26,7 @@ from bubbleforge import (
     unit_sphere_area,
     weighted_grad_integral,
 )
+from bubbleforge import potential
 from bubbleforge.errors import BadRadii, Coincident, ProfileViolated
 from bubbleforge.potential import (
     _SEG_BLOCK,
@@ -36,6 +37,7 @@ from bubbleforge.potential import (
     _gl_panels,
     _power_law_limit,
     _ray_exit,
+    _ray_points,
     adaptive_radial,
     sphere_rule,
 )
@@ -366,6 +368,37 @@ def test_rep_identity_polar_pass_evaluates_each_point_once(monkeypatch):
     # u2 contributes only its gradient term: no Laplacian is formed
     assert sum(m for m, _, _ in calls["u2"]) == dirs * 16 * 3 * m_rad
     assert {flags[1:] for flags in calls["u2"]} == {(True, False)}
+
+
+def _two_pass_lower_bound_3_9(u_c, u2, omega2, xi):
+    """lower_bound_3_9 from one weighted_grad_integral call per field."""
+    n = u_c.n
+    p4 = 4.0 / (n - 2)
+    q2 = weighted_grad_integral(Kernel(n), u_c, omega2, xi).value - \
+        weighted_grad_integral(Kernel(n), u2, omega2, xi).value
+    bracket = (float(u_c.value(xi)) ** (-p4) - float(u2.value(xi)) ** (-p4)
+               + (n + 2) * q2)
+    return ((n - 2) / (2.0 * n)) * bracket / omega2.radius**2
+
+
+@pytest.mark.parametrize("center", [[0.0, 0.0, 0.0], [0.4, -0.3, 0.2]],
+                         ids=["centred", "off-centre"])
+def test_lower_bound_3_9_is_one_integral_per_field(center, monkeypatch):
+    u_c, u2 = _acceptance_glue()
+    ball, xi = Ball(np.array(center), 3.0), np.array([0.5, 0.2, -0.1])
+    built = []
+
+    def counted(x0, r, dirs):
+        pts = _ray_points(x0, r, dirs)
+        built.append(pts.shape[0])
+        return pts
+
+    monkeypatch.setattr(potential, "_ray_points", counted)
+    two = _two_pass_lower_bound_3_9(u_c, u2, ball, xi)
+    two_pass_points, built[:] = sum(built), []
+    assert lower_bound_3_9(u_c, u2, ball, xi).hex() == two.hex()
+    # off the origin both fields take the polar path, and share its ray points
+    assert sum(built) == (two_pass_points // 2 if np.any(ball.center) else 0)
 
 
 def test_rep_bound_is_cleared_by_scan():

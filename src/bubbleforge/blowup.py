@@ -18,7 +18,9 @@ from .potential import sphere_rule
 from .regions import _grid_chunks
 
 OUTER_RADIUS = 5.0 / 8.0
-_CHUNK = 1 << 17  # coarse grid points scanned at a time
+# coarse grid points scanned at a time; not the scans' 1 << 14, as each chunk pays _coarse_top's
+# merge: `blowup --n 4` took 152-184 ms with 1 << 14, 116-119 ms with 1 << 17 (2-vCPU host)
+_CHUNK = 1 << 17
 _KEEP = 1 << 14  # leading coarse entries kept for the candidate search
 _MIN_STEP = 1.0 / 2048  # the compass search stops below this share of a cell
 
@@ -76,7 +78,11 @@ class BubbleReport:
 
 def d_eps(x, epsilon: float):
     """Distance weight min(|x| - eps, 5/8 - |x|) on the probe annulus."""
-    r = np.sqrt(_sq_dist(np.asarray(x, float)))
+    return _d_eps_rows(np.moveaxis(np.asarray(x, float), -1, 0), epsilon)
+
+
+def _d_eps_rows(X, epsilon: float):
+    r = np.sqrt(_sq_dist(X))
     return np.minimum(r - epsilon, OUTER_RADIUS - r)
 
 
@@ -86,21 +92,25 @@ def weighted_u(inp: BlowupInput, x):
     The field is evaluated only at the admissible points, those with
     d_eps > 0 outside every excluded ball.
     """
-    x = np.asarray(x, float)
-    d = d_eps(x, inp.epsilon)
+    return _weighted_rows(inp, np.moveaxis(np.asarray(x, float), -1, 0))
+
+
+def _weighted_rows(inp: BlowupInput, X):
+    """weighted_u at the points of X, given as coordinate rows (n, ...)."""
+    d = _d_eps_rows(X, inp.epsilon)
     ok = d > 0.0
     for c, rad in inp.excluded:
-        ok &= np.sqrt(_sq_dist(x, np.asarray(c, float))) >= rad
+        ok &= np.sqrt(_sq_dist(X, np.asarray(c, float))) >= rad
     q = (inp.field.n - 2) / 2
     if ok.all():
         # in place: every chunk-sized temporary is heap churn that the
         # allocator may return to the system and fault in again
         d **= q
-        d *= inp.field.value(x)
+        d *= inp.field._jet(X.reshape(len(X), -1), False, False)[0].reshape(d.shape)
         return d
     vals = np.full(d.shape, -np.inf)
     if ok.any():
-        vals[ok] = d[ok] ** q * inp.field.value(x[ok])
+        vals[ok] = d[ok] ** q * inp.field._jet(X[:, ok], False, False)[0]
     return vals
 
 
@@ -125,8 +135,8 @@ def _compass_search(inp: BlowupInput, xs: np.ndarray, vs: np.ndarray,
     live = np.arange(len(x))
     while live.size:
         xl = x[live, None, :]
-        polls = np.concatenate([xl + h[live, None, None] * moves,
-                                xl * (ridge / np.sqrt(_sq_dist(xl)))[..., None]], axis=1)
+        r = ridge / np.sqrt(_sq_dist(x[live].T))
+        polls = np.concatenate([xl + h[live, None, None] * moves, xl * r[:, None, None]], axis=1)
         pv = weighted_u(inp, polls.reshape(-1, x.shape[1])).reshape(polls.shape[:2])
         if np.any(pv == np.inf):
             raise OutOfDomain("weighted field is infinite at a poll point")
@@ -153,8 +163,8 @@ def _coarse_top(inp: BlowupInput, axis: np.ndarray, keep: int):
     """
     shell = (np.zeros(inp.field.n), inp.epsilon, OUTER_RADIUS)
     vals, idx = np.empty(0), np.empty(0, dtype=np.intp)
-    for first, sel, pts in _grid_chunks([axis] * inp.field.n, _CHUNK, shell):
-        v = weighted_u(inp, pts)
+    for first, sel, X in _grid_chunks([axis] * inp.field.n, _CHUNK, shell):
+        v = _weighted_rows(inp, X)
         if np.any(v == np.inf):
             raise OutOfDomain("weighted field is infinite at a coarse node")
         new = np.isfinite(v)
@@ -238,13 +248,13 @@ class RescaledField(ScalarField):
         self.window_radius = float(window_radius)
         self.radial = False
 
-    def _to_source(self, y):
-        if np.any(np.sqrt(_sq_dist(y)) > self.window_radius):
+    def _to_source(self, Y):
+        if np.any(np.sqrt(_sq_dist(Y)) > self.window_radius):
             raise OutOfDomain("rescaled evaluation outside the safe window")
-        return self.x_center + self.lam * y
+        return self.x_center[:, None] + self.lam * Y
 
-    def _jet(self, y, grad, d2):
-        u, g, lap = self.src._jet(self._to_source(y), grad, d2)
+    def _jet(self, Y, grad, d2):
+        u, g, lap = self.src._jet(self._to_source(Y), grad, d2)
         return (self.lam ** ((self.n - 2) / 2) * u,
                 self.lam ** (self.n / 2) * g if grad else None,
                 self.lam ** ((self.n + 2) / 2) * lap if d2 else None)
@@ -267,19 +277,18 @@ MU_RANGE = (1e-6, 1e6)
 def _fit_samples(n: int, R: float) -> np.ndarray:
     dirs, _ = sphere_rule(n, 4)
     radii = np.linspace(0.0, R, 9)[1:]
-    pts = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n)
-    return np.vstack([np.zeros((1, n)), pts])
+    return np.hstack([np.zeros((n, 1)), (dirs.T[:, None, :] * radii[:, None]).reshape(n, -1)])
 
 
-def _model(pts: np.ndarray, mu: float, y: np.ndarray, n: int):
-    d = pts - y
+def _model(X: np.ndarray, mu: float, y: np.ndarray, n: int):
+    d = X - y[:, None]
     s2 = _sq_dist(d)
     q = (n - 2) / 2
     base = mu / (mu * mu + s2)
     u = base**q
-    # partials of u wrt log(mu) and the center coordinates
+    # partials of u wrt log(mu) and the center coordinates, as (n, m) rows
     dlogmu = q * u * (s2 - mu * mu) / (mu * mu + s2)
-    dy = (2.0 * q) * (u / (mu * mu + s2))[:, None] * d
+    dy = (2.0 * q) * (u / (mu * mu + s2)) * d
     return u, dlogmu, dy
 
 
@@ -292,16 +301,16 @@ def fit_bubble(w: ScalarField, R: float, max_iter: int = 100):
     |value diff| + |gradient diff| + |Laplacian diff|.
     """
     n = w.n
-    pts = _fit_samples(n, R)
-    target = np.asarray(w.value(pts))
+    X = _fit_samples(n, R)
+    target = w._jet(X, False, False)[0]
     theta = np.zeros(n + 1)  # (log mu, y)
     for _ in range(max_iter):
         mu = float(np.exp(theta[0]))
         if not MU_RANGE[0] <= mu <= MU_RANGE[1]:
             raise FitDiverged(f"scale left the admissible range: mu={mu:g}")
-        u, dlogmu, dy = _model(pts, mu, theta[1:], n)
+        u, dlogmu, dy = _model(X, mu, theta[1:], n)
         r = target - u
-        jac = np.column_stack([dlogmu, dy])
+        jac = np.column_stack([dlogmu, dy.T])
         step, *_ = np.linalg.lstsq(jac, r, rcond=None)
         theta = theta + step
         if np.linalg.norm(step) <= 1e-14 * (1.0 + np.linalg.norm(theta)):
@@ -311,15 +320,15 @@ def fit_bubble(w: ScalarField, R: float, max_iter: int = 100):
         raise FitDiverged(f"scale left the admissible range: mu={mu:g}")
     y_o = theta[1:].copy()
     fitted = Bubble(mu, y_o, n)
-    delta = _c2_deviation(w, fitted, pts)
+    delta = _c2_deviation(w, fitted, X)
     return mu, y_o, delta
 
 
-def _c2_deviation(w: ScalarField, model: ScalarField, pts: np.ndarray) -> float:
-    uw, gw, lw = w._jet(pts, True, True)
-    um, gm, lm = model._jet(pts, True, True)
+def _c2_deviation(w: ScalarField, model: ScalarField, X: np.ndarray) -> float:
+    uw, gw, lw = w._jet(X, True, True)
+    um, gm, lm = model._jet(X, True, True)
     dval = np.abs(uw - um)
-    dgrad = np.sqrt(_sq_dist(gw.T, gm.T))
+    dgrad = np.sqrt(_sq_dist(gw, gm))
     dlap = np.abs(lw - lm)
     return float(np.max(dval + dgrad + dlap))
 

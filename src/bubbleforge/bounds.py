@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGeometry, KappaTooLarge, OutOfDomain
-from .field_core import KReport, ScalarField, _dim, combined_k_bounds, k_function
+from .field_core import KReport, ScalarField, _dim, _k_of, combined_k_bounds
 from .regions import Box, GridSpec, Region, _region_chunks, _stream_argmax
 
 
@@ -198,7 +198,7 @@ def sup_scan(f: ScalarField, region: Region, grid_spec: GridSpec | None = None) 
     grid["refine_factor"] = int(gs.refine_factor)
 
     def scan(axes):
-        return _stream_argmax(lambda pts: np.abs(k_function(f, pts) - 1.0),
+        return _stream_argmax(lambda X: np.abs(_k_of(n, *f._jet(X, False, True)[::2]) - 1.0),
                               _region_chunks(region, axes, gs.chunk), gs.threads)
 
     best, best_x, n_samples = scan(axes)

@@ -26,89 +26,76 @@ def _dim(n) -> int:
 
 
 def _pointwise(fn, x, n: int):
-    """Apply a batch function to point(s) x in R^n, keeping x's leading shape.
+    """Apply a column-batch function to point(s) x in R^n, keeping x's leading shape.
 
-    x of shape (..., n) is flattened to an (m, n) view, fn maps that batch
-    to (m,) or (m, k) results, and they are reshaped to (...,) or (..., k).
-    A single point (n,) thus gives a float, or a (k,) array.  A tuple of
-    results is reshaped entry by entry.
+    x of shape (..., n) is flattened to m points and handed to fn as their
+    transposed (n, m) view; fn's (m,) or (k, m) results are transposed back
+    and reshaped to (...,) or (..., k), contiguous.  A single point (n,)
+    thus gives a float, or a (k,) array.  A tuple is reshaped entry by entry.
     """
     arr = np.asarray(x, dtype=float)
     if arr.shape[-1:] != (n,):
         raise ValueError(f"expected point(s) in R^{n}, got shape {arr.shape}")
-    out = fn(arr.reshape(-1, n))
+    out = fn(arr.reshape(-1, n).T)
 
     def shaped(o):
-        o = np.asarray(o)
+        o = np.ascontiguousarray(np.asarray(o).T)
         o = o.reshape(arr.shape[:-1] + o.shape[1:])
         return float(o) if o.ndim == 0 else o
 
     return tuple(map(shaped, out)) if isinstance(out, tuple) else shaped(out)
 
 
-def _sq_dist(pts, c=None):
-    """Squared distance |pts - c|^2 over the last axis; c = None is the origin.
+def _sq_dist(X, c=None):
+    """Squared distance |X - c|^2 of points given as coordinate rows X (n, ...); c = None is 0.
 
-    The n squared coordinate differences are added column by column, in
-    order, so the (..., n) difference array is never built.  numpy sums a
-    row of fewer than 8 entries in this same order, so for n <= 7 the result
-    is bit for bit np.sum((pts - c)**2, axis=-1), and its square root is
-    np.linalg.norm(pts - c, axis=-1); from n = 8 on numpy sums pairwise and
-    the two may differ by rounding.  c may be any array broadcasting
-    against pts, such as a point (n,) or a batch of the same shape.
+    The n squared differences are added row by row, in order, so for n <= 7
+    the result is bit for bit np.sum((x - c)**2, axis=-1) of the same points
+    x as an (..., n) batch, and its square root np.linalg.norm(x - c,
+    axis=-1); from n = 8 on numpy sums that last axis pairwise and the two
+    may differ by rounding.  c is a point (n,) or rows shaped as X.
     """
-    d = pts[..., 0] if c is None else pts[..., 0] - c[..., 0]
+    d = X[0] if c is None else X[0] - c[0]
     s = d * d
-    for i in range(1, pts.shape[-1]):
-        d = pts[..., i] if c is None else pts[..., i] - c[..., i]
+    for i in range(1, len(X)):
+        d = X[i] if c is None else X[i] - c[i]
         s += d * d
     return s
 
 
 def _row_dot(a, b):
-    """Dot product of a and b over the last axis, in the order of _sq_dist.
+    """Dot product per point of the coordinate rows a and b (n, ...), in _sq_dist's order.
 
-    The sum starts from +0.0, as numpy's does, so a row of signed zeros
-    gives +0.0: for n <= 7 this is bit for bit np.sum(a * b, axis=-1).
+    The sum starts from +0.0, as numpy's does, so a point of signed zeros
+    gives +0.0: for n <= 7 this is bit for bit np.sum(a.T * b.T, axis=-1).
     """
-    s = a[..., 0] * b[..., 0]
+    s = a[0] * b[0]
     s += 0.0
-    for i in range(1, a.shape[-1]):
-        s += a[..., i] * b[..., i]
+    for i in range(1, len(a)):
+        s += a[i] * b[i]
     return s
-
-
-def _offsets(pts, c):
-    """The offsets pts - c of an (m, n) batch from a point c, as an (n, m) array.
-
-    Each row is one coordinate's column of differences, written in place, so
-    no (m, n) temporary is built and no operation runs along the short axis.
-    """
-    d = np.empty(pts.shape[::-1])
-    for i in range(pts.shape[1]):
-        np.subtract(pts[:, i], c[i], out=d[i])
-    return d
 
 
 class ScalarField:
     """Positive field with analytic value, gradient and Laplacian.
 
-    A field implements one batch method, _jet(pts, grad, d2), on (m, n)
-    float batches.  It returns (u, g, lap): the (m,) values, gradients and
-    (m,) Laplacians from one pass over the field.  g is laid out by
-    columns, shape (n, m), so that g[i] is the contiguous i-th partial
-    derivative and per-point factors scale it along the long axis; it is
-    None, and no gradient array is built, unless grad.  lap is None, and no
-    Laplacian term is formed, unless d2; u and g do not depend on d2, bit
-    for bit.  A value-only jet, _jet(pts, False, False), asks its sources
-    for values alone.  The public methods accept a point (n,) or any batch
-    (..., n) and return a float, an (n,) gradient or arrays of the batch's
-    leading shape, the gradient's last axis holding the n partials as
-    before; value, gradient and laplacian read the jet, each asking only
-    for what it returns, and a field without one raises NotImplementedError
-    there.  A composite field calls its sources' _jet, passing on its own
-    d2.  A jet keeps no state between calls: scans evaluate chunks of one
-    field on several threads.
+    A field implements one batch method, _jet(X, grad, d2), on an (n, m)
+    float array X of coordinate rows: X[i] holds the i-th coordinates of
+    the m points, and contiguous rows are the fast layout (a strided view
+    gives the same bits).  It returns (u, g, lap): the (m,) values,
+    gradients and (m,) Laplacians from one pass over the field.  g has the
+    layout of X, so that g[i] is the contiguous i-th partial derivative and
+    per-point factors scale it along the long axis; it is None, and no
+    gradient array is built, unless grad.  lap is None, and no Laplacian
+    term is formed, unless d2; u and g do not depend on d2, bit for bit.  A
+    value-only jet, _jet(X, False, False), asks its sources for values
+    alone.  The public methods accept a point (n,) or any batch (..., n)
+    and return a float, an (n,) gradient or arrays of the batch's leading
+    shape; _pointwise transposes the points once, and the gradient back.
+    They read the jet, each asking only for what it returns, and a field
+    without one raises NotImplementedError there.  A composite field calls
+    its sources' _jet, passing on its own d2.  A jet keeps no state
+    between calls: scans evaluate chunks of one field on several threads.
 
     Attributes
     ----------
@@ -125,16 +112,15 @@ class ScalarField:
     inv_decay_coeff: float | None = None
 
     def value(self, x):
-        return _pointwise(lambda pts: self._jet(pts, False, False)[0], x, self.n)
+        return _pointwise(lambda X: self._jet(X, False, False)[0], x, self.n)
 
     def gradient(self, x):
-        return _pointwise(lambda pts: np.ascontiguousarray(self._jet(pts, True, False)[1].T),
-                          x, self.n)
+        return _pointwise(lambda X: self._jet(X, True, False)[1], x, self.n)
 
     def laplacian(self, x):
-        return _pointwise(lambda pts: self._jet(pts, False, True)[2], x, self.n)
+        return _pointwise(lambda X: self._jet(X, False, True)[2], x, self.n)
 
-    def _jet(self, pts, grad, d2):
+    def _jet(self, X, grad, d2):
         raise NotImplementedError
 
 
@@ -179,11 +165,11 @@ class RadialField(ScalarField):
             lap[at0] = self.n * d2f[at0]
         return r, f, df / rs if slope else None, lap
 
-    def _jet(self, pts, grad, d2):
-        r, u, slope, lap = self._radial_jet(_sq_dist(pts, self.center), grad, d2)
+    def _jet(self, X, grad, d2):
+        r, u, slope, lap = self._radial_jet(_sq_dist(X, self.center), grad, d2)
         if not grad:
             return u, None, lap
-        g = _offsets(pts, self.center)
+        g = X - self.center[:, None]
         g *= slope
         g[:, r == 0.0] = 0.0
         return u, g, lap
@@ -330,9 +316,9 @@ class SumField(ScalarField):
     def __repr__(self):
         return f"SumField({self.f!r}, {self.g!r})"
 
-    def _jet(self, pts, grad, d2):
-        u, g, lap = self.f._jet(pts, grad, d2)
-        u2, g2, lap2 = self.g._jet(pts, grad, d2)
+    def _jet(self, X, grad, d2):
+        u, g, lap = self.f._jet(X, grad, d2)
+        u2, g2, lap2 = self.g._jet(X, grad, d2)
         # one sum at a time: each rebinding frees a summand first
         u = u + u2
         lap = lap + lap2 if d2 else None
@@ -357,14 +343,14 @@ class KReport:
 
 def k_function(f: ScalarField, x):
     """Curvature function K = -lap(f) / (n(n-2) f^((n+2)/(n-2))) at x."""
-    return _k_of(f.n, *_pointwise(lambda pts: f._jet(pts, False, True)[::2], x, f.n))
+    return _k_of(f.n, *_pointwise(lambda X: f._jet(X, False, True)[::2], x, f.n))
 
 
 def _k_of(n: int, u, lap):
     """K from values u and Laplacians lap, raising NonpositiveValue unless u > 0.
 
-    One place for the formula: k_function and the fused quadrature
-    integrands of the representation identity both call it.
+    One place for the formula: k_function, the scans and the quadrature
+    integrands of the representation identity all call it.
     """
     if np.any(np.asarray(u) <= 0.0):
         raise NonpositiveValue("field must be strictly positive where K is evaluated")
@@ -397,24 +383,30 @@ def k_sum_limit(lam1: float, lam2: float, n) -> float:
 def inv_root_grad_sq(f: ScalarField, x):
     """|grad(f^(-2/(n-2)))|^2 computed from analytic value and gradient."""
 
-    def batch(pts):
-        u, g, _ = f._jet(pts, True, False)
-        return u, _sq_dist(g.T)
+    def batch(X):
+        u, g, _ = f._jet(X, True, False)
+        return u, _sq_dist(g)
 
     return _grad_term_of(f.n, *_pointwise(batch, x, f.n))
 
 
+def _grad_term_rows(f: ScalarField, X):
+    """inv_root_grad_sq on a column batch X (n, m), for the quadratures."""
+    u, g, _ = f._jet(X, True, False)
+    return _grad_term_of(f.n, u, _sq_dist(g))
+
+
 def grad_inv_power(b: Bubble, x):
     """Closed form |grad(u^(-2/(n-2)))|^2 = 4 |x - center|^2 / lam^2 for a bubble."""
-    return _pointwise(lambda pts: 4.0 * _sq_dist(pts, b.center) / b.lam**2, x, b.n)
+    return _pointwise(lambda X: 4.0 * _sq_dist(X, b.center) / b.lam**2, x, b.n)
 
 
 def base_k(x, n) -> float:
     """Curvature function of the base field at x."""
     n = _dim(n)
 
-    def k(pts):
-        r2 = _sq_dist(pts)
+    def k(X):
+        r2 = _sq_dist(X)
         return 0.5 * (1.0 - ((n + 2) / (2.0 * n)) * r2 / (r2 + 1.0))
 
     return _pointwise(k, x, n)

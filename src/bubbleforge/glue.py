@@ -15,7 +15,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import BadConfig, BadRadii, NoSolution, OverlapError
-from .field_core import Bubble, RadialField, ScalarField, _offsets, _row_dot, _sq_dist, _dim
+from .field_core import Bubble, RadialField, ScalarField, _row_dot, _sq_dist, _dim
 from .regions import Annulus
 
 # sharp bound of the quintic smoothstep's second derivative on [0, 1]
@@ -227,15 +227,13 @@ class ConcentricGlueField(RadialField):
         return f1, d, d2p
 
 
-def _dot_with_slope(pts, c, k, ck):
-    """Row dot of the offsets pts - c with the gradient k (pts - ck) of a
-    radial field about ck, added column by column in _row_dot's order, so
-    neither (m, n) array is built.
-    """
-    s = (pts[:, 0] - c[0]) * (k * (pts[:, 0] - ck[0]))
+def _dot_with_slope(X, c, k, ck):
+    """Per point of the column batch X, the dot product of X - c with the gradient k (X - ck)
+    of a radial field about ck, added row by row in _row_dot's order, building neither array."""
+    s = (X[0] - c[0]) * (k * (X[0] - ck[0]))
     s += 0.0
-    for i in range(1, pts.shape[1]):
-        s += (pts[:, i] - c[i]) * (k * (pts[:, i] - ck[i]))
+    for i in range(1, X.shape[0]):
+        s += (X[i] - c[i]) * (k * (X[i] - ck[i]))
     return s
 
 
@@ -267,10 +265,10 @@ class DisjointGlueField(ScalarField):
     def __repr__(self):
         return f"DisjointGlueField(b1={self.b1!r}, b2={self.b2!r}, inward={self.inward})"
 
-    def _jet(self, pts, grad, d2):
+    def _jet(self, X, grad, d2):
         c1, c2 = self.b1.center, self.b2.center
-        s1, u1, k1, lap1 = self.b1._radial_jet(_sq_dist(pts, c1), grad or d2, d2)
-        s2, u2, k2, lap2 = self.b2._radial_jet(_sq_dist(pts, c2), grad or d2, d2)
+        s1, u1, k1, lap1 = self.b1._radial_jet(_sq_dist(X, c1), grad or d2, d2)
+        s2, u2, k2, lap2 = self.b2._radial_jet(_sq_dist(X, c2), grad or d2, d2)
         # a value needs no cutoff slope
         p1, dp1, d2p1 = self.cut1._jet(s1, d2) if grad or d2 else (self.cut1.phi(s1), None, None)
         p2, dp2, d2p2 = self.cut2._jet(s2, d2) if grad or d2 else (self.cut2.phi(s2), None, None)
@@ -283,16 +281,16 @@ class DisjointGlueField(ScalarField):
         lap = None
         if d2:
             lap = ((1.0 - p2) * lap1
-                   - 2.0 * dp2 * _dot_with_slope(pts, c2, k1, c1) / s2s
+                   - 2.0 * dp2 * _dot_with_slope(X, c2, k1, c1) / s2s
                    - (d2p2 + (self.n - 1) * dp2 / s2s) * u1
                    + (1.0 - p1) * lap2
-                   - 2.0 * dp1 * _dot_with_slope(pts, c1, k2, c2) / s1s
+                   - 2.0 * dp1 * _dot_with_slope(X, c1, k2, c2) / s1s
                    - (d2p1 + (self.n - 1) * dp1 / s1s) * u2)
         if not grad:
             return u, None, lap
         # (1 - p2) g1 - (p2'/s2) u1 o2 + (1 - p1) g2 - (p1'/s1) u2 o1, by rows,
         # with o1, o2 the offsets from the two centres
-        o1, o2 = _offsets(pts, c1), _offsets(pts, c2)
+        o1, o2 = X - c1[:, None], X - c2[:, None]
         g, g2 = k1 * o1, k2 * o2
         g[:, s1 == 0.0] = 0.0
         g2[:, s2 == 0.0] = 0.0
@@ -325,10 +323,10 @@ class InsertGlueField(ScalarField):
         return (f"InsertGlueField(lam={self.bubble.lam!r}, rho_m={self.rho_m!r}, "
                 f"rho_M={self.rho_M!r})")
 
-    def _jet(self, pts, grad, d2):
-        uh, gh, laph = self.host._jet(self.x1 + pts, grad or d2, d2)
-        ub, gb, lapb = self.bubble._jet(pts, grad or d2, d2)
-        s = np.sqrt(_sq_dist(pts))
+    def _jet(self, X, grad, d2):
+        uh, gh, laph = self.host._jet(self.x1[:, None] + X, grad or d2, d2)
+        ub, gb, lapb = self.bubble._jet(X, grad or d2, d2)
+        s = np.sqrt(_sq_dist(X))
         # a value needs no cutoff slope
         p, dp, d2p = self.cut._jet(s, d2) if grad or d2 else (self.cut.phi(s), None, None)
         u = p * ub + (1.0 - p) * uh
@@ -339,14 +337,14 @@ class InsertGlueField(ScalarField):
         lap = None
         if d2:
             lap = (p * lapb + (1.0 - p) * laph
-                   + 2.0 * dp * _row_dot(pts, (gb - gh).T) / ss
+                   + 2.0 * dp * _row_dot(X, gb - gh) / ss
                    + (d2p + (self.n - 1) * dp / ss) * diff)
         if not grad:
             return u, None, lap
         gb *= p
         gh *= 1.0 - p
         gb += gh
-        gb += dp * diff / ss * pts.T
+        gb += dp * diff / ss * X
         return u, gb, lap
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtCenter, BubbleforgeError
-from .field_core import Bubble, ScalarField, _offsets, _pointwise, _row_dot, _sq_dist
+from .field_core import Bubble, ScalarField, _pointwise, _row_dot, _sq_dist
 
 
 @dataclass(frozen=True)
@@ -39,26 +39,19 @@ class Inversion:
 
 
 def _image(inv: Inversion, d, rho2):
-    """Inversion image c + a^2 d / rho2 of the points at offsets d from the center.
-
-    d is the (n, m) array of _offsets and rho2 = |d|^2 per point; the (m, n)
-    image is written one column at a time.
-    """
-    out = np.empty(d.shape[::-1])
-    for i in range(d.shape[0]):
-        col = out[:, i]
-        np.multiply(inv.radius**2, d[i], out=col)
-        col /= rho2
-        col += inv.center[i]
-    return out
+    """Image c + a^2 d / rho2, as (n, m) rows, of the offsets d (n, m) from c; rho2 = |d|^2."""
+    y = inv.radius**2 * d
+    y /= rho2
+    y += inv.center[:, None]
+    return y
 
 
 def invert_point(inv: Inversion, x):
     """Image of x under the sphere inversion, c + a^2 (x-c)/|x-c|^2."""
 
-    def image(pts):
-        d = _offsets(pts, inv.center)
-        rho2 = _sq_dist(d.T)
+    def image(X):
+        d = X - inv.center[:, None]
+        rho2 = _sq_dist(d)
         if np.any(rho2 == 0.0):
             raise AtCenter("cannot invert the center point")
         return _image(inv, d, rho2)
@@ -96,9 +89,9 @@ class KelvinField(ScalarField):
     def __repr__(self):
         return f"KelvinField({self.src!r}, center={self.inv.center.tolist()!r}, a={self.inv.radius!r})"
 
-    def _jet(self, pts, grad, d2):
-        d = _offsets(pts, self.inv.center)
-        rho2 = _sq_dist(d.T)
+    def _jet(self, X, grad, d2):
+        d = X - self.inv.center[:, None]
+        rho2 = _sq_dist(d)
         hit = bool(np.any(rho2 == 0.0))
         if hit:
             if grad or d2:
@@ -123,7 +116,7 @@ class KelvinField(ScalarField):
                 u = np.where(at_center, self.src.inv_decay_coeff * a ** (2 - self.n), u)
             return u, None, lap
         # reflection part of the inversion Jacobian: (a^2/rho^2)(I - 2 e e^T)
-        dot = _row_dot(d.T, gu.T)
+        dot = _row_dot(d, gu)
         jac_g = c * (gu - 2.0 * d * dot / rho2)
         g = (2 - self.n) * (pref / rho2) * d * u + pref * jac_g
         return pref * u, g, lap

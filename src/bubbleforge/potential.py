@@ -16,9 +16,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BadRadii, Coincident, ProfileViolated
-from .field_core import (ScalarField, _dim, _grad_term_of, _k_of, _row_dot, _sq_dist,
-                         inv_root_grad_sq, k_function)
-from .regions import Ball
+from .field_core import (ScalarField, _dim, _grad_term_of, _grad_term_rows, _k_of, _pointwise,
+                         _row_dot, _sq_dist)
+from .regions import _POINT_BLOCK, Ball
 
 
 def unit_sphere_area(n: int) -> float:
@@ -75,7 +75,7 @@ class SingularProfile:
 # --- quadrature primitives ---------------------------------------------------
 
 _GL16 = leggauss(16)
-_SEG_BLOCK = 1 << 16  # ray-segment points evaluated at a time
+_SEG_BLOCK = _POINT_BLOCK  # ray-segment points evaluated at a time
 
 
 def _gl_panels(edges: np.ndarray):
@@ -181,21 +181,27 @@ def sphere_rule(n: int, m: int):
 
 def h_eval(k: Kernel, x, xi):
     """H(x, xi); negative for all x != xi."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    s = np.sqrt(_sq_dist(x, xi))
+    out = _h_rows(k, np.moveaxis(np.asarray(x, dtype=float), -1, 0), xi)
+    return float(out) if out.ndim == 0 else out
+
+
+def _h_rows(k: Kernel, X, xi):
+    """h_eval at the points of X, given as coordinate rows (n, ...)."""
+    s = np.sqrt(_sq_dist(X, np.asarray(xi, dtype=float)))
     if np.any(s == 0.0):
         raise Coincident("kernel is singular at x = xi")
-    out = s ** (2.0 - k.n) / ((2.0 - k.n) * k.omega_n)
-    return float(out) if out.ndim == 0 else out
+    return s ** (2.0 - k.n) / ((2.0 - k.n) * k.omega_n)
 
 
 def grad_h(k: Kernel, x, xi):
     """Gradient of H in x: (x - xi) / (omega_n |x - xi|^n)."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    d = x - xi
-    s = np.sqrt(_sq_dist(d))[..., None]
+    return _pointwise(lambda X: _grad_h_rows(k, X, xi), x, k.n)
+
+
+def _grad_h_rows(k: Kernel, X, xi):
+    """grad_h at the points of a column batch X (n, m), as (n, m) rows."""
+    d = X - np.asarray(xi, dtype=float)[:, None]
+    s = np.sqrt(_sq_dist(d))
     if np.any(s == 0.0):
         raise Coincident("kernel is singular at x = xi")
     return d / (k.omega_n * s**k.n)
@@ -243,19 +249,16 @@ def _ray_exit(ball: Ball, xi: np.ndarray, dirs: np.ndarray) -> np.ndarray:
 
 
 def _ray_points(x0: np.ndarray, r, dirs: np.ndarray) -> np.ndarray:
-    """Points x0 + r theta as an (m, n) batch, written one column at a time.
+    """Points x0 + r theta as C-contiguous (n, m) rows, one multiply and one add per row.
 
-    The unit directions dirs (..., n) have a leading shape that broadcasts
-    against the radii r's; each coordinate column is one multiply and one
-    add along the long axis.
+    The unit directions dirs (..., n) broadcast against the radii r by their leading shape.
     """
     n = dirs.shape[-1]
-    out = np.empty(np.broadcast_shapes(np.shape(r), dirs.shape[:-1]) + (n,))
+    out = np.empty((n,) + np.broadcast_shapes(np.shape(r), dirs.shape[:-1]))
     for i in range(n):
-        col = out[..., i]
-        np.multiply(r, dirs[..., i], out=col)
-        col += x0[i]
-    return out.reshape(-1, n)
+        np.multiply(r, dirs[..., i], out=out[i])
+        out[i] += x0[i]
+    return out.reshape(n, -1)
 
 
 def _ray_sums(g, xi: np.ndarray, dirs: np.ndarray, lo: np.ndarray, lens: np.ndarray,
@@ -263,7 +266,7 @@ def _ray_sums(g, xi: np.ndarray, dirs: np.ndarray, lo: np.ndarray, lens: np.ndar
     """Per integrand and direction, lens * sum_j wu_j r_j g_i(xi + r_j theta),
     r = lo + lens uu.
 
-    g maps an (m, n) batch to a tuple of integrands (g_1, ...), so integrands
+    g maps an (n, m) column batch to a tuple of integrands (g_1, ...), so integrands
     that share a field evaluation take it from one pass.  g is evaluated in
     blocks of whole directions of about _SEG_BLOCK points, so memory stays
     bounded whatever the rule size.
@@ -309,16 +312,15 @@ def _abs_h_ball(k: Kernel, g, ball: Ball, xi: np.ndarray, radial: bool, splits,
     |x - xi|^(2-n) over |x| = r; otherwise the polar rule about xi is used.
     """
     if not radial:
-        [(val, err)], n_evals = _polar_ball_integral(k, lambda pts: (g(pts),), ball, xi,
+        [(val, err)], n_evals = _polar_ball_integral(k, lambda X: (g(X),), ball, xi,
                                                      m_sphere, m_rad)
         return val, err, n_evals
     s0 = float(np.linalg.norm(xi))
-    e1 = np.zeros(k.n)
-    e1[0] = 1.0
+    e1 = np.eye(k.n)[:, :1]  # the first axis, as a column
 
     def integrand(r):
         mean = np.maximum(r, s0) ** (2.0 - k.n)
-        return g(r[:, None] * e1) * r ** (k.n - 1) * mean / (k.n - 2.0)
+        return g(e1 * r) * r ** (k.n - 1) * mean / (k.n - 2.0)
 
     return adaptive_radial(integrand, 0.0, ball.radius, splits=(s0, *splits))
 
@@ -351,12 +353,12 @@ def _weighted_grad_integrals(k: Kernel, fields, region: Ball, xi,
         if not (f.radial and at_origin):
             polar.append(i)
             continue
-        val, err, ev = _abs_h_ball(k, lambda pts, f=f: inv_root_grad_sq(f, pts), region, xi,
+        val, err, ev = _abs_h_ball(k, lambda X, f=f: _grad_term_rows(f, X), region, xi,
                                    True, (), m_sphere, m_rad)
         out[i] = QuadResult(value=val, err_est=err, n_evals=ev)
     if polar:
         res, ev = _polar_ball_integral(
-            k, lambda pts: tuple(inv_root_grad_sq(fields[i], pts) for i in polar),
+            k, lambda X: tuple(_grad_term_rows(fields[i], X) for i in polar),
             region, xi, m_sphere, m_rad)
         for i, (val, err) in zip(polar, res):
             out[i] = QuadResult(value=val, err_est=err, n_evals=ev)
@@ -391,21 +393,21 @@ def rep_identity_report(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi,
 
     radial = u_c.radial and u2.radial and bool(np.all(omega2.center == 0.0))
     if radial:
-        def kdev(pts):
-            return np.asarray(k_function(u_c, pts)) - 1.0
+        def kdev(X):
+            return _k_of(n, *u_c._jet(X, False, True)[::2]) - 1.0
 
-        def gdiff(pts):
-            return inv_root_grad_sq(u_c, pts) - inv_root_grad_sq(u2, pts)
+        def gdiff(X):
+            return _grad_term_rows(u_c, X) - _grad_term_rows(u2, X)
 
         splits = _radial_field_splits(u_c)
         q1, e1, _ = _abs_h_ball(k, kdev, omega2, xi, True, splits, m_sphere, m_rad)
         q2, e2, _ = _abs_h_ball(k, gdiff, omega2, xi, True, splits, m_sphere, m_rad)
     else:
-        def both(pts):
-            u, g, lap = u_c._jet(pts, True, True)
-            v, g2, _ = u2._jet(pts, True, False)
+        def both(X):
+            u, g, lap = u_c._jet(X, True, True)
+            v, g2, _ = u2._jet(X, True, False)
             return (_k_of(n, u, lap) - 1.0,
-                    _grad_term_of(n, u, _sq_dist(g.T)) - _grad_term_of(n, v, _sq_dist(g2.T)))
+                    _grad_term_of(n, u, _sq_dist(g)) - _grad_term_of(n, v, _sq_dist(g2)))
 
         [(q1, e1), (q2, e2)], _ = _polar_ball_integral(k, both, omega2, xi, m_sphere, m_rad)
 
@@ -436,12 +438,12 @@ def verify_profile(u: ScalarField, prof: SingularProfile, n_radii: int = 24,
     n = u.n
     dirs, _ = sphere_rule(n, m_sphere)
     radii = np.geomspace(prof.delta * 1e-3, prof.delta * 0.999, n_radii)
-    pts = _ray_points(prof.p, radii[:, None], dirs)
-    s = np.sqrt(_sq_dist(pts, prof.p))
-    _, g, lap = u._jet(pts, True, True)
+    X = _ray_points(prof.p, radii[:, None], dirs)
+    s = np.sqrt(_sq_dist(X, prof.p))
+    _, g, lap = u._jet(X, True, True)
     if np.any(np.abs(lap) > prof.c1 / s ** (n - 1 + prof.mu)):
         raise ProfileViolated("sampled |lap u| exceeds the declared bound")
-    gr = np.sqrt(_sq_dist(g.T))
+    gr = np.sqrt(_sq_dist(g))
     if np.any(gr > prof.c2 / s ** (n - 1 - prof.nu)):
         raise ProfileViolated("sampled |grad u| exceeds the declared bound")
 
@@ -450,12 +452,12 @@ def _boundary_integral(k: Kernel, u: ScalarField, center, radius: float,
                        xi: np.ndarray, m: int, outward: bool = True) -> float:
     """Integral of u dH/dn - H du/dn over a sphere, normal radial (+/-)."""
     dirs, w = sphere_rule(k.n, m)
-    pts = _ray_points(np.asarray(center, float), radius, dirs)
+    X = _ray_points(np.asarray(center, float), radius, dirs)
     sgn = 1.0 if outward else -1.0
-    dh = _row_dot(np.asarray(grad_h(k, pts, xi)), dirs)
-    uv, g, _ = u._jet(pts, True, False)
-    du = _row_dot(g.T, dirs)
-    h = np.asarray(h_eval(k, pts, xi))
+    dh = _row_dot(_grad_h_rows(k, X, xi), dirs.T)
+    uv, g, _ = u._jet(X, True, False)
+    du = _row_dot(g, dirs.T)
+    h = _h_rows(k, X, xi)
     vals = uv * dh - h * du
     return sgn * radius ** (k.n - 1) * float(w @ vals)
 
@@ -504,9 +506,9 @@ def _inner_h_lap(k: Kernel, u: ScalarField, xi: np.ndarray, p: np.ndarray,
     """
 
     def inner_int(r):
-        pts = _ray_points(p, r[:, None], dirs_p)
-        hv = np.asarray(h_eval(k, pts, xi)).reshape(r.size, -1)
-        lap = np.asarray(u.laplacian(pts)).reshape(r.size, -1)
+        X = _ray_points(p, r[:, None], dirs_p)
+        hv = _h_rows(k, X, xi).reshape(r.size, -1)
+        lap = u._jet(X, False, True)[2].reshape(r.size, -1)
         return (hv * lap) @ w_p * r ** (k.n - 1)
 
     return adaptive_radial(inner_int, eps, D, rel_tol=1e-9, geometric=True)[0]
@@ -539,7 +541,7 @@ def _outer_h_lap(k: Kernel, u: ScalarField, omega: Ball, xi: np.ndarray,
     uu, wu = _gl_panels(np.linspace(0.0, 1.0, m_rad + 1))
 
     def seg_integral(lo, hi) -> float:
-        [per_dir] = _ray_sums(lambda pts: (u.laplacian(pts),), xi, dirs, lo,
+        [per_dir] = _ray_sums(lambda X: (u._jet(X, False, True)[2],), xi, dirs, lo,
                               np.clip(hi - lo, 0.0, None), uu, wu)
         return float(w @ per_dir) / ((2.0 - k.n) * k.omega_n)
 
@@ -587,7 +589,8 @@ def rep_formula_report(u: ScalarField, prof: SingularProfile | None,
     bnd = _boundary_integral(k, u, omega.center, omega.radius, xi, m_boundary)
 
     if prof is None:
-        vneg = _abs_h_ball(k, u.laplacian, omega, xi, False, (), m_sphere, m_rad)[0]
+        vneg = _abs_h_ball(k, lambda X: u._jet(X, False, True)[2], omega, xi, False, (),
+                           m_sphere, m_rad)[0]
         res = -vneg + bnd - target  # _abs_h_ball integrates against |H|; H = -|H|
         return {"residuals": [res], "eps": [], "p_boundary_terms": [],
                 "order": None, "extrapolated": res}

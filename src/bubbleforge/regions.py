@@ -11,6 +11,7 @@ import numpy as np
 from .field_core import _sq_dist
 
 _SHELL_SLACK = 1e-12  # relative widening of a squared-radius shell mask
+_POINT_BLOCK = 1 << 14  # points per scan chunk and ray block: 128 KB (m,) temporaries
 
 
 class _Round:
@@ -19,6 +20,9 @@ class _Round:
     @property
     def n(self) -> int:
         return self.center.shape[0]
+
+    def contains(self, x: np.ndarray) -> np.ndarray:
+        return self._contains(np.moveaxis(np.asarray(x, float), -1, 0))
 
     def _set_center(self):
         center = np.asarray(self.center, dtype=float)
@@ -41,9 +45,8 @@ class Ball(_Round):
             raise ValueError("ball radius must be positive and finite")
         self._set_center()
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        d = np.sqrt(_sq_dist(np.asarray(x, float), self.center))
-        return d < self.radius
+    def _contains(self, X):
+        return np.sqrt(_sq_dist(X, self.center)) < self.radius
 
     def radial_range(self):
         return 0.0, self.radius
@@ -60,8 +63,8 @@ class Annulus(_Round):
             raise ValueError("annulus needs 0 <= r_in < r_out < inf")
         self._set_center()
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        d = np.sqrt(_sq_dist(np.asarray(x, float), self.center))
+    def _contains(self, X):
+        d = np.sqrt(_sq_dist(X, self.center))
         return (d > self.r_in) & (d < self.r_out)
 
     def radial_range(self):
@@ -85,11 +88,12 @@ class Box:
     def n(self) -> int:
         return self.lo.shape[0]
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float)
-        inside = (x[..., 0] >= self.lo[0]) & (x[..., 0] <= self.hi[0])
+    contains = _Round.contains
+
+    def _contains(self, X):
+        inside = (X[0] >= self.lo[0]) & (X[0] <= self.hi[0])
         for i in range(1, self.n):
-            inside &= (x[..., i] >= self.lo[i]) & (x[..., i] <= self.hi[i])
+            inside &= (X[i] >= self.lo[i]) & (X[i] <= self.hi[i])
         return inside
 
     def bounding_box(self):
@@ -121,7 +125,7 @@ class GridSpec:
     points_per_axis: int | None = None
     refine_factor: int = 10
     radial_points: int = 1024
-    chunk: int = 65536
+    chunk: int = _POINT_BLOCK
     threads: int = 1
 
     def __post_init__(self):
@@ -131,6 +135,8 @@ class GridSpec:
             raise ValueError(f"refine_factor must be >= 0, got {self.refine_factor}")
         if self.radial_points < 2:
             raise ValueError(f"radial_points must be >= 2, got {self.radial_points}")
+        if self.chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {self.chunk}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
 
@@ -141,15 +147,15 @@ class GridSpec:
 
 
 def _grid_chunks(axes, limit, shell=None):
-    """Yield (first flat index, sel, points) over the grid of the 1D axes in C order.
+    """Yield (first flat index, sel, X) over the grid of the 1D axes in C order.
 
     The last t < n axes, with at most `limit` nodes together, form a fixed
     tail block, and each chunk holds as many whole tail blocks as fit in
-    `limit` nodes, at least one.  The points are a view of one reused
-    buffer, overwritten by the next chunk.  Without a shell, sel is None
-    and the points are the whole chunk.  With shell = (center, r_lo, r_hi),
-    the points (a transposed view) are the chunk's nodes with
-    r_lo < |x - center| < r_hi and a few just outside, and sel holds their
+    `limit` nodes, at least one.  X is an (n, m) view, with contiguous
+    coordinate rows, of one reused buffer, overwritten by the next chunk.
+    Without a shell, sel is None and X is the whole chunk.  With shell =
+    (center, r_lo, r_hi), X holds the chunk's nodes with
+    r_lo < |x - center| < r_hi and a few just outside, and sel their
     increasing offsets from the first flat index; chunks without such
     nodes are skipped.  The squared distance is summed separably, the tail
     block's part once plus each row's leading part, against squared radii
@@ -168,20 +174,19 @@ def _grid_chunks(axes, limit, shell=None):
     n_lead = math.prod(lead)
     rows = max(1, min(limit // block, n_lead))
     tail = np.stack([m.ravel() for m in np.meshgrid(*axes[n - t:], indexing="ij")])
+    buf = np.empty((n, rows * block))
     if shell is None:
-        buf = np.empty((rows * block, n))
-        buf[:, n - t:] = np.tile(tail, rows).T
+        buf[n - t:] = np.tile(tail, rows)
     else:
         center, r_lo, r_hi = shell
         lo = r_lo**2 * (1.0 - _SHELL_SLACK) if r_lo > 0 else -np.inf  # keeps the centre
         hi = r_hi**2 * (1.0 + _SHELL_SLACK)
         # one row of squared distances per line of the last axis
-        tail_r2 = _sq_dist(tail.T, center[n - t:]).reshape(-1, sizes[-1])
+        tail_r2 = _sq_dist(tail, center[n - t:]).reshape(-1, sizes[-1])
         n_lines, width = tail_r2.shape
         line_min, line_max = tail_r2.min(axis=1), tail_r2.max(axis=1)
         heads = tail[:-1, ::width]  # the other tail coordinates of each line
         last = np.tile(axes[-1], rows * n_lines)
-        buf = np.empty((n, rows * block))
     for start in range(0, n_lead, rows):
         stop = min(start + rows, n_lead)
         m = (stop - start) * block
@@ -189,10 +194,10 @@ def _grid_chunks(axes, limit, shell=None):
                   enumerate(np.unravel_index(np.arange(start, stop), lead))]
         if shell is None:
             for j, x in enumerate(lead_x):
-                buf[:m, j] = np.repeat(x, block)
-            yield start * block, None, buf[:m]
+                buf[j, :m] = np.repeat(x, block)
+            yield start * block, None, buf[:, :m]
             continue
-        lead_r2 = _sq_dist(np.stack(lead_x, axis=-1), center[:n - t])
+        lead_r2 = _sq_dist(lead_x, center[:n - t])
         live = np.flatnonzero((np.add.outer(lead_r2, line_min) < hi)
                               & (np.add.outer(lead_r2, line_max) > lo))
         row, k = np.divmod(live, n_lines)
@@ -201,48 +206,48 @@ def _grid_chunks(axes, limit, shell=None):
         inside = (r2 > lo) & (r2 < hi)
         counts = np.count_nonzero(inside, axis=1)
         if counts.any():
-            pts = buf[:, :int(counts.sum())]
+            X = buf[:, :int(counts.sum())]
             for j, x in enumerate(lead_x):
-                pts[j] = np.repeat(x[row], counts)
+                X[j] = np.repeat(x[row], counts)
             for j, x in enumerate(heads, n - t):
-                pts[j] = np.repeat(x[k], counts)
+                X[j] = np.repeat(x[k], counts)
             inside = inside.ravel()
-            pts[-1] = last[:inside.size][inside]
+            X[-1] = last[:inside.size][inside]
             # live line i starts (live[i] - i) lines after its place in r2
             sel = np.flatnonzero(inside) + np.repeat((live - np.arange(live.size)) * width, counts)
-            yield start * block, sel, pts.T
+            yield start * block, sel, X
 
 
 def _region_chunks(region, axes, limit):
-    """The grid nodes of axes in region (None: all), as C-order chunks of <= limit nodes.
+    """The grid nodes of axes in region (None: all), as C-order (n, m) chunks of <= limit nodes.
 
     A Box holds every node of linspace axes between its ends, so it is not
     tested.  A Ball or Annulus masks each chunk by the _grid_chunks shell
-    about its centre, and region.contains decides on the nodes left.  A
+    about its centre, and region._contains decides on the nodes left.  A
     chunk of the whole grid is a view of a reused buffer.
     """
     if region is None or isinstance(region, Box):
-        yield from (pts for _, _, pts in _grid_chunks(axes, limit))
+        yield from (X for _, _, X in _grid_chunks(axes, limit))
         return
-    for _, _, pts in _grid_chunks(axes, limit, (region.center, *region.radial_range())):
-        pts = pts[region.contains(pts)]
-        if pts.shape[0]:
-            yield pts
+    for _, _, X in _grid_chunks(axes, limit, (region.center, *region.radial_range())):
+        X = X[:, region._contains(X)]
+        if X.shape[1]:
+            yield X
 
 
 def _stream_argmax(fn, chunks, threads=1):
     """(value, point, count) of the first maximum of fn over the points of chunks.
 
-    fn maps an (m, n) chunk to (m,) values; value and point are None when
+    fn maps an (n, m) chunk to (m,) values; value and point are None when
     there are no points.  As np.argmax over all values at once would, the
     first maximum wins, and the first NaN if there is one.  With
     threads > 1, copies of the chunks are evaluated on that many threads
     and folded in order, so the result does not depend on threads.
     """
-    def one(pts):
-        v = fn(pts)
+    def one(X):
+        v = fn(X)
         j = int(np.argmax(v))
-        return v[j], pts[j].copy(), pts.shape[0]
+        return v[j], X[:, j].copy(), X.shape[1]
 
     def threaded():
         from concurrent.futures import ThreadPoolExecutor  # only threaded scans load it
@@ -251,7 +256,7 @@ def _stream_argmax(fn, chunks, threads=1):
         with ThreadPoolExecutor(max_workers=threads) as ex:
             # `threads` chunks at a time (ex.map alone would draw them all at
             # once), each copied before the next overwrites a reused buffer
-            while batch := [pts.copy() for pts in islice(it, threads)]:
+            while batch := [X.copy() for X in islice(it, threads)]:
                 yield from ex.map(one, batch)
 
     best = best_x = None

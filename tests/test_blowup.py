@@ -165,11 +165,11 @@ def test_coarse_pass_evaluates_only_admissible_nodes(make_input, monkeypatch):
     on_boundary = np.count_nonzero(np.abs(d) <= 1e-12)
     admissible = np.count_nonzero(_admissible(inp, grid))
     field_points, searched_points = [], []
-    jet = inp.field._jet
+    jet, weighted = inp.field._jet, blowup._weighted_rows
     monkeypatch.setattr(inp.field, "_jet",
-                        lambda pts, grad, d2: field_points.append(len(pts)) or jet(pts, grad, d2))
-    monkeypatch.setattr(blowup, "weighted_u",
-                        lambda inp, x: searched_points.append(len(x)) or weighted_u(inp, x))
+                        lambda X, grad, d2: field_points.append(X.shape[1]) or jet(X, grad, d2))
+    monkeypatch.setattr(blowup, "_weighted_rows",
+                        lambda inp, X: searched_points.append(X.shape[1]) or weighted(inp, X))
     blowup._coarse_top(inp, np.linspace(-OUTER_RADIUS, OUTER_RADIUS, inp.coarse),
                        blowup._KEEP)
     assert sum(field_points) == admissible
@@ -185,9 +185,9 @@ def test_weighted_max_never_evaluates_the_singularity(monkeypatch):
     radii = []
     jet = inv_r._jet
 
-    def recorded(pts, grad, d2):
-        radii.append(np.sqrt(_sq_dist(pts)))
-        return jet(pts, grad, d2)
+    def recorded(X, grad, d2):
+        radii.append(np.sqrt(_sq_dist(X)))
+        return jet(X, grad, d2)
 
     monkeypatch.setattr(inv_r, "_jet", recorded)
     with warnings.catch_warnings():

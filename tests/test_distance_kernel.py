@@ -1,4 +1,8 @@
-"""The column-wise distance kernel and the evaluations routed through it."""
+"""The row-wise distance kernel and the evaluations routed through it.
+
+_sq_dist and _row_dot take points as coordinate rows (n, ...), the
+transpose of an (..., n) batch; numpy's reductions below take the batch.
+"""
 
 import sys
 
@@ -52,8 +56,8 @@ def _same_bits(got, want):
 def test_sq_dist_is_numpy_sum_bit_for_bit(batch):
     pts, c = batch
     d = pts if c is None else pts - c
-    assert _same_bits(_sq_dist(pts, c), np.sum(d * d, axis=-1))
-    assert _same_bits(np.sqrt(_sq_dist(pts, c)), np.linalg.norm(d, axis=-1))
+    assert _same_bits(_sq_dist(pts.T, c), np.sum(d * d, axis=-1))
+    assert _same_bits(np.sqrt(_sq_dist(pts.T, c)), np.linalg.norm(d, axis=-1))
 
 
 @given(batches(3, 7), st.data())
@@ -61,7 +65,7 @@ def test_row_dot_is_numpy_sum_bit_for_bit(batch, data):
     a, _ = batch
     b = data.draw(hnp.arrays(np.float64, a.shape, elements=wide))
     # signed zeros included: a row of -0.0 products sums to +0.0 in both
-    assert _same_bits(_row_dot(a, b), np.sum(a * b, axis=-1))
+    assert _same_bits(_row_dot(a.T, b.T), np.sum(a * b, axis=-1))
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -69,9 +73,12 @@ def test_kernel_is_numpy_sum_bit_for_bit_on_random_rows(n, rng):
     # hypothesis favours simple floats, whose sums rarely depend on the order
     a, b, c = rng.uniform(-1, 1, (3, 100_000, n)) * 2.0 ** rng.integers(-30, 30, (3, 1, n))
     d = a - c[0]
-    assert _same_bits(_sq_dist(a, c[0]), np.sum(d * d, axis=-1))
-    assert _same_bits(np.sqrt(_sq_dist(a)), np.linalg.norm(a, axis=-1))
-    assert _same_bits(_row_dot(a, b), np.sum(a * b, axis=-1))
+    # contiguous rows, as the package passes them, and the strided transpose
+    for rows in (np.ascontiguousarray(a.T), a.T):
+        assert _same_bits(_sq_dist(rows, c[0]), np.sum(d * d, axis=-1))
+        assert _same_bits(np.sqrt(_sq_dist(rows)), np.linalg.norm(a, axis=-1))
+    assert _same_bits(_row_dot(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)),
+                      np.sum(a * b, axis=-1))
 
 
 @given(batches(8, 10))
@@ -79,21 +86,26 @@ def test_sq_dist_differs_by_rounding_only_from_n_8(batch):
     pts, c = batch
     d = pts if c is None else pts - c
     want = np.sum(d * d, axis=-1)
-    assert np.all(np.abs(_sq_dist(pts, c) - want) <= 1e-15 * want)
+    assert np.all(np.abs(_sq_dist(pts.T, c) - want) <= 1e-15 * want)
     r = np.linalg.norm(d, axis=-1)
-    assert np.all(np.abs(np.sqrt(_sq_dist(pts, c)) - r) <= 1e-15 * r)
+    assert np.all(np.abs(np.sqrt(_sq_dist(pts.T, c)) - r) <= 1e-15 * r)
 
 
 # --- every evaluation equals the one through numpy's reductions -----------------
 
 
-def _numpy_sq_dist(pts, c=None):
-    d = pts if c is None else pts - c
+def _batch(rows):
+    """Coordinate rows (n, ...) as the (..., n) batch numpy reduces."""
+    return np.moveaxis(np.asarray(rows), 0, -1)
+
+
+def _numpy_sq_dist(X, c=None):
+    d = _batch(X) if c is None else _batch(X) - _batch(c)
     return np.sum(d * d, axis=-1)
 
 
 def _numpy_row_dot(a, b):
-    return np.sum(a * b, axis=-1)
+    return np.sum(_batch(a) * _batch(b), axis=-1)
 
 
 def _both_ways(monkeypatch, fn):

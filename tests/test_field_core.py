@@ -26,7 +26,7 @@ from bubbleforge import (
 )
 from bubbleforge.cli import _RadialPower
 from bubbleforge.errors import KappaTooLarge, NonpositiveValue
-from bubbleforge.field_core import _offsets, _row_dot, _sq_dist
+from bubbleforge.field_core import _row_dot, _sq_dist
 from bubbleforge.kelvin import KelvinField, _image
 from bubbleforge.potential import Kernel
 from bubbleforge.regions import Box
@@ -131,8 +131,8 @@ def test_k_function_base_field_center():
 class _NegativeField(ScalarField):
     n = 3
 
-    def _jet(self, pts, grad, d2):
-        m = len(pts)
+    def _jet(self, X, grad, d2):
+        m = X.shape[1]
         return np.full(m, -1.0), np.zeros((3, m)) if grad else None, np.zeros(m) if d2 else None
 
 
@@ -433,7 +433,7 @@ def _jet_errors(cases, lap_terms=False):
     worst = [0.0, 0.0, 0.0]
     with mpmath.workdps(30):
         for field, pts, oracle in cases:
-            u, g, lap = field._jet(pts, True, True)
+            u, g, lap = field._jet(np.ascontiguousarray(pts.T), True, True)
             for j, x in enumerate(pts):
                 uu, gg, ll, terms = _mp_radial_jet(x, *oracle)
                 gnorm = mpmath.sqrt(mpmath.fsum(gi * gi for gi in gg))
@@ -484,16 +484,16 @@ def _powers_base_radial_jet(self, sq, slope, d2):
     return r, w, k, lap
 
 
-def _powers_kelvin_jet(self, pts, grad, d2):
+def _powers_kelvin_jet(self, X, grad, d2):
     # the non-centre branch of KelvinField._jet
-    d = _offsets(pts, self.inv.center)
-    rho2 = _sq_dist(d.T)
+    d = X - self.inv.center[:, None]
+    rho2 = _sq_dist(d)
     a = self.inv.radius
     u, gu, lap = self.src._jet(_image(self.inv, d, rho2), grad, d2)
     pref = (a**2 / rho2) ** ((self.n - 2) / 2)
     if d2:
         lap = (a**2 / rho2) ** ((self.n + 2) / 2) * lap
-    dot = _row_dot(d.T, gu.T)
+    dot = _row_dot(d, gu)
     jac_g = (a**2 / rho2) * (gu - 2.0 * d * dot / rho2)
     g = (2 - self.n) * a ** (self.n - 2) * rho2 ** (-self.n / 2.0) * d * u + pref * jac_g
     return pref * u, g, lap
@@ -596,7 +596,7 @@ def test_rep_singular_jet_against_mpmath(monkeypatch):
 def test_bubble_jet_at_its_centre(n, lam):
     # the slope -(n-2) u t / lam is finite at r = 0, and no guard is needed
     center = np.linspace(-0.5, 0.5, n)
-    u, g, lap = Bubble(lam, center, n)._jet(center[None, :], True, True)
+    u, g, lap = Bubble(lam, center, n)._jet(center[:, None], True, True)
     assert np.all(g == 0.0)
     exact = -n * (n - 2) * lam ** (-(n + 2) / 2)
     assert abs(lap[0] - exact) <= 1e-15 * abs(exact)

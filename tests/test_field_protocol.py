@@ -28,9 +28,9 @@ from bubbleforge import (
 from bubbleforge import kelvin
 from bubbleforge.blowup import RescaledField, _c2_deviation, _fit_samples
 from bubbleforge.cli import _RadialPower
-from bubbleforge.field_core import _offsets, _sq_dist
+from bubbleforge.field_core import _sq_dist
 from bubbleforge.glue import Cutoff
-from bubbleforge.kelvin import KelvinField
+from bubbleforge.kelvin import KelvinField, _image
 
 
 def _callable_radial():
@@ -110,33 +110,55 @@ JET_FIELDS = {**FIELDS, "rep-singular": lambda: (_RadialPower(3, -0.5), 2.0)}
 def test_jet_is_value_gradient_laplacian(make, rng):
     f, half = make()
     pts = rng.uniform(-half, half, size=(64, f.n))
-    u, g, lap = f._jet(pts, True, True)
+    X = np.ascontiguousarray(pts.T)  # the jet's column batch, (n, m)
+    u, g, lap = f._jet(X, True, True)
     assert _same_bits(u, f.value(pts))
-    # the jet's gradient is laid out by columns, (n, m)
+    # the jet's gradient has the layout of its points, (n, m)
     assert g.shape == (f.n, 64)
     assert _same_bits(np.ascontiguousarray(g.T), f.gradient(pts))
     assert _same_bits(lap, f.laplacian(pts))
-    u2, g2, lap2 = f._jet(pts, False, True)
+    u2, g2, lap2 = f._jet(X, False, True)
     assert g2 is None and _same_bits(u2, u) and _same_bits(lap2, lap)
     # a gradient-only jet forms no Laplacian and moves no bit of u or g
-    u3, g3, lap3 = f._jet(pts, True, False)
+    u3, g3, lap3 = f._jet(X, True, False)
     assert lap3 is None and _same_bits(u3, u) and _same_bits(g3, g)
     # a value-only jet forms neither derivative and moves no bit of u
-    u4, g4, lap4 = f._jet(pts, False, False)
+    u4, g4, lap4 = f._jet(X, False, False)
     assert g4 is None and lap4 is None and _same_bits(u4, u)
+
+
+@pytest.mark.parametrize("make", FIELDS.values(), ids=FIELDS.keys())
+def test_column_batch_jet_is_the_per_point_evaluation(make, rng):
+    f, half = make()
+    pts = rng.uniform(-half, half, size=(24, f.n))
+    X = np.ascontiguousarray(pts.T)
+    assert X.shape == (f.n, 24) and X.flags.c_contiguous
+    u, g, lap = f._jet(X, True, True)
+    for j, x in enumerate(pts):
+        assert u[j].hex() == f.value(x).hex()
+        assert _same_bits(g[:, j], f.gradient(x))
+        assert lap[j].hex() == f.laplacian(x).hex()
+    # strided views of the same points: the transpose of the (m, n) batch,
+    # and every other column of a wider buffer
+    wide = np.zeros((f.n, 48))
+    wide[:, ::2] = X
+    for view in (pts.T, wide[:, ::2]):
+        assert not view.flags.c_contiguous
+        for got, want in zip(f._jet(view, True, True), (u, g, lap)):
+            assert _same_bits(got, want)
 
 
 @pytest.mark.parametrize("name", ["disjoint", "insert"])
 def test_glue_value_jet_forms_no_cutoff_slope(name, rng, monkeypatch):
     f, half = FIELDS[name]()
-    pts = rng.uniform(-half, half, size=(512, f.n))
-    full = f._jet(pts, True, True)[0]
+    X = rng.uniform(-half, half, size=(f.n, 512))
+    full = f._jet(X, True, True)[0]
 
     def slope(*args):
         raise AssertionError("a value-only jet formed a cutoff derivative")
 
     monkeypatch.setattr(Cutoff, "_jet", slope)
-    u, g, lap = f._jet(pts, False, False)
+    u, g, lap = f._jet(X, False, False)
     assert g is None and lap is None
     assert [v.hex() for v in u.tolist()] == [v.hex() for v in full.tolist()]
 
@@ -184,7 +206,7 @@ def test_callable_radial_value_and_gradient_never_call_d2f():
 def _c2_three_passes(w, model, pts):
     """The fit deviation from separate value, gradient and Laplacian passes."""
     dval = np.abs(np.asarray(w.value(pts)) - np.asarray(model.value(pts)))
-    dgrad = np.sqrt(_sq_dist(np.asarray(w.gradient(pts)), np.asarray(model.gradient(pts))))
+    dgrad = np.sqrt(_sq_dist(np.asarray(w.gradient(pts)).T, np.asarray(model.gradient(pts)).T))
     dlap = np.abs(np.asarray(w.laplacian(pts)) - np.asarray(model.laplacian(pts)))
     return float(np.max(dval + dgrad + dlap))
 
@@ -194,10 +216,10 @@ def test_c2_deviation_of_a_fit_is_the_three_pass_deviation():
     w = rescale(BlowupInput(field=f, epsilon=0.1, R=2.0, delta_target=0.01), [0.29, 0.01, 0])
     r_fit = min(2.0, 0.97 * w.window_radius)
     mu, y_o, delta = fit_bubble(w, r_fit)
-    model, pts = Bubble(mu, y_o, 3), _fit_samples(3, r_fit)
-    ref = _c2_three_passes(w, model, pts)
+    model, X = Bubble(mu, y_o, 3), _fit_samples(3, r_fit)
+    ref = _c2_three_passes(w, model, X.T)
     assert delta.hex() == ref.hex()
-    assert _c2_deviation(w, model, pts).hex() == ref.hex()
+    assert _c2_deviation(w, model, X).hex() == ref.hex()
 
 
 @pytest.mark.parametrize("name", ["disjoint", "lemma-5-4"])
@@ -205,7 +227,7 @@ def test_c2_deviation_is_the_three_pass_deviation(name, rng):
     f, half = FIELDS[name]()
     pts = rng.uniform(-half, half, size=(64, f.n))
     model = Bubble(0.9, [0.2, 0.1, 0], 3)
-    assert _c2_deviation(f, model, pts).hex() == _c2_three_passes(f, model, pts).hex()
+    assert _c2_deviation(f, model, pts.T).hex() == _c2_three_passes(f, model, pts).hex()
 
 
 @pytest.mark.parametrize("name, calls", [("disjoint", 2), ("concentric", 1),
@@ -271,11 +293,12 @@ def test_closed_form_jets_take_one_power_per_point(n, monkeypatch):
     assert _powers(b._profile, _counted(np.sqrt(sq)), True) == 1
     assert _powers(BaseField(n)._radial_jet, _counted(sq), True, True) == 1
     assert _powers(_RadialPower(n, 2.5 - n)._profile, _counted(np.sqrt(sq[1:])), True) == 1
-    # the Kelvin transform's own powers: its offsets are counted, while its
-    # source's jet sees the plain image points
-    monkeypatch.setattr(kelvin, "_offsets", lambda pts, c: _counted(_offsets(pts, c)))
+    # the Kelvin transform's own powers: its points, and so its offsets, are
+    # counted, while its source's jet sees the plain image points
+    monkeypatch.setattr(kelvin, "_image",
+                        lambda inv, d, rho2: _image(inv, d, rho2).view(np.ndarray))
     f = KelvinField(b, Inversion(np.full(n, 3.0), 1.5))
-    assert _powers(f._jet, rng.uniform(-1.0, 1.0, size=(64, n)), True, True) == 1
+    assert _powers(f._jet, _counted(rng.uniform(-1.0, 1.0, size=(n, 64))), True, True) == 1
 
 
 # tracemalloc peak of one k_function call on 65,536 points, in KiB rounded up,

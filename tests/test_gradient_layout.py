@@ -1,9 +1,10 @@
-"""The column-major gradient jet against the row-major broadcast formulas.
+"""The column-batch jet against the row-major broadcast formulas.
 
-A field's _jet gives its gradient as an (n, m) array built one column at a
-time.  The reference formulas below build the (m, n) gradient with [:, None]
-broadcasts, as the fields did before; the public gradient, inv_root_grad_sq
-and the ray points of the quadratures must equal them bit for bit.
+A field's _jet takes its points as (n, m) coordinate rows and gives its
+gradient in the same layout.  The reference formulas below build the
+(m, n) gradient of an (m, n) batch with [:, None] broadcasts, as the fields
+once did; the public gradient, inv_root_grad_sq and the ray points of the
+quadratures must equal them bit for bit.
 """
 
 import numpy as np
@@ -25,15 +26,15 @@ def _image_ref(inv, d, rho2):
 def gradient_ref(f, pts):
     """(m, n) gradient of f by the row-major broadcast formulas."""
     if isinstance(f, RadialField):
-        r, _, slope, _ = f._radial_jet(_sq_dist(pts, f.center), True, False)
+        r, _, slope, _ = f._radial_jet(_sq_dist(pts.T, f.center), True, False)
         g = slope[:, None] * (pts - f.center)
         return np.where(r[:, None] == 0.0, 0.0, g)
     if isinstance(f, SumField):
         return gradient_ref(f.f, pts) + gradient_ref(f.g, pts)
     if isinstance(f, DisjointGlueField):
         c1, c2 = f.b1.center, f.b2.center
-        s1, u1, k1, _ = f.b1._radial_jet(_sq_dist(pts, c1), True, False)
-        s2, u2, k2, _ = f.b2._radial_jet(_sq_dist(pts, c2), True, False)
+        s1, u1, k1, _ = f.b1._radial_jet(_sq_dist(pts.T, c1), True, False)
+        s2, u2, k2, _ = f.b2._radial_jet(_sq_dist(pts.T, c2), True, False)
         p1, dp1, _ = f.cut1._jet(s1, False)
         p2, dp2, _ = f.cut2._jet(s2, False)
         s1s = np.where(s1 == 0.0, 1.0, s1)
@@ -46,7 +47,7 @@ def gradient_ref(f, pts):
     if isinstance(f, InsertGlueField):
         uh, gh = f.host.value(f.x1 + pts), gradient_ref(f.host, f.x1 + pts)
         ub, gb = f.bubble.value(pts), gradient_ref(f.bubble, pts)
-        s = np.sqrt(_sq_dist(pts))
+        s = np.sqrt(_sq_dist(pts.T))
         p, dp, _ = f.cut._jet(s, False)
         ss = np.where(s == 0.0, 1.0, s)
         return (p[:, None] * gb + (1.0 - p)[:, None] * gh
@@ -54,12 +55,12 @@ def gradient_ref(f, pts):
     if isinstance(f, KelvinField):
         n, a = f.n, f.inv.radius
         d = pts - f.inv.center
-        rho2 = _sq_dist(d)
+        rho2 = _sq_dist(d.T)
         y = _image_ref(f.inv, d, rho2)
         u, gu = f.src.value(y), gradient_ref(f.src, y)
         c = a**2 / rho2
         pref = c ** ((n - 2) / 2)
-        dot = _row_dot(d, gu)[:, None]
+        dot = _row_dot(d.T, gu.T)[:, None]
         jac_g = c[:, None] * (gu - 2.0 * d * dot / rho2[:, None])
         return ((2 - n) * (pref / rho2))[:, None] * d * u[:, None] + pref[:, None] * jac_g
     if isinstance(f, RescaledField):
@@ -70,7 +71,7 @@ def gradient_ref(f, pts):
 def inv_root_grad_sq_ref(f, pts):
     n = f.n
     return (4.0 / (n - 2) ** 2) * f.value(pts) ** (-2.0 * n / (n - 2)) * _sq_dist(
-        gradient_ref(f, pts))
+        gradient_ref(f, pts).T)
 
 
 def _same_bits(a, b):
@@ -106,15 +107,21 @@ def test_ray_points_match_broadcast_formulas(n, rng):
     x0 = rng.normal(size=n)
     dirs = rng.normal(size=(7, n))
     rr = rng.uniform(0.0, 2.0, size=(7, 5))
-    # per-direction radii, as the polar ball blocks
-    assert _same_bits(_ray_points(x0, rr, dirs[:, None, :]),
-                      (x0[None, None, :] + rr[..., None] * dirs[:, None, :]).reshape(-1, n))
-    # every radius along every direction, as the profile and annulus samples
     r = rng.uniform(0.0, 2.0, size=9)
-    assert _same_bits(_ray_points(x0, r[:, None], dirs),
-                      (x0[None, None, :] + r[:, None, None] * dirs[None, :, :]).reshape(-1, n))
-    # one radius, as the boundary spheres
-    assert _same_bits(_ray_points(x0, 0.7, dirs), (x0[None, :] + 0.7 * dirs))
+    cases = [
+        # per-direction radii, as the polar ball blocks
+        (_ray_points(x0, rr, dirs[:, None, :]),
+         (x0[None, None, :] + rr[..., None] * dirs[:, None, :]).reshape(-1, n)),
+        # every radius along every direction, as the profile and annulus samples
+        (_ray_points(x0, r[:, None], dirs),
+         (x0[None, None, :] + r[:, None, None] * dirs[None, :, :]).reshape(-1, n)),
+        # one radius, as the boundary spheres
+        (_ray_points(x0, 0.7, dirs), (x0[None, :] + 0.7 * dirs)),
+    ]
+    for X, ref in cases:
+        # the points come as C-contiguous (n, m) coordinate rows
+        assert X.shape == ref.shape[::-1] and X.flags.c_contiguous
+        assert _same_bits(X, ref.T)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -122,4 +129,4 @@ def test_inversion_image_matches_broadcast_formula(n, rng):
     inv = Inversion(rng.normal(size=n), 1.3)
     pts = rng.normal(size=(40, n))
     d = pts - inv.center
-    assert _same_bits(invert_point(inv, pts), _image_ref(inv, d, _sq_dist(d)))
+    assert _same_bits(invert_point(inv, pts), _image_ref(inv, d, _sq_dist(d.T)))

@@ -83,11 +83,11 @@ class _Planted(ScalarField):
         self.tie_nodes = tie_nodes
         self.nan_nodes = nan_nodes
 
-    def _jet(self, pts, grad, d2):
-        u, g, lap = self.src._jet(pts, grad, d2)
+    def _jet(self, X, grad, d2):
+        u, g, lap = self.src._jet(X, grad, d2)
         for nodes, lap_value in ((self.tie_nodes, -1e6), (self.nan_nodes, np.nan)):
             for node in nodes:
-                hit = np.all(pts == node, axis=1)
+                hit = np.all(X == node[:, None], axis=0)
                 u[hit] = 1.0
                 lap[hit] = lap_value
         return u, g, lap
@@ -157,15 +157,15 @@ def test_box_holds_every_node_of_its_grids(bounds, points):
 def test_shell_chunks_are_the_dense_shell(axes, limit, center, r_lo, r_hi):
     center = center[:len(axes)]
     dense = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    d = np.sqrt(_sq_dist(dense, center))
+    d = np.sqrt(_sq_dist(dense.T, center))
     firsts, sels, chunks = [], [], []
-    for first, sel, pts in _grid_chunks(axes, limit, (center, r_lo, r_hi)):
+    for first, sel, X in _grid_chunks(axes, limit, (center, r_lo, r_hi)):
         firsts.append(first)
         sels.append(first + sel)
-        chunks.append(pts.copy())
+        chunks.append(X.copy())
     assert firsts == sorted(set(firsts))
     sel = np.concatenate(sels)
-    assert np.array_equal(np.concatenate(chunks), dense[sel])
+    assert np.array_equal(np.concatenate(chunks, axis=1), dense[sel].T)
     kept = np.zeros(len(dense), bool)
     kept[sel] = True
     # a superset of the open shell, and (centre aside) nothing far outside it
@@ -173,6 +173,22 @@ def test_shell_chunks_are_the_dense_shell(axes, limit, center, r_lo, r_hi):
     assert not kept[(d < r_lo * (1 - 1e-9)) | (d > r_hi * (1 + 1e-9))].any()
     if r_lo == 0.0:
         assert kept[d == 0.0].all()
+
+
+@pytest.mark.parametrize("shell", [None, (np.array([0.1, -0.2, 0.0]), 0.2, 0.9)],
+                         ids=["grid", "shell"])
+def test_chunks_are_coordinate_rows(shell):
+    axes = [np.linspace(-1.0, 1.0, 9), np.linspace(-0.5, 0.8, 6), np.linspace(-1.0, 1.0, 11)]
+    dense = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    seen = 0
+    for first, sel, X in _grid_chunks(axes, 150, shell):
+        # an (n, m) view of the reused buffer: each coordinate row contiguous
+        assert X.ndim == 2 and X.shape[0] == 3 and X.shape[1] <= 150
+        assert all(row.flags.c_contiguous for row in X)
+        want = dense[first:first + X.shape[1]] if sel is None else dense[first + sel]
+        assert np.array_equal(X, want.T)
+        seen += X.shape[1]
+    assert seen == len(dense) if shell is None else 0 < seen < len(dense)
 
 
 def test_box_scan_memory_stays_below_its_dense_grid():
@@ -212,11 +228,11 @@ def test_threads_keep_at_most_their_number_of_chunks_in_flight():
                 drawn[1] = max(drawn)
             yield np.array([[float(i % 7)]])
 
-    def fn(pts):
+    def fn(X):
         time.sleep(0.001)
         with lock:
             drawn[0] -= 1
-        return pts[:, 0]
+        return X[0]
 
     best, best_x, count = _stream_argmax(fn, chunks(), 3)
     assert (best, best_x.tolist(), count) == (6.0, [6.0], 40)
@@ -229,6 +245,14 @@ def test_threads_keep_at_most_their_number_of_chunks_in_flight():
 def test_grid_spec_rejects_sizes_below_minimum(kw):
     with pytest.raises(ValueError, match=next(iter(kw))):
         GridSpec(**kw)
+
+
+@pytest.mark.parametrize("chunk", [0, -5])
+def test_grid_spec_rejects_chunks_below_one(chunk):
+    # accepted once, a chunk below one node ran every scan one tail line at a time
+    with pytest.raises(ValueError, match="chunk must be >= 1"):
+        GridSpec(chunk=chunk)
+    assert GridSpec(chunk=1).chunk == 1
 
 
 def test_grid_spec_accepts_no_refinement():

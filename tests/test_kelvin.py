@@ -151,10 +151,10 @@ def test_kelvin_batch_holding_the_center_extends_only_there():
     assert vals[3] == v.value(inv.center)
     rest = np.delete(vals, 3)
     assert rest.tobytes() == v.value(others).tobytes()
-    assert rest.tobytes() == v._jet(others, True, True)[0].tobytes()
+    assert rest.tobytes() == v._jet(others.T, True, True)[0].tobytes()
     for grad, d2 in ((True, False), (False, True), (True, True)):
         with pytest.raises(AtCenter):
-            v._jet(batch, grad, d2)
+            v._jet(batch.T, grad, d2)
 
 
 class _RaisingField(ScalarField):

@@ -316,11 +316,12 @@ def _rep_identity_two_passes(u_c, u2, ball, xi, m_sphere, m_rad):
     radial = u_c.radial and u2.radial and bool(np.all(ball.center == 0.0))
     splits = (u_c.cut.r_in, u_c.cut.r_out)
 
-    def kdev(pts):
-        return np.asarray(k_function(u_c, pts)) - 1.0
+    # _abs_h_ball hands its integrands (n, m) column batches
+    def kdev(X):
+        return np.asarray(k_function(u_c, X.T)) - 1.0
 
-    def gdiff(pts):
-        return inv_root_grad_sq(u_c, pts) - inv_root_grad_sq(u2, pts)
+    def gdiff(X):
+        return inv_root_grad_sq(u_c, X.T) - inv_root_grad_sq(u2, X.T)
 
     q1, e1, _ = _abs_h_ball(k, kdev, ball, xi, radial, splits, m_sphere, m_rad)
     q2, e2, _ = _abs_h_ball(k, gdiff, ball, xi, radial, splits, m_sphere, m_rad)
@@ -350,9 +351,9 @@ def test_rep_identity_polar_pass_evaluates_each_point_once(monkeypatch):
     u_c, u2 = _rep_identity_glue(n)
     calls = {"u_c": [], "u2": []}
     for name, f in (("u_c", u_c), ("u2", u2)):
-        def counted(pts, grad, d2, jet=f._jet, seen=calls[name]):
-            seen.append((len(pts), grad, d2))
-            return jet(pts, grad, d2)
+        def counted(X, grad, d2, jet=f._jet, seen=calls[name]):
+            seen.append((X.shape[1], grad, d2))
+            return jet(X, grad, d2)
 
         monkeypatch.setattr(f, "_jet", counted)
     rep_identity_report(u_c, u2, Ball(np.array([0.2, 0.0, 0.0]), 3.0), np.array([0.1, 0.3, 0.0]),
@@ -389,9 +390,9 @@ def test_lower_bound_3_9_is_one_integral_per_field(center, monkeypatch):
     built = []
 
     def counted(x0, r, dirs):
-        pts = _ray_points(x0, r, dirs)
-        built.append(pts.shape[0])
-        return pts
+        X = _ray_points(x0, r, dirs)
+        built.append(X.shape[1])
+        return X
 
     monkeypatch.setattr(potential, "_ray_points", counted)
     two = _two_pass_lower_bound_3_9(u_c, u2, ball, xi)
@@ -533,15 +534,15 @@ def test_rep_formula_outer_segments_evaluated_once_per_report():
     xi = np.array([0.5, 0.0, 0.0])
     D = 0.25
     m_sphere, m_rad = 12, 12
-    outside = []  # sizes of laplacian calls with every point outside B(p, D)
-    lap = u.laplacian
+    outside = []  # sizes of Laplacian jets with every point outside B(p, D)
+    jet = u._jet
 
-    def counted(pts):
-        if np.min(np.linalg.norm(pts - prof.p, axis=-1)) >= D:
-            outside.append(len(pts))
-        return lap(pts)
+    def counted(X, grad, d2):
+        if d2 and not grad and np.min(np.linalg.norm(X.T - prof.p, axis=-1)) >= D:
+            outside.append(X.shape[1])
+        return jet(X, grad, d2)
 
-    u.laplacian = counted
+    u._jet = counted
     rep_formula_report(u, prof, Ball(np.zeros(3), 1.5), xi, (1e-2, 1e-3, 1e-4),
                        m_sphere=m_sphere, m_boundary=16, m_rad=m_rad)
     dirs, _ = _aligned_sphere_rule(3, m_sphere, -xi / 0.5, (math.sqrt(0.75),))
@@ -565,10 +566,10 @@ def test_rep_formula_outer_segments_evaluated_once_per_report():
 def test_rep_formula_rejects_bad_eps_before_quadrature(eps_seq):
     u, beta = _singular_power_field()
 
-    def untouched(pts):
+    def untouched(*args):
         raise AssertionError("field evaluated before the radii were checked")
 
-    u.value = u.gradient = u.laplacian = untouched
+    u.value = u.gradient = u.laplacian = u._jet = untouched
     with pytest.raises(BadRadii):
         rep_formula_report(u, _singular_profile(beta), Ball(np.zeros(3), 1.5),
                            [0.5, 0, 0], eps_seq)

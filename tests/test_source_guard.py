@@ -8,9 +8,17 @@ Box.contains with `&`).
 No short-axis broadcast in a jet: a [:, None] or [..., None] subscript
 in a field's _jet, or in the quadratures' ray-point helper, broadcasts a
 per-point factor against the n coordinates of an (m, n) batch, an inner
-loop of n = 3..6.  The jets keep their gradients as (n, m) columns, which
-per-point factors scale along the long axis, and the ray points are
-written one column at a time.
+loop of n = 3..6.  The jets take their points and keep their gradients as
+(n, m) coordinate rows, which per-point factors scale along the long
+axis, and the ray points are written one row at a time.  The only such
+subscripts left turn a point c (n,) into a column, c[:, None], which
+broadcasts along the m points of the rows; ALLOWED lists each.
+
+One point layout: points travel as (n, m) coordinate rows.  No jet,
+radial jet, profile or distance kernel transposes an array (.T), the
+column-at-a-time offsets writer _offsets is gone, and the scans' chunk
+(GridSpec.chunk's default) and the quadratures' ray block
+(potential._SEG_BLOCK) are one named constant.
 
 One batch hook: a field's values and derivatives come from its _jet
 alone, so no _value, _gradient or _laplacian hook is defined, and a _jet
@@ -48,7 +56,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bubbleforge"
 REDUCTIONS = {"sum", "norm", "all", "any"}
 
 # Deliberate exceptions as {(file name, line text stripped): reason}.
-ALLOWED: dict[tuple[str, str], str] = {}
+_CENTRE_COLUMN = "a point (n,) as a column, broadcast along the m points of (n, m) rows"
+ALLOWED: dict[tuple[str, str], str] = {
+    ("field_core.py", "g = X - self.center[:, None]"): _CENTRE_COLUMN,
+    ("glue.py", "o1, o2 = X - c1[:, None], X - c2[:, None]"): _CENTRE_COLUMN,
+    ("glue.py", "uh, gh, laph = self.host._jet(self.x1[:, None] + X, grad or d2, d2)"):
+        _CENTRE_COLUMN,
+    ("kelvin.py", "d = X - self.inv.center[:, None]"): _CENTRE_COLUMN,
+}
 
 
 def _is_last_axis(node) -> bool:
@@ -472,3 +487,82 @@ def test_every_module_is_imported_by_the_package():
     sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
     assert entry <= set(sources)
     assert unimported_modules(sources, SRC.name, entry) == [], "a module no package module imports"
+
+
+ROW_KERNELS = {"_jet", "_radial_jet", "_profile", "_sq_dist", "_row_dot"}
+
+
+def layout_breaks(source: str):
+    """(name, line) of a definition of _offsets, of any other use of that
+    name, and of each .T inside a _jet, _radial_jet, _profile, _sq_dist or
+    _row_dot."""
+    found = []
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_offsets":
+            found.append(("_offsets", node.lineno))
+        elif (isinstance(node, ast.Name) and node.id == "_offsets"
+              or isinstance(node, ast.Attribute) and node.attr == "_offsets"
+              or isinstance(node, ast.alias) and node.name == "_offsets"):
+            found.append(("_offsets", node.lineno))
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name in ROW_KERNELS:
+            found += [(fn.name, node.lineno) for node in ast.walk(fn)
+                      if isinstance(node, ast.Attribute) and node.attr == "T"]
+    return sorted(found)
+
+
+def test_guard_finds_transposes_and_offsets():
+    src = "\n".join([
+        "from .field_core import _offsets",
+        "def _offsets(pts, c):",
+        "    return pts.T - c",
+        "class F:",
+        "    def _jet(self, X, grad, d2):",
+        "        g = self.src._jet(X.T, grad, d2)[1]",
+        "        return g.T",
+        "    def _profile(self, r, d2):",
+        "        return r.T",
+        "def _sq_dist(X, c=None):",
+        "    return (X.T ** 2).sum(axis=1)",
+        "def gradient(self, x):",
+        "    return g.T + kelvin._offsets(x, c)",
+    ])
+    assert layout_breaks(src) == [("_jet", 6), ("_jet", 7), ("_offsets", 1), ("_offsets", 2),
+                                  ("_offsets", 13), ("_profile", 9), ("_sq_dist", 11)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_points_travel_as_coordinate_rows(path):
+    lines = path.read_text().splitlines()
+    bad = [f"{path.name}:{i}: {fn}: {lines[i - 1].strip()}"
+           for fn, i in layout_breaks(path.read_text())]
+    assert not bad, "take and keep (n, m) coordinate rows:\n" + "\n".join(bad)
+
+
+def _assigned_name(tree, target: str):
+    """The name a module-level `target = <name>` assigns, or None."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and node.targets[0].id == target
+                and isinstance(node.value, ast.Name)):
+            return node.value.id
+    return None
+
+
+def test_scan_chunk_and_ray_block_are_one_constant():
+    regions = ast.parse((SRC / "regions.py").read_text())
+    [spec] = [node for node in regions.body
+              if isinstance(node, ast.ClassDef) and node.name == "GridSpec"]
+    [default] = [node.value for node in spec.body if isinstance(node, ast.AnnAssign)
+                 and isinstance(node.target, ast.Name) and node.target.id == "chunk"]
+    assert isinstance(default, ast.Name), "GridSpec.chunk's default must be a named constant"
+    assert _assigned_name(regions, default.id) is None  # a value, not an alias
+    assert any(isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == default.id for t in node.targets)
+        for node in regions.body), f"regions.py does not define {default.id}"
+    potential = ast.parse((SRC / "potential.py").read_text())
+    assert _assigned_name(potential, "_SEG_BLOCK") == default.id
+    imported = {alias.name for node in potential.body if isinstance(node, ast.ImportFrom)
+                and node.module == "regions" for alias in node.names}
+    assert default.id in imported

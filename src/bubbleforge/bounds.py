@@ -197,9 +197,13 @@ def sup_scan(f: ScalarField, region: Region, grid_spec: GridSpec | None = None) 
         grid = {"kind": "grid", "points_per_axis": int(m)}
     grid["refine_factor"] = int(gs.refine_factor)
 
+    def deviation(X):
+        k = _k_of(n, *f._jet(X, False, True)[::2])
+        k -= 1.0
+        return np.abs(k, out=k)
+
     def scan(axes):
-        return _stream_argmax(lambda X: np.abs(_k_of(n, *f._jet(X, False, True)[::2]) - 1.0),
-                              _region_chunks(region, axes, gs.chunk), gs.threads)
+        return _stream_argmax(deviation, _region_chunks(region, axes, gs.chunk), gs.threads)
 
     best, best_x, n_samples = scan(axes)
     if best_x is None:

@@ -96,6 +96,10 @@ class ScalarField:
     without one raises NotImplementedError there.  A composite field calls
     its sources' _jet, passing on its own d2.  A jet keeps no state
     between calls: scans evaluate chunks of one field on several threads.
+    The caller owns what a jet returns and may overwrite it: no two of u,
+    g and lap share memory, and none shares memory with X, so a composite
+    adds its sources' terms in place (ufuncs with out=, +=, *=) and keeps
+    few point-sized arrays alive.
 
     Attributes
     ----------
@@ -133,7 +137,9 @@ class RadialField(ScalarField):
     value_r alone, and a closed-form Laplacian overrides _radial_jet.  A
     profile that is a power of a rational function of r (Bubble, BaseField)
     takes that one non-integer power per point, the one value_r takes, and
-    forms its derivatives as products and quotients of it.
+    forms its derivatives as products and quotients of it.  The f, f' and
+    f'' of a profile share memory neither with r nor with each other, so
+    the radial jet forms its slope and Laplacian in them in place.
     """
 
     def __init__(self, n: int, center=None):
@@ -147,32 +153,44 @@ class RadialField(ScalarField):
     def _profile(self, r, d2):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def _radial_jet(self, sq, slope, d2):
-        """(r, f, f'/r, lap) from squared radii sq, which become r in place.
+    def _radial_jet(self, r, slope, d2):
+        """(f, f'/r, lap) at the radii r, which it leaves intact.
 
         f'/r is None unless slope, and lap None unless d2; at r = 0, f'/r is
         f'(0), and lap the limit n f''(0).
         """
-        r = np.sqrt(sq, out=sq)
         if not (slope or d2):
-            return r, self.value_r(r), None, None
+            return self.value_r(r), None, None
         f, df, d2f = self._profile(r, d2)
-        at0 = r == 0.0
-        rs = np.where(at0, 1.0, r)
+        rs = _nonzero(r)
         lap = None
         if d2:
-            lap = d2f + (self.n - 1) * df / rs
-            lap[at0] = self.n * d2f[at0]
-        return r, f, df / rs if slope else None, lap
+            # f'' + (n-1) f'/r in the buffer of f'', and its limit n f''(0) at r = 0
+            lim = None if rs is r else self.n * d2f[r == 0.0]
+            tmp = np.multiply(df, self.n - 1)
+            tmp /= rs
+            lap = d2f
+            lap += tmp
+            if lim is not None:
+                lap[r == 0.0] = lim
+        if slope:
+            df /= rs
+        return f, df if slope else None, lap
 
     def _jet(self, X, grad, d2):
-        r, u, slope, lap = self._radial_jet(_sq_dist(X, self.center), grad, d2)
+        r = _sq_dist(X, self.center)
+        u, slope, lap = self._radial_jet(np.sqrt(r, out=r), grad, d2)
         if not grad:
             return u, None, lap
         g = X - self.center[:, None]
         g *= slope
         g[:, r == 0.0] = 0.0
         return u, g, lap
+
+
+def _nonzero(r):
+    """r with each zero replaced by 1.0, as a new array only when r holds a zero."""
+    return r if r.all() else np.where(r == 0.0, 1.0, r)
 
 
 class Bubble(RadialField):
@@ -228,10 +246,9 @@ class Bubble(RadialField):
         k *= r
         return f, k, d2f
 
-    def _radial_jet(self, sq, slope, d2):
-        r = np.sqrt(sq, out=sq)
+    def _radial_jet(self, r, slope, d2):
         if not (slope or d2):
-            return r, self.value_r(r), None, None
+            return self.value_r(r), None, None
         t, u = self._t_and_value(r)
         k = None
         if slope:
@@ -243,7 +260,7 @@ class Bubble(RadialField):
             lap = np.multiply(t, t, out=t)
             lap *= u
             lap *= -self.n * (self.n - 2)
-        return r, u, k, lap
+        return u, k, lap
 
 
 class BaseField(RadialField):
@@ -261,11 +278,10 @@ class BaseField(RadialField):
         r = np.asarray(r, float)
         return (1.0 + r * r) ** ((2 - self.n) / 4)
 
-    def _radial_jet(self, sq, slope, d2):
+    def _radial_jet(self, r, slope, d2):
         m = (2 - self.n) / 4
-        r = np.sqrt(sq, out=sq)
         if not (slope or d2):
-            return r, self.value_r(r), None, None
+            return self.value_r(r), None, None
         w = r * r
         w += 1.0
         u = w ** m
@@ -282,11 +298,18 @@ class BaseField(RadialField):
             lap /= w
             lap /= w
             lap *= (2 - self.n) / 2
-        return r, u, k, lap
+        return u, k, lap
 
 
 class CallableRadialField(RadialField):
-    """Radial field built from profile callables (f, f', f'')."""
+    """Radial field built from profile callables (f, f', f'').
+
+    The jets write into what the callables return.  The field copies a
+    result that is read-only, not a float array of r's shape, or shares
+    memory with r or with another derivative (lambda r: r, or one function
+    for f and f'); a callable that keeps the array it returns, as a cache
+    would, must return a copy of it.
+    """
 
     def __init__(self, n: int, f, df, d2f, center=None,
                  inv_decay_coeff: float | None = None):
@@ -297,8 +320,26 @@ class CallableRadialField(RadialField):
     def value_r(self, r):
         return self._f(np.asarray(r, float))
 
+    def _radial_jet(self, r, slope, d2):
+        if slope or d2:
+            return super()._radial_jet(r, slope, d2)
+        return _writeable(self.value_r(r), r, []), None, None
+
     def _profile(self, r, d2):
-        return self._f(r), self._df(r), self._d2f(r) if d2 else None
+        out = []
+        for fn in (self._f, self._df, self._d2f)[:3 if d2 else 2]:
+            out.append(_writeable(fn(r), r, out))
+        return out[0], out[1], out[2] if d2 else None
+
+
+def _writeable(v, r, others):
+    """v as an array a jet may write into: v itself if it is a writeable float
+    array of r's shape sharing memory with neither r nor any of others, else
+    a copy of it broadcast to r's shape."""
+    if (isinstance(v, np.ndarray) and v.dtype == float and v.shape == r.shape
+            and v.flags.writeable and not any(np.shares_memory(v, o) for o in [r, *others])):
+        return v
+    return np.array(np.broadcast_to(v, r.shape), float)
 
 
 class SumField(ScalarField):
@@ -319,10 +360,12 @@ class SumField(ScalarField):
     def _jet(self, X, grad, d2):
         u, g, lap = self.f._jet(X, grad, d2)
         u2, g2, lap2 = self.g._jet(X, grad, d2)
-        # one sum at a time: each rebinding frees a summand first
-        u = u + u2
-        lap = lap + lap2 if d2 else None
-        return u, g + g2 if grad else None, lap
+        u += u2
+        if d2:
+            lap += lap2
+        if grad:
+            g += g2
+        return u, g, lap
 
 
 @dataclass(frozen=True)
@@ -343,7 +386,7 @@ class KReport:
 
 def k_function(f: ScalarField, x):
     """Curvature function K = -lap(f) / (n(n-2) f^((n+2)/(n-2))) at x."""
-    return _k_of(f.n, *_pointwise(lambda X: f._jet(X, False, True)[::2], x, f.n))
+    return _pointwise(lambda X: _k_of(f.n, *f._jet(X, False, True)[::2]), x, f.n)
 
 
 def _k_of(n: int, u, lap):
@@ -354,7 +397,12 @@ def _k_of(n: int, u, lap):
     """
     if np.any(np.asarray(u) <= 0.0):
         raise NonpositiveValue("field must be strictly positive where K is evaluated")
-    return -lap / (n * (n - 2) * u ** ((n + 2) / (n - 2)))
+    # in one buffer: negation is exact, so lap / (-n(n-2) u^p) is -lap / (n(n-2) u^p)
+    # bit for bit, a 0/0 or inf/inf giving the same default NaN; a scalar u
+    # has no buffer to write into
+    w = u ** ((n + 2) / (n - 2))
+    w *= -n * (n - 2)
+    return np.divide(lap, w, out=w if np.ndim(w) else None)
 
 
 def _grad_term_of(n: int, u, g2):

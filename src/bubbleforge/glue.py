@@ -15,7 +15,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import BadConfig, BadRadii, NoSolution, OverlapError
-from .field_core import Bubble, RadialField, ScalarField, _row_dot, _sq_dist, _dim
+from .field_core import (Bubble, RadialField, ScalarField, _dim, _nonzero, _row_dot,
+                         _sq_dist)
 from .regions import Annulus
 
 # sharp bound of the quintic smoothstep's second derivative on [0, 1]
@@ -45,22 +46,53 @@ class Cutoff:
         return self.r_out - self.r_in
 
     def _t(self, r):
-        return np.clip((np.asarray(r, float) - self.r_in) / self.width, 0.0, 1.0)
+        """(r - r_in) / width clipped to [0, 1], in one new array (a scalar for a scalar r)."""
+        t = np.asarray(r, float) - self.r_in
+        t /= self.width
+        return np.clip(t, 0.0, 1.0, out=t if np.ndim(t) else None)
 
     @staticmethod
     def _phi_t(t):
-        s = t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-        # s >= 0 exactly, but rounds to 1 + ulp just below t = 1
-        return np.maximum(1.0 - s, 0.0)
+        s = t * t
+        s *= t
+        p = 6.0 * t
+        p += -15.0
+        p *= t
+        p += 10.0
+        s *= p
+        # s >= 0 exactly, but rounds to 1 + ulp just below t = 1; a scalar
+        # t, from phi, has no buffer to write into
+        out = s if np.ndim(s) else None
+        return np.maximum(np.subtract(1.0, s, out=out), 0.0, out=out)
 
     def phi(self, r):
         return self._phi_t(self._t(r))
 
     def _jet(self, r, d2):
-        """(phi, phi', phi'') at r, from one clipped t; phi'' is None unless d2."""
+        """(phi, phi', phi'') at r, from one clipped t and one scratch array; phi'' is None unless d2.
+
+        phi' = -30 t^2 (1 - t)^2 / width and phi'' = -60 t (2t - 1)(t - 1) / width^2,
+        each product formed left to right; (1 - t)^2 is (1 - t) * (1 - t), as numpy's
+        square, and so as its power 2, forms it.
+        """
         t = self._t(r)
-        return (self._phi_t(t), -30.0 * t * t * (1.0 - t) ** 2 / self.width,
-                -60.0 * t * (2.0 * t - 1.0) * (t - 1.0) / self.width**2 if d2 else None)
+        phi = self._phi_t(t)
+        dphi = -30.0 * t
+        dphi *= t
+        q = 1.0 - t
+        q *= q
+        dphi *= q
+        dphi /= self.width
+        if not d2:
+            return phi, dphi, None
+        q = 2.0 * t
+        q -= 1.0
+        d2phi = -60.0 * t
+        d2phi *= q
+        t -= 1.0
+        d2phi *= t
+        d2phi /= self.width**2
+        return phi, dphi, d2phi
 
 
 @dataclass(frozen=True)
@@ -230,10 +262,16 @@ class ConcentricGlueField(RadialField):
 def _dot_with_slope(X, c, k, ck):
     """Per point of the column batch X, the dot product of X - c with the gradient k (X - ck)
     of a radial field about ck, added row by row in _row_dot's order, building neither array."""
-    s = (X[0] - c[0]) * (k * (X[0] - ck[0]))
+    a, b = X[0] - c[0], X[0] - ck[0]
+    b *= k
+    s = a * b
     s += 0.0
     for i in range(1, X.shape[0]):
-        s += (X[i] - c[i]) * (k * (X[i] - ck[i]))
+        np.subtract(X[i], c[i], out=a)
+        np.subtract(X[i], ck[i], out=b)
+        b *= k
+        a *= b
+        s += a
     return s
 
 
@@ -266,42 +304,64 @@ class DisjointGlueField(ScalarField):
         return f"DisjointGlueField(b1={self.b1!r}, b2={self.b2!r}, inward={self.inward})"
 
     def _jet(self, X, grad, d2):
-        c1, c2 = self.b1.center, self.b2.center
-        s1, u1, k1, lap1 = self.b1._radial_jet(_sq_dist(X, c1), grad or d2, d2)
-        s2, u2, k2, lap2 = self.b2._radial_jet(_sq_dist(X, c2), grad or d2, d2)
-        # a value needs no cutoff slope
-        p1, dp1, d2p1 = self.cut1._jet(s1, d2) if grad or d2 else (self.cut1.phi(s1), None, None)
-        p2, dp2, d2p2 = self.cut2._jet(s2, d2) if grad or d2 else (self.cut2.phi(s2), None, None)
-        # the cutoff about each centre weights the other centre's bubble
-        u = (1.0 - p2) * u1 + (1.0 - p1) * u2
-        if not (grad or d2):
-            return u, None, None
-        s1s = np.where(s1 == 0.0, 1.0, s1)
-        s2s = np.where(s2 == 0.0, 1.0, s2)
-        lap = None
-        if d2:
-            lap = ((1.0 - p2) * lap1
-                   - 2.0 * dp2 * _dot_with_slope(X, c2, k1, c1) / s2s
-                   - (d2p2 + (self.n - 1) * dp2 / s2s) * u1
-                   + (1.0 - p1) * lap2
-                   - 2.0 * dp1 * _dot_with_slope(X, c1, k2, c2) / s1s
-                   - (d2p1 + (self.n - 1) * dp1 / s1s) * u2)
-        if not grad:
-            return u, None, lap
-        # (1 - p2) g1 - (p2'/s2) u1 o2 + (1 - p1) g2 - (p1'/s1) u2 o1, by rows,
-        # with o1, o2 the offsets from the two centres
-        o1, o2 = X - c1[:, None], X - c2[:, None]
-        g, g2 = k1 * o1, k2 * o2
-        g[:, s1 == 0.0] = 0.0
-        g2[:, s2 == 0.0] = 0.0
-        g *= 1.0 - p2
-        o2 *= dp2 / s2s * u1
-        g -= o2
-        g2 *= 1.0 - p1
-        g += g2
-        o1 *= dp1 / s1s * u2
-        g -= o1
-        return u, g, lap
+        s1, s2 = _sq_dist(X, self.b1.center), _sq_dist(X, self.b2.center)
+        np.sqrt(s1, out=s1)
+        np.sqrt(s2, out=s2)
+        acc = [None, None, None]  # u, g, lap
+
+        def add(i, term):
+            if acc[i] is None:
+                acc[i] = term
+            else:
+                acc[i] += term
+
+        def half(b, r, cut, s, c):
+            # (1 - phi(s)) u_b for the bubble b at radii r, phi the cutoff about
+            # the other centre c at radii s: its terms go into acc in the order
+            # of the field's sums, and its arrays are freed on return
+            ub, k, lapb = b._radial_jet(r, grad or d2, d2)
+            # what reads k first, so that k is freed before the cutoff's arrays exist
+            if d2:
+                dot = _dot_with_slope(X, c, k, b.center)
+            if grad:
+                g = X - b.center[:, None]
+                g *= k
+                g[:, r == 0.0] = 0.0
+            del k
+            if grad or d2:
+                p, dp, d2p = cut._jet(s, d2)
+                ss = _nonzero(s)
+            else:
+                p = cut.phi(s)  # a value needs no cutoff slope
+            q = np.subtract(1.0, p, out=p)
+            if d2:
+                # (1 - phi) lap u_b - 2 phi' (x - c).grad u_b / s - (phi'' + (n-1) phi' / s) u_b
+                lapb *= q
+                add(2, lapb)
+                tmp = np.multiply(dp, 2.0)
+                dot *= tmp
+                dot /= ss
+                acc[2] -= dot
+                np.multiply(dp, self.n - 1, out=tmp)
+                tmp /= ss
+                d2p += tmp
+                d2p *= ub
+                acc[2] -= d2p
+            if grad:
+                # (1 - phi) grad u_b - (phi' / s) u_b (x - c), by rows
+                g *= q
+                add(1, g)
+                o = X - c[:, None]
+                dp /= ss
+                dp *= ub
+                o *= dp
+                acc[1] -= o
+            ub *= q
+            add(0, ub)
+
+        half(self.b1, s1, self.cut2, s2, self.b2.center)
+        half(self.b2, s2, self.cut1, s1, self.b1.center)
+        return tuple(acc)
 
 
 class InsertGlueField(ScalarField):
@@ -326,26 +386,52 @@ class InsertGlueField(ScalarField):
     def _jet(self, X, grad, d2):
         uh, gh, laph = self.host._jet(self.x1[:, None] + X, grad or d2, d2)
         ub, gb, lapb = self.bubble._jet(X, grad or d2, d2)
-        s = np.sqrt(_sq_dist(X))
+        diff = ub - uh if grad or d2 else None
+        if d2:
+            # gb - gh in place unless the gradients are returned
+            dot = _row_dot(X, gb - gh if grad else np.subtract(gb, gh, out=gb))
+            if not grad:
+                gb = gh = None
+        s = _sq_dist(X)
+        np.sqrt(s, out=s)
         # a value needs no cutoff slope
         p, dp, d2p = self.cut._jet(s, d2) if grad or d2 else (self.cut.phi(s), None, None)
-        u = p * ub + (1.0 - p) * uh
-        if not (grad or d2):
-            return u, None, None
-        ss = np.where(s == 0.0, 1.0, s)
-        diff = ub - uh
-        lap = None
+        # phi (u_b, g_b, lap u_b) + (1 - phi) (u_h, g_h, lap u_h)
+        ub *= p
         if d2:
-            lap = (p * lapb + (1.0 - p) * laph
-                   + 2.0 * dp * _row_dot(X, gb - gh) / ss
-                   + (d2p + (self.n - 1) * dp / ss) * diff)
+            lapb *= p
+        if grad:
+            gb *= p
+        q = np.subtract(1.0, p, out=p)
+        uh *= q
+        ub += uh
+        if d2:
+            laph *= q
+            lapb += laph
+        if grad:
+            gh *= q
+            gb += gh
+        if not (grad or d2):
+            return ub, None, None
+        ss = _nonzero(s)
+        if d2:
+            # + 2 phi' x.(g_b - g_h) / s + (phi'' + (n-1) phi' / s)(u_b - u_h)
+            tmp = np.multiply(dp, 2.0)
+            dot *= tmp
+            dot /= ss
+            lapb += dot
+            np.multiply(dp, self.n - 1, out=tmp)
+            tmp /= ss
+            d2p += tmp
+            d2p *= diff
+            lapb += d2p
         if not grad:
-            return u, None, lap
-        gb *= p
-        gh *= 1.0 - p
-        gb += gh
-        gb += dp * diff / ss * X
-        return u, gb, lap
+            return ub, None, lapb
+        # + (phi' / s)(u_b - u_h) x
+        dp *= diff
+        dp /= ss
+        gb += dp * X
+        return ub, gb, lapb
 
 
 def glue_concentric(cfg: GlueConfig) -> ConcentricGlueField:

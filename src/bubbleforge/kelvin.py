@@ -101,7 +101,11 @@ class KelvinField(ScalarField):
             at_center = rho2 == 0.0
             rho2 = np.where(at_center, 1.0, rho2)
         a = self.inv.radius
-        u, gu, lap = self.src._jet(_image(self.inv, d, rho2), grad, d2)
+        y = _image(self.inv, d, rho2)
+        if not grad:
+            d = None  # the offsets are read again only for the gradient
+        u, gu, lap = self.src._jet(y, grad, d2)
+        del y
         # (a/rho)^(n+2) = pref c^2 and a^(n-2)/rho^n = pref / rho^2
         c = a**2 / rho2
         pref = c ** ((self.n - 2) / 2)
@@ -110,7 +114,7 @@ class KelvinField(ScalarField):
             lap *= c
             lap *= c
         if not grad:
-            u = pref * u
+            u *= pref
             # a batch holding the centre is value-only: it takes the extension
             if hit:
                 u = np.where(at_center, self.src.inv_decay_coeff * a ** (2 - self.n), u)
@@ -119,7 +123,8 @@ class KelvinField(ScalarField):
         dot = _row_dot(d, gu)
         jac_g = c * (gu - 2.0 * d * dot / rho2)
         g = (2 - self.n) * (pref / rho2) * d * u + pref * jac_g
-        return pref * u, g, lap
+        u *= pref
+        return u, g, lap
 
 
 def kelvin_field(f: ScalarField, inv: Inversion) -> KelvinField:

@@ -541,8 +541,15 @@ def _outer_h_lap(k: Kernel, u: ScalarField, omega: Ball, xi: np.ndarray,
     uu, wu = _gl_panels(np.linspace(0.0, 1.0, m_rad + 1))
 
     def seg_integral(lo, hi) -> float:
-        [per_dir] = _ray_sums(lambda X: (u._jet(X, False, True)[2],), xi, dirs, lo,
-                              np.clip(hi - lo, 0.0, None), uu, wu)
+        # only the directions whose segment is not empty: an empty one adds
+        # a zero to the angular sum, and every segment is empty when B(p, D)
+        # lies beyond omega
+        lens = np.clip(hi - lo, 0.0, None)
+        live = lens > 0.0
+        per_dir = np.zeros_like(lens)
+        if live.any():
+            [per_dir[live]] = _ray_sums(lambda X: (u._jet(X, False, True)[2],), xi,
+                                        dirs[live], lo[live], lens[live], uu, wu)
         return float(w @ per_dir) / ((2.0 - k.n) * k.omega_n)
 
     return seg_integral(np.zeros_like(rexit), b1) + seg_integral(a2, rexit)

@@ -484,6 +484,18 @@ def _powers_base_radial_jet(self, sq, slope, d2):
     return r, w, k, lap
 
 
+def _powers_radial_field_jet(self, X, grad, d2):
+    # RadialField._jet when _radial_jet took the squared radii, so that the
+    # two references above read them exactly
+    r, u, slope, lap = self._radial_jet(_sq_dist(X, self.center), grad, d2)
+    if not grad:
+        return u, None, lap
+    g = X - self.center[:, None]
+    g *= slope
+    g[:, r == 0.0] = 0.0
+    return u, g, lap
+
+
 def _powers_kelvin_jet(self, X, grad, d2):
     # the non-centre branch of KelvinField._jet
     d = X - self.inv.center[:, None]
@@ -513,7 +525,8 @@ def _assert_accurate(cases, monkeypatch, patches, lap_terms=False):
 
 
 _BUBBLE_POWERS = [(Bubble, "_profile", _powers_bubble_profile),
-                  (Bubble, "_radial_jet", _powers_bubble_radial_jet)]
+                  (Bubble, "_radial_jet", _powers_bubble_radial_jet),
+                  (Bubble, "_jet", _powers_radial_field_jet)]
 
 
 def _unit_dirs(rng, k, n):
@@ -542,7 +555,8 @@ def test_base_field_jet_against_mpmath(monkeypatch):
         pts = rng.uniform(-3.0, 3.0, size=(24, n))
         pts[0] = 0.0
         cases.append((BaseField(n), pts, _mp_base(n)))
-    _assert_accurate(cases, monkeypatch, [(BaseField, "_radial_jet", _powers_base_radial_jet)])
+    _assert_accurate(cases, monkeypatch, [(BaseField, "_radial_jet", _powers_base_radial_jet),
+                                          (BaseField, "_jet", _powers_radial_field_jet)])
 
 
 def test_kelvin_bubble_jet_against_mpmath(monkeypatch):

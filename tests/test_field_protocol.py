@@ -28,7 +28,7 @@ from bubbleforge import (
 from bubbleforge import kelvin
 from bubbleforge.blowup import RescaledField, _c2_deviation, _fit_samples
 from bubbleforge.cli import _RadialPower
-from bubbleforge.field_core import _sq_dist
+from bubbleforge.field_core import _k_of, _sq_dist
 from bubbleforge.glue import Cutoff
 from bubbleforge.kelvin import KelvinField, _image
 
@@ -249,6 +249,64 @@ def test_k_batch_distance_kernel_calls(name, calls, rng, monkeypatch):
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize("make", FIELDS.values(), ids=FIELDS.keys())
+def test_k_of_keeps_the_bits_of_its_expression(make, rng):
+    # K was -lap / (n(n-2) u^((n+2)/(n-2))) as one expression before _k_of
+    # formed it in one buffer
+    f, half = make()
+    n = f.n
+    u, _, lap = f._jet(rng.uniform(-half, half, size=(n, 256)), False, True)
+    assert _same_bits(_k_of(n, u, lap), -lap / (n * (n - 2) * u ** ((n + 2) / (n - 2))))
+    assert _same_bits(_k_of(n, float(u[0]), float(lap[0])),
+                      -float(lap[0]) / (n * (n - 2) * float(u[0]) ** ((n + 2) / (n - 2))))
+
+
+def _aliasing_profiles():
+    """Profiles whose callables hand back memory the jets write into: r itself
+    for f, f' and f'', one cached array for all three, or read-only
+    broadcasts of a constant, with the same profiles as fresh arrays for
+    reference."""
+    seen = []  # (r, a copy of it) for every radius array a callable got
+
+    def identity(r):
+        seen.append((r, r.copy()))
+        return r
+
+    memo = {}
+
+    def exp_once(r):
+        seen.append((r, r.copy()))
+        return memo.setdefault(id(r), (r, np.exp(r)))[1]
+
+    def one(r):
+        seen.append((r, r.copy()))
+        return np.broadcast_to(1.0, r.shape)  # read-only
+
+    def zero(r):
+        return np.broadcast_to(0.0, r.shape)
+
+    return seen, [((identity,) * 3, (lambda r: r.copy(),) * 3),
+                  ((exp_once,) * 3, (np.exp,) * 3),
+                  ((one, zero, zero), (np.ones_like, np.zeros_like, np.zeros_like))]
+
+
+@pytest.mark.parametrize("grad, d2", [(False, False), (True, False), (False, True), (True, True)])
+def test_callable_profile_may_return_its_radii(grad, d2, rng):
+    # a jet writes into what a profile returns; the field copies what would
+    # alias r or another derivative or is read-only, so a sum keeps the bits
+    # of fresh arrays and leaves r intact
+    seen, cases = _aliasing_profiles()
+    X = rng.uniform(-2.0, 2.0, size=(3, 128))
+    X[:, 0] = [0.2, 0.0, 0.0]  # the centre, r = 0
+    b = Bubble(0.7, [0.1, -0.2, 0.3], 3)
+    for aliasing, fresh in cases:
+        got = SumField(CallableRadialField(3, *aliasing, center=[0.2, 0, 0]), b)._jet(X, grad, d2)
+        ref = SumField(CallableRadialField(3, *fresh, center=[0.2, 0, 0]), b)._jet(X, grad, d2)
+        for a, c in zip(got, ref):
+            assert (a is None and c is None) or _same_bits(a, c)
+    assert seen and all(_same_bits(r, copy) for r, copy in seen)
+
+
 class _PowerCount(np.ndarray):
     """An array that counts the np.power calls made on it and on what ufuncs derive from it."""
 
@@ -277,7 +335,7 @@ def _powers(fn, *args):
 
 
 def _counted(a):
-    # a copy, since the jets write into their squared radii
+    # a counting copy: the caller's array stays a plain one
     return np.array(a).view(_PowerCount)
 
 
@@ -289,9 +347,9 @@ def test_closed_form_jets_take_one_power_per_point(n, monkeypatch):
     sq = rng.uniform(0.0, 4.0, size=64)
     sq[0] = 0.0
     b = Bubble(0.7, rng.normal(size=n), n)
-    assert _powers(b._radial_jet, _counted(sq), True, True) == 1
+    assert _powers(b._radial_jet, _counted(np.sqrt(sq)), True, True) == 1
     assert _powers(b._profile, _counted(np.sqrt(sq)), True) == 1
-    assert _powers(BaseField(n)._radial_jet, _counted(sq), True, True) == 1
+    assert _powers(BaseField(n)._radial_jet, _counted(np.sqrt(sq)), True, True) == 1
     assert _powers(_RadialPower(n, 2.5 - n)._profile, _counted(np.sqrt(sq[1:])), True) == 1
     # the Kelvin transform's own powers: its points, and so its offsets, are
     # counted, while its source's jet sees the plain image points
@@ -301,20 +359,21 @@ def test_closed_form_jets_take_one_power_per_point(n, monkeypatch):
     assert _powers(f._jet, _counted(rng.uniform(-1.0, 1.0, size=(n, 64))), True, True) == 1
 
 
-# tracemalloc peak of one k_function call on 65,536 points, in KiB rounded up,
-# when K was evaluated by separate value and Laplacian passes
+# tracemalloc peak of one k_function call on 65,536 points, in KiB, measured
+# with the jets that form their terms in place and rounded up by 1%, so a jet
+# that keeps one more point-sized array (512 KiB) alive fails here
 _K_PEAK_KIB = {
-    "bubble": 2050,
-    "bubble-n4": 2050,
+    "bubble": 1553,
+    "bubble-n4": 1553,
     "base": 2051,
-    "callable-radial": 3650,
+    "callable-radial": 3104,
     "sum": 2562,
-    "concentric": 6723,
-    "disjoint": 12876,
-    "insert": 12877,
-    "kelvin": 6658,
-    "lemma-5-4": 10307,
-    "rescaled": 3650,
+    "concentric": 6208,
+    "disjoint": 6208,
+    "insert": 7827,
+    "kelvin": 4656,
+    "lemma-5-4": 5755,
+    "rescaled": 3170,
 }
 
 

@@ -20,10 +20,12 @@ from bubbleforge import (
     sup_scan,
 )
 from bubbleforge.errors import BadConfig, BadRadii, NoSolution, OverlapError
-from bubbleforge.field_core import CallableRadialField
+from bubbleforge.field_core import CallableRadialField, _row_dot, _sq_dist
+from bubbleforge.glue import DisjointGlueField
 from bubbleforge.kelvin import Inversion
 
 from conftest import fd_laplacian
+from test_field_protocol import FIELDS, _same_bits
 
 # --- cutoff -------------------------------------------------------------------
 
@@ -337,3 +339,153 @@ def test_insert_annulus_region():
     ann = insert_annulus(w)
     assert ann.r_in == pytest.approx(0.5 * 3.2)
     assert ann.r_out == pytest.approx(0.5 * 4.0)
+
+
+# --- the in-place jets against the expressions they replaced ----------------------
+# Test-local copies of Cutoff._jet and of the disjoint and insert glue jets as
+# whole-array expressions, before the jets formed their terms in place; every
+# value, gradient and Laplacian must keep their bits.
+
+
+def _expr_phi(cut, r, slope, d2):
+    t = np.clip((np.asarray(r, float) - cut.r_in) / cut.width, 0.0, 1.0)
+    s = t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
+    return (np.maximum(1.0 - s, 0.0),
+            -30.0 * t * t * (1.0 - t) ** 2 / cut.width if slope else None,
+            -60.0 * t * (2.0 * t - 1.0) * (t - 1.0) / cut.width**2 if d2 else None)
+
+
+def _expr_dot_with_slope(X, c, k, ck):
+    s = (X[0] - c[0]) * (k * (X[0] - ck[0]))
+    s += 0.0
+    for i in range(1, X.shape[0]):
+        s += (X[i] - c[i]) * (k * (X[i] - ck[i]))
+    return s
+
+
+def _expr_disjoint_jet(f, X, grad, d2):
+    c1, c2 = f.b1.center, f.b2.center
+    s1, s2 = np.sqrt(_sq_dist(X, c1)), np.sqrt(_sq_dist(X, c2))
+    u1, k1, lap1 = f.b1._radial_jet(s1, grad or d2, d2)
+    u2, k2, lap2 = f.b2._radial_jet(s2, grad or d2, d2)
+    p1, dp1, d2p1 = _expr_phi(f.cut1, s1, grad or d2, d2)
+    p2, dp2, d2p2 = _expr_phi(f.cut2, s2, grad or d2, d2)
+    u = (1.0 - p2) * u1 + (1.0 - p1) * u2
+    if not (grad or d2):
+        return u, None, None
+    s1s = np.where(s1 == 0.0, 1.0, s1)
+    s2s = np.where(s2 == 0.0, 1.0, s2)
+    lap = None
+    if d2:
+        lap = ((1.0 - p2) * lap1
+               - 2.0 * dp2 * _expr_dot_with_slope(X, c2, k1, c1) / s2s
+               - (d2p2 + (f.n - 1) * dp2 / s2s) * u1
+               + (1.0 - p1) * lap2
+               - 2.0 * dp1 * _expr_dot_with_slope(X, c1, k2, c2) / s1s
+               - (d2p1 + (f.n - 1) * dp1 / s1s) * u2)
+    if not grad:
+        return u, None, lap
+    o1, o2 = X - c1[:, None], X - c2[:, None]
+    g, g2 = k1 * o1, k2 * o2
+    g[:, s1 == 0.0] = 0.0
+    g2[:, s2 == 0.0] = 0.0
+    g *= 1.0 - p2
+    o2 *= dp2 / s2s * u1
+    g -= o2
+    g2 *= 1.0 - p1
+    g += g2
+    o1 *= dp1 / s1s * u2
+    g -= o1
+    return u, g, lap
+
+
+def _expr_insert_jet(f, X, grad, d2):
+    uh, gh, laph = f.host._jet(f.x1[:, None] + X, grad or d2, d2)
+    ub, gb, lapb = f.bubble._jet(X, grad or d2, d2)
+    s = np.sqrt(_sq_dist(X))
+    p, dp, d2p = _expr_phi(f.cut, s, grad or d2, d2)
+    u = p * ub + (1.0 - p) * uh
+    if not (grad or d2):
+        return u, None, None
+    ss = np.where(s == 0.0, 1.0, s)
+    diff = ub - uh
+    lap = None
+    if d2:
+        lap = (p * lapb + (1.0 - p) * laph
+               + 2.0 * dp * _row_dot(X, gb - gh) / ss
+               + (d2p + (f.n - 1) * dp / ss) * diff)
+    if not grad:
+        return u, None, lap
+    gb *= p
+    gh *= 1.0 - p
+    gb += gh
+    gb += dp * diff / ss * X
+    return u, gb, lap
+
+
+def _cutoffs(f):
+    """(centre, cutoff) pairs of a disjoint or insert glue."""
+    if isinstance(f, DisjointGlueField):
+        return [(f.b1.center, f.cut1), (f.b2.center, f.cut2)]
+    return [(np.zeros(f.n), f.cut)]
+
+
+def _edge_points(f):
+    """Each centre, and the points at r_in and r_out of each cutoff, t = 0 and 1 exactly.
+
+    The offsets run along e2, where every centre has a zero coordinate, so the
+    radius about the cutoff's centre is r_in or r_out itself.
+    """
+    if isinstance(f, DisjointGlueField):
+        centres = [f.b1.center, f.b2.center]
+    else:
+        centres = [np.zeros(f.n), -f.x1]  # the bubble's, and the host's in bubble coordinates
+    assert all(c[1] == 0.0 for c in centres)
+    e2 = np.eye(f.n)[1]
+    return np.array(centres + [c + r * e2 for c, cut in _cutoffs(f) for r in (cut.r_in, cut.r_out)])
+
+
+_GLUE_FIELDS = {
+    "disjoint": FIELDS["disjoint"],
+    "disjoint-inward": lambda: (glue_disjoint(GlueConfig.disjoint(
+        Bubble(0.1, [2.5, 0, 0], 3), 0.5, Bubble(1.0, np.zeros(3), 3), 0.5,
+        width1=0.4, width2=0.3, inward=True)), 3.0),
+    "insert": FIELDS["insert"],
+}
+
+
+@pytest.mark.parametrize("grad, d2", [(False, False), (True, False), (False, True), (True, True)])
+@pytest.mark.parametrize("name", _GLUE_FIELDS)
+def test_glue_jets_keep_the_bits_of_their_expressions(name, grad, d2, rng):
+    f, half = _GLUE_FIELDS[name]()
+    edge = _edge_points(f)
+    # points across the cube, and inside each transition, where phi' and phi'' live
+    bands = []
+    for c, cut in _cutoffs(f):
+        dirs = rng.normal(size=(100, f.n))
+        dirs /= np.sqrt(_sq_dist(dirs.T))[:, None]
+        bands.append(c + rng.uniform(cut.r_in, cut.r_out, size=(100, 1)) * dirs)
+    pts = np.vstack([rng.uniform(-half, half, size=(200, f.n)), *bands, edge])
+    X = np.ascontiguousarray(pts.T)
+    ref = (_expr_disjoint_jet if isinstance(f, DisjointGlueField) else _expr_insert_jet)(
+        f, X.copy(), grad, d2)
+    got = f._jet(X, grad, d2)
+    assert np.array_equal(X, pts.T)  # the jet leaves its points alone
+    for a, b in zip(got, ref):
+        assert (a is None and b is None) or _same_bits(a, b)
+    for c, cut in _cutoffs(f):  # the edge points reach both ends of every cutoff
+        t = (np.sqrt(_sq_dist(edge.T, c)) - cut.r_in) / cut.width
+        assert {0.0, 1.0} <= set(t.tolist())
+
+
+@pytest.mark.parametrize("d2", [False, True])
+def test_cutoff_jet_keeps_the_bits_of_its_expression(d2):
+    cut = Cutoff(0.3, 0.8)
+    r = np.concatenate([[0.0, cut.r_in, cut.r_out, 2.0], np.linspace(0.0, 1.0, 1001),
+                        np.nextafter(cut.r_out, 0.0) - np.arange(50) * 1e-16])
+    got, ref = cut._jet(r.copy(), d2), _expr_phi(cut, r, True, d2)
+    for a, b in zip(got, ref):
+        assert (a is None and b is None) or _same_bits(a, b)
+    assert _same_bits(cut.phi(r), ref[0])
+    # a scalar radius keeps numpy's scalar result
+    assert type(cut.phi(0.5)) is np.float64 and _same_bits(cut.phi(0.5), ref[0][r == 0.5][0])

@@ -26,15 +26,17 @@ def _image_ref(inv, d, rho2):
 def gradient_ref(f, pts):
     """(m, n) gradient of f by the row-major broadcast formulas."""
     if isinstance(f, RadialField):
-        r, _, slope, _ = f._radial_jet(_sq_dist(pts.T, f.center), True, False)
+        r = np.sqrt(_sq_dist(pts.T, f.center))
+        _, slope, _ = f._radial_jet(r, True, False)
         g = slope[:, None] * (pts - f.center)
         return np.where(r[:, None] == 0.0, 0.0, g)
     if isinstance(f, SumField):
         return gradient_ref(f.f, pts) + gradient_ref(f.g, pts)
     if isinstance(f, DisjointGlueField):
         c1, c2 = f.b1.center, f.b2.center
-        s1, u1, k1, _ = f.b1._radial_jet(_sq_dist(pts.T, c1), True, False)
-        s2, u2, k2, _ = f.b2._radial_jet(_sq_dist(pts.T, c2), True, False)
+        s1, s2 = np.sqrt(_sq_dist(pts.T, c1)), np.sqrt(_sq_dist(pts.T, c2))
+        u1, k1, _ = f.b1._radial_jet(s1, True, False)
+        u2, k2, _ = f.b2._radial_jet(s2, True, False)
         p1, dp1, _ = f.cut1._jet(s1, False)
         p2, dp2, _ = f.cut2._jet(s2, False)
         s1s = np.where(s1 == 0.0, 1.0, s1)

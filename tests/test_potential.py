@@ -27,6 +27,7 @@ from bubbleforge import (
     weighted_grad_integral,
 )
 from bubbleforge import potential
+from bubbleforge.cli import _RadialPower
 from bubbleforge.errors import BadRadii, Coincident, ProfileViolated
 from bubbleforge.potential import (
     _SEG_BLOCK,
@@ -482,6 +483,13 @@ def _per_eps_volume(k, u, omega, xi, p, eps, m_sphere, m_rad):
         return (hv * u.laplacian(pts).reshape(r.size, -1)) @ w_p * r ** (k.n - 1)
 
     inner, _, _ = adaptive_radial(inner_int, eps, D, rel_tol=1e-9, geometric=True)
+    return inner + _outer_reference(k, u, omega, xi, p, m_sphere, m_rad)
+
+
+def _outer_reference(k, u, omega, xi, p, m_sphere, m_rad):
+    """Reference: the volume integral over omega minus B(p, D), every direction evaluated."""
+    dist = float(np.linalg.norm(xi - p))
+    D = 0.5 * dist
     t_star = math.sqrt(max(0.0, 1.0 - (D / dist) ** 2))
     dirs, w = _aligned_sphere_rule(k.n, m_sphere, (p - xi) / dist, (t_star,))
     rexit = _ray_exit(omega, xi, dirs)
@@ -502,7 +510,7 @@ def _per_eps_volume(k, u, omega, xi, p, eps, m_sphere, m_rad):
         lap = u.laplacian(pts.reshape(-1, k.n)).reshape(rr.shape)
         return float(w @ (lens * ((rr * lap) @ wu))) / ((2.0 - k.n) * k.omega_n)
 
-    return inner + (seg(np.zeros_like(rexit), b1) + seg(a2, rexit))
+    return seg(np.zeros_like(rexit), b1) + seg(a2, rexit)
 
 
 @pytest.mark.parametrize("xi, eps_seq, quad", [
@@ -545,13 +553,55 @@ def test_rep_formula_outer_segments_evaluated_once_per_report():
     u._jet = counted
     rep_formula_report(u, prof, Ball(np.zeros(3), 1.5), xi, (1e-2, 1e-3, 1e-4),
                        m_sphere=m_sphere, m_boundary=16, m_rad=m_rad)
-    dirs, _ = _aligned_sphere_rule(3, m_sphere, -xi / 0.5, (math.sqrt(0.75),))
+    axis, t_star = -xi / 0.5, math.sqrt(0.75)
+    dirs, _ = _aligned_sphere_rule(3, m_sphere, axis, (t_star,))
     # each segment, before and after the ball, once for all three eps, in
-    # blocks of whole directions of at most _SEG_BLOCK points
-    seg, per_dir = dirs.shape[0] * 16 * m_rad, 16 * m_rad
+    # blocks of whole directions of at most _SEG_BLOCK points; every direction
+    # has a segment before the ball, and only those that hit it one after
+    per_dir = 16 * m_rad
     block = (_SEG_BLOCK // per_dir) * per_dir
-    assert 1 < seg // block
-    assert outside == [min(block, seg - i) for i in range(0, seg, block)] * 2
+    hits = int(np.count_nonzero(dirs @ axis > t_star))
+    assert 0 < hits < dirs.shape[0]
+    before, after = dirs.shape[0] * per_dir, hits * per_dir
+    assert 1 < after // block
+    assert outside == ([min(block, before - i) for i in range(0, before, block)]
+                       + [min(block, after - i) for i in range(0, after, block)])
+
+
+def test_rep_formula_outer_skips_empty_segments():
+    # the README rep-singular run: 2304 of the 4608 aligned directions miss
+    # B(p, D), so their segment after it is empty and never evaluated, and the
+    # report keeps every bit of the reference that evaluates all of them
+    u, beta = _RadialPower(3, -0.5), -0.5
+    prof, omega = _singular_profile(beta), Ball(np.zeros(3), 1.5)
+    xi, D, eps_seq = np.array([0.5, 0.0, 0.0]), 0.25, (1e-2, 1e-3, 1e-4)
+    outside = []  # points of Laplacian jets with every point outside B(p, D)
+    jet = u._jet
+
+    def counted(X, grad, d2):
+        if d2 and not grad and np.min(np.linalg.norm(X.T - prof.p, axis=-1)) >= D:
+            outside.append(X.shape[1])
+        return jet(X, grad, d2)
+
+    u._jet = counted
+    rep = rep_formula_report(u, prof, omega, xi, eps_seq)
+    assert sum(outside) == (4608 + 2304) * 384
+    u._jet = jet
+    k = Kernel(3)
+    bnd = _boundary_integral(k, u, omega.center, omega.radius, xi, 48)
+    residuals = [_per_eps_volume(k, u, omega, xi, prof.p, eps, 24, 24) + bnd - float(u.value(xi))
+                 for eps in eps_seq]
+    assert [r.hex() for r in rep["residuals"]] == [r.hex() for r in residuals]
+    assert rep["extrapolated"].hex() == _power_law_limit(list(eps_seq), residuals)[0].hex()
+
+
+def test_rep_formula_outer_with_the_ball_beyond_omega():
+    # B(p, D) = B((3, 0, 0), 1.25) lies outside omega = B(0, 1.5), so every
+    # segment after it is empty and the outer integral is the segment before
+    k, u, omega = Kernel(3), Bubble(1.0, np.zeros(3), 3), Ball(np.zeros(3), 1.5)
+    xi, p = np.array([0.5, 0.0, 0.0]), np.array([3.0, 0.0, 0.0])
+    outer = potential._outer_h_lap(k, u, omega, xi, p, 1.25, 24, 24)
+    assert outer.hex() == _outer_reference(k, u, omega, xi, p, 24, 24).hex()
 
 
 @pytest.mark.parametrize("eps_seq", [

@@ -37,6 +37,10 @@ scipy, and importing the command line loads none of it.
 One clock in the command line: only cli._timed reads time.perf_counter,
 so every report row is timed the same way and no runner times itself.
 
+No allocator pinning: the page faults of a working set are mended by
+shrinking it, not hidden by tuning glibc's malloc.  No module imports
+ctypes, calls or names mallopt, or names a MALLOC_* environment variable.
+
 No test oracle in the package: the analytic jet is its only derivative
 path, and the finite-difference stencil lives in tests/conftest.py.  No
 module names fd_scale, imports a module fd or defines Dim, and every
@@ -59,7 +63,8 @@ REDUCTIONS = {"sum", "norm", "all", "any"}
 _CENTRE_COLUMN = "a point (n,) as a column, broadcast along the m points of (n, m) rows"
 ALLOWED: dict[tuple[str, str], str] = {
     ("field_core.py", "g = X - self.center[:, None]"): _CENTRE_COLUMN,
-    ("glue.py", "o1, o2 = X - c1[:, None], X - c2[:, None]"): _CENTRE_COLUMN,
+    ("glue.py", "g = X - b.center[:, None]"): _CENTRE_COLUMN,
+    ("glue.py", "o = X - c[:, None]"): _CENTRE_COLUMN,
     ("glue.py", "uh, gh, laph = self.host._jet(self.x1[:, None] + X, grad or d2, d2)"):
         _CENTRE_COLUMN,
     ("kelvin.py", "d = X - self.inv.center[:, None]"): _CENTRE_COLUMN,
@@ -566,3 +571,41 @@ def test_scan_chunk_and_ray_block_are_one_constant():
     imported = {alias.name for node in potential.body if isinstance(node, ast.ImportFrom)
                 and node.module == "regions" for alias in node.names}
     assert default.id in imported
+
+
+def allocator_pinning(source: str):
+    """Line numbers that import ctypes, call or name mallopt, or name a MALLOC_*
+    environment variable (any string constant starting MALLOC_)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        modules = _imported_modules(node)
+        text = node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+        if (any(m.split(".")[0] == "ctypes" for m in modules)
+                or text.split(".")[0] in ("ctypes", "mallopt") or text.startswith("MALLOC_")
+                or isinstance(node, ast.Name) and node.id == "mallopt"
+                or isinstance(node, ast.Attribute) and node.attr == "mallopt"):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_guard_finds_allocator_pinning():
+    src = "\n".join([
+        "import ctypes",
+        "from ctypes import CDLL",
+        "libc = ctypes.CDLL(None); libc.mallopt(-1, 1 << 23)",
+        "os.environ['MALLOC_TRIM_THRESHOLD_'] = '8388608'",
+        "os.environ.setdefault('MALLOC_MMAP_THRESHOLD_', '4194304')",
+        "t = os.getenv('MALLOC_ARENA_MAX')",
+        "m = importlib.import_module('ctypes.util')",
+        "f = getattr(libc, 'mallopt')",
+        "import ctypeslib, numpy.ctypeslib",
+        "x = np.empty(8); os.environ.get('OPENBLAS_NUM_THREADS')",
+        "s = 'malloc trim'",
+    ])
+    assert allocator_pinning(src) == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_allocator_pinning(path):
+    bad = allocator_pinning(path.read_text())
+    assert not bad, f"{path.name} lines {bad}: shrink the working set instead of pinning malloc"

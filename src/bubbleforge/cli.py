@@ -29,7 +29,7 @@ import numpy as np
 from .blowup import BlowupInput, detect
 from .bounds import ThmBParams, lower_bound_4_4, sup_scan, thmA_conditions, thmB_chain_bound, thmB_condition
 from .errors import BubbleforgeError
-from .field_core import Bubble, CallableRadialField, RadialField, k_function, k_sum_limit, sum_field
+from .field_core import Bubble, CallableRadialField, RadialField, _radial_jet_of, k_function, k_sum_limit, sum_field
 from .glue import GlueConfig, glue_bubble_into, glue_concentric, glue_disjoint, insert_annulus, solve_rho_M
 from .potential import Kernel, SingularProfile, int_absH_ball, rep_formula_report, rep_identity_report
 from .regions import Ball, Box, GridSpec
@@ -257,21 +257,20 @@ def _run_rep_identity(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
 class _RadialPower(RadialField):
     """The field |x|^beta; its jet takes one non-integer power per point.
 
-    f = r^beta is value_r bit for bit, f' = beta f / r and
-    f'' = (beta - 1) f' / r.
+    f = r^beta, f' = beta f / r and f'' = (beta - 1) f' / r.
     """
 
     def __init__(self, n: int, beta: float):
         super().__init__(n)
         self.beta = beta
 
-    def value_r(self, r):
-        return np.asarray(r, float) ** self.beta
-
-    def _profile(self, r, d2):
+    def _radial_jet(self, r, slope, d2):
         f = r**self.beta
+        if not (slope or d2):
+            return f, None, None
         df = self.beta * f / r
-        return f, df, (self.beta - 1.0) * df / r if d2 else None
+        return _radial_jet_of(self.n, r, slope, f, df,
+                              (self.beta - 1.0) * df / r if d2 else None)
 
 
 def _run_rep_singular(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
@@ -602,6 +601,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
     if min(n_vals) < 3:
         raise ConfigError("dimension must be >= 3")
+    if not 0.0 <= cfg.tol < math.inf:
+        raise ConfigError(f"tol must be finite and >= 0, got {cfg.tol!r}")
     if cfg.grid is not None and cfg.grid < 2:
         raise ConfigError("grid must be >= 2 points per axis")
     if cfg.threads < 1:

@@ -131,51 +131,21 @@ class ScalarField:
 class RadialField(ScalarField):
     """Field whose value is a smooth profile of r = |x - center|.
 
-    A subclass supplies the profile value_r and _profile(r, d2), which
-    returns the profile and its first two radial derivatives (f, f', f'')
-    sharing their intermediates, f'' None unless d2; a value-only jet reads
-    value_r alone, and a closed-form Laplacian overrides _radial_jet.  A
-    profile that is a power of a rational function of r (Bubble, BaseField)
-    takes that one non-integer power per point, the one value_r takes, and
-    forms its derivatives as products and quotients of it.  The f, f' and
-    f'' of a profile share memory neither with r nor with each other, so
-    the radial jet forms its slope and Laplacian in them in place.
+    A subclass supplies one hook, _radial_jet(r, slope, d2), which returns
+    (f, f'/r, lap) at the radii r and leaves them intact: f'/r is None
+    unless slope and lap None unless d2; at r = 0, lap is the limit
+    n f''(0), and _jet sets the gradient to zero whatever f'/r holds there.
+    A value-only call forms f alone.  A profile that is a power of a
+    rational function of r (Bubble, BaseField) takes that one non-integer
+    power per point and forms its derivatives as products and quotients of
+    it; a field given by (f, f', f'') converts them with _radial_jet_of.  No
+    two of f, f'/r and lap share memory, and none shares memory with r.
     """
 
     def __init__(self, n: int, center=None):
         self.n = _dim(n)
         self.center = np.zeros(self.n) if center is None else np.asarray(center, float)
         self.radial = bool(np.all(self.center == 0.0))
-
-    def value_r(self, r):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def _profile(self, r, d2):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def _radial_jet(self, r, slope, d2):
-        """(f, f'/r, lap) at the radii r, which it leaves intact.
-
-        f'/r is None unless slope, and lap None unless d2; at r = 0, f'/r is
-        f'(0), and lap the limit n f''(0).
-        """
-        if not (slope or d2):
-            return self.value_r(r), None, None
-        f, df, d2f = self._profile(r, d2)
-        rs = _nonzero(r)
-        lap = None
-        if d2:
-            # f'' + (n-1) f'/r in the buffer of f'', and its limit n f''(0) at r = 0
-            lim = None if rs is r else self.n * d2f[r == 0.0]
-            tmp = np.multiply(df, self.n - 1)
-            tmp /= rs
-            lap = d2f
-            lap += tmp
-            if lim is not None:
-                lap[r == 0.0] = lim
-        if slope:
-            df /= rs
-        return f, df if slope else None, lap
 
     def _jet(self, X, grad, d2):
         r = _sq_dist(X, self.center)
@@ -193,14 +163,40 @@ def _nonzero(r):
     return r if r.all() else np.where(r == 0.0, 1.0, r)
 
 
+def _radial_jet_of(n: int, r, slope, f, df=None, d2f=None):
+    """(f, f'/r, lap) at the radii r from a profile's f, f' and f''.
+
+    f'/r is None unless slope, and lap = f'' + (n-1) f'/r None unless d2f
+    is given; without df, f comes back alone.  At r = 0, f'/r is f'(0),
+    and lap the limit n f''(0).  Both are formed in place, f'/r in the
+    buffer of f' and lap in that of f''.
+    """
+    if df is None:
+        return f, None, None
+    rs = _nonzero(r)
+    lap = None
+    if d2f is not None:
+        # f'' + (n-1) f'/r in the buffer of f'', and its limit n f''(0) at r = 0
+        lim = None if rs is r else n * d2f[r == 0.0]
+        tmp = np.multiply(df, n - 1)
+        tmp /= rs
+        lap = d2f
+        lap += tmp
+        if lim is not None:
+            lap[r == 0.0] = lim
+    if slope:
+        df /= rs
+    return f, df if slope else None, lap
+
+
 class Bubble(RadialField):
     """Spherical solution (lam / (lam^2 + |x - center|^2))^((n-2)/2).
 
     With t = lam / (lam^2 + r^2) the bubble is u = t^((n-2)/2), and every
     derivative is u times a rational function of t: f'/r = -(n-2) u t / lam
     and lap(u) = -n(n-2) u^((n+2)/(n-2)) = -n(n-2) u t^2.  So a jet takes one
-    non-integer power per point, the one value_r takes, and its u is value_r
-    bit for bit.
+    non-integer power per point, and its u is the value-only jet's bit for
+    bit.
     """
 
     def __init__(self, lam: float, center, n: int):
@@ -215,41 +211,15 @@ class Bubble(RadialField):
     def __repr__(self):
         return f"Bubble(lam={self.lam!r}, center={self.center.tolist()!r}, n={self.n})"
 
-    def value_r(self, r):
-        r = np.asarray(r, float)
-        # (lam / (lam^2 + r^2))^((n-2)/2) in one buffer (0-d for a scalar r)
-        s2 = np.asarray(self.lam**2 + r * r)
-        np.divide(self.lam, s2, out=s2)
-        s2 **= (self.n - 2) / 2
-        return s2
-
-    def _t_and_value(self, r):
-        """(t, u) with t = lam / (lam^2 + r^2), formed as value_r forms it, and u = t^q."""
+    def _radial_jet(self, r, slope, d2):
+        # t = lam / (lam^2 + r^2) in one buffer; a value is t^q in it
         t = r * r
         t += self.lam**2
         np.divide(self.lam, t, out=t)
-        return t, t ** ((self.n - 2) / 2)
-
-    def _profile(self, r, d2):
-        """(f, f', f'') from one power; f'' = (f'/r)(lam^2 + (1-n) r^2) t / lam."""
-        t, f = self._t_and_value(r)
-        k = f * t
-        k *= -(self.n - 2) / self.lam
-        d2f = None
-        if d2:
-            d2f = r * r
-            d2f *= 1 - self.n
-            d2f += self.lam**2
-            d2f *= k
-            d2f *= t
-            d2f /= self.lam
-        k *= r
-        return f, k, d2f
-
-    def _radial_jet(self, r, slope, d2):
         if not (slope or d2):
-            return self.value_r(r), None, None
-        t, u = self._t_and_value(r)
+            t **= (self.n - 2) / 2
+            return t, None, None
+        u = t ** ((self.n - 2) / 2)
         k = None
         if slope:
             k = u * t
@@ -268,22 +238,19 @@ class BaseField(RadialField):
 
     With w = 1 + r^2 and m = (2-n)/4 the field is u = w^m, f'/r = 2m u / w
     and lap(u) = ((2-n)/2) (u / w^2) (n + ((n-2)/2) r^2): one non-integer
-    power per point, the one value_r takes.
+    power per point.
     """
 
     def __repr__(self):
         return f"BaseField(n={self.n})"
 
-    def value_r(self, r):
-        r = np.asarray(r, float)
-        return (1.0 + r * r) ** ((2 - self.n) / 4)
-
     def _radial_jet(self, r, slope, d2):
         m = (2 - self.n) / 4
-        if not (slope or d2):
-            return self.value_r(r), None, None
         w = r * r
         w += 1.0
+        if not (slope or d2):
+            w **= m
+            return w, None, None
         u = w ** m
         k = None
         if slope:
@@ -317,19 +284,11 @@ class CallableRadialField(RadialField):
         self._f, self._df, self._d2f = f, df, d2f
         self.inv_decay_coeff = inv_decay_coeff
 
-    def value_r(self, r):
-        return self._f(np.asarray(r, float))
-
     def _radial_jet(self, r, slope, d2):
-        if slope or d2:
-            return super()._radial_jet(r, slope, d2)
-        return _writeable(self.value_r(r), r, []), None, None
-
-    def _profile(self, r, d2):
         out = []
-        for fn in (self._f, self._df, self._d2f)[:3 if d2 else 2]:
+        for fn in (self._f, self._df, self._d2f)[:3 if d2 else 2 if slope else 1]:
             out.append(_writeable(fn(r), r, out))
-        return out[0], out[1], out[2] if d2 else None
+        return _radial_jet_of(self.n, r, slope, *out)
 
 
 def _writeable(v, r, others):

@@ -222,41 +222,57 @@ class ConcentricGlueField(RadialField):
         return (f"ConcentricGlueField(lam1={self.b1.lam!r}, lam2={self.b2.lam!r}, "
                 f"rho={self.cut.r_in!r}, R={self.cut.r_out!r})")
 
-    def value_r(self, r):
-        p = self.cut.phi(r)
-        return p * self.b1.value_r(r) + (1.0 - p) * self.b2.value_r(r)
-
-    def _profile(self, r, d2):
-        # f = p f1 + q f2, f' = p' d + p f1' + q f2' and
-        # f'' = p'' d + 2 p' (f1' - f2') + p f1'' + q f2'', with q = 1 - p and
-        # d = f1 - f2, summed term by term in place to keep fewer arrays alive
-        p, dp, d2p = self.cut._jet(r, d2)
-        f1, df1, d2f1 = self.b1._profile(r, d2)
-        f2, df2, d2f2 = self.b2._profile(r, d2)
-        d = f1 - f2
+    def _radial_jet(self, r, slope, d2):
+        # f = p f1 + q f2, f'/r = p k1 + q k2 + p' d / r and
+        # lap = p lap1 + q lap2 + 2 p' r (k1 - k2) + (p'' + (n-1) p'/r) d, with
+        # q = 1 - p, k = f'/r and d = f1 - f2, from the bubbles' closed-form
+        # jets and summed term by term in place; off the annulus p is 1 or 0
+        # and p', p'' are zeros, so the jet is a bubble's bit for bit
+        need = slope or d2
+        # a value needs no cutoff slope
+        p, dp, d2p = self.cut._jet(r, d2) if need else (self.cut.phi(r), None, None)
+        f1, k1, lap1 = self.b1._radial_jet(r, need, d2)
+        f2, k2, lap2 = self.b2._radial_jet(r, need, d2)
         if d2:
-            dd = df1 - df2
-            d2f1 *= p
+            # k1 - k2, in k1 and freeing k2 unless the slope is returned
+            if slope:
+                dk = k1 - k2
+            else:
+                dk, k2 = np.subtract(k1, k2, out=k1), None
+            lap1 *= p
+        d = f1 - f2 if need else None
         f1 *= p
-        df1 *= p
+        if slope:
+            k1 *= p
         q = np.subtract(1.0, p, out=p)
         f2 *= q
-        df2 *= q
         f1 += f2
+        del f2
+        if not need:
+            return f1, None, None
+        if slope:
+            k2 *= q
+            k1 += k2
+        del k2
         if d2:
-            d2f2 *= q
+            lap2 *= q
+            lap1 += lap2
+            del lap2
+            dk *= r
+            dk *= dp
+            dk *= 2.0
+            lap1 += dk
+            del dk
+        # p'/r in the buffer of p'
+        dp /= _nonzero(r)
+        if slope:
+            k1 += np.multiply(d, dp, out=None if d2 else d)
+        if d2:
+            dp *= self.n - 1
+            d2p += dp
             d2p *= d
-        d *= dp
-        d += df1
-        d += df2
-        if not d2:
-            return f1, d, None
-        dp *= 2.0
-        dd *= dp
-        d2p += dd
-        d2p += d2f1
-        d2p += d2f2
-        return f1, d, d2p
+            lap1 += d2p
+        return f1, k1 if slope else None, lap1
 
 
 def _dot_with_slope(X, c, k, ck):

@@ -279,6 +279,29 @@ def test_scan_sizes_below_minimum_exit_config(tmp_path, capsys, monkeypatch, fla
     assert "config error" in capsys.readouterr().err
 
 
+def _no_run(*args, **kwargs):
+    raise AssertionError("an experiment ran before the config was checked")
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_bad_tol_exits_config(tmp_path, capsys, monkeypatch, value):
+    # --tol inf used to turn thm-a/bound's measured -84.1 into a PASS
+    monkeypatch.setattr(cli, "run", _no_run)
+    code, rows = _run(tmp_path, "verify", "thm-a", "--lambda1", "0.5", "--lambda2", "1",
+                      "--rho", "1", "--R", "10", "--tol", value)
+    assert code == EXIT_CONFIG and rows == []
+    assert "config error" in capsys.readouterr().err
+
+
+def test_bad_tol_from_config_file_exits_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run", _no_run)
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nkind = lemma-37\ntol = inf\n\n[params]\nR = 1\n")
+    code, rows = _run(tmp_path, "verify", "lemma-37", "--config", str(ini))
+    assert code == EXIT_CONFIG and rows == []
+    assert "tol" in capsys.readouterr().err
+
+
 def test_bad_thread_count_from_environment_exits_config(tmp_path, monkeypatch):
     monkeypatch.setenv("BUBBLEFORGE_THREADS", "0")
     code, _ = _run(tmp_path, "verify", "lemma-37", "--R", "1")

@@ -334,11 +334,12 @@ def test_non_integral_dimension_is_rejected(call):
 # --- closed-form jets against a 30-digit oracle ------------------------------------
 # Every jet entry is within JET_REL_TOL of mpmath at 30 digits: u relative to
 # |u|, each partial relative to |grad u| and the Laplacian relative to |lap u|.
-# The concentric glue forms its Laplacian as f'' + (n-1) f'/r from terms up
-# to ~100 times larger than their sum, so its Laplacian is measured relative
-# to |f''| + (n-1) |f'/r|.  Over each field's configurations, the worst error
+# On its annulus the concentric glue sums Laplacian terms up to ~100 times
+# larger than their sum, so its Laplacian is measured relative to
+# |f''| + (n-1) |f'/r|.  Over each field's configurations, the worst error
 # of each entry is also at most twice that of the formulas that took two to
-# four non-integer powers per point, kept below as the reference.
+# four non-integer powers per point, kept below as the reference (for the
+# concentric glue, its own jet on those formulas' bubble jets).
 
 JET_REL_TOL = 1e-14
 
@@ -449,45 +450,38 @@ def _jet_errors(cases, lap_terms=False):
 # non-integer powers per point, kept as the accuracy reference
 
 
-def _powers_bubble_profile(self, r, d2):
+def _powers_bubble_radial_jet(self, r, slope, d2, sq=None):
+    # the Laplacian reads the squared radii sq, exact when given, else r * r
     q = (self.n - 2) / 2
     s2 = self.lam**2 + r * r
-    f = (self.lam / s2) ** q
-    df = -(self.n - 2) * r * self.lam**q * s2 ** (-self.n / 2)
-    if not d2:
-        return f, df, None
-    return f, df, -(self.n - 2) * self.lam**q * s2 ** (-(self.n + 2) / 2) * (
-        self.lam**2 + (1 - self.n) * r * r
-    )
-
-
-def _powers_bubble_radial_jet(self, sq, slope, d2):
+    k = None
+    if slope:
+        df = -(self.n - 2) * r * self.lam**q * s2 ** (-self.n / 2)
+        k = df / np.where(r == 0.0, 1.0, r)
     lap = None
     if d2:
+        sq = r * r if sq is None else sq
         lap = -self.n * (self.n - 2) * (self.lam / (self.lam**2 + sq)) ** ((self.n + 2) / 2)
-    r = np.sqrt(sq, out=sq)
-    if not slope:
-        return r, self.value_r(r), None, lap
-    f, df, _ = self._profile(r, False)
-    return r, f, df / np.where(r == 0.0, 1.0, r), lap
+    return (self.lam / s2) ** q, k, lap
 
 
-def _powers_base_radial_jet(self, sq, slope, d2):
+def _powers_base_radial_jet(self, r, slope, d2, sq=None):
     m = (2 - self.n) / 4
     lap = None
     if d2:
+        sq = r * r if sq is None else sq
         lap = ((2 - self.n) / 2) * (1.0 + sq) ** (m - 2) * (self.n + ((self.n - 2) / 2) * sq)
-    r = np.sqrt(sq, out=sq)
     w = 1.0 + r * r
     k = 2 * m * r * w ** (m - 1) / np.where(r == 0.0, 1.0, r) if slope else None
-    w **= m
-    return r, w, k, lap
+    return w ** m, k, lap
 
 
 def _powers_radial_field_jet(self, X, grad, d2):
-    # RadialField._jet when _radial_jet took the squared radii, so that the
-    # two references above read them exactly
-    r, u, slope, lap = self._radial_jet(_sq_dist(X, self.center), grad, d2)
+    # RadialField._jet handing the exact squared radii on as well, so that
+    # the two references above read them
+    sq = _sq_dist(X, self.center)
+    r = np.sqrt(sq)
+    u, slope, lap = self._radial_jet(r, grad, d2, sq=sq)
     if not grad:
         return u, None, lap
     g = X - self.center[:, None]
@@ -524,8 +518,7 @@ def _assert_accurate(cases, monkeypatch, patches, lap_terms=False):
         assert e_new <= 2.0 * max(e_old, np.finfo(float).eps), (entry, e_new, e_old)
 
 
-_BUBBLE_POWERS = [(Bubble, "_profile", _powers_bubble_profile),
-                  (Bubble, "_radial_jet", _powers_bubble_radial_jet),
+_BUBBLE_POWERS = [(Bubble, "_radial_jet", _powers_bubble_radial_jet),
                   (Bubble, "_jet", _powers_radial_field_jet)]
 
 

@@ -136,6 +136,28 @@ def test_concentric_curvature_one_on_pure_regions():
     assert abs(k_function(u, [20, 0, 0]) - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_concentric_jet_is_a_bubbles_off_the_annulus(n, rng):
+    # phi is 1 on |x| <= rho and 0 on |x| >= R, so there the glue is one bubble
+    # and K is 1: its jet and K are that bubble's, bit for bit, centre included
+    b1, b2 = Bubble(0.2, np.zeros(n), n), Bubble(1.0, np.zeros(n), n)
+    rho, R = 0.5, 1.5
+    u = glue_concentric(GlueConfig.concentric(b1, b2, rho, R))
+    dirs = rng.normal(size=(300, n))
+    dirs /= np.sqrt(_sq_dist(dirs.T))[:, None]
+    e1 = np.eye(n)[0]
+    inner = np.vstack([np.zeros(n), rho * e1,
+                       rng.uniform(0.0, rho, size=(300, 1)) * dirs])
+    outer = np.vstack([R * e1, 1e3 * e1,
+                       rng.uniform(R, 10.0, size=(300, 1)) * dirs])
+    for b, pts in ((b1, inner), (b2, outer)):
+        X = np.ascontiguousarray(pts.T)
+        for grad, d2 in ((False, False), (True, False), (False, True), (True, True)):
+            for a, c in zip(u._jet(X, grad, d2), b._jet(X, grad, d2)):
+                assert (a is None and c is None) or _same_bits(a, c)
+        assert _same_bits(k_function(u, pts), k_function(b, pts))
+
+
 def test_concentric_positivity(rng):
     u = _concentric()
     pts = rng.normal(size=(500, 3)) * 5

@@ -15,7 +15,7 @@ subscripts left turn a point c (n,) into a column, c[:, None], which
 broadcasts along the m points of the rows; ALLOWED lists each.
 
 One point layout: points travel as (n, m) coordinate rows.  No jet,
-radial jet, profile or distance kernel transposes an array (.T), the
+radial jet or distance kernel transposes an array (.T), the
 column-at-a-time offsets writer _offsets is gone, and the scans' chunk
 (GridSpec.chunk's default) and the quadratures' ray block
 (potential._SEG_BLOCK) are one named constant.
@@ -24,12 +24,15 @@ One batch hook: a field's values and derivatives come from its _jet
 alone, so no _value, _gradient or _laplacian hook is defined, and a _jet
 calls its sources' _jet, never the public value, gradient or laplacian.
 
-One Laplacian flag: every field jet, _jet(pts, grad, d2), every radial
-or cutoff jet and every radial profile, _profile(r, d2), takes the flag
-d2 that says whether the Laplacian (or f'', phi'') is wanted, and a jet
-or profile that calls its sources' _jet or _radial_jet passes its own d2
-on, so a composite neither forms a Laplacian its caller drops nor drops
-one its caller needs.
+One Laplacian flag: every field jet, _jet(pts, grad, d2), and every
+radial or cutoff jet takes the flag d2 that says whether the Laplacian
+(or phi'') is wanted, and a jet that calls its sources' _jet or
+_radial_jet passes its own d2 on, so a composite neither forms a
+Laplacian its caller drops nor drops one its caller needs.
+
+One radial hook: a radial field supplies _radial_jet alone, so no class
+defines value_r or _profile, and every RadialField subclass defines
+_radial_jet.
 
 numpy as the only runtime dependency: no module of the package imports
 scipy, and importing the command line loads none of it.
@@ -241,8 +244,7 @@ def test_one_derivative_path(path):
     assert not bad, "derive from _jet and call the sources' _jet:\n" + "\n".join(bad)
 
 
-JETS = {"_jet", "_radial_jet"}
-FLAGGED = JETS | {"_profile"}  # the functions that take and pass on d2
+JETS = {"_jet", "_radial_jet"}  # the functions that take and pass on d2
 FLAG = "d2"
 
 
@@ -255,12 +257,12 @@ def _flag_argument(call):
 
 
 def jet_flag_breaks(source: str):
-    """(function, line) of jets and profiles without a d2 parameter, and of
-    calls from one to a _jet or _radial_jet that do not pass the caller's
-    own d2 as the flag."""
+    """(function, line) of jets without a d2 parameter, and of calls from
+    one to a _jet or _radial_jet that do not pass the caller's own d2 as
+    the flag."""
     found = []
     for fn in ast.walk(ast.parse(source)):
-        if not (isinstance(fn, ast.FunctionDef) and fn.name in FLAGGED):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in JETS):
             continue
         if FLAG not in [a.arg for a in fn.args.args]:
             found.append((fn.name, fn.lineno))
@@ -287,17 +289,18 @@ def test_guard_finds_jets_that_drop_the_flag():
         "        w = self.h._jet(pts, d2, grad)",
         "        return self.k._jet(pts)",
         "    def _radial_jet(self, sq, slope):",
-        "        return self._profile(sq, d2=False)",
-        "    def _profile(self, r):",
-        "        return self.b._profile(r, True)",
-        "    def _profile(self, r, d2):",
+        "        return self._radial_jet(sq, slope, d2=False)",
+        "    def _radial_jet(self, r):",
+        "        return self.b._radial_jet(r, True)",
+        "    def _radial_jet(self, r, slope, d2):",
         "        return self.cut._jet(r, True)",
         "def k_function(f, x):",
         "    return f._jet(x, False, True)",
     ])
     assert jet_flag_breaks(src) == [("_jet", 2), ("_jet", 3), ("_jet", 6), ("_jet", 10),
-                                    ("_jet", 11), ("_profile", 14), ("_profile", 17),
-                                    ("_radial_jet", 12)]
+                                    ("_jet", 11), ("_radial_jet", 12), ("_radial_jet", 13),
+                                    ("_radial_jet", 14), ("_radial_jet", 15),
+                                    ("_radial_jet", 17)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -313,6 +316,76 @@ def test_laplacian_flag_guard_sees_every_field_module():
             for fn in ast.walk(ast.parse(path.read_text()))
             if isinstance(fn, ast.FunctionDef) and fn.name == "_jet"}
     assert {"field_core.py", "glue.py", "kelvin.py", "blowup.py"} <= jets
+
+
+RETIRED_HOOKS = {"value_r", "_profile"}
+RADIAL_HOOK = "_radial_jet"
+
+
+def radial_hook_breaks(sources: dict[str, str]):
+    """(module, class, line) of each class of sources ({module: source}) that
+    defines value_r or _profile, and of each RadialField subclass, direct or
+    not, that neither defines _radial_jet nor inherits it from a subclass."""
+    classes = {}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases = [b.id if isinstance(b, ast.Name) else getattr(b, "attr", None)
+                         for b in node.bases]
+                methods = {fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)}
+                classes[node.name] = (module, node.lineno, bases, methods)
+
+    def radial(name):
+        return name == "RadialField" or name in classes and any(map(radial, classes[name][2]))
+
+    def hooked(name):
+        return name in classes and (RADIAL_HOOK in classes[name][3]
+                                    or any(map(hooked, classes[name][2])))
+
+    return sorted((module, name, line) for name, (module, line, bases, methods) in classes.items()
+                  if methods & RETIRED_HOOKS or name != "RadialField" and radial(name)
+                  and not hooked(name))
+
+
+def test_guard_finds_second_radial_hooks():
+    sources = {
+        "core": "\n".join([
+            "class RadialField(ScalarField):",
+            "    def _jet(self, X, grad, d2):",
+            "        return self._radial_jet(X, grad, d2)",
+            "class Bubble(RadialField):",
+            "    def _radial_jet(self, r, slope, d2):",
+            "        return r, None, None",
+            "    def value_r(self, r):",
+            "        return r",
+            "class Wide(Bubble):",
+            "    pass",
+            "class Bare(RadialField):",
+            "    def _jet(self, X, grad, d2):",
+            "        return X, None, None",
+        ]),
+        "glue": "\n".join([
+            "class Glue(core.RadialField):",
+            "    def _profile(self, r, d2):",
+            "        return r, r, r",
+            "class Sum(ScalarField):",
+            "    def _radial_jet(self, r, slope, d2):",
+            "        return r, None, None",
+        ]),
+    }
+    assert radial_hook_breaks(sources) == [("core", "Bare", 11), ("core", "Bubble", 4),
+                                           ("glue", "Glue", 1)]
+
+
+def test_one_radial_hook():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    bad = [f"{module}.py:{line}: {name}" for module, name, line in radial_hook_breaks(sources)]
+    assert not bad, f"a radial field supplies {RADIAL_HOOK} alone:\n" + "\n".join(bad)
+    # the guard sees every radial field of the package: without the hook, each is reported
+    bare = {module: source.replace(f"def {RADIAL_HOOK}(", "def _gone(")
+            for module, source in sources.items()}
+    assert {name for _, name, _ in radial_hook_breaks(bare)} == {
+        "Bubble", "BaseField", "CallableRadialField", "ConcentricGlueField", "_RadialPower"}
 
 
 def scipy_imports(source: str):
@@ -494,13 +567,12 @@ def test_every_module_is_imported_by_the_package():
     assert unimported_modules(sources, SRC.name, entry) == [], "a module no package module imports"
 
 
-ROW_KERNELS = {"_jet", "_radial_jet", "_profile", "_sq_dist", "_row_dot"}
+ROW_KERNELS = {"_jet", "_radial_jet", "_sq_dist", "_row_dot"}
 
 
 def layout_breaks(source: str):
     """(name, line) of a definition of _offsets, of any other use of that
-    name, and of each .T inside a _jet, _radial_jet, _profile, _sq_dist or
-    _row_dot."""
+    name, and of each .T inside a _jet, _radial_jet, _sq_dist or _row_dot."""
     found = []
     tree = ast.parse(source)
     for node in ast.walk(tree):
@@ -526,7 +598,7 @@ def test_guard_finds_transposes_and_offsets():
         "    def _jet(self, X, grad, d2):",
         "        g = self.src._jet(X.T, grad, d2)[1]",
         "        return g.T",
-        "    def _profile(self, r, d2):",
+        "    def _radial_jet(self, r, slope, d2):",
         "        return r.T",
         "def _sq_dist(X, c=None):",
         "    return (X.T ** 2).sum(axis=1)",
@@ -534,7 +606,7 @@ def test_guard_finds_transposes_and_offsets():
         "    return g.T + kelvin._offsets(x, c)",
     ])
     assert layout_breaks(src) == [("_jet", 6), ("_jet", 7), ("_offsets", 1), ("_offsets", 2),
-                                  ("_offsets", 13), ("_profile", 9), ("_sq_dist", 11)]
+                                  ("_offsets", 13), ("_radial_jet", 9), ("_sq_dist", 11)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

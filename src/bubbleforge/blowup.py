@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import FitDiverged, OutOfDomain
-from .field_core import Bubble, ScalarField, _sq_dist
+from .field_core import Bubble, ScalarField, _point, _pointwise, _sq_dist
 from .potential import sphere_rule
 from .regions import _grid_chunks
 
@@ -23,6 +23,7 @@ OUTER_RADIUS = 5.0 / 8.0
 _CHUNK = 1 << 17
 _KEEP = 1 << 14  # leading coarse entries kept for the candidate search
 _MIN_STEP = 1.0 / 2048  # the compass search stops below this share of a cell
+_FIT_ITERS = 100  # Gauss-Newton steps of fit_bubble at most
 
 
 @dataclass(frozen=True)
@@ -32,8 +33,9 @@ class BlowupInput:
     epsilon is the inner exclusion radius, R the zoom window for the fit,
     delta_target the acceptance threshold on the measured C^2 deviation.
     excluded lists (center, radius) balls masked out of the maximization,
-    which lets callers excise an already-detected bubble and rerun.  coarse
-    is the nodes per axis of the grid that weighted_max's compass search refines.
+    which lets callers excise an already-detected bubble and rerun; each
+    center is a point of the field's R^n.  coarse is the nodes per axis of
+    the grid that weighted_max's compass search refines.
     """
 
     field: ScalarField
@@ -42,7 +44,7 @@ class BlowupInput:
     delta_target: float
     excluded: tuple = ()
     coarse: int = 48
-    shift_cap: float = 5.0
+    shift_cap = 5.0  # a class constant, not a field: detect's cap on its shift, in scales lam
 
     def __post_init__(self):
         if not 0 < self.epsilon < OUTER_RADIUS:
@@ -51,6 +53,8 @@ class BlowupInput:
             raise ValueError("R and delta_target must be positive")
         if self.coarse < 2:
             raise ValueError("coarse needs at least 2 nodes per axis")
+        object.__setattr__(self, "excluded",
+                           tuple((_point(c, self.field.n), rad) for c, rad in self.excluded))
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,8 @@ class BubbleReport:
 
 
 def d_eps(x, epsilon: float):
-    """Distance weight min(|x| - eps, 5/8 - |x|) on the probe annulus."""
-    return _d_eps_rows(np.moveaxis(np.asarray(x, float), -1, 0), epsilon)
+    """Distance weight min(|x| - eps, 5/8 - |x|) on the probe annulus, at points of any R^n."""
+    return _pointwise(lambda X: _d_eps_rows(X, epsilon), x, np.ndim(x) and np.shape(x)[-1])
 
 
 def _d_eps_rows(X, epsilon: float):
@@ -92,21 +96,21 @@ def weighted_u(inp: BlowupInput, x):
     The field is evaluated only at the admissible points, those with
     d_eps > 0 outside every excluded ball.
     """
-    return _weighted_rows(inp, np.moveaxis(np.asarray(x, float), -1, 0))
+    return _pointwise(lambda X: _weighted_rows(inp, X), x, inp.field.n)
 
 
 def _weighted_rows(inp: BlowupInput, X):
-    """weighted_u at the points of X, given as coordinate rows (n, ...)."""
+    """weighted_u at the points of a column batch X (n, m)."""
     d = _d_eps_rows(X, inp.epsilon)
     ok = d > 0.0
     for c, rad in inp.excluded:
-        ok &= np.sqrt(_sq_dist(X, np.asarray(c, float))) >= rad
+        ok &= np.sqrt(_sq_dist(X, c)) >= rad
     q = (inp.field.n - 2) / 2
     if ok.all():
         # in place: every chunk-sized temporary is heap churn that the
         # allocator may return to the system and fault in again
         d **= q
-        d *= inp.field._jet(X.reshape(len(X), -1), False, False)[0].reshape(d.shape)
+        d *= inp.field._jet(X, False, False)[0]
         return d
     vals = np.full(d.shape, -np.inf)
     if ok.any():
@@ -243,7 +247,7 @@ class RescaledField(ScalarField):
     def __init__(self, src: ScalarField, x_center, lam: float, window_radius: float):
         self.n = src.n
         self.src = src
-        self.x_center = np.asarray(x_center, float)
+        self.x_center = _point(x_center, src.n)
         self.lam = float(lam)
         self.window_radius = float(window_radius)
         self.radial = False
@@ -262,7 +266,6 @@ class RescaledField(ScalarField):
 
 def rescale(inp: BlowupInput, x_center) -> RescaledField:
     """Normalize and spread the field about x_center."""
-    x_center = np.asarray(x_center, float)
     d = float(d_eps(x_center, inp.epsilon))
     if d <= 0.0:
         raise OutOfDomain("center must lie inside the probe annulus")
@@ -292,19 +295,19 @@ def _model(X: np.ndarray, mu: float, y: np.ndarray, n: int):
     return u, dlogmu, dy
 
 
-def fit_bubble(w: ScalarField, R: float, max_iter: int = 100):
+def fit_bubble(w: ScalarField, R: float):
     """Least-squares bubble fit (mu, y_o) to w on B(0, R), plus C^2 deviation.
 
     Gauss-Newton on (log mu, y_o) from the normalized start (1, 0), with
-    closed-form model derivatives.  Raises FitDiverged if the scale leaves
-    [1e-6, 1e6].  The deviation is the max over samples of
-    |value diff| + |gradient diff| + |Laplacian diff|.
+    closed-form model derivatives, for at most _FIT_ITERS steps.  Raises
+    FitDiverged if the scale leaves [1e-6, 1e6].  The deviation is the max
+    over samples of |value diff| + |gradient diff| + |Laplacian diff|.
     """
     n = w.n
     X = _fit_samples(n, R)
     target = w._jet(X, False, False)[0]
     theta = np.zeros(n + 1)  # (log mu, y)
-    for _ in range(max_iter):
+    for _ in range(_FIT_ITERS):
         mu = float(np.exp(theta[0]))
         if not MU_RANGE[0] <= mu <= MU_RANGE[1]:
             raise FitDiverged(f"scale left the admissible range: mu={mu:g}")
@@ -368,4 +371,4 @@ def detect(inp: BlowupInput) -> BubbleReport | None:
 def excise(inp: BlowupInput, report: BubbleReport) -> BlowupInput:
     """Mask the detected bubble's window out of the next maximization."""
     ball = (report.x_1, report.lam * inp.R)
-    return replace(inp, excluded=tuple(inp.excluded) + (ball,))
+    return replace(inp, excluded=inp.excluded + (ball,))

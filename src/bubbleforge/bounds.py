@@ -56,6 +56,8 @@ class ThmBParams:
     def __post_init__(self):
         object.__setattr__(self, "xi1", np.asarray(self.xi1, dtype=float))
         object.__setattr__(self, "xi2", np.asarray(self.xi2, dtype=float))
+        if self.xi1.ndim != 1 or self.xi1.shape != self.xi2.shape:
+            raise InvalidGeometry("centers must be points of one R^n")
         if min(self.lambda1, self.lambda2, self.r1, self.a) <= 0:
             raise InvalidGeometry("scales and radii must be positive")
         if self.sigma < 1:

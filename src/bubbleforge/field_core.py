@@ -25,25 +25,29 @@ def _dim(n) -> int:
     return int(n)
 
 
+def _point(x, n: int) -> np.ndarray:
+    """One point x (n,) of R^n, a kernel pole xi or a centre, as floats; ValueError otherwise."""
+    arr = np.asarray(x, dtype=float)
+    if arr.shape != (n,):
+        raise ValueError(f"expected a point in R^{n}, got shape {arr.shape}")
+    return arr
+
+
 def _pointwise(fn, x, n: int):
     """Apply a column-batch function to point(s) x in R^n, keeping x's leading shape.
 
-    x of shape (..., n) is flattened to m points and handed to fn as their
-    transposed (n, m) view; fn's (m,) or (k, m) results are transposed back
-    and reshaped to (...,) or (..., k), contiguous.  A single point (n,)
-    thus gives a float, or a (k,) array.  A tuple is reshaped entry by entry.
+    With _point, the only conversion of caller coordinates: x (..., n) is
+    flattened to m points and handed to fn as their transposed (n, m) view,
+    and fn's (m,) or (k, m) result comes back contiguous as (...,) or
+    (..., k).  One point (n,) gives a Python scalar (float or bool) or a (k,)
+    array, bit for bit a batch's entry; another last axis raises ValueError.
     """
     arr = np.asarray(x, dtype=float)
     if arr.shape[-1:] != (n,):
         raise ValueError(f"expected point(s) in R^{n}, got shape {arr.shape}")
-    out = fn(arr.reshape(-1, n).T)
-
-    def shaped(o):
-        o = np.ascontiguousarray(np.asarray(o).T)
-        o = o.reshape(arr.shape[:-1] + o.shape[1:])
-        return float(o) if o.ndim == 0 else o
-
-    return tuple(map(shaped, out)) if isinstance(out, tuple) else shaped(out)
+    out = np.ascontiguousarray(fn(arr.reshape(-1, n).T).T)
+    out = out.reshape(arr.shape[:-1] + out.shape[1:])
+    return out.item() if out.ndim == 0 else out
 
 
 def _sq_dist(X, c=None):
@@ -144,7 +148,7 @@ class RadialField(ScalarField):
 
     def __init__(self, n: int, center=None):
         self.n = _dim(n)
-        self.center = np.zeros(self.n) if center is None else np.asarray(center, float)
+        self.center = np.zeros(self.n) if center is None else _point(center, self.n)
         self.radial = bool(np.all(self.center == 0.0))
 
     def _jet(self, X, grad, d2):
@@ -389,12 +393,7 @@ def k_sum_limit(lam1: float, lam2: float, n) -> float:
 
 def inv_root_grad_sq(f: ScalarField, x):
     """|grad(f^(-2/(n-2)))|^2 computed from analytic value and gradient."""
-
-    def batch(X):
-        u, g, _ = f._jet(X, True, False)
-        return u, _sq_dist(g)
-
-    return _grad_term_of(f.n, *_pointwise(batch, x, f.n))
+    return _pointwise(lambda X: _grad_term_rows(f, X), x, f.n)
 
 
 def _grad_term_rows(f: ScalarField, X):

@@ -16,8 +16,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import BadRadii, Coincident, ProfileViolated
-from .field_core import (ScalarField, _dim, _grad_term_of, _grad_term_rows, _k_of, _pointwise,
-                         _row_dot, _sq_dist)
+from .field_core import (ScalarField, _dim, _grad_term_of, _grad_term_rows, _k_of, _point,
+                         _pointwise, _row_dot, _sq_dist)
 from .regions import _POINT_BLOCK, Ball
 
 
@@ -76,6 +76,10 @@ class SingularProfile:
 
 _GL16 = leggauss(16)
 _SEG_BLOCK = _POINT_BLOCK  # ray-segment points evaluated at a time
+_ABS_TOL = 1e-14  # adaptive_radial stops at a doubling delta <= max(_ABS_TOL, rel_tol |value|)
+_MAX_PANELS = 4096  # or at this many panels in a segment
+_PROFILE_RADII = 24  # verify_profile samples this many radii along each direction
+_PROFILE_SPHERE = 4  # of sphere_rule(n, _PROFILE_SPHERE)
 
 
 def _gl_panels(edges: np.ndarray):
@@ -88,8 +92,7 @@ def _gl_panels(edges: np.ndarray):
     ).ravel()
 
 
-def adaptive_radial(fvec, a: float, b: float, rel_tol: float = 1e-10,
-                    abs_tol: float = 1e-14, splits=(), max_panels: int = 4096,
+def adaptive_radial(fvec, a: float, b: float, rel_tol: float = 1e-10, splits=(),
                     geometric: bool = False):
     """Adaptive 1D integral of a vectorized integrand by panel doubling.
 
@@ -112,7 +115,7 @@ def adaptive_radial(fvec, a: float, b: float, rel_tol: float = 1e-10,
             cur = float(wts @ np.asarray(fvec(nodes)))
             evals += nodes.size
             delta = abs(cur - prev)
-            if delta <= max(abs_tol, rel_tol * abs(cur)) or k >= max_panels:
+            if delta <= max(_ABS_TOL, rel_tol * abs(cur)) or k >= _MAX_PANELS:
                 total += cur
                 err += delta
                 break
@@ -181,13 +184,12 @@ def sphere_rule(n: int, m: int):
 
 def h_eval(k: Kernel, x, xi):
     """H(x, xi); negative for all x != xi."""
-    out = _h_rows(k, np.moveaxis(np.asarray(x, dtype=float), -1, 0), xi)
-    return float(out) if out.ndim == 0 else out
+    return _pointwise(lambda X: _h_rows(k, X, xi), x, k.n)
 
 
 def _h_rows(k: Kernel, X, xi):
-    """h_eval at the points of X, given as coordinate rows (n, ...)."""
-    s = np.sqrt(_sq_dist(X, np.asarray(xi, dtype=float)))
+    """h_eval at the points of a column batch X (n, m)."""
+    s = np.sqrt(_sq_dist(X, _point(xi, k.n)))
     if np.any(s == 0.0):
         raise Coincident("kernel is singular at x = xi")
     return s ** (2.0 - k.n) / ((2.0 - k.n) * k.omega_n)
@@ -200,7 +202,7 @@ def grad_h(k: Kernel, x, xi):
 
 def _grad_h_rows(k: Kernel, X, xi):
     """grad_h at the points of a column batch X (n, m), as (n, m) rows."""
-    d = X - np.asarray(xi, dtype=float)[:, None]
+    d = X - _point(xi, k.n)[:, None]
     s = np.sqrt(_sq_dist(d))
     if np.any(s == 0.0):
         raise Coincident("kernel is singular at x = xi")
@@ -214,7 +216,7 @@ def int_absH_ball(k: Kernel, R: float, xi, m: int = 64) -> QuadResult:
     (|H| r^(n-1) is linear in r); the polar angle is integrated by a
     Gauss-Jacobi rule, doubled once for the error estimate.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi = _point(xi, k.n)
     s = float(np.linalg.norm(xi))
     if s >= R:
         raise ValueError("xi must lie inside the ball")
@@ -303,18 +305,13 @@ def _polar_ball_integral(k: Kernel, g, ball: Ball, xi: np.ndarray,
     return [(b, abs(b - a)) for a, b in zip(v1, v2)], n_evals
 
 
-def _abs_h_ball(k: Kernel, g, ball: Ball, xi: np.ndarray, radial: bool, splits,
-                m_sphere: int, m_rad: int):
-    """Integral of |H(x, xi)| g(x) over a ball, as (value, err, n_evals).
+def _abs_h_ball(k: Kernel, g, ball: Ball, xi: np.ndarray, splits):
+    """Integral of |H(x, xi)| g(x), g radial, over an origin-centred ball: (value, err, n_evals).
 
-    A radial g over an origin-centered ball reduces to a 1D integral, split
-    at |xi| and at splits, through the spherical mean max(r, |xi|)^(2-n) of
-    |x - xi|^(2-n) over |x| = r; otherwise the polar rule about xi is used.
+    A 1D integral, split at |xi| and at splits, through the spherical mean
+    max(r, |xi|)^(2-n) of |x - xi|^(2-n) over |x| = r; any other g takes
+    _polar_ball_integral.
     """
-    if not radial:
-        [(val, err)], n_evals = _polar_ball_integral(k, lambda X: (g(X),), ball, xi,
-                                                     m_sphere, m_rad)
-        return val, err, n_evals
     s0 = float(np.linalg.norm(xi))
     e1 = np.eye(k.n)[:, :1]  # the first axis, as a column
 
@@ -345,7 +342,7 @@ def _weighted_grad_integrals(k: Kernel, fields, region: Ball, xi,
     the polar path share one pass: every ray point is built once, and each
     field's integral is bit for bit the one a call of its own gives.
     """
-    xi = np.asarray(xi, dtype=float)
+    xi = _point(xi, k.n)
     at_origin = bool(np.all(region.center == 0.0))
     out: list = [None] * len(fields)
     polar = []
@@ -353,8 +350,7 @@ def _weighted_grad_integrals(k: Kernel, fields, region: Ball, xi,
         if not (f.radial and at_origin):
             polar.append(i)
             continue
-        val, err, ev = _abs_h_ball(k, lambda X, f=f: _grad_term_rows(f, X), region, xi,
-                                   True, (), m_sphere, m_rad)
+        val, err, ev = _abs_h_ball(k, lambda X, f=f: _grad_term_rows(f, X), region, xi, ())
         out[i] = QuadResult(value=val, err_est=err, n_evals=ev)
     if polar:
         res, ev = _polar_ball_integral(
@@ -388,7 +384,7 @@ def rep_identity_report(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi,
     """
     n = u_c.n
     k = Kernel(n)
-    xi = np.asarray(xi, dtype=float)
+    xi = _point(xi, n)
     p4 = 4.0 / (n - 2)
 
     radial = u_c.radial and u2.radial and bool(np.all(omega2.center == 0.0))
@@ -400,8 +396,8 @@ def rep_identity_report(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi,
             return _grad_term_rows(u_c, X) - _grad_term_rows(u2, X)
 
         splits = _radial_field_splits(u_c)
-        q1, e1, _ = _abs_h_ball(k, kdev, omega2, xi, True, splits, m_sphere, m_rad)
-        q2, e2, _ = _abs_h_ball(k, gdiff, omega2, xi, True, splits, m_sphere, m_rad)
+        q1, e1, _ = _abs_h_ball(k, kdev, omega2, xi, splits)
+        q2, e2, _ = _abs_h_ball(k, gdiff, omega2, xi, splits)
     else:
         def both(X):
             u, g, lap = u_c._jet(X, True, True)
@@ -432,12 +428,11 @@ def lower_bound_3_9(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi) -> floa
 # --- representation formula with a point singularity --------------------------
 
 
-def verify_profile(u: ScalarField, prof: SingularProfile, n_radii: int = 24,
-                   m_sphere: int = 4) -> None:
+def verify_profile(u: ScalarField, prof: SingularProfile) -> None:
     """Sample the declared singular-profile bounds; raise ProfileViolated on failure."""
     n = u.n
-    dirs, _ = sphere_rule(n, m_sphere)
-    radii = np.geomspace(prof.delta * 1e-3, prof.delta * 0.999, n_radii)
+    dirs, _ = sphere_rule(n, _PROFILE_SPHERE)
+    radii = np.geomspace(prof.delta * 1e-3, prof.delta * 0.999, _PROFILE_RADII)
     X = _ray_points(prof.p, radii[:, None], dirs)
     s = np.sqrt(_sq_dist(X, prof.p))
     _, g, lap = u._jet(X, True, True)
@@ -588,17 +583,17 @@ def rep_formula_report(u: ScalarField, prof: SingularProfile | None,
     raises Coincident.
     """
     k = Kernel(u.n)
-    xi = np.asarray(xi, dtype=float)
+    xi = _point(xi, k.n)
     if prof is not None:
-        D = 0.5 * float(np.linalg.norm(xi - prof.p))
+        D = 0.5 * float(np.linalg.norm(xi - _point(prof.p, k.n)))
         _check_eps_seq(eps_seq, D)
     target = float(u.value(xi))
     bnd = _boundary_integral(k, u, omega.center, omega.radius, xi, m_boundary)
 
     if prof is None:
-        vneg = _abs_h_ball(k, lambda X: u._jet(X, False, True)[2], omega, xi, False, (),
-                           m_sphere, m_rad)[0]
-        res = -vneg + bnd - target  # _abs_h_ball integrates against |H|; H = -|H|
+        [(vneg, _)], _ = _polar_ball_integral(k, lambda X: (u._jet(X, False, True)[2],), omega,
+                                              xi, m_sphere, m_rad)
+        res = -vneg + bnd - target  # the polar rule integrates against |H|; H = -|H|
         return {"residuals": [res], "eps": [], "p_boundary_terms": [],
                 "order": None, "extrapolated": res}
 

@@ -8,7 +8,7 @@ from itertools import islice
 
 import numpy as np
 
-from .field_core import _sq_dist
+from .field_core import _pointwise, _sq_dist
 
 _SHELL_SLACK = 1e-12  # relative widening of a squared-radius shell mask
 _POINT_BLOCK = 1 << 14  # points per scan chunk and ray block: 128 KB (m,) temporaries
@@ -21,8 +21,8 @@ class _Round:
     def n(self) -> int:
         return self.center.shape[0]
 
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        return self._contains(np.moveaxis(np.asarray(x, float), -1, 0))
+    def contains(self, x):
+        return _pointwise(self._contains, x, self.n)
 
     def _set_center(self):
         center = np.asarray(self.center, dtype=float)

@@ -209,6 +209,10 @@ def test_two_ball_geometry_validation():
         ThmBParams(2.0, 1.0, 1.0, 1.0, [4, 0, 0], [0, 0, 0])  # r1 < lam1
     with pytest.raises(InvalidGeometry):
         ThmBParams(0.5, 2.0, 1.0, 1.0, [4, 0, 0], [0, 0, 0])  # a < lam2
+    with pytest.raises(InvalidGeometry):
+        ThmBParams(0.00238, 1, 1, 1, [2.0], [0, 0, 0])  # centres in R^1 and R^3
+    with pytest.raises(InvalidGeometry):
+        ThmBParams(0.00238, 1, 1, 1, [[4, 0, 0]], [[0, 0, 0]])  # centres not points
 
 
 def test_chain_bound_witness_clears_target():

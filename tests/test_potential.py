@@ -36,6 +36,7 @@ from bubbleforge.potential import (
     _boundary_integral,
     _gauss_gegenbauer,
     _gl_panels,
+    _polar_ball_integral,
     _power_law_limit,
     _ray_exit,
     _ray_points,
@@ -310,22 +311,28 @@ def _rep_identity_glue(n):
 
 
 def _rep_identity_two_passes(u_c, u2, ball, xi, m_sphere, m_rad):
-    """Reference: one _abs_h_ball integral per integrand, K and the gradient
+    """Reference: one integral per integrand, K and the gradient
     term each from its own public evaluation of u_c."""
     n = u_c.n
     k = Kernel(n)
     radial = u_c.radial and u2.radial and bool(np.all(ball.center == 0.0))
     splits = (u_c.cut.r_in, u_c.cut.r_out)
 
-    # _abs_h_ball hands its integrands (n, m) column batches
+    # both integrals hand their integrands (n, m) column batches
     def kdev(X):
         return np.asarray(k_function(u_c, X.T)) - 1.0
 
     def gdiff(X):
         return inv_root_grad_sq(u_c, X.T) - inv_root_grad_sq(u2, X.T)
 
-    q1, e1, _ = _abs_h_ball(k, kdev, ball, xi, radial, splits, m_sphere, m_rad)
-    q2, e2, _ = _abs_h_ball(k, gdiff, ball, xi, radial, splits, m_sphere, m_rad)
+    def integral(g):
+        if radial:
+            return _abs_h_ball(k, g, ball, xi, splits)[:2]
+        [(val, err)], _ = _polar_ball_integral(k, lambda X: (g(X),), ball, xi, m_sphere, m_rad)
+        return val, err
+
+    q1, e1 = integral(kdev)
+    q2, e2 = integral(gdiff)
     lhs = 4.0 * n * -q1
     rhs = (float(u_c.value(xi)) ** (-4.0 / (n - 2)) - float(u2.value(xi)) ** (-4.0 / (n - 2))
            + (n + 2) * q2)

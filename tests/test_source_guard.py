@@ -18,7 +18,9 @@ One point layout: points travel as (n, m) coordinate rows.  No jet,
 radial jet or distance kernel transposes an array (.T), the
 column-at-a-time offsets writer _offsets is gone, and the scans' chunk
 (GridSpec.chunk's default) and the quadratures' ray block
-(potential._SEG_BLOCK) are one named constant.
+(potential._SEG_BLOCK) are one named constant.  Caller coordinates enter
+through field_core._pointwise and _point alone, which check their
+dimension: no module calls np.moveaxis, and no xi goes through asarray.
 
 One batch hook: a field's values and derivatives come from its _jet
 alone, so no _value, _gradient or _laplacian hook is defined, and a _jet
@@ -572,16 +574,22 @@ ROW_KERNELS = {"_jet", "_radial_jet", "_sq_dist", "_row_dot"}
 
 def layout_breaks(source: str):
     """(name, line) of a definition of _offsets, of any other use of that
-    name, and of each .T inside a _jet, _radial_jet, _sq_dist or _row_dot."""
+    name or of moveaxis, of an asarray call on a name xi, and of each .T
+    inside a _jet, _radial_jet, _sq_dist or _row_dot."""
     found = []
     tree = ast.parse(source)
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "_offsets":
             found.append(("_offsets", node.lineno))
-        elif (isinstance(node, ast.Name) and node.id == "_offsets"
-              or isinstance(node, ast.Attribute) and node.attr == "_offsets"
-              or isinstance(node, ast.alias) and node.name == "_offsets"):
-            found.append(("_offsets", node.lineno))
+        for name in ("_offsets", "moveaxis"):
+            if (isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name
+                    or isinstance(node, ast.alias) and node.name == name):
+                found.append((name, node.lineno))
+        if (isinstance(node, ast.Call) and node.args
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == "xi"
+                and "asarray" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))):
+            found.append(("asarray(xi)", node.lineno))
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef) and fn.name in ROW_KERNELS:
             found += [(fn.name, node.lineno) for node in ast.walk(fn)
@@ -604,9 +612,16 @@ def test_guard_finds_transposes_and_offsets():
         "    return (X.T ** 2).sum(axis=1)",
         "def gradient(self, x):",
         "    return g.T + kelvin._offsets(x, c)",
+        "def h_eval(k, x, xi):",
+        "    X = np.moveaxis(np.asarray(x, dtype=float), -1, 0)",
+        "    return _h_rows(k, X, np.asarray(xi, dtype=float))",
+        "from numpy import asarray, moveaxis",
+        "c = asarray(xi); d = asarray(x); e = np.asarray(xi0); f = _point(xi, n)",
     ])
     assert layout_breaks(src) == [("_jet", 6), ("_jet", 7), ("_offsets", 1), ("_offsets", 2),
-                                  ("_offsets", 13), ("_radial_jet", 9), ("_sq_dist", 11)]
+                                  ("_offsets", 13), ("_radial_jet", 9), ("_sq_dist", 11),
+                                  ("asarray(xi)", 16), ("asarray(xi)", 18), ("moveaxis", 15),
+                                  ("moveaxis", 17)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -614,7 +629,8 @@ def test_points_travel_as_coordinate_rows(path):
     lines = path.read_text().splitlines()
     bad = [f"{path.name}:{i}: {fn}: {lines[i - 1].strip()}"
            for fn, i in layout_breaks(path.read_text())]
-    assert not bad, "take and keep (n, m) coordinate rows:\n" + "\n".join(bad)
+    assert not bad, ("take and keep (n, m) coordinate rows, converting caller coordinates "
+                     "with _pointwise or _point:\n" + "\n".join(bad))
 
 
 def _assigned_name(tree, target: str):

@@ -22,6 +22,7 @@ OUTER_RADIUS = 5.0 / 8.0
 # merge: `blowup --n 4` took 152-184 ms with 1 << 14, 116-119 ms with 1 << 17 (2-vCPU host)
 _CHUNK = 1 << 17
 _KEEP = 1 << 14  # leading coarse entries kept for the candidate search
+_CANDIDATES = 8  # coarse maxima that weighted_max refines
 _MIN_STEP = 1.0 / 2048  # the compass search stops below this share of a cell
 _FIT_ITERS = 100  # Gauss-Newton steps of fit_bubble at most
 
@@ -187,7 +188,7 @@ def _coarse_top(inp: BlowupInput, axis: np.ndarray, keep: int):
     return vals[order], idx[order]
 
 
-def weighted_max(inp: BlowupInput, n_candidates: int = 8):
+def weighted_max(inp: BlowupInput):
     """Maximize the weighted field over the annulus by grid plus refinement.
 
     The coarse grid (inp.coarse nodes per axis over the cube [-5/8, 5/8]^n)
@@ -199,11 +200,11 @@ def weighted_max(inp: BlowupInput, n_candidates: int = 8):
     does not grow with coarse^n.  Those are ordered by decreasing value,
     ties toward the smallest flat index, which is a prefix of the order of
     the whole grid.  Narrow peaks can fall between coarse nodes, so the first
-    n_candidates nodes along that order that lie at least two cell
+    _CANDIDATES nodes along that order that lie at least two cell
     diagonals from every earlier candidate are refined at once by one
     compass search, from a step of one cell down to 1/2048 of it, and the
     first with the highest refined value wins.  If the kept prefix runs out
-    before n_candidates are found while finite values remain outside it,
+    before _CANDIDATES are found while finite values remain outside it,
     the grid is rescanned keeping eight times as many, so the candidates
     are exact in every case.  The whole search is deterministic.
 
@@ -223,9 +224,9 @@ def weighted_max(inp: BlowupInput, n_candidates: int = 8):
         for x, v in zip(pts, vals):
             if all(np.linalg.norm(x - c) >= min_sep for c, _ in candidates):
                 candidates.append((x, float(v)))
-            if len(candidates) >= n_candidates:
+            if len(candidates) >= _CANDIDATES:
                 break
-        if len(candidates) >= n_candidates or vals.size < keep:
+        if len(candidates) >= _CANDIDATES or vals.size < keep:
             break
         keep *= 8
     if not candidates:

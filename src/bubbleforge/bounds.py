@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGeometry, KappaTooLarge, OutOfDomain
-from .field_core import KReport, ScalarField, _dim, _k_of, combined_k_bounds
+from .field_core import KReport, ScalarField, _dim, _k_of, _same_dim, combined_k_bounds
 from .regions import Box, GridSpec, Region, _region_chunks, _stream_argmax
 
 
@@ -70,6 +70,10 @@ class ThmBParams:
             raise InvalidGeometry("balls overlap")
 
     @property
+    def n(self) -> int:
+        return _dim(self.xi1.size)
+
+    @property
     def separation(self) -> float:
         return float(np.linalg.norm(self.xi1 - self.xi2))
 
@@ -77,7 +81,7 @@ class ThmBParams:
 # --- concentric case --------------------------------------------------------
 
 
-def thmA_conditions(l1: float, l2: float, rho: float, R: float, n=3) -> tuple[bool, bool]:
+def thmA_conditions(l1: float, l2: float, rho: float, R: float, n) -> tuple[bool, bool]:
     """The two alternative scale conditions for the concentric construction."""
     _check_concentric_params(l1, l2, rho, R)
     n = _dim(n)
@@ -86,7 +90,7 @@ def thmA_conditions(l1: float, l2: float, rho: float, R: float, n=3) -> tuple[bo
     return cond1, cond2
 
 
-def thmA_dual_conditions(l1: float, l2: float, rho: float, R: float, n=3) -> tuple[bool, bool]:
+def thmA_dual_conditions(l1: float, l2: float, rho: float, R: float, n) -> tuple[bool, bool]:
     """Inversion-dual form of the concentric conditions (scales mapped by rho^2/lam)."""
     _check_concentric_params(l1, l2, rho, R)
     n = _dim(n)
@@ -95,7 +99,7 @@ def thmA_dual_conditions(l1: float, l2: float, rho: float, R: float, n=3) -> tup
     return cond1, cond2
 
 
-def lower_bound_4_4(l1: float, l2: float, rho: float, R: float, n=3) -> float:
+def lower_bound_4_4(l1: float, l2: float, rho: float, R: float, n) -> float:
     """Representation-formula lower bound on sup |K - 1| over the glue annulus."""
     _check_concentric_params(l1, l2, rho, R)
     n = _dim(n)
@@ -104,7 +108,7 @@ def lower_bound_4_4(l1: float, l2: float, rho: float, R: float, n=3) -> float:
     return ((n - 2) / (2.0 * n)) * num / (R**2 - rho**2)
 
 
-def depth_factors(l1: float, l2: float, rho: float, R: float, n=3) -> DepthFactors:
+def depth_factors(l1: float, l2: float, rho: float, R: float, n) -> DepthFactors:
     """Depth factors k1 = rho/lam1, k2 = R/lam2 and nu = ((k1^2+1)/k1^2)^((n-2)/2)."""
     _check_concentric_params(l1, l2, rho, R)
     n = _dim(n)
@@ -122,20 +126,20 @@ def _check_concentric_params(l1, l2, rho, R):
 # --- disjoint-ball case ------------------------------------------------------
 
 
-def thmB_condition(p: ThmBParams, n=3) -> bool:
+def thmB_condition(p: ThmBParams) -> bool:
     """Scale-separation hypothesis for the two-ball lower bound."""
-    n = _dim(n)
+    n = p.n
     rhs = 8.0**n * n * (p.separation**4 / p.r1**4) * (p.sigma**2 + 6.0)
     return p.lambda2**2 / p.lambda1**2 >= rhs
 
 
-def thmB_chain_bound(p: ThmBParams, n=3) -> float:
+def thmB_chain_bound(p: ThmBParams) -> float:
     """Explicit chain estimate of sup |K - 1| outside the second ball.
 
     Evaluated with the second center translated to the origin; uses the
     ratios c = r1/lam1, k = a/lam2, C = |xi1 - xi2|/lam2.
     """
-    n = _dim(n)
+    n = p.n
     c = p.r1 / p.lambda1
     k = p.a / p.lambda2
     C = p.separation / p.lambda2
@@ -147,7 +151,7 @@ def thmB_chain_bound(p: ThmBParams, n=3) -> float:
     return ((n - 2) / (2.0 * n)) * (term1 + term2 + term3 + term4)
 
 
-def deep_bubble_bound(kappa: float, dist: float, r1: float, n=3) -> float:
+def deep_bubble_bound(kappa: float, dist: float, r1: float, n) -> float:
     """Largest admissible lambda2^2/lambda1^2 when sup |K - 1| stays small.
 
     Contrapositive composition: a field whose combined curvature deviation is
@@ -181,6 +185,7 @@ def sup_scan(f: ScalarField, region: Region, grid_spec: GridSpec | None = None) 
     """
     gs = grid_spec or GridSpec()
     n = f.n
+    _same_dim(n, region)
     refine = 2 * gs.refine_factor + 1
     if f.radial and not isinstance(region, Box) and not region.center.any():
         r_lo, r_hi = region.radial_range()

@@ -143,9 +143,9 @@ def _run_thm_b(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     xi1 = _axis_point(n, p["sep"])
     params = ThmBParams(l1, l2, r1, a, xi1, np.zeros(n), sigma)
     target = (n + 2) / (2.0 * n) * sigma**2
-    ok = thmB_condition(params, n)
+    ok = thmB_condition(params)
     yield ReportRow("thm-b/condition", pstr, float(ok), 1.0, bool(ok))
-    chain = thmB_chain_bound(params, n)
+    chain = thmB_chain_bound(params)
     yield ReportRow("thm-b/chain", pstr, chain, target, chain >= target - cfg.tol)
     u = glue_disjoint(_disjoint_config(Bubble(l1, xi1, n), r1, Bubble(l2, np.zeros(n), n), a))
     pad = 0.6 * max(r1, a)

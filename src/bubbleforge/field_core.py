@@ -26,11 +26,18 @@ def _dim(n) -> int:
 
 
 def _point(x, n: int) -> np.ndarray:
-    """One point x (n,) of R^n, a kernel pole xi or a centre, as floats; ValueError otherwise."""
-    arr = np.asarray(x, dtype=float)
+    """One point x (n,) of R^n, a kernel pole xi or a centre, as a float copy; ValueError otherwise."""
+    arr = np.array(x, dtype=float)
     if arr.shape != (n,):
         raise ValueError(f"expected a point in R^{n}, got shape {arr.shape}")
     return arr
+
+
+def _same_dim(n: int, *objs) -> None:
+    """Raise ValueError unless each of objs (a field, region, ball or kernel) lives in R^n."""
+    for o in objs:
+        if o.n != n:
+            raise ValueError(f"expected an object of R^{n}, got one of R^{o.n}")
 
 
 def _pointwise(fn, x, n: int):
@@ -245,6 +252,9 @@ class BaseField(RadialField):
     power per point.
     """
 
+    def __init__(self, n: int):
+        super().__init__(n)
+
     def __repr__(self):
         return f"BaseField(n={self.n})"
 
@@ -282,11 +292,9 @@ class CallableRadialField(RadialField):
     would, must return a copy of it.
     """
 
-    def __init__(self, n: int, f, df, d2f, center=None,
-                 inv_decay_coeff: float | None = None):
+    def __init__(self, n: int, f, df, d2f, center=None):
         super().__init__(n, center)
         self._f, self._df, self._d2f = f, df, d2f
-        self.inv_decay_coeff = inv_decay_coeff
 
     def _radial_jet(self, r, slope, d2):
         out = []

@@ -15,7 +15,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import BadConfig, BadRadii, NoSolution, OverlapError
-from .field_core import (Bubble, RadialField, ScalarField, _dim, _nonzero, _row_dot,
+from .field_core import (Bubble, RadialField, ScalarField, _dim, _nonzero, _point, _row_dot,
                          _sq_dist)
 from .regions import Annulus
 
@@ -140,82 +140,19 @@ def solve_rho_M(delta: float, alpha: float, n) -> RhoMSolution:
                         n=n, band_lo=lo, band_hi=hi)
 
 
-class GlueConfig:
-    """Validated parameters for one of the three glue constructions."""
+class ConcentricGlueField(RadialField):
+    """phi u1 + (1 - phi) u2 for centered bubbles; exact bubble on each side."""
 
-    def __init__(self, variant: str, **params):
-        self.variant = variant
-        self.params = params
-
-    def __repr__(self):
-        return f"GlueConfig({self.variant!r}, {self.params!r})"
-
-    @classmethod
-    def concentric(cls, b1: Bubble, b2: Bubble, rho: float, R: float) -> "GlueConfig":
+    def __init__(self, b1: Bubble, b2: Bubble, rho: float, R: float):
         if b1.n != b2.n:
             raise BadConfig("bubbles live in different dimensions")
         if np.any(b1.center != 0.0) or np.any(b2.center != 0.0):
             raise BadConfig("concentric glue needs both bubbles centered at the origin")
         if not 0 < rho < R:
             raise BadConfig("need 0 < rho < R")
-        return cls("concentric", b1=b1, b2=b2, rho=float(rho), R=float(R))
-
-    @classmethod
-    def disjoint(cls, b1: Bubble, r1: float, b2: Bubble, a: float,
-                 width1: float = 1.0, width2: float = 1.0,
-                 inward: bool = False) -> "GlueConfig":
-        """Two-ball splice keeping b1 on B(xi1, r1) and b2 on B(xi2, a).
-
-        Transitions span [r, (1+width) r] outside each ball by default;
-        ``inward=True`` moves them to [(1-width) r, r], shrinking the exact
-        region but allowing tangent fidelity balls.
-        """
-        if b1.n != b2.n:
-            raise BadConfig("bubbles live in different dimensions")
-        if min(r1, a) <= 0 or min(width1, width2) <= 0:
-            raise BadConfig("radii and widths must be positive")
-        if inward and max(width1, width2) >= 1.0:
-            raise BadConfig("inward widths must be < 1")
-        sep = float(np.linalg.norm(b1.center - b2.center))
-        if sep < r1 + a:
-            raise OverlapError("fidelity balls overlap")
-        out1 = r1 if inward else r1 * (1.0 + width1)
-        out2 = a if inward else a * (1.0 + width2)
-        if sep < out1 + out2:
-            raise OverlapError("cutoff supports intersect; shrink widths or use inward")
-        return cls("disjoint", b1=b1, r1=float(r1), b2=b2, a=float(a),
-                   width1=float(width1), width2=float(width2), inward=bool(inward))
-
-    @classmethod
-    def bubble_insert(cls, host: ScalarField, bubble: Bubble, x1,
-                      rho_M: float, rho_m: float | None = None) -> "GlueConfig":
-        """Insert an exact bubble into the host across [lam rho_m, lam rho_M].
-
-        rho_m defaults to rho_M - 10 when that is positive (the wide-annulus
-        regime) and to 0.8 rho_M otherwise.
-        """
-        if host.n != bubble.n:
-            raise BadConfig("host and bubble live in different dimensions")
-        if np.any(bubble.center != 0.0):
-            raise BadConfig("inserted bubble must be centered at the origin")
-        if rho_M <= 0:
-            raise BadConfig("need rho_M > 0")
-        if rho_m is None:
-            rho_m = rho_M - 10.0 if rho_M > 10.0 else 0.8 * rho_M
-        if not 0 < rho_m < rho_M:
-            raise BadConfig("need 0 < rho_m < rho_M")
-        x1 = np.zeros(host.n) + np.asarray(x1, float)
-        return cls("bubble-insert", host=host, bubble=bubble, x1=x1,
-                   rho_m=float(rho_m), rho_M=float(rho_M))
-
-
-class ConcentricGlueField(RadialField):
-    """phi u1 + (1 - phi) u2 for centered bubbles; exact bubble on each side."""
-
-    def __init__(self, b1: Bubble, b2: Bubble, rho: float, R: float):
         super().__init__(b1.n, None)
         self.b1, self.b2 = b1, b2
-        self.cut = Cutoff(rho, R)
+        self.cut = Cutoff(float(rho), float(R))
         self.inv_decay_coeff = b2.inv_decay_coeff
 
     def __repr__(self):
@@ -294,27 +231,34 @@ def _dot_with_slope(X, c, k, ck):
 class DisjointGlueField(ScalarField):
     """(1 - phi2(|x - xi2|)) u1 + (1 - phi1(|x - xi1|)) u2.
 
-    Each cutoff is 1 on its own fidelity ball, so u1 survives alone near
-    xi1, u2 near xi2, and their sum takes over once both cutoffs vanish.
-    Positivity is structural: the cutoff supports are disjoint.
+    Each cutoff is 1 on its own fidelity ball, B(xi1, r1) or B(xi2, a), so u1
+    survives alone near xi1, u2 near xi2, and their sum takes over once both
+    cutoffs vanish.  Positivity is structural: the cutoff supports are
+    disjoint.  The transitions span [r, (1+width) r] outside each ball, or
+    [(1-width) r, r] inside it when inward, which allows tangent balls.
     """
 
-    def __init__(self, cfg: GlueConfig):
-        p = cfg.params
-        self.b1: Bubble = p["b1"]
-        self.b2: Bubble = p["b2"]
-        self.n = self.b1.n
-        r1, a, w1, w2, inward = p["r1"], p["a"], p["width1"], p["width2"], p["inward"]
-        if inward:
-            self.cut1 = Cutoff(r1 * (1.0 - w1), r1)
-            self.cut2 = Cutoff(a * (1.0 - w2), a)
-        else:
-            self.cut1 = Cutoff(r1, r1 * (1.0 + w1))
-            self.cut2 = Cutoff(a, a * (1.0 + w2))
-        self.r1, self.a = r1, a
-        self.inward = inward
-        self.radial = False
-        self.inv_decay_coeff = self.b1.inv_decay_coeff + self.b2.inv_decay_coeff
+    def __init__(self, b1: Bubble, r1: float, b2: Bubble, a: float,
+                 width1: float = 1.0, width2: float = 1.0, inward: bool = False):
+        if b1.n != b2.n:
+            raise BadConfig("bubbles live in different dimensions")
+        if min(r1, a) <= 0 or min(width1, width2) <= 0:
+            raise BadConfig("radii and widths must be positive")
+        if inward and max(width1, width2) >= 1.0:
+            raise BadConfig("inward widths must be < 1")
+        sep = float(np.linalg.norm(b1.center - b2.center))
+        if sep < r1 + a:
+            raise OverlapError("fidelity balls overlap")
+        r1, a, w1, w2 = float(r1), float(a), float(width1), float(width2)
+        span1 = (r1 * (1.0 - w1), r1) if inward else (r1, r1 * (1.0 + w1))
+        span2 = (a * (1.0 - w2), a) if inward else (a, a * (1.0 + w2))
+        if sep < span1[1] + span2[1]:
+            raise OverlapError("cutoff supports intersect; shrink widths or use inward")
+        self.b1, self.b2 = b1, b2
+        self.n = b1.n
+        self.cut1, self.cut2 = Cutoff(*span1), Cutoff(*span2)
+        self.inward = bool(inward)
+        self.inv_decay_coeff = b1.inv_decay_coeff + b2.inv_decay_coeff
 
     def __repr__(self):
         return f"DisjointGlueField(b1={self.b1!r}, b2={self.b2!r}, inward={self.inward})"
@@ -381,19 +325,31 @@ class DisjointGlueField(ScalarField):
 
 
 class InsertGlueField(ScalarField):
-    """phi(|x|) bubble(x) + (1 - phi(|x|)) host(x1 + x), in bubble coordinates."""
+    """phi(|x|) bubble(x) + (1 - phi(|x|)) host(x1 + x), in bubble coordinates.
 
-    def __init__(self, cfg: GlueConfig):
-        p = cfg.params
-        self.host: ScalarField = p["host"]
-        self.bubble: Bubble = p["bubble"]
-        self.x1 = p["x1"]
-        self.n = self.bubble.n
-        lam = self.bubble.lam
-        self.cut = Cutoff(lam * p["rho_m"], lam * p["rho_M"])
-        self.rho_m, self.rho_M = p["rho_m"], p["rho_M"]
-        self.radial = self.host.radial and bool(np.all(self.x1 == 0.0))
-        self.inv_decay_coeff = self.host.inv_decay_coeff
+    phi falls across [lam rho_m, lam rho_M]; rho_m defaults to rho_M - 10 when
+    that is positive (the wide-annulus regime) and to 0.8 rho_M otherwise.
+    """
+
+    def __init__(self, host: ScalarField, bubble: Bubble, x1, rho_M: float,
+                 rho_m: float | None = None):
+        if host.n != bubble.n:
+            raise BadConfig("host and bubble live in different dimensions")
+        if np.any(bubble.center != 0.0):
+            raise BadConfig("inserted bubble must be centered at the origin")
+        if rho_M <= 0:
+            raise BadConfig("need rho_M > 0")
+        if rho_m is None:
+            rho_m = rho_M - 10.0 if rho_M > 10.0 else 0.8 * rho_M
+        if not 0 < rho_m < rho_M:
+            raise BadConfig("need 0 < rho_m < rho_M")
+        self.host, self.bubble = host, bubble
+        self.x1 = _point(x1, host.n)
+        self.n = bubble.n
+        self.rho_m, self.rho_M = float(rho_m), float(rho_M)
+        self.cut = Cutoff(bubble.lam * self.rho_m, bubble.lam * self.rho_M)
+        self.radial = host.radial and bool(np.all(self.x1 == 0.0))
+        self.inv_decay_coeff = host.inv_decay_coeff
 
     def __repr__(self):
         return (f"InsertGlueField(lam={self.bubble.lam!r}, rho_m={self.rho_m!r}, "
@@ -450,26 +406,50 @@ class InsertGlueField(ScalarField):
         return ub, gb, lapb
 
 
+class GlueConfig:
+    """One built glue field; each classmethod is one call of its class, which
+    validates its own arguments.  GlueConfig and the glue_* functions are the
+    two-step spelling of those calls."""
+
+    def __init__(self, field: ScalarField):
+        self.field = field
+
+    def __repr__(self):
+        return f"GlueConfig({self.field!r})"
+
+    @classmethod
+    def concentric(cls, *args, **kwargs) -> "GlueConfig":
+        return cls(ConcentricGlueField(*args, **kwargs))
+
+    @classmethod
+    def disjoint(cls, *args, **kwargs) -> "GlueConfig":
+        return cls(DisjointGlueField(*args, **kwargs))
+
+    @classmethod
+    def bubble_insert(cls, *args, **kwargs) -> "GlueConfig":
+        return cls(InsertGlueField(*args, **kwargs))
+
+
+def _built(cfg: GlueConfig, kind: type):
+    """cfg's field, raising BadConfig unless it is a kind."""
+    if not isinstance(cfg.field, kind):
+        raise BadConfig(f"expected a {kind.__name__} config, got {cfg!r}")
+    return cfg.field
+
+
 def glue_concentric(cfg: GlueConfig) -> ConcentricGlueField:
     """Radial interpolation between two centered bubbles across [rho, R]."""
-    if cfg.variant != "concentric":
-        raise BadConfig(f"expected a concentric config, got {cfg.variant!r}")
-    p = cfg.params
-    return ConcentricGlueField(p["b1"], p["b2"], p["rho"], p["R"])
+    return _built(cfg, ConcentricGlueField)
 
 
 def glue_disjoint(cfg: GlueConfig) -> DisjointGlueField:
     """Two-ball splice of two bubbles with disjoint cutoff supports."""
-    if cfg.variant != "disjoint":
-        raise BadConfig(f"expected a disjoint config, got {cfg.variant!r}")
-    return DisjointGlueField(cfg)
+    return _built(cfg, DisjointGlueField)
 
 
 def glue_bubble_into(cfg: GlueConfig) -> InsertGlueField:
     """Replace the host by an exact bubble inside |x| < lam rho_m."""
-    if cfg.variant != "bubble-insert":
-        raise BadConfig(f"expected a bubble-insert config, got {cfg.variant!r}")
-    return InsertGlueField(cfg)
+    return _built(cfg, InsertGlueField)
 
 
 def insert_annulus(w: InsertGlueField) -> Annulus:

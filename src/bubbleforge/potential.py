@@ -17,7 +17,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import BadRadii, Coincident, ProfileViolated
 from .field_core import (ScalarField, _dim, _grad_term_of, _grad_term_rows, _k_of, _point,
-                         _pointwise, _row_dot, _sq_dist)
+                         _pointwise, _row_dot, _same_dim, _sq_dist)
 from .regions import _POINT_BLOCK, Ball
 
 
@@ -80,6 +80,7 @@ _ABS_TOL = 1e-14  # adaptive_radial stops at a doubling delta <= max(_ABS_TOL, r
 _MAX_PANELS = 4096  # or at this many panels in a segment
 _PROFILE_RADII = 24  # verify_profile samples this many radii along each direction
 _PROFILE_SPHERE = 4  # of sphere_rule(n, _PROFILE_SPHERE)
+_ABS_H_NODES = 64  # int_absH_ball's polar-angle nodes
 
 
 def _gl_panels(edges: np.ndarray):
@@ -209,7 +210,7 @@ def _grad_h_rows(k: Kernel, X, xi):
     return d / (k.omega_n * s**k.n)
 
 
-def int_absH_ball(k: Kernel, R: float, xi, m: int = 64) -> QuadResult:
+def int_absH_ball(k: Kernel, R: float, xi) -> QuadResult:
     """Integral of |H(., xi)| over the origin-centered ball of radius R.
 
     Polar coordinates about xi integrate the radial direction exactly
@@ -227,8 +228,8 @@ def int_absH_ball(k: Kernel, R: float, xi, m: int = 64) -> QuadResult:
         pref = unit_sphere_area(k.n - 1) / (2.0 * (k.n - 2) * k.omega_n)
         return pref * float(wt @ (rmax * rmax))
 
-    v1, v2 = angular(m), angular(2 * m)
-    return QuadResult(value=v2, err_est=abs(v2 - v1) + 1e-15 * abs(v2), n_evals=3 * m)
+    v1, v2 = angular(_ABS_H_NODES), angular(2 * _ABS_H_NODES)
+    return QuadResult(value=v2, err_est=abs(v2 - v1) + 1e-15 * abs(v2), n_evals=3 * _ABS_H_NODES)
 
 
 def int_absH_annulus(k: Kernel, rho: float, R: float) -> QuadResult:
@@ -342,6 +343,7 @@ def _weighted_grad_integrals(k: Kernel, fields, region: Ball, xi,
     the polar path share one pass: every ray point is built once, and each
     field's integral is bit for bit the one a call of its own gives.
     """
+    _same_dim(k.n, region, *fields)
     xi = _point(xi, k.n)
     at_origin = bool(np.all(region.center == 0.0))
     out: list = [None] * len(fields)
@@ -383,6 +385,7 @@ def rep_identity_report(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi,
     each stops doubling its panels on its own.
     """
     n = u_c.n
+    _same_dim(n, u2, omega2)
     k = Kernel(n)
     xi = _point(xi, n)
     p4 = 4.0 / (n - 2)
@@ -431,10 +434,11 @@ def lower_bound_3_9(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi) -> floa
 def verify_profile(u: ScalarField, prof: SingularProfile) -> None:
     """Sample the declared singular-profile bounds; raise ProfileViolated on failure."""
     n = u.n
+    p = _point(prof.p, n)
     dirs, _ = sphere_rule(n, _PROFILE_SPHERE)
     radii = np.geomspace(prof.delta * 1e-3, prof.delta * 0.999, _PROFILE_RADII)
-    X = _ray_points(prof.p, radii[:, None], dirs)
-    s = np.sqrt(_sq_dist(X, prof.p))
+    X = _ray_points(p, radii[:, None], dirs)
+    s = np.sqrt(_sq_dist(X, p))
     _, g, lap = u._jet(X, True, True)
     if np.any(np.abs(lap) > prof.c1 / s ** (n - 1 + prof.mu)):
         raise ProfileViolated("sampled |lap u| exceeds the declared bound")
@@ -583,6 +587,7 @@ def rep_formula_report(u: ScalarField, prof: SingularProfile | None,
     raises Coincident.
     """
     k = Kernel(u.n)
+    _same_dim(k.n, omega)
     xi = _point(xi, k.n)
     if prof is not None:
         D = 0.5 * float(np.linalg.norm(xi - _point(prof.p, k.n)))

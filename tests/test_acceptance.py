@@ -260,7 +260,7 @@ def test_criterion_09_two_ball_witness_scan():
     l1 = 1 / 420
     xi1 = np.array([2.0, 0.0, 0.0])
     params = ThmBParams(l1, 1.0, 1.0, 1.0, xi1, np.zeros(n), 1.0)
-    ok = thmB_condition(params, n)
+    ok = thmB_condition(params)
     u = glue_disjoint(GlueConfig.disjoint(
         Bubble(l1, xi1, n), 1.0, Bubble(1.0, np.zeros(n), n), 1.0,
         width1=0.2, width2=0.2, inward=True))

@@ -192,14 +192,14 @@ def _witness_params(l1=1 / 420):
 
 
 def test_two_ball_condition_witness():
-    assert thmB_condition(_witness_params(), 3)          # 176400 >= 172032
-    assert not thmB_condition(_witness_params(1 / 400), 3)  # 160000 < 172032
+    assert thmB_condition(_witness_params())             # 176400 >= 172032
+    assert not thmB_condition(_witness_params(1 / 400))  # 160000 < 172032
 
 
 def test_two_ball_condition_fails_for_large_sigma():
     xi1 = np.array([2.0, 0.0, 0.0])
     p = ThmBParams(1 / 420, 1.0, 1.0, 1.0, xi1, np.zeros(3), sigma=50.0)
-    assert not thmB_condition(p, 3)
+    assert not thmB_condition(p)
 
 
 def test_two_ball_geometry_validation():
@@ -216,14 +216,14 @@ def test_two_ball_geometry_validation():
 
 
 def test_chain_bound_witness_clears_target():
-    chain = thmB_chain_bound(_witness_params(), 3)
+    chain = thmB_chain_bound(_witness_params())
     assert chain == pytest.approx(3.6481120382178958, rel=1e-12)
     assert chain >= (3 + 2) / (2 * 3) * 1.0
 
 
 def test_chain_bound_negative_when_uninformative():
     p = ThmBParams(1.0, 1.0, 1.0, 1.0, [100.0, 0, 0], np.zeros(3), 1.0)
-    assert thmB_chain_bound(p, 3) < 0.0
+    assert thmB_chain_bound(p) < 0.0
 
 
 def test_chain_bound_from_strong_headroom(rng):
@@ -244,7 +244,7 @@ def test_chain_bound_from_strong_headroom(rng):
         xi1 = np.zeros(n)
         xi1[0] = sep
         params = ThmBParams(lam1, l2, r1, a, xi1, np.zeros(n), sigma)
-        chain = thmB_chain_bound(params, n)
+        chain = thmB_chain_bound(params)
         assert chain >= (n + 2) / (2 * n) * sigma**2 - 1e-9
 
 

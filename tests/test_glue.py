@@ -21,7 +21,7 @@ from bubbleforge import (
 )
 from bubbleforge.errors import BadConfig, BadRadii, NoSolution, OverlapError
 from bubbleforge.field_core import CallableRadialField, _row_dot, _sq_dist
-from bubbleforge.glue import DisjointGlueField
+from bubbleforge.glue import ConcentricGlueField, DisjointGlueField, InsertGlueField
 from bubbleforge.kelvin import Inversion
 
 from conftest import fd_laplacian
@@ -188,10 +188,11 @@ def test_concentric_c2_across_seams():
 
 def test_concentric_rejects_bad_configs():
     b = Bubble(1.0, np.zeros(3), 3)
-    with pytest.raises(BadConfig):
-        GlueConfig.concentric(b, b, 2.0, 1.0)
-    with pytest.raises(BadConfig):
-        GlueConfig.concentric(Bubble(1.0, [1, 0, 0], 3), b, 1.0, 2.0)
+    for build in (GlueConfig.concentric, ConcentricGlueField):
+        with pytest.raises(BadConfig, match="need 0 < rho < R"):
+            build(b, b, 2.0, 1.0)
+        with pytest.raises(BadConfig, match="centered at the origin"):
+            build(Bubble(1.0, [1, 0, 0], 3), b, 1.0, 2.0)
     with pytest.raises(BadConfig):
         glue_concentric(GlueConfig.disjoint(Bubble(1, [9, 0, 0], 3), 1.0, b, 1.0))
 
@@ -234,11 +235,12 @@ def test_disjoint_positivity_floor(rng):
 
 def test_disjoint_rejects_overlapping_supports():
     b2 = Bubble(1.0, np.zeros(3), 3)
-    with pytest.raises(OverlapError):
-        GlueConfig.disjoint(Bubble(0.5, [3, 0, 0], 3), 1.0, b2, 1.0)  # needs sep >= 4
-    with pytest.raises(OverlapError):
-        GlueConfig.disjoint(Bubble(0.5, [1.5, 0, 0], 3), 1.0, b2, 1.0,
-                            width1=0.2, width2=0.2, inward=True)
+    for build in (GlueConfig.disjoint, DisjointGlueField):
+        with pytest.raises(OverlapError, match="cutoff supports intersect"):
+            build(Bubble(0.5, [3, 0, 0], 3), 1.0, b2, 1.0)  # needs sep >= 4
+        with pytest.raises(OverlapError, match="fidelity balls overlap"):
+            build(Bubble(0.5, [1.5, 0, 0], 3), 1.0, b2, 1.0,
+                  width1=0.2, width2=0.2, inward=True)
 
 
 def test_disjoint_inward_transitions_allow_tangent_balls(rng):
@@ -301,11 +303,12 @@ def test_insert_exact_bubble_inside_inner_radius(rng):
 def test_insert_default_inner_radius_rules():
     b = Bubble(1.0, np.zeros(3), 3)
     cfg_small = GlueConfig.bubble_insert(b, b, np.zeros(3), rho_M=5.0)
-    assert cfg_small.params["rho_m"] == pytest.approx(4.0)
+    assert cfg_small.field.rho_m == pytest.approx(4.0)
     cfg_large = GlueConfig.bubble_insert(b, b, np.zeros(3), rho_M=120.0)
-    assert cfg_large.params["rho_m"] == pytest.approx(110.0)
-    with pytest.raises(BadConfig):
-        GlueConfig.bubble_insert(b, b, np.zeros(3), rho_M=2.0, rho_m=3.0)
+    assert cfg_large.field.rho_m == pytest.approx(110.0)
+    for build in (GlueConfig.bubble_insert, InsertGlueField):
+        with pytest.raises(BadConfig, match="need 0 < rho_m < rho_M"):
+            build(b, b, np.zeros(3), rho_M=2.0, rho_m=3.0)
 
 
 def _perturbed_host(n, lam, delta):

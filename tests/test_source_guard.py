@@ -46,6 +46,10 @@ No allocator pinning: the page faults of a working set are mended by
 shrinking it, not hidden by tuning glibc's malloc.  No module imports
 ctypes, calls or names mallopt, or names a MALLOC_* environment variable.
 
+No default dimension: no function of the package gives a parameter
+named n a default, so every caller states the R^n it works in, and a
+value whose dimension its inputs carry reads it from them.
+
 No test oracle in the package: the analytic jet is its only derivative
 path, and the finite-difference stencil lives in tests/conftest.py.  No
 module names fd_scale, imports a module fd or defines Dim, and every
@@ -697,3 +701,37 @@ def test_guard_finds_allocator_pinning():
 def test_no_allocator_pinning(path):
     bad = allocator_pinning(path.read_text())
     assert not bad, f"{path.name} lines {bad}: shrink the working set instead of pinning malloc"
+
+
+def dimension_defaults(source: str):
+    """Line numbers of the functions and lambdas that give a parameter named n a default."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaulted = positional[len(positional) - len(a.defaults):]
+            defaulted += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            if any(arg.arg == "n" for arg in defaulted):
+                found.append(node.lineno)
+    return found
+
+
+def test_guard_finds_dimension_defaults():
+    src = "\n".join([
+        "def f(x, n=3): pass",
+        "def g(x, *, n=None): pass",
+        "async def h(n=4, /): pass",
+        "k = lambda x, n=3: x",
+        "def ok(n, m=3): pass",
+        "def ok2(x, *, n): pass",
+        "def ok3(n, /, x=1, *, y=2): pass",
+        "def ok4(nn=3, n_candidates=8): pass",
+    ])
+    assert dimension_defaults(src) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dimension_default(path):
+    bad = dimension_defaults(path.read_text())
+    assert not bad, f"{path.name} lines {bad}: a dimension n has no default"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGeometry, KappaTooLarge, OutOfDomain
-from .field_core import KReport, ScalarField, _dim, _k_of, _same_dim, combined_k_bounds
+from .field_core import KReport, ScalarField, _dim, _k_of, _point, _same_dim, combined_k_bounds
 from .regions import Box, GridSpec, Region, _region_chunks, _stream_argmax
 
 
@@ -54,10 +54,10 @@ class ThmBParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "xi1", np.asarray(self.xi1, dtype=float))
-        object.__setattr__(self, "xi2", np.asarray(self.xi2, dtype=float))
-        if self.xi1.ndim != 1 or self.xi1.shape != self.xi2.shape:
+        if np.ndim(self.xi1) != 1 or np.shape(self.xi1) != np.shape(self.xi2):
             raise InvalidGeometry("centers must be points of one R^n")
+        object.__setattr__(self, "xi1", _point(self.xi1, np.size(self.xi1)))
+        object.__setattr__(self, "xi2", _point(self.xi2, np.size(self.xi2)))
         if min(self.lambda1, self.lambda2, self.r1, self.a) <= 0:
             raise InvalidGeometry("scales and radii must be positive")
         if self.sigma < 1:
@@ -200,7 +200,7 @@ def sup_scan(f: ScalarField, region: Region, grid_spec: GridSpec | None = None) 
         lo, hi = region.bounding_box()
         m = gs.coarse_count(n)
         axes, counts = [np.linspace(a, b, m) for a, b in zip(lo, hi)], [refine] * n
-        cell = (np.asarray(hi) - np.asarray(lo)) / (m - 1)
+        cell = (hi - lo) / (m - 1)
         grid = {"kind": "grid", "points_per_axis": int(m)}
     grid["refine_factor"] = int(gs.refine_factor)
 

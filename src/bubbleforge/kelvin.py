@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtCenter, BubbleforgeError
-from .field_core import Bubble, ScalarField, _pointwise, _row_dot, _sq_dist
+from .field_core import Bubble, ScalarField, _point, _pointwise, _row_dot, _sq_dist
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class Inversion:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        object.__setattr__(self, "center", _point(self.center, np.size(self.center)))
         if not self.radius > 0:
             raise ValueError("inversion radius must be positive")
 

@@ -1,10 +1,12 @@
 """Fundamental solution of the Laplacian and singular potential quadrature.
 
-All ball integrals against the kernel H use polar coordinates about the
-singular point, where |H| r^(n-1) is proportional to r, so the radial
-integrand is bounded; angular directions use product Gauss rules.  Error
-estimates come from rule doubling; accumulation is fixed-order, so results
-are deterministic run to run.
+A ball integral of |H| against a radial factor over an origin-centred ball
+is one radial integral through the spherical mean of the kernel.  Every
+other ball integral against H uses polar coordinates about the singular
+point, where |H| r^(n-1) is proportional to r, so the radial integrand is
+bounded; angular directions use product Gauss rules.  The singular point
+must lie inside the ball.  Error estimates come from rule doubling;
+accumulation is fixed-order, so results are deterministic run to run.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ class SingularProfile:
     delta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
+        object.__setattr__(self, "p", _point(self.p, np.size(self.p)))
         if not (0 < self.mu < 1 and 0 < self.nu < 1):
             raise ValueError("need mu, nu in (0, 1)")
         if min(self.c1, self.c2, self.delta) <= 0:
@@ -80,7 +82,7 @@ _ABS_TOL = 1e-14  # adaptive_radial stops at a doubling delta <= max(_ABS_TOL, r
 _MAX_PANELS = 4096  # or at this many panels in a segment
 _PROFILE_RADII = 24  # verify_profile samples this many radii along each direction
 _PROFILE_SPHERE = 4  # of sphere_rule(n, _PROFILE_SPHERE)
-_ABS_H_NODES = 64  # int_absH_ball's polar-angle nodes
+_ROUNDOFF = 1e-15  # int_absH_ball's err_est adds this share of |value| for summation roundoff
 
 
 def _gl_panels(edges: np.ndarray):
@@ -210,32 +212,31 @@ def _grad_h_rows(k: Kernel, X, xi):
     return d / (k.omega_n * s**k.n)
 
 
+def _pole(ball: Ball, xi, n: int) -> np.ndarray:
+    """xi as a point strictly inside ball, where the polar rays start; ValueError otherwise."""
+    xi = _point(xi, n)
+    if not float(np.linalg.norm(xi - ball.center)) < ball.radius:
+        raise ValueError("xi must lie inside the ball")
+    return xi
+
+
 def int_absH_ball(k: Kernel, R: float, xi) -> QuadResult:
     """Integral of |H(., xi)| over the origin-centered ball of radius R.
 
-    Polar coordinates about xi integrate the radial direction exactly
-    (|H| r^(n-1) is linear in r); the polar angle is integrated by a
-    Gauss-Jacobi rule, doubled once for the error estimate.
+    The spherical-mean reduction of _abs_h_ball with g = 1: the integrand
+    is a polynomial on each side of |xi|, which the Gauss panels integrate
+    exactly, so the doubling delta is roundoff and the estimate adds a
+    roundoff allowance to it.
     """
-    xi = _point(xi, k.n)
-    s = float(np.linalg.norm(xi))
-    if s >= R:
-        raise ValueError("xi must lie inside the ball")
-
-    def angular(mm: int) -> float:
-        t, wt = _gauss_gegenbauer(mm, (k.n - 3) / 2.0)
-        rmax = -s * t + np.sqrt(s * s * t * t + R * R - s * s)
-        pref = unit_sphere_area(k.n - 1) / (2.0 * (k.n - 2) * k.omega_n)
-        return pref * float(wt @ (rmax * rmax))
-
-    v1, v2 = angular(_ABS_H_NODES), angular(2 * _ABS_H_NODES)
-    return QuadResult(value=v2, err_est=abs(v2 - v1) + 1e-15 * abs(v2), n_evals=3 * _ABS_H_NODES)
+    ball = Ball(np.zeros(k.n), R)
+    val, err, ev = _abs_h_ball(k, lambda X: 1.0, ball, _pole(ball, xi, k.n), ())
+    return QuadResult(value=val, err_est=err + _ROUNDOFF * abs(val), n_evals=ev)
 
 
 def int_absH_annulus(k: Kernel, rho: float, R: float) -> QuadResult:
     """Integral of |H(., 0)| over the annulus rho < |x| < R."""
-    if not 0 < rho < R:
-        raise BadRadii("need 0 < rho < R")
+    if not 0 < rho < R < math.inf:
+        raise BadRadii("need 0 < rho < R < inf")
     val, err, ev = adaptive_radial(lambda r: r / (k.n - 2.0), rho, R)
     return QuadResult(value=val, err_est=err, n_evals=ev)
 
@@ -331,36 +332,14 @@ def weighted_grad_integral(k: Kernel, f: ScalarField, region: Ball, xi,
     integral through the spherical mean of the kernel; otherwise a polar
     product rule about xi is used.
     """
-    [q] = _weighted_grad_integrals(k, (f,), region, xi, m_sphere, m_rad)
-    return q
-
-
-def _weighted_grad_integrals(k: Kernel, fields, region: Ball, xi,
-                             m_sphere: int = 16, m_rad: int = 16) -> list[QuadResult]:
-    """weighted_grad_integral of each of several fields over one ball.
-
-    Each radial field keeps its own adaptive integral.  The fields that take
-    the polar path share one pass: every ray point is built once, and each
-    field's integral is bit for bit the one a call of its own gives.
-    """
-    _same_dim(k.n, region, *fields)
-    xi = _point(xi, k.n)
-    at_origin = bool(np.all(region.center == 0.0))
-    out: list = [None] * len(fields)
-    polar = []
-    for i, f in enumerate(fields):
-        if not (f.radial and at_origin):
-            polar.append(i)
-            continue
-        val, err, ev = _abs_h_ball(k, lambda X, f=f: _grad_term_rows(f, X), region, xi, ())
-        out[i] = QuadResult(value=val, err_est=err, n_evals=ev)
-    if polar:
-        res, ev = _polar_ball_integral(
-            k, lambda X: tuple(_grad_term_rows(fields[i], X) for i in polar),
-            region, xi, m_sphere, m_rad)
-        for i, (val, err) in zip(polar, res):
-            out[i] = QuadResult(value=val, err_est=err, n_evals=ev)
-    return out
+    _same_dim(k.n, region, f)
+    xi = _pole(region, xi, k.n)
+    if f.radial and bool(np.all(region.center == 0.0)):
+        val, err, ev = _abs_h_ball(k, lambda X: _grad_term_rows(f, X), region, xi, ())
+    else:
+        [(val, err)], ev = _polar_ball_integral(k, lambda X: (_grad_term_rows(f, X),),
+                                                region, xi, m_sphere, m_rad)
+    return QuadResult(value=val, err_est=err, n_evals=ev)
 
 
 def _radial_field_splits(field) -> list[float]:
@@ -387,7 +366,7 @@ def rep_identity_report(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi,
     n = u_c.n
     _same_dim(n, u2, omega2)
     k = Kernel(n)
-    xi = _point(xi, n)
+    xi = _pole(omega2, xi, n)
     p4 = 4.0 / (n - 2)
 
     radial = u_c.radial and u2.radial and bool(np.all(omega2.center == 0.0))
@@ -420,9 +399,11 @@ def rep_identity_report(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi,
 def lower_bound_3_9(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi) -> float:
     """Representation lower bound on sup |K - 1| over a ball of radius R."""
     n = u_c.n
+    _same_dim(n, u2, omega2)
+    k = Kernel(n)
     p4 = 4.0 / (n - 2)
-    q_c, q_2 = _weighted_grad_integrals(Kernel(n), (u_c, u2), omega2, xi)
-    q2 = q_c.value - q_2.value
+    q2 = (weighted_grad_integral(k, u_c, omega2, xi).value
+          - weighted_grad_integral(k, u2, omega2, xi).value)
     bracket = (float(u_c.value(xi)) ** (-p4) - float(u2.value(xi)) ** (-p4)
                + (n + 2) * q2)
     return ((n - 2) / (2.0 * n)) * bracket / omega2.radius**2
@@ -451,7 +432,7 @@ def _boundary_integral(k: Kernel, u: ScalarField, center, radius: float,
                        xi: np.ndarray, m: int, outward: bool = True) -> float:
     """Integral of u dH/dn - H du/dn over a sphere, normal radial (+/-)."""
     dirs, w = sphere_rule(k.n, m)
-    X = _ray_points(np.asarray(center, float), radius, dirs)
+    X = _ray_points(center, radius, dirs)
     sgn = 1.0 if outward else -1.0
     dh = _row_dot(_grad_h_rows(k, X, xi), dirs.T)
     uv, g, _ = u._jet(X, True, False)
@@ -588,7 +569,7 @@ def rep_formula_report(u: ScalarField, prof: SingularProfile | None,
     """
     k = Kernel(u.n)
     _same_dim(k.n, omega)
-    xi = _point(xi, k.n)
+    xi = _pole(omega, xi, k.n)
     if prof is not None:
         D = 0.5 * float(np.linalg.norm(xi - _point(prof.p, k.n)))
         _check_eps_seq(eps_seq, D)

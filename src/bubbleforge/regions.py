@@ -8,7 +8,7 @@ from itertools import islice
 
 import numpy as np
 
-from .field_core import _pointwise, _sq_dist
+from .field_core import _point, _pointwise, _sq_dist
 
 _SHELL_SLACK = 1e-12  # relative widening of a squared-radius shell mask
 _POINT_BLOCK = 1 << 14  # points per scan chunk and ray block: 128 KB (m,) temporaries
@@ -25,7 +25,7 @@ class _Round:
         return _pointwise(self._contains, x, self.n)
 
     def _set_center(self):
-        center = np.asarray(self.center, dtype=float)
+        center = _point(self.center, np.size(self.center))
         if not np.all(np.isfinite(center)):
             raise ValueError("region center must be finite")
         object.__setattr__(self, "center", center)
@@ -77,8 +77,8 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
-        object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
+        object.__setattr__(self, "lo", _point(self.lo, np.size(self.lo)))
+        object.__setattr__(self, "hi", _point(self.hi, np.size(self.hi)))
         if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
             raise ValueError("box corners must be finite")
         if self.lo.shape != self.hi.shape or np.any(self.lo >= self.hi):
@@ -110,8 +110,7 @@ def grid_points(lo: np.ndarray, hi: np.ndarray, counts) -> np.ndarray:
     smallest grid index.  Scans stream their grids through _grid_chunks; this
     is the dense reference of the tests, and bench/layertrace.py marks it.
     """
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
+    lo, hi = _point(lo, np.size(lo)), _point(hi, np.size(hi))
     counts = np.broadcast_to(np.asarray(counts, int), lo.shape)
     axes = [np.linspace(a, b, int(c)) for a, b, c in zip(lo, hi, counts)]
     mesh = np.meshgrid(*axes, indexing="ij")

@@ -23,6 +23,7 @@ from bubbleforge import (
     Kernel,
     SingularProfile,
     SumField,
+    ThmBParams,
     base_k,
     grad_inv_power,
     h_eval,
@@ -38,6 +39,7 @@ from bubbleforge import (
 )
 from bubbleforge.blowup import d_eps, weighted_u
 from bubbleforge.glue import InsertGlueField
+from bubbleforge.kelvin import KelvinField
 from bubbleforge.potential import grad_h, verify_profile
 
 N = 3
@@ -156,9 +158,51 @@ def test_fields_keep_their_own_centres():
     c = np.zeros(N)
     b = Bubble(1.0, c, N)
     w = InsertGlueField(_OFF, Bubble(1.0, _O, N), c, 5.0)
-    c[0] = 2.0
+    inv = Inversion(c, 1.0)
+    kelvin = KelvinField(Bubble(1.0, _O, N), inv)
+    kelvin_value = kelvin.value(_X)
+    ball, annulus, prof = Ball(c, 1.0), Annulus(c, 0.2, 1.0), _profile(c)
+    lo, hi = -np.ones(N), np.ones(N)
+    box = Box(lo, hi)
+    xi2 = np.array([2.0, 0.0, 0.0])
+    params = ThmBParams(0.1, 0.1, 0.5, 0.5, _O, xi2)
+    c[0], lo[0], xi2[0] = 2.0, 5.0, 0.5
     assert b.radial and not b.center.any() and b.value(_O) == 1.0
     assert not w.x1.any()
+    assert not inv.center.any() and kelvin.radial and kelvin.value(_X) == kelvin_value
+    assert not (ball.center.any() or annulus.center.any() or prof.p.any())
+    assert np.all(box.lo < box.hi)
+    assert params.separation == 2.0
+
+
+# every integral with rays from a pole xi, at a pole on or outside the unit ball
+OUTSIDE_POLE = {
+    "int_absH_ball": lambda xi: int_absH_ball(Kernel(N), 1.0, xi),
+    "weighted_grad_integral-radial": lambda xi: weighted_grad_integral(
+        Kernel(N), Bubble(1.0, _O, N), Ball(_O, 1.0), xi, 4, 4),
+    "weighted_grad_integral-polar": lambda xi: weighted_grad_integral(
+        Kernel(N), _OFF, Ball(_O, 1.0), xi, 4, 4),
+    "rep_identity_report": lambda xi: rep_identity_report(
+        Bubble(0.5, _O, N), Bubble(1.0, _O, N), Ball(_O, 1.0), xi, 4, 4),
+    "lower_bound_3_9": lambda xi: lower_bound_3_9(
+        Bubble(0.5, _O, N), Bubble(1.0, _O, N), Ball(_O, 1.0), xi),
+    "rep_formula_report": lambda xi: rep_formula_report(
+        _OFF, None, Ball(_O, 1.0), xi, m_sphere=4, m_boundary=8, m_rad=4),
+    "rep_formula_report-p": lambda xi: rep_formula_report(
+        _OFF, _profile(_O), Ball(_O, 1.0), xi, m_sphere=4, m_boundary=8, m_rad=4),
+}
+
+
+@pytest.mark.parametrize("xi", [[1.5, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, -1.0, 0.0]],
+                         ids=["1.5", "3", "boundary"])
+@pytest.mark.parametrize("fn", OUTSIDE_POLE.values(), ids=OUTSIDE_POLE.keys())
+def test_poles_off_the_ball_raise_before_evaluation(fn, xi, monkeypatch):
+    def no_jet(self, *args):
+        raise AssertionError("a field was evaluated")
+
+    monkeypatch.setattr(Bubble, "_jet", no_jet)
+    with pytest.raises(ValueError, match="xi must lie inside the ball"):
+        fn(np.array(xi))
 
 
 def test_one_point_gives_a_python_scalar():

@@ -20,7 +20,9 @@ column-at-a-time offsets writer _offsets is gone, and the scans' chunk
 (GridSpec.chunk's default) and the quadratures' ray block
 (potential._SEG_BLOCK) are one named constant.  Caller coordinates enter
 through field_core._pointwise and _point alone, which check their
-dimension: no module calls np.moveaxis, and no xi goes through asarray.
+dimension and copy: no module calls np.moveaxis, and no xi, centre, box
+corner lo or hi, profile point p or two-ball centre xi1, xi2 goes through
+asarray, which would keep the caller's array.
 
 One batch hook: a field's values and derivatives come from its _jet
 alone, so no _value, _gradient or _laplacian hook is defined, and a _jet
@@ -574,12 +576,19 @@ def test_every_module_is_imported_by_the_package():
 
 
 ROW_KERNELS = {"_jet", "_radial_jet", "_sq_dist", "_row_dot"}
+POINTS = {"xi", "center", "lo", "hi", "p", "xi1", "xi2"}  # names that hold one point (n,)
+
+
+def _point_name(node):
+    """The name a bare or attribute argument ends in: xi for xi, p for prof.p."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
 def layout_breaks(source: str):
     """(name, line) of a definition of _offsets, of any other use of that
-    name or of moveaxis, of an asarray call on a name xi, and of each .T
-    inside a _jet, _radial_jet, _sq_dist or _row_dot."""
+    name or of moveaxis, of an asarray call on a point (a name or attribute
+    in POINTS), and of each .T inside a _jet, _radial_jet, _sq_dist or
+    _row_dot."""
     found = []
     tree = ast.parse(source)
     for node in ast.walk(tree):
@@ -591,9 +600,9 @@ def layout_breaks(source: str):
                     or isinstance(node, ast.alias) and node.name == name):
                 found.append((name, node.lineno))
         if (isinstance(node, ast.Call) and node.args
-                and isinstance(node.args[0], ast.Name) and node.args[0].id == "xi"
+                and _point_name(node.args[0]) in POINTS
                 and "asarray" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))):
-            found.append(("asarray(xi)", node.lineno))
+            found.append((f"asarray({_point_name(node.args[0])})", node.lineno))
     for fn in ast.walk(tree):
         if isinstance(fn, ast.FunctionDef) and fn.name in ROW_KERNELS:
             found += [(fn.name, node.lineno) for node in ast.walk(fn)
@@ -621,11 +630,19 @@ def test_guard_finds_transposes_and_offsets():
         "    return _h_rows(k, X, np.asarray(xi, dtype=float))",
         "from numpy import asarray, moveaxis",
         "c = asarray(xi); d = asarray(x); e = np.asarray(xi0); f = _point(xi, n)",
+        "class Ball:",
+        "    def __post_init__(self):",
+        "        object.__setattr__(self, 'center', np.asarray(self.center, dtype=float))",
+        "        lo, hi = np.asarray(self.lo), np.asarray(hi, float)",
+        "        p = np.asarray(prof.p); q = np.asarray(self.xi1) - np.asarray(xi2)",
+        "        r = np.asarray(self.radius); s = np.asarray(self.pts); t = _point(self.center, 3)",
     ])
     assert layout_breaks(src) == [("_jet", 6), ("_jet", 7), ("_offsets", 1), ("_offsets", 2),
                                   ("_offsets", 13), ("_radial_jet", 9), ("_sq_dist", 11),
-                                  ("asarray(xi)", 16), ("asarray(xi)", 18), ("moveaxis", 15),
-                                  ("moveaxis", 17)]
+                                  ("asarray(center)", 21), ("asarray(hi)", 22),
+                                  ("asarray(lo)", 22), ("asarray(p)", 23), ("asarray(xi)", 16),
+                                  ("asarray(xi)", 18), ("asarray(xi1)", 23), ("asarray(xi2)", 23),
+                                  ("moveaxis", 15), ("moveaxis", 17)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -29,8 +29,8 @@ import numpy as np
 from .blowup import BlowupInput, detect
 from .bounds import ThmBParams, lower_bound_4_4, sup_scan, thmA_conditions, thmB_chain_bound, thmB_condition
 from .errors import BubbleforgeError
-from .field_core import Bubble, CallableRadialField, RadialField, _radial_jet_of, k_function, k_sum_limit, sum_field
-from .glue import GlueConfig, glue_bubble_into, glue_concentric, glue_disjoint, insert_annulus, solve_rho_M
+from .field_core import Bubble, CallableRadialField, RadialField, SumField, _radial_jet_of, k_function, k_sum_limit
+from .glue import ConcentricGlueField, DisjointGlueField, InsertGlueField, insert_annulus, solve_rho_M
 from .potential import Kernel, SingularProfile, int_absH_ball, rep_formula_report, rep_identity_report
 from .regions import Ball, Box, GridSpec
 
@@ -44,17 +44,44 @@ class ConfigError(Exception):
     """Invalid experiment configuration (schema or parameter errors)."""
 
 
+# --- global options --------------------------------------------------------------
+
+
+def _dimensions(raw: str) -> list[int]:
+    """A dimension, or a sweep range of them."""
+    dims = parse_range(raw)
+    if not all(d.is_integer() for d in dims):
+        raise ValueError("dimension must be integral")
+    return [int(d) for d in dims]
+
+
+def _option(default, help: str, convert: Callable[[str], object],
+            ok: Callable[[object], bool] = lambda v: True, must: str = "", env: str | None = None):
+    """A global option: the flag --<name> and the [experiment] key <name>.  A
+    flag overrides the file, the file the variable env, env the default.  The
+    cast converts a value from any of them and refuses one that is not ok."""
+    def cast(raw: str):
+        value = convert(raw)
+        if not ok(value):
+            raise ValueError(f"must be {must}")
+        return value
+    return field(default=default, metadata={"cast": cast, "help": help, "env": env})
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
-    n: int = 3
+    n: int = _option(3, "ambient dimension; sweeps accept ranges", _dimensions,
+                     lambda dims: dims and min(dims) >= 3, "one or more integers >= 3")
     params: dict = field(default_factory=dict)
-    tol: float = 1e-6
-    grid: int | None = None
-    out: str | None = None
-    fmt: str = "csv"
-    threads: int = 1
-    seed: int = 0
+    tol: float = _option(1e-6, "pass tolerance", float, lambda t: 0 <= t < math.inf, "finite and >= 0")
+    grid: int | None = _option(None, "scan points per axis", int, lambda k: k >= 2, "an integer >= 2")
+    out: str | None = _option(None, "machine report path", str)
+    format: str = _option("csv", "machine report format, csv or json", str,
+                          lambda f: f in ("csv", "json"), "csv or json")
+    threads: int = _option(1, "scan threads", int, lambda k: k >= 1, "an integer >= 1",
+                           env="BUBBLEFORGE_THREADS")
+    seed: int = _option(0, "seed for randomized placements", int, lambda k: k >= 0, "an integer >= 0")
 
     def grid_spec(self) -> GridSpec:
         kw = {"threads": self.threads}
@@ -62,6 +89,9 @@ class ExperimentConfig:
             kw["points_per_axis"] = self.grid
             kw["radial_points"] = max(self.grid, 256)
         return GridSpec(**kw)
+
+
+_OPTIONS = [f for f in dataclasses.fields(ExperimentConfig) if "cast" in f.metadata]
 
 
 @dataclass(frozen=True)
@@ -114,9 +144,8 @@ def _thm_a_checks(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
 def _run_thm_a(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     yield from _thm_a_checks(cfg, p)
     n, target = p["n"], (p["n"] + 2) / p["n"]
-    u = glue_concentric(GlueConfig.concentric(Bubble(p["lambda1"], np.zeros(n), n),
-                                              Bubble(p["lambda2"], np.zeros(n), n),
-                                              p["rho"], p["R"]))
+    u = ConcentricGlueField(Bubble(p["lambda1"], np.zeros(n), n),
+                            Bubble(p["lambda2"], np.zeros(n), n), p["rho"], p["R"])
     rep = sup_scan(u, Ball(np.zeros(n), p["R"]), cfg.grid_spec())
     yield ReportRow("thm-a/scan", _params_str(p), rep.sup_abs_dev, target,
                     rep.sup_abs_dev >= target - cfg.tol)
@@ -129,12 +158,12 @@ def _sweep_thm_a(cfg: ExperimentConfig, p: dict) -> list[ReportRow]:
     return [dataclasses.replace(bound, passed=not cond.passed or bound.passed)]
 
 
-def _disjoint_config(b1: Bubble, r1: float, b2: Bubble, a: float) -> GlueConfig:
+def _disjoint_field(b1: Bubble, r1: float, b2: Bubble, a: float) -> DisjointGlueField:
     """Outward transitions when separation allows, inward otherwise."""
     sep = float(np.linalg.norm(b1.center - b2.center))
     if sep >= 2.0 * (r1 + a):
-        return GlueConfig.disjoint(b1, r1, b2, a)
-    return GlueConfig.disjoint(b1, r1, b2, a, width1=0.2, width2=0.2, inward=True)
+        return DisjointGlueField(b1, r1, b2, a)
+    return DisjointGlueField(b1, r1, b2, a, width1=0.2, width2=0.2, inward=True)
 
 
 def _run_thm_b(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
@@ -147,7 +176,7 @@ def _run_thm_b(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     yield ReportRow("thm-b/condition", pstr, float(ok), 1.0, bool(ok))
     chain = thmB_chain_bound(params)
     yield ReportRow("thm-b/chain", pstr, chain, target, chain >= target - cfg.tol)
-    u = glue_disjoint(_disjoint_config(Bubble(l1, xi1, n), r1, Bubble(l2, np.zeros(n), n), a))
+    u = _disjoint_field(Bubble(l1, xi1, n), r1, Bubble(l2, np.zeros(n), n), a)
     pad = 0.6 * max(r1, a)
     lo = np.minimum(xi1 - r1, -a) - pad
     hi = np.maximum(xi1 + r1, np.full(n, a)) + pad
@@ -159,7 +188,7 @@ def _run_thm_b(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
 def _example_525_far(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     """K far from both bubbles against its limit; the row a sweep keeps."""
     n, l1, l2 = p["n"], p["lambda1"], p["lambda2"]
-    u = sum_field(Bubble(l1, _axis_point(n, p["sep"]), n), Bubble(l2, np.zeros(n), n))
+    u = SumField(Bubble(l1, _axis_point(n, p["sep"]), n), Bubble(l2, np.zeros(n), n))
     kfar = float(k_function(u, _axis_point(n, 1e6 * max(l1, l2))))
     limit = k_sum_limit(l1, l2, n)
     yield ReportRow("example-525/far-limit", _params_str(p, "lambda"), kfar, limit,
@@ -170,7 +199,7 @@ def _run_example_525(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     n, l1, l2 = p["n"], p["lambda1"], p["lambda2"]
     pstr = _params_str(p, "lambda")
     xi1 = _axis_point(n, p["sep"])
-    u = sum_field(Bubble(l1, xi1, n), Bubble(l2, np.zeros(n), n))
+    u = SumField(Bubble(l1, xi1, n), Bubble(l2, np.zeros(n), n))
     equal_mass = 2.0 ** (4.0 / (2.0 - n))
     if l1 == l2:
         kmid = float(k_function(u, xi1 / 2.0))
@@ -206,9 +235,8 @@ def measure_insert_quality(n: int, delta: float, alpha: float, lam: float = 1.0,
     """
     sol = solve_rho_M(delta, alpha, n)
     bubble = Bubble(lam, np.zeros(n), n)
-    host = sum_field(bubble, _cos_perturbation(n, lam, delta))
-    cfg = GlueConfig.bubble_insert(host, bubble, np.zeros(n), rho_M=sol.rho_m_big)
-    w = glue_bubble_into(cfg)
+    host = SumField(bubble, _cos_perturbation(n, lam, delta))
+    w = InsertGlueField(host, bubble, np.zeros(n), rho_M=sol.rho_m_big)
     gs = grid_spec or GridSpec()
     sup_dev = sup_scan(w, insert_annulus(w), gs).sup_abs_dev
     host_eps = sup_scan(host, Ball(np.zeros(n), lam * sol.rho_m_big), gs).sup_abs_dev
@@ -245,8 +273,7 @@ def _run_lemma_37(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
 def _run_rep_identity(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     n = p["n"]
     u2 = Bubble(p["lambda2"], np.zeros(n), n)
-    u_c = glue_concentric(GlueConfig.concentric(Bubble(p["lambda1"], np.zeros(n), n), u2,
-                                                p["rho"], p["R"]))
+    u_c = ConcentricGlueField(Bubble(p["lambda1"], np.zeros(n), n), u2, p["rho"], p["R"])
     rep = rep_identity_report(u_c, u2, Ball(np.zeros(n), p["R"]), p["xi"])
     residual = abs(rep["residual"])
     bound = 1e-3 * max(abs(rep["lhs"]), abs(rep["rhs"]))
@@ -491,8 +518,12 @@ def rows_to_json(rows: list[ReportRow]) -> str:
 def write_report(rows: list[ReportRow], out: str | None, fmt: str) -> str:
     text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
     path = out or f"bubbleforge_report.{fmt}"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        why = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot write report {path!r}: {why}") from exc
     return path
 
 
@@ -509,15 +540,11 @@ def print_summary(rows: list[ReportRow], stream=None) -> None:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI config file ([experiment] and [params] sections)")
-    sub.add_argument("--n", help="ambient dimension (default 3); sweeps accept ranges")
-    sub.add_argument("--tol", type=float, help="pass tolerance (default 1e-6)")
-    sub.add_argument("--grid", type=int, help="scan points per axis")
-    sub.add_argument("--out", help="machine report path")
-    sub.add_argument("--format", choices=("csv", "json"),
-                     help="machine report format (default csv)")
-    sub.add_argument("--threads", type=int,
-                     help="scan threads (default $BUBBLEFORGE_THREADS or 1)")
-    sub.add_argument("--seed", type=int, help="seed for randomized placements")
+    for opt in _OPTIONS:
+        env = opt.metadata["env"]
+        default = f"${env} or {opt.default}" if env else opt.default
+        sub.add_argument(f"--{opt.name}", help=opt.metadata["help"] + (
+            "" if default is None else f" (default {default})"))
     # one hidden flag per parameter that any experiment declares
     for name in dict.fromkeys(k for spec in EXPERIMENTS.values() for k in spec.params):
         sub.add_argument(f"--{name}", dest=f"param_{name}", metavar="V",
@@ -539,77 +566,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# keys of a config file's [experiment] section: the kind and the global flags
-_FILE_KEYS = ("kind", "n", "tol", "grid", "out", "format", "threads", "seed")
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     ini = configparser.ConfigParser()
     ini.optionxform = str  # keep parameter case (R vs r)
     try:
         if args.config and not ini.read(args.config):
             raise ConfigError(f"cannot read config file {args.config!r}")
+        file_exp = dict(ini["experiment"]) if ini.has_section("experiment") else {}
+        params = dict(ini["params"]) if ini.has_section("params") else {}
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {args.config!r}: {exc}") from exc
-    file_exp = dict(ini["experiment"]) if ini.has_section("experiment") else {}
-    unknown = sorted(set(file_exp) - set(_FILE_KEYS))
+    keys = ["kind", *(opt.name for opt in _OPTIONS)]
+    unknown = sorted(set(file_exp) - set(keys))
     if unknown:
         raise ConfigError(f"[experiment] has no key {', '.join(map(repr, unknown))}; "
-                          f"it takes {', '.join(_FILE_KEYS)}")
+                          f"it takes {', '.join(keys)}")
     # the command names the kind ('blowup' its own), and overrides the file's
     kind = getattr(args, "kind", "blowup")
     for name in (kind, file_exp.get("kind", kind)):
         if name not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment kind {name!r}")
-
-    def pick(flag, cast, default):
-        cli_val = getattr(args, flag, None)
-        if cli_val is not None:
-            return cast(cli_val)
-        if flag in file_exp:
-            return cast(file_exp[flag])
-        return default
-
-    params = dict(ini["params"]) if ini.has_section("params") else {}
     if "n" in params:
         raise ConfigError("[params] has no key 'n'; give n in [experiment] or as --n")
     params.update({dest[len("param_"):]: val for dest, val in vars(args).items()
                    if dest.startswith("param_") and val is not None})
-    try:
-        env_threads = os.environ.get("BUBBLEFORGE_THREADS")
-        threads_default = int(env_threads) if env_threads else 1
-        raw_n = str(pick("n", str, "3"))
-        n_vals = parse_range(raw_n)
-        if not n_vals or any(int(v) != v for v in n_vals):
-            raise ConfigError(f"dimension must be integral, got {raw_n!r}")
-        if len(n_vals) > 1:
-            if args.command != "sweep":
-                raise ConfigError(f"n={raw_n}: a range of dimensions needs 'sweep'")
-            params["n"] = raw_n
-        cfg = ExperimentConfig(
-            kind=kind,
-            n=int(n_vals[0]),
-            params=params,
-            tol=pick("tol", float, 1e-6),
-            grid=pick("grid", int, None),
-            out=pick("out", str, None),
-            fmt=pick("format", str, "csv"),
-            threads=pick("threads", int, threads_default),
-            seed=pick("seed", int, 0),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if min(n_vals) < 3:
-        raise ConfigError("dimension must be >= 3")
-    if not 0.0 <= cfg.tol < math.inf:
-        raise ConfigError(f"tol must be finite and >= 0, got {cfg.tol!r}")
-    if cfg.grid is not None and cfg.grid < 2:
-        raise ConfigError("grid must be >= 2 points per axis")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
-    if cfg.fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown report format {cfg.fmt!r}")
-    return cfg
+    given = {}
+    for opt in _OPTIONS:
+        raw = getattr(args, opt.name)
+        if raw is None:
+            env = opt.metadata["env"]
+            raw = file_exp.get(opt.name, os.environ.get(env) or None if env else None)
+        if raw is not None:
+            try:
+                given[opt.name] = opt.metadata["cast"](raw)
+            except ValueError as exc:
+                raise ConfigError(f"{opt.name}={raw}: {exc}") from exc
+    dims = given.pop("n", [ExperimentConfig.n])  # n's cast gives each dimension of a range
+    if len(dims) > 1:
+        params["n"] = ",".join(map(str, dims))
+        if args.command != "sweep":
+            raise ConfigError(f"n={params['n']}: a range of dimensions needs 'sweep'")
+    return ExperimentConfig(kind, dims[0], params, **given)
 
 
 def main(argv=None) -> int:
@@ -617,14 +614,15 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         code, rows = (sweep if args.command == "sweep" else run)(cfg)
+        print_summary(rows)
+        path = write_report(rows, cfg.out, cfg.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BubbleforgeError, ValueError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (BubbleforgeError, ValueError, FloatingPointError, OverflowError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    print_summary(rows)
-    path = write_report(rows, cfg.out, cfg.fmt)
     print(f"report: {path}")
     return code
 

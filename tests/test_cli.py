@@ -7,6 +7,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bubbleforge import cli
 from bubbleforge.cli import (
@@ -229,7 +231,7 @@ def test_config_file_experiment_keys_are_the_flag_names(tmp_path):
     ini.write_text("[experiment]\nkind = lemma-37\ntol = 5\nformat = json\n\n[params]\nR = 1\n")
     cfg = cli._config_from_args(cli.build_parser().parse_args(["verify", "lemma-37",
                                                                "--config", str(ini)]))
-    assert (cfg.tol, cfg.fmt) == (5.0, "json")
+    assert (cfg.tol, cfg.format) == (5.0, "json")
 
 
 @pytest.mark.parametrize("key", ["tolerance", "fmt"])
@@ -323,6 +325,84 @@ def test_threads_default_from_environment(tmp_path, monkeypatch):
     args = build_parser().parse_args(["verify", "lemma-37", "--R", "1",
                                       "--threads", "2"])
     assert _config_from_args(args).threads == 2
+
+
+_OPTION_NAMES = [opt.name for opt in cli._OPTIONS]
+# any text a flag or an INI value can carry on one line
+_ONE_LINE = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\n\r"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(_OPTION_NAMES), value=_ONE_LINE, from_file=st.booleans())
+@example(name="n", value="1e400", from_file=True)  # was an OverflowError traceback
+@example(name="tol", value="100%", from_file=True)  # INI interpolation syntax
+def test_any_option_value_gives_a_config_or_a_config_error(tmp_path_factory, name, value,
+                                                           from_file):
+    argv = ["verify", "lemma-37", "--R", "1"]
+    if from_file:
+        ini = tmp_path_factory.mktemp("ini") / "exp.ini"
+        ini.write_text(f"[experiment]\n{name} = {value}\n", encoding="utf-8")
+        argv += ["--config", str(ini)]
+    else:
+        argv.append(f"--{name}={value}")
+    try:
+        cfg = cli._config_from_args(cli.build_parser().parse_args(argv))
+    except cli.ConfigError:
+        return
+    assert isinstance(cfg, cli.ExperimentConfig)
+
+
+def _from_flag_or_file(tmp_path, source, argv, name, value):
+    """argv with --name value, or with a config file that sets name."""
+    if source == "flag":
+        return [*argv, f"--{name}", value]
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[experiment]\n{name} = {value}\n")
+    return [*argv, "--config", str(ini)]
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("argv, name, value", [
+    (["verify", "lemma-37", "--R", "1"], "tol", "abc"),  # a flag used to raise SystemExit
+    (["verify", "lemma-37", "--R", "1"], "format", "xml"),
+    (["verify", "lemma-37", "--R", "1"], "n", "1e400"),  # used to end in an OverflowError
+    (["blowup", "--n", "3"], "seed", "-1"),  # used to exit 3 from numpy
+    (["verify", "lemma-37", "--R", "1"], "seed", "-1"),
+])
+def test_bad_option_exits_config_before_any_experiment(tmp_path, capsys, monkeypatch, source,
+                                                        argv, name, value):
+    monkeypatch.setattr(cli, "run", _no_run)
+    code, rows = _run(tmp_path, *_from_flag_or_file(tmp_path, source, argv, name, value))
+    assert code == EXIT_CONFIG and rows == []
+    assert f"config error: {name}={value}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_threads_from_flag_or_file_leave_the_environment_unread(tmp_path, monkeypatch, source):
+    # BUBBLEFORGE_THREADS used to be parsed first, so "two" failed even under --threads 2
+    monkeypatch.setenv("BUBBLEFORGE_THREADS", "two")
+    argv = _from_flag_or_file(tmp_path, source, ["verify", "lemma-37", "--R", "1"], "threads", "2")
+    assert cli._config_from_args(cli.build_parser().parse_args(argv)).threads == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma-37", "--n", "3", "--R", "1e200"],  # R**2 in the bound
+    ["verify", "thm-a", "--n", "3", "--lambda1", "1e200", "--lambda2", "1", "--rho", "1",
+     "--R", "10"],
+])
+def test_float_overflow_exits_numeric(tmp_path, capsys, argv):
+    code, rows = _run(tmp_path, *argv)
+    assert code == EXIT_NUMERIC and rows == []
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["missing/report.csv", ".", "nul\x00.csv"],
+                         ids=["no-directory", "a-directory", "nul-byte"])
+def test_unwritable_report_path_exits_config(tmp_path, capsys, out):
+    path = str(tmp_path / out)
+    code = main(["verify", "lemma-37", "--n", "3", "--R", "1", "--out", path])
+    assert code == EXIT_CONFIG
+    assert f"config error: cannot write report {path!r}" in capsys.readouterr().err
 
 
 def test_parse_range_forms():
@@ -522,3 +602,10 @@ def test_readme_parameter_table_matches_the_experiment_table():
             assert (value == "required") == (default is cli.REQUIRED), (kind, name)
             if isinstance(default, float):
                 assert float(value) == default, (kind, name)
+
+
+def test_readme_global_flags_name_every_option():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = text.split("Global flags:", 1)[1].split("\n\n", 1)[0]
+    missing = [opt.name for opt in cli._OPTIONS if f"`--{opt.name}" not in paragraph]
+    assert not missing, missing

@@ -18,7 +18,6 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
@@ -56,16 +55,16 @@ def _dimensions(raw: str) -> list[int]:
 
 
 def _option(default, help: str, convert: Callable[[str], object],
-            ok: Callable[[object], bool] = lambda v: True, must: str = "", env: str | None = None):
+            ok: Callable[[object], bool] = lambda v: True, must: str = ""):
     """A global option: the flag --<name> and the [experiment] key <name>.  A
-    flag overrides the file, the file the variable env, env the default.  The
-    cast converts a value from any of them and refuses one that is not ok."""
+    flag overrides the file, the file the default.  The cast converts a value
+    from either and refuses one that is not ok."""
     def cast(raw: str):
         value = convert(raw)
         if not ok(value):
             raise ValueError(f"must be {must}")
         return value
-    return field(default=default, metadata={"cast": cast, "help": help, "env": env})
+    return field(default=default, metadata={"cast": cast, "help": help})
 
 
 @dataclass
@@ -79,8 +78,7 @@ class ExperimentConfig:
     out: str | None = _option(None, "machine report path", str)
     format: str = _option("csv", "machine report format, csv or json", str,
                           lambda f: f in ("csv", "json"), "csv or json")
-    threads: int = _option(1, "scan threads", int, lambda k: k >= 1, "an integer >= 1",
-                           env="BUBBLEFORGE_THREADS")
+    threads: int = _option(1, "scan threads", int, lambda k: k >= 1, "an integer >= 1")
     seed: int = _option(0, "seed for randomized placements", int, lambda k: k >= 0, "an integer >= 0")
 
     def grid_spec(self) -> GridSpec:
@@ -541,10 +539,8 @@ def print_summary(rows: list[ReportRow], stream=None) -> None:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI config file ([experiment] and [params] sections)")
     for opt in _OPTIONS:
-        env = opt.metadata["env"]
-        default = f"${env} or {opt.default}" if env else opt.default
         sub.add_argument(f"--{opt.name}", help=opt.metadata["help"] + (
-            "" if default is None else f" (default {default})"))
+            "" if opt.default is None else f" (default {opt.default})"))
     # one hidden flag per parameter that any experiment declares
     for name in dict.fromkeys(k for spec in EXPERIMENTS.values() for k in spec.params):
         sub.add_argument(f"--{name}", dest=f"param_{name}", metavar="V",
@@ -594,8 +590,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     for opt in _OPTIONS:
         raw = getattr(args, opt.name)
         if raw is None:
-            env = opt.metadata["env"]
-            raw = file_exp.get(opt.name, os.environ.get(env) or None if env else None)
+            raw = file_exp.get(opt.name)
         if raw is not None:
             try:
                 given[opt.name] = opt.metadata["cast"](raw)

@@ -3,7 +3,10 @@
 Three constructions are provided: a radial interpolation between two
 centered bubbles (concentric), a two-ball splice that keeps one bubble on
 each ball and their sum far away (disjoint), and the insertion of an exact
-bubble into a host field across a thin annulus (bubble-insert).
+bubble into a host field across a thin annulus (bubble-insert).  Each is
+made of blends phi A + (1 - phi) B with a radial cutoff phi, and one product
+rule, _blend, forms their jets: the concentric glue blends its bubbles, the
+insert glue its bubble and host, and the disjoint glue adds two blends with A = 0.
 """
 
 from __future__ import annotations
@@ -140,6 +143,59 @@ def solve_rho_M(delta: float, alpha: float, n) -> RhoMSolution:
                         n=n, band_lo=lo, band_hi=hi)
 
 
+def _blend(n, cutoff_jet, s, a, b, dot_s, X, c, grad, d2, into=None):
+    """The jet (u, g, lap) of phi A + (1 - phi) B, formed in place in the arrays of a and b.
+
+    cutoff_jet is (phi, phi', phi'') at the radii s about the cutoff's centre
+    c (None: the origin), s with each zero replaced by 1; a and b are the jets
+    of A and B, and dot_s = (x - c).grad(A - B) / s.  a = None is A = 0: then
+    dot_s = (x - c).grad B / s, the terms in A - B are subtracted, and the jet
+    is added into the jet into, or formed in b's arrays without one.  g is
+    (n, m) rows at the points X or, with X None, the slopes f'/r of radial A
+    and B about c.
+        u = phi u_A + (1 - phi) u_B
+        g = phi g_A + (1 - phi) g_B + (phi'/s)(u_A - u_B)(x - c)
+        lap = phi lap_A + (1 - phi) lap_B + (dot_s phi') 2 + (phi'' + (phi'/s)(n-1))(u_A - u_B)
+    Each product and sum is formed left to right as written.  Where phi is 1
+    or 0, phi' and phi'' are zeros, and the jet is A's or B's bit for bit.
+    """
+    p, dp, d2p = cutoff_jet
+    ub, gb, lapb = b
+    if a is None:  # u_A - u_B = -u_B
+        u, g, lap = into or (None, None, None)
+        d, add = ub, np.subtract
+    else:
+        u, g, lap = a
+        d, add = (u - ub if grad or d2 else None), np.add
+        for v in a:  # u_A, and g_A and lap_A where formed
+            if v is not None:
+                v *= p
+    q = np.subtract(1.0, p, out=p)
+    if d2:
+        lapb *= q
+        lap = lapb if lap is None else np.add(lap, lapb, out=lap)
+        dot_s *= dp
+        dot_s *= 2.0
+        add(lap, dot_s, out=lap)
+    if grad or d2:
+        dp /= s
+    if d2:
+        # (phi'/s)(n-1) in the buffer of dot_s, which is spent
+        d2p += np.multiply(dp, n - 1, out=dot_s)
+        d2p *= d
+        add(lap, d2p, out=lap)
+    if grad:
+        gb *= q
+        g = gb if g is None else np.add(g, gb, out=g)
+        dp *= d
+        if X is not None:  # the rows x - c, times dp
+            o = X * dp if c is None else X - c[:, None]
+            dp = o if c is None else np.multiply(o, dp, out=o)
+        add(g, dp, out=g)
+    ub *= q
+    return ub if u is None else np.add(u, ub, out=u), g, lap
+
+
 class ConcentricGlueField(RadialField):
     """phi u1 + (1 - phi) u2 for centered bubbles; exact bubble on each side."""
 
@@ -160,56 +216,22 @@ class ConcentricGlueField(RadialField):
                 f"rho={self.cut.r_in!r}, R={self.cut.r_out!r})")
 
     def _radial_jet(self, r, slope, d2):
-        # f = p f1 + q f2, f'/r = p k1 + q k2 + p' d / r and
-        # lap = p lap1 + q lap2 + 2 p' r (k1 - k2) + (p'' + (n-1) p'/r) d, with
-        # q = 1 - p, k = f'/r and d = f1 - f2, from the bubbles' closed-form
-        # jets and summed term by term in place; off the annulus p is 1 or 0
-        # and p', p'' are zeros, so the jet is a bubble's bit for bit
+        # the blend of the bubbles' closed-form jets in slope form, its cutoff
+        # jet formed before their arrays exist
         need = slope or d2
         # a value needs no cutoff slope
-        p, dp, d2p = self.cut._jet(r, d2) if need else (self.cut.phi(r), None, None)
+        cj = self.cut._jet(r, d2) if need else (self.cut.phi(r), None, None)
         f1, k1, lap1 = self.b1._radial_jet(r, need, d2)
         f2, k2, lap2 = self.b2._radial_jet(r, need, d2)
+        dot_s = None
         if d2:
-            # k1 - k2, in k1 and freeing k2 unless the slope is returned
-            if slope:
-                dk = k1 - k2
-            else:
-                dk, k2 = np.subtract(k1, k2, out=k1), None
-            lap1 *= p
-        d = f1 - f2 if need else None
-        f1 *= p
-        if slope:
-            k1 *= p
-        q = np.subtract(1.0, p, out=p)
-        f2 *= q
-        f1 += f2
-        del f2
-        if not need:
-            return f1, None, None
-        if slope:
-            k2 *= q
-            k1 += k2
-        del k2
-        if d2:
-            lap2 *= q
-            lap1 += lap2
-            del lap2
-            dk *= r
-            dk *= dp
-            dk *= 2.0
-            lap1 += dk
-            del dk
-        # p'/r in the buffer of p'
-        dp /= _nonzero(r)
-        if slope:
-            k1 += np.multiply(d, dp, out=None if d2 else d)
-        if d2:
-            dp *= self.n - 1
-            d2p += dp
-            d2p *= d
-            lap1 += d2p
-        return f1, k1 if slope else None, lap1
+            # x.grad(u1 - u2) / r = r (k1 - k2), in k1 unless the slopes are returned
+            dot_s = np.subtract(k1, k2, out=None if slope else k1)
+            dot_s *= r
+        if not slope:
+            k1 = k2 = None
+        return _blend(self.n, cj, _nonzero(r) if need else r, (f1, k1, lap1), (f2, k2, lap2),
+                      dot_s, None, None, slope, d2)
 
 
 def _dot_with_slope(X, c, k, ck):
@@ -267,61 +289,29 @@ class DisjointGlueField(ScalarField):
         s1, s2 = _sq_dist(X, self.b1.center), _sq_dist(X, self.b2.center)
         np.sqrt(s1, out=s1)
         np.sqrt(s2, out=s2)
-        acc = [None, None, None]  # u, g, lap
+        jet = self._half(X, self.b1, s1, self.cut2, s2, self.b2.center, grad, d2)
+        return self._half(X, self.b2, s2, self.cut1, s1, self.b1.center, grad, d2, into=jet)
 
-        def add(i, term):
-            if acc[i] is None:
-                acc[i] = term
-            else:
-                acc[i] += term
-
-        def half(b, r, cut, s, c):
-            # (1 - phi(s)) u_b for the bubble b at radii r, phi the cutoff about
-            # the other centre c at radii s: its terms go into acc in the order
-            # of the field's sums, and its arrays are freed on return
-            ub, k, lapb = b._radial_jet(r, grad or d2, d2)
-            # what reads k first, so that k is freed before the cutoff's arrays exist
-            if d2:
-                dot = _dot_with_slope(X, c, k, b.center)
-            if grad:
-                g = X - b.center[:, None]
-                g *= k
-                g[:, r == 0.0] = 0.0
-            del k
-            if grad or d2:
-                p, dp, d2p = cut._jet(s, d2)
-                ss = _nonzero(s)
-            else:
-                p = cut.phi(s)  # a value needs no cutoff slope
-            q = np.subtract(1.0, p, out=p)
-            if d2:
-                # (1 - phi) lap u_b - 2 phi' (x - c).grad u_b / s - (phi'' + (n-1) phi' / s) u_b
-                lapb *= q
-                add(2, lapb)
-                tmp = np.multiply(dp, 2.0)
-                dot *= tmp
-                dot /= ss
-                acc[2] -= dot
-                np.multiply(dp, self.n - 1, out=tmp)
-                tmp /= ss
-                d2p += tmp
-                d2p *= ub
-                acc[2] -= d2p
-            if grad:
-                # (1 - phi) grad u_b - (phi' / s) u_b (x - c), by rows
-                g *= q
-                add(1, g)
-                o = X - c[:, None]
-                dp /= ss
-                dp *= ub
-                o *= dp
-                acc[1] -= o
-            ub *= q
-            add(0, ub)
-
-        half(self.b1, s1, self.cut2, s2, self.b2.center)
-        half(self.b2, s2, self.cut1, s1, self.b1.center)
-        return tuple(acc)
+    def _half(self, X, b, r, cut, s, c, grad, d2, into=None):
+        # (1 - phi(s)) u_b, the blend with A = 0 of the bubble b at radii r and
+        # the cutoff about the other centre c at radii s, added into the jet
+        # into; its arrays are freed on return
+        need = grad or d2
+        u, k, lap = b._radial_jet(r, need, d2)
+        ss = _nonzero(s) if need else s
+        # what reads k first, so that k is freed before the cutoff's arrays exist
+        dot_s = g = None
+        if d2:
+            dot_s = _dot_with_slope(X, c, k, b.center)
+            dot_s /= ss
+        if grad:
+            g = X - b.center[:, None]
+            g *= k
+            g[:, r == 0.0] = 0.0
+        del k
+        # a value needs no cutoff slope
+        cj = cut._jet(s, d2) if need else (cut.phi(s), None, None)
+        return _blend(self.n, cj, ss, None, (u, g, lap), dot_s, X, c, grad, d2, into=into)
 
 
 class InsertGlueField(ScalarField):
@@ -356,54 +346,22 @@ class InsertGlueField(ScalarField):
                 f"rho_M={self.rho_M!r})")
 
     def _jet(self, X, grad, d2):
-        uh, gh, laph = self.host._jet(self.x1[:, None] + X, grad or d2, d2)
-        ub, gb, lapb = self.bubble._jet(X, grad or d2, d2)
-        diff = ub - uh if grad or d2 else None
-        if d2:
-            # gb - gh in place unless the gradients are returned
-            dot = _row_dot(X, gb - gh if grad else np.subtract(gb, gh, out=gb))
-            if not grad:
-                gb = gh = None
+        need = grad or d2
+        uh, gh, laph = self.host._jet(self.x1[:, None] + X, need, d2)
+        ub, gb, lapb = self.bubble._jet(X, need, d2)
         s = _sq_dist(X)
         np.sqrt(s, out=s)
+        ss = _nonzero(s) if need else s
+        dot_s = None
+        if d2:
+            # x.(g_b - g_h) / s, in g_b unless the gradients are returned
+            dot_s = _row_dot(X, gb - gh if grad else np.subtract(gb, gh, out=gb))
+            dot_s /= ss
+            if not grad:
+                gb = gh = None
         # a value needs no cutoff slope
-        p, dp, d2p = self.cut._jet(s, d2) if grad or d2 else (self.cut.phi(s), None, None)
-        # phi (u_b, g_b, lap u_b) + (1 - phi) (u_h, g_h, lap u_h)
-        ub *= p
-        if d2:
-            lapb *= p
-        if grad:
-            gb *= p
-        q = np.subtract(1.0, p, out=p)
-        uh *= q
-        ub += uh
-        if d2:
-            laph *= q
-            lapb += laph
-        if grad:
-            gh *= q
-            gb += gh
-        if not (grad or d2):
-            return ub, None, None
-        ss = _nonzero(s)
-        if d2:
-            # + 2 phi' x.(g_b - g_h) / s + (phi'' + (n-1) phi' / s)(u_b - u_h)
-            tmp = np.multiply(dp, 2.0)
-            dot *= tmp
-            dot /= ss
-            lapb += dot
-            np.multiply(dp, self.n - 1, out=tmp)
-            tmp /= ss
-            d2p += tmp
-            d2p *= diff
-            lapb += d2p
-        if not grad:
-            return ub, None, lapb
-        # + (phi' / s)(u_b - u_h) x
-        dp *= diff
-        dp /= ss
-        gb += dp * X
-        return ub, gb, lapb
+        cj = self.cut._jet(s, d2) if need else (self.cut.phi(s), None, None)
+        return _blend(self.n, cj, ss, (ub, gb, lapb), (uh, gh, laph), dot_s, X, None, grad, d2)
 
 
 class GlueConfig:

@@ -304,27 +304,13 @@ def test_bad_tol_from_config_file_exits_config(tmp_path, capsys, monkeypatch):
     assert "tol" in capsys.readouterr().err
 
 
-def test_bad_thread_count_from_environment_exits_config(tmp_path, monkeypatch):
-    monkeypatch.setenv("BUBBLEFORGE_THREADS", "0")
-    code, _ = _run(tmp_path, "verify", "lemma-37", "--R", "1")
-    assert code == EXIT_CONFIG
-
-
-def test_non_integer_thread_count_from_environment_exits_config(tmp_path, monkeypatch):
+def test_threads_ignore_the_environment(tmp_path, monkeypatch):
+    # BUBBLEFORGE_THREADS once set the default thread count; no variable does now
     monkeypatch.setenv("BUBBLEFORGE_THREADS", "two")
-    code, _ = _run(tmp_path, "verify", "lemma-37", "--R", "1")
-    assert code == EXIT_CONFIG
-
-
-def test_threads_default_from_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("BUBBLEFORGE_THREADS", "3")
-    from bubbleforge.cli import _config_from_args, build_parser
-    args = build_parser().parse_args(["verify", "lemma-37", "--R", "1"])
-    assert _config_from_args(args).threads == 3
-    monkeypatch.delenv("BUBBLEFORGE_THREADS")
-    args = build_parser().parse_args(["verify", "lemma-37", "--R", "1",
-                                      "--threads", "2"])
-    assert _config_from_args(args).threads == 2
+    argv = ["verify", "lemma-37", "--R", "1"]
+    assert cli._config_from_args(cli.build_parser().parse_args(argv)).threads == 1
+    code, _ = _run(tmp_path, *argv)
+    assert code == 0
 
 
 _OPTION_NAMES = [opt.name for opt in cli._OPTIONS]
@@ -379,7 +365,7 @@ def test_bad_option_exits_config_before_any_experiment(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_threads_from_flag_or_file_leave_the_environment_unread(tmp_path, monkeypatch, source):
-    # BUBBLEFORGE_THREADS used to be parsed first, so "two" failed even under --threads 2
+    # the flag and the file set the thread count alone, whatever BUBBLEFORGE_THREADS holds
     monkeypatch.setenv("BUBBLEFORGE_THREADS", "two")
     argv = _from_flag_or_file(tmp_path, source, ["verify", "lemma-37", "--R", "1"], "threads", "2")
     assert cli._config_from_args(cli.build_parser().parse_args(argv)).threads == 2

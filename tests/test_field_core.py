@@ -26,7 +26,8 @@ from bubbleforge import (
 )
 from bubbleforge.cli import _RadialPower
 from bubbleforge.errors import KappaTooLarge, NonpositiveValue
-from bubbleforge.field_core import _row_dot, _sq_dist
+from bubbleforge.field_core import SumField, _row_dot, _sq_dist
+from bubbleforge.glue import DisjointGlueField, InsertGlueField
 from bubbleforge.kelvin import KelvinField, _image
 from bubbleforge.potential import Kernel
 from bubbleforge.regions import Box
@@ -345,20 +346,20 @@ JET_REL_TOL = 1e-14
 
 
 def _mp_radial_jet(x, center, f, df, d2f):
-    """(u, grad u, lap u, lap scale) at x of the radial field f(|x - center|), in mpmath.
+    """(u, grad u, lap u, |grad u|, lap scale) at x of the radial field f(|x - center|), in mpmath.
 
     f, df and d2f give the profile and its first two derivatives at an mpf
-    radius; the offsets are the exact differences of the float inputs.  The
-    scale is |f''| + (n-1) |f'/r|, or |lap u| at r = 0.
+    radius; the offsets are the exact differences of the float (or mpf)
+    inputs.  The scale is |f''| + (n-1) |f'/r|, or |lap u| at r = 0.
     """
-    d = [mpmath.mpf(float(a)) - mpmath.mpf(c) for a, c in zip(x, center)]
+    d = [mpmath.mpf(a) - mpmath.mpf(c) for a, c in zip(x, center)]
     r = mpmath.sqrt(mpmath.fsum(di * di for di in d))
     n = len(d)
     if r == 0:
         lap = n * d2f(r)
-        return f(r), [mpmath.mpf(0)] * n, lap, abs(lap)
+        return f(r), [mpmath.mpf(0)] * n, lap, mpmath.mpf(0), abs(lap)
     slope = df(r) / r
-    return (f(r), [slope * di for di in d], d2f(r) + (n - 1) * slope,
+    return (f(r), [slope * di for di in d], d2f(r) + (n - 1) * slope, abs(df(r)),
             abs(d2f(r)) + (n - 1) * abs(slope))
 
 
@@ -402,16 +403,23 @@ def _mp_power(n, beta):
             lambda r: beta * (beta - 1) * r ** (beta - 2))
 
 
-def _mp_concentric(w):
-    """The concentric glue phi u1 + (1 - phi) u2 with its quintic smoothstep."""
-    c, f1, df1, d2f1 = _mp_bubble(w.b1.lam, w.b1.center)
-    _, f2, df2, d2f2 = _mp_bubble(w.b2.lam, w.b2.center)
-    r_in, width = mpmath.mpf(w.cut.r_in), mpmath.mpf(w.cut.r_out) - mpmath.mpf(w.cut.r_in)
+def _mp_cutoff(c):
+    """(phi, phi', phi'') of the Cutoff c, its quintic smoothstep, at an mpf radius."""
+    r_in, width = mpmath.mpf(c.r_in), mpmath.mpf(c.r_out) - mpmath.mpf(c.r_in)
 
     def cut(r):
         t = min(max((r - r_in) / width, 0), 1)
         return (1 - t**3 * (10 - 15 * t + 6 * t * t), -30 * t * t * (1 - t) ** 2 / width,
                 -60 * t * (2 * t - 1) * (t - 1) / width**2)
+
+    return cut
+
+
+def _mp_concentric(w):
+    """The concentric glue phi u1 + (1 - phi) u2 with its quintic smoothstep."""
+    c, f1, df1, d2f1 = _mp_bubble(w.b1.lam, w.b1.center)
+    _, f2, df2, d2f2 = _mp_bubble(w.b2.lam, w.b2.center)
+    cut = _mp_cutoff(w.cut)
 
     def f(r):
         p = cut(r)[0]
@@ -436,11 +444,12 @@ def _jet_errors(cases, lap_terms=False):
         for field, pts, oracle in cases:
             u, g, lap = field._jet(np.ascontiguousarray(pts.T), True, True)
             for j, x in enumerate(pts):
-                uu, gg, ll, terms = _mp_radial_jet(x, *oracle)
-                gnorm = mpmath.sqrt(mpmath.fsum(gi * gi for gi in gg))
+                # a radial field's (centre, f, f', f''), or a function of x
+                uu, gg, ll, gscale, terms = (oracle(x) if callable(oracle)
+                                             else _mp_radial_jet(x, *oracle))
                 eg = max(abs(mpmath.mpf(float(g[i, j])) - gg[i]) for i in range(len(gg)))
                 errs = (abs(mpmath.mpf(float(u[j])) - uu) / abs(uu),
-                        eg / gnorm if gnorm else (0.0 if eg == 0 else mpmath.inf),
+                        eg / gscale if gscale else (0.0 if eg == 0 else mpmath.inf),
                         abs(mpmath.mpf(float(lap[j])) - ll) / (terms if lap_terms else abs(ll)))
                 worst = [max(w, float(e)) for w, e in zip(worst, errs)]
     return worst
@@ -580,6 +589,89 @@ def test_concentric_glue_jet_against_mpmath(monkeypatch):
         pts = np.linspace(0.0, 2.0, 40)[:, None] * _unit_dirs(rng, 40, n)
         cases.append((w, pts, _mp_concentric(w)))
     _assert_accurate(cases, monkeypatch, _BUBBLE_POWERS, lap_terms=True)
+
+
+def _mp_blend(x, c, cut, a, b):
+    """(u, grad u, lap u, grad scale, lap scale) at x of phi(|x - c|) A + (1 - phi) B, in mpmath.
+
+    cut is an _mp_cutoff, and a and b are the jets of A and B at x with their
+    scales (a None for A = 0).  Each scale adds the absolute values of its
+    terms: phi and 1 - phi times A's and B's scales, and for the gradient
+    |phi'| |A - B|, for the Laplacian |2 grad phi . grad(A - B)| and
+    (|phi''| + (n-1) |phi'/s|) |A - B|.
+    """
+    n = len(x)
+    off = [mpmath.mpf(xi) - mpmath.mpf(ci) for xi, ci in zip(x, c)]
+    s = mpmath.sqrt(mpmath.fsum(o * o for o in off))
+    p, dp, d2p = cut(s)
+    slope = dp / s if s else mpmath.mpf(0)  # the cutoff is flat about its centre
+    ua, ga, la, gsa, lsa = a or (0, [0] * n, 0, 0, 0)
+    ub, gb, lb, gsb, lsb = b
+    d = ua - ub
+    cross = 2 * slope * mpmath.fsum(o * (gi - gj) for o, gi, gj in zip(off, ga, gb))
+    return (p * ua + (1 - p) * ub,
+            [p * gi + (1 - p) * gj + slope * o * d for gi, gj, o in zip(ga, gb, off)],
+            p * la + (1 - p) * lb + cross + (d2p + (n - 1) * slope) * d,
+            p * gsa + (1 - p) * gsb + abs(dp * d),
+            p * lsa + (1 - p) * lsb + abs(cross) + (abs(d2p) + (n - 1) * abs(slope)) * abs(d))
+
+
+def _mp_sum(*jets):
+    """The jet and scales of a sum of fields, from theirs."""
+    u, g, lap, gscale, lscale = zip(*jets)
+    return sum(u), [sum(gi) for gi in zip(*g)], sum(lap), sum(gscale), sum(lscale)
+
+
+def _blend_glues(n):
+    """The disjoint glue, outward and inward, and the insert glue in R^n with their
+    oracles, and their centres."""
+    e1 = np.eye(n)[0]
+    b1, b2 = _mp_bubble(0.1, 2.5 * e1), _mp_bubble(1.0, np.zeros(n))
+
+    def disjoint(w):
+        cut1, cut2 = _mp_cutoff(w.cut1), _mp_cutoff(w.cut2)
+        return lambda x: _mp_sum(_mp_blend(x, b2[0], cut2, None, _mp_radial_jet(x, *b1)),
+                                 _mp_blend(x, b1[0], cut1, None, _mp_radial_jet(x, *b2)))
+
+    out = [DisjointGlueField(Bubble(0.1, 2.5 * e1, n), 0.5, Bubble(1.0, np.zeros(n), n), 0.5),
+           DisjointGlueField(Bubble(0.1, 2.5 * e1, n), 0.5, Bubble(1.0, np.zeros(n), n), 0.5,
+                             width1=0.4, width2=0.3, inward=True)]
+    cases = [(w, disjoint(w), [(w.b2.center, w.cut2), (w.b1.center, w.cut1)]) for w in out]
+    w = InsertGlueField(SumField(Bubble(1.0, np.zeros(n), n), BaseField(n)),
+                        Bubble(0.5, np.zeros(n), n), 0.1 * e1, rho_M=2.0)
+    host = (_mp_bubble(1.0, np.zeros(n)), _mp_base(n))
+    bubble, cut = _mp_bubble(0.5, np.zeros(n)), _mp_cutoff(w.cut)
+
+    def insert(x):
+        y = [mpmath.mpf(xi) + mpmath.mpf(ci) for xi, ci in zip(x, w.x1)]  # x1 + x, exactly
+        return _mp_blend(x, np.zeros(n), cut, _mp_radial_jet(x, *bubble),
+                         _mp_sum(*(_mp_radial_jet(y, *h) for h in host)))
+
+    # the host's centre in bubble coordinates is -x1, where the cutoff is 0
+    return cases + [(w, insert, [(np.zeros(n), w.cut), (-w.x1, None)])]
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["disjoint", "disjoint-inward", "insert"])
+def test_blend_glue_jet_against_mpmath(kind):
+    # points across each cutoff's transition band, at both of its ends (t = 0
+    # and t = 1 exactly, along e2, where every centre has a zero coordinate)
+    # and at each centre; the partials and the Laplacian are measured against
+    # their terms (_mp_blend), which cancel where the gradients of A and B do
+    rng = np.random.default_rng(1850 + kind)
+    cases = []
+    for n in (3, 4, 5):
+        w, oracle, cuts = _blend_glues(n)[kind]
+        e2 = np.eye(n)[1]
+        pts = [rng.uniform(-3.0, 3.0, size=(8, n))]
+        for c, cut in cuts:
+            pts.append(c[None, :])
+            if cut is not None:
+                pts.append(c + np.array([cut.r_in, cut.r_out])[:, None] * e2)
+                pts.append(c + rng.uniform(cut.r_in, cut.r_out, size=(12, 1))
+                           * _unit_dirs(rng, 12, n))
+        cases.append((w, np.vstack(pts), oracle))
+    for entry, err in zip(("u", "grad", "lap"), _jet_errors(cases, lap_terms=True)):
+        assert err <= JET_REL_TOL, (entry, err)
 
 
 def test_rep_singular_jet_against_mpmath(monkeypatch):

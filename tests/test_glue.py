@@ -367,9 +367,9 @@ def test_insert_annulus_region():
 
 
 # --- the in-place jets against the expressions they replaced ----------------------
-# Test-local copies of Cutoff._jet and of the disjoint and insert glue jets as
-# whole-array expressions, before the jets formed their terms in place; every
-# value, gradient and Laplacian must keep their bits.
+# Test-local copies of Cutoff._jet and of the cutoff product rule _blend as
+# whole-array expressions, in _blend's order, and the three glues' jets built
+# on them; every value, gradient and Laplacian must keep their bits.
 
 
 def _expr_phi(cut, r, slope, d2):
@@ -388,64 +388,58 @@ def _expr_dot_with_slope(X, c, k, ck):
     return s
 
 
+def _expr_blend(n, cj, s, a, b, dot_s, off, into=None):
+    """phi A + (1 - phi) B: A = 0 for a None, its terms then added into the jet
+    into; off is x - c as rows, or None for slopes, and s holds no zero."""
+    p, dp, d2p = cj
+    ub, gb, lapb = b
+    d = -ub if a is None else a[0] - ub
+    acc = (into or (None,) * 3) if a is None else [None if v is None else p * v for v in a]
+
+    def plus(x, y):
+        return y if x is None else x + y
+
+    g = lap = None
+    if gb is not None:
+        g = plus(acc[1], (1.0 - p) * gb) + (dp / s * d if off is None else off * (dp / s * d))
+    if lapb is not None:
+        lap = plus(acc[2], (1.0 - p) * lapb) + dot_s * dp * 2.0 + (d2p + dp / s * (n - 1)) * d
+    return plus(acc[0], (1.0 - p) * ub), g, lap
+
+
+def _expr_concentric_radial_jet(f, r, slope, d2):
+    f1, k1, lap1 = f.b1._radial_jet(r, slope or d2, d2)
+    f2, k2, lap2 = f.b2._radial_jet(r, slope or d2, d2)
+    dot_s = (k1 - k2) * r if d2 else None
+    if not slope:
+        k1 = k2 = None
+    return _expr_blend(f.n, _expr_phi(f.cut, r, slope or d2, d2), np.where(r == 0.0, 1.0, r),
+                       (f1, k1, lap1), (f2, k2, lap2), dot_s, None)
+
+
 def _expr_disjoint_jet(f, X, grad, d2):
-    c1, c2 = f.b1.center, f.b2.center
-    s1, s2 = np.sqrt(_sq_dist(X, c1)), np.sqrt(_sq_dist(X, c2))
-    u1, k1, lap1 = f.b1._radial_jet(s1, grad or d2, d2)
-    u2, k2, lap2 = f.b2._radial_jet(s2, grad or d2, d2)
-    p1, dp1, d2p1 = _expr_phi(f.cut1, s1, grad or d2, d2)
-    p2, dp2, d2p2 = _expr_phi(f.cut2, s2, grad or d2, d2)
-    u = (1.0 - p2) * u1 + (1.0 - p1) * u2
-    if not (grad or d2):
-        return u, None, None
-    s1s = np.where(s1 == 0.0, 1.0, s1)
-    s2s = np.where(s2 == 0.0, 1.0, s2)
-    lap = None
-    if d2:
-        lap = ((1.0 - p2) * lap1
-               - 2.0 * dp2 * _expr_dot_with_slope(X, c2, k1, c1) / s2s
-               - (d2p2 + (f.n - 1) * dp2 / s2s) * u1
-               + (1.0 - p1) * lap2
-               - 2.0 * dp1 * _expr_dot_with_slope(X, c1, k2, c2) / s1s
-               - (d2p1 + (f.n - 1) * dp1 / s1s) * u2)
-    if not grad:
-        return u, None, lap
-    o1, o2 = X - c1[:, None], X - c2[:, None]
-    g, g2 = k1 * o1, k2 * o2
-    g[:, s1 == 0.0] = 0.0
-    g2[:, s2 == 0.0] = 0.0
-    g *= 1.0 - p2
-    o2 *= dp2 / s2s * u1
-    g -= o2
-    g2 *= 1.0 - p1
-    g += g2
-    o1 *= dp1 / s1s * u2
-    g -= o1
-    return u, g, lap
+    jet = None
+    for b, cut, c in ((f.b1, f.cut2, f.b2.center), (f.b2, f.cut1, f.b1.center)):
+        r, s = np.sqrt(_sq_dist(X, b.center)), np.sqrt(_sq_dist(X, c))
+        ss = np.where(s == 0.0, 1.0, s)
+        u, k, lap = b._radial_jet(r, grad or d2, d2)
+        g = np.where(r == 0.0, 0.0, (X - b.center[:, None]) * k) if grad else None
+        dot_s = -_expr_dot_with_slope(X, c, k, b.center) / ss if d2 else None
+        jet = _expr_blend(f.n, _expr_phi(cut, s, grad or d2, d2), ss, None, (u, g, lap), dot_s,
+                          X - c[:, None], into=jet)
+    return jet
 
 
 def _expr_insert_jet(f, X, grad, d2):
     uh, gh, laph = f.host._jet(f.x1[:, None] + X, grad or d2, d2)
     ub, gb, lapb = f.bubble._jet(X, grad or d2, d2)
     s = np.sqrt(_sq_dist(X))
-    p, dp, d2p = _expr_phi(f.cut, s, grad or d2, d2)
-    u = p * ub + (1.0 - p) * uh
-    if not (grad or d2):
-        return u, None, None
     ss = np.where(s == 0.0, 1.0, s)
-    diff = ub - uh
-    lap = None
-    if d2:
-        lap = (p * lapb + (1.0 - p) * laph
-               + 2.0 * dp * _row_dot(X, gb - gh) / ss
-               + (d2p + (f.n - 1) * dp / ss) * diff)
+    dot_s = _row_dot(X, gb - gh) / ss if d2 else None
     if not grad:
-        return u, None, lap
-    gb *= p
-    gh *= 1.0 - p
-    gb += gh
-    gb += dp * diff / ss * X
-    return u, gb, lap
+        gb = gh = None
+    return _expr_blend(f.n, _expr_phi(f.cut, s, grad or d2, d2), ss, (ub, gb, lapb),
+                       (uh, gh, laph), dot_s, X)
 
 
 def _cutoffs(f):
@@ -463,14 +457,17 @@ def _edge_points(f):
     """
     if isinstance(f, DisjointGlueField):
         centres = [f.b1.center, f.b2.center]
-    else:
+    elif isinstance(f, InsertGlueField):
         centres = [np.zeros(f.n), -f.x1]  # the bubble's, and the host's in bubble coordinates
+    else:
+        centres = [np.zeros(f.n)]
     assert all(c[1] == 0.0 for c in centres)
     e2 = np.eye(f.n)[1]
     return np.array(centres + [c + r * e2 for c, cut in _cutoffs(f) for r in (cut.r_in, cut.r_out)])
 
 
 _GLUE_FIELDS = {
+    "concentric": FIELDS["concentric"],
     "disjoint": FIELDS["disjoint"],
     "disjoint-inward": lambda: (glue_disjoint(GlueConfig.disjoint(
         Bubble(0.1, [2.5, 0, 0], 3), 0.5, Bubble(1.0, np.zeros(3), 3), 0.5,
@@ -492,10 +489,15 @@ def test_glue_jets_keep_the_bits_of_their_expressions(name, grad, d2, rng):
         bands.append(c + rng.uniform(cut.r_in, cut.r_out, size=(100, 1)) * dirs)
     pts = np.vstack([rng.uniform(-half, half, size=(200, f.n)), *bands, edge])
     X = np.ascontiguousarray(pts.T)
-    ref = (_expr_disjoint_jet if isinstance(f, DisjointGlueField) else _expr_insert_jet)(
-        f, X.copy(), grad, d2)
-    got = f._jet(X, grad, d2)
-    assert np.array_equal(X, pts.T)  # the jet leaves its points alone
+    if isinstance(f, ConcentricGlueField):  # its jet in slope form, at the radii
+        r = np.sqrt(_sq_dist(X))
+        ref, got = _expr_concentric_radial_jet(f, r.copy(), grad, d2), f._radial_jet(r, grad, d2)
+        assert np.array_equal(r, np.sqrt(_sq_dist(X)))  # the jet leaves its radii alone
+    else:
+        ref = (_expr_disjoint_jet if isinstance(f, DisjointGlueField) else _expr_insert_jet)(
+            f, X.copy(), grad, d2)
+        got = f._jet(X, grad, d2)
+        assert np.array_equal(X, pts.T)  # the jet leaves its points alone
     for a, b in zip(got, ref):
         assert (a is None and b is None) or _same_bits(a, b)
     for c, cut in _cutoffs(f):  # the edge points reach both ends of every cutoff

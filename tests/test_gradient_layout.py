@@ -23,6 +23,18 @@ def _image_ref(inv, d, rho2):
     return inv.center + inv.radius**2 * d / rho2[:, None]
 
 
+def _blend_ref(acc, p, dp, s, d, ga, gb, off):
+    """(m, n) gradient of phi A + (1 - phi) B in glue._blend's order, phi' = dp at the
+    radii s, d = u_A - u_B and off = x - c: p g_A + (1 - p) g_B + (dp/s) d off,
+    with A = 0 for ga None, added to acc when given."""
+    g = (1.0 - p)[:, None] * gb
+    if ga is not None:
+        g = p[:, None] * ga + g
+    elif acc is not None:
+        g = acc + g
+    return g + (dp / np.where(s == 0.0, 1.0, s) * d)[:, None] * off
+
+
 def gradient_ref(f, pts):
     """(m, n) gradient of f by the row-major broadcast formulas."""
     if isinstance(f, RadialField):
@@ -33,27 +45,18 @@ def gradient_ref(f, pts):
     if isinstance(f, SumField):
         return gradient_ref(f.f, pts) + gradient_ref(f.g, pts)
     if isinstance(f, DisjointGlueField):
-        c1, c2 = f.b1.center, f.b2.center
-        s1, s2 = np.sqrt(_sq_dist(pts.T, c1)), np.sqrt(_sq_dist(pts.T, c2))
-        u1, k1, _ = f.b1._radial_jet(s1, True, False)
-        u2, k2, _ = f.b2._radial_jet(s2, True, False)
-        p1, dp1, _ = f.cut1._jet(s1, False)
-        p2, dp2, _ = f.cut2._jet(s2, False)
-        s1s = np.where(s1 == 0.0, 1.0, s1)
-        s2s = np.where(s2 == 0.0, 1.0, s2)
-        d1, d2 = pts - c1, pts - c2
-        g1 = np.where(s1[:, None] == 0.0, 0.0, k1[:, None] * d1)
-        g2 = np.where(s2[:, None] == 0.0, 0.0, k2[:, None] * d2)
-        return ((1.0 - p2)[:, None] * g1 - (dp2 / s2s * u1)[:, None] * d2
-                + (1.0 - p1)[:, None] * g2 - (dp1 / s1s * u2)[:, None] * d1)
+        # (1 - phi2) u1 + (1 - phi1) u2: blends with A = 0, the second added to the first
+        g = None
+        for b, cut, c in ((f.b1, f.cut2, f.b2.center), (f.b2, f.cut1, f.b1.center)):
+            s = np.sqrt(_sq_dist(pts.T, c))
+            p, dp, _ = cut._jet(s, False)
+            g = _blend_ref(g, p, dp, s, -b.value(pts), None, gradient_ref(b, pts), pts - c)
+        return g
     if isinstance(f, InsertGlueField):
-        uh, gh = f.host.value(f.x1 + pts), gradient_ref(f.host, f.x1 + pts)
-        ub, gb = f.bubble.value(pts), gradient_ref(f.bubble, pts)
         s = np.sqrt(_sq_dist(pts.T))
         p, dp, _ = f.cut._jet(s, False)
-        ss = np.where(s == 0.0, 1.0, s)
-        return (p[:, None] * gb + (1.0 - p)[:, None] * gh
-                + (dp * (ub - uh) / ss)[:, None] * pts)
+        return _blend_ref(None, p, dp, s, f.bubble.value(pts) - f.host.value(f.x1 + pts),
+                          gradient_ref(f.bubble, pts), gradient_ref(f.host, f.x1 + pts), pts)
     if isinstance(f, KelvinField):
         n, a = f.n, f.inv.radius
         d = pts - f.inv.center

@@ -38,6 +38,10 @@ One radial hook: a radial field supplies _radial_jet alone, so no class
 defines value_r or _profile, and every RadialField subclass defines
 _radial_jet.
 
+One cutoff product rule: in glue.py only _blend reads the derivatives of a
+Cutoff jet; every glue hands its cutoff's jet to _blend whole, and _blend
+forms each cutoff product term of u, grad u and lap u.
+
 numpy as the only runtime dependency: no module of the package imports
 scipy, and importing the command line loads none of it.
 
@@ -75,9 +79,8 @@ _CENTRE_COLUMN = "a point (n,) as a column, broadcast along the m points of (n, 
 ALLOWED: dict[tuple[str, str], str] = {
     ("field_core.py", "g = X - self.center[:, None]"): _CENTRE_COLUMN,
     ("glue.py", "g = X - b.center[:, None]"): _CENTRE_COLUMN,
-    ("glue.py", "o = X - c[:, None]"): _CENTRE_COLUMN,
-    ("glue.py", "uh, gh, laph = self.host._jet(self.x1[:, None] + X, grad or d2, d2)"):
-        _CENTRE_COLUMN,
+    ("glue.py", "o = X * dp if c is None else X - c[:, None]"): _CENTRE_COLUMN,
+    ("glue.py", "uh, gh, laph = self.host._jet(self.x1[:, None] + X, need, d2)"): _CENTRE_COLUMN,
     ("kelvin.py", "d = X - self.inv.center[:, None]"): _CENTRE_COLUMN,
 }
 
@@ -142,7 +145,7 @@ def test_no_short_axis_reductions(path):
 # as {file name: function names}; every name must occur in its file.
 NO_BROADCAST = {
     "field_core.py": {"_jet"},
-    "glue.py": {"_jet"},
+    "glue.py": {"_jet", "_half", "_blend"},
     "kelvin.py": {"_jet"},
     "potential.py": {"_ray_points"},
 }
@@ -252,7 +255,9 @@ def test_one_derivative_path(path):
     assert not bad, "derive from _jet and call the sources' _jet:\n" + "\n".join(bad)
 
 
-JETS = {"_jet", "_radial_jet"}  # the functions that take and pass on d2
+# the functions that take and pass on d2: the jets, and the cutoff product
+# rule and the disjoint glue's half, which glue.py's jets call
+JETS = {"_jet", "_radial_jet", "_blend", "_half"}
 FLAG = "d2"
 
 
@@ -266,8 +271,8 @@ def _flag_argument(call):
 
 def jet_flag_breaks(source: str):
     """(function, line) of jets without a d2 parameter, and of calls from
-    one to a _jet or _radial_jet that do not pass the caller's own d2 as
-    the flag."""
+    one to a jet, as a method or a function, that do not pass the caller's
+    own d2 as the flag."""
     found = []
     for fn in ast.walk(ast.parse(source)):
         if not (isinstance(fn, ast.FunctionDef) and fn.name in JETS):
@@ -275,8 +280,7 @@ def jet_flag_breaks(source: str):
         if FLAG not in [a.arg for a in fn.args.args]:
             found.append((fn.name, fn.lineno))
         for node in ast.walk(fn):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in JETS):
+            if isinstance(node, ast.Call) and _point_name(node.func) in JETS:
                 flag = _flag_argument(node)
                 if not (isinstance(flag, ast.Name) and flag.id == FLAG):
                     found.append((fn.name, node.lineno))
@@ -304,11 +308,16 @@ def test_guard_finds_jets_that_drop_the_flag():
         "        return self.cut._jet(r, True)",
         "def k_function(f, x):",
         "    return f._jet(x, False, True)",
+        "def _blend(n, cj, a, b, grad):",
+        "    return a",
+        "def _half(self, X, grad, d2, into=None):",
+        "    jet = _blend(n, cj, None, b, grad, d2, into=into)",
+        "    return _blend(n, cj, None, b, grad, into)",
     ])
-    assert jet_flag_breaks(src) == [("_jet", 2), ("_jet", 3), ("_jet", 6), ("_jet", 10),
-                                    ("_jet", 11), ("_radial_jet", 12), ("_radial_jet", 13),
-                                    ("_radial_jet", 14), ("_radial_jet", 15),
-                                    ("_radial_jet", 17)]
+    assert jet_flag_breaks(src) == [("_blend", 20), ("_half", 24), ("_jet", 2), ("_jet", 3),
+                                    ("_jet", 6), ("_jet", 10), ("_jet", 11), ("_radial_jet", 12),
+                                    ("_radial_jet", 13), ("_radial_jet", 14),
+                                    ("_radial_jet", 15), ("_radial_jet", 17)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -394,6 +403,88 @@ def test_one_radial_hook():
             for module, source in sources.items()}
     assert {name for _, name, _ in radial_hook_breaks(bare)} == {
         "Bubble", "BaseField", "CallableRadialField", "ConcentricGlueField", "_RadialPower"}
+
+
+BLEND = "_blend"
+
+
+def cutoff_jet_uses(source: str):
+    """(function, line) of each cutoff jet, a call <cut...>._jet, whose value a
+    function other than _blend reads: anything but handing it whole to a
+    _blend call, directly, through a conditional expression, or through one
+    name that only _blend calls read."""
+    tree = ast.parse(source)
+    names = {}  # function node -> its name, with its class's
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            names.update({fn: f"{node.name}.{fn.name}" for fn in node.body
+                          if isinstance(fn, ast.FunctionDef)})
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name == BLEND:
+            continue
+        parent = {child: node for node in ast.walk(fn) for child in ast.iter_child_nodes(node)}
+
+        def taker(node):
+            """(value, node that takes it): node, or the conditional expression it is a branch of."""
+            while isinstance(parent[node], ast.IfExp) and node is not parent[node].test:
+                node = parent[node]
+            return node, parent[node]
+
+        def to_blend(node):
+            node, up = taker(node)
+            return isinstance(up, ast.Call) and _point_name(up.func) == BLEND and node in up.args
+
+        for call in ast.walk(fn):
+            if not (isinstance(call, ast.Call) and _point_name(call.func) == "_jet"
+                    and (_point_name(call.func.value) or "").startswith("cut")):
+                continue
+            up = taker(call)[1]
+            if isinstance(up, ast.Assign) and len(up.targets) == 1 and isinstance(
+                    up.targets[0], ast.Name):
+                ok = all(to_blend(use) for use in ast.walk(fn) if isinstance(use, ast.Name)
+                         and use.id == up.targets[0].id and isinstance(use.ctx, ast.Load))
+            else:
+                ok = to_blend(call)
+            if not ok:
+                found.append((names.get(fn, fn.name), call.lineno))
+    return sorted(found)
+
+
+def test_guard_finds_cutoff_jets_read_outside_blend():
+    src = "\n".join([
+        "def _blend(n, cutoff_jet, s, a, b, dot_s, X, c, grad, d2):",
+        "    p, dp, d2p = cutoff_jet",
+        "    return self.cut._jet(s, d2)[1] * dp",
+        "class Glue:",
+        "    def _jet(self, X, grad, d2):",
+        "        p, dp, d2p = self.cut._jet(s, d2)",
+        "        dp = self.cut1._jet(s, d2)[1]",
+        "        cj = cut._jet(s, d2) if grad or d2 else (cut.phi(s), None, None)",
+        "        u = _blend(self.n, cj, s, a, b, dot_s, X, None, grad, d2)",
+        "        return _blend(n, cut2._jet(s, d2), s, a, b, dot_s, X, c, grad, d2), cj[1]",
+        "    def _half(self, X, b, cut, s, grad, d2):",
+        "        cj = cut._jet(s, d2)",
+        "        u = _blend(self.n, cj, s, None, b, None, X, None, grad, d2)",
+        "        return _blend(self.n, cut._jet(s, d2) if d2 else None, s, None, b, dot, X, c,",
+        "                      grad, d2), self.b._jet(X, grad, d2), cut.phi(s)",
+        "def _radial_jet(self, r, slope, d2):",
+        "    p = self.cut._jet(r, d2) if self.cut._jet(r, d2) else None",
+        "    return _blend(self.n, p, r, a, b, None, None, None, slope, d2)",
+    ])
+    assert cutoff_jet_uses(src) == [("Glue._jet", 6), ("Glue._jet", 7), ("Glue._jet", 8),
+                                    ("_radial_jet", 17)]
+
+
+def test_only_blend_reads_a_cutoff_jet():
+    source = (SRC / "glue.py").read_text()
+    lines = source.splitlines()
+    bad = [f"glue.py:{i}: {fn}: {lines[i - 1].strip()}" for fn, i in cutoff_jet_uses(source)]
+    assert not bad, f"hand the cutoff's jet to {BLEND} whole:\n" + "\n".join(bad)
+    # the guard sees every cutoff jet of the glues: without _blend, each is reported
+    bare = source.replace(f"{BLEND}(", "_gone(")
+    assert {fn for fn, _ in cutoff_jet_uses(bare)} == {
+        "ConcentricGlueField._radial_jet", "DisjointGlueField._half", "InsertGlueField._jet"}
 
 
 def scipy_imports(source: str):

@@ -18,6 +18,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from collections.abc import Callable, Iterable, Iterator
@@ -525,6 +526,23 @@ def write_report(rows: list[ReportRow], out: str | None, fmt: str) -> str:
     return path
 
 
+def _to_stdout(emit: Callable[[], None]) -> None:
+    """Run emit, which prints to stdout, and flush it.
+
+    A stdout whose reader has gone (a pipe into head) raises BrokenPipeError;
+    it is then pointed at os.devnull, as Python's signal module docs advise,
+    so later output and the flush at exit go nowhere and the report and the
+    exit code are the checks' own.
+    """
+    try:
+        emit()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def print_summary(rows: list[ReportRow], stream=None) -> None:
     stream = stream or sys.stdout
     for r in rows:
@@ -609,7 +627,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         code, rows = (sweep if args.command == "sweep" else run)(cfg)
-        print_summary(rows)
+        _to_stdout(lambda: print_summary(rows))
         path = write_report(rows, cfg.out, cfg.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -618,7 +636,7 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    print(f"report: {path}")
+    _to_stdout(lambda: print(f"report: {path}"))
     return code
 
 

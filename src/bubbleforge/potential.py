@@ -1,12 +1,15 @@
 """Fundamental solution of the Laplacian and singular potential quadrature.
 
 A ball integral of |H| against a radial factor over an origin-centred ball
-is one radial integral through the spherical mean of the kernel.  Every
-other ball integral against H uses polar coordinates about the singular
-point, where |H| r^(n-1) is proportional to r, so the radial integrand is
-bounded; angular directions use product Gauss rules.  The singular point
-must lie inside the ball.  Error estimates come from rule doubling;
-accumulation is fixed-order, so results are deterministic run to run.
+is one radial integral through the spherical mean of the kernel; so is the
+Green representation of a radial field on an origin-centred ball with its
+singular point at the origin, whose boundary terms are then closed forms.
+Every other ball integral against H uses polar coordinates about the
+singular point, where |H| r^(n-1) is proportional to r, so the radial
+integrand is bounded; angular directions use product Gauss rules.  The
+singular point must lie inside the ball.  Error estimates come from rule
+doubling, and adaptive_radial's add a rounding bound; accumulation is
+fixed-order, so results are deterministic run to run.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ _ABS_TOL = 1e-14  # adaptive_radial stops at a doubling delta <= max(_ABS_TOL, r
 _MAX_PANELS = 4096  # or at this many panels in a segment
 _PROFILE_RADII = 24  # verify_profile samples this many radii along each direction
 _PROFILE_SPHERE = 4  # of sphere_rule(n, _PROFILE_SPHERE)
-_ROUNDOFF = 1e-15  # int_absH_ball's err_est adds this share of |value| for summation roundoff
+_UNIT_ROUNDOFF = 2.0**-53  # of float64, for adaptive_radial's rounding bound
 
 
 def _gl_panels(edges: np.ndarray):
@@ -99,7 +102,11 @@ def adaptive_radial(fvec, a: float, b: float, rel_tol: float = 1e-10, splits=(),
                     geometric: bool = False):
     """Adaptive 1D integral of a vectorized integrand by panel doubling.
 
-    Returns (value, err_est, n_evals); err_est is the last doubling delta.
+    Returns (value, err_est, n_evals).  Per segment, err_est adds the last
+    doubling delta and the rounding bound gamma_m sum |w_i f_i| of the
+    accepted m-node rule, gamma_m = m u / (1 - m u) with u = 2^-53 (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1): for an
+    integrand the rule integrates exactly the delta is roundoff, often 0.
     Interior breakpoints can be supplied to keep panels off integrand kinks.
     """
     if b <= a:
@@ -115,12 +122,14 @@ def adaptive_radial(fvec, a: float, b: float, rel_tol: float = 1e-10, splits=(),
         while True:
             k *= 2
             nodes, wts = _gl_panels(spacing(u, v, k + 1))
-            cur = float(wts @ np.asarray(fvec(nodes)))
+            f = np.asarray(fvec(nodes))
+            cur = float(wts @ f)
             evals += nodes.size
             delta = abs(cur - prev)
             if delta <= max(_ABS_TOL, rel_tol * abs(cur)) or k >= _MAX_PANELS:
+                m_u = nodes.size * _UNIT_ROUNDOFF
                 total += cur
-                err += delta
+                err += delta + m_u / (1.0 - m_u) * float(np.abs(wts * f).sum())
                 break
             prev = cur
     return total, err, evals
@@ -225,12 +234,11 @@ def int_absH_ball(k: Kernel, R: float, xi) -> QuadResult:
 
     The spherical-mean reduction of _abs_h_ball with g = 1: the integrand
     is a polynomial on each side of |xi|, which the Gauss panels integrate
-    exactly, so the doubling delta is roundoff and the estimate adds a
-    roundoff allowance to it.
+    exactly, so the estimate is adaptive_radial's rounding bound.
     """
     ball = Ball(np.zeros(k.n), R)
     val, err, ev = _abs_h_ball(k, lambda X: 1.0, ball, _pole(ball, xi, k.n), ())
-    return QuadResult(value=val, err_est=err + _ROUNDOFF * abs(val), n_evals=ev)
+    return QuadResult(value=val, err_est=err, n_evals=ev)
 
 
 def int_absH_annulus(k: Kernel, rho: float, R: float) -> QuadResult:
@@ -307,21 +315,30 @@ def _polar_ball_integral(k: Kernel, g, ball: Ball, xi: np.ndarray,
     return [(b, abs(b - a)) for a, b in zip(v1, v2)], n_evals
 
 
-def _abs_h_ball(k: Kernel, g, ball: Ball, xi: np.ndarray, splits):
-    """Integral of |H(x, xi)| g(x), g radial, over an origin-centred ball: (value, err, n_evals).
+def _abs_h_sphere(k: Kernel, g, s0: float):
+    """r -> the integral of |H(x, xi)| g(x) over the sphere |x| = r, g radial, |xi| = s0.
 
-    A 1D integral, split at |xi| and at splits, through the spherical mean
-    max(r, |xi|)^(2-n) of |x - xi|^(2-n) over |x| = r; any other g takes
-    _polar_ball_integral.
+    That is r^(n-1) g(r) max(r, s0)^(2-n) / (n-2), by Newton's theorem: the
+    mean of |x - xi|^(2-n) over |x| = r is max(r, s0)^(2-n) (Lieb & Loss,
+    Analysis, Thm 9.7).  g is read on the first axis.
     """
-    s0 = float(np.linalg.norm(xi))
     e1 = np.eye(k.n)[:, :1]  # the first axis, as a column
 
     def integrand(r):
         mean = np.maximum(r, s0) ** (2.0 - k.n)
         return g(e1 * r) * r ** (k.n - 1) * mean / (k.n - 2.0)
 
-    return adaptive_radial(integrand, 0.0, ball.radius, splits=(s0, *splits))
+    return integrand
+
+
+def _abs_h_ball(k: Kernel, g, ball: Ball, xi: np.ndarray, splits):
+    """Integral of |H(x, xi)| g(x), g radial, over an origin-centred ball: (value, err, n_evals).
+
+    A 1D integral of _abs_h_sphere, split at |xi| and at splits; any other g
+    takes _polar_ball_integral.
+    """
+    s0 = float(np.linalg.norm(xi))
+    return adaptive_radial(_abs_h_sphere(k, g, s0), 0.0, ball.radius, splits=(s0, *splits))
 
 
 def weighted_grad_integral(k: Kernel, f: ScalarField, region: Ball, xi,
@@ -485,11 +502,20 @@ def _inner_h_lap(k: Kernel, u: ScalarField, xi: np.ndarray, p: np.ndarray,
     The kernel is smooth there because D = |xi - p|/2.
     """
 
+    # whole radius rows, as many as fit in _SEG_BLOCK points, in multiples of
+    # 4 and at least 4: the matrix-vector product sums rows in groups of 4,
+    # and a block of fewer rows moves their last bits against one batch
+    rows = max(4, _SEG_BLOCK // w_p.size // 4 * 4)
+
     def inner_int(r):
-        X = _ray_points(p, r[:, None], dirs_p)
-        hv = _h_rows(k, X, xi).reshape(r.size, -1)
-        lap = u._jet(X, False, True)[2].reshape(r.size, -1)
-        return (hv * lap) @ w_p * r ** (k.n - 1)
+        out = np.empty(r.size)
+        for i in range(0, r.size, rows):
+            rb = r[i:i + rows]
+            X = _ray_points(p, rb[:, None], dirs_p)
+            hv = _h_rows(k, X, xi).reshape(rb.size, -1)
+            lap = u._jet(X, False, True)[2].reshape(rb.size, -1)
+            out[i:i + rows] = (hv * lap) @ w_p * rb ** (k.n - 1)
+        return out
 
     return adaptive_radial(inner_int, eps, D, rel_tol=1e-9, geometric=True)[0]
 
@@ -549,6 +575,37 @@ def _check_eps_seq(eps_seq, D: float) -> None:
         raise BadRadii("eps_seq must be geometric")
 
 
+def _radial_rep_terms(k: Kernel, u: ScalarField, R: float, xi: np.ndarray, eps: list):
+    """The Green representation of u(xi) on B(0, R) minus B(0, eps), u radial, by spherical means.
+
+    Returns (volumes, err_est, bnd, pterms): per eps the integral of H lap u
+    and the sum of its adaptive_radial estimates, the omega boundary term,
+    and per eps the p-sphere term; an empty eps integrates the whole ball.
+    With s = |xi|, the integral of H(., xi) over |x| = r is r^(n-1)
+    max(r, s)^(2-n) / (2-n) (_abs_h_sphere), and the flux of grad H through
+    that sphere is 1 for r > s and 0 for r < s.  So the boundary terms are
+    u(R) - u'(R) R / (2-n) and u'(eps) eps^(n-1) s^(2-n) / (2-n), and the
+    volume is one radial integral: over [D, R], D = s/2, once, split at s,
+    and over each [eps, D] on geometric panels.
+    """
+    n = k.n
+    s = float(np.linalg.norm(xi))
+    splits = (s, *_radial_field_splits(u))
+    abs_h_lap = _abs_h_sphere(k, lambda X: u._jet(X, False, True)[2], s)  # H = -|H|
+    uv, g, _ = u._jet(np.eye(n)[:, :1] * np.array([R, *eps]), True, False)
+    du = g[0]  # u'(r) on the first axis
+    bnd = float(uv[0] - du[0] * R / (2.0 - n))
+    pterms = [float(d * e ** (n - 1) * s ** (2.0 - n) / (2.0 - n)) for d, e in zip(du[1:], eps)]
+    D = 0.5 * s if eps else 0.0
+    outer, outer_err, _ = adaptive_radial(abs_h_lap, D, R, splits=splits)
+    if not eps:
+        return [-outer], [outer_err], bnd, pterms
+    inner = [adaptive_radial(abs_h_lap, e, D, rel_tol=1e-9, splits=splits, geometric=True)
+             for e in eps]
+    return ([-(v + outer) for v, _, _ in inner], [err + outer_err for _, err, _ in inner],
+            bnd, pterms)
+
+
 def rep_formula_report(u: ScalarField, prof: SingularProfile | None,
                        omega: Ball, xi, eps_seq=(1e-2, 1e-3, 1e-4),
                        m_sphere: int = 24, m_boundary: int = 48,
@@ -559,43 +616,48 @@ def rep_formula_report(u: ScalarField, prof: SingularProfile | None,
     With no profile the classical formula is evaluated directly, and its
     residual is also the extrapolation.  With a singular profile at p, the
     volume integral over omega minus B(p, eps) is split at
-    D = |xi - p|/2.  The outer region, omega minus
-    B(p, D), depends only on D, so it is integrated once per report; only
-    the annulus eps < |x - p| < D is integrated for each eps.  The eps
-    radii must be positive, strictly decreasing, below D and, from three
-    of them on, geometric, since the extrapolation assumes a constant
-    ratio; otherwise BadRadii is raised before any quadrature.  xi = p
-    raises Coincident.
+    D = |xi - p|/2.  The outer region, omega minus B(p, D), depends only on
+    D, so it is integrated once per report; only the annulus
+    eps < |x - p| < D is integrated for each eps.  The eps radii must be
+    positive, strictly decreasing, below D and, from three of them on,
+    geometric, since the extrapolation assumes a constant ratio; otherwise
+    BadRadii is raised before any quadrature.  xi = p raises Coincident.
+
+    A radial u on an origin-centred omega, with p at the origin, takes
+    _radial_rep_terms: every term is a radial integral or a closed form, and
+    err_est holds, per residual, the sum of its adaptive_radial estimates.
+    Any other configuration takes the polar rules about xi and p, whose
+    outer and boundary integrals carry no estimate, and err_est is None.
     """
     k = Kernel(u.n)
     _same_dim(k.n, omega)
     xi = _pole(omega, xi, k.n)
+    p, eps = None, []
     if prof is not None:
-        D = 0.5 * float(np.linalg.norm(xi - _point(prof.p, k.n)))
+        p, eps = _point(prof.p, k.n), list(eps_seq)
+        D = 0.5 * float(np.linalg.norm(xi - p))
         _check_eps_seq(eps_seq, D)
+        verify_profile(u, prof)
     target = float(u.value(xi))
-    bnd = _boundary_integral(k, u, omega.center, omega.radius, xi, m_boundary)
 
-    if prof is None:
-        [(vneg, _)], _ = _polar_ball_integral(k, lambda X: (u._jet(X, False, True)[2],), omega,
-                                              xi, m_sphere, m_rad)
-        res = -vneg + bnd - target  # the polar rule integrates against |H|; H = -|H|
-        return {"residuals": [res], "eps": [], "p_boundary_terms": [],
-                "order": None, "extrapolated": res}
-
-    verify_profile(u, prof)
-    outer = _outer_h_lap(k, u, omega, xi, prof.p, D, m_sphere, m_rad)
-    dirs_p, w_p = sphere_rule(k.n, m_sphere)
-    residuals, pterms = [], []
-    for eps in eps_seq:
-        vol = _inner_h_lap(k, u, xi, prof.p, eps, D, dirs_p, w_p) + outer
-        residuals.append(vol + bnd - target)
-        pterms.append(_boundary_integral(k, u, prof.p, eps, xi, m_boundary,
-                                         outward=False))
-    extrapolated, order = _power_law_limit(list(eps_seq), residuals)
-    return {"residuals": residuals, "eps": list(eps_seq),
-            "p_boundary_terms": pterms, "order": order,
-            "extrapolated": extrapolated}
+    if u.radial and not np.any(omega.center) and (p is None or not np.any(p)):
+        vols, err_est, bnd, pterms = _radial_rep_terms(k, u, omega.radius, xi, eps)
+    else:
+        err_est = None
+        bnd = _boundary_integral(k, u, omega.center, omega.radius, xi, m_boundary)
+        if prof is None:
+            [(vneg, _)], _ = _polar_ball_integral(k, lambda X: (u._jet(X, False, True)[2],),
+                                                  omega, xi, m_sphere, m_rad)
+            vols = [-vneg]  # the polar rule integrates against |H|; H = -|H|
+        else:
+            outer = _outer_h_lap(k, u, omega, xi, p, D, m_sphere, m_rad)
+            dirs_p, w_p = sphere_rule(k.n, m_sphere)
+            vols = [_inner_h_lap(k, u, xi, p, e, D, dirs_p, w_p) + outer for e in eps]
+        pterms = [_boundary_integral(k, u, p, e, xi, m_boundary, outward=False) for e in eps]
+    residuals = [v + bnd - target for v in vols]
+    extrapolated, order = _power_law_limit(eps, residuals)  # no eps: the one residual
+    return {"residuals": residuals, "eps": eps, "p_boundary_terms": pterms, "order": order,
+            "extrapolated": extrapolated, "err_est": err_est}
 
 
 def _power_law_limit(eps, res):

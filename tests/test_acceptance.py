@@ -313,7 +313,7 @@ def test_criterion_11_bubble_insert_stability():
             ok, f"C(1e-3)={c_hi:.3f}, C(1e-4)={c_lo:.3f}")
 
 
-def test_criterion_12_singular_representation():
+def _criterion_12(omega: Ball, path: str):
     n, nut = 3, 0.5
     beta = 2.0 - n + nut
     u = CallableRadialField(
@@ -325,7 +325,7 @@ def test_criterion_12_singular_representation():
     prof = SingularProfile(p=np.zeros(n), mu=1 - nut, nu=nut,
                            c1=abs(beta * nut) * 1.01, c2=abs(beta) * 1.01,
                            delta=0.3)
-    rep = rep_formula_report(u, prof, Ball(np.zeros(n), 1.5), [0.5, 0, 0])
+    rep = rep_formula_report(u, prof, omega, [0.5, 0, 0])
     res = [abs(r) for r in rep["residuals"]]
     ok = res[0] > res[1] > res[2]
     ok &= abs(rep["extrapolated"]) <= 1e-4
@@ -334,9 +334,18 @@ def test_criterion_12_singular_representation():
         expected = (rep["eps"][i] / rep["eps"][i + 1]) ** nut
         ratio = terms[i] / terms[i + 1]
         ok &= expected / 2 <= ratio <= expected * 2
-    _finish(12, "singular representation formula converges at the declared rate",
+    _finish(12, f"singular representation formula converges at the declared rate ({path})",
             ok, f"residuals {res[0]:.2e} > {res[1]:.2e} > {res[2]:.2e}, "
                 f"extrapolated {abs(rep['extrapolated']):.1e}")
+
+
+def test_criterion_12_singular_representation():
+    _criterion_12(Ball(np.zeros(3), 1.5), "radial")
+
+
+def test_criterion_12_singular_representation_polar():
+    # omega centred off the singular point takes the polar rules
+    _criterion_12(Ball([-0.05, 0.0, 0.0], 1.5), "polar")
 
 
 def test_criterion_13_base_field_and_combined_bounds():

@@ -271,6 +271,15 @@ def test_weighted_grad_integral_closed_form_random(rng):
         assert q.value == pytest.approx(R**4 / ((n - 2) * lam**2), rel=1e-9)
 
 
+def test_weighted_grad_integral_estimate_covers_rounding():
+    # the Gauss panels integrate this polynomial exactly, so the doubling
+    # delta is 0 and the value is an ulp off 16/3: the rounding bound covers it
+    q = weighted_grad_integral(Kernel(5), Bubble(1.0, np.zeros(5), 5),
+                               Ball(np.zeros(5), 2.0), np.zeros(5))
+    assert q.err_est > 0.0
+    assert q.err_est >= abs(q.value - 16.0 / 3.0)
+
+
 def test_weighted_grad_integral_shrinking_region():
     q = weighted_grad_integral(Kernel(3), Bubble(1.0, np.zeros(3), 3),
                                Ball(np.zeros(3), 1e-4), np.zeros(3))
@@ -457,32 +466,46 @@ def test_rep_formula_classical_bubble():
     assert abs(res) <= 1e-6
 
 
-def test_rep_formula_singular_convergence():
+# an omega whose centre is not p, so the report takes the polar path
+_OFF_CENTRE_OMEGA = Ball([-0.05, 0.0, 0.0], 1.5)
+
+
+def _check_singular_convergence(omega):
     u, beta = _singular_power_field()
     nut = 0.5
-    prof = SingularProfile(p=np.zeros(3), mu=1 - nut, nu=nut,
-                           c1=abs(beta * nut) * 1.01, c2=abs(beta) * 1.01,
-                           delta=0.3)
-    rep = rep_formula_report(u, prof, Ball(np.zeros(3), 1.5), [0.5, 0, 0])
+    rep = rep_formula_report(u, _singular_profile(beta, nut), omega, [0.5, 0, 0])
     res = [abs(r) for r in rep["residuals"]]
     assert res[0] > res[1] > res[2]
     assert rep["order"] >= nut - 0.05
     assert abs(rep["extrapolated"]) <= 1e-4
 
 
-def test_rep_formula_singular_boundary_term_scaling():
+def test_rep_formula_singular_convergence():
+    _check_singular_convergence(Ball(np.zeros(3), 1.5))
+
+
+def test_rep_formula_singular_convergence_polar():
+    _check_singular_convergence(_OFF_CENTRE_OMEGA)
+
+
+def _check_boundary_term_scaling(omega):
     u, beta = _singular_power_field()
     nut = 0.5
-    prof = SingularProfile(p=np.zeros(3), mu=1 - nut, nu=nut,
-                           c1=abs(beta * nut) * 1.01, c2=abs(beta) * 1.01,
-                           delta=0.3)
-    rep = rep_formula_report(u, prof, Ball(np.zeros(3), 1.5), [0.5, 0, 0])
+    rep = rep_formula_report(u, _singular_profile(beta, nut), omega, [0.5, 0, 0])
     terms = [abs(t) for t in rep["p_boundary_terms"]]
     eps = rep["eps"]
     for i in range(len(eps) - 1):
         expected = (eps[i] / eps[i + 1]) ** nut
         ratio = terms[i] / terms[i + 1]
         assert expected / 2 <= ratio <= expected * 2
+
+
+def test_rep_formula_singular_boundary_term_scaling():
+    _check_boundary_term_scaling(Ball(np.zeros(3), 1.5))
+
+
+def test_rep_formula_singular_boundary_term_scaling_polar():
+    _check_boundary_term_scaling(_OFF_CENTRE_OMEGA)
 
 
 def test_rep_formula_rejects_violated_profile():
@@ -493,8 +516,8 @@ def test_rep_formula_rejects_violated_profile():
         rep_formula_report(u, bad, Ball(np.zeros(3), 1.5), [0.5, 0, 0])
 
 
-def _singular_profile(beta, nut=0.5):
-    return SingularProfile(p=np.zeros(3), mu=1 - nut, nu=nut,
+def _singular_profile(beta, nut=0.5, n=3):
+    return SingularProfile(p=np.zeros(n), mu=1 - nut, nu=nut,
                            c1=abs(beta * nut) * 1.01, c2=abs(beta) * 1.01,
                            delta=0.3)
 
@@ -545,14 +568,19 @@ def _outer_reference(k, u, omega, xi, p, m_sphere, m_rad):
     ([0.5, 0, 0], (1e-2, 1e-3, 1e-4), {}),
     ([0.3, 0.25, -0.2], (4e-2, 2e-2, 1e-2, 5e-3),
      {"m_sphere": 12, "m_boundary": 16, "m_rad": 12}),
-], ids=["cli-rep-singular", "off-axis-four-eps"])
+    # 1024 directions about p: the annulus takes blocks of 16 radius rows
+    ([0.3, 0.25, -0.2, 0.1], (1e-2, 1e-3, 1e-4),
+     {"m_sphere": 8, "m_boundary": 8, "m_rad": 8}),
+], ids=["cli-rep-singular", "off-axis-four-eps", "n4-blocked-rows"])
 def test_rep_formula_shared_outer_matches_per_eps_reference(xi, eps_seq, quad):
-    u, beta = _singular_power_field()
-    prof = _singular_profile(beta)
-    omega = Ball(np.zeros(3), 1.5)
+    # the polar path, on an omega centred off p
+    n = len(xi)
+    u, beta = _singular_power_field(n)
+    prof = _singular_profile(beta, n=n)
+    omega = Ball(np.eye(n)[0] * -0.05, 1.5)
     rep = rep_formula_report(u, prof, omega, xi, eps_seq, **quad)
     m = {"m_sphere": 24, "m_boundary": 48, "m_rad": 24, **quad}
-    k, xi = Kernel(3), np.asarray(xi, float)
+    k, xi = Kernel(n), np.asarray(xi, float)
     target = float(u.value(xi))
     bnd = _boundary_integral(k, u, omega.center, omega.radius, xi, m["m_boundary"])
     residuals = [_per_eps_volume(k, u, omega, xi, prof.p, eps, m["m_sphere"], m["m_rad"])
@@ -579,7 +607,7 @@ def test_rep_formula_outer_segments_evaluated_once_per_report():
         return jet(X, grad, d2)
 
     u._jet = counted
-    rep_formula_report(u, prof, Ball(np.zeros(3), 1.5), xi, (1e-2, 1e-3, 1e-4),
+    rep_formula_report(u, prof, _OFF_CENTRE_OMEGA, xi, (1e-2, 1e-3, 1e-4),
                        m_sphere=m_sphere, m_boundary=16, m_rad=m_rad)
     axis, t_star = -xi / 0.5, math.sqrt(0.75)
     dirs, _ = _aligned_sphere_rule(3, m_sphere, axis, (t_star,))
@@ -597,11 +625,12 @@ def test_rep_formula_outer_segments_evaluated_once_per_report():
 
 
 def test_rep_formula_outer_skips_empty_segments():
-    # the README rep-singular run: 2304 of the 4608 aligned directions miss
-    # B(p, D), so their segment after it is empty and never evaluated, and the
-    # report keeps every bit of the reference that evaluates all of them
+    # the README rep-singular run with omega moved off p onto the polar path:
+    # 2304 of the 4608 aligned directions miss B(p, D), so their segment after
+    # it is empty and never evaluated, and the report keeps every bit of the
+    # reference that evaluates all of them
     u, beta = _RadialPower(3, -0.5), -0.5
-    prof, omega = _singular_profile(beta), Ball(np.zeros(3), 1.5)
+    prof, omega = _singular_profile(beta), _OFF_CENTRE_OMEGA
     xi, D, eps_seq = np.array([0.5, 0.0, 0.0]), 0.25, (1e-2, 1e-3, 1e-4)
     outside = []  # points of Laplacian jets with every point outside B(p, D)
     jet = u._jet
@@ -658,3 +687,114 @@ def test_rep_formula_rejects_xi_at_singular_point():
     with pytest.raises(Coincident):
         rep_formula_report(u, _singular_profile(beta), Ball(np.zeros(3), 1.5),
                            np.zeros(3))
+
+
+# --- the radial path: u radial, p and omega centred at the origin ------------------
+
+
+@pytest.mark.parametrize("xi", [[0.5, 0, 0], [0.3, 0.25, -0.2]], ids=["on-axis", "off-axis"])
+def test_rep_formula_radial_path_matches_polar_reference(xi):
+    u, beta = _RadialPower(3, -0.5), -0.5
+    prof, omega = _singular_profile(beta), Ball(np.zeros(3), 1.5)
+    eps_seq = (1e-2, 1e-3, 1e-4)
+    rep = rep_formula_report(u, prof, omega, xi, eps_seq)
+    k, xi = Kernel(3), np.asarray(xi, float)
+    bnd = _boundary_integral(k, u, omega.center, omega.radius, xi, 48)
+    residuals = [_per_eps_volume(k, u, omega, xi, prof.p, eps, 24, 24) + bnd - float(u.value(xi))
+                 for eps in eps_seq]
+    pterms = [_boundary_integral(k, u, prof.p, eps, xi, 48, outward=False) for eps in eps_seq]
+    assert rep["residuals"] == pytest.approx(residuals, rel=0.0, abs=2e-6)
+    assert rep["p_boundary_terms"] == pytest.approx(pterms, rel=0.0, abs=2e-6)
+    assert len(rep["err_est"]) == len(eps_seq)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rep_formula_radial_path_extrapolates_to_roundoff(n):
+    # the residual is minus the p-sphere term, u'(eps) eps^(n-1) ~ eps^nu
+    u, beta = _RadialPower(n, 2.0 - n + 0.5), 2.0 - n + 0.5
+    xi = np.zeros(n)
+    xi[0] = 0.5
+    rep = rep_formula_report(u, _singular_profile(beta, n=n), Ball(np.zeros(n), 1.5), xi)
+    assert abs(rep["extrapolated"]) <= 1e-14
+    assert rep["order"] == pytest.approx(0.5, rel=0.0, abs=1e-6)
+    resid = [-t for t in rep["p_boundary_terms"]]
+    assert rep["residuals"] == pytest.approx(resid, rel=0.0, abs=max(rep["err_est"]))
+
+
+def test_rep_formula_radial_path_builds_only_the_profile_sphere(monkeypatch):
+    calls, depth, real = [], [0], potential.sphere_rule
+
+    def top_level(n, m):
+        if not depth[0]:
+            calls.append((n, m))
+        depth[0] += 1
+        try:
+            return real(n, m)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(potential, "sphere_rule", top_level)
+    u, beta = _RadialPower(3, -0.5), -0.5
+    rep_formula_report(u, _singular_profile(beta), Ball(np.zeros(3), 1.5), [0.5, 0, 0])
+    assert calls == [(3, potential._PROFILE_SPHERE)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rep_formula_radial_path_evaluates_few_points(n):
+    # verify_profile's sample included; the polar rules took 3.34M points at n = 3
+    u, beta = _RadialPower(n, 2.0 - n + 0.5), 2.0 - n + 0.5
+    points, jet = [], u._jet
+
+    def counted(X, grad, d2):
+        points.append(X.shape[1])
+        return jet(X, grad, d2)
+
+    u._jet = counted
+    xi = np.zeros(n)
+    xi[0] = 0.5
+    rep_formula_report(u, _singular_profile(beta, n=n), Ball(np.zeros(n), 1.5), xi)
+    assert sum(points) < 20_000
+
+
+def test_rep_formula_radial_path_without_profile():
+    b = Bubble(1.0, np.zeros(3), 3)
+    rep = rep_formula_report(b, None, Ball(np.zeros(3), 1.5), [0.4, 0.2, 0])
+    assert abs(rep["residuals"][0]) <= 1e-12
+    assert rep["extrapolated"] == rep["residuals"][0]
+    assert len(rep["err_est"]) == 1
+
+
+def test_rep_formula_radial_field_off_centre_omega_takes_polar_path(monkeypatch):
+    outer, real = [], potential._outer_h_lap
+
+    def recorded(*args):
+        outer.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(potential, "_outer_h_lap", recorded)
+    u, beta = _RadialPower(3, -0.5), -0.5
+    rep = rep_formula_report(u, _singular_profile(beta), _OFF_CENTRE_OMEGA, [0.5, 0, 0],
+                             m_sphere=12, m_boundary=16, m_rad=12)
+    assert outer == [_OFF_CENTRE_OMEGA]
+    assert rep["err_est"] is None
+
+
+@pytest.mark.parametrize("seg_block", [_SEG_BLOCK, 2000, 100])
+def test_rep_formula_annulus_jets_stay_within_the_block(monkeypatch, seg_block):
+    # 288 directions about p: blocks of 56 rows, of 4 rows within 2000 points,
+    # and of 4 rows where one row alone exceeds 100 points
+    monkeypatch.setattr(potential, "_SEG_BLOCK", seg_block)
+    u, beta = _RadialPower(3, -0.5), -0.5
+    prof = _singular_profile(beta)
+    D, sizes, jet = 0.25, [], u._jet
+
+    def recorded(X, grad, d2):
+        if d2 and not grad and np.max(np.linalg.norm(X.T - prof.p, axis=-1)) < D:
+            sizes.append(X.shape[1])
+        return jet(X, grad, d2)
+
+    u._jet = recorded
+    rep_formula_report(u, prof, _OFF_CENTRE_OMEGA, [0.5, 0, 0], m_sphere=12, m_boundary=16,
+                       m_rad=12)
+    dirs = sphere_rule(3, 12)[0].shape[0]
+    assert sizes and max(sizes) <= max(seg_block, 4 * dirs)

@@ -29,7 +29,7 @@ import numpy as np
 from .blowup import BlowupInput, detect
 from .bounds import ThmBParams, lower_bound_4_4, sup_scan, thmA_conditions, thmB_chain_bound, thmB_condition
 from .errors import BubbleforgeError
-from .field_core import Bubble, CallableRadialField, RadialField, SumField, _radial_jet_of, k_function, k_sum_limit
+from .field_core import Bubble, CallableRadialField, SumField, k_function, k_sum_limit
 from .glue import ConcentricGlueField, DisjointGlueField, InsertGlueField, insert_annulus, solve_rho_M
 from .potential import Kernel, SingularProfile, int_absH_ball, rep_formula_report, rep_identity_report
 from .regions import Ball, Box, GridSpec
@@ -280,23 +280,10 @@ def _run_rep_identity(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
                     residual <= bound)
 
 
-class _RadialPower(RadialField):
-    """The field |x|^beta; its jet takes one non-integer power per point.
-
-    f = r^beta, f' = beta f / r and f'' = (beta - 1) f' / r.
-    """
-
-    def __init__(self, n: int, beta: float):
-        super().__init__(n)
-        self.beta = beta
-
-    def _radial_jet(self, r, slope, d2):
-        f = r**self.beta
-        if not (slope or d2):
-            return f, None, None
-        df = self.beta * f / r
-        return _radial_jet_of(self.n, r, slope, f, df,
-                              (self.beta - 1.0) * df / r if d2 else None)
+def _power_field(n: int, beta: float) -> CallableRadialField:
+    """The field |x|^beta, with f' = beta f / r and f'' = (beta - 1) f' / r."""
+    return CallableRadialField(n, lambda r: r**beta, lambda r: beta * r**beta / r,
+                               lambda r: (beta - 1.0) * (beta * r**beta / r) / r)
 
 
 def _run_rep_singular(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
@@ -304,7 +291,7 @@ def _run_rep_singular(cfg: ExperimentConfig, p: dict) -> Iterator[ReportRow]:
     if not 0 < nut < 1:
         raise ConfigError("rep-singular needs nu in (0, 1)")
     beta = 2.0 - n + nut
-    u = _RadialPower(n, beta)
+    u = _power_field(n, beta)
     prof = SingularProfile(p=np.zeros(n), mu=1.0 - nut, nu=nut,
                            c1=abs(beta * nut) * 1.01, c2=abs(beta) * 1.01, delta=0.3)
     pstr = _params_str(p)

@@ -149,8 +149,8 @@ class RadialField(ScalarField):
     A value-only call forms f alone.  A profile that is a power of a
     rational function of r (Bubble, BaseField) takes that one non-integer
     power per point and forms its derivatives as products and quotients of
-    it; a field given by (f, f', f'') converts them with _radial_jet_of.  No
-    two of f, f'/r and lap share memory, and none shares memory with r.
+    it; CallableRadialField takes a profile given as (f, f', f'').  No two
+    of f, f'/r and lap share memory, and none shares memory with r.
     """
 
     def __init__(self, n: int, center=None):
@@ -172,32 +172,6 @@ class RadialField(ScalarField):
 def _nonzero(r):
     """r with each zero replaced by 1.0, as a new array only when r holds a zero."""
     return r if r.all() else np.where(r == 0.0, 1.0, r)
-
-
-def _radial_jet_of(n: int, r, slope, f, df=None, d2f=None):
-    """(f, f'/r, lap) at the radii r from a profile's f, f' and f''.
-
-    f'/r is None unless slope, and lap = f'' + (n-1) f'/r None unless d2f
-    is given; without df, f comes back alone.  At r = 0, f'/r is f'(0),
-    and lap the limit n f''(0).  Both are formed in place, f'/r in the
-    buffer of f' and lap in that of f''.
-    """
-    if df is None:
-        return f, None, None
-    rs = _nonzero(r)
-    lap = None
-    if d2f is not None:
-        # f'' + (n-1) f'/r in the buffer of f'', and its limit n f''(0) at r = 0
-        lim = None if rs is r else n * d2f[r == 0.0]
-        tmp = np.multiply(df, n - 1)
-        tmp /= rs
-        lap = d2f
-        lap += tmp
-        if lim is not None:
-            lap[r == 0.0] = lim
-    if slope:
-        df /= rs
-    return f, df if slope else None, lap
 
 
 class Bubble(RadialField):
@@ -297,10 +271,25 @@ class CallableRadialField(RadialField):
         self._f, self._df, self._d2f = f, df, d2f
 
     def _radial_jet(self, r, slope, d2):
-        out = []
-        for fn in (self._f, self._df, self._d2f)[:3 if d2 else 2 if slope else 1]:
-            out.append(_writeable(fn(r), r, out))
-        return _radial_jet_of(self.n, r, slope, *out)
+        # f'/r in the buffer of f', lap = f'' + (n-1) f'/r in that of f''; at
+        # r = 0, f'/r is f'(0) and lap the limit n f''(0)
+        f = _writeable(self._f(r), r, [])
+        if not (slope or d2):
+            return f, None, None
+        df = _writeable(self._df(r), r, [f])
+        rs = _nonzero(r)
+        lap = None
+        if d2:
+            lap = _writeable(self._d2f(r), r, [f, df])
+            lim = None if rs is r else self.n * lap[r == 0.0]
+            tmp = np.multiply(df, self.n - 1)
+            tmp /= rs
+            lap += tmp
+            if lim is not None:
+                lap[r == 0.0] = lim
+        if slope:
+            df /= rs
+        return f, df if slope else None, lap
 
 
 def _writeable(v, r, others):

@@ -1,5 +1,7 @@
 """Bubbles, field algebra and the curvature-function evaluator."""
 
+import itertools
+
 import mpmath
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from bubbleforge import (
     sum_field,
     sup_scan,
 )
-from bubbleforge.cli import _RadialPower
+from bubbleforge.cli import _power_field
 from bubbleforge.errors import KappaTooLarge, NonpositiveValue
 from bubbleforge.field_core import SumField, _row_dot, _sq_dist
 from bubbleforge.glue import DisjointGlueField, InsertGlueField
@@ -683,11 +685,35 @@ def test_rep_singular_jet_against_mpmath(monkeypatch):
         three_powers = CallableRadialField(
             n, lambda r, b=beta: r**b, lambda r, b=beta: b * r ** (b - 1),
             lambda r, b=beta: b * (b - 1) * r ** (b - 2))
-        new.append((_RadialPower(n, beta), pts, _mp_power(n, beta)))
+        new.append((_power_field(n, beta), pts, _mp_power(n, beta)))
         old.append((three_powers, pts, _mp_power(n, beta)))
     for entry, e_new, e_old in zip(("u", "grad", "lap"), _jet_errors(new), _jet_errors(old)):
         assert e_new <= JET_REL_TOL, (entry, e_new)
         assert e_new <= 2.0 * max(e_old, np.finfo(float).eps), (entry, e_new, e_old)
+
+
+@pytest.mark.parametrize("slope, d2", [(False, False), (True, False), (False, True),
+                                       (True, True)])
+def test_power_field_jet_is_its_closed_form_bit_for_bit(slope, d2):
+    # the rep-singular field keeps the bits of f = r^beta, f' = beta f / r and
+    # f'' = (beta - 1) f' / r, with f'/r and f'' + (n-1) f'/r formed from them
+    # in that order, and at r = 0 the slope f'(0) and the limit n f''(0)
+    rng = np.random.default_rng(1841)
+    for n, nu in itertools.product((3, 4, 5, 6), (0.1, 0.5, 0.9)):
+        beta = 2.0 - n + nu
+        r = np.concatenate([[0.0], np.geomspace(1e-6, 4.0, 63), rng.uniform(0.0, 3.0, 64)])
+        # r = 0 gives infinities, and inf - inf in the unused lap entry there
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = r**beta
+            df = beta * f / r
+            d2f = (beta - 1.0) * df / r
+            rs = np.where(r == 0.0, 1.0, r)
+            want = (f, df / rs if slope else None,
+                    np.where(r == 0.0, n * d2f, d2f + (n - 1) * df / rs) if d2 else None)
+            got = _power_field(n, beta)._radial_jet(r.copy(), slope, d2)
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            assert a is None or a.tobytes() == b.tobytes(), (n, nu)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -27,19 +27,19 @@ from bubbleforge import (
 )
 from bubbleforge import kelvin
 from bubbleforge.blowup import RescaledField, _c2_deviation, _fit_samples
-from bubbleforge.cli import _RadialPower
+from bubbleforge.cli import _power_field
 from bubbleforge.field_core import _k_of, _sq_dist
 from bubbleforge.glue import Cutoff
 from bubbleforge.kelvin import KelvinField, _image
 
 
-def _callable_radial():
+def _callable_radial(center=(0.2, 0, 0)):
     return CallableRadialField(
         3,
         lambda r: 1.0 / (1.0 + r * r),
         lambda r: -2.0 * r / (1.0 + r * r) ** 2,
         lambda r: (6.0 * r * r - 2.0) / (1.0 + r * r) ** 3,
-        center=[0.2, 0, 0],
+        center=center,
     )
 
 
@@ -103,7 +103,7 @@ def _same_bits(a, b):
 
 
 # FIELDS and the singular field |x|^beta of the rep-singular experiment
-JET_FIELDS = {**FIELDS, "rep-singular": lambda: (_RadialPower(3, -0.5), 2.0)}
+JET_FIELDS = {**FIELDS, "rep-singular": lambda: (_power_field(3, -0.5), 2.0)}
 
 
 @pytest.mark.parametrize("make", JET_FIELDS.values(), ids=JET_FIELDS.keys())
@@ -349,8 +349,6 @@ def test_closed_form_jets_take_one_power_per_point(n, monkeypatch):
     b = Bubble(0.7, rng.normal(size=n), n)
     assert _powers(b._radial_jet, _counted(np.sqrt(sq)), True, True) == 1
     assert _powers(BaseField(n)._radial_jet, _counted(np.sqrt(sq)), True, True) == 1
-    assert _powers(_RadialPower(n, 2.5 - n)._radial_jet, _counted(np.sqrt(sq[1:])), True,
-                   True) == 1
     # the Kelvin transform's own powers: its points, and so its offsets, are
     # counted, while its source's jet sees the plain image points
     monkeypatch.setattr(kelvin, "_image",

@@ -255,11 +255,27 @@ def test_disjoint_inward_transitions_allow_tangent_balls(rng):
     assert np.allclose(u.value(inner), b1.value(inner), atol=0)
 
 
-def test_disjoint_kelvin_extension_probe(rng):
+# one field of each class that declares a finite |x|^(n-2) decay coefficient
+DECAYING = {
+    "bubble": lambda: Bubble(0.7, [0.3, -0.2, 0.1], 3),
+    "sum": lambda: sum_field(Bubble(0.5, [2, 0, 0], 3), Bubble(1.0, [0, -1, 0.5], 3)),
+    "concentric": lambda: glue_concentric(GlueConfig.concentric(
+        Bubble(0.2, np.zeros(3), 3), Bubble(1.0, np.zeros(3), 3), 0.5, 1.5)),
+    "disjoint": _disjoint,
+    "insert": lambda: InsertGlueField(
+        sum_field(Bubble(1.0, np.zeros(3), 3), Bubble(0.5, [3, 0, 0], 3)),
+        Bubble(0.2, np.zeros(3), 3), [0.5, 0, 0], 2.0),
+    "kelvin": lambda: kelvin_field(Bubble(1.0, [0.5, 0, 0], 3), Inversion([0.2, 0.1, 0], 1.3)),
+}
+
+
+@pytest.mark.parametrize("make", DECAYING.values(), ids=DECAYING.keys())
+def test_kelvin_extension_probe(make, rng):
     # values of the inversion image converge along rays to the declared limit
-    u = _disjoint()
+    u = make()
     v = kelvin_field(u, Inversion(np.zeros(3), 1.0))
     expected = u.inv_decay_coeff
+    assert expected is not None
     for _ in range(3):
         ray = rng.normal(size=3)
         ray /= np.linalg.norm(ray)

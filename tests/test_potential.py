@@ -27,7 +27,7 @@ from bubbleforge import (
     weighted_grad_integral,
 )
 from bubbleforge import cli, potential
-from bubbleforge.cli import _RadialPower
+from bubbleforge.cli import _power_field
 from bubbleforge.errors import BadRadii, Coincident, ProfileViolated
 from bubbleforge.potential import (
     _SEG_BLOCK,
@@ -629,7 +629,7 @@ def test_rep_formula_outer_skips_empty_segments():
     # 2304 of the 4608 aligned directions miss B(p, D), so their segment after
     # it is empty and never evaluated, and the report keeps every bit of the
     # reference that evaluates all of them
-    u, beta = _RadialPower(3, -0.5), -0.5
+    u, beta = _power_field(3, -0.5), -0.5
     prof, omega = _singular_profile(beta), _OFF_CENTRE_OMEGA
     xi, D, eps_seq = np.array([0.5, 0.0, 0.0]), 0.25, (1e-2, 1e-3, 1e-4)
     outside = []  # points of Laplacian jets with every point outside B(p, D)
@@ -694,7 +694,7 @@ def test_rep_formula_rejects_xi_at_singular_point():
 
 @pytest.mark.parametrize("xi", [[0.5, 0, 0], [0.3, 0.25, -0.2]], ids=["on-axis", "off-axis"])
 def test_rep_formula_radial_path_matches_polar_reference(xi):
-    u, beta = _RadialPower(3, -0.5), -0.5
+    u, beta = _power_field(3, -0.5), -0.5
     prof, omega = _singular_profile(beta), Ball(np.zeros(3), 1.5)
     eps_seq = (1e-2, 1e-3, 1e-4)
     rep = rep_formula_report(u, prof, omega, xi, eps_seq)
@@ -711,7 +711,7 @@ def test_rep_formula_radial_path_matches_polar_reference(xi):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_rep_formula_radial_path_extrapolates_to_roundoff(n):
     # the residual is minus the p-sphere term, u'(eps) eps^(n-1) ~ eps^nu
-    u, beta = _RadialPower(n, 2.0 - n + 0.5), 2.0 - n + 0.5
+    u, beta = _power_field(n, 2.0 - n + 0.5), 2.0 - n + 0.5
     xi = np.zeros(n)
     xi[0] = 0.5
     rep = rep_formula_report(u, _singular_profile(beta, n=n), Ball(np.zeros(n), 1.5), xi)
@@ -734,7 +734,7 @@ def test_rep_formula_radial_path_builds_only_the_profile_sphere(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(potential, "sphere_rule", top_level)
-    u, beta = _RadialPower(3, -0.5), -0.5
+    u, beta = _power_field(3, -0.5), -0.5
     rep_formula_report(u, _singular_profile(beta), Ball(np.zeros(3), 1.5), [0.5, 0, 0])
     assert calls == [(3, potential._PROFILE_SPHERE)]
 
@@ -742,7 +742,7 @@ def test_rep_formula_radial_path_builds_only_the_profile_sphere(monkeypatch):
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_rep_formula_radial_path_evaluates_few_points(n):
     # verify_profile's sample included; the polar rules took 3.34M points at n = 3
-    u, beta = _RadialPower(n, 2.0 - n + 0.5), 2.0 - n + 0.5
+    u, beta = _power_field(n, 2.0 - n + 0.5), 2.0 - n + 0.5
     points, jet = [], u._jet
 
     def counted(X, grad, d2):
@@ -772,7 +772,7 @@ def test_rep_formula_radial_field_off_centre_omega_takes_polar_path(monkeypatch)
         return real(*args)
 
     monkeypatch.setattr(potential, "_outer_h_lap", recorded)
-    u, beta = _RadialPower(3, -0.5), -0.5
+    u, beta = _power_field(3, -0.5), -0.5
     rep = rep_formula_report(u, _singular_profile(beta), _OFF_CENTRE_OMEGA, [0.5, 0, 0],
                              m_sphere=12, m_boundary=16, m_rad=12)
     assert outer == [_OFF_CENTRE_OMEGA]
@@ -784,7 +784,7 @@ def test_rep_formula_annulus_jets_stay_within_the_block(monkeypatch, seg_block):
     # 288 directions about p: blocks of 56 rows, of 4 rows within 2000 points,
     # and of 4 rows where one row alone exceeds 100 points
     monkeypatch.setattr(potential, "_SEG_BLOCK", seg_block)
-    u, beta = _RadialPower(3, -0.5), -0.5
+    u, beta = _power_field(3, -0.5), -0.5
     prof = _singular_profile(beta)
     D, sizes, jet = 0.25, [], u._jet
 

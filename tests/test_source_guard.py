@@ -38,6 +38,11 @@ One radial hook: a radial field supplies _radial_jet alone, so no class
 defines value_r or _profile, and every RadialField subclass defines
 _radial_jet.
 
+Field classes live in the field modules: no ScalarField subclass, direct
+or not, is defined outside field_core.py, glue.py, kelvin.py and
+blowup.py, so a field is built from theirs (the command line's |x|^beta
+is a CallableRadialField) and not forked where it is used.
+
 One cutoff product rule: in glue.py only _blend reads the derivatives of a
 Cutoff jet; every glue hands its cutoff's jet to _blend whole, and _blend
 forms each cutoff product term of u, grad u and lap u.
@@ -402,7 +407,57 @@ def test_one_radial_hook():
     bare = {module: source.replace(f"def {RADIAL_HOOK}(", "def _gone(")
             for module, source in sources.items()}
     assert {name for _, name, _ in radial_hook_breaks(bare)} == {
-        "Bubble", "BaseField", "CallableRadialField", "ConcentricGlueField", "_RadialPower"}
+        "Bubble", "BaseField", "CallableRadialField", "ConcentricGlueField"}
+
+
+FIELD_MODULES = {"field_core", "glue", "kelvin", "blowup"}
+
+
+def stray_field_classes(sources: dict[str, str]):
+    """(module, class, line) of each ScalarField subclass, direct or not, that
+    sources ({module: source}) define outside FIELD_MODULES."""
+    bases, defs = {}, []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, []).extend(map(_point_name, node.bases))
+                defs.append((module, node.name, node.lineno))
+
+    def field(name):
+        return name == "ScalarField" or any(map(field, bases.get(name, ())))
+
+    return sorted((module, name, line) for module, name, line in defs
+                  if module not in FIELD_MODULES and name != "ScalarField" and field(name))
+
+
+def test_guard_finds_stray_field_classes():
+    sources = {
+        "field_core": "\n".join([
+            "class ScalarField:",
+            "    pass",
+            "class RadialField(ScalarField):",
+            "    pass",
+        ]),
+        "glue": "class Glue(RadialField):\n    pass",
+        "cli": "\n".join([
+            "class Config:",
+            "    pass",
+            "class _Power(core.RadialField):",
+            "    pass",
+            "class _Wide(Glue):",
+            "    pass",
+        ]),
+        "potential": "class Kernel:\n    pass\nclass Ring(ScalarField):\n    pass",
+    }
+    assert stray_field_classes(sources) == [("cli", "_Power", 3), ("cli", "_Wide", 5),
+                                            ("potential", "Ring", 3)]
+
+
+def test_field_classes_live_in_the_field_modules():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    assert FIELD_MODULES <= set(sources)
+    bad = [f"{module}.py:{line}: {name}" for module, name, line in stray_field_classes(sources)]
+    assert not bad, "a field class outside the field modules:\n" + "\n".join(bad)
 
 
 BLEND = "_blend"

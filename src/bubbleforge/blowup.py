@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import FitDiverged, OutOfDomain
-from .field_core import Bubble, ScalarField, _point, _pointwise, _sq_dist
+from .field_core import Bubble, ScalarField, _down, _point, _pointwise, _sq_dist, _up
 from .potential import sphere_rule
 from .regions import _grid_chunks
 
@@ -22,8 +22,12 @@ OUTER_RADIUS = 5.0 / 8.0
 # merge: `blowup --n 4` took 152-184 ms with 1 << 14, 116-119 ms with 1 << 17 (2-vCPU host)
 _CHUNK = 1 << 17
 _KEEP = 1 << 14  # leading coarse entries kept for the candidate search
-_CANDIDATES = 8  # coarse maxima that weighted_max refines
+_CANDIDATES = 8  # coarse maxima that the grid path refines
 _MIN_STEP = 1.0 / 2048  # the compass search stops below this share of a cell
+_GAP = 1e-3  # the branch-and-bound ends once no box may beat its best value by this share
+# weighted evaluations the branch-and-bound may spend; `blowup --n 3/4/5` needs
+# 559, 2,215 and 5,939, a bubble centred at the origin more than 260k
+_BUDGET = 1 << 16
 _FIT_ITERS = 100  # Gauss-Newton steps of fit_bubble at most
 
 
@@ -36,7 +40,9 @@ class BlowupInput:
     excluded lists (center, radius) balls masked out of the maximization,
     which lets callers excise an already-detected bubble and rerun; each
     center is a point of the field's R^n.  coarse is the nodes per axis of
-    the grid that weighted_max's compass search refines.
+    the grid that weighted_max scans when the field has no box enclosure
+    (a Bubble, or a SumField of such fields, has one), or when its
+    branch-and-bound spends its budget before it ends.
     """
 
     field: ScalarField
@@ -69,6 +75,7 @@ class BubbleReport:
     mu: float
     y_o: np.ndarray
     delta_measured: float
+    M_upper: float | None = None  # certified bound on the maximum; None from the grid path
 
     @property
     def scale_original(self) -> float:
@@ -188,7 +195,7 @@ def _coarse_top(inp: BlowupInput, axis: np.ndarray, keep: int):
     return vals[order], idx[order]
 
 
-def weighted_max(inp: BlowupInput):
+def _grid_max(inp: BlowupInput):
     """Maximize the weighted field over the annulus by grid plus refinement.
 
     The coarse grid (inp.coarse nodes per axis over the cube [-5/8, 5/8]^n)
@@ -236,6 +243,126 @@ def weighted_max(inp: BlowupInput):
                              np.array([v for _, v in candidates]), cell)
     k = int(np.argmax(vs))
     return xs[k], float(vs[k])
+
+
+def _norm_upper(rows, n: int):
+    """Upper bounds on the float norm of the points whose coordinates are
+    at most rows (n, k) in absolute value."""
+    return _up(np.sqrt(_up(_sq_dist(rows), n + 1)))
+
+
+def _weighted_upper(inp: BlowupInput, lo, hi):
+    """Upper bounds (k,) of weighted_u on the boxes [lo, hi] (k, n), or None
+    when the field has no enclosure.
+
+    A bound is -inf, and its box dropped, when the box lies off the annulus
+    or wholly inside an excluded ball, so that no point of it is admissible.
+    d_eps is bounded from the box's range of |x|, and every step is rounded
+    outward, so a bound holds for the exact value and for weighted_u's.
+    """
+    u = inp.field._box_upper(lo, hi)
+    if u is None:
+        return None
+    n = inp.field.n
+    near = _sq_dist(np.maximum(np.maximum(lo, -hi), 0.0).T)
+    r_lo = _down(np.sqrt(np.maximum(_down(near, n + 1), 0.0)))
+    r_hi = _norm_upper(np.maximum(np.abs(lo), np.abs(hi)).T, n)
+    d = np.minimum(_up(r_hi - inp.epsilon), _up(OUTER_RADIUS - r_lo))
+    ok = d > 0.0
+    for c, rad in inp.excluded:
+        ok &= _norm_upper(np.maximum(np.abs(lo - c), np.abs(hi - c)).T, n) >= rad
+    out = np.full(len(lo), -np.inf)
+    out[ok] = _up(_up(d[ok] ** ((n - 2) / 2), 2) * u[ok])
+    return out
+
+
+def _branch_and_bound(inp: BlowupInput):
+    """Certified maximum of weighted_u by interval branch-and-bound, or None
+    when the field has no enclosure.
+
+    Starts from the cube [-5/8, 5/8]^n and goes level by level: boxes whose
+    bound is -inf are dropped, the centres of the others are evaluated in
+    one _weighted_rows call, a box whose bound is at most best (1 + _GAP)
+    is pruned, and each box left is bisected along its longest edge (the
+    first such axis).  (Piyavskii, USSR Comput. Math. 12, 1972; Moore,
+    Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009.)
+
+    Returns (x, value, box, upper, done): the best centre, its value and the
+    edge lengths of its box, a bound on weighted_u over the annulus (the
+    largest bound of a pruned box or of a box left), and whether the search
+    ended within _BUDGET evaluations, in which case upper <= value (1 +
+    _GAP).  x is None if no centre was admissible.  Raises OutOfDomain when a centre's value is infinite, or
+    when every box is dropped.
+    """
+    lo = np.full((1, inp.field.n), -OUTER_RADIUS)
+    hi = -lo
+    ub = _weighted_upper(inp, lo, hi)
+    if ub is None:
+        return None
+    best, best_x, best_box, upper, spent = -np.inf, None, None, -np.inf, 0
+    while True:
+        live = ub > -np.inf
+        lo, hi, ub = lo[live], hi[live], ub[live]
+        if not len(lo) or spent + len(lo) > _BUDGET:
+            break
+        mid = (lo + hi) / 2
+        v = _weighted_rows(inp, np.ascontiguousarray(mid.T))
+        spent += len(v)
+        if np.any(v == np.inf):
+            raise OutOfDomain("weighted field is infinite at a box centre")
+        v[np.isnan(v)] = -np.inf
+        j = int(np.argmax(v))
+        if v[j] > best:
+            best, best_x, best_box = float(v[j]), mid[j], hi[j] - lo[j]
+        keep = ub > best * (1 + _GAP)
+        upper = max(upper, float(ub[~keep].max(initial=-np.inf)))
+        lo, hi = lo[keep], hi[keep]
+        axis, rows = np.argmax(hi - lo, axis=1), np.arange(len(lo))
+        cut = mid[keep][rows, axis]
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[rows, axis] = right_lo[rows, axis] = cut
+        lo, hi = np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])
+        ub = _weighted_upper(inp, lo, hi)
+    if best_x is None and not len(lo):
+        raise OutOfDomain("no admissible point: the annulus lies inside the excluded balls")
+    upper = max(upper, float(ub.max(initial=-np.inf)))
+    return best_x, best, best_box, upper, not len(lo)
+
+
+def _certified_max(inp: BlowupInput):
+    """(x_o, M_eps, M_upper) of weighted_max; M_upper is None from the grid path."""
+    found = _branch_and_bound(inp)
+    if found is None:
+        return (*_grid_max(inp), None)
+    x, v, box, upper, done = found
+    if x is not None:
+        xs, vs = _compass_search(inp, x[None], np.array([v]), box)
+        x, v = xs[0], float(vs[0])
+    if not done:
+        grid_x, grid_v = _grid_max(inp)
+        if x is None or grid_v >= v:
+            x, v = grid_x, grid_v
+    return x, v, upper
+
+
+def weighted_max(inp: BlowupInput):
+    """Maximize the weighted field over the annulus; (x_o, M_eps).
+
+    A field with a box enclosure (a Bubble, or a SumField of such fields)
+    takes _branch_and_bound, whose bound certifies its best centre within
+    _GAP, and one compass search from that centre, with steps from its
+    box's edges down to 1/2048 of them, polishes it.  Another field, or a
+    search that spends _BUDGET evaluations before it ends (a bubble centred
+    at the origin peaks on a whole sphere), takes the grid path, _grid_max;
+    after a spent budget the higher of the two results wins.  The whole
+    search is deterministic, and detect reports the certified bound as
+    BubbleReport.M_upper.
+
+    Raises OutOfDomain when no point is admissible (the annulus lies
+    inside the excluded balls) or when the weighted field is infinite at
+    an evaluated point.
+    """
+    return _certified_max(inp)[:2]
 
 
 class RescaledField(ScalarField):
@@ -343,7 +470,7 @@ def detect(inp: BlowupInput) -> BubbleReport | None:
     The fitted center may shift the expansion point within shift_cap * lam
     of the maximizer when that improves the measured deviation.
     """
-    x_o, M_eps = weighted_max(inp)
+    x_o, M_eps, M_upper = _certified_max(inp)
     w0 = rescale(inp, x_o)
     r_fit = min(inp.R, 0.97 * w0.window_radius)
     mu0, y0, delta0 = fit_bubble(w0, r_fit)
@@ -366,7 +493,7 @@ def detect(inp: BlowupInput) -> BubbleReport | None:
     if delta >= inp.delta_target:
         return None
     return BubbleReport(x_o=x_o, M_eps=M_eps, lam=lam, x_1=x_1, mu=mu,
-                        y_o=y_o, delta_measured=delta)
+                        y_o=y_o, delta_measured=delta, M_upper=M_upper)
 
 
 def excise(inp: BlowupInput, report: BubbleReport) -> BlowupInput:

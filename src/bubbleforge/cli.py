@@ -441,12 +441,19 @@ def run(cfg: ExperimentConfig) -> tuple[int, list[ReportRow]]:
 # --- sweeps -------------------------------------------------------------------
 
 
+_MAX_SWEEP = 10_000  # values of one range, and parameter tuples of one sweep, at most
+
+
 def parse_range(raw: str) -> list[float]:
-    """Sweep values: 'a,b,c', 'lin:start:stop:count' or 'log:start:stop:count'."""
+    """Sweep values: 'a,b,c', 'lin:start:stop:count' or 'log:start:stop:count'.
+
+    A count above _MAX_SWEEP raises ValueError before any value is built."""
     raw = str(raw)
     if raw.startswith("lin:") or raw.startswith("log:"):
         kind, a, b, c = raw.split(":")
         count = int(c)
+        if count > _MAX_SWEEP:
+            raise ValueError(f"{count} values exceed the cap of {_MAX_SWEEP}")
         if count < 1:
             return []
         if kind == "lin":
@@ -458,7 +465,9 @@ def parse_range(raw: str) -> list[float]:
 def sweep(cfg: ExperimentConfig) -> tuple[int, list[ReportRow]]:
     """Cartesian sweep over any range-valued parameters, deterministic order.
 
-    n varies slowest, then the other parameters in sorted key order."""
+    n varies slowest, then the other parameters in sorted key order.  An
+    empty range, which would check nothing, and more than _MAX_SWEEP
+    parameter tuples raise ConfigError before any experiment runs."""
     spec = _experiment(cfg, "n")
     keep = spec.sweep or spec.run
     axes: dict[str, list] = {"n": [cfg.n]}
@@ -470,7 +479,12 @@ def sweep(cfg: ExperimentConfig) -> tuple[int, list[ReportRow]]:
         try:
             axes[key] = parse_range(raw)
         except ValueError as exc:
-            raise ConfigError(f"{cfg.kind}: bad range {raw!r} for {key!r}") from exc
+            raise ConfigError(f"{cfg.kind}: bad range {raw!r} for {key!r}: {exc}") from exc
+        if not axes[key]:
+            raise ConfigError(f"{cfg.kind}: range {raw!r} for {key!r} is empty")
+    tuples = math.prod(map(len, axes.values()))
+    if tuples > _MAX_SWEEP:
+        raise ConfigError(f"{cfg.kind}: {tuples} parameter tuples exceed the cap of {_MAX_SWEEP}")
     rows: list[ReportRow] = []
     for combo in itertools.product(*axes.values()):
         params = dict(zip(axes, combo))

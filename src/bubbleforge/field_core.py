@@ -74,6 +74,20 @@ def _sq_dist(X, c=None):
     return s
 
 
+def _up(x, ulps=1):
+    """x moved ulps floats toward +inf: the outward rounding of an upper bound."""
+    for _ in range(ulps):
+        x = np.nextafter(x, np.inf)
+    return x
+
+
+def _down(x, ulps=1):
+    """x moved ulps floats toward -inf: the outward rounding of a lower bound."""
+    for _ in range(ulps):
+        x = np.nextafter(x, -np.inf)
+    return x
+
+
 def _row_dot(a, b):
     """Dot product per point of the coordinate rows a and b (n, ...), in _sq_dist's order.
 
@@ -137,6 +151,15 @@ class ScalarField:
 
     def _jet(self, X, grad, d2):
         raise NotImplementedError
+
+    def _box_upper(self, lo, hi):
+        """Upper bounds (k,) of the value on the boxes [lo, hi] given as (k, n)
+        corner arrays, or None for a field without an enclosure.
+
+        A bound holds for the exact value and for the value-only jet's float
+        result at every point of its box.
+        """
+        return None
 
 
 class RadialField(ScalarField):
@@ -216,6 +239,17 @@ class Bubble(RadialField):
             lap *= u
             lap *= -self.n * (self.n - 2)
         return u, k, lap
+
+    def _box_upper(self, lo, hi):
+        # u decreases in r: its largest value on a box is at the point
+        # nearest the center.  The steps repeat the value-only jet's on the
+        # smallest squared distance, rounded outward past the rounding of
+        # the sum, of the jet's r = sqrt(s) and r * r, and of the power
+        gap = np.maximum(np.maximum(lo - self.center, self.center - hi), 0.0)
+        t = _down(_sq_dist(gap.T), self.n + 3)
+        t = _down(t + self.lam**2)
+        t = _up(self.lam / t)
+        return _up(t ** ((self.n - 2) / 2), 2)
 
 
 class BaseField(RadialField):
@@ -316,6 +350,10 @@ class SumField(ScalarField):
 
     def __repr__(self):
         return f"SumField({self.f!r}, {self.g!r})"
+
+    def _box_upper(self, lo, hi):
+        f, g = self.f._box_upper(lo, hi), self.g._box_upper(lo, hi)
+        return None if f is None or g is None else _up(f + g)
 
     def _jet(self, X, grad, d2):
         u, g, lap = self.f._jet(X, grad, d2)

@@ -1,5 +1,6 @@
 """Weighted maxima, rescaling and bubble fitting."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -8,8 +9,11 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bubbleforge
 from bubbleforge import (
@@ -148,7 +152,7 @@ def _node_radius_input():
 def test_weighted_max_matches_dense_search(make_input, chunk, monkeypatch):
     monkeypatch.setattr(blowup, "_CHUNK", chunk)
     inp = make_input()
-    x_o, M = weighted_max(inp)
+    x_o, M = blowup._grid_max(inp)
     ref_x, ref_M = _dense_weighted_max(inp)
     assert np.array_equal(x_o, ref_x)
     assert M == ref_M
@@ -192,7 +196,7 @@ def test_weighted_max_never_evaluates_the_singularity(monkeypatch):
     monkeypatch.setattr(inv_r, "_jet", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x_o, M = weighted_max(inp)
+        x_o, M = blowup._grid_max(inp)
     assert np.concatenate(radii).min() > inp.epsilon
     ref_x, ref_M = _dense_weighted_max(inp)
     assert np.array_equal(x_o, ref_x)
@@ -222,7 +226,7 @@ def test_weighted_max_rescans_when_kept_entries_run_out(monkeypatch):
 
     monkeypatch.setattr(blowup, "_KEEP", 4)
     monkeypatch.setattr(blowup, "_coarse_top", counted_top)
-    x_o, M = weighted_max(inp)
+    x_o, M = blowup._grid_max(inp)
     assert scans[0] == 4 and len(scans) > 1
     ref_x, ref_M = _dense_weighted_max(inp)
     assert np.array_equal(x_o, ref_x)
@@ -301,10 +305,174 @@ def test_compass_search_beats_the_dense_refine(make_input):
 def test_weighted_max_is_a_local_maximum_at_the_final_step(make_input):
     # no node of a 9^n grid of spacing cell/2048 about x_o is higher
     inp = make_input()
-    x_o, M = weighted_max(inp)
+    x_o, M = blowup._grid_max(inp)
     h = _cell(inp) / 2048
     grid = grid_points(x_o - 4 * h, x_o + 4 * h, 9)
     assert np.max(weighted_u(inp, grid)) <= M
+
+
+# --- the branch-and-bound path ------------------------------------------------
+
+# the inputs above whose field has a box enclosure
+_ENCLOSED = [_narrow_bubble_input, _two_bubble_input, _excised_input, _odd_grid_input,
+             _n4_input, _node_radius_input]
+
+
+@pytest.mark.parametrize("make_input", _ENCLOSED)
+def test_weighted_max_is_certified_and_beats_the_dense_search(make_input):
+    inp = make_input()
+    x_o, M, M_upper = blowup._certified_max(inp)
+    wx, wM = weighted_max(inp)
+    assert np.array_equal(wx, x_o) and wM == M
+    assert _admissible(inp, x_o[None])[0]
+    assert M == weighted_u(inp, x_o)
+    assert M >= _dense_weighted_max(inp)[1]
+    assert M_upper >= M
+    # the bound holds over the whole annulus, so at every admissible node
+    assert M_upper >= np.max(weighted_u(inp, _dense_grid(inp)))
+    assert M_upper <= M * (1 + blowup._GAP)
+
+
+def _planted_input(n, seed=0):
+    """The input of `blowup --n <n> --seed <seed>` with its default parameters."""
+    direction = np.random.default_rng(seed).normal(size=n)
+    return BlowupInput(field=Bubble(1e-3, 0.3 * direction / np.linalg.norm(direction), n),
+                       epsilon=0.1, R=5.0, delta_target=0.01)
+
+
+def _bench_inputs(seed):
+    """The two inputs of the benchmark's detect-excise-detect at a seed: two
+    planted bubbles, then the same with the first detection excised."""
+    rng = np.random.default_rng(seed)
+    while True:
+        d = rng.normal(size=(2, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        if np.linalg.norm(0.3 * d[0] - 0.45 * d[1]) >= 0.25:
+            break
+    inp = BlowupInput(field=sum_field(Bubble(1e-4, 0.3 * d[0], 3), Bubble(2e-4, 0.45 * d[1], 3)),
+                      epsilon=0.1, R=5.0, delta_target=0.05)
+    return inp, excise(inp, detect(inp))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_weighted_max_beats_the_grid_path(seed):
+    for inp in (_planted_input(3, seed), _planted_input(4, seed), *_bench_inputs(seed)):
+        x_o, M, M_upper = blowup._certified_max(inp)
+        assert M >= blowup._grid_max(inp)[1]
+        assert M <= M_upper <= M * (1 + blowup._GAP)
+        assert _admissible(inp, x_o[None])[0]
+
+
+def _search_evaluations(inp, monkeypatch):
+    sizes = []
+    rows = blowup._weighted_rows
+    monkeypatch.setattr(blowup, "_weighted_rows",
+                        lambda inp, X: sizes.append(X.shape[1]) or rows(inp, X))
+    done = blowup._branch_and_bound(inp)[4]
+    return sum(sizes), done
+
+
+@pytest.mark.parametrize("make_input, limit", [
+    # `blowup --n 3/4/5 --seed 0` took 559, 2,215 and 5,939 evaluations, where
+    # the 48^n grid evaluates 53,880, 1,501,568 and 37.7M admissible nodes
+    (lambda: _planted_input(3), 600),
+    (lambda: _planted_input(4), 2_400),
+    (lambda: _planted_input(5), 6_400),
+    # 1,253: the boxes inside the excised ball are dropped, not searched
+    (_excised_input, 1_400),
+], ids=["n3", "n4", "n5", "excised"])
+def test_branch_and_bound_evaluates_few_points(make_input, limit, monkeypatch):
+    spent, done = _search_evaluations(make_input(), monkeypatch)
+    assert done
+    assert spent <= limit
+
+
+def test_spent_budget_falls_back_to_the_grid(monkeypatch):
+    # a bubble centred at the origin peaks on a whole sphere, which no budget covers
+    inp = BlowupInput(field=Bubble(1e-3, np.zeros(3), 3), epsilon=0.1, R=5.0,
+                      delta_target=0.01)
+    spent, done = _search_evaluations(inp, monkeypatch)
+    assert not done and spent <= blowup._BUDGET
+    x_o, M, M_upper = blowup._certified_max(inp)
+    grid_x, grid_M = blowup._grid_max(inp)
+    assert M >= grid_M
+    assert M > grid_M or np.array_equal(x_o, grid_x)
+    assert M_upper >= M
+
+
+def test_spent_budget_keeps_the_higher_result(monkeypatch):
+    inp = _two_bubble_input()
+    monkeypatch.setattr(blowup, "_BUDGET", 64)
+    x, v, box, upper, done = blowup._branch_and_bound(inp)
+    assert not done
+    xs, vs = _compass_search(inp, x[None], np.array([v]), box)
+    grid_x, grid_M = blowup._grid_max(inp)
+    x_o, M, M_upper = blowup._certified_max(inp)
+    assert M == max(vs[0], grid_M)
+    assert np.array_equal(x_o, grid_x if grid_M >= vs[0] else xs[0])
+    assert M_upper == upper >= M
+
+
+def test_fields_without_an_enclosure_take_the_grid():
+    inp = _constant_input()
+    assert blowup._branch_and_bound(inp) is None
+    x_o, M, M_upper = blowup._certified_max(inp)
+    ref_x, ref_M = blowup._grid_max(inp)
+    assert np.array_equal(x_o, ref_x) and M == ref_M and M_upper is None
+
+
+def test_detect_reports_the_certified_bound():
+    rep = detect(_narrow_bubble_input())
+    assert rep.M_eps <= rep.M_upper <= rep.M_eps * (1 + blowup._GAP)
+    # the same bubble given by its profile has no enclosure
+    lam, c = 1e-3, [0.3, 0.0, 0.0]
+    profile = CallableRadialField(3, lambda r: np.sqrt(lam / (lam**2 + r * r)),
+                                  lambda r: -r * np.sqrt(lam) * (lam**2 + r * r) ** -1.5,
+                                  lambda r: np.sqrt(lam) * (2 * r * r - lam**2)
+                                  * (lam**2 + r * r) ** -2.5, center=c)
+    rep = detect(replace(_narrow_bubble_input(), field=profile))
+    assert rep is not None and rep.M_upper is None
+
+
+def _box_strategy(n, data, centre):
+    """A box [lo, hi] about the centre or anywhere near the annulus; some edges,
+    or all, of zero width."""
+    width = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.4)),
+                                        min_size=n, max_size=n)))
+    if data.draw(st.booleans()):
+        width[:] = 0.0
+    if data.draw(st.booleans()):  # the box contains the centre
+        share = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+        lo = centre - share * width
+        return lo, np.maximum(lo + width, centre)
+    lo = np.array(data.draw(st.lists(st.floats(-0.7, 0.7), min_size=n, max_size=n)))
+    return lo, lo + width
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(3, 5), data=st.data())
+def test_box_enclosures_hold_every_value_in_the_box(n, data):
+    coords = st.lists(st.floats(-0.6, 0.6), min_size=n, max_size=n)
+    b1 = Bubble(data.draw(st.floats(1e-4, 2.0)), data.draw(coords), n)
+    b2 = Bubble(data.draw(st.floats(1e-4, 2.0)), data.draw(coords), n)
+    field = data.draw(st.sampled_from([b1, sum_field(b1, b2)]))
+    lo, hi = _box_strategy(n, data, b1.center)
+    excluded = ((b2.center, data.draw(st.floats(0.01, 0.5))),) if data.draw(st.booleans()) else ()
+    inp = BlowupInput(field=field, epsilon=0.1, R=5.0, delta_target=0.01, excluded=excluded)
+    # a dense sample: a 5^n grid of the box, random points and the point nearest b1
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pts = np.vstack([grid_points(lo, hi, 5), lo + rng.uniform(size=(200, n)) * (hi - lo),
+                     np.clip(b1.center, lo, hi)])
+    bound = field._box_upper(lo[None], hi[None])[0]
+    assert np.all(field.value(pts) <= bound)
+    # and the exact value at the point nearest the centre, where a bubble peaks
+    near = [mpmath.mpf(v) for v in np.clip(b1.center, lo, hi)]
+    s = sum((a - mpmath.mpf(c)) ** 2 for a, c in zip(near, b1.center))
+    with mpmath.workdps(40):
+        assert (b1.lam / (b1.lam**2 + s)) ** mpmath.mpf((n - 2) / 2) <= b1._box_upper(
+            lo[None], hi[None])[0]
+    w_bound = blowup._weighted_upper(inp, lo[None], hi[None])[0]
+    assert np.all(weighted_u(inp, pts) <= w_bound)
 
 
 @pytest.mark.parametrize("make_input", [_two_bubble_input, _excised_input, _n4_input,
@@ -360,24 +528,45 @@ def test_compass_search_memory_is_bounded_at_n5():
 
 def test_refinement_evaluates_few_points(tmp_path, monkeypatch):
     # the three 17^4 refine grids of each of 8 candidates took 2,004,504 points
-    # for `blowup --n 4 --seed 0`
+    # for `blowup --n 4 --seed 0`; the compass search polishes one start
     from bubbleforge import cli
 
-    counts, coarse_end = [], []
-    top = blowup._coarse_top
+    counts, search_end = [], []
+    search = blowup._branch_and_bound
 
-    def marked_top(*args):
-        result = top(*args)
-        coarse_end.append(len(counts))
+    def marked_search(*args):
+        result = search(*args)
+        search_end.append(len(counts))
         return result
+
+    def no_grid(*args):
+        raise AssertionError("the grid path ran")
 
     monkeypatch.setattr(blowup, "weighted_u",
                         lambda inp, x: counts.append(len(x)) or weighted_u(inp, x))
-    monkeypatch.setattr(blowup, "_coarse_top", marked_top)
+    monkeypatch.setattr(blowup, "_branch_and_bound", marked_search)
+    monkeypatch.setattr(blowup, "_coarse_top", no_grid)
     assert cli.main(["blowup", "--n", "4", "--seed", "0",
                      "--out", str(tmp_path / "r.csv")]) == 0
-    assert len(coarse_end) == 1
-    assert 0 < sum(counts[coarse_end[0]:]) < 20_000
+    assert len(search_end) == 1
+    assert 0 < sum(counts[search_end[0]:]) < 20_000
+
+
+def test_blowup_n5_runs_in_one_gigabyte(tmp_path):
+    # the 48^5 grid took 1.9 s; the address-space cap is set in the child alone
+    src = str(Path(bubbleforge.__file__).resolve().parents[1])
+    out = tmp_path / "r.csv"
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from bubbleforge.cli import main\n"
+            f"raise SystemExit(main(['blowup', '--n', '5', '--out', {str(out)!r}]))\n")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="") as fh:
+        rows = {r["experiment"]: r for r in csv.DictReader(fh)}
+    assert float(rows["blowup/mu-rel-err"]["measured"]) <= 1e-6
 
 
 def test_detect_after_excising_the_whole_annulus_raises():

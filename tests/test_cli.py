@@ -175,10 +175,24 @@ def test_sweep_thm_a_bound_monotone_below_threshold(tmp_path):
     assert all(a > b for a, b in zip(measured[:-1], measured[1:]))
 
 
-def test_sweep_empty_range_gives_empty_table(tmp_path):
-    code, rows = _run(tmp_path, "sweep", "lemma-37", "--n", "3", "--R", "")
-    assert code == EXIT_OK
-    assert rows == []
+def test_sweep_empty_range_exits_config(tmp_path, capsys):
+    # a sweep over no values checks nothing: it used to exit 0 with no rows
+    for raw in ("", ",", "lin:1:2:0"):
+        code, rows = _run(tmp_path, "sweep", "lemma-37", "--n", "3", "--R", raw, "--xi", "0")
+        assert code == EXIT_CONFIG and rows == []
+        assert f"range {raw!r} for 'R' is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    # np.linspace used to fail on 10^10 values with a MemoryError traceback and exit 1
+    (["--n", "3", "--R", "lin:1:2:10000000000"], "10000000000 values exceed the cap of 10000"),
+    (["--n", "lin:3:4:10000000000", "--R", "1"], "10000000000 values exceed the cap of 10000"),
+    (["--n", "3,4", "--R", "lin:1:2:5001"], "10002 parameter tuples exceed the cap of 10000"),
+])
+def test_sweep_oversized_range_exits_config(tmp_path, capsys, argv, message):
+    code, rows = _run(tmp_path, "sweep", "lemma-37", *argv)
+    assert code == EXIT_CONFIG and rows == []
+    assert message in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -455,7 +469,8 @@ class AtMost:
 
 
 # columns 1-4 of the report of each command under "Command line" in README.md;
-# every row passes, and measured and bound are compared to 1e-9 relative
+# every row passes, and measured and bound are compared to 1e-9 relative, with no
+# absolute floor: pytest.approx's default 1e-12 would pass any roundoff cell
 README_ROWS = {
     "verify thm-a --n 3 --lambda1 0.0099 --lambda2 1 --rho 1 --R 10": [
         ("thm-a/conditions", "R=10;lambda1=0.0099;lambda2=1;n=3;rho=1", 1, 1),
@@ -500,10 +515,10 @@ README_ROWS = {
          1, 1),
         ("blowup/mu-rel-err",
          "R=5;center-radius=0.3;delta-target=0.01;epsilon=0.1;mu=0.001;n=3;seed=0",
-         8.67361737988e-16, 1e-06),
+         1.08420217249e-15, 1e-06),
         ("blowup/delta",
          "R=5;center-radius=0.3;delta-target=0.01;epsilon=0.1;mu=0.001;n=3;seed=0",
-         3.35483314904e-14, 0.01),
+         4.20687713019e-14, 0.01),
     ],
     "sweep lemma-37 --n 3,4,5,6 --R 1 --xi 0": [
         ("lemma-37/equality", "R=1;n=3;xi=0:0:0", 0.5, 0.5),
@@ -547,8 +562,8 @@ def _assert_rows(rows, expected):
         if isinstance(measured, AtMost):
             assert float(row["measured"]) <= measured.limit
         else:
-            assert float(row["measured"]) == pytest.approx(measured, rel=1e-9)
-        assert float(row["bound"]) == pytest.approx(bound, rel=1e-9)
+            assert float(row["measured"]) == pytest.approx(measured, rel=1e-9, abs=0)
+        assert float(row["bound"]) == pytest.approx(bound, rel=1e-9, abs=0)
 
 
 def test_readme_lists_the_recorded_commands():

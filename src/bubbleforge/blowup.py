@@ -8,22 +8,17 @@ origin, and least-squares fitting a bubble to the rescaled profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import FitDiverged, OutOfDomain
 from .field_core import Bubble, ScalarField, _down, _point, _pointwise, _sq_dist, _up
 from .potential import sphere_rule
-from .regions import _grid_chunks
 
 OUTER_RADIUS = 5.0 / 8.0
-# coarse grid points scanned at a time; not the scans' 1 << 14, as each chunk pays _coarse_top's
-# merge: `blowup --n 4` took 152-184 ms with 1 << 14, 116-119 ms with 1 << 17 (2-vCPU host)
-_CHUNK = 1 << 17
-_KEEP = 1 << 14  # leading coarse entries kept for the candidate search
-_CANDIDATES = 8  # coarse maxima that the grid path refines
-_MIN_STEP = 1.0 / 2048  # the compass search stops below this share of a cell
+_CELL = 2 * OUTER_RADIUS / 47  # the polish's largest first step: a cell of a 48-node axis
+_MIN_STEP = 1.0 / 2048  # the compass search stops below this share of its first step
 _GAP = 1e-3  # the branch-and-bound ends once no box may beat its best value by this share
 # weighted evaluations the branch-and-bound may spend; `blowup --n 3/4/5` needs
 # 559, 2,215 and 5,939, a bubble centred at the origin more than 260k
@@ -39,10 +34,7 @@ class BlowupInput:
     delta_target the acceptance threshold on the measured C^2 deviation.
     excluded lists (center, radius) balls masked out of the maximization,
     which lets callers excise an already-detected bubble and rerun; each
-    center is a point of the field's R^n.  coarse is the nodes per axis of
-    the grid that weighted_max scans when the field has no box enclosure
-    (a Bubble, or a SumField of such fields, has one), or when its
-    branch-and-bound spends its budget before it ends.
+    center is a point of the field's R^n.
     """
 
     field: ScalarField
@@ -50,7 +42,6 @@ class BlowupInput:
     R: float
     delta_target: float
     excluded: tuple = ()
-    coarse: int = 48
     shift_cap = 5.0  # a class constant, not a field: detect's cap on its shift, in scales lam
 
     def __post_init__(self):
@@ -58,8 +49,6 @@ class BlowupInput:
             raise ValueError("need 0 < epsilon < 5/8")
         if self.R <= 0 or self.delta_target <= 0:
             raise ValueError("R and delta_target must be positive")
-        if self.coarse < 2:
-            raise ValueError("coarse needs at least 2 nodes per axis")
         object.__setattr__(self, "excluded",
                            tuple((_point(c, self.field.n), rad) for c, rad in self.excluded))
 
@@ -75,7 +64,7 @@ class BubbleReport:
     mu: float
     y_o: np.ndarray
     delta_measured: float
-    M_upper: float | None = None  # certified bound on the maximum; None from the grid path
+    M_upper: float | None = None  # certified bound on the maximum; None if it is infinite
 
     @property
     def scale_original(self) -> float:
@@ -162,89 +151,6 @@ def _compass_search(inp: BlowupInput, xs: np.ndarray, vs: np.ndarray,
     return x, v
 
 
-def _coarse_top(inp: BlowupInput, axis: np.ndarray, keep: int):
-    """The first `keep` finite coarse values in the order (-value, flat index).
-
-    Returns those values and their flat grid indices, in that order; fewer
-    than `keep` means every finite value is there.  Only the nodes of a
-    shell slightly wider than the annulus eps < |x| < 5/8 are handed to
-    weighted_u, which rejects the others in the shell exactly, so the nodes
-    off the annulus, finite nowhere, are never evaluated.  Kept entries
-    stay in flat-index order until the final sort, so the ties at the cut
-    keep their smallest indices.
-    """
-    shell = (np.zeros(inp.field.n), inp.epsilon, OUTER_RADIUS)
-    vals, idx = np.empty(0), np.empty(0, dtype=np.intp)
-    for first, sel, X in _grid_chunks([axis] * inp.field.n, _CHUNK, shell):
-        v = _weighted_rows(inp, X)
-        if np.any(v == np.inf):
-            raise OutOfDomain("weighted field is infinite at a coarse node")
-        new = np.isfinite(v)
-        if vals.size == keep:
-            # a later index ties below every kept entry of equal value
-            new &= v > vals.min()
-        new = np.flatnonzero(new)
-        vals = np.concatenate([vals, v[new]])
-        idx = np.concatenate([idx, first + sel[new]])
-        if vals.size > keep:
-            kth = np.partition(vals, vals.size - keep)[vals.size - keep]
-            top = vals > kth
-            top[np.flatnonzero(vals == kth)[: keep - np.count_nonzero(top)]] = True
-            vals, idx = vals[top], idx[top]
-    order = np.lexsort((idx, -vals))
-    return vals[order], idx[order]
-
-
-def _grid_max(inp: BlowupInput):
-    """Maximize the weighted field over the annulus by grid plus refinement.
-
-    The coarse grid (inp.coarse nodes per axis over the cube [-5/8, 5/8]^n)
-    is scanned in chunks of about _CHUNK points, each masked by radius
-    before the field is touched, so the field is evaluated only at the
-    admissible nodes, which lie on the annulus: its time grows with their
-    number, a shrinking share of coarse^n as n grows.  Only the _KEEP
-    largest finite values are kept with their flat grid indices, so memory
-    does not grow with coarse^n.  Those are ordered by decreasing value,
-    ties toward the smallest flat index, which is a prefix of the order of
-    the whole grid.  Narrow peaks can fall between coarse nodes, so the first
-    _CANDIDATES nodes along that order that lie at least two cell
-    diagonals from every earlier candidate are refined at once by one
-    compass search, from a step of one cell down to 1/2048 of it, and the
-    first with the highest refined value wins.  If the kept prefix runs out
-    before _CANDIDATES are found while finite values remain outside it,
-    the grid is rescanned keeping eight times as many, so the candidates
-    are exact in every case.  The whole search is deterministic.
-
-    Raises OutOfDomain when no coarse node is admissible (every node lies
-    off the annulus or inside an excluded ball) or when the weighted field
-    is infinite at a coarse node or a poll point.
-    """
-    n = inp.field.n
-    axis = np.linspace(-OUTER_RADIUS, OUTER_RADIUS, inp.coarse)
-    cell = np.full(n, 2 * OUTER_RADIUS / (inp.coarse - 1))
-    min_sep = 2.0 * float(np.linalg.norm(cell))
-    keep = _KEEP
-    while True:
-        vals, idx = _coarse_top(inp, axis, keep)
-        pts = axis[np.stack(np.unravel_index(idx, (inp.coarse,) * n), axis=-1)]
-        candidates = []
-        for x, v in zip(pts, vals):
-            if all(np.linalg.norm(x - c) >= min_sep for c, _ in candidates):
-                candidates.append((x, float(v)))
-            if len(candidates) >= _CANDIDATES:
-                break
-        if len(candidates) >= _CANDIDATES or vals.size < keep:
-            break
-        keep *= 8
-    if not candidates:
-        raise OutOfDomain("no admissible coarse node: every node lies off "
-                          "the annulus or inside an excluded ball")
-    xs, vs = _compass_search(inp, np.array([x for x, _ in candidates]),
-                             np.array([v for _, v in candidates]), cell)
-    k = int(np.argmax(vs))
-    return xs[k], float(vs[k])
-
-
 def _norm_upper(rows, n: int):
     """Upper bounds on the float norm of the points whose coordinates are
     at most rows (n, k) in absolute value."""
@@ -252,17 +158,14 @@ def _norm_upper(rows, n: int):
 
 
 def _weighted_upper(inp: BlowupInput, lo, hi):
-    """Upper bounds (k,) of weighted_u on the boxes [lo, hi] (k, n), or None
-    when the field has no enclosure.
+    """Upper bounds (k,) of weighted_u on the boxes [lo, hi] (k, n).
 
     A bound is -inf, and its box dropped, when the box lies off the annulus
-    or wholly inside an excluded ball, so that no point of it is admissible.
-    d_eps is bounded from the box's range of |x|, and every step is rounded
+    or wholly inside an excluded ball, so that no point of it is admissible;
+    it is +inf on every other box when the field has no enclosure.  d_eps
+    is bounded from the box's range of |x|, and every step is rounded
     outward, so a bound holds for the exact value and for weighted_u's.
     """
-    u = inp.field._box_upper(lo, hi)
-    if u is None:
-        return None
     n = inp.field.n
     near = _sq_dist(np.maximum(np.maximum(lo, -hi), 0.0).T)
     r_lo = _down(np.sqrt(np.maximum(_down(near, n + 1), 0.0)))
@@ -271,34 +174,35 @@ def _weighted_upper(inp: BlowupInput, lo, hi):
     ok = d > 0.0
     for c, rad in inp.excluded:
         ok &= _norm_upper(np.maximum(np.abs(lo - c), np.abs(hi - c)).T, n) >= rad
+    u = inp.field._box_upper(lo, hi)
     out = np.full(len(lo), -np.inf)
-    out[ok] = _up(_up(d[ok] ** ((n - 2) / 2), 2) * u[ok])
+    out[ok] = np.inf if u is None else _up(_up(d[ok] ** ((n - 2) / 2), 2) * u[ok])
     return out
 
 
 def _branch_and_bound(inp: BlowupInput):
-    """Certified maximum of weighted_u by interval branch-and-bound, or None
-    when the field has no enclosure.
+    """Best box centre of weighted_u by interval branch-and-bound.
 
     Starts from the cube [-5/8, 5/8]^n and goes level by level: boxes whose
     bound is -inf are dropped, the centres of the others are evaluated in
     one _weighted_rows call, a box whose bound is at most best (1 + _GAP)
     is pruned, and each box left is bisected along its longest edge (the
     first such axis).  (Piyavskii, USSR Comput. Math. 12, 1972; Moore,
-    Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009.)
+    Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009.)  It
+    ends when no box is left, or before a level would take it past
+    _BUDGET evaluations; a field without an enclosure prunes nothing and
+    so bisects until then.
 
-    Returns (x, value, box, upper, done): the best centre, its value and the
-    edge lengths of its box, a bound on weighted_u over the annulus (the
-    largest bound of a pruned box or of a box left), and whether the search
-    ended within _BUDGET evaluations, in which case upper <= value (1 +
-    _GAP).  x is None if no centre was admissible.  Raises OutOfDomain when a centre's value is infinite, or
-    when every box is dropped.
+    Returns (x, value, box, upper): the best centre, its value and the edge
+    lengths of its box, and a bound on weighted_u over the annulus (the
+    largest bound of a pruned box or of a box left, +inf without an
+    enclosure), which is at most value (1 + _GAP) when no box is left.
+    Raises OutOfDomain when a centre's value is infinite, or when no
+    evaluated centre is admissible.
     """
     lo = np.full((1, inp.field.n), -OUTER_RADIUS)
     hi = -lo
     ub = _weighted_upper(inp, lo, hi)
-    if ub is None:
-        return None
     best, best_x, best_box, upper, spent = -np.inf, None, None, -np.inf, 0
     while True:
         live = ub > -np.inf
@@ -323,46 +227,31 @@ def _branch_and_bound(inp: BlowupInput):
         left_hi[rows, axis] = right_lo[rows, axis] = cut
         lo, hi = np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])
         ub = _weighted_upper(inp, lo, hi)
-    if best_x is None and not len(lo):
-        raise OutOfDomain("no admissible point: the annulus lies inside the excluded balls")
-    upper = max(upper, float(ub.max(initial=-np.inf)))
-    return best_x, best, best_box, upper, not len(lo)
-
-
-def _certified_max(inp: BlowupInput):
-    """(x_o, M_eps, M_upper) of weighted_max; M_upper is None from the grid path."""
-    found = _branch_and_bound(inp)
-    if found is None:
-        return (*_grid_max(inp), None)
-    x, v, box, upper, done = found
-    if x is not None:
-        xs, vs = _compass_search(inp, x[None], np.array([v]), box)
-        x, v = xs[0], float(vs[0])
-    if not done:
-        grid_x, grid_v = _grid_max(inp)
-        if x is None or grid_v >= v:
-            x, v = grid_x, grid_v
-    return x, v, upper
+    if best_x is None:
+        raise OutOfDomain("no admissible box centre: the annulus lies inside the excluded balls")
+    return best_x, best, best_box, max(upper, float(ub.max(initial=-np.inf)))
 
 
 def weighted_max(inp: BlowupInput):
-    """Maximize the weighted field over the annulus; (x_o, M_eps).
+    """Maximize the weighted field over the annulus; (x_o, M_eps, M_upper).
 
-    A field with a box enclosure (a Bubble, or a SumField of such fields)
-    takes _branch_and_bound, whose bound certifies its best centre within
-    _GAP, and one compass search from that centre, with steps from its
-    box's edges down to 1/2048 of them, polishes it.  Another field, or a
-    search that spends _BUDGET evaluations before it ends (a bubble centred
-    at the origin peaks on a whole sphere), takes the grid path, _grid_max;
-    after a spent budget the higher of the two results wins.  The whole
-    search is deterministic, and detect reports the certified bound as
-    BubbleReport.M_upper.
+    _branch_and_bound finds the best box centre, and one compass search
+    polishes it, with first steps the edges of its box, at most _CELL, down
+    to 1/2048 of them.  M_upper is the branch-and-bound's bound on
+    weighted_u over the annulus: within _GAP of the best centre's value
+    when the search ended within its budget, as it does for `blowup`'s
+    planted bubbles, and None when it is infinite, as for a field without
+    a box enclosure (a Bubble, or a SumField of such fields, has one).  A
+    bubble centred at the origin peaks on a whole sphere and spends the
+    budget.  The whole search is deterministic.
 
     Raises OutOfDomain when no point is admissible (the annulus lies
     inside the excluded balls) or when the weighted field is infinite at
     an evaluated point.
     """
-    return _certified_max(inp)[:2]
+    x, v, box, upper = _branch_and_bound(inp)
+    xs, vs = _compass_search(inp, x[None], np.array([v]), np.minimum(box, _CELL))
+    return xs[0], float(vs[0]), None if upper == np.inf else upper
 
 
 class RescaledField(ScalarField):
@@ -467,13 +356,18 @@ def _c2_deviation(w: ScalarField, model: ScalarField, X: np.ndarray) -> float:
 def detect(inp: BlowupInput) -> BubbleReport | None:
     """Locate, rescale and fit one bubble; None when no fit meets the target.
 
-    The fitted center may shift the expansion point within shift_cap * lam
-    of the maximizer when that improves the measured deviation.
+    weighted_max locates the maximizer x_o and its certified bound, which
+    the report carries as M_upper.  A fit whose scale diverges meets no
+    target.  The fitted center may shift the expansion point within
+    shift_cap * lam of the maximizer when that improves the measured
+    deviation.
     """
-    x_o, M_eps, M_upper = _certified_max(inp)
+    x_o, M_eps, M_upper = weighted_max(inp)
     w0 = rescale(inp, x_o)
-    r_fit = min(inp.R, 0.97 * w0.window_radius)
-    mu0, y0, delta0 = fit_bubble(w0, r_fit)
+    try:
+        mu0, y0, delta0 = fit_bubble(w0, min(inp.R, 0.97 * w0.window_radius))
+    except FitDiverged:
+        return None
 
     best = (x_o, w0.lam, mu0, y0, delta0)
     shift = w0.lam * y0

@@ -61,6 +61,10 @@ No default dimension: no function of the package gives a parameter
 named n a default, so every caller states the R^n it works in, and a
 value whose dimension its inputs carry reads it from them.
 
+One blow-up search: blowup.py imports nothing from regions, the home of
+the grid engine, so the blow-up maximum takes its branch-and-bound alone
+and grows no grid path beside it.
+
 No test oracle in the package: the analytic jet is its only derivative
 path, and the finite-difference stencil lives in tests/conftest.py.  No
 module names fd_scale, imports a module fd or defines Dim, and every
@@ -682,6 +686,39 @@ def test_guard_finds_oracle_traces():
 def test_no_test_oracle_in_package(path):
     bad = oracle_traces(path.read_text())
     assert not bad, f"{path.name} lines {bad}: the FD oracle and its steps live in tests/conftest.py"
+
+
+def regions_imports(source: str, package: str = "bubbleforge"):
+    """Line numbers of the imports that load the package's regions module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        for m in _imported_modules(node):
+            parts = m.split(".")
+            if getattr(node, "level", 0) == 0:  # absolute: bubbleforge.regions
+                parts = parts[1:] if parts[0] == package else []
+            if parts[:1] == ["regions"]:
+                found.append(node.lineno)
+                break
+    return found
+
+
+def test_guard_finds_regions_imports():
+    src = "\n".join([
+        "from .regions import _grid_chunks",
+        "from . import regions",
+        "import bubbleforge.regions as rg",
+        "from bubbleforge.regions import grid_points",
+        "from .regions_extra import x",
+        "from .field_core import regions",
+        "import regions",
+        "from .potential import sphere_rule",
+    ])
+    assert regions_imports(src) == [1, 2, 3, 4]
+
+
+def test_blowup_search_takes_no_grid():
+    bad = regions_imports((SRC / "blowup.py").read_text())
+    assert not bad, f"blowup.py imports regions on lines {bad}; the branch-and-bound is its one search"
 
 
 def unimported_modules(sources: dict[str, str], package: str, entry: set[str]):

@@ -268,6 +268,8 @@ class RescaledField(ScalarField):
         self.lam = float(lam)
         self.window_radius = float(window_radius)
         self.radial = False
+        self._interfaces = tuple(((c - self.x_center) / self.lam, r / self.lam)
+                                 for c, r in src._interfaces)
 
     def _to_source(self, Y):
         if np.any(np.sqrt(_sq_dist(Y)) > self.window_radius):

@@ -134,11 +134,16 @@ class ScalarField:
         when the field does not decay at that rate.  A finite coefficient
         marks the field's sphere-inversion image as continuously extendable
         at the inversion center.
+    _interfaces : the spheres (centre (n,), radius) across which the jet
+        may lose smoothness, the ends of the glue cutoffs; between them the
+        jet is smooth.  The polar quadratures cut their rays there, and the
+        radial ones split at the radii.
     """
 
     n: int
     radial: bool = False
     inv_decay_coeff: float | None = None
+    _interfaces: tuple = ()
 
     def value(self, x):
         return _pointwise(lambda X: self._jet(X, False, False)[0], x, self.n)
@@ -345,6 +350,7 @@ class SumField(ScalarField):
         self.n = f.n
         self.f, self.g = f, g
         self.radial = f.radial and g.radial
+        self._interfaces = f._interfaces + g._interfaces
         if f.inv_decay_coeff is not None and g.inv_decay_coeff is not None:
             self.inv_decay_coeff = f.inv_decay_coeff + g.inv_decay_coeff
 

@@ -48,6 +48,10 @@ class Cutoff:
     def width(self) -> float:
         return self.r_out - self.r_in
 
+    def _spheres(self, center) -> tuple:
+        """The spheres (center, r_in) and (center, r_out), where phi's third derivative jumps."""
+        return ((center, self.r_in), (center, self.r_out))
+
     def _t(self, r):
         """(r - r_in) / width clipped to [0, 1], in one new array (a scalar for a scalar r)."""
         t = np.asarray(r, float) - self.r_in
@@ -210,6 +214,7 @@ class ConcentricGlueField(RadialField):
         self.b1, self.b2 = b1, b2
         self.cut = Cutoff(float(rho), float(R))
         self.inv_decay_coeff = b2.inv_decay_coeff
+        self._interfaces = self.cut._spheres(self.center)
 
     def __repr__(self):
         return (f"ConcentricGlueField(lam1={self.b1.lam!r}, lam2={self.b2.lam!r}, "
@@ -279,6 +284,7 @@ class DisjointGlueField(ScalarField):
         self.b1, self.b2 = b1, b2
         self.n = b1.n
         self.cut1, self.cut2 = Cutoff(*span1), Cutoff(*span2)
+        self._interfaces = self.cut1._spheres(b1.center) + self.cut2._spheres(b2.center)
         self.inward = bool(inward)
         self.inv_decay_coeff = b1.inv_decay_coeff + b2.inv_decay_coeff
 
@@ -340,6 +346,9 @@ class InsertGlueField(ScalarField):
         self.cut = Cutoff(bubble.lam * self.rho_m, bubble.lam * self.rho_M)
         self.radial = host.radial and bool(np.all(self.x1 == 0.0))
         self.inv_decay_coeff = host.inv_decay_coeff
+        # the host is read at x1 + x, so its spheres move by -x1
+        self._interfaces = self.cut._spheres(np.zeros(self.n)) + tuple(
+            (c - self.x1, r) for c, r in host._interfaces)
 
     def __repr__(self):
         return (f"InsertGlueField(lam={self.bubble.lam!r}, rho_m={self.rho_m!r}, "

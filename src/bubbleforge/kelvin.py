@@ -85,6 +85,7 @@ class KelvinField(ScalarField):
             self.inv_decay_coeff = inv.radius ** (self.n - 2) * u_c
         except BubbleforgeError:
             self.inv_decay_coeff = None
+        self._interfaces = _image_spheres(inv, src._interfaces)
 
     def __repr__(self):
         return f"KelvinField({self.src!r}, center={self.inv.center.tolist()!r}, a={self.inv.radius!r})"
@@ -125,6 +126,23 @@ class KelvinField(ScalarField):
         g = (2 - self.n) * (pref / rho2) * d * u + pref * jac_g
         u *= pref
         return u, g, lap
+
+
+def _image_spheres(inv: Inversion, spheres) -> tuple:
+    """The images of the spheres (c, r) under the inversion; none if one meets its centre.
+
+    With d = c - center and e = |d|^2 - r^2 != 0, the image of |y - c| = r is
+    the sphere about center + a^2 d / e of radius a^2 r / |e|; for e = 0 it
+    is a plane, which no sphere declares.
+    """
+    out = []
+    for c, r in spheres:
+        d = c - inv.center
+        e = float(np.sum(d * d)) - r * r
+        if e == 0.0:
+            return ()
+        out.append((inv.center + inv.radius**2 * d / e, inv.radius**2 * r / abs(e)))
+    return tuple(out)
 
 
 def kelvin_field(f: ScalarField, inv: Inversion) -> KelvinField:

@@ -4,12 +4,19 @@ A ball integral of |H| against a radial factor over an origin-centred ball
 is one radial integral through the spherical mean of the kernel; so is the
 Green representation of a radial field on an origin-centred ball with its
 singular point at the origin, whose boundary terms are then closed forms.
-Every other ball integral against H uses polar coordinates about the
-singular point, where |H| r^(n-1) is proportional to r, so the radial
-integrand is bounded; angular directions use product Gauss rules.  The
-singular point must lie inside the ball.  Error estimates come from rule
-doubling, and adaptive_radial's add a rounding bound; accumulation is
-fixed-order, so results are deterministic run to run.
+Every other ball integral against H is one ray integral (_ray_integral) in
+polar coordinates about the singular point, where |H| r^(n-1) is
+proportional to r, so the radial integrand is bounded.  Each ray is cut
+where it crosses a sphere across which a field declares that its jet may
+lose smoothness (its _interfaces), and at an excluded ball, and each segment
+takes its own Gauss panels; the angular rule is aligned with the axis to
+one of their centres and split at its grazing angles.  The singular point
+must lie inside the ball.  Error estimates come from rule doubling: a ray
+integral doubles its angular and radial rules together until the last
+delta is within rel_tol, and adaptive_radial's add a rounding bound.
+Accumulation is fixed-order, and the polar rules sum elementwise rather
+than through BLAS products, so their results are deterministic run to run
+and do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -83,6 +90,7 @@ _GL16 = leggauss(16)
 _SEG_BLOCK = _POINT_BLOCK  # ray-segment points evaluated at a time
 _ABS_TOL = 1e-14  # adaptive_radial stops at a doubling delta <= max(_ABS_TOL, rel_tol |value|)
 _MAX_PANELS = 4096  # or at this many panels in a segment
+_RAY_BUDGET = 1 << 22  # points a _ray_integral may evaluate over all its levels
 _PROFILE_RADII = 24  # verify_profile samples this many radii along each direction
 _PROFILE_SPHERE = 4  # of sphere_rule(n, _PROFILE_SPHERE)
 _UNIT_ROUNDOFF = 2.0**-53  # of float64, for adaptive_radial's rounding bound
@@ -255,8 +263,8 @@ def int_absH_annulus(k: Kernel, rho: float, R: float) -> QuadResult:
 def _ray_exit(ball: Ball, xi: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     """Distance from xi to the ball boundary along each unit direction."""
     d = xi - ball.center
-    b = dirs @ d
-    disc = b * b + ball.radius**2 - float(d @ d)
+    b = _row_dot(dirs.T, d)
+    disc = b * b + ball.radius**2 - float(np.sum(d * d))
     return -b + np.sqrt(np.clip(disc, 0.0, None))
 
 
@@ -273,46 +281,160 @@ def _ray_points(x0: np.ndarray, r, dirs: np.ndarray) -> np.ndarray:
     return out.reshape(n, -1)
 
 
-def _ray_sums(g, xi: np.ndarray, dirs: np.ndarray, lo: np.ndarray, lens: np.ndarray,
-              uu: np.ndarray, wu: np.ndarray) -> list[np.ndarray]:
-    """Per integrand and direction, lens * sum_j wu_j r_j g_i(xi + r_j theta),
-    r = lo + lens uu.
+def _complement_frame(axis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of axis^perp as columns (Householder construction)."""
+    n = axis.size
+    e = np.zeros(n)
+    e[0] = 1.0
+    if np.allclose(axis, e):
+        return np.eye(n)[:, 1:]
+    v = e - axis
+    v = v / np.linalg.norm(v)
+    house = np.eye(n) - 2.0 * np.outer(v, v)
+    return house[:, 1:]
+
+
+def _aligned_sphere_rule(n: int, m: int, axis: np.ndarray, breaks):
+    """Sphere rule about `axis`: points (M, n) and weights summing to omega_n.
+
+    The polar angle theta from the axis takes m // 4 Gauss panels on each
+    interval between the break angles, with the measure sin^(n-2) theta
+    folded into the weights, and the directions about the axis take
+    sphere_rule(n - 1, m).  A break is a grazing angle, below which the rays
+    cross a sphere, so that a chord's ends move as the square root of its
+    distance from the break: on an interval that ends at a break, theta is
+    the break minus L (1 - s)^2, s uniform, in which that root is smooth.
+    """
+    sub_pts, sub_w = sphere_rule(n - 1, m)
+    frame = _complement_frame(axis)
+    perp = sub_pts[:, :1] * frame[:, 0]  # the sub-sphere's points in axis^perp, (M, n)
+    for j in range(1, n - 1):
+        perp = perp + sub_pts[:, j:j + 1] * frame[:, j]
+    s, ws = _gl_panels(np.linspace(0.0, 1.0, m // 4 + 1))
+    cuts = [0.0, *sorted({float(b) for b in breaks if 0.0 < b < math.pi}), math.pi]
+    th, wth = [], []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi < math.pi:
+            th.append(hi - (hi - lo) * (1.0 - s) ** 2)
+            wth.append(ws * 2.0 * (hi - lo) * (1.0 - s))
+        else:
+            th.append(lo + (hi - lo) * s)
+            wth.append(ws * (hi - lo))
+    th = np.concatenate(th)
+    wth = np.concatenate(wth) * np.sin(th) ** (n - 2)
+    dirs = (np.cos(th)[:, None, None] * axis + np.sin(th)[:, None, None] * perp).reshape(-1, n)
+    return dirs, (wth[:, None] * sub_w).ravel()
+
+
+def _ray_axis(xi: np.ndarray, ball: Ball, spheres):
+    """The axis of the angular rule about xi, and the grazing angles on it.
+
+    The axis points from xi to the centre of the first sphere (centre,
+    radius) that meets the ball, in the order given, or else to the ball's
+    centre, passing over any centre at xi; the break angles are the grazing
+    angles asin(r / |c - xi|) of the spheres about that centre with xi
+    outside them.  About the ball's centre the ray's exit is symmetric.
+    With no such centre the axis is the first coordinate axis.
+    """
+    meets = [(c, r) for c, r in spheres
+             if abs(float(np.linalg.norm(c - ball.center)) - r) < ball.radius]
+    for c in [c for c, _ in meets] + [ball.center]:
+        dist = float(np.linalg.norm(c - xi))
+        if dist > 0.0:
+            return (c - xi) / dist, [math.asin(r / dist) for c2, r in meets
+                                     if r <= dist and np.array_equal(c2, c)]
+    return np.eye(xi.size)[0], []
+
+
+def _ray_segments(xi: np.ndarray, dirs: np.ndarray, ball: Ball, spheres, excluded):
+    """The segments of the rays from xi to the ball's boundary between the spheres.
+
+    Each ray is cut where it crosses a sphere (centre, radius) of spheres or
+    the boundary of the ball excluded, and the piece inside excluded is
+    dropped.  Returns (direction, start, length) per segment of positive
+    length, ordered by direction and then along the ray.
+    """
+    rexit = _ray_exit(ball, xi, dirs)
+    cuts = [np.zeros_like(rexit), rexit]
+    for c, r in [*spheres, *([excluded] if excluded else [])]:
+        d = xi - c
+        b = _row_dot(dirs.T, d)
+        disc = b * b - (float(np.sum(d * d)) - r * r)
+        sq = np.sqrt(np.clip(disc, 0.0, None))
+        for t in (-b - sq, -b + sq):
+            cuts.append(np.where((disc > 0.0) & (t > 0.0) & (t < rexit), t, rexit))
+    cuts = np.sort(np.stack(cuts, axis=1), axis=1)
+    lo, lens = cuts[:, :-1], np.diff(cuts, axis=1)
+    live = lens > 0.0
+    if excluded:
+        p, D = excluded
+        mid = _ray_points(xi - p, lo + 0.5 * lens, dirs[:, None, :])
+        live &= _sq_dist(mid).reshape(lo.shape) >= D * D
+    ray, piece = np.nonzero(live)
+    return ray, lo[ray, piece], lens[ray, piece]
+
+
+def _ray_sums(g, xi: np.ndarray, dirs: np.ndarray, ray: np.ndarray, lo: np.ndarray,
+              lens: np.ndarray, uu: np.ndarray, wu: np.ndarray) -> list[np.ndarray]:
+    """Per integrand and segment, lens * sum_j wu_j r_j g_i(xi + r_j theta),
+    r = lo + lens uu, theta = dirs[ray].
 
     g maps an (n, m) column batch to a tuple of integrands (g_1, ...), so integrands
     that share a field evaluation take it from one pass.  g is evaluated in
-    blocks of whole directions of about _SEG_BLOCK points, so memory stays
-    bounded whatever the rule size.
+    blocks of whole segments of about _SEG_BLOCK points, so memory stays
+    bounded whatever the rule size, and each segment's nodes are summed in
+    one fixed order, whatever the block.
     """
     rows = max(1, _SEG_BLOCK // uu.size)
     blocks = []
     for i in range(0, lens.size, rows):
         blk = slice(i, i + rows)
         rr = lo[blk, None] + lens[blk, None] * uu[None, :]
-        vals = g(_ray_points(xi, rr, dirs[blk, None, :]))
-        blocks.append([lens[blk] * ((rr * np.asarray(v).reshape(rr.shape)) @ wu)
+        vals = g(_ray_points(xi, rr, dirs[ray[blk], None, :]))
+        blocks.append([lens[blk] * (rr * np.asarray(v).reshape(rr.shape) * wu).sum(axis=1)
                        for v in vals])
     return [np.concatenate(sums) for sums in zip(*blocks)]
 
 
-def _polar_ball_integral(k: Kernel, g, ball: Ball, xi: np.ndarray,
-                         m_sphere: int, m_rad: int):
-    """sum_dirs w int_0^exit r g_i(xi + r theta) dr / ((n-2) omega_n), doubled.
+def _ray_integral(k: Kernel, g, ball: Ball, xi: np.ndarray, spheres, rel_tol: float,
+                  excluded=None):
+    """The integrals of |H(x, xi)| g_i(x) over the ball, less the ball excluded, by rays from xi.
 
-    g maps a batch to a tuple of integrands, as for _ray_sums; returns
-    ([(value, err), ...] per integrand, n_evals), err the doubling delta.
+    g maps a batch to a tuple of integrands, as for _ray_sums, each smooth
+    between the spheres (centre, radius) of spheres; excluded, a ball
+    (centre, radius) without xi, or None.  In polar coordinates about xi,
+    |H| r^(n-1) = r / ((n-2) omega_n), so each ray carries a bounded
+    integrand.  The rays are cut at the spheres and at excluded's boundary
+    (_ray_segments), and the angular rule is aligned with the axis from xi
+    to the first of excluded's and the spheres' centres that meets the
+    ball, else to the ball's centre, and split at its grazing angles
+    (_ray_axis).  Level l takes _aligned_sphere_rule(n, 4 * 2^l) and 2^l
+    Gauss panels on each ray segment: each level doubles both rules, and
+    the delta of a level sees both.  Levels run from 0 until every
+    doubling delta |I_l - I_(l-1)| is at most max(_ABS_TOL, rel_tol |I_l|),
+    or until the next level would take the points evaluated past
+    _RAY_BUDGET (levels 0 and 1 always run).  Returns ([(I, delta), ...]
+    per integrand, at the last level, and the points evaluated).
     """
-    dirs, w = sphere_rule(k.n, m_sphere)
-    rexit = _ray_exit(ball, xi, dirs)
-
-    def radial(krad: int) -> list[float]:
-        per_dir = _ray_sums(g, xi, dirs, np.zeros_like(rexit), rexit,
-                            *_gl_panels(np.linspace(0.0, 1.0, krad + 1)))
-        return [float(w @ p) / ((k.n - 2.0) * k.omega_n) for p in per_dir]
-
-    v1 = radial(m_rad)
-    v2 = radial(2 * m_rad)
-    n_evals = dirs.shape[0] * 16 * 3 * m_rad
-    return [(b, abs(b - a)) for a, b in zip(v1, v2)], n_evals
+    axis, breaks = _ray_axis(xi, ball, [*([excluded] if excluded else []), *spheres])
+    vals, deltas, n_evals, level = None, None, 0, 0
+    while True:
+        dirs, w = _aligned_sphere_rule(k.n, 4 << level, axis, breaks)
+        ray, lo, lens = _ray_segments(xi, dirs, ball, spheres, excluded)
+        uu, wu = _gl_panels(np.linspace(0.0, 1.0, (1 << level) + 1))
+        if level >= 2 and n_evals + lens.size * uu.size > _RAY_BUDGET:
+            break
+        n_evals += lens.size * uu.size
+        cur = [float((w[ray] * sums).sum()) / ((k.n - 2.0) * k.omega_n)
+               for sums in _ray_sums(g, xi, dirs, ray, lo, lens, uu, wu)]
+        if vals is not None:
+            deltas = [abs(c - v) for c, v in zip(cur, vals)]
+        vals = cur
+        if deltas is not None and all(d <= max(_ABS_TOL, rel_tol * abs(v))
+                                       for d, v in zip(deltas, vals)):
+            break
+        level += 1
+    return list(zip(vals, deltas)), n_evals
 
 
 def _abs_h_sphere(k: Kernel, g, s0: float):
@@ -331,41 +453,40 @@ def _abs_h_sphere(k: Kernel, g, s0: float):
     return integrand
 
 
-def _abs_h_ball(k: Kernel, g, ball: Ball, xi: np.ndarray, splits):
+def _abs_h_ball(k: Kernel, g, ball: Ball, xi: np.ndarray, spheres, rel_tol: float = 1e-10):
     """Integral of |H(x, xi)| g(x), g radial, over an origin-centred ball: (value, err, n_evals).
 
-    A 1D integral of _abs_h_sphere, split at |xi| and at splits; any other g
-    takes _polar_ball_integral.
+    A 1D integral of _abs_h_sphere, split at |xi| and at the radii of the
+    spheres (centre, radius) about the origin that g is smooth between; any
+    other g takes _ray_integral.
     """
     s0 = float(np.linalg.norm(xi))
-    return adaptive_radial(_abs_h_sphere(k, g, s0), 0.0, ball.radius, splits=(s0, *splits))
+    return adaptive_radial(_abs_h_sphere(k, g, s0), 0.0, ball.radius, rel_tol,
+                           splits=(s0, *[r for _, r in spheres]))
 
 
 def weighted_grad_integral(k: Kernel, f: ScalarField, region: Ball, xi,
-                           m_sphere: int = 16, m_rad: int = 16) -> QuadResult:
+                           rel_tol: float = 1e-10) -> QuadResult:
     """Integral of |H(x, xi)| |grad(f^(-2/(n-2)))(x)|^2 over a ball.
 
     Radially symmetric fields over origin-centered balls reduce to a 1D
-    integral through the spherical mean of the kernel; otherwise a polar
-    product rule about xi is used.
+    integral through the spherical mean of the kernel; otherwise rays from
+    xi are cut at the field's declared interfaces (_ray_integral).  Either
+    way the rules double until the estimate is within rel_tol of the value.
     """
     _same_dim(k.n, region, f)
     xi = _pole(region, xi, k.n)
     if f.radial and bool(np.all(region.center == 0.0)):
-        val, err, ev = _abs_h_ball(k, lambda X: _grad_term_rows(f, X), region, xi, ())
+        val, err, ev = _abs_h_ball(k, lambda X: _grad_term_rows(f, X), region, xi,
+                                   f._interfaces, rel_tol)
     else:
-        [(val, err)], ev = _polar_ball_integral(k, lambda X: (_grad_term_rows(f, X),),
-                                                region, xi, m_sphere, m_rad)
+        [(val, err)], ev = _ray_integral(k, lambda X: (_grad_term_rows(f, X),), region, xi,
+                                         f._interfaces, rel_tol)
     return QuadResult(value=val, err_est=err, n_evals=ev)
 
 
-def _radial_field_splits(field) -> list[float]:
-    cut = getattr(field, "cut", None)
-    return [cut.r_in, cut.r_out] if cut is not None else []
-
-
 def rep_identity_report(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi,
-                        m_sphere: int = 16, m_rad: int = 32) -> dict:
+                        rel_tol: float = 1e-10) -> dict:
     """Both sides of the glued-field representation identity on a ball.
 
     Left side: 4n * integral of H (K - 1) over omega2.  Right side:
@@ -375,10 +496,12 @@ def rep_identity_report(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi,
     error only.  lhs_err and rhs_err are the error estimates of the two
     integrals, scaled as lhs and rhs are.
 
-    The polar rule integrates both integrands in one pass, from one jet of
-    u_c (values, gradients, Laplacians) and one gradient jet of u2 per
-    point.  The radial path keeps one adaptive integral per integrand, as
-    each stops doubling its panels on its own.
+    The polar rule (_ray_integral, its rays cut at both fields' declared
+    interfaces) integrates both integrands in one pass, from one jet of u_c
+    (values, gradients, Laplacians) and one gradient jet of u2 per point,
+    and doubles until both estimates are within rel_tol.  The radial path
+    keeps one adaptive integral per integrand, as each stops doubling its
+    panels on its own.
     """
     n = u_c.n
     _same_dim(n, u2, omega2)
@@ -394,9 +517,9 @@ def rep_identity_report(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi,
         def gdiff(X):
             return _grad_term_rows(u_c, X) - _grad_term_rows(u2, X)
 
-        splits = _radial_field_splits(u_c)
-        q1, e1, _ = _abs_h_ball(k, kdev, omega2, xi, splits)
-        q2, e2, _ = _abs_h_ball(k, gdiff, omega2, xi, splits)
+        spheres = u_c._interfaces + u2._interfaces
+        q1, e1, _ = _abs_h_ball(k, kdev, omega2, xi, spheres, rel_tol)
+        q2, e2, _ = _abs_h_ball(k, gdiff, omega2, xi, spheres, rel_tol)
     else:
         def both(X):
             u, g, lap = u_c._jet(X, True, True)
@@ -404,7 +527,8 @@ def rep_identity_report(u_c: ScalarField, u2: ScalarField, omega2: Ball, xi,
             return (_k_of(n, u, lap) - 1.0,
                     _grad_term_of(n, u, _sq_dist(g)) - _grad_term_of(n, v, _sq_dist(g2)))
 
-        [(q1, e1), (q2, e2)], _ = _polar_ball_integral(k, both, omega2, xi, m_sphere, m_rad)
+        [(q1, e1), (q2, e2)], _ = _ray_integral(k, both, omega2, xi,
+                                                u_c._interfaces + u2._interfaces, rel_tol)
 
     lhs = 4.0 * n * -q1  # H = -|H|
     rhs = (float(u_c.value(xi)) ** (-p4) - float(u2.value(xi)) ** (-p4)
@@ -456,43 +580,7 @@ def _boundary_integral(k: Kernel, u: ScalarField, center, radius: float,
     du = _row_dot(g, dirs.T)
     h = _h_rows(k, X, xi)
     vals = uv * dh - h * du
-    return sgn * radius ** (k.n - 1) * float(w @ vals)
-
-
-def _complement_frame(axis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of axis^perp as columns (Householder construction)."""
-    n = axis.size
-    e = np.zeros(n)
-    e[0] = 1.0
-    if np.allclose(axis, e):
-        return np.eye(n)[:, 1:]
-    v = e - axis
-    v = v / np.linalg.norm(v)
-    house = np.eye(n) - 2.0 * np.outer(v, v)
-    return house[:, 1:]
-
-
-def _aligned_sphere_rule(n: int, m: int, axis: np.ndarray, t_breaks):
-    """Sphere rule with the polar axis aligned to `axis`, split at given cosines.
-
-    The polar weight (1-t^2)^((n-3)/2) is folded into the weights, so the
-    integrand may be merely piecewise smooth across the break cosines without
-    degrading convergence.
-    """
-    frame = _complement_frame(axis)
-    sub_pts, sub_w = sphere_rule(n - 1, m)
-    cuts = sorted({-1.0, 1.0, *[float(t) for t in t_breaks if -1.0 < t < 1.0]})
-    dirs_blocks, w_blocks = [], []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        ts, wts = _gl_panels(np.linspace(lo, hi, max(2, m // 8) + 1))
-        wts = wts * (1.0 - ts * ts) ** ((n - 3) / 2.0)
-        s = np.sqrt(np.clip(1.0 - ts * ts, 0.0, None))
-        block = ts[:, None, None] * axis[None, None, :] + (
-            s[:, None, None] * (sub_pts @ frame.T)[None, :, :]
-        )
-        dirs_blocks.append(block.reshape(-1, n))
-        w_blocks.append((wts[:, None] * sub_w[None, :]).ravel())
-    return np.concatenate(dirs_blocks), np.concatenate(w_blocks)
+    return sgn * radius ** (k.n - 1) * float((w * vals).sum())
 
 
 def _inner_h_lap(k: Kernel, u: ScalarField, xi: np.ndarray, p: np.ndarray,
@@ -501,11 +589,9 @@ def _inner_h_lap(k: Kernel, u: ScalarField, xi: np.ndarray, p: np.ndarray,
 
     The kernel is smooth there because D = |xi - p|/2.
     """
-
-    # whole radius rows, as many as fit in _SEG_BLOCK points, in multiples of
-    # 4 and at least 4: the matrix-vector product sums rows in groups of 4,
-    # and a block of fewer rows moves their last bits against one batch
-    rows = max(4, _SEG_BLOCK // w_p.size // 4 * 4)
+    # whole radius rows, as many as fit in _SEG_BLOCK points, each summed in
+    # one fixed order, whatever the block
+    rows = max(1, _SEG_BLOCK // w_p.size)
 
     def inner_int(r):
         out = np.empty(r.size)
@@ -514,51 +600,10 @@ def _inner_h_lap(k: Kernel, u: ScalarField, xi: np.ndarray, p: np.ndarray,
             X = _ray_points(p, rb[:, None], dirs_p)
             hv = _h_rows(k, X, xi).reshape(rb.size, -1)
             lap = u._jet(X, False, True)[2].reshape(rb.size, -1)
-            out[i:i + rows] = (hv * lap) @ w_p * rb ** (k.n - 1)
+            out[i:i + rows] = (hv * lap * w_p).sum(axis=1) * rb ** (k.n - 1)
         return out
 
     return adaptive_radial(inner_int, eps, D, rel_tol=1e-9, geometric=True)[0]
-
-
-def _outer_h_lap(k: Kernel, u: ScalarField, omega: Ball, xi: np.ndarray,
-                 p: np.ndarray, D: float, m_sphere: int, m_rad: int) -> float:
-    """Integral of H(x, xi) lap(u)(x) over omega minus B(p, D), D = |xi - p|/2.
-
-    Polar about xi, removing the ray segment inside B(p, D).  The angular
-    rule is aligned with the xi -> p axis and split at the shadow-boundary
-    cosine, where the segment endpoints lose smoothness.  The segments
-    before and after the ball are integrated one after the other.
-    """
-    dist = float(np.linalg.norm(xi - p))
-    axis = (p - xi) / dist
-    t_star = math.sqrt(max(0.0, 1.0 - (D / dist) ** 2))
-    dirs, w = _aligned_sphere_rule(k.n, m_sphere, axis, (t_star,))
-    rexit = _ray_exit(omega, xi, dirs)
-    dvec = xi - p
-    b = dirs @ dvec
-    disc = b * b - (float(dvec @ dvec) - D * D)
-    hit = disc > 0.0
-    sq = np.sqrt(np.clip(disc, 0.0, None))
-    t1 = np.where(hit, -b - sq, rexit)
-    t2 = np.where(hit, -b + sq, rexit)
-    hit &= (t2 > 0.0) & (t1 < rexit)
-    b1 = np.clip(np.where(hit, t1, rexit), 0.0, rexit)
-    a2 = np.clip(np.where(hit, t2, rexit), 0.0, rexit)
-    uu, wu = _gl_panels(np.linspace(0.0, 1.0, m_rad + 1))
-
-    def seg_integral(lo, hi) -> float:
-        # only the directions whose segment is not empty: an empty one adds
-        # a zero to the angular sum, and every segment is empty when B(p, D)
-        # lies beyond omega
-        lens = np.clip(hi - lo, 0.0, None)
-        live = lens > 0.0
-        per_dir = np.zeros_like(lens)
-        if live.any():
-            [per_dir[live]] = _ray_sums(lambda X: (u._jet(X, False, True)[2],), xi,
-                                        dirs[live], lo[live], lens[live], uu, wu)
-        return float(w @ per_dir) / ((2.0 - k.n) * k.omega_n)
-
-    return seg_integral(np.zeros_like(rexit), b1) + seg_integral(a2, rexit)
 
 
 def _check_eps_seq(eps_seq, D: float) -> None:
@@ -575,7 +620,8 @@ def _check_eps_seq(eps_seq, D: float) -> None:
         raise BadRadii("eps_seq must be geometric")
 
 
-def _radial_rep_terms(k: Kernel, u: ScalarField, R: float, xi: np.ndarray, eps: list):
+def _radial_rep_terms(k: Kernel, u: ScalarField, R: float, xi: np.ndarray, eps: list,
+                      rel_tol: float):
     """The Green representation of u(xi) on B(0, R) minus B(0, eps), u radial, by spherical means.
 
     Returns (volumes, err_est, bnd, pterms): per eps the integral of H lap u
@@ -590,14 +636,14 @@ def _radial_rep_terms(k: Kernel, u: ScalarField, R: float, xi: np.ndarray, eps: 
     """
     n = k.n
     s = float(np.linalg.norm(xi))
-    splits = (s, *_radial_field_splits(u))
+    splits = (s, *[r for _, r in u._interfaces])
     abs_h_lap = _abs_h_sphere(k, lambda X: u._jet(X, False, True)[2], s)  # H = -|H|
     uv, g, _ = u._jet(np.eye(n)[:, :1] * np.array([R, *eps]), True, False)
     du = g[0]  # u'(r) on the first axis
     bnd = float(uv[0] - du[0] * R / (2.0 - n))
     pterms = [float(d * e ** (n - 1) * s ** (2.0 - n) / (2.0 - n)) for d, e in zip(du[1:], eps)]
     D = 0.5 * s if eps else 0.0
-    outer, outer_err, _ = adaptive_radial(abs_h_lap, D, R, splits=splits)
+    outer, outer_err, _ = adaptive_radial(abs_h_lap, D, R, rel_tol, splits=splits)
     if not eps:
         return [-outer], [outer_err], bnd, pterms
     inner = [adaptive_radial(abs_h_lap, e, D, rel_tol=1e-9, splits=splits, geometric=True)
@@ -609,7 +655,7 @@ def _radial_rep_terms(k: Kernel, u: ScalarField, R: float, xi: np.ndarray, eps: 
 def rep_formula_report(u: ScalarField, prof: SingularProfile | None,
                        omega: Ball, xi, eps_seq=(1e-2, 1e-3, 1e-4),
                        m_sphere: int = 24, m_boundary: int = 48,
-                       m_rad: int = 24) -> dict:
+                       rel_tol: float = 1e-10) -> dict:
     """Per-radius residuals, excluded-sphere boundary terms and extrapolation.
 
     The residual is that of the Green representation of u(xi) on omega.
@@ -626,8 +672,13 @@ def rep_formula_report(u: ScalarField, prof: SingularProfile | None,
     A radial u on an origin-centred omega, with p at the origin, takes
     _radial_rep_terms: every term is a radial integral or a closed form, and
     err_est holds, per residual, the sum of its adaptive_radial estimates.
-    Any other configuration takes the polar rules about xi and p, whose
-    outer and boundary integrals carry no estimate, and err_est is None.
+    Any other configuration takes polar rules: the volume outside B(p, D)
+    along rays from xi, cut at u's declared interfaces and at B(p, D)
+    (_ray_integral), the annulus along rays from p on sphere_rule(n,
+    m_sphere), and the boundary terms on sphere_rule(n, m_boundary).  The
+    boundary integrals carry no estimate, and err_est is None.  rel_tol
+    bounds the doubling estimate of the volume outside B(p, D) (the whole
+    volume without a profile) on both paths.
     """
     k = Kernel(u.n)
     _same_dim(k.n, omega)
@@ -641,16 +692,16 @@ def rep_formula_report(u: ScalarField, prof: SingularProfile | None,
     target = float(u.value(xi))
 
     if u.radial and not np.any(omega.center) and (p is None or not np.any(p)):
-        vols, err_est, bnd, pterms = _radial_rep_terms(k, u, omega.radius, xi, eps)
+        vols, err_est, bnd, pterms = _radial_rep_terms(k, u, omega.radius, xi, eps, rel_tol)
     else:
         err_est = None
         bnd = _boundary_integral(k, u, omega.center, omega.radius, xi, m_boundary)
+        [(vneg, _)], _ = _ray_integral(k, lambda X: (u._jet(X, False, True)[2],), omega, xi,
+                                       u._interfaces, rel_tol, None if p is None else (p, D))
+        outer = -vneg  # the rays integrate against |H|; H = -|H|
         if prof is None:
-            [(vneg, _)], _ = _polar_ball_integral(k, lambda X: (u._jet(X, False, True)[2],),
-                                                  omega, xi, m_sphere, m_rad)
-            vols = [-vneg]  # the polar rule integrates against |H|; H = -|H|
+            vols = [outer]
         else:
-            outer = _outer_h_lap(k, u, omega, xi, p, D, m_sphere, m_rad)
             dirs_p, w_p = sphere_rule(k.n, m_sphere)
             vols = [_inner_h_lap(k, u, xi, p, e, D, dirs_p, w_p) + outer for e in eps]
         pterms = [_boundary_integral(k, u, p, e, xi, m_boundary, outward=False) for e in eps]

@@ -97,6 +97,60 @@ def test_point_and_batch_shapes(make, rng):
                 method(bad)
 
 
+def _concentric():
+    return glue_concentric(GlueConfig.concentric(
+        Bubble(0.2, np.zeros(3), 3), Bubble(1.0, np.zeros(3), 3), 0.5, 1.5))
+
+
+# FIELDS and glues inside composite fields: a sum, Kelvin images about a
+# centre inside both cutoff spheres and outside both, and a rescaled window
+INTERFACE_FIELDS = {
+    **FIELDS,
+    "sum-disjoint": lambda: (SumField(FIELDS["disjoint"]()[0], Bubble(0.5, [-1, 0.5, 0], 3)), 3.0),
+    "kelvin-concentric-inside": lambda: (
+        KelvinField(_concentric(), Inversion([0.3, -0.2, 0.1], 1.1)), 2.0),
+    "kelvin-concentric-outside": lambda: (
+        KelvinField(_concentric(), Inversion([1.2, -0.9, 0.4], 1.3)), 2.0),
+    "rescaled-insert": lambda: (RescaledField(_insert(), [0.3, 0, 0.1], 0.9, 2.0), 1.0),
+}
+
+
+def _line_pieces(f, half, rng, lines=64):
+    """Pieces (a, d, t0, t1) of random lines a + t d inside the cube [-half, half]^n,
+    cut where they cross a declared interface; the lines pass through points
+    drawn towards the origin, so that they cross the small spheres too."""
+    for _ in range(lines):
+        a = rng.uniform(-half, half, size=f.n) * rng.uniform()
+        d = rng.normal(size=f.n)
+        d /= np.linalg.norm(d)
+        ends = np.sort(np.stack([(-half - a) / d, (half - a) / d]), axis=0)
+        cuts = [np.max(ends[0]), np.min(ends[1])]
+        for c, r in f._interfaces:
+            b = d @ (a - c)
+            disc = b * b - ((a - c) @ (a - c) - r * r)
+            if disc > 0.0:
+                cuts += [t for t in (-b - disc**0.5, -b + disc**0.5) if cuts[0] < t < cuts[1]]
+        cuts.sort()
+        for t0, t1 in zip(cuts[:-1], cuts[1:]):
+            yield a, d, t0, t1
+
+
+@pytest.mark.parametrize("name", INTERFACE_FIELDS)
+def test_lap_is_smooth_between_declared_interfaces(name):
+    # the twelfth difference of lap at step h = 2e-3 along a line is
+    # h^12 lap^(12) plus rounding: below 1e-8 of the line's largest |lap| on
+    # every piece between declared spheres, where a cutoff's end sphere, a
+    # kink of lap, gives 1e-1 or more
+    f, half = INTERFACE_FIELDS[name]()
+    h, order, worst = 2e-3, 12, 0.0
+    for a, d, t0, t1 in _line_pieces(f, half, np.random.default_rng(7)):
+        t = np.arange(t0 + 0.5 * h, t1, h)
+        if t.size > order:
+            lap = f._jet(a[:, None] + d[:, None] * t, False, True)[2]
+            worst = max(worst, float(np.max(np.abs(np.diff(lap, order))) / np.max(np.abs(lap))))
+    assert worst <= 1e-8
+
+
 def _same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()

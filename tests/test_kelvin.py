@@ -6,7 +6,9 @@ import pytest
 from bubbleforge import (
     BaseField,
     Bubble,
+    GlueConfig,
     Inversion,
+    glue_concentric,
     invert_point,
     k_function,
     kelvin_bubble,
@@ -16,6 +18,7 @@ from bubbleforge import (
     sum_field,
 )
 from bubbleforge.errors import AtCenter, OutOfDomain
+from bubbleforge.kelvin import KelvinField
 
 
 def _random_points(rng, n, m, spread=1.5, avoid=None, min_dist=0.3):
@@ -210,3 +213,26 @@ def test_lemma_5_4_unit_inversion_is_identity(rng):
     composed = lemma_5_4_compose(f, Inversion([0, 0, 0], 1.0))
     pts = _random_points(rng, 3, 20, avoid=[0, 0, 0])
     assert np.max(np.abs(composed.value(pts) - f.value(pts))) < 1e-12
+
+
+@pytest.mark.parametrize("center", [[0.3, -0.2, 0.1], [1.2, -0.9, 0.4]],
+                         ids=["inside-both", "outside-both"])
+def test_kelvin_image_declares_the_image_spheres(center, rng):
+    # each point of a source sphere inverts onto the declared image sphere
+    src = glue_concentric(GlueConfig.concentric(Bubble(0.2, np.zeros(3), 3),
+                                                Bubble(1.0, np.zeros(3), 3), 0.5, 1.5))
+    inv = Inversion(center, 1.1)
+    images = KelvinField(src, inv)._interfaces
+    assert len(images) == len(src._interfaces) == 2
+    for (c, r), (ci, ri) in zip(src._interfaces, images):
+        d = rng.normal(size=(32, 3))
+        y = c + r * d / np.linalg.norm(d, axis=-1, keepdims=True)
+        dist = np.linalg.norm(invert_point(inv, y) - ci, axis=-1)
+        assert np.max(np.abs(dist / ri - 1.0)) <= 1e-13
+
+
+def test_kelvin_image_of_a_sphere_through_the_centre_declares_none():
+    # the image of a sphere through the inversion centre is a plane
+    src = glue_concentric(GlueConfig.concentric(Bubble(0.2, np.zeros(3), 3),
+                                                Bubble(1.0, np.zeros(3), 3), 0.5, 1.5))
+    assert KelvinField(src, Inversion([0.0, 0.5, 0.0], 1.0))._interfaces == ()

@@ -104,15 +104,15 @@ POINT_TAKERS = {
     "grad_h": lambda c: grad_h(Kernel(N), _X, c),
     "int_absH_ball": lambda c: int_absH_ball(Kernel(N), 1.0, c),
     "weighted_grad_integral-radial": lambda c: weighted_grad_integral(
-        Kernel(N), Bubble(1.0, np.zeros(N), N), Ball(np.zeros(N), 1.0), c, 4, 4),
+        Kernel(N), Bubble(1.0, np.zeros(N), N), Ball(np.zeros(N), 1.0), c, rel_tol=1e-3),
     "weighted_grad_integral-polar": lambda c: weighted_grad_integral(
-        Kernel(N), _OFF, Ball(np.zeros(N), 1.0), c, 4, 4),
+        Kernel(N), _OFF, Ball(np.zeros(N), 1.0), c, rel_tol=1e-3),
     "rep_identity_report": lambda c: rep_identity_report(
         Bubble(0.5, np.zeros(N), N), Bubble(1.0, np.zeros(N), N), Ball(np.zeros(N), 1.0), c,
-        4, 4),
+        rel_tol=1e-3),
     "rep_formula_report-p": lambda c: rep_formula_report(
         _OFF, _profile(c), Ball(np.zeros(N), 1.0), [0.5, 0, 0], m_sphere=4, m_boundary=8,
-        m_rad=4),
+        rel_tol=1e-3),
     "Bubble": lambda c: Bubble(1.0, c, N),
     "CallableRadialField": lambda c: CallableRadialField(
         N, lambda r: 1.0 + 0 * r, lambda r: 0 * r, lambda r: 0 * r, center=c),
@@ -127,17 +127,17 @@ POINT_TAKERS = {
     "sup_scan-box": lambda c: sup_scan(_BUBBLE, Box(c - 1.0, c + 1.0), _GS),
     "sup_scan-field": lambda c: sup_scan(_bubble_at(c), _REGIONS["box"], _GS),
     "weighted_grad_integral-ball": lambda c: weighted_grad_integral(
-        Kernel(N), Bubble(1.0, _O, N), _unit_ball(c), _O, 4, 4),
+        Kernel(N), Bubble(1.0, _O, N), _unit_ball(c), _O, rel_tol=1e-3),
     "weighted_grad_integral-kernel": lambda c: weighted_grad_integral(
-        Kernel(len(c)), Bubble(1.0, _O, N), Ball(_O, 1.0), np.zeros(len(c)), 4, 4),
+        Kernel(len(c)), Bubble(1.0, _O, N), Ball(_O, 1.0), np.zeros(len(c)), rel_tol=1e-3),
     "weighted_grad_integral-field": lambda c: weighted_grad_integral(
-        Kernel(N), _bubble_at(c), Ball(_O, 1.0), _O, 4, 4),
+        Kernel(N), _bubble_at(c), Ball(_O, 1.0), _O, rel_tol=1e-3),
     "rep_identity_report-omega2": lambda c: rep_identity_report(
-        Bubble(0.5, _O, N), Bubble(1.0, _O, N), _unit_ball(c), _O, 4, 4),
+        Bubble(0.5, _O, N), Bubble(1.0, _O, N), _unit_ball(c), _O, rel_tol=1e-3),
     "rep_identity_report-u2": lambda c: rep_identity_report(
-        Bubble(0.5, _O, N), _bubble_at(c), Ball(_O, 1.0), _O, 4, 4),
+        Bubble(0.5, _O, N), _bubble_at(c), Ball(_O, 1.0), _O, rel_tol=1e-3),
     "rep_formula_report-omega": lambda c: rep_formula_report(
-        _OFF, None, Ball(c, 1.0), _O, m_sphere=4, m_boundary=8, m_rad=4),
+        _OFF, None, Ball(c, 1.0), _O, m_sphere=4, m_boundary=8, rel_tol=1e-3),
     "lower_bound_3_9-omega2": lambda c: lower_bound_3_9(
         Bubble(0.5, _O, N), Bubble(1.0, _O, N), _unit_ball(c), _O),
     "lower_bound_3_9-u2": lambda c: lower_bound_3_9(
@@ -179,17 +179,17 @@ def test_fields_keep_their_own_centres():
 OUTSIDE_POLE = {
     "int_absH_ball": lambda xi: int_absH_ball(Kernel(N), 1.0, xi),
     "weighted_grad_integral-radial": lambda xi: weighted_grad_integral(
-        Kernel(N), Bubble(1.0, _O, N), Ball(_O, 1.0), xi, 4, 4),
+        Kernel(N), Bubble(1.0, _O, N), Ball(_O, 1.0), xi, rel_tol=1e-3),
     "weighted_grad_integral-polar": lambda xi: weighted_grad_integral(
-        Kernel(N), _OFF, Ball(_O, 1.0), xi, 4, 4),
+        Kernel(N), _OFF, Ball(_O, 1.0), xi, rel_tol=1e-3),
     "rep_identity_report": lambda xi: rep_identity_report(
-        Bubble(0.5, _O, N), Bubble(1.0, _O, N), Ball(_O, 1.0), xi, 4, 4),
+        Bubble(0.5, _O, N), Bubble(1.0, _O, N), Ball(_O, 1.0), xi, rel_tol=1e-3),
     "lower_bound_3_9": lambda xi: lower_bound_3_9(
         Bubble(0.5, _O, N), Bubble(1.0, _O, N), Ball(_O, 1.0), xi),
     "rep_formula_report": lambda xi: rep_formula_report(
-        _OFF, None, Ball(_O, 1.0), xi, m_sphere=4, m_boundary=8, m_rad=4),
+        _OFF, None, Ball(_O, 1.0), xi, m_sphere=4, m_boundary=8, rel_tol=1e-3),
     "rep_formula_report-p": lambda xi: rep_formula_report(
-        _OFF, _profile(_O), Ball(_O, 1.0), xi, m_sphere=4, m_boundary=8, m_rad=4),
+        _OFF, _profile(_O), Ball(_O, 1.0), xi, m_sphere=4, m_boundary=8, rel_tol=1e-3),
 }
 
 

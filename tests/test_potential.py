@@ -1,6 +1,9 @@
 """Kernel evaluation, singular quadrature and representation identities."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -29,16 +32,14 @@ from bubbleforge import (
 from bubbleforge import cli, potential
 from bubbleforge.cli import _power_field
 from bubbleforge.errors import BadRadii, Coincident, ProfileViolated
+from bubbleforge.field_core import _grad_term_rows, _k_of, _sq_dist
 from bubbleforge.potential import (
     _SEG_BLOCK,
     _abs_h_ball,
-    _aligned_sphere_rule,
     _boundary_integral,
     _gauss_gegenbauer,
-    _gl_panels,
-    _polar_ball_integral,
     _power_law_limit,
-    _ray_exit,
+    _ray_integral,
     adaptive_radial,
     sphere_rule,
 )
@@ -351,13 +352,28 @@ def _rep_identity_glue(n):
     return glue_concentric(GlueConfig.concentric(Bubble(0.5, np.zeros(n), n), u2, 1.0, 2.0)), u2
 
 
-def _rep_identity_two_passes(u_c, u2, ball, xi, m_sphere, m_rad):
-    """Reference: one integral per integrand, K and the gradient
-    term each from its own public evaluation of u_c."""
+def _recorded_ray_integrals(monkeypatch):
+    """Record (args, result) of each _ray_integral call."""
+    calls, real = [], potential._ray_integral
+
+    def recorded(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(potential, "_ray_integral", recorded)
+    return calls
+
+
+def _rep_identity_two_passes(u_c, u2, ball, xi, n_evals, monkeypatch):
+    """Reference: one integral per integrand, K and the gradient term each
+    from its own public evaluation of u_c.  On the polar path each integral
+    runs to the levels of the report's joint rule: no delta stops it, and
+    the budget stops it after the report's n_evals points."""
     n = u_c.n
     k = Kernel(n)
     radial = u_c.radial and u2.radial and bool(np.all(ball.center == 0.0))
-    splits = (u_c.cut.r_in, u_c.cut.r_out)
+    spheres = u_c._interfaces + u2._interfaces
 
     # both integrals hand their integrands (n, m) column batches
     def kdev(X):
@@ -366,10 +382,15 @@ def _rep_identity_two_passes(u_c, u2, ball, xi, m_sphere, m_rad):
     def gdiff(X):
         return inv_root_grad_sq(u_c, X.T) - inv_root_grad_sq(u2, X.T)
 
+    if not radial:
+        monkeypatch.setattr(potential, "_ABS_TOL", 0.0)
+        monkeypatch.setattr(potential, "_RAY_BUDGET", n_evals)
+
     def integral(g):
         if radial:
-            return _abs_h_ball(k, g, ball, xi, splits)[:2]
-        [(val, err)], _ = _polar_ball_integral(k, lambda X: (g(X),), ball, xi, m_sphere, m_rad)
+            return _abs_h_ball(k, g, ball, xi, spheres)[:2]
+        [(val, err)], ev = _ray_integral(k, lambda X: (g(X),), ball, xi, spheres, 0.0)
+        assert ev == n_evals
         return val, err
 
     q1, e1 = integral(kdev)
@@ -381,22 +402,25 @@ def _rep_identity_two_passes(u_c, u2, ball, xi, m_sphere, m_rad):
             "lhs_err": 4.0 * n * e1, "rhs_err": (n + 2) * e2}
 
 
-@pytest.mark.parametrize("n, center, xi, m_sphere, m_rad", [
-    (3, [0.2, -0.1, 0.05], [0.1, 0.3, 0.0], 16, 32),  # several ray blocks per pass
-    (4, [0.2, 0.0, 0.1, 0.0], [0.1, 0.3, 0.0, -0.2], 8, 8),
-    (3, [0.0, 0.0, 0.0], [0.4, 0.0, 0.0], 16, 32),  # radial path
+@pytest.mark.parametrize("n, center, xi, rel_tol", [
+    (3, [0.2, -0.1, 0.05], [0.1, 0.3, 0.0], 1e-10),  # several ray blocks per level
+    (4, [0.2, 0.0, 0.1, 0.0], [0.1, 0.3, 0.0, -0.2], 1e-6),
+    (3, [0.0, 0.0, 0.0], [0.4, 0.0, 0.0], 1e-10),  # radial path
 ], ids=["polar-n3", "polar-n4", "radial-n3"])
-def test_rep_identity_matches_one_integral_per_integrand(n, center, xi, m_sphere, m_rad):
+def test_rep_identity_matches_one_integral_per_integrand(n, center, xi, rel_tol, monkeypatch):
     u_c, u2 = _rep_identity_glue(n)
     ball, xi = Ball(np.array(center, float), 3.0), np.array(xi)
-    rep = rep_identity_report(u_c, u2, ball, xi, m_sphere, m_rad)
-    ref = _rep_identity_two_passes(u_c, u2, ball, xi, m_sphere, m_rad)
+    calls = _recorded_ray_integrals(monkeypatch)
+    rep = rep_identity_report(u_c, u2, ball, xi, rel_tol)
+    n_evals = calls[0][1][1] if calls else None
+    assert len(calls) == (0 if np.all(ball.center == 0.0) else 1)
+    ref = _rep_identity_two_passes(u_c, u2, ball, xi, n_evals, monkeypatch)
     assert {key: v.hex() for key, v in rep.items()} == {key: v.hex() for key, v in ref.items()}
     assert rep["lhs_err"] > 0.0 and rep["rhs_err"] > 0.0
 
 
 def test_rep_identity_polar_pass_evaluates_each_point_once(monkeypatch):
-    n, m_sphere, m_rad = 3, 8, 8
+    n = 3
     u_c, u2 = _rep_identity_glue(n)
     calls = {"u_c": [], "u2": []}
     for name, f in (("u_c", u_c), ("u2", u2)):
@@ -405,19 +429,144 @@ def test_rep_identity_polar_pass_evaluates_each_point_once(monkeypatch):
             return jet(X, grad, d2)
 
         monkeypatch.setattr(f, "_jet", counted)
-    rep_identity_report(u_c, u2, Ball(np.array([0.2, 0.0, 0.0]), 3.0), np.array([0.1, 0.3, 0.0]),
-                        m_sphere, m_rad)
+    rays = _recorded_ray_integrals(monkeypatch)
+    rep_identity_report(u_c, u2, Ball(np.array([0.2, 0.0, 0.0]), 3.0), np.array([0.1, 0.3, 0.0]))
     # u_c(xi) and u2(xi) are one value-only jet each
     for name in calls:
         assert [c for c in calls[name] if c[1:] == (False, False)] == [(1, False, False)]
         calls[name] = [c for c in calls[name] if c[1:] != (False, False)]
-    dirs = sphere_rule(n, m_sphere)[0].shape[0]
-    # rules of m_rad and 2 m_rad panels of 16 nodes, one jet of u_c per node
-    assert sum(m for m, _, _ in calls["u_c"]) == dirs * 16 * 3 * m_rad
+    # one jet of u_c per node of every level of the one polar integral
+    [(_, (_, n_evals))] = rays
+    assert sum(m for m, _, _ in calls["u_c"]) == n_evals
     assert {flags[1:] for flags in calls["u_c"]} == {(True, True)}
     # u2 contributes only its gradient term: no Laplacian is formed
-    assert sum(m for m, _, _ in calls["u2"]) == dirs * 16 * 3 * m_rad
+    assert sum(m for m, _, _ in calls["u2"]) == n_evals
     assert {flags[1:] for flags in calls["u2"]} == {(True, False)}
+
+
+# --- the polar ray integral: rays cut at declared interfaces ---------------------
+
+# poles inside the inner cutoff sphere |x| = 1 of _rep_identity_glue, inside
+# its band 1 < |x| < 2 (on and off the ball's axis) and outside |x| = 2
+RAY_POLES = {"inside": [0.3, 0.2, 0.1], "band": [1.5, 0.3, 0.0],
+             "band-off-axis": [0.2, -1.1, 0.9], "outside": [2.3, 0.4, 0.1]}
+
+
+def _ray_case(n, pole):
+    """The glue's two identity integrands, which vanish outside B(0, 2), a pole,
+    an off-centre ball that holds B(0, 2), and their radial-path values with
+    estimates over B(0, 3)."""
+    u_c, u2 = _rep_identity_glue(n)
+    k = Kernel(n)
+
+    def kdev(X):
+        return _k_of(n, *u_c._jet(X, False, True)[::2]) - 1.0
+
+    def gdiff(X):
+        return _grad_term_rows(u_c, X) - _grad_term_rows(u2, X)
+
+    xi, center = np.zeros(n), np.zeros(n)
+    xi[:3], center[:2] = RAY_POLES[pole], [0.3, -0.2]
+    radial = [_abs_h_ball(k, g, Ball(np.zeros(n), 3.0), xi, u_c._interfaces, 1e-13)[:2]
+              for g in (kdev, gdiff)]
+    return k, (kdev, gdiff), Ball(center, 3.0), xi, u_c._interfaces, radial
+
+
+@pytest.mark.parametrize("pole", ["inside", "band", "band-off-axis", "outside"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_ray_integral_meets_the_radial_value_within_its_estimate(n, pole):
+    k, gs, ball, xi, spheres, radial = _ray_case(n, pole)
+    got, _ = _ray_integral(k, lambda X: tuple(g(X) for g in gs), ball, xi, spheres, 1e-10)
+    for (val, err), (ref, ref_err) in zip(got, radial):
+        assert abs(val - ref) <= err + ref_err
+
+
+@pytest.mark.parametrize("pole", ["inside", "band", "outside"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_ray_integral_estimate_is_sharp_or_at_roundoff(n, pole, monkeypatch):
+    # a doubling of 16-point Gauss panels cuts these errors by 1e4 or more, so
+    # the last delta, the error of the level before, is sharp only once that
+    # level is at roundoff: the budget here lets the rules get there.  At
+    # roundoff means within the rounding bound gamma_N int |H| |g| of N
+    # summed terms (Higham, 2002, sec. 3.1), which adaptive_radial adds to
+    # its estimates; N, the points of all levels, is at most 8/7 of the
+    # last level's
+    monkeypatch.setattr(potential, "_RAY_BUDGET", 1 << 25)
+    k, (kdev, _), ball, xi, spheres, [(ref, _), _] = _ray_case(n, pole)
+    [(val, err)], n_evals = _ray_integral(k, lambda X: (kdev(X),), ball, xi, spheres, 1e-10)
+    [(mass, _)], _ = _ray_integral(k, lambda X: (np.abs(kdev(X)),), ball, xi, spheres, 1e-3)
+    gamma = n_evals * 2.0**-53 / (1.0 - n_evals * 2.0**-53)
+    assert err <= max(100.0 * abs(val - ref), gamma * mass)
+
+
+def test_ray_integral_estimate_sees_the_angular_rule(monkeypatch):
+    # |H| ((x - xi).v / |x - xi|)^20 on a ball centred at xi: every ray is
+    # r / ((n-2) omega_n) times a constant on [0, R], which each radial rule
+    # integrates exactly, so the doubling delta is the angular rule's alone.
+    # Stopped after levels 0 and 1, whose 8 and 16 azimuths under-resolve
+    # the 20th power, the estimate must be positive and cover the error
+    monkeypatch.setattr(potential, "_RAY_BUDGET", 1)
+    n, R, p = 3, 1.5, 10
+    k, xi = Kernel(n), np.array([0.2, -0.1, 0.3])
+    v = np.array([0.48, 0.6, 0.64])
+
+    def g(X):
+        d = X - xi[:, None]
+        return ((v @ d) ** 2 / _sq_dist(d)) ** p,
+
+    # int over S^2 of (theta.v)^(2p) is 4 pi / (2p + 1)
+    exact = R**2 / 2.0 / (n - 2) / (2 * p + 1)
+    [(val, err)], _ = _ray_integral(k, g, Ball(xi, R), xi, (), 0.0)
+    assert 0.0 < abs(val - exact) <= err
+
+
+def test_aligned_rule_doubles_its_polar_panels():
+    axis = np.array([0.0, 0.6, 0.8])
+    for n_axis in ([4, 8], [8, 16], [16, 32]):
+        counts = []
+        for m in n_axis:
+            dirs, w = potential._aligned_sphere_rule(3, m, axis, [0.5])
+            counts.append(np.unique(np.round(dirs @ axis, 12)).size)
+            assert w.sum() == pytest.approx(4.0 * math.pi, rel=1e-14)
+        assert counts[1] == 2 * counts[0]
+
+
+# both polar benchmark operations and two representation formulas at n = 4,
+# classical and singular, whose residuals moved with the thread count when
+# BLAS products summed them; prints the hex of every float they return
+_POLAR_OPS = """
+import numpy as np
+import bubbleforge as bf
+from bubbleforge.cli import _power_field
+
+u2 = bf.Bubble(1.0, np.zeros(3), 3)
+u_c = bf.glue_concentric(bf.GlueConfig.concentric(bf.Bubble(0.5, np.zeros(3), 3), u2, 1.0, 2.0))
+rep = bf.rep_identity_report(u_c, u2, bf.Ball([0.2, -0.1, 0.05], 3.0), [0.1, 0.3, 0.0])
+b1 = bf.Bubble(0.00238, [2.0, 0.0, 0.0], 3)
+w = bf.glue_disjoint(bf.GlueConfig.disjoint(b1, 1.0, u2, 1.0, width1=0.2, width2=0.2, inward=True))
+q = bf.weighted_grad_integral(bf.Kernel(3), w, bf.Ball(np.zeros(3), 0.75), [0.1, -0.2, 0.3])
+prof = bf.SingularProfile(p=np.zeros(4), mu=0.5, nu=0.5, c1=0.7575, c2=1.515, delta=0.3)
+form = bf.rep_formula_report(_power_field(4, -1.5), prof, bf.Ball([-0.05, 0, 0, 0], 1.5),
+                             [0.3, 0.25, -0.2, 0.1], m_sphere=16, m_boundary=32)
+classical = bf.rep_formula_report(bf.Bubble(1.0, [0.1, 0, 0, 0], 4), None,
+                                  bf.Ball(np.zeros(4), 1.5), [0.4, 0.2, 0, 0], m_sphere=16,
+                                  m_boundary=32)
+print(*[v.hex() for v in [*rep.values(), q.value, q.err_est, *form["residuals"],
+                          *form["p_boundary_terms"], *classical["residuals"]]])
+"""
+
+
+def test_polar_bits_do_not_depend_on_the_blas_threads():
+    # every ray, panel row and direction is summed in one fixed order, not
+    # by BLAS products, whose order follows the thread count
+    src = os.path.dirname(os.path.dirname(potential.__file__))
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": src}
+        out.append(subprocess.run([sys.executable, "-c", _POLAR_OPS], env=env, check=True,
+                                  capture_output=True, text=True).stdout)
+    assert out[0] and out[0] == out[1]
 
 
 def _two_pass_lower_bound_3_9(u_c, u2, omega2, xi):
@@ -522,7 +671,7 @@ def _singular_profile(beta, nut=0.5, n=3):
                            delta=0.3)
 
 
-def _per_eps_volume(k, u, omega, xi, p, eps, m_sphere, m_rad):
+def _per_eps_volume(k, u, omega, xi, p, eps, m_sphere, rel_tol):
     """Reference: the whole excluded-ball volume integral redone for one eps."""
     dist = float(np.linalg.norm(xi - p))
     D = 0.5 * dist
@@ -531,46 +680,27 @@ def _per_eps_volume(k, u, omega, xi, p, eps, m_sphere, m_rad):
     def inner_int(r):
         pts = (p[None, None, :] + r[:, None, None] * dirs_p[None, :, :]).reshape(-1, k.n)
         hv = np.asarray(h_eval(k, pts, xi)).reshape(r.size, -1)
-        return (hv * u.laplacian(pts).reshape(r.size, -1)) @ w_p * r ** (k.n - 1)
+        return (hv * u.laplacian(pts).reshape(r.size, -1) * w_p).sum(axis=1) * r ** (k.n - 1)
 
     inner, _, _ = adaptive_radial(inner_int, eps, D, rel_tol=1e-9, geometric=True)
-    return inner + _outer_reference(k, u, omega, xi, p, m_sphere, m_rad)
+    return inner + _outer_reference(k, u, omega, xi, p, rel_tol)
 
 
-def _outer_reference(k, u, omega, xi, p, m_sphere, m_rad):
-    """Reference: the volume integral over omega minus B(p, D), every direction evaluated."""
-    dist = float(np.linalg.norm(xi - p))
-    D = 0.5 * dist
-    t_star = math.sqrt(max(0.0, 1.0 - (D / dist) ** 2))
-    dirs, w = _aligned_sphere_rule(k.n, m_sphere, (p - xi) / dist, (t_star,))
-    rexit = _ray_exit(omega, xi, dirs)
-    b = dirs @ (xi - p)
-    disc = b * b - (float((xi - p) @ (xi - p)) - D * D)
-    hit = disc > 0.0
-    sq = np.sqrt(np.clip(disc, 0.0, None))
-    t1, t2 = np.where(hit, -b - sq, rexit), np.where(hit, -b + sq, rexit)
-    hit &= (t2 > 0.0) & (t1 < rexit)
-    b1 = np.clip(np.where(hit, t1, rexit), 0.0, rexit)
-    a2 = np.clip(np.where(hit, t2, rexit), 0.0, rexit)
-    uu, wu = _gl_panels(np.linspace(0.0, 1.0, m_rad + 1))
-
-    def seg(lo, hi):
-        lens = np.clip(hi - lo, 0.0, None)
-        rr = lo[:, None] + lens[:, None] * uu[None, :]
-        pts = xi[None, None, :] + rr[..., None] * dirs[:, None, :]
-        lap = u.laplacian(pts.reshape(-1, k.n)).reshape(rr.shape)
-        return float(w @ (lens * ((rr * lap) @ wu))) / ((2.0 - k.n) * k.omega_n)
-
-    return seg(np.zeros_like(rexit), b1) + seg(a2, rexit)
+def _outer_reference(k, u, omega, xi, p, rel_tol):
+    """Reference: the volume integral over omega minus B(p, D), from the public Laplacian."""
+    D = 0.5 * float(np.linalg.norm(xi - p))
+    [(val, _)], _ = _ray_integral(k, lambda X: (u.laplacian(X.T),), omega, xi, u._interfaces,
+                                  rel_tol, (p, D))
+    return -val
 
 
 @pytest.mark.parametrize("xi, eps_seq, quad", [
     ([0.5, 0, 0], (1e-2, 1e-3, 1e-4), {}),
     ([0.3, 0.25, -0.2], (4e-2, 2e-2, 1e-2, 5e-3),
-     {"m_sphere": 12, "m_boundary": 16, "m_rad": 12}),
+     {"m_sphere": 12, "m_boundary": 16, "rel_tol": 1e-8}),
     # 1024 directions about p: the annulus takes blocks of 16 radius rows
     ([0.3, 0.25, -0.2, 0.1], (1e-2, 1e-3, 1e-4),
-     {"m_sphere": 8, "m_boundary": 8, "m_rad": 8}),
+     {"m_sphere": 8, "m_boundary": 8, "rel_tol": 1e-6}),
 ], ids=["cli-rep-singular", "off-axis-four-eps", "n4-blocked-rows"])
 def test_rep_formula_shared_outer_matches_per_eps_reference(xi, eps_seq, quad):
     # the polar path, on an omega centred off p
@@ -579,11 +709,11 @@ def test_rep_formula_shared_outer_matches_per_eps_reference(xi, eps_seq, quad):
     prof = _singular_profile(beta, n=n)
     omega = Ball(np.eye(n)[0] * -0.05, 1.5)
     rep = rep_formula_report(u, prof, omega, xi, eps_seq, **quad)
-    m = {"m_sphere": 24, "m_boundary": 48, "m_rad": 24, **quad}
+    m = {"m_sphere": 24, "m_boundary": 48, "rel_tol": 1e-10, **quad}
     k, xi = Kernel(n), np.asarray(xi, float)
     target = float(u.value(xi))
     bnd = _boundary_integral(k, u, omega.center, omega.radius, xi, m["m_boundary"])
-    residuals = [_per_eps_volume(k, u, omega, xi, prof.p, eps, m["m_sphere"], m["m_rad"])
+    residuals = [_per_eps_volume(k, u, omega, xi, prof.p, eps, m["m_sphere"], m["rel_tol"])
                  + bnd - target for eps in eps_seq]
     pterms = [_boundary_integral(k, u, prof.p, eps, xi, m["m_boundary"], outward=False)
               for eps in eps_seq]
@@ -592,73 +722,110 @@ def test_rep_formula_shared_outer_matches_per_eps_reference(xi, eps_seq, quad):
     assert rep["extrapolated"] == _power_law_limit(list(eps_seq), residuals)[0]
 
 
-def test_rep_formula_outer_segments_evaluated_once_per_report():
-    u, beta = _singular_power_field()
-    prof = _singular_profile(beta)
-    xi = np.array([0.5, 0.0, 0.0])
-    D = 0.25
-    m_sphere, m_rad = 12, 12
-    outside = []  # sizes of Laplacian jets with every point outside B(p, D)
-    jet = u._jet
+def _outer_jets(u, p, D):
+    """Record the sizes of u's Laplacian jets with every point outside B(p, D)."""
+    outside, jet = [], u._jet
 
     def counted(X, grad, d2):
-        if d2 and not grad and np.min(np.linalg.norm(X.T - prof.p, axis=-1)) >= D:
+        if d2 and not grad and np.min(np.linalg.norm(X.T - p, axis=-1)) >= D:
             outside.append(X.shape[1])
         return jet(X, grad, d2)
 
     u._jet = counted
-    rep_formula_report(u, prof, _OFF_CENTRE_OMEGA, xi, (1e-2, 1e-3, 1e-4),
-                       m_sphere=m_sphere, m_boundary=16, m_rad=m_rad)
-    axis, t_star = -xi / 0.5, math.sqrt(0.75)
-    dirs, _ = _aligned_sphere_rule(3, m_sphere, axis, (t_star,))
-    # each segment, before and after the ball, once for all three eps, in
-    # blocks of whole directions of at most _SEG_BLOCK points; every direction
-    # has a segment before the ball, and only those that hit it one after
-    per_dir = 16 * m_rad
-    block = (_SEG_BLOCK // per_dir) * per_dir
-    hits = int(np.count_nonzero(dirs @ axis > t_star))
-    assert 0 < hits < dirs.shape[0]
-    before, after = dirs.shape[0] * per_dir, hits * per_dir
-    assert 1 < after // block
-    assert outside == ([min(block, before - i) for i in range(0, before, block)]
-                       + [min(block, after - i) for i in range(0, after, block)])
+    return outside
 
 
-def test_rep_formula_outer_skips_empty_segments():
+def _recorded_segments(monkeypatch):
+    """Record (directions, segments) of each _ray_segments call, one per level."""
+    segments, real = [], potential._ray_segments
+
+    def recorded(xi, dirs, *args):
+        out = real(xi, dirs, *args)
+        segments.append((dirs, out))
+        return out
+
+    monkeypatch.setattr(potential, "_ray_segments", recorded)
+    return segments
+
+
+def _evaluated_levels(segments, n_evals):
+    """The recorded levels a ray integral of n_evals points evaluated: a level
+    the budget stops is cut into segments but not evaluated."""
+    levels, total = [], 0
+    for level, (dirs, (ray, lo, lens)) in enumerate(segments):
+        if total == n_evals:
+            break
+        levels.append((level, dirs, ray, lens))
+        total += lens.size * 16 << level
+    assert total == n_evals
+    return levels
+
+
+def test_rep_formula_outer_segments_evaluated_once_per_report(monkeypatch):
+    u, beta = _singular_power_field()
+    prof = _singular_profile(beta)
+    outside = _outer_jets(u, prof.p, 0.25)
+    rays = _recorded_ray_integrals(monkeypatch)
+    segments = _recorded_segments(monkeypatch)
+    rep_formula_report(u, prof, _OFF_CENTRE_OMEGA, [0.5, 0.0, 0.0], (1e-2, 1e-3, 1e-4),
+                       m_sphere=12, m_boundary=16, rel_tol=1e-8)
+    # one ray integral for all three eps, each level in blocks of whole
+    # segments of 16 * 2^level points, at most _SEG_BLOCK points a block
+    [(args, (_, n_evals))] = rays
+    assert args[6][1] == 0.25  # the excluded ball B(p, D)
+    blocks = []
+    for level, _, _, lens in _evaluated_levels(segments, n_evals):
+        per_seg = 16 << level
+        rows = _SEG_BLOCK // per_seg
+        blocks += [min(rows, lens.size - i) * per_seg for i in range(0, lens.size, rows)]
+    assert outside == blocks
+    assert 1 < len(outside) and max(outside) <= _SEG_BLOCK
+
+
+def test_rep_formula_outer_skips_empty_segments(monkeypatch):
     # the README rep-singular run with omega moved off p onto the polar path:
-    # 2304 of the 4608 aligned directions miss B(p, D), so their segment after
-    # it is empty and never evaluated, and the report keeps every bit of the
-    # reference that evaluates all of them
+    # a ray that crosses B(p, D) has one segment before it and one after,
+    # any other ray one segment, and no empty segment is evaluated; the
+    # report keeps every bit of the reference that redoes each eps
     u, beta = _power_field(3, -0.5), -0.5
     prof, omega = _singular_profile(beta), _OFF_CENTRE_OMEGA
     xi, D, eps_seq = np.array([0.5, 0.0, 0.0]), 0.25, (1e-2, 1e-3, 1e-4)
-    outside = []  # points of Laplacian jets with every point outside B(p, D)
-    jet = u._jet
-
-    def counted(X, grad, d2):
-        if d2 and not grad and np.min(np.linalg.norm(X.T - prof.p, axis=-1)) >= D:
-            outside.append(X.shape[1])
-        return jet(X, grad, d2)
-
-    u._jet = counted
+    segments = _recorded_segments(monkeypatch)
+    rays = _recorded_ray_integrals(monkeypatch)
+    outside = _outer_jets(u, prof.p, D)
     rep = rep_formula_report(u, prof, omega, xi, eps_seq)
-    assert sum(outside) == (4608 + 2304) * 384
-    u._jet = jet
+    axis, t_star = -xi / 0.5, math.sqrt(0.75)
+    [(_, (_, n_evals))] = rays
+    for level, dirs, ray, lens in _evaluated_levels(segments, n_evals):
+        assert np.all(lens > 0.0)
+        hits = dirs @ axis > t_star
+        assert 0 < hits.sum() < dirs.shape[0]
+        assert np.array_equal(np.bincount(ray, minlength=dirs.shape[0]), np.where(hits, 2, 1))
+    assert sum(outside) == n_evals
+    del u._jet
     k = Kernel(3)
     bnd = _boundary_integral(k, u, omega.center, omega.radius, xi, 48)
-    residuals = [_per_eps_volume(k, u, omega, xi, prof.p, eps, 24, 24) + bnd - float(u.value(xi))
-                 for eps in eps_seq]
+    residuals = [_per_eps_volume(k, u, omega, xi, prof.p, eps, 24, 1e-10) + bnd
+                 - float(u.value(xi)) for eps in eps_seq]
     assert [r.hex() for r in rep["residuals"]] == [r.hex() for r in residuals]
     assert rep["extrapolated"].hex() == _power_law_limit(list(eps_seq), residuals)[0].hex()
 
 
 def test_rep_formula_outer_with_the_ball_beyond_omega():
-    # B(p, D) = B((3, 0, 0), 1.25) lies outside omega = B(0, 1.5), so every
-    # segment after it is empty and the outer integral is the segment before
+    # B(p, D) = B((3, 0, 0), 1.25) lies outside omega = B(0, 1.5), so no ray
+    # is cut by it: the integral is the one without it, bit for bit, and
+    # meets the spherical-mean value of the same integral within its estimate
     k, u, omega = Kernel(3), Bubble(1.0, np.zeros(3), 3), Ball(np.zeros(3), 1.5)
     xi, p = np.array([0.5, 0.0, 0.0]), np.array([3.0, 0.0, 0.0])
-    outer = potential._outer_h_lap(k, u, omega, xi, p, 1.25, 24, 24)
-    assert outer.hex() == _outer_reference(k, u, omega, xi, p, 24, 24).hex()
+
+    def lap(X):
+        return (u._jet(X, False, True)[2],)
+
+    [(outer, err)], _ = _ray_integral(k, lap, omega, xi, (), 1e-10, (p, 1.25))
+    [(whole, _)], _ = _ray_integral(k, lap, omega, xi, (), 1e-10)
+    assert outer.hex() == whole.hex()
+    radial, radial_err, _ = _abs_h_ball(k, lambda X: lap(X)[0], omega, xi, ())
+    assert abs(outer - radial) <= err + radial_err
 
 
 @pytest.mark.parametrize("eps_seq", [
@@ -700,8 +867,8 @@ def test_rep_formula_radial_path_matches_polar_reference(xi):
     rep = rep_formula_report(u, prof, omega, xi, eps_seq)
     k, xi = Kernel(3), np.asarray(xi, float)
     bnd = _boundary_integral(k, u, omega.center, omega.radius, xi, 48)
-    residuals = [_per_eps_volume(k, u, omega, xi, prof.p, eps, 24, 24) + bnd - float(u.value(xi))
-                 for eps in eps_seq]
+    residuals = [_per_eps_volume(k, u, omega, xi, prof.p, eps, 24, 1e-10) + bnd
+                 - float(u.value(xi)) for eps in eps_seq]
     pterms = [_boundary_integral(k, u, prof.p, eps, xi, 48, outward=False) for eps in eps_seq]
     assert rep["residuals"] == pytest.approx(residuals, rel=0.0, abs=2e-6)
     assert rep["p_boundary_terms"] == pytest.approx(pterms, rel=0.0, abs=2e-6)
@@ -765,24 +932,18 @@ def test_rep_formula_radial_path_without_profile():
 
 
 def test_rep_formula_radial_field_off_centre_omega_takes_polar_path(monkeypatch):
-    outer, real = [], potential._outer_h_lap
-
-    def recorded(*args):
-        outer.append(args[2])
-        return real(*args)
-
-    monkeypatch.setattr(potential, "_outer_h_lap", recorded)
+    rays = _recorded_ray_integrals(monkeypatch)
     u, beta = _power_field(3, -0.5), -0.5
     rep = rep_formula_report(u, _singular_profile(beta), _OFF_CENTRE_OMEGA, [0.5, 0, 0],
-                             m_sphere=12, m_boundary=16, m_rad=12)
-    assert outer == [_OFF_CENTRE_OMEGA]
+                             m_sphere=12, m_boundary=16, rel_tol=1e-8)
+    assert [args[2] for args, _ in rays] == [_OFF_CENTRE_OMEGA]
     assert rep["err_est"] is None
 
 
 @pytest.mark.parametrize("seg_block", [_SEG_BLOCK, 2000, 100])
 def test_rep_formula_annulus_jets_stay_within_the_block(monkeypatch, seg_block):
-    # 288 directions about p: blocks of 56 rows, of 4 rows within 2000 points,
-    # and of 4 rows where one row alone exceeds 100 points
+    # 288 directions about p: blocks of 56 rows, of 6 rows within 2000 points,
+    # and of one row where one row alone exceeds 100 points
     monkeypatch.setattr(potential, "_SEG_BLOCK", seg_block)
     u, beta = _power_field(3, -0.5), -0.5
     prof = _singular_profile(beta)
@@ -795,6 +956,6 @@ def test_rep_formula_annulus_jets_stay_within_the_block(monkeypatch, seg_block):
 
     u._jet = recorded
     rep_formula_report(u, prof, _OFF_CENTRE_OMEGA, [0.5, 0, 0], m_sphere=12, m_boundary=16,
-                       m_rad=12)
+                       rel_tol=1e-4)
     dirs = sphere_rule(3, 12)[0].shape[0]
-    assert sizes and max(sizes) <= max(seg_block, 4 * dirs)
+    assert sizes and max(sizes) <= max(seg_block, dirs)

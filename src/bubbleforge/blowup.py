@@ -268,6 +268,7 @@ class RescaledField(ScalarField):
         self.lam = float(lam)
         self.window_radius = float(window_radius)
         self.radial = False
+        self._sym_axes = ()
         self._interfaces = tuple(((c - self.x_center) / self.lam, r / self.lam)
                                  for c, r in src._interfaces)
 

@@ -18,13 +18,14 @@ the evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidGeometry, KappaTooLarge, OutOfDomain
 from .field_core import KReport, ScalarField, _dim, _k_of, _point, _same_dim, combined_k_bounds
-from .regions import Box, GridSpec, Region, _region_chunks, _stream_argmax
+from .regions import Box, GridSpec, Region, _orbit_argmax, _region_chunks, _stream_argmax
 
 
 @dataclass(frozen=True)
@@ -180,14 +181,23 @@ def sup_scan(f: ScalarField, region: Region, grid_spec: GridSpec | None = None) 
     Radially symmetric fields scanned over origin-centered balls or annuli
     reduce to a 1D radial scan.  Grids stream in chunks of grid_spec.chunk
     nodes, grid_spec.threads at a time, and argmax ties break toward the
-    lexicographically smallest grid index.  Raises OutOfDomain when no grid
-    node lies in the region.
+    lexicographically smallest grid index.  On a Box, a field that declares
+    symmetric axes (_sym_axes) has each grid scanned by orbits: an axis of
+    them whose nodes are symmetric about 0 folds to its non-negative half,
+    those with equal nodes merge, one node per orbit is evaluated, and then
+    every node of the orbits within rounding of the largest value, so
+    sup_abs_dev, argmax and n_samples are the full grid's bit for bit.
+    n_samples counts the grid nodes covered, grid["evaluated"] the nodes
+    whose K was evaluated, and grid["folded"] the axes folded on the coarse
+    and on the refinement grid.  Raises OutOfDomain when no grid node lies
+    in the region.
     """
     gs = grid_spec or GridSpec()
     n = f.n
     _same_dim(n, region)
     refine = 2 * gs.refine_factor + 1
-    if f.radial and not isinstance(region, Box) and not region.center.any():
+    box = isinstance(region, Box)
+    if f.radial and not box and not region.center.any():
         r_lo, r_hi = region.radial_range()
         m = gs.radial_points
         rs = np.linspace(r_lo, r_hi, m + 1)[1:] if r_lo == 0.0 else np.linspace(r_lo, r_hi, m)
@@ -203,6 +213,7 @@ def sup_scan(f: ScalarField, region: Region, grid_spec: GridSpec | None = None) 
         cell = (hi - lo) / (m - 1)
         grid = {"kind": "grid", "points_per_axis": int(m)}
     grid["refine_factor"] = int(gs.refine_factor)
+    grid["evaluated"], grid["folded"] = 0, []
 
     def deviation(X):
         k = _k_of(n, *f._jet(X, False, True)[::2])
@@ -210,7 +221,17 @@ def sup_scan(f: ScalarField, region: Region, grid_spec: GridSpec | None = None) 
         return np.abs(k, out=k)
 
     def scan(axes):
-        return _stream_argmax(deviation, _region_chunks(region, axes, gs.chunk), gs.threads)
+        if box:  # a Box holds every node of linspace axes between its ends: none is tested
+            best, x, evaluated, folded = _orbit_argmax(deviation, axes, f._sym_axes, gs.chunk,
+                                                       gs.threads)
+            count = math.prod(a.size for a in axes)
+        else:
+            best, x, count = _stream_argmax(deviation, _region_chunks(region, axes, gs.chunk),
+                                            gs.threads)
+            evaluated, folded = count, []
+        grid["evaluated"] += evaluated
+        grid["folded"].append(folded)
+        return best, x, count
 
     best, best_x, n_samples = scan(axes)
     if best_x is None:

@@ -88,6 +88,15 @@ def _down(x, ulps=1):
     return x
 
 
+def _fixing_axes(c, *fields) -> tuple:
+    """The axes i with c[i] == 0 that each of fields declares symmetric: the axes whose
+    signed permutations fix the point c and leave every one of fields unchanged."""
+    axes = set(np.flatnonzero(c == 0.0).tolist())
+    for f in fields:
+        axes &= set(f._sym_axes)
+    return tuple(sorted(axes))
+
+
 def _row_dot(a, b):
     """Dot product per point of the coordinate rows a and b (n, ...), in _sq_dist's order.
 
@@ -138,12 +147,19 @@ class ScalarField:
         may lose smoothness, the ends of the glue cutoffs; between them the
         jet is smooth.  The polar quadratures cut their rays there, and the
         radial ones split at the radii.
+    _sym_axes : the coordinate axes (increasing) whose signed permutations,
+        each permuting these coordinates and flipping signs among them,
+        leave the field unchanged, up to the rounding of the jet.  Box scans
+        evaluate one grid node per orbit of these maps.  Every class that
+        supplies a _jet sets it in its own body, so no field inherits a
+        symmetry it lacks.
     """
 
     n: int
     radial: bool = False
     inv_decay_coeff: float | None = None
     _interfaces: tuple = ()
+    _sym_axes: tuple = ()
 
     def value(self, x):
         return _pointwise(lambda X: self._jet(X, False, False)[0], x, self.n)
@@ -185,6 +201,7 @@ class RadialField(ScalarField):
         self.n = _dim(n)
         self.center = np.zeros(self.n) if center is None else _point(center, self.n)
         self.radial = bool(np.all(self.center == 0.0))
+        self._sym_axes = _fixing_axes(self.center)
 
     def _jet(self, X, grad, d2):
         r = _sq_dist(X, self.center)
@@ -350,6 +367,7 @@ class SumField(ScalarField):
         self.n = f.n
         self.f, self.g = f, g
         self.radial = f.radial and g.radial
+        self._sym_axes = _fixing_axes(np.zeros(self.n), f, g)
         self._interfaces = f._interfaces + g._interfaces
         if f.inv_decay_coeff is not None and g.inv_decay_coeff is not None:
             self.inv_decay_coeff = f.inv_decay_coeff + g.inv_decay_coeff

@@ -18,8 +18,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import BadConfig, BadRadii, NoSolution, OverlapError
-from .field_core import (Bubble, RadialField, ScalarField, _dim, _nonzero, _point, _row_dot,
-                         _sq_dist)
+from .field_core import (Bubble, RadialField, ScalarField, _dim, _fixing_axes, _nonzero, _point,
+                         _row_dot, _sq_dist)
 from .regions import Annulus
 
 # sharp bound of the quintic smoothstep's second derivative on [0, 1]
@@ -285,6 +285,7 @@ class DisjointGlueField(ScalarField):
         self.n = b1.n
         self.cut1, self.cut2 = Cutoff(*span1), Cutoff(*span2)
         self._interfaces = self.cut1._spheres(b1.center) + self.cut2._spheres(b2.center)
+        self._sym_axes = _fixing_axes(np.zeros(self.n), b1, b2)
         self.inward = bool(inward)
         self.inv_decay_coeff = b1.inv_decay_coeff + b2.inv_decay_coeff
 
@@ -345,6 +346,8 @@ class InsertGlueField(ScalarField):
         self.rho_m, self.rho_M = float(rho_m), float(rho_M)
         self.cut = Cutoff(bubble.lam * self.rho_m, bubble.lam * self.rho_M)
         self.radial = host.radial and bool(np.all(self.x1 == 0.0))
+        # the bubble sits at the origin; the host is read at x1 + x
+        self._sym_axes = _fixing_axes(self.x1, host)
         self.inv_decay_coeff = host.inv_decay_coeff
         # the host is read at x1 + x, so its spheres move by -x1
         self._interfaces = self.cut._spheres(np.zeros(self.n)) + tuple(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AtCenter, BubbleforgeError
-from .field_core import Bubble, ScalarField, _point, _pointwise, _row_dot, _sq_dist
+from .field_core import Bubble, ScalarField, _fixing_axes, _point, _pointwise, _row_dot, _sq_dist
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,7 @@ class KelvinField(ScalarField):
         self.src = src
         self.inv = inv
         self.radial = src.radial and bool(np.all(inv.center == 0.0))
+        self._sym_axes = _fixing_axes(inv.center, src)
         # image of a field regular at the center decays like |x|^(2-n)
         try:
             u_c = float(src.value(inv.center))

@@ -1,5 +1,7 @@
-"""The streamed grid engine: sup_scan against a dense scan, masks, ties, NaN, memory."""
+"""The streamed grid engine: sup_scan against a dense scan, masks, ties, NaN, memory, orbits."""
 
+import itertools
+import math
 import threading
 import time
 import tracemalloc
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 from bubbleforge import Annulus, Ball, Box, Bubble, GridSpec, k_function, sum_field, sup_scan
 from bubbleforge.errors import OutOfDomain
 from bubbleforge.field_core import ScalarField, _sq_dist
-from bubbleforge.regions import _grid_chunks, _stream_argmax, grid_points
+from bubbleforge.glue import ConcentricGlueField, DisjointGlueField
+from bubbleforge.regions import (_GROUP_ROWS, _ORBIT_NODES, _grid_chunks, _orbit_layout,
+                                 _orbit_size, _stream_argmax, grid_points)
 
 
 def _dense_sup_scan(f, region, gs):
@@ -290,3 +294,160 @@ def test_scans_below_two_points_are_rejected_before_they_start():
     with pytest.raises(ValueError, match="radial_points"):
         sup_scan(Bubble(1.0, np.zeros(3), 3), Ball(np.zeros(3), 1.0), GridSpec(radial_points=1))
     assert sup_scan(f, Box(-np.ones(3), np.ones(3)), GridSpec(points_per_axis=2)).n_samples > 0
+
+
+# --- orbit scans: a field with declared symmetric axes on a Box ------------------
+
+def _axis_point(n, *coords):
+    x = np.zeros(n)
+    x[:len(coords)] = coords
+    return x
+
+
+ORBIT_FIELDS = {
+    # radial about the origin: every axis folds, and all merge
+    "radial": lambda n: ConcentricGlueField(Bubble(0.2, np.zeros(n), n), Bubble(1.0, np.zeros(n), n),
+                                            0.5, 1.2),
+    # centres on axis 0: the other axes fold and merge
+    "axial-sum": lambda n: sum_field(Bubble(0.4, _axis_point(n, 0.6), n), Bubble(0.7, np.zeros(n), n)),
+    "disjoint-glue": lambda n: DisjointGlueField(Bubble(0.05, _axis_point(n, 1.0), n), 0.4,
+                                                 Bubble(1.0, np.zeros(n), n), 0.4, 0.2, 0.2, True),
+    # a centre off axes 0 and 1: only the last n - 2 axes are symmetric
+    "partial-axis": lambda n: sum_field(Bubble(0.5, _axis_point(n, 0.3, -0.2), n),
+                                        Bubble(0.8, np.zeros(n), n)),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n, points", [(3, 14), (3, 15), (4, 9), (4, 10), (5, 7)])
+@pytest.mark.parametrize("name", sorted(ORBIT_FIELDS))
+def test_orbit_scan_matches_dense_scan(name, n, points, threads):
+    f = ORBIT_FIELDS[name](n)
+    # axis 0 of the box is not symmetric about 0 unless the field is radial
+    lo = np.full(n, -1.3)
+    hi = np.full(n, 1.3) if name == "radial" else np.r_[1.9, np.full(n - 1, 1.3)]
+    gs = GridSpec(points_per_axis=points, refine_factor=2, chunk=500, threads=threads)
+    rep = _assert_same_scan(f, Box(lo, hi), gs)
+    assert rep.grid["folded"][0] == [i for i in f._sym_axes if name == "radial" or i > 0]
+    assert rep.grid["evaluated"] < rep.n_samples
+
+
+def test_n4_box_scan_takes_the_orbit_path():
+    # test_streamed_scan_matches_dense_scan_n4's field: its centre is 0 on axis 1 only
+    f = sum_field(Bubble(0.5, np.array([0.3, 0.0, -0.2, 0.1]), 4), Bubble(0.8, np.zeros(4), 4))
+    rep = sup_scan(f, Box(np.full(4, -1.0), np.full(4, 1.0)),
+                   GridSpec(points_per_axis=9, refine_factor=2, chunk=700))
+    assert f._sym_axes == (1,)
+    assert rep.grid["folded"][0] == [1]
+    assert rep.grid["evaluated"] < rep.n_samples
+
+
+class _PlantedOrbits(_Planted):
+    """_Planted keeping its source's declared symmetry, planted with whole orbits."""
+
+    def __init__(self, src, tie_nodes=(), nan_nodes=()):
+        super().__init__(src, tie_nodes, nan_nodes)
+        self._sym_axes = src._sym_axes
+
+
+def _orbit(axes, sym, index):
+    """The grid nodes of the orbit of the node at index under signed permutations of sym,
+    where every axis of sym holds the same nodes, symmetric about 0: by index, as the scan
+    folds them."""
+    m = axes[sym[0]].size
+    nodes = set()
+    for p in itertools.permutations(sym):
+        for flips in itertools.product((False, True), repeat=len(sym)):
+            i = list(index)
+            for a, b, flip in zip(sym, p, flips):
+                i[a] = m - 1 - index[b] if flip else index[b]
+            nodes.add(tuple(i))
+    return [np.array([axes[a][j] for a, j in enumerate(i)]) for i in sorted(nodes)]
+
+
+def _orbit_case(n, points):
+    f = ORBIT_FIELDS["axial-sum"](n)
+    box = Box(np.r_[-1.3, np.full(n - 1, -1.1)], np.r_[1.9, np.full(n - 1, 1.1)])
+    axes = [np.linspace(a, b, points) for a, b in zip(box.lo, box.hi)]
+    return f, box, axes
+
+
+# chunks of 300 nodes, or of one orbit, so that the member pass takes each
+# planted orbit in a batch of its own and compares them across batches
+ORBIT_CHUNKS = [300, "orbit"]
+
+
+def _chunk(chunk, n):
+    return 2 ** (n - 1) * math.factorial(n - 1) if chunk == "orbit" else chunk
+
+
+@pytest.mark.parametrize("chunk", ORBIT_CHUNKS)
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n, points", [(3, 14), (4, 9)])
+def test_planted_orbit_tie_goes_to_the_first_node(n, points, threads, chunk):
+    f, box, axes = _orbit_case(n, points)
+    # two whole orbits, equal everywhere: the first node of either in C order wins
+    late = _orbit(axes, f._sym_axes, (points - 2, *range(1, n)))
+    early = _orbit(axes, f._sym_axes, (3, *range(n - 1)))
+    planted = _PlantedOrbits(f, tie_nodes=late + early)
+    gs = GridSpec(points_per_axis=points, refine_factor=2, chunk=_chunk(chunk, n),
+                  threads=threads)
+    rep = _assert_same_scan(planted, box, gs)
+    assert rep.argmax.tobytes() == early[0].tobytes()
+    assert len(early) == 2 ** (n - 1) * math.factorial(n - 1)
+    assert rep.grid["evaluated"] < rep.n_samples
+
+
+@pytest.mark.parametrize("chunk", ORBIT_CHUNKS)
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n, points", [(3, 14), (4, 9)])
+def test_planted_orbit_nan_wins_over_every_maximum(n, points, threads, chunk):
+    f, box, axes = _orbit_case(n, points)
+    ties = _orbit(axes, f._sym_axes, (1, *range(1, n)))
+    nans = _orbit(axes, f._sym_axes, (points - 3, *range(2, n + 1)))
+    planted = _PlantedOrbits(f, tie_nodes=ties, nan_nodes=nans)
+    gs = GridSpec(points_per_axis=points, refine_factor=2, chunk=_chunk(chunk, n),
+                  threads=threads)
+    rep = _assert_same_scan(planted, box, gs)
+    assert np.isnan(rep.sup_abs_dev)
+    assert rep.argmax.tobytes() == nans[0].tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_flat_maximum_streams_the_grid_once(n):
+    # on an exact bubble |K - 1| is rounding alone, so nearly every orbit is
+    # within the margin of the largest: the scan streams the grid in place of
+    # a member pass, and evaluates it once plus its representatives
+    f = Bubble(1.0, np.zeros(n), n)
+    box = Box(np.full(n, -3.0), np.full(n, 3.0))
+    gs = GridSpec(points_per_axis=20, refine_factor=2)
+    rep = _assert_same_scan(f, box, gs)
+    assert rep.grid["folded"][0] == list(range(n))
+    assert rep.n_samples < rep.grid["evaluated"] < 1.05 * rep.n_samples
+    # and in chunks, with no grid-sized index arrays: the streamed scan of a
+    # grid of 2^17 nodes or more, in chunks of 2^10, peaks below a quarter of
+    # its nodes as n float64 rows (0.13 at n = 3, 0.03 at n = 4)
+    points = {3: 48, 4: 20}[n]
+    tracemalloc.start()
+    try:
+        sup_scan(f, box, GridSpec(points_per_axis=points, refine_factor=2, chunk=1024))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense_bytes = points**n * n * 8
+    assert peak < 0.25 * dense_bytes, (peak, dense_bytes)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_orbits_and_merged_tables_stay_bounded(n):
+    # at n = 7 every axis folds and merges, 2^7 7! = 645,120 nodes an orbit:
+    # the layout gives up merges, then folds, until an orbit fits _ORBIT_NODES
+    axes = [np.linspace(-1.0, 1.0, 21)] * n
+    start, groups = _orbit_layout(axes, tuple(range(n)))
+    assert _orbit_size(start, groups) <= _ORBIT_NODES
+    assert all(math.comb(21 - start[g[0]] + len(g) - 1, len(g)) <= _GROUP_ROWS for g in groups)
+    assert sum(map(bool, start)) == n and groups
+    f = ORBIT_FIELDS["radial"](n)
+    rep = _assert_same_scan(f, Box(np.full(n, -1.3), np.full(n, 1.3)),
+                            GridSpec(points_per_axis=5, refine_factor=1, chunk=1000))
+    assert rep.grid["folded"][0] == list(range(n))

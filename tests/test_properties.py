@@ -17,6 +17,7 @@ from bubbleforge import (
     sum_field,
     thmA_conditions,
 )
+from bubbleforge.blowup import RescaledField
 from bubbleforge.bounds import depth_factors
 from bubbleforge.cli import _power_field
 from bubbleforge.glue import ConcentricGlueField, DisjointGlueField, InsertGlueField
@@ -174,3 +175,72 @@ def test_radial_claim_survives_rotation(name, data):
             assert np.max(np.abs(of(y) - of(x))) <= 1e-14 * np.max(np.abs(of(scale)))
     # the cases stay on both sides of the rules, so the check above is not vacuous
     assert f.radial == claim
+
+
+def _sum_at(*centres):
+    return sum_field(_b(1.0, centres[0]), _b(0.5, centres[1]))
+
+
+# one field of each class on each side of each rule that sets `_sym_axes`,
+# with the axes it should declare: the axes where a centre is 0, the common
+# axes of a sum's or a disjoint glue's parts, a host's axes where an insert's
+# x1 is 0, a Kelvin source's axes where the inversion centre is 0, and none
+# for a rescaled field or for centres off every axis
+SYMMETRY_CLAIMS = {
+    "bubble": (lambda: _b(0.7), (0, 1, 2)),
+    "bubble-n4": (lambda: _b(1.3, (0, 0, 0, 0)), (0, 1, 2, 3)),
+    "bubble-axis": (lambda: _b(0.7, (0.2, 0, 0)), (1, 2)),
+    "bubble-off": (lambda: _b(0.7, (0.2, -0.3, 0.1)), ()),
+    "base": (lambda: BaseField(4), (0, 1, 2, 3)),
+    "callable": (lambda: _callable_radial(None), (0, 1, 2)),
+    "callable-axis": (_callable_radial, (1, 2)),
+    "sum": (_host, (0, 1, 2)),
+    "sum-axis": (lambda: _sum_at((0.3, 0, 0), (0, 0, 0)), (1, 2)),
+    "sum-off": (lambda: _sum_at((0.3, 0.2, 0), (0, 0, 0)), (2,)),
+    "sum-apart": (lambda: _sum_at((0.3, 0, 0), (0, 0.2, 0)), (2,)),
+    "concentric": (lambda: ConcentricGlueField(_b(0.2), _b(1.0), 0.5, 1.5), (0, 1, 2)),
+    "disjoint": (lambda: DisjointGlueField(_b(0.5, (3, 0, 0)), 0.5, _b(1.0), 0.5), (1, 2)),
+    "disjoint-off": (lambda: DisjointGlueField(_b(0.5, (2, 2, 0)), 0.5, _b(1.0), 0.5), (2,)),
+    "insert": (lambda: InsertGlueField(_host(), _b(0.5), np.zeros(3), 4.0, 1.0), (0, 1, 2)),
+    "insert-x1": (lambda: InsertGlueField(_host(), _b(0.5), [0.1, 0, 0], 4.0, 1.0), (1, 2)),
+    "insert-host": (lambda: InsertGlueField(_sum_at((0, 0.3, 0), (0, 0, 0)), _b(0.5),
+                                            [0.1, 0, 0], 4.0, 1.0), (2,)),
+    "kelvin": (lambda: KelvinField(_host(), Inversion(np.zeros(3), 1.2)), (0, 1, 2)),
+    "kelvin-centre": (lambda: KelvinField(_host(), Inversion([0.2, 0, 0], 1.2)), (1, 2)),
+    "kelvin-source": (lambda: KelvinField(_sum_at((0.3, 0.2, 0), (0, 0, 0)),
+                                          Inversion(np.zeros(3), 1.2)), (2,)),
+    "rescaled": (lambda: RescaledField(_b(0.1), np.zeros(3), 0.1, 10.0), ()),
+    "rep-singular": (lambda: _power_field(3, -0.5), (0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRY_CLAIMS)
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_symmetry_claim_survives_signed_permutations(name, data):
+    # a field has the same value and Laplacian at x and at Px for a signed
+    # permutation P of its declared axes, to roundoff of their largest
+    # magnitudes: P changes only the order in which squares are summed
+    make, claim = SYMMETRY_CLAIMS[name]
+    f = make()
+    n, axes = f.n, list(f._sym_axes)
+    coord = st.floats(min_value=-2.5, max_value=2.5)
+    point = st.lists(coord, min_size=n, max_size=n).filter(lambda v: np.hypot.reduce(v) >= 0.1)
+    x = np.array(data.draw(st.lists(point, min_size=1, max_size=16)))
+    y = x.copy()
+    if axes:
+        perm = data.draw(st.permutations(axes))
+        signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(axes),
+                                            max_size=len(axes))))
+        y[:, axes] = signs * x[:, perm]
+    # the scale takes in rays along every axis across the sampled cube, so that
+    # a Laplacian near one of its zeros is held to the roundoff of the terms
+    # that cancel there, not to that of the small sum
+    rays = np.linspace(-2.5, 2.5, 26)[:, None, None] * np.eye(n)
+    scale = np.vstack([x, rays.reshape(-1, n)[np.hypot.reduce(rays.reshape(-1, n), axis=1) >= 0.1]])
+    for of in (f.value, f.laplacian):
+        assert np.max(np.abs(of(y) - of(x))) <= 1e-14 * np.max(np.abs(of(scale)))
+    # the declaration is the claimed one, so the check above is not vacuous,
+    # and a radial field declares every axis
+    assert f._sym_axes == claim
+    assert not f.radial or claim == tuple(range(n))

@@ -38,6 +38,10 @@ One radial hook: a radial field supplies _radial_jet alone, so no class
 defines value_r or _profile, and every RadialField subclass defines
 _radial_jet.
 
+One symmetry declaration per jet: every field class that defines _jet,
+ScalarField included, sets _sym_axes in its own body, so no field
+inherits a symmetry it lacks and box scans fold only what is declared.
+
 Field classes live in the field modules: no ScalarField subclass, direct
 or not, is defined outside field_core.py, glue.py, kelvin.py and
 blowup.py, so a field is built from theirs (the command line's |x|^beta
@@ -413,6 +417,78 @@ def test_one_radial_hook():
     assert {name for _, name, _ in radial_hook_breaks(bare)} == {
         "Bubble", "BaseField", "CallableRadialField", "ConcentricGlueField"}
 
+
+
+SYM_AXES = "_sym_axes"
+
+
+def sym_axes_breaks(sources: dict[str, str]):
+    """(module, class, line) of each field class of sources ({module: source}),
+    ScalarField or a subclass of it, direct or not, that defines _jet but sets
+    _sym_axes nowhere in its own body: neither as a class attribute nor as
+    self._sym_axes in one of its methods."""
+    classes = {}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                methods = {fn.name for fn in node.body if isinstance(fn, ast.FunctionDef)}
+                sets = any(_point_name(t) == SYM_AXES for stmt in ast.walk(node)
+                           if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                           for t in getattr(stmt, "targets", [getattr(stmt, "target", None)]))
+                classes[node.name] = (module, node.lineno, list(map(_point_name, node.bases)),
+                                      "_jet" in methods, sets)
+
+    def field(name):
+        return name == "ScalarField" or name in classes and any(map(field, classes[name][2]))
+
+    return sorted((module, name, line) for name, (module, line, _, jet, sets) in classes.items()
+                  if field(name) and jet and not sets)
+
+
+def test_guard_finds_jets_without_a_symmetry_declaration():
+    sources = {
+        "core": "\n".join([
+            "class ScalarField:",
+            "    _sym_axes: tuple = ()",
+            "    def _jet(self, X, grad, d2):",
+            "        raise NotImplementedError",
+            "class Radial(ScalarField):",
+            "    def __init__(self, n):",
+            "        self._sym_axes = tuple(range(n))",
+            "    def _jet(self, X, grad, d2):",
+            "        return X, None, None",
+            "class Bubble(Radial):",
+            "    def _radial_jet(self, r, slope, d2):",
+            "        return r, None, None",
+            "class Sum(ScalarField):",
+            "    def __init__(self, f, g):",
+            "        self.f, self.g = f, g",
+            "    def _jet(self, X, grad, d2):",
+            "        return self.f._jet(X, grad, d2)",
+        ]),
+        "blowup": "\n".join([
+            "class Rescaled(core.ScalarField):",
+            "    radial = False",
+            "    def _jet(self, Y, grad, d2):",
+            "        return Y, None, None",
+            "class Cutoff:",
+            "    def _jet(self, r, d2):",
+            "        return r, r, r",
+        ]),
+    }
+    assert sym_axes_breaks(sources) == [("blowup", "Rescaled", 1), ("core", "Sum", 13)]
+
+
+def test_every_jet_declares_its_symmetry():
+    sources = {path.stem: path.read_text() for path in SRC.glob("*.py")}
+    bad = [f"{module}.py:{line}: {name}" for module, name, line in sym_axes_breaks(sources)]
+    assert not bad, f"a field class with a _jet sets no {SYM_AXES}:\n" + "\n".join(bad)
+    # the guard sees every jet of the package: without the declarations, each is reported
+    bare = {module: source.replace(f"{SYM_AXES} =", "_gone =").replace(
+        f"{SYM_AXES}: tuple =", "_gone: tuple =") for module, source in sources.items()}
+    assert {name for _, name, _ in sym_axes_breaks(bare)} == {
+        "ScalarField", "RadialField", "SumField", "DisjointGlueField", "InsertGlueField",
+        "KelvinField", "RescaledField"}
 
 FIELD_MODULES = {"field_core", "glue", "kelvin", "blowup"}
 

@@ -21,7 +21,7 @@ _CELL = 2 * OUTER_RADIUS / 47  # the polish's largest first step: a cell of a 48
 _MIN_STEP = 1.0 / 2048  # the compass search stops below this share of its first step
 _GAP = 1e-3  # the branch-and-bound ends once no box may beat its best value by this share
 # weighted evaluations the branch-and-bound may spend; `blowup --n 3/4/5` needs
-# 559, 2,215 and 5,939, a bubble centred at the origin more than 260k
+# 345, 1,227 and 3,305, a bubble centred at the origin more than 260k
 _BUDGET = 1 << 16
 _FIT_ITERS = 100  # Gauss-Newton steps of fit_bubble at most
 
@@ -47,7 +47,7 @@ class BlowupInput:
     def __post_init__(self):
         if not 0 < self.epsilon < OUTER_RADIUS:
             raise ValueError("need 0 < epsilon < 5/8")
-        if self.R <= 0 or self.delta_target <= 0:
+        if not (self.R > 0 and self.delta_target > 0):  # NaN fails too
             raise ValueError("R and delta_target must be positive")
         object.__setattr__(self, "excluded",
                            tuple((_point(c, self.field.n), rad) for c, rad in self.excluded))
@@ -183,15 +183,19 @@ def _weighted_upper(inp: BlowupInput, lo, hi):
 def _branch_and_bound(inp: BlowupInput):
     """Best box centre of weighted_u by interval branch-and-bound.
 
-    Starts from the cube [-5/8, 5/8]^n and goes level by level: boxes whose
-    bound is -inf are dropped, the centres of the others are evaluated in
-    one _weighted_rows call, a box whose bound is at most best (1 + _GAP)
-    is pruned, and each box left is bisected along its longest edge (the
-    first such axis).  (Piyavskii, USSR Comput. Math. 12, 1972; Moore,
-    Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009.)  It
-    ends when no box is left, or before a level would take it past
-    _BUDGET evaluations; a field without an enclosure prunes nothing and
-    so bisects until then.
+    Starts from the cube [-5/8, 5/8]^n and goes level by level, with one
+    _weighted_upper and one _weighted_rows call each: a freshly bounded box
+    is cut off before its centre is evaluated when its bound is -inf or at
+    most best (1 + _GAP), the centres of the others are evaluated, the
+    cut-off test runs again with the new best, and each box left is
+    bisected along its longest edge (the first such axis) and each half
+    along its own, into four boxes; into two when four times the boxes
+    would take the next level past _BUDGET evaluations.  (Piyavskii, USSR
+    Comput. Math. 12, 1972; Moore, Kearfott & Cloud, Introduction to
+    Interval Analysis, SIAM 2009; Csallner, Csendes & Markot, J. Global
+    Optim. 16, 2000.)  It ends when no box is left, or before a level
+    would take it past _BUDGET evaluations; a field without an enclosure
+    prunes nothing and so splits until then.
 
     Returns (x, value, box, upper): the best centre, its value and the edge
     lengths of its box, and a bound on weighted_u over the annulus (the
@@ -205,8 +209,9 @@ def _branch_and_bound(inp: BlowupInput):
     ub = _weighted_upper(inp, lo, hi)
     best, best_x, best_box, upper, spent = -np.inf, None, None, -np.inf, 0
     while True:
-        live = ub > -np.inf
-        lo, hi, ub = lo[live], hi[live], ub[live]
+        keep = ub > best * (1 + _GAP)
+        upper = max(upper, float(ub[~keep].max(initial=-np.inf)))
+        lo, hi, ub = lo[keep], hi[keep], ub[keep]
         if not len(lo) or spent + len(lo) > _BUDGET:
             break
         mid = (lo + hi) / 2
@@ -221,11 +226,12 @@ def _branch_and_bound(inp: BlowupInput):
         keep = ub > best * (1 + _GAP)
         upper = max(upper, float(ub[~keep].max(initial=-np.inf)))
         lo, hi = lo[keep], hi[keep]
-        axis, rows = np.argmax(hi - lo, axis=1), np.arange(len(lo))
-        cut = mid[keep][rows, axis]
-        left_hi, right_lo = hi.copy(), lo.copy()
-        left_hi[rows, axis] = right_lo[rows, axis] = cut
-        lo, hi = np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])
+        for _ in range(1 if spent + 4 * len(lo) > _BUDGET else 2):
+            axis, rows = np.argmax(hi - lo, axis=1), np.arange(len(lo))
+            cut = (lo[rows, axis] + hi[rows, axis]) / 2
+            left_hi, right_lo = hi.copy(), lo.copy()
+            left_hi[rows, axis] = right_lo[rows, axis] = cut
+            lo, hi = np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])
         ub = _weighted_upper(inp, lo, hi)
     if best_x is None:
         raise OutOfDomain("no admissible box centre: the annulus lies inside the excluded balls")
@@ -240,10 +246,10 @@ def weighted_max(inp: BlowupInput):
     to 1/2048 of them.  M_upper is the branch-and-bound's bound on
     weighted_u over the annulus: within _GAP of the best centre's value
     when the search ended within its budget, as it does for `blowup`'s
-    planted bubbles, and None when it is infinite, as for a field without
-    a box enclosure (a Bubble, or a SumField of such fields, has one).  A
-    bubble centred at the origin peaks on a whole sphere and spends the
-    budget.  The whole search is deterministic.
+    planted bubbles at n = 3 to 6 and at most seeds at n = 7, and None
+    when it is infinite, as for a field without a box enclosure (a Bubble,
+    or a SumField of such fields, has one).  A bubble centred at the origin peaks on a whole sphere and
+    spends the budget.  The whole search is deterministic.
 
     Raises OutOfDomain when no point is admissible (the annulus lies
     inside the excluded balls) or when the weighted field is infinite at

@@ -414,37 +414,45 @@ def test_weighted_max_beats_the_grid_path(seed):
 
 
 def _search_evaluations(inp, monkeypatch):
-    """(evaluations, certified): the branch-and-bound's weighted evaluations,
-    and whether its bound is within _GAP of its best value."""
-    sizes = []
-    rows = blowup._weighted_rows
+    """(evaluations, certified, levels): the branch-and-bound's weighted
+    evaluations, whether its bound is within _GAP of its best value, and its
+    _weighted_upper calls, one per level."""
+    sizes, levels = [], []
+    rows, upper_of = blowup._weighted_rows, blowup._weighted_upper
     monkeypatch.setattr(blowup, "_weighted_rows",
                         lambda inp, X: sizes.append(X.shape[1]) or rows(inp, X))
+    monkeypatch.setattr(blowup, "_weighted_upper",
+                        lambda inp, lo, hi: levels.append(len(lo)) or upper_of(inp, lo, hi))
     _, v, _, upper = blowup._branch_and_bound(inp)
-    return sum(sizes), upper <= v * (1 + blowup._GAP)
+    return sum(sizes), upper <= v * (1 + blowup._GAP), len(levels)
 
 
-@pytest.mark.parametrize("make_input, limit", [
-    # `blowup --n 3/4/5 --seed 0` took 559, 2,215 and 5,939 evaluations, where
-    # the 48^n grid evaluates 53,880, 1,501,568 and 37.7M admissible nodes
-    (lambda: _planted_input(3), 600),
-    (lambda: _planted_input(4), 2_400),
-    (lambda: _planted_input(5), 6_400),
-    # 1,253: the boxes inside the excised ball are dropped, not searched
-    (_excised_input, 1_400),
+@pytest.mark.parametrize("make_input, limit, max_levels", [
+    # `blowup --n 3/4/5 --seed 0` takes 345, 1,227 and 3,305 evaluations in
+    # 23, 32 and 39 levels, where the 48^n grid evaluates 53,880, 1,501,568
+    # and 37.7M admissible nodes
+    (lambda: _planted_input(3), 370, 25),
+    (lambda: _planted_input(4), 1_320, 35),
+    (lambda: _planted_input(5), 3_550, 42),
+    # 977 in 23 levels: the boxes inside the excised ball are dropped, not searched
+    (_excised_input, 1_050, 25),
 ], ids=["n3", "n4", "n5", "excised"])
-def test_branch_and_bound_evaluates_few_points(make_input, limit, monkeypatch):
-    spent, certified = _search_evaluations(make_input(), monkeypatch)
+def test_branch_and_bound_evaluates_few_points(make_input, limit, max_levels, monkeypatch):
+    spent, certified, levels = _search_evaluations(make_input(), monkeypatch)
     assert certified
     assert spent <= limit
+    assert levels <= max_levels
 
 
 def test_spent_budget_still_reaches_the_dense_search(monkeypatch):
-    # a bubble centred at the origin peaks on a whole sphere, which no budget covers
+    # a bubble centred at the origin peaks on a whole sphere, which no budget
+    # covers; the last levels bisect only once, so that the search still
+    # spends most of its budget (58,781, and 27,157 if each kept box is cut
+    # into four until the budget stops it)
     inp = BlowupInput(field=Bubble(1e-3, np.zeros(3), 3), epsilon=0.1, R=5.0,
                       delta_target=0.01)
-    spent, certified = _search_evaluations(inp, monkeypatch)
-    assert not certified and spent <= blowup._BUDGET
+    spent, certified, _ = _search_evaluations(inp, monkeypatch)
+    assert not certified and blowup._BUDGET // 2 < spent <= blowup._BUDGET
     x_o, M, M_upper = weighted_max(inp)
     assert M >= _dense_weighted_max(inp)[1]
     assert M_upper >= M
@@ -469,7 +477,7 @@ def test_fields_without_an_enclosure_are_searched_unpruned(monkeypatch):
     lo = np.array([[0.2, 0.0, 0.0], [-0.05, -0.05, -0.05], [0.5, 0.5, 0.0], [0.28, -0.01, 0.0]])
     bound = blowup._weighted_upper(inp, lo, lo + 0.02)
     assert bound.tolist() == [np.inf, -np.inf, -np.inf, -np.inf]
-    spent, certified = _search_evaluations(inp, monkeypatch)
+    spent, certified, _ = _search_evaluations(inp, monkeypatch)
     assert not certified and blowup._BUDGET // 2 < spent <= blowup._BUDGET
     x_o, M, M_upper = weighted_max(inp)
     assert M_upper is None
@@ -869,3 +877,7 @@ def test_blowup_input_validation():
         BlowupInput(field=b, epsilon=0.7, R=5.0, delta_target=0.01)
     with pytest.raises(ValueError):
         BlowupInput(field=b, epsilon=0.1, R=-1.0, delta_target=0.01)
+    # a NaN delta_target would accept every fit, and a NaN R would reach LAPACK
+    for R, delta_target in [(np.nan, 0.01), (5.0, np.nan)]:
+        with pytest.raises(ValueError, match="R and delta_target must be positive"):
+            BlowupInput(field=b, epsilon=0.1, R=R, delta_target=delta_target)

@@ -401,6 +401,18 @@ def test_float_overflow_exits_numeric(tmp_path, capsys, argv):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["R", "delta-target"])
+def test_blowup_nan_parameter_is_rejected_before_any_fit(tmp_path, capfd, name):
+    # a NaN R would reach LAPACK, which prints "DLASCL parameter number 4
+    # had an illegal value" on the process's own stdout; a NaN delta-target
+    # would accept every fit
+    code, rows = _run(tmp_path, "blowup", "--n", "3", f"--{name}", "nan")
+    out, err = capfd.readouterr()
+    assert code == EXIT_NUMERIC and rows == []
+    assert "numerical failure: R and delta_target must be positive" in err
+    assert "DLASCL" not in out + err and "[PASS]" not in out
+
+
 @pytest.mark.parametrize("out", ["missing/report.csv", ".", "nul\x00.csv"],
                          ids=["no-directory", "a-directory", "nul-byte"])
 def test_unwritable_report_path_exits_config(tmp_path, capsys, out):
